@@ -66,7 +66,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	profile, err := profileByName(hdr.City)
+	profile, err := sim.ProfileByName(hdr.City)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -122,17 +122,6 @@ func main() {
 	printDistributions(ds)
 	printSurgeAnalysis(ds, start, start+rounds*5)
 	printForecast(ds, start, start+rounds*5)
-}
-
-func profileByName(name string) (*sim.CityProfile, error) {
-	switch name {
-	case "manhattan":
-		return sim.Manhattan(), nil
-	case "sf":
-		return sim.SanFrancisco(), nil
-	default:
-		return nil, fmt.Errorf("unknown city %q in recording", name)
-	}
 }
 
 func printSeries(ds *measure.Dataset) {

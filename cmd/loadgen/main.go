@@ -37,14 +37,11 @@ import (
 
 // cityOrigin resolves a city name to its profile center.
 func cityOrigin(name string) (geo.LatLng, error) {
-	switch name {
-	case "manhattan", "mhtn", "nyc":
-		return sim.Manhattan().Origin, nil
-	case "sf", "sanfrancisco":
-		return sim.SanFrancisco().Origin, nil
-	default:
-		return geo.LatLng{}, fmt.Errorf("unknown city %q (want manhattan or sf)", name)
+	p, err := sim.ProfileByName(name)
+	if err != nil {
+		return geo.LatLng{}, err
 	}
+	return p.Origin, nil
 }
 
 func main() {

@@ -43,14 +43,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var profile *sim.CityProfile
-	switch *city {
-	case "manhattan", "mhtn", "nyc":
-		profile = sim.Manhattan()
-	case "sf", "sanfrancisco":
-		profile = sim.SanFrancisco()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown city %q\n", *city)
+	profile, err := sim.ProfileByName(*city)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -87,14 +87,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var profile *sim.CityProfile
-	switch *city {
-	case "manhattan", "mhtn", "nyc":
-		profile = sim.Manhattan()
-	case "sf", "sanfrancisco":
-		profile = sim.SanFrancisco()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown city %q (want manhattan or sf)\n", *city)
+	profile, err := sim.ProfileByName(*city)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *speedup <= 0 {

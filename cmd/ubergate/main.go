@@ -51,14 +51,9 @@ import (
 
 // cityRegion resolves a city name to its routing region spec.
 func cityRegion(name string) (gate.RegionSpec, error) {
-	var p *sim.CityProfile
-	switch name {
-	case "manhattan", "mhtn", "nyc":
-		p = sim.Manhattan()
-	case "sf", "sanfrancisco":
-		p = sim.SanFrancisco()
-	default:
-		return gate.RegionSpec{}, fmt.Errorf("unknown city %q (want manhattan or sf)", name)
+	p, err := sim.ProfileByName(name)
+	if err != nil {
+		return gate.RegionSpec{}, err
 	}
 	return gate.RegionSpec{Name: p.Name, Origin: p.Origin, Rect: p.Region}, nil
 }

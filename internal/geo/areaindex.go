@@ -17,12 +17,9 @@ import "math"
 //
 // The index is immutable after construction and safe for concurrent use.
 type AreaIndex struct {
+	grid   Cells
 	areas  []Polygon
 	bboxes []Rect
-	bounds Rect
-	cellW  float64
-	cellH  float64
-	nx, ny int
 	cell   []int32 // resolved area per cell, or mixedCell
 }
 
@@ -44,33 +41,28 @@ func NewAreaIndex(areas []Polygon, cellSize float64) *AreaIndex {
 		return ai
 	}
 	ai.bboxes = make([]Rect, len(areas))
-	ai.bounds = areas[0].Bounds()
+	bounds := areas[0].Bounds()
 	for i, pg := range areas {
 		b := pg.Bounds()
 		ai.bboxes[i] = b
-		ai.bounds.Min.X = math.Min(ai.bounds.Min.X, b.Min.X)
-		ai.bounds.Min.Y = math.Min(ai.bounds.Min.Y, b.Min.Y)
-		ai.bounds.Max.X = math.Max(ai.bounds.Max.X, b.Max.X)
-		ai.bounds.Max.Y = math.Max(ai.bounds.Max.Y, b.Max.Y)
+		bounds.Min.X = math.Min(bounds.Min.X, b.Min.X)
+		bounds.Min.Y = math.Min(bounds.Min.Y, b.Min.Y)
+		bounds.Max.X = math.Max(bounds.Max.X, b.Max.X)
+		bounds.Max.Y = math.Max(bounds.Max.Y, b.Max.Y)
 	}
-	w, h := ai.bounds.Width(), ai.bounds.Height()
 	if cellSize <= 0 {
-		cellSize = math.Max(w, h) / 128
+		cellSize = math.Max(bounds.Width(), bounds.Height()) / 128
 	}
 	if cellSize <= 0 {
 		cellSize = 1 // degenerate (point/line) bounds
 	}
-	for {
-		ai.nx = int(math.Ceil(w/cellSize)) + 1
-		ai.ny = int(math.Ceil(h/cellSize)) + 1
-		if ai.nx*ai.ny <= maxAreaCells {
-			break
-		}
+	ai.grid = NewCells(bounds, cellSize)
+	for ai.grid.NumCells() > maxAreaCells {
 		cellSize *= 2
+		ai.grid = NewCells(bounds, cellSize)
 	}
-	ai.cellW = cellSize
-	ai.cellH = cellSize
-	ai.cell = make([]int32, ai.nx*ai.ny)
+	g := &ai.grid
+	ai.cell = make([]int32, g.NumCells())
 	for i := range ai.cell {
 		ai.cell[i] = int32(-3) // unclassified
 	}
@@ -82,17 +74,17 @@ func NewAreaIndex(areas []Polygon, cellSize float64) *AreaIndex {
 		for i := 0; i < n; i++ {
 			a := pg.Vertices[i]
 			b := pg.Vertices[(i+1)%n]
-			x0 := ai.clampX(math.Min(a.X, b.X))
-			x1 := ai.clampX(math.Max(a.X, b.X))
-			y0 := ai.clampY(math.Min(a.Y, b.Y))
-			y1 := ai.clampY(math.Max(a.Y, b.Y))
+			x0 := g.col(math.Min(a.X, b.X))
+			x1 := g.col(math.Max(a.X, b.X))
+			y0 := g.row(math.Min(a.Y, b.Y))
+			y1 := g.row(math.Max(a.Y, b.Y))
 			for cy := y0; cy <= y1; cy++ {
 				for cx := x0; cx <= x1; cx++ {
-					idx := cy*ai.nx + cx
+					idx := cy*g.nx + cx
 					if ai.cell[idx] == mixedCell {
 						continue
 					}
-					if segIntersectsRect(a, b, ai.cellRect(cx, cy)) {
+					if segIntersectsRect(a, b, g.cellRect(cx, cy)) {
 						ai.cell[idx] = mixedCell
 					}
 				}
@@ -102,13 +94,13 @@ func NewAreaIndex(areas []Polygon, cellSize float64) *AreaIndex {
 
 	// Resolve every untouched cell from its center: with no edge crossing
 	// the cell, containment is constant across it.
-	for cy := 0; cy < ai.ny; cy++ {
-		for cx := 0; cx < ai.nx; cx++ {
-			idx := cy*ai.nx + cx
+	for cy := 0; cy < g.ny; cy++ {
+		for cx := 0; cx < g.nx; cx++ {
+			idx := cy*g.nx + cx
 			if ai.cell[idx] == mixedCell {
 				continue
 			}
-			ai.cell[idx] = int32(ai.exact(ai.cellRect(cx, cy).Center()))
+			ai.cell[idx] = int32(ai.exact(g.cellRect(cx, cy).Center()))
 		}
 	}
 	return ai
@@ -120,45 +112,16 @@ func (ai *AreaIndex) Len() int { return len(ai.areas) }
 // Areas returns the indexed polygons (shared; do not mutate).
 func (ai *AreaIndex) Areas() []Polygon { return ai.areas }
 
-func (ai *AreaIndex) clampX(x float64) int {
-	c := int((x - ai.bounds.Min.X) / ai.cellW)
-	if c < 0 {
-		return 0
-	}
-	if c >= ai.nx {
-		return ai.nx - 1
-	}
-	return c
-}
-
-func (ai *AreaIndex) clampY(y float64) int {
-	c := int((y - ai.bounds.Min.Y) / ai.cellH)
-	if c < 0 {
-		return 0
-	}
-	if c >= ai.ny {
-		return ai.ny - 1
-	}
-	return c
-}
-
-func (ai *AreaIndex) cellRect(cx, cy int) Rect {
-	return Rect{
-		Min: Point{ai.bounds.Min.X + float64(cx)*ai.cellW, ai.bounds.Min.Y + float64(cy)*ai.cellH},
-		Max: Point{ai.bounds.Min.X + float64(cx+1)*ai.cellW, ai.bounds.Min.Y + float64(cy+1)*ai.cellH},
-	}
-}
-
 // Find returns the index of the first polygon containing p, or -1 —
 // exactly the answer the brute-force first-match scan gives.
 func (ai *AreaIndex) Find(p Point) int {
 	if len(ai.areas) == 0 {
 		return -1
 	}
-	if !ai.bounds.Contains(p) {
+	if !ai.grid.bounds.Contains(p) {
 		return -1 // every polygon lies inside bounds
 	}
-	if a := ai.cell[ai.clampY(p.Y)*ai.nx+ai.clampX(p.X)]; a != mixedCell {
+	if a := ai.cell[ai.grid.CellIndex(p)]; a != mixedCell {
 		return int(a)
 	}
 	return ai.exact(p)

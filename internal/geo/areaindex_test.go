@@ -55,16 +55,17 @@ func TestAreaIndexMatchesBruteForceProperty(t *testing.T) {
 		// Points pinned to raster cell boundaries force the mixed-cell /
 		// cell-edge corners of the lookup.
 		for q := 0; q < 200; q++ {
-			cx := rng.Intn(ai.nx + 1)
-			cy := rng.Intn(ai.ny + 1)
+			g := ai.grid
+			cx := rng.Intn(g.nx + 1)
+			cy := rng.Intn(g.ny + 1)
 			p := Point{
-				X: ai.bounds.Min.X + float64(cx)*ai.cellW,
-				Y: ai.bounds.Min.Y + float64(cy)*ai.cellH,
+				X: g.bounds.Min.X + float64(cx)*g.size,
+				Y: g.bounds.Min.Y + float64(cy)*g.size,
 			}
 			if rng.Intn(2) == 0 {
-				p.Y = ai.bounds.Min.Y + rng.Float64()*ai.bounds.Height()
+				p.Y = g.bounds.Min.Y + rng.Float64()*g.bounds.Height()
 			} else {
-				p.X = ai.bounds.Min.X + rng.Float64()*ai.bounds.Width()
+				p.X = g.bounds.Min.X + rng.Float64()*g.bounds.Width()
 			}
 			if got, want := ai.Find(p), bruteAreaOf(areas, p); got != want {
 				t.Fatalf("trial %d: boundary Find(%v) = %d, brute force = %d", trial, p, got, want)

@@ -6,14 +6,14 @@ import (
 	"repro/internal/geo"
 )
 
-func ExampleGrid_KNearest() {
-	g := geo.NewGrid(geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 1000}), 100)
+func ExampleSlotGrid_KNearest() {
+	g := geo.NewSlotGrid(geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 1000}), 100)
 	g.Insert(1, geo.Point{X: 100, Y: 100})
 	g.Insert(2, geo.Point{X: 150, Y: 100})
 	g.Insert(3, geo.Point{X: 900, Y: 900})
 
 	for _, n := range g.KNearest(geo.Point{X: 120, Y: 100}, 2) {
-		fmt.Printf("car %d at %.0f m\n", n.ID, n.Dist)
+		fmt.Printf("car %d at %.0f m\n", n.Slot, n.Dist)
 	}
 	// Output:
 	// car 1 at 20 m

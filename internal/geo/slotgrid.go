@@ -3,25 +3,23 @@ package geo
 import "math"
 
 // SlotGrid is a uniform-grid spatial index over moving points identified
-// by small dense integer slots, the index form internal/sim's
-// struct-of-arrays world uses. Where Grid keys by sparse int64 ids and
-// pays two map probes per update, SlotGrid keys by the caller's slot
-// number and resolves membership through two flat int32 arrays, so Move
-// and Remove are pointer-chase-free O(1) and the per-tick update stream
-// of a large fleet stays allocation-free once the cells reach their
-// steady-state capacity.
+// by small dense integer slots — the live "eight closest cars" index
+// behind pingClient and dispatch. Cars churn constantly (every tick moves
+// most of them), so membership resolves through two flat int32 arrays
+// keyed by the caller's slot number: Move and Remove are
+// pointer-chase-free O(1), and the per-tick update stream of a large
+// fleet stays allocation-free once the cells reach their steady-state
+// capacity.
 //
-// The geometry (bounds, clamping, cell size, ring search order) matches
-// Grid exactly; only the identifier space and the tie-break key differ:
-// SlotGrid orders equal-distance results by ascending slot.
+// The embedded Cells supplies the geometry and the search order; SlotGrid
+// adds only the per-cell point lists. Equal-distance results order by
+// ascending slot.
 type SlotGrid struct {
-	bounds   Rect
-	cellSize float64
-	nx, ny   int
-	cells    [][]SlotPoint
-	cellOf   []int32 // slot -> cell index, -1 when absent
-	idxOf    []int32 // slot -> position within its cell slice
-	n        int
+	Cells
+	cells  [][]SlotPoint
+	cellOf []int32 // slot -> cell index, -1 when absent
+	idxOf  []int32 // slot -> position within its cell slice
+	n      int
 }
 
 // SlotPoint pairs an indexed slot with its position; the unit of the
@@ -40,63 +38,15 @@ type SlotNeighbor struct {
 
 // NewSlotGrid creates an index covering bounds with square cells of the
 // given size. Points outside bounds are clamped into the boundary cells,
-// like Grid.
+// so the index tolerates cars that wander slightly outside the service
+// region (as the paper's edge-filtering logic expects).
 func NewSlotGrid(bounds Rect, cellSize float64) *SlotGrid {
-	if cellSize <= 0 {
-		panic("geo: NewSlotGrid cellSize must be positive")
-	}
-	nx, ny := gridDims(bounds, cellSize)
-	return &SlotGrid{
-		bounds:   bounds,
-		cellSize: cellSize,
-		nx:       nx,
-		ny:       ny,
-		cells:    make([][]SlotPoint, nx*ny),
-	}
-}
-
-// gridDims returns the cell-grid dimensions Grid, SlotGrid, and the
-// snapshot index all share for a given bounds/cellSize.
-func gridDims(bounds Rect, cellSize float64) (nx, ny int) {
-	nx = int(math.Ceil(bounds.Width()/cellSize)) + 1
-	ny = int(math.Ceil(bounds.Height()/cellSize)) + 1
-	if nx < 1 {
-		nx = 1
-	}
-	if ny < 1 {
-		ny = 1
-	}
-	return nx, ny
+	c := NewCells(bounds, cellSize)
+	return &SlotGrid{Cells: c, cells: make([][]SlotPoint, c.NumCells())}
 }
 
 // Len returns the number of indexed points.
 func (g *SlotGrid) Len() int { return g.n }
-
-// Nx and Ny expose the cell-grid dimensions (for mirrors of the layout,
-// like internal/sim's snapshot index).
-func (g *SlotGrid) Nx() int { return g.nx }
-
-// Ny is the vertical cell count.
-func (g *SlotGrid) Ny() int { return g.ny }
-
-// CellIndex returns the clamped cell index for p, identical to Grid's.
-func (g *SlotGrid) CellIndex(p Point) int {
-	cx := int((p.X - g.bounds.Min.X) / g.cellSize)
-	cy := int((p.Y - g.bounds.Min.Y) / g.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	return cy*g.nx + cx
-}
 
 // grow extends the slot lookup arrays to cover slot.
 func (g *SlotGrid) grow(slot int32) {
@@ -130,6 +80,14 @@ func (g *SlotGrid) Remove(slot int32) {
 	if !g.Contains(slot) {
 		return
 	}
+	g.unlink(slot)
+	g.cellOf[slot] = -1
+	g.idxOf[slot] = -1
+	g.n--
+}
+
+// unlink swap-removes an indexed slot from its cell's list.
+func (g *SlotGrid) unlink(slot int32) {
 	ci, idx := g.cellOf[slot], g.idxOf[slot]
 	cell := g.cells[ci]
 	last := int32(len(cell) - 1)
@@ -139,9 +97,6 @@ func (g *SlotGrid) Remove(slot int32) {
 		g.idxOf[moved.Slot] = idx
 	}
 	g.cells[ci] = cell[:last]
-	g.cellOf[slot] = -1
-	g.idxOf[slot] = -1
-	g.n--
 }
 
 // Move updates slot's position, relocating it between cells only when
@@ -157,16 +112,7 @@ func (g *SlotGrid) Move(slot int32, p Point) {
 		g.cells[ci][g.idxOf[slot]].Pos = p
 		return
 	}
-	// Swap-remove from the old cell, append to the new.
-	idx := g.idxOf[slot]
-	cell := g.cells[ci]
-	last := int32(len(cell) - 1)
-	if idx != last {
-		moved := cell[last]
-		cell[idx] = moved
-		g.idxOf[moved.Slot] = idx
-	}
-	g.cells[ci] = cell[:last]
+	g.unlink(slot)
 	g.cells[ni] = append(g.cells[ni], SlotPoint{Slot: slot, Pos: p})
 	g.cellOf[slot] = ni
 	g.idxOf[slot] = int32(len(g.cells[ni]) - 1)
@@ -211,7 +157,7 @@ func (g *SlotGrid) KNearest(from Point, k int) []SlotNeighbor {
 }
 
 // KNearestInto is KNearest writing into buf (reused, returned re-sliced).
-// The search keeps a sorted bounded top-k while expanding cell rings, so
+// The search keeps a sorted bounded top-k while the ring walk expands, so
 // it never materializes or sorts the full candidate set — with dense
 // cells this is the difference between O(cells·k) and O(cands·log cands)
 // per query. The result set and order are identical to a full
@@ -221,54 +167,15 @@ func (g *SlotGrid) KNearestInto(from Point, k int, buf []SlotNeighbor) []SlotNei
 	if k <= 0 || g.n == 0 {
 		return buf
 	}
-	cx := int((from.X - g.bounds.Min.X) / g.cellSize)
-	cy := int((from.Y - g.bounds.Min.Y) / g.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		// Once k candidates are held, stop when the closest possible point
-		// in this ring ((ring-1)·cellSize away) cannot beat the k-th best.
-		if len(buf) >= k {
-			if buf[k-1].Dist <= float64(ring-1)*g.cellSize {
-				break
-			}
+	g.WalkRings(from, func(cell int) float64 {
+		for _, sp := range g.cells[cell] {
+			buf = insertNeighbor(buf, k, SlotNeighbor{Slot: sp.Slot, Pos: sp.Pos, Dist: Dist(from, sp.Pos)})
 		}
-		added := false
-		for dy := -ring; dy <= ring; dy++ {
-			for dx := -ring; dx <= ring; dx++ {
-				if abs(dx) != ring && abs(dy) != ring {
-					continue // interior already scanned in earlier rings
-				}
-				x, y := cx+dx, cy+dy
-				if x < 0 || x >= g.nx || y < 0 || y >= g.ny {
-					continue
-				}
-				added = true
-				for _, sp := range g.cells[y*g.nx+x] {
-					buf = insertNeighbor(buf, k, SlotNeighbor{
-						Slot: sp.Slot, Pos: sp.Pos, Dist: Dist(from, sp.Pos),
-					})
-				}
-			}
+		if len(buf) < k {
+			return math.Inf(1)
 		}
-		if !added && ring > 0 && len(buf) >= k {
-			break
-		}
-	}
+		return buf[k-1].Dist
+	})
 	return buf
 }
 
@@ -301,24 +208,9 @@ func insertNeighbor(buf []SlotNeighbor, k int, nb SlotNeighbor) []SlotNeighbor {
 // POOL join matcher uses.
 func (g *SlotGrid) FirstWithin(from Point, radius float64) int32 {
 	best := int32(-1)
-	minX := int((from.X - radius - g.bounds.Min.X) / g.cellSize)
-	maxX := int((from.X + radius - g.bounds.Min.X) / g.cellSize)
-	minY := int((from.Y - radius - g.bounds.Min.Y) / g.cellSize)
-	maxY := int((from.Y + radius - g.bounds.Min.Y) / g.cellSize)
-	if minX < 0 {
-		minX = 0
-	}
-	if minY < 0 {
-		minY = 0
-	}
-	if maxX > g.nx-1 {
-		maxX = g.nx - 1
-	}
-	if maxY > g.ny-1 {
-		maxY = g.ny - 1
-	}
-	for y := minY; y <= maxY; y++ {
-		for x := minX; x <= maxX; x++ {
+	x0, x1, y0, y1 := g.cellRange(from, radius)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
 			for _, sp := range g.cells[y*g.nx+x] {
 				if best >= 0 && sp.Slot >= best {
 					continue

@@ -14,6 +14,7 @@
 package road
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/geo"
@@ -57,10 +58,8 @@ type Graph struct {
 	rev    []int32 // opposite direction of the same street
 
 	// Node-lookup grid (CSR again): cellNodes[cellStart[c]:cellStart[c+1]]
-	// lists the nodes in cell c, ascending.
-	bounds    geo.Rect
-	cellSize  float64
-	nx, ny    int
+	// lists the nodes in cell c of grid, ascending.
+	grid      geo.Cells
 	cellStart []int32
 	cellNodes []int32
 
@@ -104,55 +103,19 @@ func (g *Graph) EdgeBetween(a, b int32) int32 {
 }
 
 // NearestNode returns the node closest to p (ties broken by lowest
-// index). The expanding ring search over the node grid mirrors
-// geo.SlotGrid's, so it is exact, not approximate.
+// index). Every node lies inside the grid's bounds, so the ring walk's
+// stop rule makes the answer exact, not approximate.
 func (g *Graph) NearestNode(p geo.Point) int32 {
-	cx := int((p.X - g.bounds.Min.X) / g.cellSize)
-	cy := int((p.Y - g.bounds.Min.Y) / g.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	best := int32(-1)
-	bestD := 0.0
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		// Any node in an unexplored ring is at least (ring-1) cells away;
-		// once the best found is closer than that bound, it is exact.
-		if best >= 0 && bestD <= float64(ring-1)*g.cellSize {
-			break
-		}
-		for dy := -ring; dy <= ring; dy++ {
-			for dx := -ring; dx <= ring; dx++ {
-				if absInt(dx) != ring && absInt(dy) != ring {
-					continue
-				}
-				x, y := cx+dx, cy+dy
-				if x < 0 || x >= g.nx || y < 0 || y >= g.ny {
-					continue
-				}
-				c := y*g.nx + x
-				for i := g.cellStart[c]; i < g.cellStart[c+1]; i++ {
-					v := g.cellNodes[i]
-					d := geo.Dist(p, g.nodes[v])
-					if best < 0 || d < bestD || (d == bestD && v < best) {
-						best, bestD = v, d
-					}
-				}
+	best, bestD := int32(-1), math.Inf(1)
+	g.grid.WalkRings(p, func(c int) float64 {
+		for _, v := range g.cellNodes[g.cellStart[c]:g.cellStart[c+1]] {
+			d := geo.Dist(p, g.nodes[v])
+			if best < 0 || d < bestD || (d == bestD && v < best) {
+				best, bestD = v, d
 			}
 		}
-	}
+		return bestD
+	})
 	return best
 }
 
@@ -169,33 +132,15 @@ func (g *Graph) AcquireRouter() *Router {
 // ReleaseRouter returns a router obtained from AcquireRouter to the pool.
 func (g *Graph) ReleaseRouter(r *Router) { g.routers.Put(r) }
 
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // buildNodeGrid indexes the nodes into cells of roughly 2 blocks for
 // NearestNode queries.
 func (g *Graph) buildNodeGrid(cellSize float64) {
-	g.bounds = boundsOf(g.nodes)
-	g.cellSize = cellSize
-	g.nx = int(g.bounds.Width()/cellSize) + 1
-	g.ny = int(g.bounds.Height()/cellSize) + 1
-	cells := g.nx * g.ny
+	g.grid = geo.NewCells(boundsOf(g.nodes), cellSize)
+	cells := g.grid.NumCells()
 	counts := make([]int32, cells+1)
 	idx := make([]int32, len(g.nodes))
 	for v, p := range g.nodes {
-		cx := int((p.X - g.bounds.Min.X) / g.cellSize)
-		cy := int((p.Y - g.bounds.Min.Y) / g.cellSize)
-		if cx >= g.nx {
-			cx = g.nx - 1
-		}
-		if cy >= g.ny {
-			cy = g.ny - 1
-		}
-		c := int32(cy*g.nx + cx)
+		c := int32(g.grid.CellIndex(p))
 		idx[v] = c
 		counts[c+1]++
 	}

@@ -115,6 +115,17 @@ func TestNearestNodeExact(t *testing.T) {
 	}
 }
 
+// TestNearestNodeZeroAlloc: route planning snaps both endpoints of every
+// query, inside the sim's allocation-free move phase, so the scan closure
+// NearestNode hands to the ring walk must stay on the stack.
+func TestNearestNodeZeroAlloc(t *testing.T) {
+	g := testGraph(11)
+	p := geo.Point{X: 333, Y: -777}
+	if avg := testing.AllocsPerRun(200, func() { _ = g.NearestNode(p) }); avg != 0 {
+		t.Fatalf("NearestNode allocates %.1f times per call, want 0", avg)
+	}
+}
+
 // refDijkstra is the brute-force reference: plain Dijkstra over the
 // congested costs, accumulating dist along parent chains — the ordered
 // path sum the router must reproduce bit for bit.

@@ -17,17 +17,16 @@ func TestMovePhaseZeroAlloc(t *testing.T) {
 	}
 	w := NewWorld(Config{Profile: Manhattan(), Seed: 21, Workers: 1})
 	// Reach steady state under the full tick first (populations, shard
-	// buffers, RNG pool), then under the isolated move phase (drains the
+	// buffers, shard RNGs), then under the isolated move phase (drains the
 	// sessions that expire at the frozen clock and saturates grid-cell
 	// capacities under cruise drift).
 	for i := 0; i < 1000; i++ {
 		w.Step()
 	}
-	dt := float64(w.cfg.TickSeconds)
 	for i := 0; i < 600; i++ {
-		w.moveDrivers(dt)
+		w.moveDrivers()
 	}
-	if avg := testing.AllocsPerRun(200, func() { w.moveDrivers(dt) }); avg != 0 {
+	if avg := testing.AllocsPerRun(200, func() { w.moveDrivers() }); avg != 0 {
 		t.Fatalf("move phase allocates %.3f times per tick, want 0", avg)
 	}
 }

@@ -95,15 +95,6 @@ type Driver struct {
 	pathPos int
 }
 
-// recordPath appends the current position to the path ring.
-func (d *Driver) recordPath() {
-	d.path[d.pathPos] = d.Pos
-	d.pathPos = (d.pathPos + 1) % pathLen
-	if d.pathN < pathLen {
-		d.pathN++
-	}
-}
-
 // PathPoints returns the recent positions oldest-first.
 func (d *Driver) PathPoints() []geo.Point {
 	out := make([]geo.Point, 0, d.pathN)
@@ -113,19 +104,6 @@ func (d *Driver) PathPoints() []geo.Point {
 		out = append(out, d.path[idx])
 	}
 	return out
-}
-
-// stepToward moves the driver toward target by at most dist meters and
-// reports whether the target was reached.
-func (d *Driver) stepToward(target geo.Point, dist float64) bool {
-	v := target.Sub(d.Pos)
-	n := v.Norm()
-	if n <= dist {
-		d.Pos = target
-		return true
-	}
-	d.Pos = d.Pos.Add(v.Scale(dist / n))
-	return false
 }
 
 // newSessionID draws a fresh randomized public car ID, mimicking Uber's

@@ -1,0 +1,124 @@
+package sim
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/road"
+)
+
+// TestNearestIndexesMatchBruteForce drives the three indexes that share
+// geo.Cells' ring walk — the live SlotGrid, the snapshot's productCells
+// and the road graph's node grid — with generated point sets and checks
+// every answer against a full scan ordered by (distance, slot). Points
+// sit on a coarse lattice (so equal distances and coincident points are
+// common) and may lie outside the bounds; queries include lattice points,
+// far-outside points, and k larger than the point count.
+func TestNearestIndexesMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(20150429))
+	for trial := 0; trial < 60; trial++ {
+		w, h := 600+rng.Float64()*2400, 600+rng.Float64()*2400
+		lo := geo.Point{X: rng.Float64()*4000 - 2000, Y: rng.Float64()*4000 - 2000}
+		bounds := geo.NewRect(lo, geo.Point{X: lo.X + w, Y: lo.Y + h})
+		cell := []float64{40, 100, 250, 900}[rng.Intn(4)]
+		lattice := func(overshoot float64) geo.Point {
+			x := lo.X - overshoot + rng.Float64()*(w+2*overshoot)
+			y := lo.Y - overshoot + rng.Float64()*(h+2*overshoot)
+			return geo.Point{X: float64(int(x/50)) * 50, Y: float64(int(y/50)) * 50}
+		}
+
+		// One generated car set, indexed twice.
+		n := rng.Intn(80)
+		if trial%10 == 0 {
+			n = 0
+		}
+		cars := make([]snapCar, n)
+		for i, s := range rng.Perm(200)[:n] {
+			cars[i] = snapCar{slot: int32(s), pos: lattice(150)}
+		}
+		live := geo.NewSlotGrid(bounds, cell)
+		frozen := productCells{Cells: live.Cells, count: n, cells: make([][]snapCar, live.NumCells())}
+		for i := range cars {
+			live.Insert(cars[i].slot, cars[i].pos)
+			c := frozen.CellIndex(cars[i].pos)
+			frozen.cells[c] = append(frozen.cells[c], cars[i])
+		}
+
+		// And one generated street graph over the same rectangle.
+		g := road.Generate(road.GenConfig{
+			Region: bounds, Block: []float64{60, 120, 200}[rng.Intn(3)], Seed: rng.Uint64(),
+		})
+
+		for q := 0; q < 25; q++ {
+			var from geo.Point
+			switch q % 3 {
+			case 0:
+				from = lattice(0)
+			case 1:
+				from = lattice(3000)
+			default:
+				from = geo.Point{X: lo.X + rng.Float64()*w, Y: lo.Y + rng.Float64()*h}
+			}
+			for _, k := range []int{1, 3, core.MaxVisibleCars, n + 5} {
+				want := make([]geo.SlotNeighbor, n)
+				for i, c := range cars {
+					want[i] = geo.SlotNeighbor{Slot: c.slot, Pos: c.pos, Dist: geo.Dist(from, c.pos)}
+				}
+				sort.Slice(want, func(i, j int) bool {
+					if want[i].Dist != want[j].Dist {
+						return want[i].Dist < want[j].Dist
+					}
+					return want[i].Slot < want[j].Slot
+				})
+				if len(want) > k {
+					want = want[:k]
+				}
+				got := live.KNearest(from, k)
+				snap := frozen.kNearest(from, k, nil)
+				if len(got) != len(want) || len(snap) != len(want) {
+					t.Fatalf("trial %d from %v k=%d: SlotGrid %d, snapshot %d results, want %d",
+						trial, from, k, len(got), len(snap), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d from %v k=%d idx %d: SlotGrid %+v, want %+v", trial, from, k, i, got[i], want[i])
+					}
+					if snap[i].car.slot != want[i].Slot || snap[i].dist != want[i].Dist {
+						t.Fatalf("trial %d from %v k=%d idx %d: snapshot slot %d dist %v, want %+v",
+							trial, from, k, i, snap[i].car.slot, snap[i].dist, want[i])
+					}
+				}
+			}
+
+			best, bestD := int32(-1), 0.0
+			for v := int32(0); int(v) < g.NumNodes(); v++ {
+				if d := geo.Dist(from, g.NodePos(v)); best < 0 || d < bestD {
+					best, bestD = v, d
+				}
+			}
+			if got := g.NearestNode(from); got != best {
+				t.Fatalf("trial %d: NearestNode(%v) = %d (%.3f m), full scan says %d (%.3f m)",
+					trial, from, got, geo.Dist(from, g.NodePos(got)), best, bestD)
+			}
+		}
+	}
+}
+
+// TestSnapshotEWTZeroAlloc pins the lock-free EWT query on a euclidean
+// world: the one-entry result buffer and the scan closure handed to the
+// ring walk both stay on the stack.
+func TestSnapshotEWTZeroAlloc(t *testing.T) {
+	w := NewWorld(Config{Profile: Manhattan(), Seed: 22, Workers: 1})
+	w.Run(600)
+	snap := w.Snapshot()
+	if snap.IdleCars(core.UberX) == 0 {
+		t.Fatal("no idle UberX to query")
+	}
+	pos := geo.Point{X: 120, Y: -340}
+	if avg := testing.AllocsPerRun(200, func() { _ = snap.EWT(core.UberX, pos) }); avg != 0 {
+		t.Fatalf("Snapshot.EWT allocates %.1f times per call, want 0", avg)
+	}
+}

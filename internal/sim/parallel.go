@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/road"
 )
 
 // The phase-parallel tick.
@@ -69,46 +71,32 @@ func (s *shardStream) Uint64() uint64 {
 func (s *shardStream) Int63() int64 { return int64(s.Uint64() >> 1) }
 func (s *shardStream) Seed(int64)   {}
 
-// shardRand returns the RNG stream owned by shard s for the current
-// tick. Streams for distinct (seed, tick, shard) triples are
-// independent; the same triple always yields the same stream.
+// shardRand returns the RNG stream owned by movement shard s for the
+// current tick. Streams for distinct (seed, tick, shard) triples are
+// independent; the same triple always yields the same stream. Re-keying
+// the shard's long-lived stream replays exactly the sequence a fresh
+// rand.New(&shardStream{...}) would produce, without allocating — the
+// movement phase's zero-allocation budget depends on it.
 func (w *World) shardRand(s int) *rand.Rand {
 	h := mix64(uint64(w.cfg.Seed) ^ 0x6a09e667f3bcc908)
 	h = mix64(h ^ uint64(w.tick))
-	h = mix64(h ^ uint64(s))
-	return rand.New(&shardStream{state: h})
+	o := &w.moveOps[s]
+	o.stream.state = mix64(h ^ uint64(s))
+	return o.rng
 }
 
-// shardRandKey is shardRand's stream key, shared with the pooled variant
-// so both draw the identical sequence.
-func (w *World) shardRandKey(s int) uint64 {
-	h := mix64(uint64(w.cfg.Seed) ^ 0x6a09e667f3bcc908)
-	h = mix64(h ^ uint64(w.tick))
-	return mix64(h ^ uint64(s))
-}
-
-// pooledRand is a reusable (stream, Rand) pair: resetting the stream
-// state replays exactly the sequence a fresh rand.New(&shardStream{...})
-// would produce, without the two allocations per shard per tick that
-// shardRand pays. The movement phase's zero-allocation budget depends on
-// this pool.
-type pooledRand struct {
-	stream shardStream
-	rng    *rand.Rand
-}
-
-// pooledShardRand returns shard s's RNG for the current tick from the
-// world's pool, growing the pool on demand (growth happens only while
-// the fleet's shard count is still rising, then never again).
-func (w *World) pooledShardRand(s int) *rand.Rand {
-	for len(w.shardRngs) <= s {
-		p := &pooledRand{}
-		p.rng = rand.New(&p.stream)
-		w.shardRngs = append(w.shardRngs, p)
+// growMoveOps extends the per-shard movement state to cover shards.
+// Serial-phase only: the parallel fan-out indexes moveOps and never
+// appends to anything the shards share.
+func (w *World) growMoveOps(shards int) {
+	for len(w.moveOps) < shards {
+		o := shardOps{stream: &shardStream{}}
+		o.rng = rand.New(o.stream)
+		if w.road != nil {
+			o.router = road.NewRouter(w.road.Graph)
+		}
+		w.moveOps = append(w.moveOps, o)
 	}
-	p := w.shardRngs[s]
-	p.stream.state = w.shardRandKey(s)
-	return p.rng
 }
 
 // Stream salts for the per-item RNG streams of the parallelized spawn

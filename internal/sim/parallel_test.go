@@ -222,11 +222,38 @@ func TestParallelStepInvariants(t *testing.T) {
 	}
 }
 
+// TestFirstTickMoveRace is the -race probe for per-shard state sized
+// inside the move fan-out: on a fresh world every shard's RNG and commit
+// buffer is created during the first Step, so that tick is the only one
+// that can catch a worker growing a slice its siblings index. Several
+// fresh worlds, because a racy append only trips the detector when two
+// workers overlap. The Manhattan and SF goldens above never leave one
+// move shard (≤ 256 slots), so this is also the only place the move
+// fan-out's worker invariance is checked across several shards.
+func TestFirstTickMoveRace(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		run := func(workers int) uint64 {
+			w := NewWorld(Config{Profile: benchProfile10k(), Seed: seed, Workers: workers})
+			if n := numShards(w.fleet.high); n < 2 {
+				t.Fatalf("world has %d move shards, need at least 2", n)
+			}
+			for i := 0; i < 3; i++ {
+				w.Step()
+			}
+			return worldHash(w)
+		}
+		if par, ser := run(4), run(1); par != ser {
+			t.Fatalf("seed %d: state hash %x with 4 workers, %x with 1", seed, par, ser)
+		}
+	}
+}
+
 // TestShardStreamIndependence pins the shard RNG keying: the same
 // (seed, tick, shard) triple replays the same stream, and changing any
 // component of the triple changes the draws.
 func TestShardStreamIndependence(t *testing.T) {
 	w := NewWorld(Config{Profile: Manhattan(), Seed: 1})
+	w.growMoveOps(5)
 	a := w.shardRand(3).Uint64()
 	if b := w.shardRand(3).Uint64(); b != a {
 		t.Fatalf("same (seed,tick,shard) drew %x then %x", a, b)
@@ -239,6 +266,7 @@ func TestShardStreamIndependence(t *testing.T) {
 		t.Fatal("consecutive ticks share a stream")
 	}
 	w2 := NewWorld(Config{Profile: Manhattan(), Seed: 2})
+	w2.growMoveOps(5)
 	if b := w2.shardRand(3).Uint64(); b == a {
 		t.Fatal("different seeds share a stream")
 	}

@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -225,6 +226,20 @@ func Manhattan() *CityProfile {
 		},
 	}
 	return p
+}
+
+// ProfileByName returns the built-in profile a -city flag value or a
+// recording header names: "manhattan" (also "mhtn", "nyc") or "sf" (also
+// "sanfrancisco").
+func ProfileByName(name string) (*CityProfile, error) {
+	switch name {
+	case "manhattan", "mhtn", "nyc":
+		return Manhattan(), nil
+	case "sf", "sanfrancisco":
+		return SanFrancisco(), nil
+	default:
+		return nil, fmt.Errorf("unknown city %q (want manhattan or sf)", name)
+	}
 }
 
 // SanFrancisco returns the downtown SF profile. Calibration targets: 58%

@@ -36,18 +36,6 @@ const roadRefineK = 4
 // drivers on the euclidean plane.
 func (w *World) Road() *road.Network { return w.road }
 
-// ensureRoadRouters grows the per-shard router pool to shards entries.
-// Serial-phase only (moveDrivers' preamble), so the parallel fan-out sees
-// a fully built slice.
-func (w *World) ensureRoadRouters(shards int) {
-	if w.road == nil {
-		return
-	}
-	for len(w.roadRouters) < shards {
-		w.roadRouters = append(w.roadRouters, road.NewRouter(w.road.Graph))
-	}
-}
-
 // planRoute computes a fresh route for slot s from its position to
 // target, reusing the slot's route buffer. factors selects congested
 // (live table) or free-flow (nil) edge costs. On failure (disconnected

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/road"
@@ -17,9 +19,9 @@ import (
 //   - per-product idle-car views with the wire-format fields (session ID,
 //     lat/lng position, projected path) precomputed once per tick instead
 //     of once per ping;
-//   - a per-product uniform-grid k-nearest index over those cars,
-//     answering the same queries as the live geo.SlotGrid with identical
-//     ordering;
+//   - a per-product k-nearest index over those cars, laid out on the
+//     live grids' geo.Cells and searched by the same ring walk, so it
+//     answers the same queries in the same order;
 //   - the rasterized area index and area polygons;
 //   - the simulation clock and the service region.
 //
@@ -54,8 +56,7 @@ type snapRoad struct {
 }
 
 // snapCar is one idle car frozen into a snapshot: the precomputed wire
-// view plus the plane position and slot the k-nearest search orders by
-// (ties break by ascending slot, matching geo.SlotGrid.KNearest).
+// view plus the plane position and slot the k-nearest search orders by.
 type snapCar struct {
 	slot int32
 	pos  geo.Point
@@ -63,17 +64,14 @@ type snapCar struct {
 }
 
 // productCells is a read-only uniform grid over one product's idle cars:
-// cells[c] lists the cars in cell c. The geometry matches the live
-// geo.SlotGrid (same bounds, cell size, and clamping) so ring-search
-// behaviour matches. Cell slices are immutable once published — the
+// cells[c] lists the cars in cell c of the embedded geometry, which is
+// the live grids' own. Cell slices are immutable once published — the
 // incremental builder copies a cell before changing it — so consecutive
 // snapshots share the cells churn didn't touch.
 type productCells struct {
-	bounds   geo.Rect
-	cellSize float64
-	nx, ny   int
-	count    int
-	cells    [][]snapCar
+	geo.Cells
+	count int
+	cells [][]snapCar
 }
 
 // AreaOf returns the surge area containing the plane point, or -1;
@@ -144,88 +142,29 @@ type snapNeighbor struct {
 	dist float64
 }
 
-func (pc *productCells) cellIndex(p geo.Point) int {
-	cx := int((p.X - pc.bounds.Min.X) / pc.cellSize)
-	cy := int((p.Y - pc.bounds.Min.Y) / pc.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= pc.nx {
-		cx = pc.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= pc.ny {
-		cy = pc.ny - 1
-	}
-	return cy*pc.nx + cx
-}
-
-// kNearest mirrors geo.SlotGrid.KNearestInto on the frozen cells:
-// expanding ring search with a bounded sorted top-k, stopping once the
-// nearest unexplored ring cannot hold a closer car, results ordered by
-// (distance, slot). Identical geometry, iteration, and comparator mean
-// identical results to the live index over the same car set.
+// kNearest returns up to k cars nearest from into buf, ordered by
+// (distance, slot): the walk is geo's, the scan a bounded sorted top-k.
 func (pc *productCells) kNearest(from geo.Point, k int, buf []snapNeighbor) []snapNeighbor {
 	buf = buf[:0]
 	if k <= 0 || pc.count == 0 {
 		return buf
 	}
-	cx := int((from.X - pc.bounds.Min.X) / pc.cellSize)
-	cy := int((from.Y - pc.bounds.Min.Y) / pc.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= pc.nx {
-		cx = pc.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= pc.ny {
-		cy = pc.ny - 1
-	}
-	maxRing := pc.nx
-	if pc.ny > maxRing {
-		maxRing = pc.ny
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		if len(buf) >= k {
-			if buf[k-1].dist <= float64(ring-1)*pc.cellSize {
-				break
-			}
+	pc.WalkRings(from, func(c int) float64 {
+		cell := pc.cells[c]
+		for i := range cell {
+			car := &cell[i]
+			buf = insertSnapNeighbor(buf, k, snapNeighbor{car: car, dist: geo.Dist(from, car.pos)})
 		}
-		added := false
-		for dy := -ring; dy <= ring; dy++ {
-			for dx := -ring; dx <= ring; dx++ {
-				if absInt(dx) != ring && absInt(dy) != ring {
-					continue // interior already scanned in earlier rings
-				}
-				x, y := cx+dx, cy+dy
-				if x < 0 || x >= pc.nx || y < 0 || y >= pc.ny {
-					continue
-				}
-				added = true
-				cell := pc.cells[y*pc.nx+x]
-				for i := range cell {
-					car := &cell[i]
-					buf = insertSnapNeighbor(buf, k, snapNeighbor{
-						car: car, dist: geo.Dist(from, car.pos),
-					})
-				}
-			}
+		if len(buf) < k {
+			return math.Inf(1)
 		}
-		if !added && ring > 0 && len(buf) >= k {
-			break
-		}
-	}
+		return buf[k-1].dist
+	})
 	return buf
 }
 
 // insertSnapNeighbor inserts nb into buf, kept sorted by (dist, slot) and
-// capped at k entries — the same bounded insertion geo.insertNeighbor
-// performs.
+// capped at k entries.
 func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighbor {
 	if len(buf) == k {
 		last := buf[k-1]
@@ -246,13 +185,6 @@ func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighb
 	}
 	buf[i] = nb
 	return buf
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // touchedCell names one (product, cell) pair a build must re-materialize.
@@ -318,11 +250,11 @@ func (w *World) markChanged(s int32) {
 // live fleet as the first delta.
 func (w *World) initSnapBuilder() {
 	b := &w.snap
-	nx, ny := w.grids[0].Nx(), w.grids[0].Ny()
+	n := w.grids[0].NumCells()
 	for vt := range b.cells {
-		b.cells[vt] = make([][]snapCar, nx*ny)
-		b.touchStamp[vt] = make([]int32, nx*ny)
-		b.touchIdx[vt] = make([]int32, nx*ny)
+		b.cells[vt] = make([][]snapCar, n)
+		b.touchStamp[vt] = make([]int32, n)
+		b.touchIdx[vt] = make([]int32, n)
 	}
 	b.inited = true
 	f := &w.fleet
@@ -367,10 +299,7 @@ func (w *World) Snapshot() *Snapshot {
 		return b.last
 	}
 	f := &w.fleet
-	nx, ny := w.grids[0].Nx(), w.grids[0].Ny()
-	geom := productCells{
-		bounds: w.profile.Region, cellSize: gridCellMeters, nx: nx, ny: ny,
-	}
+	geom := productCells{Cells: w.grids[0].Cells}
 	b.seq++
 	b.touched = b.touched[:0]
 
@@ -384,7 +313,7 @@ func (w *World) Snapshot() *Snapshot {
 		newP, newC := int8(-1), int32(-1)
 		if f.live[s] && DriverState(f.state[s]) == StateIdle {
 			newP = int8(f.typ[s])
-			newC = int32(geom.cellIndex(f.pos[s]))
+			newC = int32(geom.CellIndex(f.pos[s]))
 		}
 		if oldP < 0 && newP < 0 {
 			continue

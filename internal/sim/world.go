@@ -183,7 +183,7 @@ type World struct {
 	// parallel tick, grown once to steady state and then allocation-free.
 	workers    int
 	moveOps    []shardOps
-	shardRngs  []*pooledRand
+	moveFn     func(int) // w.moveShard, bound once so the per-tick fan-out allocates no closure
 	statParts  [][]areaCount
 	subPlans   []subPlan
 	spawnPlans []spawnPlan
@@ -191,10 +191,9 @@ type World struct {
 
 	// road is the street network when road movement is active (see
 	// road.go): roadRouter serves the serial phases (dispatch, fares,
-	// EWT), roadRouters one router per movement shard.
-	road        *road.Network
-	roadRouter  *road.Router
-	roadRouters []*road.Router
+	// EWT); each movement shard carries its own in its shardOps.
+	road       *road.Network
+	roadRouter *road.Router
 
 	// snap is the incremental snapshot builder (see snapshot.go).
 	snap snapBuilder
@@ -333,6 +332,7 @@ func NewWorld(cfg Config) *World {
 	if w.workers <= 0 {
 		w.workers = runtime.GOMAXPROCS(0)
 	}
+	w.moveFn = w.moveShard
 	w.road = cfg.Road
 	if w.road != nil {
 		w.roadRouter = road.NewRouter(w.road.Graph)
@@ -631,7 +631,7 @@ func (w *World) Step() {
 		phaseStart = w.observePhase(phaseSpawn, phaseStart)
 	}
 	pprof.Do(ctx, phaseLabelSets[phaseMove], func(context.Context) {
-		w.moveDrivers(dt)
+		w.moveDrivers()
 	})
 	if instrumented {
 		phaseStart = w.observePhase(phaseMove, phaseStart)
@@ -742,12 +742,16 @@ func (w *World) surgeWeight(p geo.Point) float64 {
 	return w.surgeCache[a]
 }
 
-// shardOps buffers one shard's deferred world mutations during the
-// parallel movement phase: grid updates, joinable-POOL index updates,
-// removals, and snapshot dirty marks may not touch shared state from
-// workers, so they queue here and the commit loop applies them in
-// (shard, index) order.
+// shardOps is one movement shard's private state: its RNG (rng draws
+// from stream, which shardRand re-keys every tick), its road router (nil
+// on euclidean worlds), and the buffer of deferred world mutations — grid
+// updates, joinable-POOL index updates, removals, and snapshot dirty
+// marks may not touch shared state from workers, so they queue here and
+// the commit loop applies them in (shard, index) order.
 type shardOps struct {
+	stream   *shardStream
+	rng      *rand.Rand
+	router   *road.Router
 	removals []int32 // drivers whose session ended this tick
 	moves    [core.NumVehicleTypes][]geo.SlotPoint
 	inserts  [core.NumVehicleTypes][]geo.SlotPoint // trip completions re-entering the map
@@ -771,30 +775,21 @@ func (o *shardOps) reset() {
 	o.dropoffs = 0
 }
 
-// moveDrivers advances every driver's state machine by dt seconds.
+// moveDrivers advances every driver's state machine by one tick.
 //
 // The phase is parallel over fixed slot-range shards: each shard mutates
-// only its own slots' columns and its private shardOps buffer, drawing
-// randomness from the shard's (seed, tick, shard) stream. The trailing
-// commit applies grid moves, re-inserts, and removals serially in shard
-// order, so the world after the phase is independent of worker count.
-// With one worker the whole phase runs inline and allocation-free: the
-// RNGs, commit buffers, and grid cells are all reused tick over tick.
-func (w *World) moveDrivers(dt float64) {
-	speed := StreetSpeed(w.now)
-	high := w.fleet.high
-	shards := numShards(high)
-	for len(w.moveOps) < shards {
-		w.moveOps = append(w.moveOps, shardOps{})
-	}
-	w.ensureRoadRouters(shards)
-	if w.workers <= 1 || shards <= 1 {
-		for s := 0; s < shards; s++ {
-			w.moveShard(s, dt, speed)
-		}
-	} else {
-		w.runShards(shards, func(s int) { w.moveShard(s, dt, speed) })
-	}
+// only its own slots' columns and its private shardOps, drawing
+// randomness from the shard's (seed, tick, shard) stream. Everything the
+// shards index is sized here, serially, before the fan-out (growMoveOps).
+// The trailing commit applies grid moves, re-inserts, and
+// removals serially in shard order, so the world after the phase is
+// independent of worker count. With one worker the whole phase runs
+// inline and allocation-free: the RNGs, commit buffers, and grid cells
+// are all reused tick over tick.
+func (w *World) moveDrivers() {
+	shards := numShards(w.fleet.high)
+	w.growMoveOps(shards)
+	w.runShards(shards, w.moveFn)
 	f := &w.fleet
 	for s := 0; s < shards; s++ {
 		o := &w.moveOps[s]
@@ -826,21 +821,19 @@ func (w *World) moveDrivers(dt float64) {
 }
 
 // moveShard runs one shard of the movement phase.
-func (w *World) moveShard(s int, dt, speed float64) {
+func (w *World) moveShard(s int) {
+	dt := float64(w.cfg.TickSeconds)
+	speed := StreetSpeed(w.now)
 	o := &w.moveOps[s]
 	o.reset()
-	rng := w.pooledShardRand(s)
-	var rt *road.Router
-	if w.road != nil {
-		rt = w.roadRouters[s]
-	}
+	rng := w.shardRand(s)
 	lo, hi := shardBounds(s, w.fleet.high)
 	live := w.fleet.live
 	for i := lo; i < hi; i++ {
 		if !live[i] {
 			continue
 		}
-		w.moveOne(int32(i), dt, speed, rng, rt, o)
+		w.moveOne(int32(i), dt, speed, rng, o.router, o)
 	}
 }
 

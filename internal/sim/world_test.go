@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -305,12 +306,17 @@ func TestUberTNeverSurged(t *testing.T) {
 }
 
 func TestDriverPathRing(t *testing.T) {
-	d := &Driver{}
-	for i := 1; i <= 7; i++ {
-		d.Pos = geo.Point{X: float64(i)}
-		d.recordPath()
+	var f fleet
+	s := f.alloc()
+	f.pos[s] = geo.Point{X: 1}
+	f.resetPath(s)
+	for i := 2; i <= 7; i++ {
+		f.pos[s] = geo.Point{X: float64(i)}
+		if !f.record(s) {
+			t.Fatalf("record at X=%d reported no change", i)
+		}
 	}
-	pts := d.PathPoints()
+	pts := f.pathPoints(s, nil)
 	if len(pts) != pathLen {
 		t.Fatalf("len = %d, want %d", len(pts), pathLen)
 	}
@@ -320,21 +326,42 @@ func TestDriverPathRing(t *testing.T) {
 			t.Errorf("pts[%d].X = %v, want %v", i, p.X, float64(i+3))
 		}
 	}
+	// The materialized Driver view reads the same ring.
+	var d Driver
+	f.view(s, &d)
+	if got := d.PathPoints(); !reflect.DeepEqual(got, pts) {
+		t.Errorf("Driver.PathPoints = %v, want %v", got, pts)
+	}
+	// A parked car saturates the ring with one position; after that
+	// record must leave the ring alone and say so.
+	for i := 0; i < pathLen; i++ {
+		f.record(s)
+	}
+	if f.record(s) {
+		t.Error("record on a saturated parked ring reported a change")
+	}
+	for _, p := range f.pathPoints(s, pts[:0]) {
+		if p.X != 7 {
+			t.Errorf("parked ring holds X=%v, want 7", p.X)
+		}
+	}
 }
 
 func TestStepToward(t *testing.T) {
-	d := &Driver{Pos: geo.Point{X: 0, Y: 0}}
-	if d.stepToward(geo.Point{X: 10, Y: 0}, 5) {
+	var f fleet
+	s := f.alloc()
+	f.pos[s] = geo.Point{X: 0, Y: 0}
+	if f.stepToward(s, geo.Point{X: 10, Y: 0}, 5) {
 		t.Error("should not reach in one 5m step")
 	}
-	if d.Pos.X != 5 {
-		t.Errorf("Pos.X = %v, want 5", d.Pos.X)
+	if f.pos[s].X != 5 {
+		t.Errorf("pos.X = %v, want 5", f.pos[s].X)
 	}
-	if !d.stepToward(geo.Point{X: 10, Y: 0}, 100) {
+	if !f.stepToward(s, geo.Point{X: 10, Y: 0}, 100) {
 		t.Error("should reach with 100m step")
 	}
-	if d.Pos != (geo.Point{X: 10, Y: 0}) {
-		t.Errorf("Pos = %v", d.Pos)
+	if f.pos[s] != (geo.Point{X: 10, Y: 0}) {
+		t.Errorf("pos = %v", f.pos[s])
 	}
 }
 

@@ -23,10 +23,9 @@ type Replayer struct {
 	rng   *rand.Rand
 	now   int64
 
-	grid   *geo.Grid
-	segIdx []int    // per session: current segment cursor
-	pubID  []string // per session: public ID of the current idle period
-	inGrid []bool
+	grid   *geo.SlotGrid // visible taxis, slot = session index
+	segIdx []int         // per session: current segment cursor
+	pubID  []string      // per session: public ID of the current idle period
 
 	// Snap-to-road playback (nil/empty unless EnableRoads was called).
 	roadG     *road.Graph
@@ -45,10 +44,9 @@ func NewReplayer(trace *Trace, seed int64) *Replayer {
 		proj:   geo.NewProjection(trace.Origin),
 		rng:    rand.New(rand.NewSource(seed ^ 0x7471)),
 		now:    trace.Start,
-		grid:   geo.NewGrid(trace.Region, 150),
+		grid:   geo.NewSlotGrid(trace.Region, 150),
 		segIdx: make([]int, len(trace.Sessions)),
 		pubID:  make([]string, len(trace.Sessions)),
-		inGrid: make([]bool, len(trace.Sessions)),
 	}
 	r.sync()
 	return r
@@ -86,11 +84,9 @@ func (r *Replayer) sync() {
 			i++
 		}
 		r.segIdx[s] = i
-		id := int64(s)
 		if i >= len(segs) || segs[i].Start > r.now || !segs[i].Visible {
-			if r.inGrid[s] {
-				r.grid.Remove(id)
-				r.inGrid[s] = false
+			if r.grid.Contains(int32(s)) {
+				r.grid.Remove(int32(s))
 				r.pubID[s] = ""
 			}
 			continue
@@ -99,13 +95,7 @@ func (r *Replayer) sync() {
 		if r.pubID[s] == "" {
 			r.pubID[s] = fmt.Sprintf("t%08x%08x", r.rng.Uint32(), r.rng.Uint32())
 		}
-		pos := r.segPos(s, i, segs[i])
-		if r.inGrid[s] {
-			r.grid.Move(id, pos)
-		} else {
-			r.grid.Insert(id, pos)
-			r.inGrid[s] = true
-		}
+		r.grid.Move(int32(s), r.segPos(s, i, segs[i])) // inserts on first sight
 	}
 }
 
@@ -124,7 +114,7 @@ func (r *Replayer) PingClient(clientID string, loc geo.LatLng) (*core.PingRespon
 	}
 	for _, n := range near {
 		st.Cars = append(st.Cars, core.CarView{
-			ID:  r.pubID[n.ID],
+			ID:  r.pubID[n.Slot],
 			Pos: r.proj.ToLatLng(n.Pos),
 		})
 	}
