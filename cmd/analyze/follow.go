@@ -76,6 +76,9 @@ func runFollow(busDir string, maxWindows int, poll time.Duration) int {
 	if a.Late > 0 {
 		fmt.Printf(" (%d late events folded forward)", a.Late)
 	}
+	if a.Corrupt > 0 {
+		fmt.Printf(" (%d undecodable ping payloads skipped)", a.Corrupt)
+	}
 	fmt.Println()
 	printCorr := func(name string, r float64) {
 		if math.IsNaN(r) {

@@ -14,100 +14,100 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/record"
 	"repro/internal/tsdb"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	var err error
-	switch os.Args[1] {
-	case "inspect":
-		err = inspect(dirArg(os.Args[2:]))
-	case "verify":
-		err = verify(dirArg(os.Args[2:]))
-	case "compact":
-		err = compact(dirArg(os.Args[2:]))
-	case "convert":
-		err = convert(os.Args[2:])
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tsdbtool:", err)
-		os.Exit(1)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+const usage = `usage:
   tsdbtool inspect DIR
   tsdbtool verify DIR
   tsdbtool compact DIR
-  tsdbtool convert -in PATH -out PATH`)
-	os.Exit(2)
-}
+  tsdbtool convert -in PATH -out PATH`
 
-func dirArg(args []string) string {
-	if len(args) != 1 {
-		usage()
+// errUsage marks a command line already reported as unparseable.
+var errUsage = errors.New("usage")
+
+// run executes one subcommand and returns the exit code: 0 on success, 1
+// when the subcommand fails, 2 for a command line it cannot parse.
+func run(args []string, stdout, stderr io.Writer) int {
+	err := errUsage
+	switch {
+	case len(args) > 0 && args[0] == "convert":
+		err = convert(stdout, stderr, args[1:])
+	case len(args) != 2: // every other subcommand takes exactly DIR
+	case args[0] == "inspect":
+		err = inspect(stdout, args[1])
+	case args[0] == "verify":
+		err = verify(stdout, args[1])
+	case args[0] == "compact":
+		err = compact(stdout, args[1])
 	}
-	return args[0]
+	switch {
+	case err == nil:
+		return 0
+	case err == errUsage:
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	fmt.Fprintln(stderr, "tsdbtool:", err)
+	return 1
 }
 
-func inspect(dir string) error {
+func inspect(w io.Writer, dir string) error {
 	db, err := tsdb.Open(dir, tsdb.Options{ReadOnly: true})
 	if err != nil {
 		return err
 	}
 	defer db.Close()
 	st := db.Stats()
-	fmt.Printf("store: %s\n", dir)
+	fmt.Fprintf(w, "store: %s\n", dir)
 	if hdr, err := record.ReadHeaderPath(dir); err == nil {
-		fmt.Printf("campaign: city=%s clients=%d start=%d\n", hdr.City, len(hdr.Clients), hdr.Start)
+		fmt.Fprintf(w, "campaign: city=%s clients=%d start=%d\n", hdr.City, len(hdr.Clients), hdr.Start)
 	}
-	fmt.Printf("segments: %d (%d bytes, %d rows)\n", st.Segments, st.SegmentBytes, st.SegmentRows)
-	fmt.Printf("wal: %d rows pending seal (%d recovered at open)\n", st.HeadRows, st.Recovered)
+	fmt.Fprintf(w, "segments: %d (%d bytes, %d rows)\n", st.Segments, st.SegmentBytes, st.SegmentRows)
+	fmt.Fprintf(w, "wal: %d rows pending seal (%d recovered at open)\n", st.HeadRows, st.Recovered)
 	if st.HasData {
-		fmt.Printf("time range: [%d, %d] (%.1f campaign hours)\n",
+		fmt.Fprintf(w, "time range: [%d, %d] (%.1f campaign hours)\n",
 			st.MinTime, st.MaxTime, float64(st.MaxTime-st.MinTime)/3600)
 	}
-	fmt.Printf("series: %d\n", len(db.Series()))
+	fmt.Fprintf(w, "series: %d\n", len(db.Series()))
 	if rows := st.SegmentRows + int64(st.HeadRows); rows > 0 && st.SegmentBytes > 0 {
-		fmt.Printf("bytes/row (sealed): %.1f\n", float64(st.SegmentBytes)/float64(st.SegmentRows))
+		fmt.Fprintf(w, "bytes/row (sealed): %.1f\n", float64(st.SegmentBytes)/float64(st.SegmentRows))
 	}
 	return nil
 }
 
-func verify(dir string) error {
+func verify(w io.Writer, dir string) error {
 	rep, err := tsdb.Verify(dir)
 	if err != nil {
 		return err
 	}
 	for _, s := range rep.Segments {
-		fmt.Printf("segment %s: %d rows, %d chunks, %d bytes, [%d, %d] ok\n",
+		fmt.Fprintf(w, "segment %s: %d rows, %d chunks, %d bytes, [%d, %d] ok\n",
 			s.Path, s.Rows, s.Chunks, s.Bytes, s.MinT, s.MaxT)
 	}
-	fmt.Printf("sealed rows: %d\n", rep.Rows)
+	fmt.Fprintf(w, "sealed rows: %d\n", rep.Rows)
 	switch {
 	case rep.WALStale:
-		fmt.Println("wal: stale (head already sealed; will be discarded)")
+		fmt.Fprintln(w, "wal: stale (head already sealed; will be discarded)")
 	case rep.WALTorn:
-		fmt.Printf("wal: recovered %d rows (torn tail dropped)\n", rep.WALRows)
+		fmt.Fprintf(w, "wal: recovered %d rows (torn tail dropped)\n", rep.WALRows)
 	default:
-		fmt.Printf("wal: recovered %d rows\n", rep.WALRows)
+		fmt.Fprintf(w, "wal: recovered %d rows\n", rep.WALRows)
 	}
-	fmt.Println("ok")
+	fmt.Fprintln(w, "ok")
 	return nil
 }
 
-func compact(dir string) error {
+func compact(w io.Writer, dir string) error {
 	db, err := tsdb.Open(dir, tsdb.Options{})
 	if err != nil {
 		return err
@@ -121,16 +121,19 @@ func compact(dir string) error {
 	if err := db.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("compacted %d segments (%d bytes) into %d (%d bytes)\n",
+	fmt.Fprintf(w, "compacted %d segments (%d bytes) into %d (%d bytes)\n",
 		before.Segments, before.SegmentBytes, after.Segments, after.SegmentBytes)
 	return nil
 }
 
-func convert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
+func convert(w, stderr io.Writer, args []string) error {
+	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	in := fs.String("in", "", "source store (tsdb directory or gzip recording)")
 	out := fs.String("out", "", "destination store (kind inferred: the opposite of -in)")
-	fs.Parse(args)
+	if fs.Parse(args) != nil { // the flag set has printed why
+		return errUsage
+	}
 	if *in == "" || *out == "" {
 		return fmt.Errorf("convert: -in and -out are required")
 	}
@@ -138,6 +141,6 @@ func convert(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("converted %d rows (city=%s, %d clients) to %s\n", rows, hdr.City, len(hdr.Clients), *out)
+	fmt.Fprintf(w, "converted %d rows (city=%s, %d clients) to %s\n", rows, hdr.City, len(hdr.Clients), *out)
 	return nil
 }

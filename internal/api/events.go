@@ -8,6 +8,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/wire"
 )
 
 // eventSinks holds the service's event callbacks; one immutable struct
@@ -40,14 +41,7 @@ func (s *Service) emitPing(clientID string, loc geo.LatLng, area int, resp *core
 		Lat:    loc.Lat,
 		Lng:    loc.Lng,
 		Time:   resp.Time,
-	}
-	for i := range resp.Types {
-		ts := &resp.Types[i]
-		to := bus.TypeObs{Name: ts.TypeName, Surge: ts.Surge, EWT: ts.EWTSeconds}
-		for _, c := range ts.Cars {
-			to.Cars = append(to.Cars, bus.Car{ID: c.ID, Lat: c.Pos.Lat, Lng: c.Pos.Lng})
-		}
-		o.Types = append(o.Types, to)
+		Types:  wire.FromResponse(resp),
 	}
 	sinks.pings(bus.Event{
 		Time: resp.Time,

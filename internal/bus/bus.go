@@ -45,6 +45,10 @@ import (
 var (
 	ErrClosed       = errors.New("bus: broker closed")
 	ErrBackpressure = errors.New("bus: event dropped (consumer too far behind)")
+	// ErrTooLarge rejects an event whose Key, Str or Data is longer than
+	// the decoders accept: written, it would be a frame no reader gets
+	// past, and the next open would truncate the segment at it.
+	ErrTooLarge = errors.New("bus: event too large")
 )
 
 func crc32Sum(p []byte) uint32 { return crc32.ChecksumIEEE(p) }
@@ -259,8 +263,13 @@ func (t *Topic) Name() string { return t.name }
 
 // Publish appends ev to the partition its Key hashes to, assigning
 // ev.Seq/ev.Part. It blocks while the partition is over its in-flight
-// budget (or drops, under Options.Drop).
+// budget (or drops, under Options.Drop). An event the decoders would
+// reject is refused with ErrTooLarge and nothing is written.
 func (t *Topic) Publish(ev Event) error {
+	if len(ev.Key) > maxStringLen || len(ev.Str) > maxStringLen || len(ev.Data) > maxDataLen {
+		return fmt.Errorf("%w: key %d B, str %d B (limit %d), data %d B (limit %d)",
+			ErrTooLarge, len(ev.Key), len(ev.Str), maxStringLen, len(ev.Data), maxDataLen)
+	}
 	p := t.parts[partitionOf(ev.Key, len(t.parts))]
 	if err := p.publish(&ev); err != nil {
 		return err

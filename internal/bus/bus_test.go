@@ -1,12 +1,16 @@
 package bus
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 func openTestBroker(t *testing.T, dir string, opts Options) *Broker {
@@ -400,11 +404,44 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 	}
 }
 
+// TestOversizeEventRefused: an event the decoders would reject (a fault
+// event's Str is a client-chosen URL path) must not reach the log, where
+// it would hide every later event of its segment from readers and make
+// the next open truncate them away.
+func TestOversizeEventRefused(t *testing.T) {
+	dir := t.TempDir()
+	b := openTestBroker(t, dir, Options{})
+	tp := mustTopic(t, b, "t", 1)
+	for name, ev := range map[string]Event{
+		"key":  {Kind: KindFault, Key: strings.Repeat("k", maxStringLen+1)},
+		"str":  {Kind: KindFault, Key: "k", Str: strings.Repeat("/", maxStringLen+1)},
+		"data": {Kind: KindPing, Key: "k", Data: make([]byte, maxDataLen+1)},
+	} {
+		if err := tp.Publish(ev); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("oversize %s: Publish = %v, want ErrTooLarge", name, err)
+		}
+	}
+	mustPublish(t, tp, Event{Time: 7, Kind: KindFault, Key: "k",
+		Str: strings.Repeat("/", maxStringLen), Data: make([]byte, maxDataLen)})
+	b.Close()
+
+	b2 := openTestBroker(t, dir, Options{})
+	defer b2.Close()
+	c, err := mustTopic(t, b2, "t", 1).Subscribe("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if evs := drain(c); len(evs) != 1 || evs[0].Time != 7 || evs[0].Seq != 0 {
+		t.Fatalf("after reopen got %+v, want only the at-limit event, at offset 0", evs)
+	}
+}
+
 func TestObservationRoundTrip(t *testing.T) {
 	o := Observation{
 		Client: "probe-07", Lat: 40.75, Lng: -73.99, Time: 3600,
-		Types: []TypeObs{
-			{Name: "UberX", Surge: 1.5, EWT: 240, Cars: []Car{
+		Types: []wire.TypeObs{
+			{Name: "UberX", Surge: 1.5, EWT: 240, Cars: []wire.Car{
 				{ID: "sess-1", Lat: 40.74, Lng: -73.98},
 				{ID: "sess-2", Lat: 40.76, Lng: -74.0},
 			}},

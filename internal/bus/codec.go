@@ -26,6 +26,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // ErrCorrupt marks undecodable bytes (bad magic, bad CRC, non-canonical
@@ -44,93 +46,6 @@ const (
 	maxObsTypes     = 256
 	maxObsCars      = 4096
 )
-
-// zigzag maps signed to unsigned so small magnitudes encode short.
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// byteReader is a bounds-checked cursor over untrusted bytes. The first
-// error sticks; callers check err (or use the helpers' zero values) once
-// at the end.
-type byteReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *byteReader) fail() { r.err = ErrCorrupt }
-
-func (r *byteReader) remaining() int { return len(r.b) - r.off }
-
-// uvarint decodes a minimally-encoded varint; a non-minimal encoding
-// (trailing zero continuation byte) is rejected to keep the codec
-// canonical.
-func (r *byteReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *byteReader) varint() int64 { return unzigzag(r.uvarint()) }
-
-func (r *byteReader) byte() byte {
-	if r.err != nil || r.remaining() < 1 {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off]
-	r.off++
-	return b
-}
-
-func (r *byteReader) f64() float64 {
-	if r.err != nil || r.remaining() < 8 {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-// str decodes a raw (non-dictionary) length-prefixed string.
-func (r *byteReader) str() string {
-	n := r.uvarint()
-	if r.err != nil || n > maxStringLen || n > uint64(r.remaining()) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *byteReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil || n > maxDataLen || n > uint64(r.remaining()) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
-	r.off += int(n)
-	return out
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
 
 // encDict is the encoder side of the per-segment string dictionary.
 type encDict struct {
@@ -153,7 +68,7 @@ func (d *encDict) appendStr(buf []byte, s string) []byte {
 	i := uint64(len(d.idx))
 	d.idx[s] = i
 	buf = binary.AppendUvarint(buf, i)
-	return appendString(buf, s)
+	return wire.AppendString(buf, s)
 }
 
 // decDict is the decoder side; it tracks entries both by index (for
@@ -166,26 +81,26 @@ type decDict struct {
 
 func newDecDict() *decDict { return &decDict{seen: make(map[string]struct{})} }
 
-func (d *decDict) str(r *byteReader) string {
-	i := r.uvarint()
-	if r.err != nil {
+func (d *decDict) str(r *wire.Reader) string {
+	i := r.Uvarint()
+	if r.Err() != nil {
 		return ""
 	}
 	if i < uint64(len(d.entries)) {
 		return d.entries[i]
 	}
 	if i != uint64(len(d.entries)) || i >= maxDictEntries {
-		r.fail()
+		r.Fail()
 		return ""
 	}
-	s := r.str()
-	if r.err != nil {
+	s := r.String(maxStringLen)
+	if r.Err() != nil {
 		return ""
 	}
 	if _, dup := d.seen[s]; dup {
 		// A new-entry for a known string: the canonical encoder would
 		// have emitted a reference.
-		r.fail()
+		r.Fail()
 		return ""
 	}
 	d.entries = append(d.entries, s)
@@ -205,11 +120,11 @@ func (d *decDict) toEnc() *encDict {
 
 // appendEvent appends ev's payload encoding (no frame) using dict.
 func appendEvent(buf []byte, ev *Event, dict *encDict) []byte {
-	buf = binary.AppendUvarint(buf, zigzag(ev.Time))
+	buf = binary.AppendUvarint(buf, wire.Zigzag(ev.Time))
 	buf = append(buf, byte(ev.Kind))
 	buf = dict.appendStr(buf, ev.Key)
-	buf = binary.AppendUvarint(buf, zigzag(int64(ev.Area)))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Num))
+	buf = binary.AppendUvarint(buf, wire.Zigzag(int64(ev.Area)))
+	buf = wire.AppendF64(buf, ev.Num)
 	buf = dict.appendStr(buf, ev.Str)
 	buf = binary.AppendUvarint(buf, uint64(len(ev.Data)))
 	buf = append(buf, ev.Data...)
@@ -218,20 +133,20 @@ func appendEvent(buf []byte, ev *Event, dict *encDict) []byte {
 
 // decodeEvent decodes one payload, which must be consumed exactly.
 func decodeEvent(data []byte, dict *decDict) (Event, error) {
-	r := &byteReader{b: data}
+	r := wire.NewReader(data)
 	var ev Event
-	ev.Time = r.varint()
-	ev.Kind = Kind(r.byte())
+	ev.Time = r.Varint()
+	ev.Kind = Kind(r.Byte())
 	ev.Key = dict.str(r)
-	area := r.varint()
+	area := r.Varint()
 	if area < math.MinInt32 || area > math.MaxInt32 {
 		return Event{}, ErrCorrupt
 	}
 	ev.Area = int32(area)
-	ev.Num = r.f64()
+	ev.Num = r.F64()
 	ev.Str = dict.str(r)
-	ev.Data = r.bytes()
-	if r.err != nil || r.remaining() != 0 {
+	ev.Data = r.Bytes(maxDataLen)
+	if r.Err() != nil || r.Remaining() != 0 {
 		return Event{}, ErrCorrupt
 	}
 	return ev, nil
@@ -241,66 +156,24 @@ func decodeEvent(data []byte, dict *decDict) (Event, error) {
 // is stateless (an Observation travels inside one event's Data), but it
 // follows the same canonical rules.
 func AppendObservation(buf []byte, o *Observation) []byte {
-	buf = binary.AppendUvarint(buf, zigzag(o.Time))
-	buf = appendString(buf, o.Client)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.Lat))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.Lng))
-	buf = binary.AppendUvarint(buf, uint64(len(o.Types)))
-	for i := range o.Types {
-		t := &o.Types[i]
-		buf = appendString(buf, t.Name)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Surge))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.EWT))
-		buf = binary.AppendUvarint(buf, uint64(len(t.Cars)))
-		for _, c := range t.Cars {
-			buf = appendString(buf, c.ID)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Lat))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Lng))
-		}
-	}
-	return buf
+	buf = binary.AppendUvarint(buf, wire.Zigzag(o.Time))
+	buf = wire.AppendString(buf, o.Client)
+	buf = wire.AppendF64(buf, o.Lat)
+	buf = wire.AppendF64(buf, o.Lng)
+	return wire.AppendTypes(buf, o.Types)
 }
 
 // DecodeObservation decodes data, which must contain exactly one
 // encoded Observation.
 func DecodeObservation(data []byte) (Observation, error) {
-	r := &byteReader{b: data}
+	r := wire.NewReader(data)
 	var o Observation
-	o.Time = r.varint()
-	o.Client = r.str()
-	o.Lat = r.f64()
-	o.Lng = r.f64()
-	nTypes := r.uvarint()
-	// Each type costs ≥ 18 bytes (name prefix + two floats + car count).
-	if r.err != nil || nTypes > maxObsTypes || nTypes > uint64(r.remaining()/18+1) {
-		return Observation{}, ErrCorrupt
-	}
-	if nTypes > 0 {
-		o.Types = make([]TypeObs, 0, nTypes)
-	}
-	for i := uint64(0); i < nTypes; i++ {
-		var t TypeObs
-		t.Name = r.str()
-		t.Surge = r.f64()
-		t.EWT = r.f64()
-		nCars := r.uvarint()
-		// Each car costs ≥ 17 bytes (id prefix + two floats).
-		if r.err != nil || nCars > maxObsCars || nCars > uint64(r.remaining()/17+1) {
-			return Observation{}, ErrCorrupt
-		}
-		if nCars > 0 {
-			t.Cars = make([]Car, 0, nCars)
-		}
-		for j := uint64(0); j < nCars; j++ {
-			var c Car
-			c.ID = r.str()
-			c.Lat = r.f64()
-			c.Lng = r.f64()
-			t.Cars = append(t.Cars, c)
-		}
-		o.Types = append(o.Types, t)
-	}
-	if r.err != nil || r.remaining() != 0 {
+	o.Time = r.Varint()
+	o.Client = r.String(maxStringLen)
+	o.Lat = r.F64()
+	o.Lng = r.F64()
+	o.Types = r.Types(maxObsTypes, maxObsCars, maxStringLen)
+	if r.Err() != nil || r.Remaining() != 0 {
 		return Observation{}, ErrCorrupt
 	}
 	return o, nil

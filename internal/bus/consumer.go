@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Consumer is one group's cursor over a topic's partitions. It is not
@@ -279,15 +280,15 @@ func loadOffsets(path string, n int) ([]int64, error) {
 	if uint32(len(payload)) != ln || crc32Sum(payload) != crc {
 		return nil, fmt.Errorf("bus: %s: %w", path, ErrCorrupt)
 	}
-	r := &byteReader{b: payload}
-	cnt := r.uvarint()
-	if r.err != nil || cnt != uint64(n) {
+	r := wire.NewReader(payload)
+	cnt := r.Uvarint()
+	if r.Err() != nil || cnt != uint64(n) {
 		return nil, fmt.Errorf("bus: %s: offset count %d, want %d: %w", path, cnt, n, ErrCorrupt)
 	}
 	for i := range offs {
-		offs[i] = int64(r.uvarint())
+		offs[i] = int64(r.Uvarint())
 	}
-	if r.err != nil || r.remaining() != 0 {
+	if r.Err() != nil || r.Remaining() != 0 {
 		return nil, fmt.Errorf("bus: %s: %w", path, ErrCorrupt)
 	}
 	return offs, nil

@@ -19,6 +19,8 @@
 //     counter — the broker never buffers unboundedly.
 package bus
 
+import "repro/internal/wire"
+
 // Kind identifies an event's type. The zero value is invalid.
 type Kind uint8
 
@@ -114,18 +116,5 @@ type Observation struct {
 	Client   string
 	Lat, Lng float64 // the client's reported (wire) location
 	Time     int64
-	Types    []TypeObs
-}
-
-// TypeObs is one product's section of an Observation.
-type TypeObs struct {
-	Name       string
-	Surge, EWT float64
-	Cars       []Car
-}
-
-// Car is one visible vehicle: per-session randomized ID and position.
-type Car struct {
-	ID       string
-	Lat, Lng float64
+	Types    []wire.TypeObs
 }

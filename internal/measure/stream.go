@@ -66,6 +66,9 @@ type StreamAnalyzer struct {
 	// (cross-partition skew); they are folded into the current window
 	// rather than reopening a sealed one.
 	Late int64
+	// Corrupt counts ping events whose payload did not decode; they add
+	// nothing to their window.
+	Corrupt int64
 }
 
 // NewStreamAnalyzer returns an analyzer with cfg's window and history
@@ -114,6 +117,7 @@ func (a *StreamAnalyzer) feedPing(ev bus.Event) {
 	}
 	o, err := bus.DecodeObservation(ev.Data)
 	if err != nil {
+		a.Corrupt++
 		return
 	}
 	a.cur.Pings++

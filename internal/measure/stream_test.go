@@ -7,13 +7,14 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 func pingEvent(t int64, client string, surge, ewt float64, carIDs ...string) bus.Event {
 	o := bus.Observation{Client: client, Time: t}
-	ty := bus.TypeObs{Name: core.UberX.String(), Surge: surge, EWT: ewt}
+	ty := wire.TypeObs{Name: core.UberX.String(), Surge: surge, EWT: ewt}
 	for _, id := range carIDs {
-		ty.Cars = append(ty.Cars, bus.Car{ID: id, Lat: 40.75, Lng: -73.99})
+		ty.Cars = append(ty.Cars, wire.Car{ID: id, Lat: 40.75, Lng: -73.99})
 	}
 	o.Types = append(o.Types, ty)
 	return bus.Event{
@@ -54,6 +55,13 @@ func TestStreamAnalyzerWindows(t *testing.T) {
 	a.Feed(pingEvent(295, "c1", 1.0, 60, "carZ"))
 	if a.Late != 1 {
 		t.Errorf("Late = %d, want 1", a.Late)
+	}
+	// A ping whose payload is cut short is counted, not aggregated.
+	cut := pingEvent(310, "c2", 3.0, 900, "carQ")
+	cut.Data = cut.Data[:len(cut.Data)-1]
+	a.Feed(cut)
+	if a.Corrupt != 1 {
+		t.Errorf("Corrupt = %d, want 1", a.Corrupt)
 	}
 	if got := a.Flush(); got == nil || got.Supply != 2 || got.Pings != 2 {
 		t.Errorf("flushed window = %+v, want supply=2 pings=2 (carA + late carZ)", got)

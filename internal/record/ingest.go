@@ -126,16 +126,7 @@ func (ing *LiveIngester) Handle(ev bus.Event) (roundDone bool, err error) {
 		return roundDone, nil
 	}
 
-	row := tsdb.Row{Time: o.Time, Series: idx}
-	for i := range o.Types {
-		t := &o.Types[i]
-		tr := tsdb.TypeObs{Name: t.Name, Surge: t.Surge, EWT: t.EWT}
-		for _, c := range t.Cars {
-			tr.Cars = append(tr.Cars, tsdb.Car{ID: c.ID, Lat: c.Lat, Lng: c.Lng})
-		}
-		row.Types = append(row.Types, tr)
-	}
-	if err := ing.db.Append(row); err != nil {
+	if err := ing.db.Append(tsdb.Row{Time: o.Time, Series: idx, Types: o.Types}); err != nil {
 		return roundDone, err
 	}
 	ing.last[idx] = o.Time

@@ -1,9 +1,11 @@
 // Package record persists a measurement campaign's pingClient stream to
 // disk and replays it later — the paper's workflow of collecting hundreds
-// of gigabytes first and analyzing offline afterwards. The format is
-// gzip-compressed JSON lines: a header describing the campaign, then one
-// record per (round, client) observation. Car path vectors are dropped
-// (no analysis consumes them); everything else the Dataset needs is kept.
+// of gigabytes first and analyzing offline afterwards. One Writer feeds
+// either of two stores holding the same rows (tsdb.Row; package wire owns
+// the observation body): gzip-compressed JSON lines — a header describing
+// the campaign, then one row per (round, client) observation — or a tsdb
+// directory (store.go). Car path vectors are dropped (no analysis
+// consumes them); everything else the Dataset needs is kept.
 package record
 
 import (
@@ -17,6 +19,8 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/tsdb"
+	"repro/internal/wire"
 )
 
 // Version is the current file format version. Version 2 added explicit
@@ -43,48 +47,65 @@ type Header struct {
 	ClientIDs []string `json:"client_ids,omitempty"`
 }
 
-type carRec struct {
-	ID  string  `json:"i"`
-	Lat float64 `json:"a"`
-	Lng float64 `json:"o"`
+// rowStore is the back end a Writer appends to: *tsdb.DB as it stands, or
+// the gzip-JSONL stream.
+type rowStore interface {
+	Append(tsdb.Row) error
+	// Commit makes the rows appended so far durable (a no-op for JSONL,
+	// which is only whole once closed).
+	Commit() error
+	Close() error
 }
 
-type typeRec struct {
-	Type  string   `json:"t"`
-	Surge float64  `json:"s"`
-	EWT   float64  `json:"e"`
-	Cars  []carRec `json:"c,omitempty"`
-}
-
-type obsRec struct {
-	Time   int64     `json:"t"`
-	Client int       `json:"c"`
-	Types  []typeRec `json:"y,omitempty"`
-	// Gap marks a row recording a failed ping instead of an observation;
-	// Reason carries the error text.
-	Gap    bool   `json:"g,omitempty"`
-	Reason string `json:"r,omitempty"`
-}
-
-// Writer streams observations to disk. It implements client.Sink (and
-// client.GapSink: failed pings are written as explicit gap rows, the way
-// the paper's dataset accounts for its ~2.5% loss), so it can be attached
-// to a campaign next to the live Dataset.
+// Writer streams a campaign into a store: one series per client. It
+// implements client.Sink (and client.GapSink: failed pings are written as
+// explicit gap rows, the way the paper's dataset accounts for its ~2.5%
+// loss), so it can be attached to a campaign next to the live Dataset.
 type Writer struct {
-	gz   *gzip.Writer
-	bw   *bufio.Writer
-	enc  *json.Encoder
-	err  error
-	Rows int64
-	// Gaps counts gap rows written.
-	Gaps int64
+	store rowStore
+	err   error
+	// Rows counts rows written (on a resumed tsdb store, recovered ones
+	// included); Gaps counts the gap rows among them.
+	Rows, Gaps int64
 	// pendingGaps buffers the round's failed pings until EndRound, when
 	// the round's timestamp is known.
-	pendingGaps []obsRec
+	pendingGaps []tsdb.Row
 }
 
-// NewWriter writes the header and returns a sink-compatible writer.
+// jsonlStore is the gzip-JSONL back end: a header line, then one JSON row
+// per Append. f is the file Create opened, nil when the caller owns w.
+type jsonlStore struct {
+	gz  *gzip.Writer
+	bw  *bufio.Writer
+	enc *json.Encoder
+	f   io.Closer
+}
+
+func (s *jsonlStore) Append(row tsdb.Row) error { return s.enc.Encode(&row) }
+
+func (s *jsonlStore) Commit() error { return nil }
+
+func (s *jsonlStore) Close() error {
+	err := s.bw.Flush()
+	if err == nil {
+		err = s.gz.Close()
+	}
+	if s.f != nil {
+		if cerr := s.f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// NewWriter writes the header and returns a sink-compatible writer of the
+// gzip-JSONL format.
 func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
+	return newJSONLWriter(w, nil, hdr)
+}
+
+// newJSONLWriter is NewWriter that also closes f, if not nil, on Close.
+func newJSONLWriter(w io.Writer, f io.Closer, hdr Header) (*Writer, error) {
 	hdr.Version = Version
 	gz := gzip.NewWriter(w)
 	bw := bufio.NewWriterSize(gz, 1<<16)
@@ -92,73 +113,62 @@ func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
 	if err := enc.Encode(hdr); err != nil {
 		return nil, fmt.Errorf("record: write header: %w", err)
 	}
-	return &Writer{gz: gz, bw: bw, enc: enc}, nil
+	return &Writer{store: &jsonlStore{gz: gz, bw: bw, enc: enc, f: f}}, nil
+}
+
+func (w *Writer) append(row tsdb.Row) {
+	if w.err != nil {
+		return
+	}
+	if w.err = w.store.Append(row); w.err != nil {
+		return
+	}
+	w.Rows++
+	if row.Gap {
+		w.Gaps++
+	}
 }
 
 // Observe implements client.Sink.
 func (w *Writer) Observe(clientIdx int, pos geo.Point, resp *core.PingResponse) {
-	if w.err != nil {
-		return
-	}
-	rec := obsRec{Time: resp.Time, Client: clientIdx}
-	for i := range resp.Types {
-		ts := &resp.Types[i]
-		tr := typeRec{Type: ts.TypeName, Surge: ts.Surge, EWT: ts.EWTSeconds}
-		for _, c := range ts.Cars {
-			tr.Cars = append(tr.Cars, carRec{ID: c.ID, Lat: c.Pos.Lat, Lng: c.Pos.Lng})
-		}
-		rec.Types = append(rec.Types, tr)
-	}
-	if err := w.enc.Encode(&rec); err != nil {
-		w.err = err
-		return
-	}
-	w.Rows++
+	w.append(tsdb.Row{Time: resp.Time, Series: clientIdx, Types: wire.FromResponse(resp)})
 }
 
 // ObserveGap implements client.GapSink. The row is buffered until
 // EndRound supplies the round's timestamp (a gap can precede the round's
 // first successful ping, whose response carries the time).
 func (w *Writer) ObserveGap(clientIdx int, pos geo.Point, lastSeen int64, err error) {
-	if w.err != nil {
-		return
-	}
 	reason := ""
 	if err != nil {
 		reason = err.Error()
 	}
-	w.pendingGaps = append(w.pendingGaps, obsRec{Client: clientIdx, Gap: true, Reason: reason})
+	w.pendingGaps = append(w.pendingGaps, tsdb.Row{Series: clientIdx, Gap: true, Reason: reason})
 }
 
-// EndRound implements client.Sink; rounds are reconstructed on replay
-// from the shared timestamp, so only the round's buffered gap rows are
-// written. (If every ping in a round failed, the gaps attach to the
-// previous round's timestamp — the closest time the recording knows.)
+// EndRound implements client.Sink: the round's buffered gap rows get its
+// timestamp and the round is committed (one WAL fsync on a tsdb store).
+// Rounds are reconstructed on replay from the shared timestamp. (If every
+// ping in a round failed, the gaps attach to the previous round's
+// timestamp — the closest time the recording knows.)
 func (w *Writer) EndRound(now int64) {
-	for i := range w.pendingGaps {
-		w.pendingGaps[i].Time = now
-		if w.err != nil {
-			break
-		}
-		if err := w.enc.Encode(&w.pendingGaps[i]); err != nil {
-			w.err = err
-			break
-		}
-		w.Rows++
-		w.Gaps++
+	for _, row := range w.pendingGaps {
+		row.Time = now
+		w.append(row)
 	}
 	w.pendingGaps = w.pendingGaps[:0]
+	if w.err == nil {
+		w.err = w.store.Commit()
+	}
 }
 
-// Close flushes and finalizes the stream.
+// Close finalizes the store: the gzip stream is flushed and closed, a
+// tsdb store sealed.
 func (w *Writer) Close() error {
+	cerr := w.store.Close()
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	return w.gz.Close()
+	return cerr
 }
 
 // Written reports the rows (total) and gap rows recorded so far.
@@ -188,13 +198,7 @@ func ReadHeader(r io.Reader) (Header, error) {
 // truncated or corrupt tail, every decodable row is delivered first and
 // the returned error wraps ErrTruncated.
 func Replay(r io.Reader, sinks ...client.Sink) (Header, int64, error) {
-	return replayRange(r, minTime, maxTime, sinks...)
-}
-
-// ReplayRange is Replay restricted to rows with from ≤ time < to.
-// Rounds outside the window are skipped entirely (no EndRound).
-func ReplayRange(r io.Reader, from, to int64, sinks ...client.Sink) (Header, int64, error) {
-	return replayRange(r, from, to, sinks...)
+	return ReplayRange(r, MinTime, MaxTime, sinks...)
 }
 
 // MinTime and MaxTime are open range bounds for the *Range replay
@@ -204,12 +208,9 @@ const (
 	MaxTime = int64(1) << 62
 )
 
-const (
-	minTime = MinTime
-	maxTime = MaxTime
-)
-
-func replayRange(r io.Reader, from, to int64, sinks ...client.Sink) (Header, int64, error) {
+// ReplayRange is Replay restricted to rows with from ≤ time < to.
+// Rounds outside the window are skipped entirely (no EndRound).
+func ReplayRange(r io.Reader, from, to int64, sinks ...client.Sink) (Header, int64, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
 		return Header{}, 0, fmt.Errorf("record: open: %w", err)
@@ -227,7 +228,7 @@ func replayRange(r io.Reader, from, to int64, sinks ...client.Sink) (Header, int
 
 	rp := newRoundPlayer(hdr, sinks)
 	for {
-		var rec obsRec
+		var rec tsdb.Row
 		if err := dec.Decode(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
 				break
@@ -262,14 +263,14 @@ func newRoundPlayer(hdr Header, sinks []client.Sink) *roundPlayer {
 	return &roundPlayer{hdr: hdr, sinks: sinks, curTime: -1}
 }
 
-func (rp *roundPlayer) play(rec *obsRec) error {
+func (rp *roundPlayer) play(rec *tsdb.Row) error {
 	if rp.curTime >= 0 && rec.Time != rp.curTime {
 		rp.endRound()
 	}
 	rp.curTime = rec.Time
 	var pos geo.Point
-	if rec.Client >= 0 && rec.Client < len(rp.hdr.Clients) {
-		pos = rp.hdr.Clients[rec.Client]
+	if rec.Series >= 0 && rec.Series < len(rp.hdr.Clients) {
+		pos = rp.hdr.Clients[rec.Series]
 	}
 	if rec.Gap {
 		// The reason is passed through verbatim so a recording survives
@@ -277,17 +278,17 @@ func (rp *roundPlayer) play(rec *obsRec) error {
 		gapErr := errors.New(rec.Reason)
 		for _, s := range rp.sinks {
 			if gs, ok := s.(client.GapSink); ok {
-				gs.ObserveGap(rec.Client, pos, rec.Time, gapErr)
+				gs.ObserveGap(rec.Series, pos, rec.Time, gapErr)
 			}
 		}
 		return nil
 	}
-	resp, err := rec.toResponse()
+	resp, err := wire.ToResponse(rec.Time, rec.Types)
 	if err != nil {
-		return err
+		return fmt.Errorf("record: %w", err)
 	}
 	for _, s := range rp.sinks {
-		s.Observe(rec.Client, pos, resp)
+		s.Observe(rec.Series, pos, resp)
 	}
 	return nil
 }
@@ -304,25 +305,4 @@ func (rp *roundPlayer) finish() {
 	if rp.curTime >= 0 {
 		rp.endRound()
 	}
-}
-
-func (r *obsRec) toResponse() (*core.PingResponse, error) {
-	resp := &core.PingResponse{Time: r.Time}
-	for _, tr := range r.Types {
-		vt, err := core.ParseVehicleType(tr.Type)
-		if err != nil {
-			return nil, fmt.Errorf("record: row at t=%d: %w", r.Time, err)
-		}
-		ts := core.TypeStatus{
-			Type: vt, TypeName: tr.Type,
-			Surge: tr.Surge, EWTSeconds: tr.EWT,
-		}
-		for _, c := range tr.Cars {
-			ts.Cars = append(ts.Cars, core.CarView{
-				ID: c.ID, Pos: geo.LatLng{Lat: c.Lat, Lng: c.Lng},
-			})
-		}
-		resp.Types = append(resp.Types, ts)
-	}
-	return resp, nil
 }

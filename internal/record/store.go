@@ -17,15 +17,13 @@ import (
 	"os"
 
 	"repro/internal/client"
-	"repro/internal/core"
-	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/tsdb"
 )
 
-// CampaignWriter is the write side of a campaign store. Both the
-// gzip-JSONL Writer and the tsdb-backed TSDBWriter implement it, so
-// cmd/measure attaches either as a campaign sink via -store.
+// CampaignWriter is the write side of a campaign store (*Writer, over
+// either back end), which cmd/measure attaches as a campaign sink via
+// -store.
 type CampaignWriter interface {
 	client.Sink
 	client.GapSink
@@ -48,12 +46,12 @@ func Create(kind, path string, hdr Header, metrics *obs.Registry) (CampaignWrite
 		if err != nil {
 			return nil, err
 		}
-		w, err := NewWriter(f, hdr)
+		w, err := newJSONLWriter(f, f, hdr)
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		return &fileWriter{Writer: w, f: f}, nil
+		return w, nil
 	case StoreTSDB:
 		return CreateTSDB(path, hdr, metrics)
 	default:
@@ -61,37 +59,11 @@ func Create(kind, path string, hdr Header, metrics *obs.Registry) (CampaignWrite
 	}
 }
 
-// fileWriter pairs a Writer with the file it owns.
-type fileWriter struct {
-	*Writer
-	f *os.File
-}
-
-func (w *fileWriter) Close() error {
-	err := w.Writer.Close()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// TSDBWriter streams a campaign into a tsdb store: one series per client,
-// one Commit (one WAL fsync) per ping round. It implements client.Sink
-// and client.GapSink exactly like Writer, including buffering gap rows
-// until EndRound supplies the round's timestamp.
-type TSDBWriter struct {
-	db   *tsdb.DB
-	err  error
-	rows int64
-	gaps int64
-	// pendingGaps buffers the round's failed pings until EndRound.
-	pendingGaps []tsdb.Row
-}
-
-// CreateTSDB creates (or reopens) a tsdb campaign store at dir. The
-// campaign header is stored in the tsdb metadata; reopening an existing
-// store resumes it (rows recovered from the WAL are counted as written).
-func CreateTSDB(dir string, hdr Header, metrics *obs.Registry) (*TSDBWriter, error) {
+// CreateTSDB creates (or reopens) a tsdb campaign store at dir: one Commit
+// (one WAL fsync) per ping round. The campaign header is stored in the
+// tsdb metadata; reopening an existing store resumes it (rows recovered
+// from the WAL are counted as written).
+func CreateTSDB(dir string, hdr Header, metrics *obs.Registry) (*Writer, error) {
 	hdr.Version = Version
 	extra, err := json.Marshal(hdr)
 	if err != nil {
@@ -101,76 +73,7 @@ func CreateTSDB(dir string, hdr Header, metrics *obs.Registry) (*TSDBWriter, err
 	if err != nil {
 		return nil, err
 	}
-	return &TSDBWriter{db: db, rows: int64(db.Recovered())}, nil
-}
-
-// Observe implements client.Sink.
-func (w *TSDBWriter) Observe(clientIdx int, pos geo.Point, resp *core.PingResponse) {
-	if w.err != nil {
-		return
-	}
-	row := tsdb.Row{Time: resp.Time, Series: clientIdx}
-	for i := range resp.Types {
-		ts := &resp.Types[i]
-		obs := tsdb.TypeObs{Name: ts.TypeName, Surge: ts.Surge, EWT: ts.EWTSeconds}
-		for _, c := range ts.Cars {
-			obs.Cars = append(obs.Cars, tsdb.Car{ID: c.ID, Lat: c.Pos.Lat, Lng: c.Pos.Lng})
-		}
-		row.Types = append(row.Types, obs)
-	}
-	if err := w.db.Append(row); err != nil {
-		w.err = err
-		return
-	}
-	w.rows++
-}
-
-// ObserveGap implements client.GapSink; the row is buffered until
-// EndRound supplies the round's timestamp.
-func (w *TSDBWriter) ObserveGap(clientIdx int, pos geo.Point, lastSeen int64, err error) {
-	if w.err != nil {
-		return
-	}
-	reason := ""
-	if err != nil {
-		reason = err.Error()
-	}
-	w.pendingGaps = append(w.pendingGaps, tsdb.Row{Series: clientIdx, Gap: true, Reason: reason})
-}
-
-// EndRound implements client.Sink: buffered gap rows get the round's
-// timestamp, and the round is committed (one WAL fsync).
-func (w *TSDBWriter) EndRound(now int64) {
-	for i := range w.pendingGaps {
-		if w.err != nil {
-			break
-		}
-		w.pendingGaps[i].Time = now
-		if err := w.db.Append(w.pendingGaps[i]); err != nil {
-			w.err = err
-			break
-		}
-		w.rows++
-		w.gaps++
-	}
-	w.pendingGaps = w.pendingGaps[:0]
-	if w.err == nil {
-		if err := w.db.Commit(); err != nil {
-			w.err = err
-		}
-	}
-}
-
-// Written reports rows (total) and gap rows stored so far.
-func (w *TSDBWriter) Written() (rows, gaps int64) { return w.rows, w.gaps }
-
-// Close seals and closes the store.
-func (w *TSDBWriter) Close() error {
-	cerr := w.db.Close()
-	if w.err != nil {
-		return w.err
-	}
-	return cerr
+	return &Writer{store: db, Rows: int64(db.Recovered())}, nil
 }
 
 // headerFromStore decodes the campaign header a tsdb store carries.
@@ -210,7 +113,7 @@ func ReadHeaderPath(path string) (Header, error) {
 // ReplayPath replays either store kind into sinks. See Replay for the
 // round-reconstruction and ErrTruncated semantics.
 func ReplayPath(path string, sinks ...client.Sink) (Header, int64, error) {
-	return ReplayPathRange(path, minTime, maxTime, sinks...)
+	return ReplayPathRange(path, MinTime, MaxTime, sinks...)
 }
 
 // ReplayPathRange replays rows with from ≤ time < to. On a tsdb store
@@ -240,10 +143,8 @@ func replayTSDBRange(dir string, from, to int64, sinks ...client.Sink) (Header, 
 	}
 	rp := newRoundPlayer(hdr, sinks)
 	it := db.QueryAll(from, to)
-	var rec obsRec
 	for it.Next() {
-		rowToObs(it.Row(), &rec)
-		if err := rp.play(&rec); err != nil {
+		if err := rp.play(it.Row()); err != nil {
 			return hdr, rp.rounds, err
 		}
 	}
@@ -255,23 +156,6 @@ func replayTSDBRange(dir string, from, to int64, sinks ...client.Sink) (Header, 
 	}
 	rp.finish()
 	return hdr, rp.rounds, nil
-}
-
-// rowToObs converts a stored tsdb row back to the wire record shape.
-func rowToObs(row *tsdb.Row, rec *obsRec) {
-	rec.Time = row.Time
-	rec.Client = row.Series
-	rec.Gap = row.Gap
-	rec.Reason = row.Reason
-	rec.Types = rec.Types[:0]
-	for i := range row.Types {
-		t := &row.Types[i]
-		tr := typeRec{Type: t.Name, Surge: t.Surge, EWT: t.EWT}
-		for _, c := range t.Cars {
-			tr.Cars = append(tr.Cars, carRec{ID: c.ID, Lat: c.Lat, Lng: c.Lng})
-		}
-		rec.Types = append(rec.Types, tr)
-	}
 }
 
 // StoreBounds reports the [min, max] observation time range a tsdb store

@@ -19,6 +19,8 @@ package tsdb
 import (
 	"encoding/binary"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // defaultChunkRows bounds rows per chunk: it is the sparse-index
@@ -89,23 +91,25 @@ func encodeChunk(rows []Row) []byte {
 // decodeChunk decodes a chunk payload into rows, assigning every row the
 // given series. It never panics on corrupt input.
 func decodeChunk(payload []byte, series int) ([]Row, error) {
-	r := &byteReader{b: payload}
-	nRows := r.uvarint()
+	r := wire.NewReader(payload)
+	nRows := r.Uvarint()
 	// Each row costs at least one meta byte and one timestamp byte.
-	if r.err != nil || nRows > maxRowsPerChunk || nRows > uint64(len(payload)) {
+	if r.Err() != nil || nRows > maxRowsPerChunk || nRows > uint64(len(payload)) {
 		return nil, ErrCorrupt
 	}
 	strs, err := dictDecode(r)
 	if err != nil {
 		return nil, err
 	}
-	col := func() *byteReader {
-		n := r.uvarint()
-		if r.err != nil || n > uint64(r.remaining()) {
-			r.fail()
-			return &byteReader{err: ErrCorrupt}
+	// A column that overruns the payload fails r (checked once all ten
+	// are cut) and reads as empty.
+	col := func() *wire.Reader {
+		n := r.Uvarint()
+		if r.Err() != nil || n > uint64(r.Remaining()) {
+			r.Fail()
+			return wire.NewReader(nil)
 		}
-		return &byteReader{b: r.take(int(n))}
+		return wire.NewReader(r.Take(int(n)))
 	}
 
 	timesCol := col()
@@ -122,15 +126,15 @@ func decodeChunk(payload []byte, series int) ([]Row, error) {
 	latsCol := col()
 	lngsCol := col()
 	reasonsCol := col()
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, ErrCorrupt
 	}
 
 	// First pass over meta to learn the per-row type counts.
 	counts := make([]uint64, nRows)
 	var totalTypes uint64
 	for i := range counts {
-		v := metaCol.uvarint()
+		v := metaCol.Uvarint()
 		if v&1 == 1 {
 			counts[i] = math.MaxUint64 // gap marker
 			continue
@@ -141,7 +145,7 @@ func decodeChunk(payload []byte, series int) ([]Row, error) {
 		}
 		totalTypes += counts[i]
 	}
-	if metaCol.err != nil || totalTypes > uint64(typeIDsCol.remaining())+1 {
+	if metaCol.Err() != nil || totalTypes > uint64(typeIDsCol.Remaining())+1 {
 		return nil, ErrCorrupt
 	}
 
@@ -156,13 +160,13 @@ func decodeChunk(payload []byte, series int) ([]Row, error) {
 	carCounts := make([]uint64, totalTypes)
 	var totalCars uint64
 	for i := range carCounts {
-		carCounts[i] = carCountsCol.uvarint()
+		carCounts[i] = carCountsCol.Uvarint()
 		if carCounts[i] > maxCarsPerType {
 			return nil, ErrCorrupt
 		}
 		totalCars += carCounts[i]
 	}
-	if carCountsCol.err != nil || totalCars > uint64(carIDsCol.remaining())+1 {
+	if carCountsCol.Err() != nil || totalCars > uint64(carIDsCol.Remaining())+1 {
 		return nil, ErrCorrupt
 	}
 	lats, err := xorDecode(latsCol)
@@ -182,8 +186,8 @@ func decodeChunk(payload []byte, series int) ([]Row, error) {
 		row.Series = series
 		if counts[i] == math.MaxUint64 {
 			row.Gap = true
-			row.Reason, err = dictRef(strs, reasonsCol.uvarint())
-			if err != nil || reasonsCol.err != nil {
+			row.Reason, err = dictRef(strs, reasonsCol.Uvarint())
+			if err != nil || reasonsCol.Err() != nil {
 				return nil, ErrCorrupt
 			}
 			continue
@@ -194,8 +198,8 @@ func decodeChunk(payload []byte, series int) ([]Row, error) {
 		row.Types = make([]TypeObs, counts[i])
 		for k := range row.Types {
 			t := &row.Types[k]
-			t.Name, err = dictRef(strs, typeIDsCol.uvarint())
-			if err != nil || typeIDsCol.err != nil {
+			t.Name, err = dictRef(strs, typeIDsCol.Uvarint())
+			if err != nil || typeIDsCol.Err() != nil {
 				return nil, ErrCorrupt
 			}
 			t.Surge = surges[ti]
@@ -208,8 +212,8 @@ func decodeChunk(payload []byte, series int) ([]Row, error) {
 			t.Cars = make([]Car, nc)
 			for m := range t.Cars {
 				c := &t.Cars[m]
-				c.ID, err = dictRef(strs, carIDsCol.uvarint())
-				if err != nil || carIDsCol.err != nil {
+				c.ID, err = dictRef(strs, carIDsCol.Uvarint())
+				if err != nil || carIDsCol.Err() != nil {
 					return nil, ErrCorrupt
 				}
 				c.Lat = lats[ci]

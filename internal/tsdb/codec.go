@@ -1,6 +1,7 @@
-// Codec primitives for the columnar block format: zigzag varints,
-// delta-of-delta timestamp encoding, Gorilla-style XOR float compression
-// over a bitstream, and per-chunk string dictionaries.
+// Codec primitives for the columnar block format, over package wire's
+// bounds-checked Reader and zigzag varints: delta-of-delta timestamp
+// encoding, Gorilla-style XOR float compression over a bitstream, and
+// per-chunk string dictionaries.
 //
 // Every decoder is defensive: arbitrary input bytes must produce an error,
 // never a panic or an unbounded allocation (FuzzCodec pins this). Counts
@@ -14,106 +15,13 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+
+	"repro/internal/wire"
 )
 
 // ErrCorrupt is returned when encoded bytes fail validation (bad varint,
 // impossible count, CRC mismatch, dictionary reference out of range).
 var ErrCorrupt = errors.New("tsdb: corrupt data")
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// byteReader is a bounds-checked sequential reader. After any failure err
-// is set and every subsequent read returns zero values.
-type byteReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *byteReader) fail() {
-	if r.err == nil {
-		r.err = ErrCorrupt
-	}
-}
-
-func (r *byteReader) remaining() int { return len(r.b) - r.off }
-
-func (r *byteReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	// Reject non-minimal encodings (e.g. 0x80 0x00 for zero) so every value
-	// has exactly one byte representation — the codec stays canonical.
-	if n <= 0 || n != uvarintLen(v) {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// uvarintLen is the length of the minimal uvarint encoding of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-func (r *byteReader) varint() int64 { return unzigzag(r.uvarint()) }
-
-func (r *byteReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > r.remaining() {
-		r.fail()
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *byteReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *byteReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *byteReader) byte() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// str reads a uvarint-length-prefixed string.
-func (r *byteReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.remaining()) {
-		r.fail()
-		return ""
-	}
-	return string(r.take(int(n)))
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
 
 // ---- bitstream ----
 
@@ -192,13 +100,13 @@ func timesEncode(buf []byte, ts []int64) []byte {
 	for i, t := range ts {
 		switch i {
 		case 0:
-			buf = binary.AppendUvarint(buf, zigzag(t))
+			buf = binary.AppendUvarint(buf, wire.Zigzag(t))
 		case 1:
 			prevDelta = t - prev
-			buf = binary.AppendUvarint(buf, zigzag(prevDelta))
+			buf = binary.AppendUvarint(buf, wire.Zigzag(prevDelta))
 		default:
 			d := t - prev
-			buf = binary.AppendUvarint(buf, zigzag(d-prevDelta))
+			buf = binary.AppendUvarint(buf, wire.Zigzag(d-prevDelta))
 			prevDelta = d
 		}
 		prev = t
@@ -207,17 +115,17 @@ func timesEncode(buf []byte, ts []int64) []byte {
 }
 
 // timesDecode reads a timestamp block produced by timesEncode.
-func timesDecode(r *byteReader) ([]int64, error) {
-	n := r.uvarint()
+func timesDecode(r *wire.Reader) ([]int64, error) {
+	n := r.Uvarint()
 	// Each encoded timestamp costs at least one byte, so n is bounded by
 	// the remaining payload; this rejects absurd counts before allocating.
-	if r.err != nil || n > uint64(r.remaining()) {
+	if r.Err() != nil || n > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
 	}
 	out := make([]int64, n)
 	var prev, prevDelta int64
 	for i := range out {
-		v := r.varint()
+		v := r.Varint()
 		switch i {
 		case 0:
 			prev = v
@@ -230,8 +138,8 @@ func timesDecode(r *byteReader) ([]int64, error) {
 		}
 		out[i] = prev
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, ErrCorrupt
 	}
 	return out, nil
 }
@@ -284,19 +192,19 @@ func xorEncode(buf []byte, vals []float64) []byte {
 }
 
 // xorDecode reads a float block produced by xorEncode.
-func xorDecode(r *byteReader) ([]float64, error) {
-	n := r.uvarint()
-	if r.err != nil {
+func xorDecode(r *wire.Reader) ([]float64, error) {
+	n := r.Uvarint()
+	if r.Err() != nil {
 		return nil, ErrCorrupt
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	streamLen := r.uvarint()
-	if r.err != nil || streamLen > uint64(r.remaining()) {
+	streamLen := r.Uvarint()
+	if r.Err() != nil || streamLen > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
 	}
-	br := bitReader{buf: r.take(int(streamLen))}
+	br := bitReader{buf: r.Take(int(streamLen))}
 	// The first value costs 64 bits and every later one at least 1.
 	if int64(br.bitsLeft()) < 64+int64(n-1) {
 		return nil, ErrCorrupt
@@ -364,23 +272,23 @@ func (d *dictBuilder) id(s string) uint64 {
 func (d *dictBuilder) encode(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(d.strs)))
 	for _, s := range d.strs {
-		buf = appendString(buf, s)
+		buf = wire.AppendString(buf, s)
 	}
 	return buf
 }
 
-func dictDecode(r *byteReader) ([]string, error) {
-	n := r.uvarint()
+func dictDecode(r *wire.Reader) ([]string, error) {
+	n := r.Uvarint()
 	// Every dictionary entry costs at least one byte (its length prefix).
-	if r.err != nil || n > uint64(r.remaining()) {
+	if r.Err() != nil || n > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
 	}
 	strs := make([]string, n)
 	for i := range strs {
-		strs[i] = r.str()
+		strs[i] = r.String(maxStringLen)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, ErrCorrupt
 	}
 	return strs, nil
 }

@@ -5,15 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-)
 
-func TestZigzagRoundTrip(t *testing.T) {
-	for _, v := range []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64, 5, -300} {
-		if got := unzigzag(zigzag(v)); got != v {
-			t.Fatalf("zigzag(%d) round-tripped to %d", v, got)
-		}
-	}
-}
+	"repro/internal/wire"
+)
 
 func TestTimesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -32,7 +26,7 @@ func TestTimesRoundTrip(t *testing.T) {
 	cases = append(cases, irregular)
 	for _, ts := range cases {
 		buf := timesEncode(nil, ts)
-		got, err := timesDecode(&byteReader{b: buf})
+		got, err := timesDecode(wire.NewReader(buf))
 		if err != nil {
 			t.Fatalf("decode %v: %v", ts, err)
 		}
@@ -73,7 +67,7 @@ func TestXORRoundTrip(t *testing.T) {
 	cases = append(cases, walk)
 	for ci, vals := range cases {
 		buf := xorEncode(nil, vals)
-		got, err := xorDecode(&byteReader{b: buf})
+		got, err := xorDecode(wire.NewReader(buf))
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", ci, err)
 		}
@@ -107,7 +101,7 @@ func TestDictRoundTrip(t *testing.T) {
 		t.Fatalf("dict ids = %v, want %v", ids, want)
 	}
 	buf := d.encode(nil)
-	strs, err := dictDecode(&byteReader{b: buf})
+	strs, err := dictDecode(wire.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

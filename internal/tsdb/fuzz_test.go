@@ -3,6 +3,8 @@ package tsdb
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // FuzzCodec exercises every decoder in the codec stack with arbitrary
@@ -65,23 +67,23 @@ func FuzzCodec(f *testing.F) {
 				t.Fatalf("row codec not canonical:\n in %x\nout %x", payload, re)
 			}
 		case 2:
-			r := &byteReader{b: payload}
+			r := wire.NewReader(payload)
 			if ts, err := timesDecode(r); err == nil && len(ts) > 0 {
 				re := timesEncode(nil, ts)
-				if got, err := timesDecode(&byteReader{b: re}); err != nil || len(got) != len(ts) {
+				if got, err := timesDecode(wire.NewReader(re)); err != nil || len(got) != len(ts) {
 					t.Fatalf("times re-encode broke: %v", err)
 				}
 			}
 		case 3:
-			r := &byteReader{b: payload}
+			r := wire.NewReader(payload)
 			if vs, err := xorDecode(r); err == nil && len(vs) > 0 {
 				re := xorEncode(nil, vs)
-				if got, err := xorDecode(&byteReader{b: re}); err != nil || len(got) != len(vs) {
+				if got, err := xorDecode(wire.NewReader(re)); err != nil || len(got) != len(vs) {
 					t.Fatalf("xor re-encode broke: %v", err)
 				}
 			}
 		case 4:
-			dictDecode(&byteReader{b: payload})
+			dictDecode(wire.NewReader(payload))
 		}
 	})
 }

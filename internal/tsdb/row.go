@@ -8,124 +8,77 @@ package tsdb
 import (
 	"encoding/binary"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // Sanity caps applied when decoding untrusted bytes. Real campaign rows
 // carry ≤ 9 products × ≤ 8 cars; the caps are generous multiples so a
-// corrupt length prefix cannot drive an unbounded allocation.
+// corrupt length prefix cannot drive an unbounded allocation. Strings
+// have no cap of their own: a row or chunk is already bounded by the
+// frame that carries it, and a string by the bytes left in it.
 const (
 	maxTypesPerRow = 256
 	maxCarsPerType = 4096
 	maxRowsPerWAL  = 1 << 24
+	maxStringLen   = math.MaxInt32
 )
 
-// Car is one visible vehicle: per-session randomized id and position.
-type Car struct {
-	ID       string
-	Lat, Lng float64
-}
-
-// TypeObs is one product's section of an observation.
-type TypeObs struct {
-	Name       string
-	Surge, EWT float64
-	Cars       []Car
-}
+// The stored observation body is shared with the event bus and the v2
+// JSONL recording (package wire owns its codec and JSON keys).
+type (
+	TypeObs = wire.TypeObs
+	Car     = wire.Car
+)
 
 // Row is one stored observation. A Gap row records a failed ping (an
-// explicit hole in the campaign, mirroring record's v2 gap rows) and
-// carries Reason instead of Types.
+// explicit hole in the campaign) and carries Reason instead of Types.
+// The JSON form is the v2 gzip-JSONL recording's row, key order included.
 type Row struct {
-	Time   int64
-	Series int
-	Gap    bool
-	Reason string
-	Types  []TypeObs
+	Time   int64     `json:"t"`
+	Series int       `json:"c"`
+	Types  []TypeObs `json:"y,omitempty"`
+	Gap    bool      `json:"g,omitempty"`
+	Reason string    `json:"r,omitempty"`
 }
 
 // appendRowBinary appends the flat encoding of r. It is the WAL record
 // payload and also the byte-equality witness used by tests: two rows are
 // identical iff their encodings are.
 func appendRowBinary(buf []byte, r *Row) []byte {
-	buf = binary.AppendUvarint(buf, zigzag(r.Time))
+	buf = binary.AppendUvarint(buf, wire.Zigzag(r.Time))
 	buf = binary.AppendUvarint(buf, uint64(r.Series))
 	if r.Gap {
 		buf = append(buf, 1)
-		return appendString(buf, r.Reason)
+		return wire.AppendString(buf, r.Reason)
 	}
 	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Types)))
-	for i := range r.Types {
-		t := &r.Types[i]
-		buf = appendString(buf, t.Name)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Surge))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.EWT))
-		buf = binary.AppendUvarint(buf, uint64(len(t.Cars)))
-		for _, c := range t.Cars {
-			buf = appendString(buf, c.ID)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Lat))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Lng))
-		}
-	}
-	return buf
+	return wire.AppendTypes(buf, r.Types)
 }
 
 // decodeRowBinary decodes one row from data, which must contain exactly
 // one encoded row (WAL records are length-prefixed externally).
 func decodeRowBinary(data []byte) (Row, error) {
-	r := &byteReader{b: data}
+	r := wire.NewReader(data)
 	var row Row
-	row.Time = unzigzag(r.uvarint())
-	series := r.uvarint()
+	row.Time = r.Varint()
+	series := r.Uvarint()
 	if series > math.MaxInt32 {
 		return Row{}, ErrCorrupt
 	}
 	row.Series = int(series)
-	switch r.byte() {
+	switch r.Byte() {
 	case 1:
 		row.Gap = true
-		row.Reason = r.str()
-		if r.err != nil || r.remaining() != 0 {
-			return Row{}, ErrCorrupt
-		}
-		return row, nil
+		row.Reason = r.String(maxStringLen)
 	case 0:
+		row.Types = r.Types(maxTypesPerRow, maxCarsPerType, maxStringLen)
 	default:
 		// Only 0/1 are valid: the encoding must stay canonical (tests use
 		// it as a byte-equality witness).
 		return Row{}, ErrCorrupt
 	}
-	nTypes := r.uvarint()
-	// Each type costs ≥ 18 bytes (name prefix + two floats + car count).
-	if r.err != nil || nTypes > maxTypesPerRow || nTypes > uint64(r.remaining()/18+1) {
-		return Row{}, ErrCorrupt
-	}
-	if nTypes > 0 {
-		row.Types = make([]TypeObs, 0, nTypes)
-	}
-	for i := uint64(0); i < nTypes; i++ {
-		var t TypeObs
-		t.Name = r.str()
-		t.Surge = r.f64()
-		t.EWT = r.f64()
-		nCars := r.uvarint()
-		// Each car costs ≥ 17 bytes (id prefix + two floats).
-		if r.err != nil || nCars > maxCarsPerType || nCars > uint64(r.remaining()/17+1) {
-			return Row{}, ErrCorrupt
-		}
-		if nCars > 0 {
-			t.Cars = make([]Car, 0, nCars)
-		}
-		for j := uint64(0); j < nCars; j++ {
-			var c Car
-			c.ID = r.str()
-			c.Lat = r.f64()
-			c.Lng = r.f64()
-			t.Cars = append(t.Cars, c)
-		}
-		row.Types = append(row.Types, t)
-	}
-	if r.err != nil || r.remaining() != 0 {
+	if r.Err() != nil || r.Remaining() != 0 {
 		return Row{}, ErrCorrupt
 	}
 	return row, nil

@@ -32,6 +32,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 const (
@@ -183,8 +185,8 @@ func (sw *segmentWriter) finish() (retErr error) {
 		idx = binary.AppendUvarint(idx, uint64(e.series))
 		idx = binary.AppendUvarint(idx, e.offset)
 		idx = binary.AppendUvarint(idx, e.length)
-		idx = binary.AppendUvarint(idx, zigzag(e.minT))
-		idx = binary.AppendUvarint(idx, zigzag(e.maxT))
+		idx = binary.AppendUvarint(idx, wire.Zigzag(e.minT))
+		idx = binary.AppendUvarint(idx, wire.Zigzag(e.maxT))
 		idx = binary.AppendUvarint(idx, e.rows)
 	}
 	idxOff := sw.cw.off
@@ -286,23 +288,23 @@ func openSegment(path string, lo, hi uint64) (*segmentReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("tsdb: %s: index CRC mismatch: %w", path, ErrCorrupt)
 	}
-	r := &byteReader{b: idx}
-	n := r.uvarint()
-	if r.err != nil || n > uint64(len(idx)) {
+	r := wire.NewReader(idx)
+	n := r.Uvarint()
+	if r.Err() != nil || n > uint64(len(idx)) {
 		f.Close()
 		return nil, fmt.Errorf("tsdb: %s: bad index: %w", path, ErrCorrupt)
 	}
 	sr.minT, sr.maxT = int64(1)<<62, -(int64(1) << 62)
 	for i := uint64(0); i < n; i++ {
 		e := chunkEntry{
-			series: int(r.uvarint()),
-			offset: r.uvarint(),
-			length: r.uvarint(),
-			minT:   r.varint(),
-			maxT:   r.varint(),
-			rows:   r.uvarint(),
+			series: int(r.Uvarint()),
+			offset: r.Uvarint(),
+			length: r.Uvarint(),
+			minT:   r.Varint(),
+			maxT:   r.Varint(),
+			rows:   r.Uvarint(),
 		}
-		if r.err != nil || e.offset+e.length+4 > idxOff || e.rows == 0 {
+		if r.Err() != nil || e.offset+e.length+4 > idxOff || e.rows == 0 {
 			f.Close()
 			return nil, fmt.Errorf("tsdb: %s: bad index entry: %w", path, ErrCorrupt)
 		}

@@ -1,0 +1,171 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geo"
+)
+
+func TestZigzagRoundTrip(t *testing.T) {
+	for _, v := range []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64, 5, -300} {
+		if got := Unzigzag(Zigzag(v)); got != v {
+			t.Fatalf("zigzag(%d) round-tripped to %d", v, got)
+		}
+	}
+}
+
+var sampleTypes = []TypeObs{
+	{Name: "uberX", Surge: 1.5, EWT: 240, Cars: []Car{
+		{ID: "sess-1", Lat: 40.74, Lng: -73.98},
+		{ID: "sess-2", Lat: 40.76, Lng: -74.0},
+	}},
+	{Name: "uberT", Surge: 1, EWT: 600},
+}
+
+// TestReaderEnforcesCaps: each cap a call site passes is a hard limit,
+// a failure sticks, and a failed Reader hands out only zero values.
+func TestReaderEnforcesCaps(t *testing.T) {
+	s := AppendString(nil, "abcde")
+	if got := NewReader(s).String(5); got != "abcde" {
+		t.Errorf("String at its cap = %q", got)
+	}
+	for name, read := range map[string]func(*Reader){
+		"string over cap":     func(r *Reader) { r.String(4) },
+		"bytes over cap":      func(r *Reader) { r.Bytes(4) },
+		"string over input":   func(r *Reader) { r.Take(1); r.String(10) },
+		"take past end":       func(r *Reader) { r.Take(len(s) + 1) },
+		"take negative":       func(r *Reader) { r.Take(-1) },
+		"u64 from five bytes": func(r *Reader) { r.Byte(); r.U64() },
+	} {
+		r := NewReader(s)
+		read(r)
+		if r.Err() != ErrCorrupt {
+			t.Errorf("%s: Err = %v, want ErrCorrupt", name, r.Err())
+		}
+		if r.Uvarint() != 0 || r.Byte() != 0 || r.Take(0) != nil || r.Types(1, 1, 1) != nil {
+			t.Errorf("%s: failed Reader kept reading", name)
+		}
+	}
+	if r := NewReader([]byte{0x80, 0x00}); r.Uvarint() != 0 || r.Err() == nil {
+		t.Error("non-minimal varint accepted")
+	}
+
+	enc := AppendTypes(nil, sampleTypes)
+	for name, caps := range map[string][3]int{
+		"types": {1, 2, 6}, "cars": {2, 1, 6}, "strings": {2, 2, 5},
+	} {
+		r := NewReader(enc)
+		if got := r.Types(caps[0], caps[1], caps[2]); got != nil || r.Err() == nil {
+			t.Errorf("Types over its %s cap decoded %v", name, got)
+		}
+	}
+	r := NewReader(enc)
+	if got := r.Types(2, 2, 6); !reflect.DeepEqual(got, sampleTypes) || r.Err() != nil || r.Remaining() != 0 {
+		t.Errorf("Types at its caps = %+v, err %v, %d bytes left", got, r.Err(), r.Remaining())
+	}
+	// A count no input of this size could back is refused before the
+	// slice for it is made.
+	if got := NewReader([]byte{0xff, 0x01}).Types(256, 4096, 4096); got != nil {
+		t.Errorf("unbacked type count decoded %v", got)
+	}
+}
+
+// TestResponseRoundTrip: the two conversions are inverses on everything
+// the stores keep (path vectors are dropped by design), and empty stays
+// nil both ways so stored rows compare equal however they were built.
+func TestResponseRoundTrip(t *testing.T) {
+	resp := &core.PingResponse{Time: 605, Types: []core.TypeStatus{
+		{Type: core.UberX, TypeName: "uberX", Surge: 1.5, EWTSeconds: 240, Cars: []core.CarView{
+			{ID: "sess-1", Pos: geo.LatLng{Lat: 40.74, Lng: -73.98}, Path: []geo.LatLng{{Lat: 1, Lng: 2}}},
+			{ID: "sess-2", Pos: geo.LatLng{Lat: 40.76, Lng: -74.0}},
+		}},
+		{Type: core.UberT, TypeName: "uberT", Surge: 1, EWTSeconds: 600},
+	}}
+	types := FromResponse(resp)
+	if !reflect.DeepEqual(types, sampleTypes) {
+		t.Fatalf("FromResponse = %+v", types)
+	}
+	back, err := ToResponse(605, types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Types[0].Cars[0].Path = nil
+	if !reflect.DeepEqual(back, resp) {
+		t.Errorf("ToResponse = %+v, want %+v", back, resp)
+	}
+	if got := FromResponse(&core.PingResponse{}); got != nil {
+		t.Errorf("FromResponse of no types = %v, want nil", got)
+	}
+	if back, err := ToResponse(5, nil); err != nil || back.Types != nil {
+		t.Errorf("ToResponse of no types = %+v, %v", back, err)
+	}
+	if _, err := ToResponse(5, []TypeObs{{Name: "uberWARP"}}); err == nil {
+		t.Error("unknown product name converted without error")
+	}
+}
+
+// FuzzWire drives the shared primitives with raw bytes; the first byte
+// routes the operation. Invariants: nothing panics or allocates beyond
+// what the input backs, an accepted varint is the minimal encoding of its
+// value, and an accepted types section re-encodes byte-identically.
+func FuzzWire(f *testing.F) {
+	f.Add(append([]byte{0}, AppendTypes(nil, sampleTypes)...))
+	f.Add([]byte{0, 0x00})                   // no types
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0x7f}) // a count nothing backs
+	f.Add([]byte{1, 0x80, 0x00})             // non-minimal varint
+	f.Add([]byte{1, 0xac, 0x02})
+	f.Add(append([]byte{2}, AppendString(nil, "http 503")...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		op, body := data[0]%3, data[1:]
+		r := NewReader(body)
+		switch op {
+		case 0:
+			const maxTypes, maxCars, maxStr = 256, 4096, 4096
+			types := r.Types(maxTypes, maxCars, maxStr)
+			if r.Err() != nil {
+				if types != nil {
+					t.Fatal("failed Types returned a section")
+				}
+				return
+			}
+			if len(types) > maxTypes {
+				t.Fatalf("decoded %d types past cap", len(types))
+			}
+			if re := AppendTypes(nil, types); !bytes.Equal(re, body[:r.off]) {
+				t.Fatalf("types section not canonical: %d bytes in, %d out", r.off, len(re))
+			}
+		case 1:
+			v := r.Uvarint()
+			if r.Err() != nil {
+				return
+			}
+			if min := binary.AppendUvarint(nil, v); !bytes.Equal(min, body[:r.off]) {
+				t.Fatalf("accepted non-minimal varint for %d: %x vs %x", v, body[:r.off], min)
+			}
+			if sv := Unzigzag(v); Zigzag(sv) != v {
+				t.Fatalf("zigzag not involutive at %d", v)
+			}
+		case 2:
+			s := r.String(64)
+			b := NewReader(body).Bytes(64)
+			if r.Err() != nil {
+				return
+			}
+			if len(s) > 64 || s != string(b) {
+				t.Fatalf("String %q and Bytes %q disagree or pass the cap", s, b)
+			}
+			if re := AppendString(nil, s); !bytes.Equal(re, body[:r.off]) {
+				t.Fatalf("string not canonical: %x vs %x", body[:r.off], re)
+			}
+		}
+	})
+}
