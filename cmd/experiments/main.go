@@ -12,8 +12,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,69 +24,48 @@ import (
 	"repro/internal/surge"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one invocation and returns the exit code: 0 on success, 1
+// when the report cannot be written, 2 for a command line it rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		days     = flag.Int("days", 1, "measurement days per city")
-		hours    = flag.Int("hours", 0, "override: measurement hours per city")
-		seed     = flag.Int64("seed", 42, "simulation seed")
-		out      = flag.String("out", "", "output file (default stdout)")
-		preamble = flag.Bool("preamble", false, "prepend the EXPERIMENTS.md reading guide")
-		workers  = flag.Int("sim-workers", 0, "parallel tick workers per city simulation (0 = GOMAXPROCS; results are identical for any value)")
-		scale    = flag.Float64("fleet-scale", 1, "multiply each city's driver and request targets (load testing; 1 = calibrated size)")
-		opencab  = flag.Int("openstreetcab", 0, "run only the two-service price-comparison scenario for this many rush-hour hours (shared road network)")
-		engine   = flag.String("engine", "", "audit one pricing engine with the 2015 methodology ("+strings.Join(surge.EngineNames(), ", ")+")")
-		compare  = flag.Bool("compare-engines", false, "audit every pricing engine and print the side-by-side distinguishability report")
+		days     = fs.Int("days", 1, "measurement days per city")
+		hours    = fs.Int("hours", 0, "override: measurement hours per city")
+		seed     = fs.Int64("seed", 42, "simulation seed")
+		out      = fs.String("out", "", "output file (default stdout)")
+		preamble = fs.Bool("preamble", false, "prepend the EXPERIMENTS.md reading guide")
+		workers  = fs.Int("sim-workers", 0, "parallel tick workers per city simulation (0 = GOMAXPROCS; results are identical for any value)")
+		scale    = fs.Float64("fleet-scale", 1, "multiply each city's driver and request targets (load testing; 1 = calibrated size)")
+		opencab  = fs.Int("openstreetcab", 0, "run only the two-service price-comparison scenario for this many rush-hour hours (shared road network)")
+		engine   = fs.String("engine", "", "audit one pricing engine with the 2015 methodology ("+strings.Join(surge.EngineNames(), ", ")+")")
+		compare  = fs.Bool("compare-engines", false, "audit every pricing engine and print the side-by-side distinguishability report")
 	)
-	flag.Parse()
-
-	if *engine != "" {
-		ok := false
-		for _, n := range surge.EngineNames() {
-			ok = ok || n == *engine
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -engine %q (have %s)\n", *engine, strings.Join(surge.EngineNames(), ", "))
-			os.Exit(2)
-		}
+		return 2
+	}
+	if err := surge.CheckEngine(*engine); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
-	w := bufio.NewWriter(os.Stdout)
+	var f *os.File // the -out file, nil when the report goes to stdout
+	dst := stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		var err error
+		if f, err = os.Create(*out); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		defer f.Close()
-		w = bufio.NewWriter(f)
+		dst = f
 	}
-	defer w.Flush()
-
-	if *opencab > 0 {
-		opts := experiments.OpenStreetCabOptions{Seed: *seed, Hours: *opencab, Workers: *workers}
-		experiments.WriteOpenStreetCab(w, opts, experiments.RunOpenStreetCab(opts))
-		return
-	}
-	if *compare || *engine != "" {
-		opts := experiments.Options{
-			Seed:       *seed,
-			Days:       *days,
-			Hours:      *hours,
-			Jitter:     true,
-			Workers:    *workers,
-			FleetScale: *scale,
-		}
-		if *compare {
-			experiments.WriteEngineComparison(w, opts, experiments.RunEngineComparison(sim.Manhattan(), opts))
-		} else {
-			experiments.WriteEngineAudit(w, experiments.AuditEngine(sim.Manhattan(), *engine, opts))
-		}
-		return
-	}
-	if *preamble {
-		experiments.WritePreamble(w)
-	}
-	experiments.Report(w, experiments.Options{
+	w := bufio.NewWriter(dst)
+	report(w, *opencab, *compare, *engine, *preamble, experiments.Options{
 		Seed:       *seed,
 		Days:       *days,
 		Hours:      *hours,
@@ -92,4 +73,33 @@ func main() {
 		Workers:    *workers,
 		FleetScale: *scale,
 	})
+	err := w.Flush()
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments: report truncated:", err)
+		return 1
+	}
+	return 0
+}
+
+// report writes the one report the flags select.
+func report(w io.Writer, opencab int, compare bool, engine string, preamble bool, opts experiments.Options) {
+	switch {
+	case opencab > 0:
+		cab := experiments.OpenStreetCabOptions{Seed: opts.Seed, Hours: opencab, Workers: opts.Workers}
+		experiments.WriteOpenStreetCab(w, cab, experiments.RunOpenStreetCab(cab))
+	case compare:
+		experiments.WriteEngineComparison(w, opts, experiments.RunEngineComparison(sim.Manhattan(), opts))
+	case engine != "":
+		experiments.WriteEngineAudit(w, experiments.AuditEngine(sim.Manhattan(), engine, opts))
+	default:
+		if preamble {
+			experiments.WritePreamble(w)
+		}
+		experiments.Report(w, opts)
+	}
 }

@@ -68,7 +68,7 @@ func main() {
 		workers = flag.Int("sim-workers", 0, "parallel tick workers for the simulation (0 = GOMAXPROCS; results are identical for any value)")
 		scale   = flag.Float64("fleet-scale", 1, "multiply the city's driver and request targets (load testing; 1 = calibrated size)")
 		roads   = flag.Bool("road", false, "drive on the synthetic street network (A* routing, congestion feedback) instead of straight lines")
-		engine  = flag.String("engine", "mult2015", "pricing engine: "+strings.Join(surge.EngineNames(), ", "))
+		engine  = flag.String("engine", surge.EngineNames()[0], "pricing engine: "+strings.Join(surge.EngineNames(), ", "))
 
 		chaosSeed     = flag.Int64("chaos-seed", 1, "fault-injection seed (same seed replays the same fault sequence)")
 		chaosError    = flag.Float64("chaos-error", 0, "probability of answering a request with an injected 500")

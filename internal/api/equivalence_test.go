@@ -105,7 +105,10 @@ func TestSnapshotServedEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, fuzz := range []float64{0, 25} {
 			t.Run(fmt.Sprintf("workers=%d/fuzz=%v", workers, fuzz), func(t *testing.T) {
-				s := NewBackendWorkers(sim.SanFrancisco(), 11, true, workers)
+				s, err := NewBackendEngine(sim.SanFrancisco(), 11, true, workers, "")
+				if err != nil {
+					t.Fatal(err)
+				}
 				s.SetLocationFuzz(fuzz)
 				clients := make([]string, 6)
 				for i := range clients {

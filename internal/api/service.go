@@ -334,25 +334,19 @@ func (s *Service) EstimateTime(clientID string, loc geo.LatLng) ([]core.TimeEsti
 	return out, nil
 }
 
-// NewBackend is a convenience constructor: build the world, engine, and
-// service for a city profile in one call. The simulation uses
-// GOMAXPROCS-many tick workers; results are identical for every worker
-// count, so callers that don't care never need NewBackendWorkers.
+// NewBackend is a convenience constructor: build the world, the default
+// pricing engine, and the service for a city profile in one call. The
+// simulation uses GOMAXPROCS-many tick workers; results are identical for
+// every worker count.
 func NewBackend(profile *sim.CityProfile, seed int64, jitter bool) *Service {
-	return NewBackendWorkers(profile, seed, jitter, 0)
+	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed})
+	return NewService(w, surge.New(w, surge.Config{Params: profile.Surge, Seed: seed, Jitter: jitter}))
 }
 
-// NewBackendWorkers is NewBackend with an explicit simulation worker
-// count for the phase-parallel tick (0 = GOMAXPROCS).
-func NewBackendWorkers(profile *sim.CityProfile, seed int64, jitter bool, workers int) *Service {
-	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed, Workers: workers})
-	e := surge.New(w, surge.Config{Params: profile.Surge, Seed: seed, Jitter: jitter})
-	return NewService(w, e)
-}
-
-// NewBackendEngine is NewBackendWorkers with a selectable pricing engine
-// ("", "mult2015", "additive", "withholding"); an unknown engine name is
-// an error for the caller's flag handling to surface.
+// NewBackendEngine is NewBackend with an explicit simulation worker count
+// for the phase-parallel tick (0 = GOMAXPROCS) and a pricing engine
+// selected by name (one of surge.EngineNames; "" is the default). An
+// unknown name is an error for the caller's flag handling to surface.
 func NewBackendEngine(profile *sim.CityProfile, seed int64, jitter bool, workers int, engine string) (*Service, error) {
 	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed, Workers: workers})
 	e, err := surge.NewPricer(w, engine, surge.Config{Params: profile.Surge, Seed: seed, Jitter: jitter})

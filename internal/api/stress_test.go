@@ -27,7 +27,10 @@ func TestConcurrentQueriesDuringSteps(t *testing.T) {
 // the lock-free query path (this is the -race probe for Step-internal
 // parallelism meeting concurrent reads).
 func TestParallelStepConcurrentQueries(t *testing.T) {
-	s := NewBackendWorkers(sim.SanFrancisco(), 78, true, 4)
+	s, err := NewBackendEngine(sim.SanFrancisco(), 78, true, 4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	stressQueriesDuringSteps(t, s, 120)
 }
 

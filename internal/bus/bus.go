@@ -39,6 +39,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Errors returned by the publish path.
@@ -146,7 +147,7 @@ func (b *Broker) Topic(name string, partitions int) (*Topic, error) {
 	} else if errors.Is(err, os.ErrNotExist) {
 		meta.Partitions = partitions
 		blob, _ := json.Marshal(meta)
-		if err := atomicWrite(metaPath, blob); err != nil {
+		if err := wire.WriteFileAtomic(metaPath, blob); err != nil {
 			return nil, err
 		}
 	} else {
@@ -544,22 +545,6 @@ func readSegmentBody(path string) ([]byte, error) {
 		return nil, fmt.Errorf("bus: %s: bad segment magic: %w", path, ErrCorrupt)
 	}
 	return data[len(segMagic):], nil
-}
-
-// atomicWrite writes data to path via a temp file and rename.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // topicMetrics are the nil-safe per-topic handles.

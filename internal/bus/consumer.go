@@ -256,7 +256,7 @@ func saveOffsets(path string, offs []int64) error {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32Sum(payload))
 	buf = append(buf, payload...)
-	return atomicWrite(path, buf)
+	return wire.WriteFileAtomic(path, buf)
 }
 
 // loadOffsets reads a group's committed offsets, returning zeros if the

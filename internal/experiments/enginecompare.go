@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -159,11 +160,16 @@ func WriteEngineComparison(w io.Writer, opts Options, audits []EngineAudit) {
 		WriteEngineAudit(w, a)
 	}
 
-	fmt.Fprintf(w, "\n| metric | %s | %s | %s |\n", audits[0].Engine, audits[1].Engine, audits[2].Engine)
-	fmt.Fprintf(w, "|---|---|---|---|\n")
 	row := func(name string, f func(a EngineAudit) string) {
-		fmt.Fprintf(w, "| %s | %s | %s | %s |\n", name, f(audits[0]), f(audits[1]), f(audits[2]))
+		fmt.Fprintf(w, "| %s |", name)
+		for _, a := range audits {
+			fmt.Fprintf(w, " %s |", f(a))
+		}
+		fmt.Fprintln(w)
 	}
+	fmt.Fprintln(w)
+	row("metric", func(a EngineAudit) string { return a.Engine })
+	fmt.Fprintf(w, "|---|%s\n", strings.Repeat("---|", len(audits)))
 	row("surged samples", func(a EngineAudit) string { return fmt.Sprintf("%d", a.SurgedSamples) })
 	row("surged fraction", func(a EngineAudit) string { return fmt.Sprintf("%.3f", a.Summary.SurgedFrac) })
 	row("mean multiplier", func(a EngineAudit) string { return fmt.Sprintf("%.3f", a.Summary.MeanSurge) })

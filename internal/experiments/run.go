@@ -45,9 +45,9 @@ type Options struct {
 	// FleetScale multiplies each profile's driver and request targets
 	// (see sim.CityProfile.Scale); 0 or 1 runs the calibrated size.
 	FleetScale float64
-	// Engine selects the pricing engine ("" or "mult2015" is the paper's
-	// multiplicative surge; "additive", "withholding" are the alternative
-	// regimes the audit methodology is run against).
+	// Engine selects the pricing engine, one of surge.EngineNames ("" is
+	// the default, the paper's multiplicative surge; the others are the
+	// alternative regimes the audit methodology is run against).
 	Engine string
 }
 

@@ -186,6 +186,31 @@ func TestStepWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestStepWorkerInvarianceMultiShard is the same golden on a world whose
+// move phase really fans out: Manhattan at four times the fleet holds
+// several 256-slot move shards from the first tick (the calibrated
+// profiles above fit in one, which runShards runs inline), on straight
+// lines and on the street network.
+func TestStepWorkerInvarianceMultiShard(t *testing.T) {
+	for _, road := range []bool{false, true} {
+		t.Run(fmt.Sprintf("road=%v", road), func(t *testing.T) {
+			p := Manhattan().Scale(4)
+			p.RoadNetwork = road
+			cfg := Config{Profile: p, Seed: 42, Workers: 1}
+			if n := numShards(NewWorld(cfg).fleet.high); n < 2 {
+				t.Fatalf("world has %d move shards, need at least 2", n)
+			}
+			want := hashAfter(cfg, 1000)
+			for _, workers := range []int{2, 8} {
+				cfg.Workers = workers
+				if h := hashAfter(cfg, 1000); h != want {
+					t.Fatalf("workers=%d: state hash %x, want %x (workers=1)", workers, h, want)
+				}
+			}
+		})
+	}
+}
+
 // TestStepWorkerInvarianceDriverSet covers the pricing-sensitive paths
 // (lose-shift in cruise, suspension/resume) under the parallel tick.
 func TestStepWorkerInvarianceDriverSet(t *testing.T) {
@@ -227,9 +252,7 @@ func TestParallelStepInvariants(t *testing.T) {
 // buffer is created during the first Step, so that tick is the only one
 // that can catch a worker growing a slice its siblings index. Several
 // fresh worlds, because a racy append only trips the detector when two
-// workers overlap. The Manhattan and SF goldens above never leave one
-// move shard (≤ 256 slots), so this is also the only place the move
-// fan-out's worker invariance is checked across several shards.
+// workers overlap.
 func TestFirstTickMoveRace(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		run := func(workers int) uint64 {

@@ -1,265 +1,72 @@
 package surge
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
-	"time"
 
-	"repro/internal/bus"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// The additive regime implements the post-2015 driver surge scheme
+// described by Garg & Nazerzadeh (*Driver Surge Pricing*): instead of
+// scaling the whole fare by a multiplier, the engine adds a flat,
+// quantized USD pip to every surgeable trip in the area. The rider's
+// quote becomes base + pip, and the driver keeps the entire pip on top of
+// the usual 80% of the base fare (the sim's settleFare applies that split
+// through the pip provider installPips registers).
+//
+// It prices the same market signal as mult2015 — the identical
+// rawPressures features and RNG stream — but publishes it through the
+// standard View as an *effective multiplier* 1 + pip/base (base = the
+// nominal UberX trip fare), so the lock-free query path, the measurement
+// pipeline, and the elasticity/flocking feedback all work unchanged. The
+// distinguishing external signature the 2015 audit can look for:
+// effective multipliers land on a $0.25/base grid rather than the 0.1
+// multiplier grid, and the client stream never jitters (the additive
+// rollout postdates the April bug).
 
 // PipStep is the USD quantum of the additive surcharge: pips move on a
 // 25-cent grid (Garg & Nazerzadeh report Uber's successor scheme paying
 // drivers flat per-trip "surge pips" in small fixed increments).
 const PipStep = 0.25
 
-// Additive implements the post-2015 driver surge scheme described by
-// Garg & Nazerzadeh (*Driver Surge Pricing*): instead of scaling the
-// whole fare by a multiplier, the engine adds a flat, quantized USD pip
-// to every surgeable trip in the area. The rider's quote becomes
-// base + pip, and the driver keeps the entire pip on top of the usual
-// 80% of the base fare (the sim's settleFare applies that split through
-// the pip provider installed here).
-//
-// The engine prices the same underlying market signal as Mult2015 — the
-// identical rawPressures features, with its own RNG stream — but
-// publishes it through the standard View as an *effective multiplier*
-// 1 + pip/base (base = the nominal UberX trip fare), so the lock-free
-// query path, the measurement pipeline, and the elasticity/flocking
-// feedback all work unchanged. The distinguishing external signature the
-// 2015 audit can look for: effective multipliers land on a $0.25/base
-// grid rather than the 0.1 multiplier grid, and the client stream never
-// jitters (the additive rollout postdates the April bug).
-type Additive struct {
-	world *sim.World
-	cfg   Config
-	rng   *rand.Rand
-	base  float64 // nominal UberX trip fare at multiplier 1
-
-	pip, prevPip []float64 // surcharge per area, USD, on the PipStep grid
-	cur, prev    []float64 // effective multipliers encoding the pips
-
-	intervalStart int64
-	apiSwitchAt   int64
-	view          *View
-
-	// History records the effective-multiplier series per area, one entry
-	// per completed update. Empty unless Config.KeepHistory is set.
-	History [][]float64
-
-	// nil-safe metric handles; zero until Instrument is called.
-	mUpdates    *obs.Counter
-	mChanges    *obs.Counter
-	hUpdateDur  *obs.Histogram
-	gMaxMult    *obs.Gauge
-	gSurgeAreas *obs.Gauge
-
-	events   func(bus.Event)
-	areaKeys []string
-}
-
 // nominalBaseFare is the fare the estimates/price endpoint quotes for its
 // nominal 5 km / 15 minute trip at multiplier 1 — the denominator that
 // converts a USD pip into an effective multiplier (and back, exactly, for
 // the nominal UberX quote).
-func nominalBaseFare() float64 {
-	return core.DefaultFares()[core.UberX].Fare(5000, 900, 1)
+var nominalBaseFare = core.DefaultFares()[core.UberX].Fare(5000, 900, 1)
+
+// quantizePip is the additive regime's quantiser: the raw multiplicative
+// pressure above 1 converts to USD on the nominal fare, snaps to the
+// PipStep grid, is capped at MaxMultiplier's worth of surcharge, and
+// re-encodes as an effective multiplier for the View.
+func quantizePip(cfg *Config, raw float64) float64 {
+	pip := (raw - 1) * nominalBaseFare
+	pip = math.Round(pip/PipStep) * PipStep
+	// Normalize binary noise to whole cents.
+	pip = math.Round(pip*100) / 100
+	if pip < 0 {
+		pip = 0
+	}
+	if maxPip := (cfg.Params.MaxMultiplier - 1) * nominalBaseFare; pip > maxPip {
+		pip = maxPip
+	}
+	return 1 + pip/nominalBaseFare
 }
 
-// NewAdditive builds an additive-pip engine over the world and installs
-// it as the world's surge and pip provider. Config.Jitter is ignored:
-// the additive datastream never exhibits the April bug.
-func NewAdditive(w *sim.World, cfg Config) *Additive {
-	if cfg.JitterProb == 0 {
-		cfg.JitterProb = 0.25
-	}
-	cfg.Jitter = false
-	n := len(w.Areas())
-	e := &Additive{
-		world:   w,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5e1fca5e)),
-		base:    nominalBaseFare(),
-		pip:     make([]float64, n),
-		prevPip: make([]float64, n),
-		cur:     ones(n),
-		prev:    ones(n),
-	}
-	e.areaKeys = make([]string, n)
-	for a := range e.areaKeys {
-		e.areaKeys[a] = fmt.Sprintf("area-%02d", a)
-	}
-	e.scheduleSwitches(w.Now() - w.Now()%UpdatePeriod)
-	e.rebuildView()
-	w.SetSurgeProvider(func(area int) float64 {
-		return e.APIMultiplier(area, w.Now())
-	})
-	// The pip the sim settles fares with tracks the API stream exactly:
-	// riders are charged what the quote showed.
+// installPips registers the pip the sim settles fares with. It tracks the
+// API stream exactly: riders are charged what the quote showed.
+func installPips(w *sim.World, e *Engine) {
 	w.SetPipProvider(func(area int) float64 {
-		return (e.APIMultiplier(area, w.Now()) - 1) * e.base
+		return (e.APIMultiplier(area, w.Now()) - 1) * nominalBaseFare
 	})
-	return e
 }
 
-// Name identifies the additive engine.
-func (e *Additive) Name() string { return "additive" }
-
-// SetEventSink installs fn to receive a bus.KindSurgeChange event for
-// every area whose effective multiplier changes at an update boundary.
-func (e *Additive) SetEventSink(fn func(bus.Event)) { e.events = fn }
-
-// Instrument wires the engine's metrics into reg under the same names as
-// the multiplicative engine, so dashboards work for either regime.
-func (e *Additive) Instrument(reg *obs.Registry) {
-	e.mUpdates = reg.Counter("surge_updates_total")
-	e.mChanges = reg.Counter("surge_multiplier_changes_total")
-	e.hUpdateDur = reg.Histogram("surge_update_duration_seconds", nil)
-	e.gMaxMult = reg.Gauge("surge_max_multiplier")
-	e.gSurgeAreas = reg.Gauge("surge_areas_surging")
+// CurrentPip returns the USD surcharge the interval's ground-truth
+// multiplier encodes on the nominal fare.
+func (e *Engine) CurrentPip(area int) float64 {
+	return (e.CurrentMultiplier(area) - 1) * nominalBaseFare
 }
 
-// Step advances the engine to time now, recomputing pips at each
-// 5-minute boundary.
-func (e *Additive) Step(now int64) {
-	boundary := now - now%UpdatePeriod
-	if boundary > e.intervalStart {
-		e.update(boundary)
-	}
-}
-
-// update recomputes every area's pip for the interval starting at
-// boundary: the raw multiplicative pressure above 1 converts to USD on
-// the nominal fare, quantizes to the PipStep grid, and re-encodes as an
-// effective multiplier for the View.
-func (e *Additive) update(boundary int64) {
-	updateStart := time.Now()
-	p := e.cfg.Params
-	copy(e.prevPip, e.pip)
-	copy(e.prev, e.cur)
-	raws := make([]float64, len(e.cur))
-	rawPressures(e.world, p, e.rng, raws)
-	maxPip := (p.MaxMultiplier - 1) * e.base
-	for a := range e.cur {
-		raw := raws[a]
-		if s := e.cfg.Smoothing; s > 0 {
-			raw = s*e.prev[a] + (1-s)*raw
-		}
-		pip := (raw - 1) * e.base
-		pip = math.Round(pip/PipStep) * PipStep
-		// Normalize binary noise to whole cents.
-		pip = math.Round(pip*100) / 100
-		if pip < 0 {
-			pip = 0
-		}
-		if pip > maxPip {
-			pip = maxPip
-		}
-		e.pip[a] = pip
-		e.cur[a] = 1 + pip/e.base
-	}
-	if e.cfg.KeepHistory {
-		e.History = append(e.History, append([]float64(nil), e.cur...))
-	}
-	e.scheduleSwitches(boundary)
-	e.rebuildView()
-
-	e.mUpdates.Inc()
-	e.hUpdateDur.ObserveDuration(time.Since(updateStart))
-	var changed int64
-	maxMult := 1.0
-	surging := 0.0
-	for a := range e.cur {
-		if e.cur[a] != e.prev[a] {
-			changed++
-			if e.events != nil {
-				e.events(bus.Event{
-					Time: boundary, Kind: bus.KindSurgeChange,
-					Key: e.areaKeys[a], Area: int32(a), Num: e.cur[a],
-				})
-			}
-		}
-		if e.cur[a] > maxMult {
-			maxMult = e.cur[a]
-		}
-		if e.cur[a] > 1 {
-			surging++
-		}
-	}
-	e.mChanges.Add(changed)
-	e.gMaxMult.Set(maxMult)
-	e.gSurgeAreas.Set(surging)
-}
-
-// scheduleSwitches draws this interval's API propagation delay — the same
-// ~35-second band as the 2015 engine; the rollout changed the price form,
-// not the propagation pipeline.
-func (e *Additive) scheduleSwitches(boundary int64) {
-	e.intervalStart = boundary
-	e.apiSwitchAt = boundary + 5 + int64(e.rng.Float64()*35)
-}
-
-// rebuildView publishes a fresh immutable View; jitter is always off.
-func (e *Additive) rebuildView() {
-	e.view = &View{
-		jitter:        false,
-		jitterProb:    e.cfg.JitterProb,
-		seed:          e.cfg.Seed,
-		intervalStart: e.intervalStart,
-		apiSwitchAt:   e.apiSwitchAt,
-		cur:           append([]float64(nil), e.cur...),
-		prev:          append([]float64(nil), e.prev...),
-	}
-}
-
-// View returns the engine's current immutable read state.
-func (e *Additive) View() *View { return e.view }
-
-// APIMultiplier returns the effective multiplier (1 + pip/base) the
-// estimates/price API serves for an area at time now.
-func (e *Additive) APIMultiplier(area int, now int64) float64 {
-	return e.view.APIMultiplier(area, now)
-}
-
-// ClientMultiplier returns the effective multiplier the pingClient
-// stream serves; with jitter permanently off it equals the API stream.
-func (e *Additive) ClientMultiplier(clientID string, area int, now int64) float64 {
-	return e.view.ClientMultiplier(clientID, area, now)
-}
-
-// InJitter always reports false: the additive datastream never jitters.
-func (e *Additive) InJitter(clientID string, now int64) bool {
-	return e.view.InJitter(clientID, now)
-}
-
-// CurrentMultiplier returns the interval's ground-truth effective
-// multiplier.
-func (e *Additive) CurrentMultiplier(area int) float64 {
-	if area < 0 || area >= len(e.cur) {
-		return 1
-	}
-	return e.cur[area]
-}
-
-// PrevMultiplier returns the previous interval's effective multiplier.
-func (e *Additive) PrevMultiplier(area int) float64 {
-	if area < 0 || area >= len(e.prev) {
-		return 1
-	}
-	return e.prev[area]
-}
-
-// CurrentPip returns the interval's ground-truth surcharge in USD.
-func (e *Additive) CurrentPip(area int) float64 {
-	if area < 0 || area >= len(e.pip) {
-		return 0
-	}
-	return e.pip[area]
-}
-
-// NominalBase returns the base fare the pip is quoted against.
-func (e *Additive) NominalBase() float64 { return e.base }
+// NominalBase returns the base fare pips are quoted against.
+func (e *Engine) NominalBase() float64 { return nominalBaseFare }

@@ -8,11 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// newPricerWorld builds a Manhattan world with a demand shock hot enough
-// to guarantee surge activity, fronted by the named pricing engine.
-func newPricerWorld(t *testing.T, name string, seed int64, workers int, jitter bool) (*sim.World, Pricer) {
+// newPricerWorld builds a world over profile p with a demand shock hot
+// enough to guarantee surge activity, fronted by the named pricing engine.
+func newPricerWorld(t *testing.T, p *sim.CityProfile, name string, seed int64, workers int, jitter bool) (*sim.World, Pricer) {
 	t.Helper()
-	p := sim.Manhattan()
 	w := sim.NewWorld(sim.Config{Profile: p, Seed: seed, Workers: workers})
 	pr, err := NewPricer(w, name, Config{Params: p.Surge, Seed: seed, Jitter: jitter})
 	if err != nil {
@@ -31,7 +30,7 @@ func newPricerWorld(t *testing.T, name string, seed int64, workers int, jitter b
 func TestPricerConformance(t *testing.T) {
 	for _, name := range EngineNames() {
 		t.Run(name, func(t *testing.T) {
-			w, pr := newPricerWorld(t, name, 11, 0, true)
+			w, pr := newPricerWorld(t, sim.Manhattan(), name, 11, 0, true)
 			if pr.Name() != name {
 				t.Fatalf("Name() = %q, want %q", pr.Name(), name)
 			}
@@ -75,7 +74,7 @@ func TestPricerConformance(t *testing.T) {
 // Config asking for jitter yields none — client stream and API stream
 // agree for every client at every moment.
 func TestAdditiveNeverJitters(t *testing.T) {
-	w, pr := newPricerWorld(t, "additive", 5, 0, true)
+	w, pr := newPricerWorld(t, sim.Manhattan(), "additive", 5, 0, true)
 	clients := []string{"c00", "c07", "c13", "c21", "c34"}
 	for w.Now() < 3600 {
 		w.Step()
@@ -98,8 +97,8 @@ func TestAdditiveNeverJitters(t *testing.T) {
 // effective multiplier encodes a USD pip on the $0.25 grid — the
 // off-multiplier-grid residue the 2015 audit methodology can detect.
 func TestAdditivePipsOnGrid(t *testing.T) {
-	w, pr := newPricerWorld(t, "additive", 17, 0, false)
-	add := pr.(*Additive)
+	w, pr := newPricerWorld(t, sim.Manhattan(), "additive", 17, 0, false)
+	add := pr.(*Engine)
 	base := add.NominalBase()
 	sawPip := false
 	for w.Now() < 2*3600 {
@@ -153,16 +152,21 @@ func engineStateHash(w *sim.World, pr Pricer) uint64 {
 }
 
 // TestStepWorkerInvarianceEngines is the per-engine golden-hash gate: a
-// world fronted by each pricing engine — including Withholding's
+// world fronted by each pricing engine — including withholding's
 // incentive-response hook in the serial spawn phase — must reach a
-// bit-identical exported state at workers 1, 2, and 8.
+// bit-identical exported state at workers 1, 2, and 8. The world is
+// Manhattan at four times the fleet: the calibrated one fits in a single
+// 256-slot move shard, which the sim runs inline at any worker count.
 func TestStepWorkerInvarianceEngines(t *testing.T) {
 	for _, name := range EngineNames() {
 		t.Run(name, func(t *testing.T) {
 			var want uint64
 			var withheld int64
 			for i, workers := range []int{1, 2, 8} {
-				w, pr := newPricerWorld(t, name, 42, workers, true)
+				w, pr := newPricerWorld(t, sim.Manhattan().Scale(4), name, 42, workers, true)
+				if n := w.OnlineDrivers(); n <= 256 {
+					t.Fatalf("world starts with %d online drivers: one move shard, nothing fans out", n)
+				}
 				for w.Now() < 3600 {
 					w.Step()
 					pr.Step(w.Now())

@@ -43,7 +43,8 @@ type Config struct {
 	Params sim.SurgeParams
 	Seed   int64
 	// Jitter enables the April 2015 consistency bug in the client
-	// datastream. The API stream is never jittered.
+	// datastream. The API stream is never jittered, and a regime that
+	// postdates the bug (additive) ignores the request.
 	Jitter bool
 	// JitterProb is the per-client, per-interval probability of one
 	// jitter event. The default 0.25 is high enough that jitter
@@ -70,11 +71,13 @@ type Config struct {
 	KeepHistory bool
 }
 
-// Engine computes and serves surge multipliers for one world.
+// Engine computes and serves surge multipliers for one world, under one
+// pricing regime (see the regimes table in pricer.go).
 type Engine struct {
-	world *sim.World
-	cfg   Config
-	rng   *rand.Rand
+	world  *sim.World
+	regime *regime
+	cfg    Config
+	rng    *rand.Rand
 
 	cur  []float64 // multiplier computed for the current interval
 	prev []float64 // previous interval's multiplier
@@ -126,23 +129,30 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	e.gSurgeAreas = reg.Gauge("surge_areas_surging")
 }
 
-// New builds an engine over the world and installs it as the world's surge
-// provider (the feedback loop through which surge influences driver
-// arrivals and passenger elasticity).
-func New(w *sim.World, cfg Config) *Engine {
+// New builds the default mult2015 engine over the world and installs it
+// as the world's surge provider (the feedback loop through which surge
+// influences driver arrivals and passenger elasticity).
+func New(w *sim.World, cfg Config) *Engine { return newEngine(w, &regimes[0], cfg) }
+
+// Name identifies the engine's pricing regime.
+func (e *Engine) Name() string { return e.regime.name }
+
+func newEngine(w *sim.World, r *regime, cfg Config) *Engine {
 	if cfg.JitterProb == 0 {
 		cfg.JitterProb = 0.25
 	}
 	if cfg.QuantStep == 0 {
 		cfg.QuantStep = 0.1
 	}
+	cfg.Jitter = cfg.Jitter && r.jitter
 	n := len(w.Areas())
 	e := &Engine{
-		world: w,
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed ^ 0x5e1fca5e)),
-		cur:   ones(n),
-		prev:  ones(n),
+		world:  w,
+		regime: r,
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed ^ 0x5e1fca5e)),
+		cur:    ones(n),
+		prev:   ones(n),
 	}
 	e.areaKeys = make([]string, n)
 	for a := range e.areaKeys {
@@ -153,6 +163,9 @@ func New(w *sim.World, cfg Config) *Engine {
 	w.SetSurgeProvider(func(area int) float64 {
 		return e.APIMultiplier(area, w.Now())
 	})
+	if r.install != nil {
+		r.install(w, e)
+	}
 	return e
 }
 
@@ -176,10 +189,10 @@ func (e *Engine) Step(now int64) {
 // rawPressures computes every area's raw — pre-smoothing, pre-quantized —
 // surge signal for one interval: the trailing window's utilization and EWT
 // features folded through the profile params, with the interval's
-// stochastic demand shocks drawn from rng, capped at MaxMultiplier. Shared
-// by the multiplicative and additive engines so both regimes price the
-// same underlying market signal. The draw order — one city-wide shock,
-// then one local shock per area — is part of the determinism contract.
+// stochastic demand shocks drawn from rng, capped at MaxMultiplier. Every
+// regime prices this same market signal. The draw order — one city-wide
+// shock, then one local shock per area — is part of the determinism
+// contract.
 func rawPressures(w *sim.World, p sim.SurgeParams, rng *rand.Rand, out []float64) {
 	// Demand fluctuations have a city-wide component (weather, events,
 	// transit failures) and an area-local one; NoiseCorr sets the mix.
@@ -244,7 +257,7 @@ func (e *Engine) update(boundary int64) {
 		if s := e.cfg.Smoothing; s > 0 {
 			raw = s*e.prev[a] + (1-s)*raw
 		}
-		e.cur[a] = QuantizeStep(raw, e.cfg.QuantStep)
+		e.cur[a] = e.regime.quantize(&e.cfg, raw)
 	}
 	if e.cfg.KeepHistory {
 		e.History = append(e.History, append([]float64(nil), e.cur...))
@@ -313,6 +326,10 @@ func QuantizeStep(m, step float64) float64 {
 	return q
 }
 
+// quantizeGrid is the multiplicative regimes' quantiser: the
+// Config.QuantStep grid.
+func quantizeGrid(cfg *Config, raw float64) float64 { return QuantizeStep(raw, cfg.QuantStep) }
+
 // APIMultiplier returns the multiplier the estimates/price API serves for
 // an area at time now. The API stream has no jitter.
 func (e *Engine) APIMultiplier(area int, now int64) float64 {
@@ -369,7 +386,7 @@ func (e *Engine) jitterWindow(clientID string, boundary int64) (start, dur int64
 	return jitterWindowFor(e.cfg.Seed, e.cfg.JitterProb, clientID, boundary)
 }
 
-// Runner couples a world and its multiplicative engine and advances them
+// Runner couples a world and its default-regime engine and advances them
 // together; it is the minimal "backend main loop" the experiment harness
 // and the surge tests drive. Code that must be engine-agnostic steps a
 // Pricer directly (w.Step() then p.Step(w.Now())), as api.Service does.

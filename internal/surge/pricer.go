@@ -2,6 +2,7 @@ package surge
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bus"
 	"repro/internal/obs"
@@ -14,24 +15,21 @@ import (
 // an immutable View for the lock-free query path, and emits SurgeChange
 // events when prices move.
 //
-// Implementations must keep three invariants the audit methodology and
-// the parallel simulator rely on:
+// Every regime keeps three invariants the audit methodology and the
+// parallel simulator rely on:
 //
 //   - Determinism: every externally visible answer is a pure function of
 //     (Config.Seed, world history, clientID, time). Any incentive-response
 //     hooks installed into the sim must run in serial phases only, so
 //     TestStepWorkerInvariance holds at every worker count.
-//   - Floor: multipliers never fall below 1; an engine that prices in
+//   - Floor: multipliers never fall below 1; a regime that prices in
 //     additive USD pips encodes them as effective multipliers ≥ 1.
 //   - API stream purity: jitter (the April 2015 bug) may only ever affect
 //     the client stream; APIMultiplier answers are never jittered.
 //
-// The three shipped engines: Mult2015 (the paper's §5 multiplicative
-// algorithm, the default), Additive (Garg & Nazerzadeh's driver surge
-// pips), and Withholding (Mult2015 plus Schröder et al.'s strategic
-// driver withholding below a personal threshold).
+// Engine is the one implementation; its regimes are the table below.
 type Pricer interface {
-	// Name identifies the engine ("mult2015", "additive", "withholding").
+	// Name identifies the engine's regime; one of EngineNames.
 	Name() string
 	// Step advances the engine to time now, recomputing prices at each
 	// 5-minute boundary. Call once per world tick, after world.Step.
@@ -56,36 +54,75 @@ type Pricer interface {
 	PrevMultiplier(area int) float64
 }
 
-var (
-	_ Pricer = (*Engine)(nil)
-	_ Pricer = (*Additive)(nil)
-	_ Pricer = (*Withholding)(nil)
-)
+// regime is everything that distinguishes one pricing engine from
+// another; the clock, RNG stream, pressure signal, smoothing, switch
+// schedule, View, metrics and events are the Engine's, the same under all.
+type regime struct {
+	name string
+	// quantize turns an area's smoothed raw pressure into the effective
+	// multiplier (≥ 1) the engine publishes for the interval.
+	quantize func(cfg *Config, raw float64) float64
+	// jitter reports whether Config.Jitter is honoured; a regime that
+	// postdates the April 2015 bug never jitters, whatever the config asks.
+	jitter bool
+	// install hooks the regime into the world beyond the surge provider
+	// every engine installs; nil for none.
+	install func(w *sim.World, e *Engine)
+}
 
-// Mult2015 is the paper's multiplicative surge algorithm — the engine
-// this package reverse-engineers in §5 and the default pricing regime.
-// The name aliases Engine so existing code and tests keep compiling.
-type Mult2015 = Engine
-
-// Name identifies the multiplicative 2015 engine.
-func (e *Engine) Name() string { return "mult2015" }
+// regimes is the one list of selectable pricing engines, default first.
+var regimes = []regime{
+	// The paper's §5 multiplicative algorithm: multipliers on the
+	// Config.QuantStep grid, April jitter when asked for.
+	{name: "mult2015", quantize: quantizeGrid, jitter: true},
+	// Garg & Nazerzadeh's driver surge pips; see additive.go.
+	{name: "additive", quantize: quantizePip, install: installPips},
+	// mult2015 pricing coupled to Schröder et al.'s strategic driver
+	// response (sim.WithholdingConfig): only the supply side changes, in
+	// the world's serial spawn phase, and shows up as DriverSuspend events
+	// and in TotalSuspended/TotalWithheld.
+	{name: "withholding", quantize: quantizeGrid, jitter: true, install: func(w *sim.World, _ *Engine) {
+		w.SetWithholding(sim.DefaultWithholding())
+	}},
+}
 
 // EngineNames lists the selectable pricing engines, default first.
-func EngineNames() []string { return []string{"mult2015", "additive", "withholding"} }
+func EngineNames() []string {
+	names := make([]string, len(regimes))
+	for i := range regimes {
+		names[i] = regimes[i].name
+	}
+	return names
+}
+
+// lookupRegime resolves an engine name; empty selects the default.
+func lookupRegime(name string) (*regime, error) {
+	if name == "" {
+		return &regimes[0], nil
+	}
+	for i := range regimes {
+		if regimes[i].name == name {
+			return &regimes[i], nil
+		}
+	}
+	return nil, fmt.Errorf("surge: unknown pricing engine %q (want one of %s)", name, strings.Join(EngineNames(), ", "))
+}
+
+// CheckEngine reports whether name selects a pricing engine, with the
+// error NewPricer would return, so a command can reject a bad -engine
+// before it builds a world.
+func CheckEngine(name string) error {
+	_, err := lookupRegime(name)
+	return err
+}
 
 // NewPricer builds the named pricing engine over the world and installs
-// it as the world's price provider. An empty name selects the default
-// mult2015 engine; an unknown name is an error (callers surface it at
-// flag-parse time).
+// it as the world's price provider. An empty name selects the default; an
+// unknown name is an error (callers surface it at flag-parse time).
 func NewPricer(w *sim.World, name string, cfg Config) (Pricer, error) {
-	switch name {
-	case "", "mult2015":
-		return New(w, cfg), nil
-	case "additive":
-		return NewAdditive(w, cfg), nil
-	case "withholding":
-		return NewWithholding(w, cfg), nil
-	default:
-		return nil, fmt.Errorf("surge: unknown pricing engine %q (want one of %v)", name, EngineNames())
+	r, err := lookupRegime(name)
+	if err != nil {
+		return nil, err
 	}
+	return newEngine(w, r, cfg), nil
 }

@@ -217,17 +217,8 @@ func (sw *segmentWriter) finish() (retErr error) {
 	if err := os.Rename(sw.tmp, sw.path); err != nil {
 		return err
 	}
-	syncDir(filepath.Dir(sw.path))
+	wire.SyncDir(filepath.Dir(sw.path))
 	return nil
-}
-
-// syncDir fsyncs a directory so renames within it are durable;
-// best-effort (some filesystems refuse directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // ---- reader ----

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // FormatVersion is the on-disk format version recorded in META.json.
@@ -169,20 +170,7 @@ func (db *DB) loadMeta() error {
 		if db.opts.ReadOnly {
 			return fmt.Errorf("tsdb: %s: not a store (no META.json)", db.dir)
 		}
-		db.meta = Meta{Version: FormatVersion, Extra: db.opts.Extra}
-		blob, err := json.Marshal(db.meta)
-		if err != nil {
-			return err
-		}
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return err
-		}
-		syncDir(db.dir)
-		return nil
+		return db.writeMeta(Meta{Version: FormatVersion, Extra: db.opts.Extra})
 	}
 	if err != nil {
 		return err
@@ -193,6 +181,20 @@ func (db *DB) loadMeta() error {
 	if db.meta.Version != FormatVersion {
 		return fmt.Errorf("tsdb: %s: unsupported format version %d", db.dir, db.meta.Version)
 	}
+	return nil
+}
+
+// writeMeta atomically replaces META.json with meta and, once it is on
+// disk, adopts it as db.meta.
+func (db *DB) writeMeta(meta Meta) error {
+	blob, err := json.Marshal(meta)
+	if err != nil {
+		return err
+	}
+	if err := wire.WriteFileAtomic(filepath.Join(db.dir, "META.json"), blob); err != nil {
+		return err
+	}
+	db.meta = meta
 	return nil
 }
 
@@ -345,21 +347,7 @@ func (db *DB) SetExtra(extra json.RawMessage) error {
 	}
 	meta := db.meta
 	meta.Extra = extra
-	blob, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(db.dir, "META.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	syncDir(db.dir)
-	db.meta = meta
-	return nil
+	return db.writeMeta(meta)
 }
 
 // SeriesLastTime returns the newest timestamp stored for a series (over

@@ -3,8 +3,9 @@
 // bounds-checked Reader, zigzag varints, length-prefixed strings), the
 // stored form of an observation (TypeObs, Car — the bus Observation, the
 // tsdb Row and the v2 JSONL row all carry []TypeObs) with its flat binary
-// codec, and the only two conversions between that form and the API's
-// core.PingResponse.
+// codec, the only two conversions between that form and the API's
+// core.PingResponse, and the crash-safe whole-file replace the stores'
+// small metadata files go through (WriteFileAtomic).
 //
 // Every codec here is canonical: varints must be minimal and counts are
 // checked against the bytes that must back them before anything is
