@@ -46,21 +46,21 @@ func cityOrigin(name string) (geo.LatLng, error) {
 
 func main() {
 	var (
-		addr     = flag.String("addr", "http://localhost:8080", "base URL of the uberd backend")
-		clients  = flag.Int("clients", 8, "concurrent synthetic clients")
-		duration = flag.Duration("duration", 10*time.Second, "how long to generate load")
-		rate     = flag.Float64("rate", 0, "per-client request rate in req/s (0 = closed-loop max)")
-		city     = flag.String("city", "manhattan", "city profile whose center to query: manhattan or sf")
-		lat      = flag.Float64("lat", 0, "override query latitude")
-		lng      = flag.Float64("lng", 0, "override query longitude")
-		pingW    = flag.Int("ping-weight", 8, "pingClient share of the request mix")
-		priceW   = flag.Int("price-weight", 1, "estimates/price share of the request mix")
-		timeW    = flag.Int("time-weight", 1, "estimates/time share of the request mix")
+		addr      = flag.String("addr", "http://localhost:8080", "base URL of the uberd backend")
+		clients   = flag.Int("clients", 8, "concurrent synthetic clients")
+		duration  = flag.Duration("duration", 10*time.Second, "how long to generate load")
+		rate      = flag.Float64("rate", 0, "per-client request rate in req/s (0 = closed-loop max)")
+		city      = flag.String("city", "manhattan", "city profile whose center to query: manhattan or sf")
+		lat       = flag.Float64("lat", 0, "override query latitude")
+		lng       = flag.Float64("lng", 0, "override query longitude")
+		pingW     = flag.Int("ping-weight", 8, "pingClient share of the request mix")
+		priceW    = flag.Int("price-weight", 1, "estimates/price share of the request mix")
+		timeW     = flag.Int("time-weight", 1, "estimates/time share of the request mix")
 		citiesArg = flag.String("cities", "", "comma-separated cities for multi-city gateway mode (clients split round-robin; implies -gateway)")
 		gwMode    = flag.Bool("gateway", false, "target is an ubergate gateway: run multi-city (default cities sf,manhattan)")
-		asJSON   = flag.Bool("json", false, "emit the report as JSON on stdout (banner goes to stderr)")
-		noRetry  = flag.Bool("no-retry", false, "disable client retries/circuit breaking (report raw fault rates)")
-		failErrs = flag.Bool("fail-on-errors", false, "exit 1 if any client-visible errors remain (chaos-smoke gate)")
+		asJSON    = flag.Bool("json", false, "emit the report as JSON on stdout (banner goes to stderr)")
+		noRetry   = flag.Bool("no-retry", false, "disable client retries/circuit breaking (report raw fault rates)")
+		failErrs  = flag.Bool("fail-on-errors", false, "exit 1 if any client-visible errors remain (chaos-smoke gate)")
 	)
 	flag.Parse()
 

@@ -22,6 +22,7 @@ import (
 
 // busRuntime is the broker plus the optional in-process ingest consumer.
 type busRuntime struct {
+	log    *log.Logger
 	broker *bus.Broker
 	open   atomic.Bool // true while the broker accepts publishes (readiness)
 
@@ -38,19 +39,19 @@ func (rt *busRuntime) Open() bool { return rt != nil && rt.open.Load() }
 // startBus opens the broker at dir, wires all four producers, and (when
 // ingestDir is non-empty) starts the live tsdb ingester consuming the
 // pings topic under the "uberd-ingest" group.
-func startBus(svc *api.Service, inj *chaos.Injector, reg *obs.Registry, dir, ingestDir string, drop bool) (*busRuntime, error) {
+func startBus(svc *api.Service, inj *chaos.Injector, reg *obs.Registry, logger *log.Logger, dir, ingestDir string, drop bool) (*busRuntime, error) {
 	br, err := bus.Open(dir, bus.Options{Drop: drop, Metrics: reg})
 	if err != nil {
 		return nil, err
 	}
-	rt := &busRuntime{broker: br}
+	rt := &busRuntime{log: logger, broker: br}
 	// Publish failures are backpressure drops (already counted by the
 	// broker) or the shutdown race; neither is worth a log line per event.
 	pub := func(t *bus.Topic) func(bus.Event) {
 		return func(ev bus.Event) {
 			err := t.Publish(ev)
 			if err != nil && !errors.Is(err, bus.ErrClosed) && !errors.Is(err, bus.ErrBackpressure) {
-				log.Printf("uberd: bus %s: %v", t.Name(), err)
+				logger.Printf("bus %s: %v", t.Name(), err)
 			}
 		}
 	}
@@ -117,14 +118,14 @@ func (rt *busRuntime) startIngest(svc *api.Service, pings *bus.Topic, reg *obs.R
 			}
 			roundDone, err := ing.Handle(ev)
 			if err != nil {
-				log.Printf("uberd: ingest: %v", err)
+				rt.log.Printf("ingest: %v", err)
 				continue
 			}
 			if roundDone {
 				// Rows are durable (Handle committed the round); now the
 				// offsets may follow — at-least-once, never losing rows.
 				if err := cons.Commit(); err != nil {
-					log.Printf("uberd: ingest commit: %v", err)
+					rt.log.Printf("ingest commit: %v", err)
 				}
 			}
 		}
@@ -137,7 +138,7 @@ func (rt *busRuntime) startIngest(svc *api.Service, pings *bus.Topic, reg *obs.R
 func (rt *busRuntime) shutdown(timeout time.Duration) {
 	rt.open.Store(false)
 	if err := rt.broker.Close(); err != nil {
-		log.Printf("uberd: bus close: %v", err)
+		rt.log.Printf("bus close: %v", err)
 	}
 	if rt.ingestDone == nil {
 		return
@@ -145,15 +146,15 @@ func (rt *busRuntime) shutdown(timeout time.Duration) {
 	select {
 	case <-rt.ingestDone:
 	case <-time.After(timeout):
-		log.Printf("uberd: ingest drain timed out after %s", timeout)
+		rt.log.Printf("ingest drain timed out after %s", timeout)
 	}
 	if err := rt.ing.Close(); err != nil {
-		log.Printf("uberd: ingest close: %v", err)
+		rt.log.Printf("ingest close: %v", err)
 	}
 	if err := rt.cons.Commit(); err != nil {
-		log.Printf("uberd: ingest commit: %v", err)
+		rt.log.Printf("ingest commit: %v", err)
 	}
 	rt.cons.Close()
 	rows, dups, rounds := rt.ing.Stats()
-	log.Printf("uberd: ingested %d rows over %d rounds (%d redeliveries skipped)", rows, rounds, dups)
+	rt.log.Printf("ingested %d rows over %d rounds (%d redeliveries skipped)", rows, rounds, dups)
 }

@@ -11,9 +11,9 @@
 // of the same city world); GPS cells split across them by rendezvous
 // hashing, deterministically across gateway restarts.
 //
-// Chaos applies to the gateway itself too: the same -chaos-* fault
-// injection, -max-inflight admission control, and -request-timeout
-// middleware chain as uberd, wrapped around the forwarding surface only —
+// Chaos applies to the gateway itself too: the same chaos.Edge as uberd
+// (-chaos-* fault injection, -max-inflight admission control,
+// -request-timeout), wrapped around the forwarding surface only —
 // /metrics, /healthz, and /readyz stay outside so the gateway remains
 // observable while being tortured. Deadlines propagate: the remaining
 // request budget travels to the shard as X-Request-Deadline-Ms and the
@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -88,7 +89,7 @@ func parseShards(arg string) ([]gate.RegionSpec, []gate.ShardSpec, error) {
 		seen[spec.Name]++
 	}
 	if len(shards) == 0 {
-		return nil, nil, errors.New("no shards configured (-shards)")
+		return nil, nil, errors.New("-shards is required, e.g. -shards sf=http://127.0.0.1:18081,manhattan=http://127.0.0.1:18082")
 	}
 	return regions, shards, nil
 }
@@ -118,43 +119,45 @@ func applyFailovers(regions []gate.RegionSpec, arg string) error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stderr)) }
+
+// run serves until ctx is cancelled or the process is signalled and
+// returns the exit code: 0 after a clean shutdown, 1 when it could not
+// serve, 2 for a command line it rejects.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", ":8090", "listen address")
-		shardsArg  = flag.String("shards", "", "comma-separated city=baseURL shard list (required; repeat a city for replicas)")
-		failovers  = flag.String("failover", "", "comma-separated region=region static failover map (optional)")
-		healthIvl  = flag.Duration("health-interval", 500*time.Millisecond, "active health-check period per shard")
-		healthTmo  = flag.Duration("health-timeout", 0, "per-probe timeout (default: the interval)")
-		failThresh = flag.Int("fail-threshold", 2, "consecutive failed probes before a shard is marked down")
-		fwdTimeout = flag.Duration("forward-timeout", 5*time.Second, "per-forwarded-request budget (clamped by the caller's propagated deadline)")
-		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After advertised on shed responses")
-
-		chaosSeed     = flag.Int64("chaos-seed", 1, "fault-injection seed")
-		chaosError    = flag.Float64("chaos-error", 0, "probability of answering a request with an injected 500")
-		chaosReset    = flag.Float64("chaos-reset", 0, "probability of aborting a request's connection")
-		chaosTruncate = flag.Float64("chaos-truncate", 0, "probability of truncating a response body")
-		chaosLatProb  = flag.Float64("chaos-latency-prob", 0, "probability of delaying a request")
-		chaosLatency  = flag.Duration("chaos-latency", 0, "maximum injected delay")
-		maxInflight   = flag.Int("max-inflight", 0, "shed load with 503 above this many in-flight requests (0 = unlimited)")
-		reqTimeout    = flag.Duration("request-timeout", 10*time.Second, "per-request handler timeout at the gateway (0 = header-only)")
-		drain         = flag.Duration("drain", 500*time.Millisecond, "readiness-drain delay before shutdown closes the listener")
+		addr       = fs.String("addr", ":8090", "listen address")
+		shardsArg  = fs.String("shards", "", "comma-separated city=baseURL shard list (required; repeat a city for replicas)")
+		failovers  = fs.String("failover", "", "comma-separated region=region static failover map (optional)")
+		healthIvl  = fs.Duration("health-interval", 500*time.Millisecond, "active health-check period per shard")
+		healthTmo  = fs.Duration("health-timeout", 0, "per-probe timeout (default: the interval)")
+		failThresh = fs.Int("fail-threshold", 2, "consecutive failed probes before a shard is marked down")
+		fwdTimeout = fs.Duration("forward-timeout", 5*time.Second, "per-forwarded-request budget (clamped by the caller's propagated deadline)")
 	)
-	flag.Parse()
-
-	if *shardsArg == "" {
-		fmt.Fprintln(os.Stderr, "-shards is required, e.g. -shards sf=http://127.0.0.1:18081,manhattan=http://127.0.0.1:18082")
-		os.Exit(2)
+	var edge chaos.Edge
+	edge.Flags(fs, 10*time.Second)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	logger := log.New(stderr, "ubergate: ", log.LstdFlags|log.Lmsgprefix)
+
+	reject := func(why any) int { fmt.Fprintln(stderr, why); return 2 }
 	regions, shards, err := parseShards(*shardsArg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return reject(err)
 	}
 	if err := applyFailovers(regions, *failovers); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return reject(err)
 	}
-
+	injector, err := edge.Injector()
+	if err != nil {
+		return reject(err)
+	}
 	reg := obs.NewRegistry()
 	g, err := gate.NewGateway(gate.Config{
 		Regions:        regions,
@@ -163,73 +166,41 @@ func main() {
 		HealthTimeout:  *healthTmo,
 		FailThreshold:  *failThresh,
 		ForwardTimeout: *fwdTimeout,
-		RetryAfter:     *retryAfter,
+		RetryAfter:     edge.RetryAfter,
 		Registry:       reg,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return reject(err)
 	}
 	g.Start()
 	defer g.Close()
-
-	chaosCfg := chaos.Config{
-		Seed:         *chaosSeed,
-		ErrorProb:    *chaosError,
-		ResetProb:    *chaosReset,
-		TruncateProb: *chaosTruncate,
-		LatencyProb:  *chaosLatProb,
-		Latency:      *chaosLatency,
-	}
-	var injector *chaos.Injector
-	if chaosCfg.Enabled() {
-		injector = chaos.NewInjector(chaosCfg)
-		log.Printf("ubergate: chaos enabled (seed %d, error %.3f, reset %.3f, truncate %.3f, latency %.3f up to %s)",
-			*chaosSeed, *chaosError, *chaosReset, *chaosTruncate, *chaosLatProb, *chaosLatency)
-	}
-
-	// Same middleware order as uberd (outermost first): shed before any
-	// work, inject faults on admitted requests, recover panics, bound the
-	// forward by the per-request budget. Health and metrics stay outside.
-	var h http.Handler = g.APIHandler()
-	h = chaos.Timeout(h, *reqTimeout, reg)
-	h = chaos.Recover(h, reg)
 	if injector != nil {
-		h = injector.Middleware(h, reg)
+		logger.Printf("chaos enabled (%s)", edge.Faults)
 	}
-	h = chaos.Shed(h, *maxInflight, *retryAfter, reg)
+
+	// Only the forwarding surface sits behind the edge; health and
+	// metrics stay outside.
 	mux := http.NewServeMux()
-	mux.Handle("/", h)
+	mux.Handle("/", edge.Wrap(g.APIHandler(), injector, reg))
 	mux.Handle("GET /metrics", g.MetricsHandler())
 	mux.Handle("GET /healthz", api.Healthz(nil))
 	mux.Handle("GET /readyz", g.Readiness().Handler())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
 	for _, s := range g.Shards() {
-		log.Printf("ubergate: shard %s (%s) -> %s alive=%v ready=%v",
+		logger.Printf("shard %s (%s) -> %s alive=%v ready=%v",
 			s.Name, s.Region, s.BaseURL, s.Alive(), s.Ready())
 	}
-	log.Printf("ubergate: serving %d shards on %s (health every %s, fail threshold %d)",
+	logger.Printf("serving %d shards on %s (health every %s, fail threshold %d)",
 		len(g.Shards()), *addr, *healthIvl, *failThresh)
-
-	select {
-	case err := <-errCh:
-		log.Fatal(err)
-	case <-ctx.Done():
-		// Fail readiness first so an upstream balancer (or a prober of
-		// our own /readyz) stops sending work, then close the listener.
-		log.Printf("ubergate: shutting down")
-		g.Readiness().SetDraining(true)
-		time.Sleep(*drain)
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			log.Printf("ubergate: shutdown: %v", err)
-		}
+	// api.Serve fails readiness first so an upstream balancer (or a prober
+	// of our own /readyz) stops sending work, then closes the listener.
+	if err := api.Serve(ctx, &http.Server{Addr: *addr, Handler: mux}, g.Readiness(), edge.Drain); err != nil {
+		logger.Print(err)
+		return 1
 	}
+	logger.Printf("shut down")
+	return 0
 }

@@ -1,9 +1,12 @@
 package api
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Readiness is the readiness state machine a serving process exposes on
@@ -71,12 +74,36 @@ func (rd *Readiness) Ready() (bool, string) {
 func (rd *Readiness) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if ok, reason := rd.Ready(); !ok {
-			writeJSON(w, http.StatusServiceUnavailable,
+			WriteJSON(w, http.StatusServiceUnavailable,
 				map[string]any{"ready": false, "reason": reason})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
+		WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
 	})
+}
+
+// Serve runs srv until ctx is done, then shuts it down in the order a
+// fronting gateway (or any prober of /readyz) needs: fail readiness, hold
+// the listener open for the drain window so the prober sees "draining" and
+// routes around this process, then close it and give in-flight requests
+// five seconds to finish. It returns nil after a clean shutdown and the
+// listener's error when srv could not serve at all.
+func Serve(ctx context.Context, srv *http.Server, ready *Readiness, drain time.Duration) error {
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.ListenAndServe() }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+	ready.SetDraining(true)
+	time.Sleep(drain)
+	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return nil
 }
 
 // Healthz serves GET /healthz: liveness plus the backend's simulation
@@ -88,6 +115,6 @@ func Healthz(now func() int64) http.Handler {
 		if now != nil {
 			body["time"] = now()
 		}
-		writeJSON(w, http.StatusOK, body)
+		WriteJSON(w, http.StatusOK, body)
 	})
 }

@@ -1,11 +1,14 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -137,5 +140,92 @@ func TestServerHealthEndpoints(t *testing.T) {
 	}
 	if code := get("/healthz"); code != http.StatusOK {
 		t.Errorf("healthz while draining = %d, want 200", code)
+	}
+}
+
+// TestServe pins the shutdown order a fronting gateway depends on: after
+// ctx is cancelled /readyz answers 503 "draining" on fresh connections
+// (the listener is still open) for the drain window, and only then does
+// the listener close and Serve return nil.
+func TestServe(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // reserve a free port, then hand it to the server under test
+
+	rd := NewReadiness()
+	mux := http.NewServeMux()
+	mux.Handle("GET /readyz", rd.Handler())
+	const drain = time.Second
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- Serve(ctx, &http.Server{Addr: addr, Handler: mux}, rd, drain) }()
+
+	// One connection per probe, so an answer proves the listener accepts.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 5 * time.Second}
+	probe := func() (int, any) {
+		resp, err := client.Get("http://" + addr + "/readyz")
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		return resp.StatusCode, body["reason"]
+	}
+	await := func(what string, wantCode int, wantReason any) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			code, reason := probe()
+			if code == wantCode && reason == wantReason {
+				return
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("Serve returned %v before /readyz was %s (last answer %d %v)", err, what, code, reason)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("/readyz never became %s (last answer %d %v)", what, code, reason)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	await("ready", http.StatusOK, nil)
+	cancelled := time.Now()
+	cancel()
+	await("draining", http.StatusServiceUnavailable, "draining")
+
+	if err := <-done; err != nil {
+		t.Fatalf("Serve after a clean shutdown = %v, want nil", err)
+	}
+	if held := time.Since(cancelled); held < drain {
+		t.Errorf("listener closed %v after cancel, want the %v drain window held", held, drain)
+	}
+	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		conn.Close()
+		t.Error("listener still accepts after Serve returned")
+	}
+}
+
+// TestServeListenError: a port already in use comes back as an error for
+// the daemon to report, with readiness untouched.
+func TestServeListenError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	rd := NewReadiness()
+	err = Serve(context.Background(), &http.Server{Addr: ln.Addr().String()}, rd, time.Hour)
+	if err == nil {
+		t.Fatal("Serve on a port in use returned nil")
+	}
+	if rd.Draining() {
+		t.Error("a failed listen flipped readiness to draining")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -72,9 +73,9 @@ func NewServer(svc *Service, opts ...ServerOption) *Server {
 		s.ready.AddCheck("epoch", svc.EpochPublished)
 	}
 	s.route("POST /login", "/login", s.handleLogin)
-	s.route("GET /pingClient", "/pingClient", s.handlePing)
-	s.route("GET /estimates/price", "/estimates/price", s.handlePrice)
-	s.route("GET /estimates/time", "/estimates/time", s.handleTime)
+	s.route("GET /pingClient", "/pingClient", query(svc.PingClient))
+	s.route("GET /estimates/price", "/estimates/price", query(svc.EstimatePrice))
+	s.route("GET /estimates/time", "/estimates/time", query(svc.EstimateTime))
 	s.route("GET /health", "/health", s.handleHealth)
 	s.route("POST /partner/login", "/partner/login", s.handlePartnerLogin)
 	s.route("GET /partner/surgeMap", "/partner/surgeMap", s.handlePartnerMap)
@@ -138,10 +139,19 @@ func (s *Server) route(pattern, endpoint string, h http.HandlerFunc) {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as the JSON body. Exported, with
+// WriteError and QueryLoc, because the gateway must answer for itself in
+// exactly the shapes a shard would: a client cannot tell a gateway edge
+// from a shard edge.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers status with the API's one error body, {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -154,7 +164,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrOutOfService):
 		status = http.StatusNotFound
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	WriteError(w, status, err.Error())
 }
 
 func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
@@ -163,78 +173,55 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxLoginBody)
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.ClientID == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "client_id required"})
+		WriteError(w, http.StatusBadRequest, "client_id required")
 		return
 	}
 	if err := s.svc.Register(body.ClientID); err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
-// queryArgs extracts the client id and location common to all GET
-// endpoints. Coordinates must be finite: strconv.ParseFloat accepts
-// "NaN" and "Inf", which would otherwise flow into the geo math.
-func queryArgs(r *http.Request) (string, geo.LatLng, error) {
-	q := r.URL.Query()
-	client := q.Get("client")
-	if client == "" {
-		return "", geo.LatLng{}, errors.New("client parameter required")
-	}
+// QueryLoc extracts the location of a GPS-keyed GET from its parsed query.
+// Coordinates must be finite: strconv.ParseFloat accepts "NaN" and "Inf",
+// which would otherwise flow into the geo math.
+func QueryLoc(q url.Values) (geo.LatLng, error) {
 	lat, err := strconv.ParseFloat(q.Get("lat"), 64)
 	if err != nil || math.IsNaN(lat) || math.IsInf(lat, 0) {
-		return "", geo.LatLng{}, errors.New("lat parameter invalid")
+		return geo.LatLng{}, errors.New("lat parameter invalid")
 	}
 	lng, err := strconv.ParseFloat(q.Get("lng"), 64)
 	if err != nil || math.IsNaN(lng) || math.IsInf(lng, 0) {
-		return "", geo.LatLng{}, errors.New("lng parameter invalid")
+		return geo.LatLng{}, errors.New("lng parameter invalid")
 	}
-	return client, geo.LatLng{Lat: lat, Lng: lng}, nil
+	return geo.LatLng{Lat: lat, Lng: lng}, nil
 }
 
-func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
-	client, loc, err := queryArgs(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
+// query adapts one of the Service's per-account GPS queries to HTTP: the
+// three GET endpoints differ only in the call and its response type.
+func query[T any](call func(client string, loc geo.LatLng) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		client := q.Get("client")
+		if client == "" {
+			WriteError(w, http.StatusBadRequest, "client parameter required")
+			return
+		}
+		loc, err := QueryLoc(q)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		resp, err := call(client, loc)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, resp)
 	}
-	resp, err := s.svc.PingClient(client, loc)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	client, loc, err := queryArgs(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	resp, err := s.svc.EstimatePrice(client, loc)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleTime(w http.ResponseWriter, r *http.Request) {
-	client, loc, err := queryArgs(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	resp, err := s.svc.EstimateTime(client, loc)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]int64{"time": s.svc.Now()})
+	WriteJSON(w, http.StatusOK, map[string]int64{"time": s.svc.Now()})
 }

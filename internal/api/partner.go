@@ -61,19 +61,19 @@ func (s *Service) PartnerMap(driverID string) ([]PartnerArea, error) {
 func (s *Server) handlePartnerMap(w http.ResponseWriter, r *http.Request) {
 	driver := r.URL.Query().Get("driver")
 	if driver == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "driver parameter required"})
+		WriteError(w, http.StatusBadRequest, "driver parameter required")
 		return
 	}
 	m, err := s.svc.PartnerMap(driver)
 	if err != nil {
 		if errors.Is(err, ErrNotPartner) {
-			writeJSON(w, http.StatusForbidden, map[string]string{"error": err.Error()})
+			WriteError(w, http.StatusForbidden, err.Error())
 			return
 		}
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, m)
+	WriteJSON(w, http.StatusOK, m)
 }
 
 // handlePartnerLogin serves POST /partner/login.
@@ -83,12 +83,12 @@ func (s *Server) handlePartnerLogin(w http.ResponseWriter, r *http.Request) {
 		Agree    bool   `json:"agree_no_scraping"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.DriverID == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "driver_id required"})
+		WriteError(w, http.StatusBadRequest, "driver_id required")
 		return
 	}
 	if err := s.svc.RegisterPartner(body.DriverID, body.Agree); err != nil {
-		writeJSON(w, http.StatusForbidden, map[string]string{"error": err.Error()})
+		WriteError(w, http.StatusForbidden, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

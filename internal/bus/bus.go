@@ -64,10 +64,6 @@ type Options struct {
 	// beyond what the slowest attached consumer has read since it
 	// attached (default 1 MiB).
 	MaxInflight int
-	// RingBytes is the per-partition in-memory cache of recent events
-	// (default 2×MaxInflight; never set below that, or consumers inside
-	// their backpressure budget would thrash the disk).
-	RingBytes int
 	// Drop makes publishers over the MaxInflight bound drop the event
 	// (counted, ErrBackpressure) instead of blocking.
 	Drop bool
@@ -81,9 +77,6 @@ func (o *Options) defaults() {
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 1 << 20
-	}
-	if o.RingBytes < 2*o.MaxInflight {
-		o.RingBytes = 2 * o.MaxInflight
 	}
 }
 
@@ -490,7 +483,9 @@ func (p *partition) publish(ev *Event) error {
 	p.cum += size
 	p.ring = append(p.ring, ringEv{ev: *ev, size: size, cum: p.cum})
 	p.ringSize += size
-	for p.ringSize > int64(p.t.b.opts.RingBytes) && len(p.ring) > 1 {
+	// The in-memory ring of recent events holds 2×MaxInflight: any less and
+	// consumers inside their backpressure budget would thrash the disk.
+	for p.ringSize > 2*int64(p.t.b.opts.MaxInflight) && len(p.ring) > 1 {
 		p.ringSize -= p.ring[0].size
 		p.ring = p.ring[1:]
 		p.ringLo++
@@ -499,14 +494,6 @@ func (p *partition) publish(ev *Event) error {
 	p.t.m.published.Inc()
 	p.t.m.pubBytes.Add(size)
 	return nil
-}
-
-// End returns the partition's next offset (== number of events ever
-// appended). Used by tests and lag accounting.
-func (p *partition) end() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.next
 }
 
 // listSegments returns dir's segment files sorted by base offset.

@@ -135,40 +135,24 @@ type marketOutcome struct {
 // world's default surge provider pins 1).
 func runDriverSetMarket(profile *sim.CityProfile, seed int64, hours int) marketOutcome {
 	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed, Pricing: sim.PricingDriverSet})
-	var ewtSum float64
-	var ewtN int
-	end := int64(hours) * 3600
-	for w.Now() < end {
-		w.Step()
-		if w.Now()%300 == 0 {
-			ewtSum += w.EWT(core.UberX, geo.Point{}) / 60
-			ewtN++
-		}
-	}
-	mean, std, _ := w.PriceStats()
-	total := float64(w.TotalPickups + w.TotalUnmet + w.TotalPricedOut)
-	var o marketOutcome
-	o.mean, o.std = mean, std
-	if total > 0 {
-		o.unmet = float64(w.TotalUnmet) / total
-		o.pricedOut = float64(w.TotalPricedOut) / total
-	}
-	if ewtN > 0 {
-		o.ewt = ewtSum / float64(ewtN)
-	}
-	return o
+	return runMarket(w, hours, w.Step)
 }
 
 // runSurgeMarket runs the surge market with its engine stepped properly.
 func runSurgeMarket(profile *sim.CityProfile, seed int64, hours int) marketOutcome {
 	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed})
-	e := surge.New(w, surge.Config{Params: profile.Surge, Seed: seed})
-	r := &surge.Runner{World: w, Engine: e}
+	r := &surge.Runner{World: w, Engine: surge.New(w, surge.Config{Params: profile.Surge, Seed: seed})}
+	return runMarket(w, hours, r.Step)
+}
+
+// runMarket advances w by step for `hours`, sampling the city-center
+// UberX EWT every five minutes, and summarises the market's outcome.
+func runMarket(w *sim.World, hours int, step func()) marketOutcome {
 	var ewtSum float64
 	var ewtN int
 	end := int64(hours) * 3600
 	for w.Now() < end {
-		r.Step()
+		step()
 		if w.Now()%300 == 0 {
 			ewtSum += w.EWT(core.UberX, geo.Point{}) / 60
 			ewtN++

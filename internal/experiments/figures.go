@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -453,14 +452,4 @@ func Fig17JitterSimultaneity(r *CityRun) Fig17Simultaneity {
 	out.FractionAlone = float64(alone) / float64(len(counts))
 	out.Counts = stats.NewCDF(xs)
 	return out
-}
-
-// FmtCDF renders a few representative quantiles of a CDF for reports and
-// example output.
-func FmtCDF(c *stats.CDF, qs ...float64) string {
-	var parts []string
-	for _, q := range qs {
-		parts = append(parts, fmt.Sprintf("p%02.0f=%.2f", q*100, c.Quantile(q)))
-	}
-	return strings.Join(parts, " ")
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -45,10 +44,6 @@ type Config struct {
 	// blocks the exposition.
 	ScrapeTimeout time.Duration
 
-	// Breaker is the per-shard data-path circuit breaker policy; zero
-	// fields default to Threshold 3, Cooldown 2×HealthInterval.
-	Breaker chaos.BreakerConfig
-
 	// Registry receives gateway metrics (private one when nil).
 	Registry *obs.Registry
 	// HTTPClient overrides the proxy/probe transport (httptest servers
@@ -75,12 +70,6 @@ func (c *Config) defaults() {
 	}
 	if c.ScrapeTimeout <= 0 {
 		c.ScrapeTimeout = 2 * time.Second
-	}
-	if c.Breaker.Threshold <= 0 {
-		c.Breaker.Threshold = 3
-	}
-	if c.Breaker.Cooldown <= 0 {
-		c.Breaker.Cooldown = 2 * c.HealthInterval
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -142,9 +131,11 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		if err := spec.validate(); err != nil {
 			return nil, err
 		}
+		// The data-path breaker opens after 3 failed forwards and probes
+		// again after two health intervals.
 		s := &Shard{
 			ShardSpec: spec,
-			breaker:   chaos.NewBreaker(cfg.Breaker),
+			breaker:   chaos.NewBreaker(chaos.BreakerConfig{Threshold: 3, Cooldown: 2 * cfg.HealthInterval}),
 			onUp:      g.replayLogins,
 			mUp:       reg.Gauge("gate_shard_up", obs.L("shard", spec.Name)),
 			mReady:    reg.Gauge("gate_shard_ready", obs.L("shard", spec.Name)),
@@ -261,32 +252,11 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // shed answers 503 + Retry-After for a region with no eligible shard.
 func (g *Gateway) shed(w http.ResponseWriter, region string) {
 	g.mSheds(region).Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(max(1, int(g.cfg.RetryAfter/time.Second))))
-	writeJSON(w, http.StatusServiceUnavailable,
-		map[string]string{"error": fmt.Sprintf("region %s temporarily unavailable", region)})
-}
-
-// queryLoc extracts and validates the lat/lng of a routed GET.
-func queryLoc(r *http.Request) (geo.LatLng, error) {
-	q := r.URL.Query()
-	lat, err := strconv.ParseFloat(q.Get("lat"), 64)
-	if err != nil || math.IsNaN(lat) || math.IsInf(lat, 0) {
-		return geo.LatLng{}, errors.New("lat parameter invalid")
-	}
-	lng, err := strconv.ParseFloat(q.Get("lng"), 64)
-	if err != nil || math.IsNaN(lng) || math.IsInf(lng, 0) {
-		return geo.LatLng{}, errors.New("lng parameter invalid")
-	}
-	return geo.LatLng{Lat: lat, Lng: lng}, nil
+	api.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("region %s temporarily unavailable", region))
 }
 
 // handleRouted proxies a GPS-keyed GET to its shard: route, forward,
@@ -294,9 +264,9 @@ func queryLoc(r *http.Request) (geo.LatLng, error) {
 // shard that lost the account (a recovered shard with an empty table),
 // and shed with 503 + Retry-After when the region is down.
 func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request) {
-	loc, err := queryLoc(r)
+	loc, err := api.QueryLoc(r.URL.Query())
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	g.routeAndForward(w, r, loc)
@@ -317,8 +287,7 @@ func (g *Gateway) handleSurgeMap(w http.ResponseWriter, r *http.Request) {
 	}
 	rg, ok := g.router.byName[name]
 	if !ok {
-		writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": "region parameter required (or lat/lng)"})
+		api.WriteError(w, http.StatusBadRequest, "region parameter required (or lat/lng)")
 		return
 	}
 	// Route at the region's origin: a deterministic representative cell.
@@ -370,7 +339,7 @@ func (g *Gateway) routeFail(w http.ResponseWriter, err error) {
 	}
 	// Out of every region: same shape and status as api.ErrOutOfService,
 	// so clients cannot tell a gateway edge from a shard edge.
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": api.ErrOutOfService.Error()})
+	api.WriteError(w, http.StatusNotFound, api.ErrOutOfService.Error())
 }
 
 // countRoute bumps the reroute/failover counters for a pick.
@@ -490,7 +459,7 @@ func (g *Gateway) handleLogin(path, idField string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, 4<<10))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "unreadable body"})
+			api.WriteError(w, http.StatusBadRequest, "unreadable body")
 			return
 		}
 		var fields map[string]any
@@ -499,7 +468,7 @@ func (g *Gateway) handleLogin(path, idField string) http.HandlerFunc {
 			id, _ = fields[idField].(string)
 		}
 		if id == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": idField + " required"})
+			api.WriteError(w, http.StatusBadRequest, idField+" required")
 			return
 		}
 		l := login{path: path, body: body}
@@ -518,11 +487,10 @@ func (g *Gateway) handleLogin(path, idField string) http.HandlerFunc {
 		}
 		if acks == 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(max(1, int(g.cfg.RetryAfter/time.Second))))
-			writeJSON(w, http.StatusServiceUnavailable,
-				map[string]string{"error": "no shard accepted the registration"})
+			api.WriteError(w, http.StatusServiceUnavailable, "no shard accepted the registration")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		api.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	}
 }
 
@@ -586,8 +554,8 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if !any {
 		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(g.cfg.RetryAfter/time.Second))))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no shard eligible"})
+		api.WriteError(w, http.StatusServiceUnavailable, "no shard eligible")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"time": best})
+	api.WriteJSON(w, http.StatusOK, map[string]int64{"time": best})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -546,5 +547,51 @@ func TestGatewaySurgeMapRoutesByRegionParam(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("ambiguous surgeMap: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestGatewayEdgeMatchesShardEdge: what the gateway refuses on its own —
+// an unparseable location (400) and one outside every region (404) — is
+// answered byte for byte as the shard would have, so a client cannot tell
+// a gateway edge from a shard edge.
+func TestGatewayEdgeMatchesShardEdge(t *testing.T) {
+	mh := sim.Manhattan()
+	shard := backendServer(t, mh, 1)
+	g := startGateway(t, Config{
+		Regions: []RegionSpec{regionSpec(mh)},
+		Shards:  []ShardSpec{{Name: "manhattan-0", Region: mh.Name, BaseURL: shard.URL}},
+	})
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	registerVia(t, gw.URL, "c1")
+
+	fetch := func(base, query string) (int, string, string) {
+		resp, err := http.Get(base + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if via := resp.Header.Get("X-Ubergate-Shard"); via != "" {
+			t.Fatalf("%s was forwarded to %s; the case must be answered by the gateway itself", query, via)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
+	}
+	for _, tc := range []struct {
+		query string
+		code  int
+	}{
+		{"/pingClient?client=c1&lat=NaN&lng=-73.98", http.StatusBadRequest},
+		{"/estimates/price?client=c1&lat=40.75&lng=east", http.StatusBadRequest},
+		{"/estimates/time?client=c1&lat=0&lng=0", http.StatusNotFound},
+	} {
+		gCode, gType, gBody := fetch(gw.URL, tc.query)
+		sCode, sType, sBody := fetch(shard.URL, tc.query)
+		if gCode != tc.code || sCode != tc.code {
+			t.Errorf("%s: gateway %d, shard %d, want %d", tc.query, gCode, sCode, tc.code)
+		}
+		if gBody != sBody || gType != sType {
+			t.Errorf("%s: gateway answered %q (%s), shard %q (%s)", tc.query, gBody, gType, sBody, sType)
+		}
 	}
 }

@@ -94,11 +94,11 @@ type CityStats struct {
 
 // Report is the outcome of a run.
 type Report struct {
-	Elapsed     time.Duration            `json:"-"`
-	ElapsedSecs float64                  `json:"elapsed_seconds"`
-	Requests    int64                    `json:"requests"`
-	Errors      int64                    `json:"errors"`
-	RateLimited int64                    `json:"rate_limited"`
+	Elapsed     time.Duration `json:"-"`
+	ElapsedSecs float64       `json:"elapsed_seconds"`
+	Requests    int64         `json:"requests"`
+	Errors      int64         `json:"errors"`
+	RateLimited int64         `json:"rate_limited"`
 	// Retries counts attempts beyond each request's first; GiveUps the
 	// requests that failed after every attempt; BreakerOpens circuit
 	// transitions into open. Nonzero retries with zero errors means the

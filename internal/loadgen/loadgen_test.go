@@ -160,19 +160,22 @@ func TestRunAbsorbsChaos(t *testing.T) {
 	reg := obs.NewRegistry()
 	svc.Instrument(reg)
 
-	inj := chaos.NewInjector(chaos.Config{
-		Seed:         1,
-		ErrorProb:    0.05,
-		ResetProb:    0.03,
-		TruncateProb: 0.03,
-		LatencyProb:  0.2,
-		Latency:      2 * time.Millisecond,
-	})
-	var h http.Handler = api.NewServer(svc, api.WithMetrics(reg))
-	h = chaos.Timeout(h, 2*time.Second, reg)
-	h = chaos.Recover(h, reg)
-	h = inj.Middleware(h, reg)
-	ts := httptest.NewServer(h)
+	edge := chaos.Edge{
+		Faults: chaos.Config{
+			Seed:         1,
+			ErrorProb:    0.05,
+			ResetProb:    0.03,
+			TruncateProb: 0.03,
+			LatencyProb:  0.2,
+			Latency:      2 * time.Millisecond,
+		},
+		RequestTimeout: 2 * time.Second,
+	}
+	inj, err := edge.Injector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(edge.Wrap(api.NewServer(svc, api.WithMetrics(reg)), inj, reg))
 	defer ts.Close()
 
 	report, err := Run(Config{

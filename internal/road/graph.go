@@ -85,9 +85,6 @@ func (g *Graph) EdgeLen(e int32) float64 { return g.length[e] }
 // EdgeBase returns edge e's free-flow traversal time in seconds.
 func (g *Graph) EdgeBase(e int32) float64 { return g.base[e] }
 
-// EdgeClass returns edge e's class.
-func (g *Graph) EdgeClass(e int32) uint8 { return g.class[e] }
-
 // EdgeSpeed returns edge e's free-flow speed in m/s.
 func (g *Graph) EdgeSpeed(e int32) float64 { return classSpeed[g.class[e]] }
 

@@ -12,19 +12,16 @@ import (
 // string, POOL stop queue) sit in a cold side table so they never occupy
 // hot-loop cache lines.
 //
-// Slots are recycled through a LIFO free list, and every slot carries a
-// generation counter that bumps on free: a Handle (slot, gen) taken
-// during one phase can be validated later instead of silently reading a
-// recycled slot. All allocation and freeing happens in the serial commit
-// sections of Step, so slot assignment — and with it every slot-keyed
-// data structure — is deterministic and worker-count independent.
+// Slots are recycled through a LIFO free list. All allocation and freeing
+// happens in the serial commit sections of Step, so slot assignment — and
+// with it every slot-keyed data structure — is deterministic and
+// worker-count independent.
 type fleet struct {
 	n    int     // live sessions
 	high int     // all live slots are < high (column length)
 	free []int32 // LIFO recycled slots
 
 	live []bool
-	gen  []uint32
 
 	// hot columns
 	id           []int64
@@ -63,21 +60,6 @@ type fleet struct {
 	stops   [][]PoolStop
 }
 
-// Handle names a fleet slot at a point in time; valid(h) fails once the
-// slot is freed (and possibly recycled).
-type Handle struct {
-	slot int32
-	gen  uint32
-}
-
-// handle returns the current Handle for a live slot.
-func (f *fleet) handle(s int32) Handle { return Handle{slot: s, gen: f.gen[s]} }
-
-// valid reports whether h still names the same session.
-func (f *fleet) valid(h Handle) bool {
-	return h.slot >= 0 && int(h.slot) < f.high && f.live[h.slot] && f.gen[h.slot] == h.gen
-}
-
 // alloc returns a free slot, extending the columns when the free list is
 // empty. The returned slot's columns hold stale values; the caller
 // overwrites every field.
@@ -92,7 +74,6 @@ func (f *fleet) alloc() int32 {
 	s := int32(f.high)
 	f.high++
 	f.live = append(f.live, true)
-	f.gen = append(f.gen, 0)
 	f.id = append(f.id, 0)
 	f.typ = append(f.typ, 0)
 	f.state = append(f.state, 0)
@@ -121,11 +102,10 @@ func (f *fleet) alloc() int32 {
 	return s
 }
 
-// freeSlot releases a slot back to the free list, bumping its generation
-// and dropping cold references so the GC can reclaim them.
+// freeSlot releases a slot back to the free list, dropping cold
+// references so the GC can reclaim them.
 func (f *fleet) freeSlot(s int32) {
 	f.live[s] = false
-	f.gen[s]++
 	f.session[s] = ""
 	f.stops[s] = nil
 	f.n--

@@ -102,22 +102,6 @@ func (s *Snapshot) EWT(vt core.VehicleType, pos geo.Point) float64 {
 	return ewtFromDist(near[0].dist, s.Now)
 }
 
-// TripEstimate returns the estimated street distance (meters) and
-// duration (seconds, excluding boarding time) of a pickup→dest trip as
-// the snapshot saw it: the congested road route on road-mode worlds, the
-// straight line with the Manhattan detour factor otherwise. Lock-free
-// and safe for unlimited concurrent use, like every snapshot query.
-func (s *Snapshot) TripEstimate(pickup, dest geo.Point) (meters, seconds float64) {
-	if s.road != nil {
-		rt := s.road.g.AcquireRouter()
-		meters, seconds = roadTripEstimate(s.road.g, rt, s.road.factors, pickup, dest)
-		s.road.g.ReleaseRouter(rt)
-		return meters, seconds
-	}
-	meters = geo.Dist(pickup, dest) * manhattanFactor
-	return meters, meters / StreetSpeed(s.Now)
-}
-
 // NearestCars returns up to k idle cars of the product nearest to pos as
 // wire-format views, ordered by ascending distance with ties broken by
 // slot — the same cars in the same order World.NearestCars returns. The

@@ -60,9 +60,6 @@ func (w *World) SetWithholding(cfg WithholdingConfig) {
 	w.withhold = cfg
 }
 
-// Withholding returns the armed withholding config (zero when disarmed).
-func (w *World) Withholding() WithholdingConfig { return w.withhold }
-
 // hashUnit maps (seed, id, t) to a uniform float64 in [0, 1) through the
 // splitmix64 finalizer — the sim's standard stateless stream.
 func hashUnit(seed int64, id int64, t int64) float64 {

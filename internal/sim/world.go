@@ -99,9 +99,9 @@ func (w WindowStats) AvgEWT() float64 {
 //
 // Driver state lives in a struct-of-arrays fleet (see fleet.go): hot
 // per-driver fields are flat columns indexed by slot, recycled through a
-// free list with generation counters. Every slot-keyed structure — the
-// per-product idle grids, the joinable-POOL index, the delta-snapshot
-// builder — keys by slot, so there is no id→index map on any hot path.
+// free list. Every slot-keyed structure — the per-product idle grids, the
+// joinable-POOL index, the delta-snapshot builder — keys by slot, so
+// there is no id→index map on any hot path.
 type World struct {
 	cfg     Config
 	profile *CityProfile

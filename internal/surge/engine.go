@@ -46,12 +46,6 @@ type Config struct {
 	// datastream. The API stream is never jittered, and a regime that
 	// postdates the bug (additive) ignores the request.
 	Jitter bool
-	// JitterProb is the per-client, per-interval probability of one
-	// jitter event. The default 0.25 is high enough that jitter
-	// fragments a large share of client-stream surges (Fig 13's 40%
-	// under a minute) while onsets rarely coincide across the 43 clients
-	// (Fig 17's ~90% single-client events).
-	JitterProb float64
 	// Smoothing implements the paper's §8 proposal: update surge as an
 	// exponentially weighted moving average instead of jumping to each
 	// interval's raw value, making prices "more predictable and less
@@ -138,9 +132,6 @@ func New(w *sim.World, cfg Config) *Engine { return newEngine(w, &regimes[0], cf
 func (e *Engine) Name() string { return e.regime.name }
 
 func newEngine(w *sim.World, r *regime, cfg Config) *Engine {
-	if cfg.JitterProb == 0 {
-		cfg.JitterProb = 0.25
-	}
 	if cfg.QuantStep == 0 {
 		cfg.QuantStep = 0.1
 	}
@@ -383,7 +374,7 @@ func (e *Engine) PrevMultiplier(area int) float64 {
 // the rest — matching the paper's measured durations). It returns
 // (-1, 0) when the client has no jitter event this interval.
 func (e *Engine) jitterWindow(clientID string, boundary int64) (start, dur int64) {
-	return jitterWindowFor(e.cfg.Seed, e.cfg.JitterProb, clientID, boundary)
+	return jitterWindowFor(e.cfg.Seed, clientID, boundary)
 }
 
 // Runner couples a world and its default-regime engine and advances them

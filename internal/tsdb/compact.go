@@ -39,7 +39,7 @@ func (db *DB) compactLocked() error {
 	lo := db.segs[0].lo
 	hi := db.segs[len(db.segs)-1].hi
 	path := filepath.Join(db.segDir(), segFileName(lo, hi))
-	sw, err := newSegmentWriter(path, db.opts.ChunkRows)
+	sw, err := newSegmentWriter(path)
 	if err != nil {
 		return err
 	}

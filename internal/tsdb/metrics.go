@@ -7,31 +7,29 @@ package tsdb
 import "repro/internal/obs"
 
 type metrics struct {
-	rows           *obs.Counter
-	gapRows        *obs.Counter
-	walBytes       *obs.Counter // tsdb_bytes_written_total{kind="wal"}
-	segBytes       *obs.Counter // tsdb_bytes_written_total{kind="segment"}
-	retentionDrops *obs.Counter
-	walFsync       *obs.Histogram
-	compactDur     *obs.Histogram
-	segments       *obs.Gauge
-	headRows       *obs.Gauge
-	bytesPerRow    *obs.Gauge // sealed bytes per row of the latest segment
-	ratio          *obs.Gauge // raw (WAL payload) bytes / sealed bytes
+	rows        *obs.Counter
+	gapRows     *obs.Counter
+	walBytes    *obs.Counter // tsdb_bytes_written_total{kind="wal"}
+	segBytes    *obs.Counter // tsdb_bytes_written_total{kind="segment"}
+	walFsync    *obs.Histogram
+	compactDur  *obs.Histogram
+	segments    *obs.Gauge
+	headRows    *obs.Gauge
+	bytesPerRow *obs.Gauge // sealed bytes per row of the latest segment
+	ratio       *obs.Gauge // raw (WAL payload) bytes / sealed bytes
 }
 
 func newMetrics(r *obs.Registry) *metrics {
 	return &metrics{
-		rows:           r.Counter("tsdb_rows_total"),
-		gapRows:        r.Counter("tsdb_gap_rows_total"),
-		walBytes:       r.Counter("tsdb_bytes_written_total", obs.L("kind", "wal")),
-		segBytes:       r.Counter("tsdb_bytes_written_total", obs.L("kind", "segment")),
-		retentionDrops: r.Counter("tsdb_retention_dropped_segments_total"),
-		walFsync:       r.Histogram("tsdb_wal_fsync_seconds", nil),
-		compactDur:     r.Histogram("tsdb_compaction_seconds", nil),
-		segments:       r.Gauge("tsdb_segments"),
-		headRows:       r.Gauge("tsdb_head_rows"),
-		bytesPerRow:    r.Gauge("tsdb_segment_bytes_per_row"),
-		ratio:          r.Gauge("tsdb_compression_ratio"),
+		rows:        r.Counter("tsdb_rows_total"),
+		gapRows:     r.Counter("tsdb_gap_rows_total"),
+		walBytes:    r.Counter("tsdb_bytes_written_total", obs.L("kind", "wal")),
+		segBytes:    r.Counter("tsdb_bytes_written_total", obs.L("kind", "segment")),
+		walFsync:    r.Histogram("tsdb_wal_fsync_seconds", nil),
+		compactDur:  r.Histogram("tsdb_compaction_seconds", nil),
+		segments:    r.Gauge("tsdb_segments"),
+		headRows:    r.Gauge("tsdb_head_rows"),
+		bytesPerRow: r.Gauge("tsdb_segment_bytes_per_row"),
+		ratio:       r.Gauge("tsdb_compression_ratio"),
 	}
 }

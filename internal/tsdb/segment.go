@@ -84,17 +84,13 @@ func (c *crcFileWriter) flush() error {
 type segmentWriter struct {
 	cw        *crcFileWriter
 	path, tmp string
-	chunkRows int
 	entries   []chunkEntry
 	curSeries int
 	buf       []Row
 	rows      uint64
 }
 
-func newSegmentWriter(path string, chunkRows int) (*segmentWriter, error) {
-	if chunkRows <= 0 {
-		chunkRows = defaultChunkRows
-	}
+func newSegmentWriter(path string) (*segmentWriter, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -104,7 +100,6 @@ func newSegmentWriter(path string, chunkRows int) (*segmentWriter, error) {
 		cw:        &crcFileWriter{w: f},
 		path:      path,
 		tmp:       tmp,
-		chunkRows: chunkRows,
 		curSeries: -1,
 	}
 	if err := sw.cw.write([]byte(segMagic)); err != nil {
@@ -125,13 +120,13 @@ func (sw *segmentWriter) add(series int, rows []Row) error {
 		sw.curSeries = series
 	}
 	for len(rows) > 0 {
-		n := sw.chunkRows - len(sw.buf)
+		n := defaultChunkRows - len(sw.buf)
 		if n > len(rows) {
 			n = len(rows)
 		}
 		sw.buf = append(sw.buf, rows[:n]...)
 		rows = rows[n:]
-		if len(sw.buf) >= sw.chunkRows {
+		if len(sw.buf) >= defaultChunkRows {
 			if err := sw.flushChunk(); err != nil {
 				return err
 			}

@@ -55,9 +55,6 @@ type Options struct {
 	// HeadMaxRows seals the head into a segment when it reaches this many
 	// rows. Default 65536 (~127 campaign rounds of 43 clients × 12 rows).
 	HeadMaxRows int
-	// ChunkRows bounds rows per columnar chunk (the sparse-index
-	// granularity). Default 512.
-	ChunkRows int
 	// SyncEveryCommits fsyncs the WAL on every Nth Commit (default 1:
 	// every commit, i.e. one fsync per ping round). Negative disables
 	// periodic fsync; sealing and Close still sync.
@@ -65,9 +62,6 @@ type Options struct {
 	// CompactMinSegments triggers background compaction when the sealed
 	// segment count reaches it. Default 8; negative disables.
 	CompactMinSegments int
-	// RetainSeconds drops sealed segments whose newest row is older than
-	// the store's newest row by more than this. 0 keeps everything.
-	RetainSeconds int64
 	// Metrics receives tsdb gauges/histograms; nil disables (all obs
 	// handles are nil-safe).
 	Metrics *obs.Registry
@@ -76,9 +70,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.HeadMaxRows == 0 {
 		o.HeadMaxRows = 65536
-	}
-	if o.ChunkRows == 0 {
-		o.ChunkRows = defaultChunkRows
 	}
 	if o.SyncEveryCommits == 0 {
 		o.SyncEveryCommits = 1
@@ -435,7 +426,7 @@ func (db *DB) sealLocked() error {
 	}
 	seq := db.wal.seq
 	path := filepath.Join(db.segDir(), segFileName(seq, seq))
-	sw, err := newSegmentWriter(path, db.opts.ChunkRows)
+	sw, err := newSegmentWriter(path)
 	if err != nil {
 		return err
 	}
@@ -467,7 +458,6 @@ func (db *DB) sealLocked() error {
 	db.head = make(map[int][]Row)
 	db.headRows = 0
 	db.headRaw = 0
-	db.applyRetentionLocked()
 	db.updateGauges()
 	if db.opts.CompactMinSegments > 0 && len(db.segs) >= db.opts.CompactMinSegments &&
 		db.compacting.CompareAndSwap(false, true) {
@@ -479,28 +469,6 @@ func (db *DB) sealLocked() error {
 		}()
 	}
 	return nil
-}
-
-func (db *DB) applyRetentionLocked() {
-	if db.opts.RetainSeconds <= 0 {
-		return
-	}
-	_, maxT, ok := db.boundsLocked()
-	if !ok {
-		return
-	}
-	cutoff := maxT - db.opts.RetainSeconds
-	live := db.segs[:0]
-	for _, sr := range db.segs {
-		if sr.maxT < cutoff {
-			os.Remove(sr.path)
-			db.graveyard = append(db.graveyard, sr)
-			db.m.retentionDrops.Inc()
-			continue
-		}
-		live = append(live, sr)
-	}
-	db.segs = live
 }
 
 func sortedSeries(head map[int][]Row) []int {

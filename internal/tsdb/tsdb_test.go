@@ -446,34 +446,6 @@ func TestOutOfOrderRejected(t *testing.T) {
 	}
 }
 
-func TestRetention(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, Options{RetainSeconds: 100, CompactMinSegments: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 10; j++ {
-			row := Row{Time: int64(i*1000 + j*5), Series: 0}
-			if err := db.Append(row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Seal(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := db.Stats()
-	if st.Segments != 1 {
-		t.Fatalf("retention kept %d segments, want 1", st.Segments)
-	}
-	minT, _, ok := db.Bounds()
-	if !ok || minT < 4000-100 {
-		t.Fatalf("bounds after retention: min=%d ok=%v", minT, ok)
-	}
-}
-
 func TestReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
