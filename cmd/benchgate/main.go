@@ -5,21 +5,25 @@
 //	go test -run '^$' -bench 'BenchmarkStep|BenchmarkSnapshotDelta' \
 //	    -benchtime 5x -benchmem . | go run ./cmd/benchgate
 //
-// Two gates, applied to every benchmark in the baseline's "gate" section:
+// Three gates, applied to every benchmark in the baseline's "gate" section:
 //
 //   - allocs/op may not regress anywhere. Allocation counts in a
 //     deterministic simulation are machine-independent, so this gate runs
 //     on every host. The comparison allows 1% + 8 allocs of slack: worker
 //     goroutine wakeups and map growth timing make the count almost — but
 //     not exactly — reproducible run to run.
+//   - B/op may not regress anywhere either, with 1% + 1 KiB of slack (six
+//     repeated sweeps differ by at most 64 B/op). Bytes do not track
+//     allocs: the history-chunk snapshot tripled BenchmarkSnapshotDelta's
+//     allocs/op while cutting its B/op by 70%, and the reverse trade would
+//     sail through a count-only gate.
 //   - ns/op may not regress by more than the baseline's tolerance
 //     (default 15%), gated only when the host's `cpu:` line matches the
 //     baseline host exactly. Wall-clock on a different CPU says nothing
 //     about a regression, so foreign hosts only report.
 //
 // A gate benchmark missing from the input is an error — the sweep cannot
-// silently shrink. Bytes/op are reported but not gated (they track allocs
-// and the Go version's size classes too closely to pin).
+// silently shrink.
 package main
 
 import (
@@ -27,9 +31,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
 type metrics struct {
@@ -53,6 +59,56 @@ type baseline struct {
 // without the -N GOMAXPROCS suffix benchmark names carry on SMP hosts.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
+// parseBench reads `go test -bench` output: the result rows by benchmark
+// name, and the host's `cpu:` line.
+func parseBench(r io.Reader) (got map[string]metrics, hostCPU string, err error) {
+	got = map[string]metrics{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
+			hostCPU = rest
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		// The pattern admits only digits (and dots in ns/op); a row without
+		// -benchmem leaves the byte and alloc groups empty, read as 0.
+		ns, _ := strconv.ParseFloat(m[2], 64)
+		b, _ := strconv.ParseInt(m[3], 10, 64)
+		allocs, _ := strconv.ParseInt(m[4], 10, 64)
+		got[m[1]] = metrics{NsOp: ns, BOp: b, AllocsOp: allocs}
+	}
+	return got, hostCPU, sc.Err()
+}
+
+// Slack on top of 1% for the two machine-independent gates.
+const (
+	allocSlack = 8
+	byteSlack  = 1024
+)
+
+// check applies the three gates to one benchmark and returns a line per
+// violated gate; gateNs says whether the host is the baseline's.
+func check(name string, have, want metrics, gateNs bool, tol float64) (fails []string) {
+	if limit := want.AllocsOp + want.AllocsOp/100 + allocSlack; have.AllocsOp > limit {
+		fails = append(fails, fmt.Sprintf("FAIL %s: %d allocs/op, baseline %d (cap %d)",
+			name, have.AllocsOp, want.AllocsOp, limit))
+	}
+	if limit := want.BOp + want.BOp/100 + byteSlack; have.BOp > limit {
+		fails = append(fails, fmt.Sprintf("FAIL %s: %d B/op, baseline %d (cap %d)",
+			name, have.BOp, want.BOp, limit))
+	}
+	if ratio := have.NsOp / want.NsOp; gateNs && ratio > 1+tol {
+		fails = append(fails, fmt.Sprintf("FAIL %s: %.0f ns/op is %.2fx baseline %.0f (tolerance %.0f%%)",
+			name, have.NsOp, ratio, want.NsOp, tol*100))
+	}
+	return fails
+}
+
 func main() {
 	baseFile := flag.String("baseline", "BENCH_step.json", "committed baseline file")
 	flag.Parse()
@@ -73,29 +129,10 @@ func main() {
 		tol = 0.15
 	}
 
-	got := map[string]metrics{}
-	hostCPU := ""
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := cutPrefix(line, "cpu: "); ok {
-			hostCPU = rest
-			continue
-		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		ns, _ := strconv.ParseFloat(m[2], 64)
-		b, _ := strconv.ParseInt(m[3], 10, 64)
-		allocs, _ := strconv.ParseInt(m[4], 10, 64)
-		got[m[1]] = metrics{NsOp: ns, BOp: b, AllocsOp: allocs}
-	}
-	if err := sc.Err(); err != nil {
+	got, hostCPU, err := parseBench(os.Stdin)
+	if err != nil {
 		fatalf("benchgate: reading stdin: %v", err)
 	}
-
 	sameCPU := hostCPU != "" && hostCPU == base.Host.CPU
 	if !sameCPU {
 		fmt.Printf("benchgate: host cpu %q != baseline %q; ns/op reported but not gated\n",
@@ -110,37 +147,18 @@ func main() {
 			failed = true
 			continue
 		}
-		nsRatio := have.NsOp / want.NsOp
 		status := "ok  "
-		// Allocation gate: machine-independent, always on.
-		allocCap := want.AllocsOp + want.AllocsOp/100 + 8
-		if have.AllocsOp > allocCap {
-			status = "FAIL"
-			failed = true
-			fmt.Printf("FAIL %s: %d allocs/op, baseline %d (cap %d)\n",
-				name, have.AllocsOp, want.AllocsOp, allocCap)
+		for _, f := range check(name, have, want, sameCPU, tol) {
+			status, failed = "FAIL", true
+			fmt.Println(f)
 		}
-		// Time gate: only meaningful on the baseline host.
-		if sameCPU && nsRatio > 1+tol {
-			status = "FAIL"
-			failed = true
-			fmt.Printf("FAIL %s: %.0f ns/op is %.2fx baseline %.0f (tolerance %.0f%%)\n",
-				name, have.NsOp, nsRatio, want.NsOp, tol*100)
-		}
-		fmt.Printf("%s %-40s ns/op %12.0f (%.2fx base)   B/op %10d   allocs/op %6d (base %d)\n",
-			status, name, have.NsOp, nsRatio, have.BOp, have.AllocsOp, want.AllocsOp)
+		fmt.Printf("%s %-40s ns/op %12.0f (%.2fx base)   B/op %10d (base %d)   allocs/op %6d (base %d)\n",
+			status, name, have.NsOp, have.NsOp/want.NsOp, have.BOp, want.BOp, have.AllocsOp, want.AllocsOp)
 	}
 	if failed {
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: all gates passed")
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return s, false
 }
 
 func fatalf(format string, args ...any) {

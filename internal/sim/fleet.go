@@ -39,10 +39,13 @@ type fleet struct {
 	cruiseTarget []geo.Point
 	cruiseUntil  []int64
 
-	// position-history ring, pathLen entries per slot, flat
+	// position-history ring, pathLen entries per slot, flat; pathGen goes
+	// +1 per record that writes and +2 per resetPath, so the snapshot
+	// builder can tell "exactly one point appended since my last look".
 	path    []geo.Point
 	pathN   []uint8
 	pathPos []uint8
+	pathGen []uint32
 
 	// road-mode route state (unused, but still allocated, on euclidean
 	// worlds): the planned node path, the next hop's index into it (-1 =
@@ -93,6 +96,7 @@ func (f *fleet) alloc() int32 {
 	}
 	f.pathN = append(f.pathN, 0)
 	f.pathPos = append(f.pathPos, 0)
+	f.pathGen = append(f.pathGen, 0)
 	f.route = append(f.route, nil)
 	f.routeHop = append(f.routeHop, -1)
 	f.routeEdge = append(f.routeEdge, -1)
@@ -127,13 +131,14 @@ func (f *fleet) resetPath(s int32) {
 	f.path[base] = f.pos[s]
 	f.pathN[s] = 1
 	f.pathPos[s] = 1 % pathLen
+	f.pathGen[s] += 2
 }
 
 // record appends the slot's current position to its path ring and
 // reports whether the ring's observable content changed. When the ring
 // is already saturated with the current position (a parked car), the
-// write is skipped entirely — the delta-snapshot builder relies on this
-// to leave parked cars' frozen wire views untouched.
+// write is skipped entirely, so a parked car is not marked changed and the
+// snapshot builder keeps sharing its cell entry.
 func (f *fleet) record(s int32) bool {
 	base := int(s) * pathLen
 	p := f.pos[s]
@@ -154,6 +159,7 @@ func (f *fleet) record(s int32) bool {
 	if f.pathN[s] < pathLen {
 		f.pathN[s]++
 	}
+	f.pathGen[s]++
 	return true
 }
 

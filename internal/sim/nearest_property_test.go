@@ -107,9 +107,11 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestSnapshotEWTZeroAlloc pins the lock-free EWT query on a euclidean
-// world: the one-entry result buffer and the scan closure handed to the
-// ring walk both stay on the stack.
+// TestSnapshotEWTZeroAlloc pins the lock-free queries on a euclidean
+// world: the exact-size neighbour buffers and the scan closure handed to
+// the ring walk stay on the stack, so EWT allocates nothing and
+// NearestCars only its result — the views are sliced out of the cars'
+// history chunks, not copied.
 func TestSnapshotEWTZeroAlloc(t *testing.T) {
 	w := NewWorld(Config{Profile: Manhattan(), Seed: 22, Workers: 1})
 	w.Run(600)
@@ -120,5 +122,9 @@ func TestSnapshotEWTZeroAlloc(t *testing.T) {
 	pos := geo.Point{X: 120, Y: -340}
 	if avg := testing.AllocsPerRun(200, func() { _ = snap.EWT(core.UberX, pos) }); avg != 0 {
 		t.Fatalf("Snapshot.EWT allocates %.1f times per call, want 0", avg)
+	}
+	near := func() { _ = snap.NearestCars(core.UberX, pos, core.MaxVisibleCars) }
+	if avg := testing.AllocsPerRun(200, near); avg != 1 {
+		t.Fatalf("Snapshot.NearestCars allocates %.1f times per call, want 1 (the result)", avg)
 	}
 }

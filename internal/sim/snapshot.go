@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/road"
 )
 
@@ -17,7 +18,7 @@ import (
 // A snapshot freezes exactly what the read endpoints consume:
 //
 //   - per-product idle-car views with the wire-format fields (session ID,
-//     lat/lng position, projected path) precomputed once per tick instead
+//     lat/lng position, projected path) projected once per tick instead
 //     of once per ping;
 //   - a per-product k-nearest index over those cars, laid out on the
 //     live grids' geo.Cells and searched by the same ring walk, so it
@@ -26,9 +27,9 @@ import (
 //   - the simulation clock and the service region.
 //
 // Snapshots are built incrementally (see snapBuilder below): consecutive
-// snapshots share every grid cell no car moved through, and every frozen
-// car view whose wire content didn't change. All methods are safe for
-// unlimited concurrent use.
+// snapshots share every grid cell no marked car left or entered, and window
+// into the same append-only per-car path histories (carHist). All methods
+// are safe for unlimited concurrent use.
 type Snapshot struct {
 	// Now is the simulation time the snapshot was taken at.
 	Now int64
@@ -55,12 +56,23 @@ type snapRoad struct {
 	factors []float64
 }
 
-// snapCar is one idle car frozen into a snapshot: the precomputed wire
-// view plus the plane position and slot the k-nearest search orders by.
+// carHist is one car's projected path history, oldest first. It is
+// append-only: the builder writes only past every published snapCar.end,
+// so a published window is never written again, and starts a fresh chunk
+// when this one is full (176 B, a size class; every pathLen+1 builds).
+type carHist struct {
+	id  string
+	pts [2 * pathLen]geo.LatLng
+}
+
+// snapCar is one idle car frozen into a snapshot: the plane position and
+// slot the k-nearest search orders by, plus the window pts[end-n:end] of
+// its history chunk that the wire view is sliced from at read time.
 type snapCar struct {
-	slot int32
-	pos  geo.Point
-	view core.CarView
+	pos    geo.Point
+	hist   *carHist
+	slot   int32
+	end, n uint8
 }
 
 // productCells is a read-only uniform grid over one product's idle cars:
@@ -105,13 +117,16 @@ func (s *Snapshot) EWT(vt core.VehicleType, pos geo.Point) float64 {
 // NearestCars returns up to k idle cars of the product nearest to pos as
 // wire-format views, ordered by ascending distance with ties broken by
 // slot — the same cars in the same order World.NearestCars returns. The
-// returned slice is fresh; the Path slices are shared with the snapshot
-// and must be treated as read-only.
+// returned slice is fresh; the Path slices are shared with the cars'
+// history chunks and must be treated as read-only.
 func (s *Snapshot) NearestCars(vt core.VehicleType, pos geo.Point, k int) []core.CarView {
-	near := s.products[int(vt)].kNearest(pos, k, nil)
+	var buf [core.MaxVisibleCars]snapNeighbor // exact for every ping; a larger k grows it
+	near := s.products[int(vt)].kNearest(pos, k, buf[:0])
 	out := make([]core.CarView, 0, len(near))
-	for _, n := range near {
-		out = append(out, n.car.view)
+	for _, nb := range near {
+		// Cap-limited to its window: later appends to the chunk are out of reach.
+		h, end := nb.car.hist, int(nb.car.end)
+		out = append(out, core.CarView{ID: h.id, Pos: h.pts[end-1], Path: h.pts[end-int(nb.car.n) : end : end]})
 	}
 	return out
 }
@@ -181,21 +196,18 @@ type touchedCell struct {
 // mark slots whose snapshot-observable state changed (position, path
 // ring, idle membership) via markChanged; the next Snapshot() call
 // re-encodes only the marked cars and rebuilds only the grid cells they
-// left or entered, reusing every other cell slice — and every other
-// frozen car view — from the previous snapshot by structural sharing.
+// left or entered, reusing every other cell slice from the previous
+// snapshot by structural sharing; a re-encode usually projects one new
+// point onto the car's history chunk (see encodeCar).
 //
 // The builder stays dormant (and markChanged free) until the first
 // Snapshot() call, so worlds that never snapshot — batch experiments,
 // benchmarks — pay nothing.
 type snapBuilder struct {
 	inited bool
-	// queued is the dirty-slot list, deduplicated by qflag.
+	// queued is the dirty-slot list, deduplicated by snapSlot.queued.
 	queued []int32
-	qflag  []bool
-	// prod/cell record each slot's membership in the last published
-	// snapshot: prod -1 means invisible (busy or offline).
-	prod []int8
-	cell []int32
+	slots  []snapSlot
 	// cells/counts are the last published per-product state; a build
 	// clones a product's top-level slice before changing any entry.
 	cells  [core.NumVehicleTypes][][]snapCar
@@ -209,6 +221,22 @@ type snapBuilder struct {
 	touched    []touchedCell
 	addLists   [][]int32
 	last       *Snapshot
+	// renewals counts this build's fresh history chunks; the counters are
+	// World.Instrument's, bumped once per build.
+	renewals                 int64
+	mCars, mRenewals, mCells *obs.Counter
+}
+
+// snapSlot is the builder's memory of one fleet slot: its place in the last
+// published snapshot (prod -1 means invisible: busy or offline) and, while
+// visible, its history chunk, the points written and their fleet.pathGen.
+type snapSlot struct {
+	hist   *carHist
+	cell   int32
+	gen    uint32
+	prod   int8
+	end    uint8
+	queued bool
 }
 
 // markChanged queues a slot for re-encoding in the next snapshot build.
@@ -219,13 +247,11 @@ func (w *World) markChanged(s int32) {
 	if !b.inited {
 		return
 	}
-	for int32(len(b.qflag)) <= s {
-		b.qflag = append(b.qflag, false)
-		b.prod = append(b.prod, -1)
-		b.cell = append(b.cell, -1)
+	for int32(len(b.slots)) <= s {
+		b.slots = append(b.slots, snapSlot{prod: -1})
 	}
-	if !b.qflag[s] {
-		b.qflag[s] = true
+	if !b.slots[s].queued {
+		b.slots[s].queued = true
 		b.queued = append(b.queued, s)
 	}
 }
@@ -288,12 +314,11 @@ func (w *World) Snapshot() *Snapshot {
 	b.touched = b.touched[:0]
 
 	// Classify every dirty slot: where was it in the last snapshot, where
-	// does it belong now. Touch the cells on both ends and tally the path
-	// points the re-encodes will need.
+	// does it belong now. Touch the cells on both ends.
 	var productTouched [core.NumVehicleTypes]bool
-	pathPts := 0
 	for _, s := range b.queued {
-		oldP, oldC := b.prod[s], b.cell[s]
+		sl := &b.slots[s]
+		oldP, oldC := sl.prod, sl.cell
 		newP, newC := int8(-1), int32(-1)
 		if f.live[s] && DriverState(f.state[s]) == StateIdle {
 			newP = int8(f.typ[s])
@@ -312,9 +337,10 @@ func (w *World) Snapshot() *Snapshot {
 			b.addLists[idx] = append(b.addLists[idx], s)
 			productTouched[newP] = true
 			b.counts[newP]++
-			pathPts += int(f.pathN[s])
+		} else {
+			sl.hist = nil
 		}
-		b.prod[s], b.cell[s] = newP, newC
+		sl.prod, sl.cell = newP, newC
 	}
 
 	// Clone the top-level cell table of every touched product so the
@@ -330,15 +356,15 @@ func (w *World) Snapshot() *Snapshot {
 
 	// Rebuild each touched cell: keep the still-valid frozen entries
 	// (slots not queued), then append fresh encodings of the cell's
-	// incoming cars. Path slices for all re-encodes share one arena.
-	arena := make([]geo.LatLng, 0, pathPts)
-	var pts []geo.Point
+	// incoming cars.
+	var cars int64
+	b.renewals = 0
 	for ti, tc := range b.touched {
 		old := b.cells[tc.vt][tc.cell]
 		adds := b.addLists[ti]
 		n := len(adds)
 		for i := range old {
-			if !b.qflag[old[i].slot] {
+			if !b.slots[old[i].slot].queued {
 				n++
 			}
 		}
@@ -346,33 +372,23 @@ func (w *World) Snapshot() *Snapshot {
 		if n > 0 {
 			fresh = make([]snapCar, 0, n)
 			for i := range old {
-				if !b.qflag[old[i].slot] {
+				if !b.slots[old[i].slot].queued {
 					fresh = append(fresh, old[i])
 				}
 			}
 			for _, s := range adds {
-				pts = f.pathPoints(s, pts[:0])
-				start := len(arena)
-				for _, p := range pts {
-					arena = append(arena, w.proj.ToLatLng(p))
-				}
-				path := arena[start:len(arena):len(arena)]
-				fresh = append(fresh, snapCar{
-					slot: s,
-					pos:  f.pos[s],
-					view: core.CarView{
-						ID:   f.session[s],
-						Pos:  w.proj.ToLatLng(f.pos[s]),
-						Path: path,
-					},
-				})
+				fresh = append(fresh, w.encodeCar(s))
 			}
+			cars += int64(len(adds))
 		}
 		b.cells[tc.vt][tc.cell] = fresh
 	}
+	b.mCars.Add(cars)
+	b.mRenewals.Add(b.renewals)
+	b.mCells.Add(int64(len(b.touched)))
 
 	for _, s := range b.queued {
-		b.qflag[s] = false
+		b.slots[s].queued = false
 	}
 	b.queued = b.queued[:0]
 
@@ -396,4 +412,33 @@ func (w *World) Snapshot() *Snapshot {
 	}
 	b.last = snap
 	return snap
+}
+
+// encodeCar returns slot s's cell entry for this build. A car that stayed
+// visible and whose ring took exactly one write since its last encode gains
+// one projected point on its chunk. A full chunk is renewed from the ring;
+// so is anything else (newly visible, a new session in a recycled slot, a
+// skipped build), at an offset staggered by slot so that the fleet's
+// renewals spread over builds. The newest point is always the car's
+// position: record wrote it last.
+func (w *World) encodeCar(s int32) snapCar {
+	f, sl := &w.fleet, &w.snap.slots[s]
+	n := int(f.pathN[s])
+	one := sl.hist != nil && f.pathGen[s] == sl.gen+1
+	if !one || int(sl.end) == len(sl.hist.pts) {
+		sl.hist, sl.end = &carHist{id: f.session[s]}, 0
+		if !one {
+			sl.end = uint8(s % (pathLen + 1))
+		}
+		var ring [pathLen]geo.Point
+		for _, p := range f.pathPoints(s, ring[:0])[:n-1] {
+			sl.hist.pts[sl.end] = w.proj.ToLatLng(p)
+			sl.end++
+		}
+		w.snap.renewals++
+	}
+	sl.hist.pts[sl.end] = w.proj.ToLatLng(f.pos[s])
+	sl.end++
+	sl.gen = f.pathGen[s]
+	return snapCar{pos: f.pos[s], hist: sl.hist, slot: s, end: sl.end, n: uint8(n)}
 }

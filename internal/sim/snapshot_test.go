@@ -3,6 +3,8 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -17,6 +19,36 @@ func snapshotWorld(t testing.TB, seed int64) *World {
 	return w
 }
 
+// requireSnapshotMatchesWorld asks s and the live world it was just taken
+// from the same questions at n random points: AreaOf, and every product's
+// EWT and NearestCars, which must agree exactly.
+func requireSnapshotMatchesWorld(t *testing.T, w *World, s *Snapshot, rng *rand.Rand, n int) {
+	t.Helper()
+	if s.Now != w.Now() {
+		t.Fatalf("snapshot Now = %d, world Now = %d", s.Now, w.Now())
+	}
+	r := w.Profile().Region
+	for q := 0; q < n; q++ {
+		p := geo.Point{
+			X: r.Min.X + rng.Float64()*r.Width(),
+			Y: r.Min.Y + rng.Float64()*r.Height(),
+		}
+		if got, want := s.AreaOf(p), AreaOf(w.Areas(), p); got != want {
+			t.Fatalf("AreaOf(%v) = %d, brute force = %d", p, got, want)
+		}
+		for _, vt := range core.AllVehicleTypes() {
+			if got, want := s.EWT(vt, p), w.EWT(vt, p); got != want {
+				t.Fatalf("EWT(%v, %v) = %v, world = %v", vt, p, got, want)
+			}
+			got := s.NearestCars(vt, p, core.MaxVisibleCars)
+			want := w.NearestCars(vt, p, core.MaxVisibleCars)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("NearestCars(%v, %v):\n snapshot %+v\n world    %+v", vt, p, got, want)
+			}
+		}
+	}
+}
+
 // The snapshot must answer NearestCars/EWT/AreaOf exactly as the live
 // world does at the tick it was taken.
 func TestSnapshotMatchesLiveWorld(t *testing.T) {
@@ -24,33 +56,67 @@ func TestSnapshotMatchesLiveWorld(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for tick := 0; tick < 20; tick++ {
 		w.Step()
-		s := w.Snapshot()
-		if s.Now != w.Now() {
-			t.Fatalf("snapshot Now = %d, world Now = %d", s.Now, w.Now())
+		requireSnapshotMatchesWorld(t, w, w.Snapshot(), rng, 25)
+	}
+}
+
+// recycleIdleSlot ends a random idle session and logs a new driver on in
+// its place; the LIFO free list hands the newcomer the same slot.
+func recycleIdleSlot(t *testing.T, w *World, rng *rand.Rand) {
+	t.Helper()
+	f := &w.fleet
+	for i, start := 0, rng.Intn(f.high); i < f.high; i++ {
+		s := int32((start + i) % f.high)
+		if !f.live[s] || DriverState(f.state[s]) != StateIdle {
+			continue
 		}
-		r := w.Profile().Region
-		for q := 0; q < 25; q++ {
-			p := geo.Point{
-				X: r.Min.X + rng.Float64()*r.Width(),
-				Y: r.Min.Y + rng.Float64()*r.Height(),
-			}
-			if got, want := s.AreaOf(p), AreaOf(w.Areas(), p); got != want {
-				t.Fatalf("AreaOf(%v) = %d, brute force = %d", p, got, want)
-			}
-			for _, vt := range []core.VehicleType{core.UberX, core.UberBLACK, core.UberPOOL} {
-				if got, want := s.EWT(vt, p), w.EWT(vt, p); got != want {
-					t.Fatalf("EWT(%v, %v) = %v, world = %v", vt, p, got, want)
+		vt := core.VehicleType(f.typ[s])
+		w.removeSlot(s)
+		if got := w.addDriver(vt, w.samplePlace()); got != s {
+			t.Fatalf("new session landed in slot %d, want the freed slot %d", got, s)
+		}
+		return
+	}
+	t.Fatal("no idle car to recycle")
+}
+
+// Every tick of TestSnapshotMatchesLiveWorld is followed by a build, so it
+// only ever extends each history chunk by one point. Here builds come every
+// 1-7 ticks and sessions are replaced inside their slot — mid-window, and
+// between two builds with no tick at all — so re-seeding, chunk renewal and
+// the pathGen bookkeeping are all held to the from-scratch World answers.
+func TestSnapshotAnyCadenceAndSlotReuse(t *testing.T) {
+	for _, roads := range []bool{false, true} {
+		name := "euclid"
+		if roads {
+			name = "road"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := Manhattan()
+			p.RoadNetwork = roads
+			w := NewWorld(Config{Profile: p, Seed: 11, StartTime: 8 * 3600, Workers: 1})
+			rng := rand.New(rand.NewSource(5))
+			builds, next := 0, 0
+			for tick := 0; tick < 640; tick++ {
+				if rng.Intn(8) == 0 {
+					recycleIdleSlot(t, w, rng)
 				}
-				got := s.NearestCars(vt, p, core.MaxVisibleCars)
-				want := w.NearestCars(vt, p, core.MaxVisibleCars)
-				if len(got) == 0 && len(want) == 0 {
+				w.Step()
+				if tick < next {
 					continue
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("NearestCars(%v, %v):\n snapshot %+v\n world    %+v", vt, p, got, want)
+				next = tick + 1 + rng.Intn(7)
+				requireSnapshotMatchesWorld(t, w, w.Snapshot(), rng, 25)
+				if rng.Intn(4) == 0 {
+					recycleIdleSlot(t, w, rng)
+					requireSnapshotMatchesWorld(t, w, w.Snapshot(), rng, 25)
 				}
+				builds++
 			}
-		}
+			if builds < 100 {
+				t.Fatalf("only %d builds in 640 ticks", builds)
+			}
+		})
 	}
 }
 
@@ -66,23 +132,94 @@ func TestSnapshotIdleCarCounts(t *testing.T) {
 	}
 }
 
-// A snapshot keeps answering identically after the world moves on — the
-// frozen views must not alias mutable driver state.
+// allViews returns a deep copy of every car view the snapshot can serve,
+// read through the public query path, plus each product's EWT at center.
+func allViews(s *Snapshot) ([][]core.CarView, []float64) {
+	center := s.Region.Center()
+	var views [][]core.CarView
+	var ewts []float64
+	for _, vt := range core.AllVehicleTypes() {
+		cars := s.NearestCars(vt, center, s.IdleCars(vt))
+		for i := range cars {
+			cars[i].Path = append([]geo.LatLng(nil), cars[i].Path...)
+		}
+		views = append(views, cars)
+		ewts = append(ewts, s.EWT(vt, center))
+	}
+	return views, ewts
+}
+
+// Published epochs keep answering identically while the world moves on and
+// later epochs are built: the builder appends to history chunks that held
+// epochs still window into, so an append landing inside a published window
+// would show here as a changed view (and, under -race, as a data race with
+// the readers). Epochs N, N+1 and N+5 are held across more than three chunk
+// periods of further builds.
 func TestSnapshotImmutableAcrossSteps(t *testing.T) {
 	w := snapshotWorld(t, 7)
-	s := w.Snapshot()
-	p := w.Profile().Region.Center()
-	before := s.NearestCars(core.UberX, p, 8)
-	ewtBefore := s.EWT(core.UberX, p)
-	for i := 0; i < 50; i++ {
+	type heldEpoch struct {
+		s     *Snapshot
+		views [][]core.CarView
+		ewts  []float64
+	}
+	var held []heldEpoch
+	for i := 0; i <= 5; i++ {
 		w.Step()
+		if s := w.Snapshot(); i == 0 || i == 1 || i == 5 {
+			views, ewts := allViews(s)
+			held = append(held, heldEpoch{s, views, ewts})
+		}
 	}
-	after := s.NearestCars(core.UberX, p, 8)
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("snapshot answers changed after the world stepped")
+	unchanged := func() bool {
+		for _, h := range held {
+			views, ewts := allViews(h.s)
+			if !reflect.DeepEqual(views, h.views) || !reflect.DeepEqual(ewts, h.ewts) {
+				return false
+			}
+		}
+		return true
 	}
-	if got := s.EWT(core.UberX, p); got != ewtBefore {
-		t.Fatalf("snapshot EWT changed after steps: %v -> %v", ewtBefore, got)
+
+	const readers = 2
+	var passes [readers]atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !unchanged() {
+					t.Error("a held epoch's answers changed under a concurrent reader")
+					return
+				}
+				passes[r].Add(1)
+			}
+		}(r)
+	}
+	// At least four chunk periods of builds, and until every reader has
+	// re-read the held epochs several times while builds were going on.
+	readersDone := func() bool {
+		for r := range passes {
+			if passes[r].Load() < 3 {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; (i < 4*(pathLen+1) || !readersDone()) && !t.Failed(); i++ {
+		w.Step()
+		w.Snapshot()
+	}
+	close(stop)
+	wg.Wait()
+	if !unchanged() {
+		t.Fatal("a held epoch's answers changed after the world stepped")
 	}
 }
 

@@ -246,6 +246,8 @@ var phaseLabelSets = func() [numPhases]pprof.LabelSet {
 //	sim_time_seconds            simulation clock
 //	sim_pickups_total           fulfilled requests
 //	sim_requests_priced_out_total / sim_requests_unmet_total  lost demand
+//	sim_snapshot_{cars_reencoded,history_renewals,cells_rebuilt}_total  what
+//	Snapshot builds redid: cars, fresh history chunks for them, grid cells
 func (w *World) Instrument(reg *obs.Registry) {
 	w.hStep = reg.Histogram("sim_step_duration_seconds", nil)
 	for i := range w.hPhase {
@@ -259,6 +261,9 @@ func (w *World) Instrument(reg *obs.Registry) {
 	w.lastPickups = w.TotalPickups
 	w.lastPricedOut = w.TotalPricedOut
 	w.lastUnmet = w.TotalUnmet
+	w.snap.mCars = reg.Counter("sim_snapshot_cars_reencoded_total")
+	w.snap.mRenewals = reg.Counter("sim_snapshot_history_renewals_total")
+	w.snap.mCells = reg.Counter("sim_snapshot_cells_rebuilt_total")
 }
 
 // CommissionRate is Uber's share of each fare (§2).
