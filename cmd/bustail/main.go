@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -26,17 +27,38 @@ import (
 )
 
 func main() {
-	busDir := flag.String("bus", "", "bus directory (required)")
-	topic := flag.String("topic", bus.TopicCars, "topic to follow")
-	asJSON := flag.Bool("json", false, "print events as JSON lines")
-	maxN := flag.Int("n", 0, "stop after this many events (0 = until interrupted)")
-	poll := flag.Duration("poll", 200*time.Millisecond, "idle poll interval")
-	surgeMap := flag.Bool("surgemap", false, "render the live surge map from surge.changes instead of raw events")
-	areas := flag.Int("areas", 6, "number of surge areas (with -surgemap)")
-	flag.Parse()
-	if *busDir == "" {
-		fmt.Fprintln(os.Stderr, "usage: bustail -bus DIR [-topic NAME] [-json] [-n N] | -surgemap [-areas N]")
-		os.Exit(2)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run follows the topic until ctx is cancelled or -n events were seen and
+// returns the exit code: 0, 1 when the topic cannot be opened, 2 for a
+// command line it rejects.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bustail", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	busDir := fs.String("bus", "", "bus directory (required)")
+	topic := fs.String("topic", bus.TopicCars, "topic to follow")
+	asJSON := fs.Bool("json", false, "print events as JSON lines")
+	maxN := fs.Int("n", 0, "stop after this many events (0 = until interrupted)")
+	poll := fs.Duration("poll", 200*time.Millisecond, "idle poll interval")
+	surgeMap := fs.Bool("surgemap", false, "render the live surge map from surge.changes instead of raw events")
+	areas := fs.Int("areas", 6, "number of surge areas (with -surgemap)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch {
+	case *busDir == "":
+		fmt.Fprintln(stderr, "usage: bustail -bus DIR [-topic NAME] [-json] [-n N] | -surgemap [-areas N]")
+		return 2
+	case *poll <= 0:
+		// time.After(0) would turn the idle wait into a busy spin.
+		fmt.Fprintf(stderr, "bustail: -poll must be > 0 (got %s)\n", *poll)
+		return 2
+	case *surgeMap && *areas <= 0:
+		fmt.Fprintf(stderr, "bustail: -areas must be > 0 (got %d)\n", *areas)
+		return 2
 	}
 	if *surgeMap {
 		*topic = bus.TopicSurge
@@ -44,19 +66,16 @@ func main() {
 
 	tail, err := bus.OpenTail(*busDir, *topic)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer tail.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	var lt *surgemap.LiveTail
 	if *surgeMap {
 		lt = surgemap.NewLiveTail(*areas)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	seen := 0
 	var buf []bus.Event
 	for ctx.Err() == nil && (*maxN == 0 || seen < *maxN) {
@@ -81,7 +100,7 @@ func main() {
 					"num": ev.Num, "str": ev.Str, "data_len": len(ev.Data),
 				})
 			default:
-				fmt.Printf("%d/%-6d t=%-8d %-14s key=%s area=%d num=%g str=%q data=%dB\n",
+				fmt.Fprintf(stdout, "%d/%-6d t=%-8d %-14s key=%s area=%d num=%g str=%q data=%dB\n",
 					ev.Part, ev.Seq, ev.Time, ev.Kind, ev.Key, ev.Area, ev.Num, ev.Str, len(ev.Data))
 			}
 			if *maxN > 0 && seen >= *maxN {
@@ -89,7 +108,8 @@ func main() {
 			}
 		}
 		if redraw {
-			fmt.Print(lt.ASCII())
+			fmt.Fprint(stdout, lt.ASCII())
 		}
 	}
+	return 0
 }

@@ -1,0 +1,79 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/bus"
+)
+
+func TestRun(t *testing.T) {
+	const n = 7
+	dir := t.TempDir()
+	b, err := bus.Open(dir, bus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	tp, err := b.Topic(bus.TopicCars, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n+3; i++ { // more than -n asks for: it must stop at n
+		if err := tp.Publish(bus.Event{Time: int64(i), Kind: bus.KindDriverSpawn, Key: "c" + string(rune('a'+i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		lines  int    // JSON lines on stdout
+		stderr string // substring
+	}{
+		{"missing -bus", nil, 2, 0, "usage: bustail -bus DIR"},
+		{"unknown flag", []string{"-no-such-flag"}, 2, 0, "flag provided but not defined"},
+		// -poll 0 used to spin a core through time.After(0).
+		{"zero poll", []string{"-bus", dir, "-poll", "0"}, 2, 0, "-poll must be > 0"},
+		{"surgemap without areas", []string{"-bus", dir, "-surgemap", "-areas", "0"}, 2, 0, "-areas must be > 0"},
+		{"no such topic", []string{"-bus", dir, "-topic", "nope"}, 1, 0, "no such file"},
+		{"live", []string{"-bus", dir, "-n", "7", "-json", "-poll", "5ms"}, 0, n, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			var stdout, stderr bytes.Buffer
+			if code := run(ctx, c.args, &stdout, &stderr); code != c.code {
+				t.Errorf("exit %d, want %d (stderr: %s)", code, c.code, &stderr)
+			}
+			if ctx.Err() != nil {
+				t.Error("run did not stop by itself")
+			}
+			if !strings.Contains(stderr.String(), c.stderr) {
+				t.Errorf("stderr %q lacks %q", &stderr, c.stderr)
+			}
+			var lines []string
+			if stdout.Len() > 0 {
+				lines = strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+			}
+			if len(lines) != c.lines {
+				t.Fatalf("stdout has %d lines, want %d:\n%s", len(lines), c.lines, &stdout)
+			}
+			for _, l := range lines {
+				var ev struct{ Kind, Key string }
+				if err := json.Unmarshal([]byte(l), &ev); err != nil || ev.Kind != bus.KindDriverSpawn.String() || ev.Key == "" {
+					t.Errorf("line %q: err %v, want a %s event with a key", l, err, bus.KindDriverSpawn)
+				}
+			}
+		})
+	}
+}

@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -44,25 +45,38 @@ func cityOrigin(name string) (geo.LatLng, error) {
 	return p.Origin, nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one invocation and returns the exit code: 0 on success, 1
+// when the run fails (or, with -fail-on-errors, leaves client-visible
+// errors), 2 for a command line it rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", "http://localhost:8080", "base URL of the uberd backend")
-		clients   = flag.Int("clients", 8, "concurrent synthetic clients")
-		duration  = flag.Duration("duration", 10*time.Second, "how long to generate load")
-		rate      = flag.Float64("rate", 0, "per-client request rate in req/s (0 = closed-loop max)")
-		city      = flag.String("city", "manhattan", "city profile whose center to query: manhattan or sf")
-		lat       = flag.Float64("lat", 0, "override query latitude")
-		lng       = flag.Float64("lng", 0, "override query longitude")
-		pingW     = flag.Int("ping-weight", 8, "pingClient share of the request mix")
-		priceW    = flag.Int("price-weight", 1, "estimates/price share of the request mix")
-		timeW     = flag.Int("time-weight", 1, "estimates/time share of the request mix")
-		citiesArg = flag.String("cities", "", "comma-separated cities for multi-city gateway mode (clients split round-robin; implies -gateway)")
-		gwMode    = flag.Bool("gateway", false, "target is an ubergate gateway: run multi-city (default cities sf,manhattan)")
-		asJSON    = flag.Bool("json", false, "emit the report as JSON on stdout (banner goes to stderr)")
-		noRetry   = flag.Bool("no-retry", false, "disable client retries/circuit breaking (report raw fault rates)")
-		failErrs  = flag.Bool("fail-on-errors", false, "exit 1 if any client-visible errors remain (chaos-smoke gate)")
+		addr      = fs.String("addr", "http://localhost:8080", "base URL of the uberd backend")
+		clients   = fs.Int("clients", 8, "concurrent synthetic clients")
+		duration  = fs.Duration("duration", 10*time.Second, "how long to generate load")
+		rate      = fs.Float64("rate", 0, "per-client request rate in req/s (0 = closed-loop max)")
+		city      = fs.String("city", "manhattan", "city profile whose center to query: manhattan or sf")
+		lat       = fs.Float64("lat", 0, "override query latitude")
+		lng       = fs.Float64("lng", 0, "override query longitude")
+		pingW     = fs.Int("ping-weight", 8, "pingClient share of the request mix")
+		priceW    = fs.Int("price-weight", 1, "estimates/price share of the request mix")
+		timeW     = fs.Int("time-weight", 1, "estimates/time share of the request mix")
+		citiesArg = fs.String("cities", "", "comma-separated cities for multi-city gateway mode (clients split round-robin; implies -gateway)")
+		gwMode    = fs.Bool("gateway", false, "target is an ubergate gateway: run multi-city (default cities sf,manhattan)")
+		asJSON    = fs.Bool("json", false, "emit the report as JSON on stdout (banner goes to stderr)")
+		noRetry   = fs.Bool("no-retry", false, "disable client retries/circuit breaking (report raw fault rates)")
+		failErrs  = fs.Bool("fail-on-errors", false, "exit 1 if any client-visible errors remain (chaos-smoke gate)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *pingW < 0 || *priceW < 0 || *timeW < 0 {
+		fmt.Fprintf(stderr, "loadgen: -ping-weight, -price-weight and -time-weight must be >= 0 (got %d:%d:%d)\n", *pingW, *priceW, *timeW)
+		return 2
+	}
 
 	var cities map[string]geo.LatLng
 	if *citiesArg != "" {
@@ -81,8 +95,8 @@ func main() {
 			}
 			origin, err := cityOrigin(name)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 			cities[name] = origin
 		}
@@ -92,15 +106,15 @@ func main() {
 	if *lat == 0 && *lng == 0 {
 		origin, err := cityOrigin(*city)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		loc = origin
 	}
 
-	banner := os.Stdout
+	banner := stdout
 	if *asJSON {
-		banner = os.Stderr // keep stdout pure JSON for pipelines
+		banner = stderr // keep stdout pure JSON for pipelines
 	}
 	if *gwMode {
 		names := make([]string, 0, len(cities))
@@ -127,21 +141,22 @@ func main() {
 		NoRetry:     *noRetry,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *asJSON {
 		out, err := report.JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("%s\n", out)
+		fmt.Fprintf(stdout, "%s\n", out)
 	} else {
-		fmt.Print(report.String())
+		fmt.Fprint(stdout, report.String())
 	}
 	if *failErrs && report.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: %d client-visible errors (want 0)\n", report.Errors)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "loadgen: %d client-visible errors (want 0)\n", report.Errors)
+		return 1
 	}
+	return 0
 }

@@ -63,7 +63,7 @@ func (c *Config) defaults() {
 	if c.Duration <= 0 {
 		c.Duration = 5 * time.Second
 	}
-	if c.PingWeight <= 0 && c.PriceWeight <= 0 && c.TimeWeight <= 0 {
+	if c.PingWeight == 0 && c.PriceWeight == 0 && c.TimeWeight == 0 {
 		c.PingWeight, c.PriceWeight, c.TimeWeight = 8, 1, 1
 	}
 	if c.Registry == nil {
@@ -180,6 +180,11 @@ var endpointNames = [3]string{"/pingClient", "/estimates/price", "/estimates/tim
 // cfg.Duration elapses, then reports throughput and per-endpoint latency
 // percentiles computed from the run's obs histograms.
 func Run(cfg Config) (*Report, error) {
+	if cfg.PingWeight < 0 || cfg.PriceWeight < 0 || cfg.TimeWeight < 0 {
+		// A negative share would skew the mix, or zero the modulus below.
+		return nil, fmt.Errorf("loadgen: negative request-mix weight in %d:%d:%d",
+			cfg.PingWeight, cfg.PriceWeight, cfg.TimeWeight)
+	}
 	cfg.defaults()
 	ropts := []api.RemoteOption{
 		api.WithRegistry(cfg.Registry),

@@ -147,6 +147,24 @@ func TestRunBadBaseURL(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeWeight: a negative share of the mix is refused
+// before any load is generated. 1:-1:0 sums to zero and used to panic every
+// client goroutine with an integer divide by zero; 8:-1:1 silently skewed
+// the mix.
+func TestRunRejectsNegativeWeight(t *testing.T) {
+	ts := httptest.NewServer(api.NewServer(api.NewBackend(sim.Manhattan(), 11, false)))
+	defer ts.Close()
+	for _, w := range [][3]int{{1, -1, 0}, {8, -1, 1}, {0, 0, -1}} {
+		_, err := Run(Config{
+			BaseURL: ts.URL, HTTPClient: ts.Client(), Clients: 2, Duration: 50 * time.Millisecond,
+			Loc: sim.Manhattan().Origin, PingWeight: w[0], PriceWeight: w[1], TimeWeight: w[2],
+		})
+		if err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("mix %v: err = %v, want a negative-weight error", w, err)
+		}
+	}
+}
+
 // TestRunAbsorbsChaos is the in-process version of the CI chaos smoke: the
 // backend is wrapped in the full uberd middleware chain with fault
 // injection enabled, and the resilient client must absorb every injected

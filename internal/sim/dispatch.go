@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -75,50 +77,15 @@ func (w *World) spawnArrivals(dt float64) {
 		w.spawnPlans = append(w.spawnPlans, spawnPlan{})
 	}
 	plans := w.spawnPlans[:n]
-	blocks := (n + spawnBlock - 1) / spawnBlock
-	if w.workers <= 1 || blocks <= 1 {
-		for i := range plans {
+	w.runShards((n+spawnBlock-1)/spawnBlock, func(b int) {
+		for i := b * spawnBlock; i < min((b+1)*spawnBlock, n); i++ {
 			w.buildSpawnPlan(i, &plans[i])
 		}
-	} else {
-		w.runShards(blocks, func(b int) {
-			lo := b * spawnBlock
-			hi := lo + spawnBlock
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				w.buildSpawnPlan(i, &plans[i])
-			}
-		})
-	}
-	f := &w.fleet
+	})
 	for i := range plans {
-		pl := &plans[i]
-		s := f.alloc()
-		f.id[s] = w.nextID
-		w.nextID++
-		f.session[s] = pl.session
-		f.typ[s] = pl.vt
-		f.pos[s] = pl.pos
-		f.state[s] = uint8(StateIdle)
-		f.pickup[s] = geo.Point{}
-		f.dest[s] = geo.Point{}
-		f.destDrop[s] = false
-		f.stops[s] = nil
-		f.poolRiders[s] = 0
-		f.priceFactor[s] = pl.factor
-		f.idleSince[s] = w.now
-		f.earned[s] = 0
-		f.offlineAt[s] = w.now + int64(pl.sessionSec)
-		f.cruiseTarget[s] = pl.cruiseTarget
-		f.cruiseUntil[s] = w.now + pl.cruiseDelta
-		f.resetPath(s)
-		f.resetRoute(s)
-		w.grids[pl.vt].Insert(s, pl.pos)
+		s := w.logon(&plans[i])
 		w.TotalSpawned++
-		w.markChanged(s)
-		w.emitSlot(bus.KindDriverSpawn, s, 0, core.VehicleType(pl.vt).String())
+		w.emitSlot(bus.KindDriverSpawn, s, 0, core.VehicleType(plans[i].vt).String())
 	}
 }
 
@@ -133,6 +100,12 @@ func (w *World) buildSpawnPlan(i int, pl *spawnPlan) {
 	if w.surgeWeight(alt) > w.surgeWeight(pos) {
 		pos = alt
 	}
+	w.drawLogon(rng, vt, pos, pl)
+}
+
+// drawLogon draws the logon state of a new session of the product at pos
+// from rng: session ID, pricing posture, session length, cruise plan.
+func (w *World) drawLogon(rng *rand.Rand, vt core.VehicleType, pos geo.Point, pl *spawnPlan) {
 	pl.vt = uint8(vt)
 	pl.pos = pos
 	pl.session = newSessionID(rng)
@@ -140,6 +113,36 @@ func (w *World) buildSpawnPlan(i int, pl *spawnPlan) {
 	pl.sessionSec = w.sessionLengthRand(rng, vt)
 	pl.cruiseTarget = w.samplePlaceRand(rng)
 	pl.cruiseDelta = int64(120 + rng.Intn(600))
+}
+
+// logon brings a drawn session online, idle at its position, and returns
+// its slot: the one place a new session's fleet columns are assigned.
+// Draw-free and serial, so slots are handed out in commit order.
+func (w *World) logon(pl *spawnPlan) int32 {
+	f := &w.fleet
+	s := f.alloc()
+	f.id[s] = w.nextID
+	w.nextID++
+	f.session[s] = pl.session
+	f.typ[s] = pl.vt
+	f.pos[s] = pl.pos
+	f.state[s] = uint8(StateIdle)
+	f.pickup[s] = geo.Point{}
+	f.dest[s] = geo.Point{}
+	f.destDrop[s] = false
+	f.stops[s] = nil
+	f.poolRiders[s] = 0
+	f.priceFactor[s] = pl.factor
+	f.idleSince[s] = w.now
+	f.earned[s] = 0
+	f.offlineAt[s] = w.now + int64(pl.sessionSec)
+	f.cruiseTarget[s] = pl.cruiseTarget
+	f.cruiseUntil[s] = w.now + pl.cruiseDelta
+	f.resetPath(s)
+	f.resetRoute(s)
+	w.grids[pl.vt].Insert(s, pl.pos)
+	w.markChanged(s)
+	return s
 }
 
 // dispatchCandK is how many phase-start nearest candidates each request
@@ -168,7 +171,7 @@ type subPlan struct {
 	candAll  bool // cand covers the product's whole idle set
 	ewtAll   bool // ewt covers the whole UberX idle set
 	cand     [dispatchCandK]slotDist
-	ewt      [dispatchCandK]slotDist
+	ewt      [dispatchCandK]int32 // nearest idle UberX slots: the wait is the mover's to estimate
 }
 
 // generateRequests spawns passenger demand at the current diurnal rate
@@ -217,25 +220,12 @@ func (w *World) generateRequests(dt float64) {
 	}
 	w.subPlans = subs
 
-	blocks := (len(subs) + dispatchBlock - 1) / dispatchBlock
-	if w.workers <= 1 || blocks <= 1 {
-		var buf []geo.SlotNeighbor
-		for i := range subs {
-			w.buildSubPlan(&subs[i], &buf)
+	w.runShards((len(subs)+dispatchBlock-1)/dispatchBlock, func(b int) {
+		var buf [dispatchCandK]geo.SlotNeighbor // exact for both queries, so it stays on the stack
+		for i := b * dispatchBlock; i < min((b+1)*dispatchBlock, len(subs)); i++ {
+			w.buildSubPlan(&subs[i], buf[:0])
 		}
-	} else {
-		w.runShards(blocks, func(b int) {
-			var buf []geo.SlotNeighbor
-			lo := b * dispatchBlock
-			hi := lo + dispatchBlock
-			if hi > len(subs) {
-				hi = len(subs)
-			}
-			for i := lo; i < hi; i++ {
-				w.buildSubPlan(&subs[i], &buf)
-			}
-		})
-	}
+	})
 	for i := range subs {
 		w.commitSub(&subs[i])
 	}
@@ -243,14 +233,14 @@ func (w *World) generateRequests(dt float64) {
 
 // buildSubPlan runs the request's grid queries against phase-start state.
 // Draw-free: safe to run on any worker in any order.
-func (w *World) buildSubPlan(sub *subPlan, buf *[]geo.SlotNeighbor) {
+func (w *World) buildSubPlan(sub *subPlan, buf []geo.SlotNeighbor) {
 	if sub.area >= 0 {
 		g := w.grids[int(core.UberX)]
 		sub.ewtAll = g.Len() <= dispatchCandK
-		*buf = g.KNearestInto(sub.pickup, dispatchCandK, *buf)
-		sub.ewtN = uint8(len(*buf))
-		for i, nbr := range *buf {
-			sub.ewt[i] = slotDist{slot: nbr.Slot, dist: nbr.Dist}
+		near := g.KNearestInto(sub.pickup, dispatchCandK, buf)
+		sub.ewtN = uint8(len(near))
+		for i, nbr := range near {
+			sub.ewt[i] = nbr.Slot
 		}
 	}
 	vt := core.VehicleType(sub.vt)
@@ -260,9 +250,9 @@ func (w *World) buildSubPlan(sub *subPlan, buf *[]geo.SlotNeighbor) {
 	}
 	g := w.grids[int(vt)]
 	sub.candAll = g.Len() <= dispatchCandK
-	*buf = g.KNearestInto(sub.pickup, dispatchCandK, *buf)
-	sub.candN = uint8(len(*buf))
-	for i, nbr := range *buf {
+	near := g.KNearestInto(sub.pickup, dispatchCandK, buf)
+	sub.candN = uint8(len(near))
+	for i, nbr := range near {
 		sub.cand[i] = slotDist{slot: nbr.Slot, dist: nbr.Dist}
 	}
 }
@@ -270,23 +260,15 @@ func (w *World) buildSubPlan(sub *subPlan, buf *[]geo.SlotNeighbor) {
 // commitEWT resolves the request's sampled UberX wait against drivers
 // booked by earlier requests this tick.
 func (w *World) commitEWT(sub *subPlan) float64 {
-	f := &w.fleet
-	for i := 0; i < int(sub.ewtN); i++ {
-		c := sub.ewt[i]
-		if DriverState(f.state[c.slot]) == StateIdle {
-			if w.road != nil {
-				return w.roadEWTFrom(f.pos[c.slot], sub.pickup)
-			}
-			return ewtFromDist(c.dist, w.now)
+	for _, slot := range sub.ewt[:sub.ewtN] {
+		if DriverState(w.fleet.state[slot]) == StateIdle {
+			return w.ewtFrom(slot, sub.pickup)
 		}
 	}
 	if !sub.ewtAll {
 		w.knnBuf = w.grids[int(core.UberX)].KNearestInto(sub.pickup, 1, w.knnBuf)
 		if len(w.knnBuf) > 0 {
-			if w.road != nil {
-				return w.roadEWTFrom(f.pos[w.knnBuf[0].Slot], sub.pickup)
-			}
-			return ewtFromDist(w.knnBuf[0].Dist, w.now)
+			return w.ewtFrom(w.knnBuf[0].Slot, sub.pickup)
 		}
 	}
 	return maxEWTSeconds
@@ -353,40 +335,9 @@ func (w *World) commitSub(sub *subPlan) {
 			price = f.priceFactor[slot]
 		}
 	default:
-		if w.road != nil {
-			// Centralized dispatch on streets: re-rank the straight-line
-			// top-k by congested road ETA (the radius cut stays
-			// straight-line, so the candidate set matches the euclidean
-			// mechanism's).
-			if cand, ok := w.roadPickCandidate(sub); ok {
-				slot = cand
-			}
-			price = 1
-			if vt.Surgeable() {
-				price = w.surgeWeight(pickup)
-			}
-			break
-		}
-		// Centralized dispatch: nearest idle car, if within range.
-		found := false
-		var fslot int32
-		var fdist float64
-		for i := 0; i < int(sub.candN); i++ {
-			c := sub.cand[i]
-			if DriverState(f.state[c.slot]) == StateIdle {
-				found, fslot, fdist = true, c.slot, c.dist
-				break
-			}
-		}
-		if !found && !sub.candAll {
-			w.knnBuf = w.grids[int(vt)].KNearestInto(pickup, 1, w.knnBuf)
-			if len(w.knnBuf) > 0 {
-				found, fslot, fdist = true, w.knnBuf[0].Slot, w.knnBuf[0].Dist
-			}
-		}
-		if found && fdist <= dispatchRadius {
-			slot = fslot
-		}
+		// Centralized dispatch: the quickest of the nearest idle cars
+		// within range.
+		slot = w.pickCandidate(sub)
 		price = 1
 		if vt.Surgeable() {
 			price = w.surgeWeight(pickup)
@@ -442,6 +393,48 @@ func (w *World) commitSub(sub *subPlan) {
 	w.emit(bus.KindTripDispatch, f.session[slot], area, price, vt.String())
 }
 
+// pickCandidate is centralized dispatch's choice: among up to refineK
+// still-idle straight-line-nearest candidates within the dispatch radius,
+// the one the movement model gets to the pickup soonest (ties: the
+// straight-line-nearest, since it is considered first), or -1. Runs in the
+// serial commit.
+func (w *World) pickCandidate(sub *subPlan) int32 {
+	f := &w.fleet
+	k := w.mv.refineK()
+	best := int32(-1)
+	var bestETA float64
+	consider := func(slot int32, dist float64) {
+		if dist > dispatchRadius {
+			return
+		}
+		_, eta := w.mv.trip(f.pos[slot], sub.pickup)
+		if best < 0 || eta < bestETA {
+			best, bestETA = slot, eta
+		}
+	}
+	n := 0
+	for i := 0; i < int(sub.candN) && n < k; i++ {
+		c := sub.cand[i]
+		if DriverState(f.state[c.slot]) != StateIdle {
+			continue
+		}
+		n++
+		consider(c.slot, c.dist)
+	}
+	if best < 0 && !sub.candAll {
+		// No in-radius candidate survived from the phase-start list — either
+		// earlier bookings this tick took them all, or the only idle entries
+		// left sit beyond the dispatch radius. Re-query the live grid.
+		// (Gating on n == 0 would skip the re-query whenever an
+		// out-of-radius idle candidate inflated the count.)
+		w.knnBuf = w.grids[sub.vt].KNearestInto(sub.pickup, k, w.knnBuf)
+		for _, nbr := range w.knnBuf {
+			consider(nbr.Slot, nbr.Dist)
+		}
+	}
+	return best
+}
+
 // poolMatchRadius is how close an in-progress POOL trip must pass for a
 // new rider to share it.
 const poolMatchRadius = 800.0
@@ -468,19 +461,6 @@ func (w *World) commitPoolJoin(sub *subPlan) bool {
 		return false
 	}
 	w.applyPoolJoin(cand, sub.pickup, sub.poolDest, int(sub.area))
-	return true
-}
-
-// joinPool tries to add a rider to an existing single-rider POOL trip
-// nearby, drawing the second drop-off from the world stream (the serial
-// entry point tests and scenario tooling use; in-tick dispatch goes
-// through commitPoolJoin with a pre-drawn drop-off).
-func (w *World) joinPool(pickup geo.Point, area int) bool {
-	cand := w.poolGrid.FirstWithin(pickup, poolMatchRadius)
-	if cand < 0 {
-		return false
-	}
-	w.applyPoolJoin(cand, pickup, w.samplePlace(), area)
 	return true
 }
 

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/road"
 )
 
 // The phase-parallel tick.
@@ -92,9 +90,7 @@ func (w *World) growMoveOps(shards int) {
 	for len(w.moveOps) < shards {
 		o := shardOps{stream: &shardStream{}}
 		o.rng = rand.New(o.stream)
-		if w.road != nil {
-			o.router = road.NewRouter(w.road.Graph)
-		}
+		o.mv = w.mv.forShard()
 		w.moveOps = append(w.moveOps, o)
 	}
 }

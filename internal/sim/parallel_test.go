@@ -98,8 +98,8 @@ func worldHash(w *World) uint64 {
 			f.int(int(v))
 		}
 	}
-	if w.road != nil {
-		for _, v := range w.road.Cong.Factors() {
+	if net := w.Road(); net != nil {
+		for _, v := range net.Cong.Factors() {
 			f.f64(v)
 		}
 	}

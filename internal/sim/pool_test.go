@@ -17,6 +17,14 @@ func poolProfile() *CityProfile {
 	return p
 }
 
+// poolRequest plans one POOL request at pickup outside any surge area, the
+// way the dispatch precompute would.
+func poolRequest(w *World, pickup geo.Point) *subPlan {
+	sub := &subPlan{pickup: pickup, poolDest: w.samplePlaceRand(w.rng), area: -1, vt: uint8(core.UberPOOL)}
+	w.buildSubPlan(sub, nil)
+	return sub
+}
+
 func TestPoolJoinsHappen(t *testing.T) {
 	w := NewWorld(Config{Profile: poolProfile(), Seed: 3})
 	w.Run(6 * 3600)
@@ -76,7 +84,7 @@ func TestPoolJoinDivertsRoute(t *testing.T) {
 	}
 	oldDest := f.dest[target]
 	pickup := f.pos[target].Add(geo.Point{X: 50, Y: 50})
-	if !w.joinPool(pickup, -1) {
+	if !w.commitPoolJoin(poolRequest(w, pickup)) {
 		t.Fatal("join refused despite an eligible trip nearby")
 	}
 	if f.poolRiders[target] != 2 {
@@ -94,7 +102,7 @@ func TestPoolJoinRespectsRadius(t *testing.T) {
 	w := NewWorld(Config{Profile: poolProfile(), Seed: 7})
 	w.Run(600)
 	far := geo.Point{X: 99999, Y: 99999}
-	if w.joinPool(far, -1) {
+	if w.commitPoolJoin(poolRequest(w, far)) {
 		t.Error("joined a pool from outside the match radius")
 	}
 }

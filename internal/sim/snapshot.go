@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
-	"repro/internal/road"
 )
 
 // Snapshot is an immutable view of the world at the end of one tick,
@@ -43,17 +42,8 @@ type Snapshot struct {
 	areaIdx  *geo.AreaIndex
 	products [core.NumVehicleTypes]productCells
 
-	// road freezes the street network's congestion for road-mode worlds:
-	// the graph is immutable and shared, the factor table is a per-tick
-	// clone, so EWT and trip estimates served from the snapshot are
-	// unaffected by later congestion commits. Nil on euclidean worlds.
-	road *snapRoad
-}
-
-// snapRoad is the frozen road view of one snapshot.
-type snapRoad struct {
-	g       *road.Graph
-	factors []float64
+	// trip is the world's movement model frozen at Now (see mover.freeze).
+	trip tripFunc
 }
 
 // carHist is one car's projected path history, oldest first. It is
@@ -97,7 +87,7 @@ func (s *Snapshot) IdleCars(vt core.VehicleType) int {
 
 // EWT returns the estimated wait time in seconds for a product at a
 // location, computed exactly as World.EWT does: dispatch overhead plus
-// the street-grid travel time of the nearest idle car, capped at the
+// the movement model's drive time of the nearest idle car, capped at the
 // paper's observed 43-minute maximum.
 func (s *Snapshot) EWT(vt core.VehicleType, pos geo.Point) float64 {
 	var buf [1]snapNeighbor
@@ -105,13 +95,8 @@ func (s *Snapshot) EWT(vt core.VehicleType, pos geo.Point) float64 {
 	if len(near) == 0 {
 		return maxEWTSeconds
 	}
-	if s.road != nil {
-		rt := s.road.g.AcquireRouter()
-		t := roadEWT(s.road.g, rt, s.road.factors, near[0].car.pos, pos)
-		s.road.g.ReleaseRouter(rt)
-		return t
-	}
-	return ewtFromDist(near[0].dist, s.Now)
+	_, sec := s.trip(near[0].car.pos, pos)
+	return ewtOf(sec)
 }
 
 // NearestCars returns up to k idle cars of the product nearest to pos as
@@ -398,11 +383,7 @@ func (w *World) Snapshot() *Snapshot {
 		Region:  w.profile.Region,
 		Proj:    w.proj,
 		areaIdx: w.areaIndex,
-	}
-	if w.road != nil {
-		// Fresh clone per snapshot: published snapshots stay immutable
-		// across later congestion commits.
-		snap.road = &snapRoad{g: w.road.Graph, factors: w.road.Cong.CloneFactors(nil)}
+		trip:    w.mv.freeze(),
 	}
 	for vt := range snap.products {
 		pc := geom

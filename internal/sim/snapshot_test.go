@@ -72,7 +72,7 @@ func recycleIdleSlot(t *testing.T, w *World, rng *rand.Rand) {
 		}
 		vt := core.VehicleType(f.typ[s])
 		w.removeSlot(s)
-		if got := w.addDriver(vt, w.samplePlace()); got != s {
+		if got := w.addDriver(vt, w.samplePlaceRand(w.rng)); got != s {
 			t.Fatalf("new session landed in slot %d, want the freed slot %d", got, s)
 		}
 		return

@@ -66,7 +66,7 @@ type WindowStats struct {
 	LatentDemand int     // quantity demanded incl. priced-out + unfulfilled
 	PricedOut    int     // requests abandoned due to surge
 	Unfulfilled  int     // requests with no reachable driver
-	EWTSum       float64 // Σ UberX EWT sampled at the area centroid
+	EWTSum       float64 // Σ UberX EWT sampled at each request's pickup point
 	EWTN         int
 }
 
@@ -189,11 +189,10 @@ type World struct {
 	spawnPlans []spawnPlan
 	knnBuf     []geo.SlotNeighbor
 
-	// road is the street network when road movement is active (see
-	// road.go): roadRouter serves the serial phases (dispatch, fares,
-	// EWT); each movement shard carries its own in its shardOps.
-	road       *road.Network
-	roadRouter *road.Router
+	// mv is the movement model (see mover.go), chosen once in NewWorld. It
+	// serves the serial phases (dispatch, fares, EWT); each movement shard
+	// carries a fork of it in its shardOps.
+	mv mover
 
 	// snap is the incremental snapshot builder (see snapshot.go).
 	snap snapBuilder
@@ -338,9 +337,9 @@ func NewWorld(cfg Config) *World {
 		w.workers = runtime.GOMAXPROCS(0)
 	}
 	w.moveFn = w.moveShard
-	w.road = cfg.Road
-	if w.road != nil {
-		w.roadRouter = road.NewRouter(w.road.Graph)
+	w.mv = plane{w}
+	if cfg.Road != nil {
+		w.mv = newStreet(w, cfg.Road)
 	}
 	// The area raster is 4× finer than the driver grid: every driver pays
 	// an area lookup per tick in the stats pass, and only raster cells a
@@ -381,7 +380,7 @@ func NewWorld(cfg Config) *World {
 	for i := 0; i < target; i++ {
 		s := w.spawnDriver()
 		// Spread remaining session time as if drivers came online earlier.
-		elapsed := int64(w.rng.Float64() * w.sessionLength(core.VehicleType(f.typ[s])))
+		elapsed := int64(w.rng.Float64() * w.sessionLengthRand(w.rng, core.VehicleType(f.typ[s])))
 		f.offlineAt[s] -= elapsed
 		if f.offlineAt[s] <= w.now {
 			f.offlineAt[s] = w.now + int64(w.rng.Float64()*w.meanSessionSec*0.5) + 60
@@ -501,13 +500,8 @@ func StreetSpeed(t int64) float64 {
 	}
 }
 
-// sessionLength draws a session length in seconds for a product from the
-// world stream; luxury products (BLACK, SUV) run longer sessions, as
-// Fig 7 shows.
-func (w *World) sessionLength(vt core.VehicleType) float64 {
-	return w.sessionLengthRand(w.rng, vt)
-}
-
+// sessionLengthRand draws a session length in seconds for a product;
+// luxury products (BLACK, SUV) run longer sessions, as Fig 7 shows.
 func (w *World) sessionLengthRand(rng *rand.Rand, vt core.VehicleType) float64 {
 	mean := w.meanSessionSec
 	if vt == core.UberBLACK || vt == core.UberSUV {
@@ -517,11 +511,7 @@ func (w *World) sessionLengthRand(rng *rand.Rand, vt core.VehicleType) float64 {
 	return mean * math.Exp(rng.NormFloat64()*0.7)
 }
 
-// sampleShare picks an index from a cumulative share vector.
-func (w *World) sampleShare(cdf []float64) int {
-	return sampleShareRand(w.rng, cdf)
-}
-
+// sampleShareRand picks an index from a cumulative share vector.
 func sampleShareRand(rng *rand.Rand, cdf []float64) int {
 	u := rng.Float64()
 	for i, c := range cdf {
@@ -532,11 +522,9 @@ func sampleShareRand(rng *rand.Rand, cdf []float64) int {
 	return len(cdf) - 1
 }
 
-// samplePlace draws a location from the hotspot mixture (75%) or uniformly
-// from the region (25%), clamped into the region. The serial phases draw
-// from the world stream; shard workers pass their own stream.
-func (w *World) samplePlace() geo.Point { return w.samplePlaceRand(w.rng) }
-
+// samplePlaceRand draws a location from the hotspot mixture (75%) or
+// uniformly from the region (25%), clamped into the region. The serial
+// phases pass the world stream; shard workers pass their own.
 func (w *World) samplePlaceRand(rng *rand.Rand) geo.Point {
 	r := w.profile.Region
 	if len(w.profile.Hotspots) == 0 || rng.Float64() < 0.25 {
@@ -554,44 +542,22 @@ func (w *World) samplePlaceRand(rng *rand.Rand) geo.Point {
 }
 
 // addDriver registers a fresh online session of the product at pos,
-// drawing the full logon state — session ID, pricing posture, session
-// length, cruise plan — from the world stream, and returns its slot.
+// drawing its logon state from the world stream, and returns its slot.
 // Both seed spawns and suspended-driver resumes go through here, so a
 // resumed driver gets the same PriceFactor/idleSince initialization as
 // any new logon.
 func (w *World) addDriver(vt core.VehicleType, pos geo.Point) int32 {
-	f := &w.fleet
-	s := f.alloc()
-	f.id[s] = w.nextID
-	w.nextID++
-	f.session[s] = newSessionID(w.rng)
-	f.typ[s] = uint8(vt)
-	f.pos[s] = pos
-	f.state[s] = uint8(StateIdle)
-	f.pickup[s] = geo.Point{}
-	f.dest[s] = geo.Point{}
-	f.destDrop[s] = false
-	f.stops[s] = nil
-	f.poolRiders[s] = 0
-	f.priceFactor[s] = clampFactor(1 + 0.2*w.rng.NormFloat64())
-	f.idleSince[s] = w.now
-	f.earned[s] = 0
-	f.offlineAt[s] = w.now + int64(w.sessionLength(vt))
-	f.cruiseTarget[s] = w.samplePlace()
-	f.cruiseUntil[s] = w.now + int64(120+w.rng.Intn(600))
-	f.resetPath(s)
-	f.resetRoute(s)
-	w.grids[int(vt)].Insert(s, pos)
-	w.markChanged(s)
-	return s
+	var pl spawnPlan
+	w.drawLogon(w.rng, vt, pos, &pl)
+	return w.logon(&pl)
 }
 
 // spawnDriver brings a new driver online from the world stream (used by
 // NewWorld's seed population; steady-state arrivals go through the
 // parallel spawnArrivals) and returns its slot.
 func (w *World) spawnDriver() int32 {
-	vt := core.VehicleType(w.sampleShare(w.fleetCDF))
-	s := w.addDriver(vt, w.samplePlace())
+	vt := core.VehicleType(sampleShareRand(w.rng, w.fleetCDF))
+	s := w.addDriver(vt, w.samplePlaceRand(w.rng))
 	w.TotalSpawned++
 	return s
 }
@@ -648,7 +614,7 @@ func (w *World) Step() {
 		phaseStart = w.observePhase(phaseDispatch, phaseStart)
 	}
 	pprof.Do(ctx, phaseLabelSets[phaseStats], func(context.Context) {
-		w.roadTally()
+		w.mv.tally()
 		w.accumulateStats()
 		w.expireShocks()
 	})
@@ -747,206 +713,6 @@ func (w *World) surgeWeight(p geo.Point) float64 {
 	return w.surgeCache[a]
 }
 
-// shardOps is one movement shard's private state: its RNG (rng draws
-// from stream, which shardRand re-keys every tick), its road router (nil
-// on euclidean worlds), and the buffer of deferred world mutations — grid
-// updates, joinable-POOL index updates, removals, and snapshot dirty
-// marks may not touch shared state from workers, so they queue here and
-// the commit loop applies them in (shard, index) order.
-type shardOps struct {
-	stream   *shardStream
-	rng      *rand.Rand
-	router   *road.Router
-	removals []int32 // drivers whose session ended this tick
-	moves    [core.NumVehicleTypes][]geo.SlotPoint
-	inserts  [core.NumVehicleTypes][]geo.SlotPoint // trip completions re-entering the map
-	poolIns  []geo.SlotPoint                       // trips becoming joinable
-	poolMove []geo.SlotPoint                       // joinable trips that moved
-	poolDel  []int32                               // trips no longer joinable
-	changed  []int32                               // idle cars whose wire view changed
-	dropoffs int64
-}
-
-func (o *shardOps) reset() {
-	o.removals = o.removals[:0]
-	for vt := range o.moves {
-		o.moves[vt] = o.moves[vt][:0]
-		o.inserts[vt] = o.inserts[vt][:0]
-	}
-	o.poolIns = o.poolIns[:0]
-	o.poolMove = o.poolMove[:0]
-	o.poolDel = o.poolDel[:0]
-	o.changed = o.changed[:0]
-	o.dropoffs = 0
-}
-
-// moveDrivers advances every driver's state machine by one tick.
-//
-// The phase is parallel over fixed slot-range shards: each shard mutates
-// only its own slots' columns and its private shardOps, drawing
-// randomness from the shard's (seed, tick, shard) stream. Everything the
-// shards index is sized here, serially, before the fan-out (growMoveOps).
-// The trailing commit applies grid moves, re-inserts, and
-// removals serially in shard order, so the world after the phase is
-// independent of worker count. With one worker the whole phase runs
-// inline and allocation-free: the RNGs, commit buffers, and grid cells
-// are all reused tick over tick.
-func (w *World) moveDrivers() {
-	shards := numShards(w.fleet.high)
-	w.growMoveOps(shards)
-	w.runShards(shards, w.moveFn)
-	f := &w.fleet
-	for s := 0; s < shards; s++ {
-		o := &w.moveOps[s]
-		w.TotalDropoffs += o.dropoffs
-		for vt := range o.moves {
-			w.grids[vt].MoveBatch(o.moves[vt])
-			w.grids[vt].InsertBatch(o.inserts[vt])
-		}
-		w.poolGrid.RemoveBatch(o.poolDel)
-		w.poolGrid.MoveBatch(o.poolMove)
-		w.poolGrid.InsertBatch(o.poolIns)
-		for vt := range o.inserts {
-			for _, ip := range o.inserts[vt] {
-				// A re-inserted driver just finished a trip; the commit loop
-				// runs serially in shard order, so emission order is stable.
-				w.markChanged(ip.Slot)
-				w.emitSlot(bus.KindTripComplete, ip.Slot, 0, core.VehicleType(vt).String())
-			}
-		}
-		for _, sl := range o.removals {
-			w.TotalOffline++
-			w.emitSlot(bus.KindDriverOffline, sl, 0, core.VehicleType(f.typ[sl]).String())
-			w.removeSlot(sl)
-		}
-		for _, sl := range o.changed {
-			w.markChanged(sl)
-		}
-	}
-}
-
-// moveShard runs one shard of the movement phase.
-func (w *World) moveShard(s int) {
-	dt := float64(w.cfg.TickSeconds)
-	speed := StreetSpeed(w.now)
-	o := &w.moveOps[s]
-	o.reset()
-	rng := w.shardRand(s)
-	lo, hi := shardBounds(s, w.fleet.high)
-	live := w.fleet.live
-	for i := lo; i < hi; i++ {
-		if !live[i] {
-			continue
-		}
-		w.moveOne(int32(i), dt, speed, rng, o.router, o)
-	}
-}
-
-// moveOne advances a single driver, queueing shared-state mutations in o.
-// It may only write the slot's own columns; everything else is deferred.
-func (w *World) moveOne(s int32, dt, speed float64, rng *rand.Rand, rt *road.Router, o *shardOps) {
-	f := &w.fleet
-	isPool := core.VehicleType(f.typ[s]) == core.UberPOOL
-	wasJoin := isPool && DriverState(f.state[s]) == StateOnTrip &&
-		f.poolRiders[s] == 1 && len(f.stops[s]) == 0 && f.destDrop[s]
-	switch DriverState(f.state[s]) {
-	case StateIdle:
-		if f.offlineAt[s] <= w.now {
-			o.removals = append(o.removals, s)
-			return // departed drivers don't extend their path
-		}
-		var moved bool
-		if w.road != nil {
-			moved = w.roadCruise(s, dt, rng, rt, o)
-		} else {
-			moved = w.cruise(s, dt, rng, o)
-		}
-		if f.record(s) || moved {
-			o.changed = append(o.changed, s)
-		}
-		return
-	case StateEnRoute:
-		if w.advance(s, f.pickup[s], dt, speed, rt) {
-			// Passenger boards; trip begins.
-			f.state[s] = uint8(StateOnTrip)
-		}
-	case StateOnTrip:
-		if w.advance(s, f.dest[s], dt, speed, rt) {
-			if f.destDrop[s] {
-				o.dropoffs++
-				if f.poolRiders[s] > 0 {
-					f.poolRiders[s]--
-				}
-			}
-			if st := f.stops[s]; len(st) > 0 {
-				// A shared POOL trip continues through its stop queue.
-				next := st[0]
-				f.stops[s] = st[1:]
-				f.dest[s] = next.Pos
-				f.destDrop[s] = next.Drop
-			} else {
-				f.poolRiders[s] = 0
-				if f.offlineAt[s] <= w.now {
-					if wasJoin {
-						o.poolDel = append(o.poolDel, s)
-					}
-					o.removals = append(o.removals, s)
-					return
-				}
-				f.state[s] = uint8(StateIdle)
-				f.idleSince[s] = w.now
-				f.cruiseTarget[s] = w.samplePlaceRand(rng)
-				f.cruiseUntil[s] = w.now + int64(120+rng.Intn(600))
-				o.inserts[f.typ[s]] = append(o.inserts[f.typ[s]], geo.SlotPoint{Slot: s, Pos: f.pos[s]})
-			}
-		}
-	}
-	f.record(s)
-	if isPool {
-		isJoin := DriverState(f.state[s]) == StateOnTrip &&
-			f.poolRiders[s] == 1 && len(f.stops[s]) == 0 && f.destDrop[s]
-		switch {
-		case wasJoin && isJoin:
-			o.poolMove = append(o.poolMove, geo.SlotPoint{Slot: s, Pos: f.pos[s]})
-		case wasJoin && !isJoin:
-			o.poolDel = append(o.poolDel, s)
-		case !wasJoin && isJoin:
-			o.poolIns = append(o.poolIns, geo.SlotPoint{Slot: s, Pos: f.pos[s]})
-		}
-	}
-}
-
-// cruise moves an idle driver toward its cruise target, re-rolling the
-// target when reached or expired, and reports whether the position moved.
-// Idle drivers drift toward hotspots most of the time, producing the
-// spatial skew in Figs 9 and 10.
-func (w *World) cruise(s int32, dt float64, rng *rand.Rand, o *shardOps) bool {
-	f := &w.fleet
-	if w.cfg.Pricing == PricingDriverSet && w.now-f.idleSince[s] > 1200 {
-		// No fare for 20 minutes: lower the asking price and keep
-		// waiting (lose-shift).
-		f.priceFactor[s] = clampFactor(f.priceFactor[s] - 0.1)
-		f.idleSince[s] = w.now
-	}
-	if w.now >= f.cruiseUntil[s] || geo.Dist(f.pos[s], f.cruiseTarget[s]) < 20 {
-		f.cruiseTarget[s] = w.samplePlaceRand(rng)
-		f.cruiseUntil[s] = w.now + int64(120+rng.Intn(600))
-	}
-	// Jittered heading toward the target.
-	v := f.cruiseTarget[s].Sub(f.pos[s])
-	n := v.Norm()
-	if n < 1 {
-		return false
-	}
-	step := idleSpeed * dt
-	move := v.Scale(step / n)
-	move.X += rng.NormFloat64() * step * 0.3
-	move.Y += rng.NormFloat64() * step * 0.3
-	f.pos[s] = w.profile.Region.Clamp(f.pos[s].Add(move))
-	o.moves[f.typ[s]] = append(o.moves[f.typ[s]], geo.SlotPoint{Slot: s, Pos: f.pos[s]})
-	return true
-}
-
 // settleFare charges the passenger the upfront fare for the trip estimate
 // and splits it between the driver (80%) and the platform (20%).
 // surgePriced marks trips that carry the dynamic price signal (surgeable
@@ -954,16 +720,8 @@ func (w *World) cruise(s int32, dt float64, rng *rand.Rand, o *shardOps) bool {
 // priced base + pip, with the driver keeping the entire pip on top of the
 // usual 80% of base — the Garg & Nazerzadeh payout structure.
 func (w *World) settleFare(slot int32, pickup, dest geo.Point, multiplier float64, area int, surgePriced bool) {
-	var meters, seconds float64
-	if w.road != nil {
-		// Upfront pricing on the actual street route under current
-		// congestion, not the flat detour factor.
-		meters, seconds = roadTripEstimate(w.road.Graph, w.roadRouter, w.road.Cong.Factors(), pickup, dest)
-		seconds += tripStopSeconds
-	} else {
-		meters = geo.Dist(pickup, dest) * manhattanFactor
-		seconds = meters/StreetSpeed(w.now) + tripStopSeconds
-	}
+	meters, seconds := w.mv.trip(pickup, dest)
+	seconds += tripStopSeconds
 	sched := w.fares[core.VehicleType(w.fleet.typ[slot])]
 	if w.pipOf != nil && surgePriced && area >= 0 {
 		base := sched.Fare(meters, seconds, 1)
@@ -1039,13 +797,7 @@ func (w *World) accumulateStats() {
 			}
 		}
 	}
-	if w.workers <= 1 || shards <= 1 {
-		for s := 0; s < shards; s++ {
-			tally(s)
-		}
-	} else {
-		w.runShards(shards, tally)
-	}
+	w.runShards(shards, tally)
 	for i := range w.areas {
 		var idle, busy int32
 		for s := 0; s < shards; s++ {
@@ -1070,27 +822,15 @@ func (w *World) ConsumeWindow(area int) WindowStats {
 // PeekWindow returns the accumulated stats without resetting them.
 func (w *World) PeekWindow(area int) WindowStats { return w.areaStats[area] }
 
-// ewtFromDist converts a nearest-car distance to the estimated wait time.
-func ewtFromDist(dist float64, now int64) float64 {
-	t := dispatchOverhead + dist*manhattanFactor/StreetSpeed(now)
-	if t > maxEWTSeconds {
-		t = maxEWTSeconds
-	}
-	return t
-}
-
 // EWT returns the estimated wait time in seconds for a product at a
-// location: dispatch overhead plus the street-grid travel time of the
+// location: dispatch overhead plus the movement model's drive time of the
 // nearest idle car, capped at the paper's observed 43-minute maximum.
 func (w *World) EWT(vt core.VehicleType, pos geo.Point) float64 {
 	w.knnBuf = w.grids[int(vt)].KNearestInto(pos, 1, w.knnBuf)
 	if len(w.knnBuf) == 0 {
 		return maxEWTSeconds
 	}
-	if w.road != nil {
-		return w.roadEWTFrom(w.fleet.pos[w.knnBuf[0].Slot], pos)
-	}
-	return ewtFromDist(w.knnBuf[0].Dist, w.now)
+	return w.ewtFrom(w.knnBuf[0].Slot, pos)
 }
 
 // NearestCars returns up to k idle cars of the product nearest to pos, as
