@@ -11,35 +11,30 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
-	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	"repro/internal/bus"
 	"repro/internal/measure"
 )
 
-func runFollow(busDir string, maxWindows int, poll time.Duration) int {
+func runFollow(ctx context.Context, busDir string, maxWindows int, poll time.Duration, stdout, stderr io.Writer) int {
 	var tails []*bus.Tailer
 	for _, topic := range []string{bus.TopicPings, bus.TopicCars} {
 		tl, err := bus.OpenTail(busDir, topic)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "warning: %v (topic skipped)\n", err)
+			fmt.Fprintf(stderr, "warning: %v (topic skipped)\n", err)
 			continue
 		}
 		defer tl.Close()
 		tails = append(tails, tl)
 	}
 	if len(tails) == 0 {
-		fmt.Fprintln(os.Stderr, "no tailable topics; is this a -bus directory?")
+		fmt.Fprintln(stderr, "no tailable topics; is this a -bus directory?")
 		return 1
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	a := measure.NewStreamAnalyzer(measure.StreamConfig{})
 	sealed := 0
@@ -56,7 +51,7 @@ func runFollow(busDir string, maxWindows int, poll time.Duration) int {
 		sort.SliceStable(batch, func(i, j int) bool { return batch[i].Time < batch[j].Time })
 		for _, ev := range batch {
 			if w := a.Feed(ev); w != nil {
-				fmt.Println(w)
+				fmt.Fprintln(stdout, w)
 				sealed++
 			}
 		}
@@ -68,24 +63,24 @@ func runFollow(busDir string, maxWindows int, poll time.Duration) int {
 		}
 	}
 	if w := a.Flush(); w != nil {
-		fmt.Printf("%s (partial)\n", w)
+		fmt.Fprintf(stdout, "%s (partial)\n", w)
 	}
 
 	surgeSupply, surgeEWT, surgeDemand, n := a.Correlations()
-	fmt.Printf("\n%d windows", n)
+	fmt.Fprintf(stdout, "\n%d windows", n)
 	if a.Late > 0 {
-		fmt.Printf(" (%d late events folded forward)", a.Late)
+		fmt.Fprintf(stdout, " (%d late events folded forward)", a.Late)
 	}
 	if a.Corrupt > 0 {
-		fmt.Printf(" (%d undecodable ping payloads skipped)", a.Corrupt)
+		fmt.Fprintf(stdout, " (%d undecodable ping payloads skipped)", a.Corrupt)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	printCorr := func(name string, r float64) {
 		if math.IsNaN(r) {
-			fmt.Printf("  corr(surge, %s): (degenerate)\n", name)
+			fmt.Fprintf(stdout, "  corr(surge, %s): (degenerate)\n", name)
 			return
 		}
-		fmt.Printf("  corr(surge, %s): %+.3f\n", name, r)
+		fmt.Fprintf(stdout, "  corr(surge, %s): %+.3f\n", name, r)
 	}
 	printCorr("supply", surgeSupply)
 	printCorr("EWT", surgeEWT)

@@ -23,10 +23,14 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/chart"
@@ -38,38 +42,59 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "recording file or tsdb directory (required unless -follow)")
-	from := flag.Int64("from", 0, "analyze observations at or after this campaign time (0 = start)")
-	to := flag.Int64("to", 0, "analyze observations before this campaign time (0 = end)")
-	follow := flag.Bool("follow", false, "stream live windows from a bus directory instead of replaying a store")
-	busDir := flag.String("bus", "", "bus directory to tail (with -follow; an uberd -bus DIR)")
-	windows := flag.Int("windows", 0, "with -follow: stop after this many sealed windows (0 = until interrupted)")
-	poll := flag.Duration("poll", 200*time.Millisecond, "with -follow: idle poll interval")
-	flag.Parse()
-	if *follow {
-		if *busDir == "" {
-			fmt.Fprintln(os.Stderr, "usage: analyze -follow -bus DIR [-windows N]")
-			os.Exit(2)
-		}
-		os.Exit(runFollow(*busDir, *windows, *poll))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run analyzes a store (or, with -follow, streams windows until ctx is
+// cancelled or -windows were sealed) and returns the exit code: 0, 1 when
+// the input cannot be read, 2 for a command line it rejects.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "recording file or tsdb directory (required unless -follow)")
+	from := fs.Int64("from", 0, "analyze observations at or after this campaign time (0 = start)")
+	to := fs.Int64("to", 0, "analyze observations before this campaign time (0 = end)")
+	follow := fs.Bool("follow", false, "stream live windows from a bus directory instead of replaying a store")
+	busDir := fs.String("bus", "", "bus directory to tail (with -follow; an uberd -bus DIR)")
+	windows := fs.Int("windows", 0, "with -follow: stop after this many sealed windows (0 = until interrupted)")
+	poll := fs.Duration("poll", 200*time.Millisecond, "with -follow: idle poll interval")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "usage: analyze -in campaign.jsonl.gz [-from T] [-to T]")
-		os.Exit(2)
+	switch {
+	case *follow && *busDir == "":
+		fmt.Fprintln(stderr, "usage: analyze -follow -bus DIR [-windows N]")
+		return 2
+	case *follow && *poll <= 0:
+		// time.After(0) would turn the idle wait into a busy spin.
+		fmt.Fprintf(stderr, "analyze: -poll must be > 0 (got %s)\n", *poll)
+		return 2
+	case *follow:
+		return runFollow(ctx, *busDir, *windows, *poll, stdout, stderr)
+	case *in == "":
+		fmt.Fprintln(stderr, "usage: analyze -in campaign.jsonl.gz [-from T] [-to T]")
+		return 2
+	case *to != 0 && *to <= *from:
+		fmt.Fprintf(stderr, "analyze: -to must be after -from (got -from %d -to %d)\n", *from, *to)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	// One pass over the header only; the data stream stays untouched until
 	// the replay below.
 	hdr, err := record.ReadHeaderPath(*in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	profile, err := sim.ProfileByName(hdr.City)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	areas := profile.SurgeAreas()
 	clientAreas := make([]int, len(hdr.Clients))
@@ -88,8 +113,7 @@ func main() {
 	// exactly; a gzip recording is bounded generously and trimmed later.
 	start, end := hdr.Start, hdr.Start+14*24*3600
 	if minT, maxT, ok, err := record.StoreBounds(*in); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	} else if ok {
 		start, end = minT, maxT+measure.Interval
 	}
@@ -108,36 +132,35 @@ func main() {
 
 	hdr2, rounds, err := record.ReplayPathRange(*in, lo, hi, ds)
 	if errors.Is(err, record.ErrTruncated) {
-		fmt.Fprintf(os.Stderr, "warning: %v; analyzing the %d rounds before the damage\n", err, rounds)
+		fmt.Fprintf(stderr, "warning: %v; analyzing the %d rounds before the damage\n", err, rounds)
 		err = nil
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	ds.Close()
 
-	fmt.Printf("recording: city=%s clients=%d rounds=%d\n", hdr2.City, len(hdr2.Clients), rounds)
-	printSeries(ds)
-	printDistributions(ds)
-	printSurgeAnalysis(ds, start, start+rounds*5)
-	printForecast(ds, start, start+rounds*5)
+	fmt.Fprintf(stdout, "recording: city=%s clients=%d rounds=%d\n", hdr2.City, len(hdr2.Clients), rounds)
+	printSeries(stdout, ds)
+	printDistributions(stdout, ds)
+	printSurgeAnalysis(stdout, ds, start, start+rounds*5)
+	printForecast(stdout, ds, start, start+rounds*5)
+	return 0
 }
 
-func printSeries(ds *measure.Dataset) {
-	fmt.Println("\nsupply / demand (per 5-minute interval):")
+func printSeries(w io.Writer, ds *measure.Dataset) {
+	fmt.Fprintln(w, "\nsupply / demand (per 5-minute interval):")
 	for _, vt := range measure.TrackedTypes {
-		s := mean(ds.SupplySeries(vt).Values)
-		d := mean(ds.DeathSeries(vt).Values)
-		fmt.Printf("  %-10s supply %.1f, deaths %.2f\n", vt, s, d)
+		fmt.Fprintf(w, "  %-10s supply %.1f, deaths %.2f\n", vt,
+			ds.SupplySeries(vt).Mean(), ds.DeathSeries(vt).Mean())
 	}
 	if supply := trimNaN(ds.SupplySeries(measure.TrackedTypes[0]).Values); len(supply) > 2 {
-		fmt.Println("\nUberX supply over the recording:")
-		fmt.Print(chart.Line(supply, 72, 9))
+		fmt.Fprintln(w, "\nUberX supply over the recording:")
+		fmt.Fprint(w, chart.Line(supply, 72, 9))
 	}
 	if surge := trimNaN(ds.SurgeSeries().Values); len(surge) > 2 {
-		fmt.Println("\nmean surge over the recording:")
-		fmt.Print(chart.Line(surge, 72, 9))
+		fmt.Fprintln(w, "\nmean surge over the recording:")
+		fmt.Fprint(w, chart.Line(surge, 72, 9))
 	}
 }
 
@@ -151,31 +174,31 @@ func trimNaN(xs []float64) []float64 {
 	return xs[:end]
 }
 
-func printDistributions(ds *measure.Dataset) {
+func printDistributions(w io.Writer, ds *measure.Dataset) {
 	if len(ds.EWTSamples) > 0 {
 		c := stats.NewCDF(toF64(ds.EWTSamples))
-		fmt.Printf("\nEWT minutes: median %.2f  p90 %.2f  P(≤4min) %.1f%%\n",
+		fmt.Fprintf(w, "\nEWT minutes: median %.2f  p90 %.2f  P(≤4min) %.1f%%\n",
 			c.Median(), c.Quantile(0.9), c.At(4)*100)
 	}
 	if len(ds.SurgeSamples) > 0 {
 		c := stats.NewCDF(toF64(ds.SurgeSamples))
-		fmt.Printf("surge: P(=1) %.1f%%  median %.2f  max %.1f\n",
+		fmt.Fprintf(w, "surge: P(=1) %.1f%%  median %.2f  max %.1f\n",
 			c.At(1)*100, c.Median(), c.Quantile(1))
 	}
 }
 
-func printSurgeAnalysis(ds *measure.Dataset, start, end int64) {
+func printSurgeAnalysis(w io.Writer, ds *measure.Dataset, start, end int64) {
 	var durations []float64
 	for _, log := range ds.Changes {
 		durations = append(durations, measure.SurgeDurations(log, 1, start, end)...)
 	}
 	if len(durations) > 0 {
 		c := stats.NewCDF(durations)
-		fmt.Printf("\nsurge durations: n=%d  P(<1min) %.1f%%  P(≤5min) %.1f%%  P(≤10min) %.1f%%\n",
+		fmt.Fprintf(w, "\nsurge durations: n=%d  P(<1min) %.1f%%  P(≤5min) %.1f%%  P(≤10min) %.1f%%\n",
 			len(durations), c.At(59)*100, c.At(300)*100, c.At(600)*100)
 	}
 	events := measure.ExtractJitter(ds.Changes)
-	fmt.Printf("jitter events: %d\n", len(events))
+	fmt.Fprintf(w, "jitter events: %d\n", len(events))
 	if len(events) > 0 {
 		counts := measure.SimultaneousJitter(events)
 		alone := 0
@@ -184,41 +207,26 @@ func printSurgeAnalysis(ds *measure.Dataset, start, end int64) {
 				alone++
 			}
 		}
-		fmt.Printf("  observed by a single client: %.1f%%\n",
+		fmt.Fprintf(w, "  observed by a single client: %.1f%%\n",
 			float64(alone)/float64(len(events))*100)
 	}
 }
 
-func printForecast(ds *measure.Dataset, from, to int64) {
+func printForecast(w io.Writer, ds *measure.Dataset, from, to int64) {
 	table, samples, err := forecast.FitCityRange(ds, from, to)
 	if err != nil {
-		fmt.Printf("\nforecast: %v\n", err)
+		fmt.Fprintf(w, "\nforecast: %v\n", err)
 		return
 	}
-	fmt.Printf("\nforecasting (n=%d samples):\n", len(samples))
+	fmt.Fprintf(w, "\nforecasting (n=%d samples):\n", len(samples))
 	for _, m := range []forecast.Model{table.Raw, table.Threshold, table.Rush} {
 		if m.N == 0 {
-			fmt.Printf("  %-10s (no data)\n", m.Name)
+			fmt.Fprintf(w, "  %-10s (no data)\n", m.Name)
 			continue
 		}
-		fmt.Printf("  %-10s R²=%.3f  θ_sd-diff=%.4f θ_ewt=%.4f θ_prev=%.3f\n",
+		fmt.Fprintf(w, "  %-10s R²=%.3f  θ_sd-diff=%.4f θ_ewt=%.4f θ_prev=%.3f\n",
 			m.Name, m.R2, m.ThetaSDDiff, m.ThetaEWT, m.ThetaPrevSurge)
 	}
-}
-
-func mean(xs []float64) float64 {
-	var sum float64
-	n := 0
-	for _, x := range xs {
-		if x == x {
-			sum += x
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 func toF64(xs []float32) []float64 {

@@ -5,7 +5,7 @@
 //	go test -run '^$' -bench 'BenchmarkStep|BenchmarkSnapshotDelta' \
 //	    -benchtime 5x -benchmem . | go run ./cmd/benchgate
 //
-// Three gates, applied to every benchmark in the baseline's "gate" section:
+// Two gates, applied to every benchmark in the baseline's "gate" section:
 //
 //   - allocs/op may not regress anywhere. Allocation counts in a
 //     deterministic simulation are machine-independent, so this gate runs
@@ -17,10 +17,11 @@
 //     allocs: the history-chunk snapshot tripled BenchmarkSnapshotDelta's
 //     allocs/op while cutting its B/op by 70%, and the reverse trade would
 //     sail through a count-only gate.
-//   - ns/op may not regress by more than the baseline's tolerance
-//     (default 15%), gated only when the host's `cpu:` line matches the
-//     baseline host exactly. Wall-clock on a different CPU says nothing
-//     about a regression, so foreign hosts only report.
+//
+// ns/op is printed against the baseline but not gated: on the shared host
+// the baseline was recorded on it drifts ~20% run to run, so a wall-clock
+// gate was red for unchanged code, and on any other CPU it says nothing.
+// Timing claims go through the paired runs of bench/ instead.
 //
 // A gate benchmark missing from the input is an error — the sweep cannot
 // silently shrink.
@@ -35,7 +36,6 @@ import (
 	"os"
 	"regexp"
 	"strconv"
-	"strings"
 )
 
 type metrics struct {
@@ -45,13 +45,9 @@ type metrics struct {
 }
 
 type baseline struct {
-	Host struct {
-		CPU string `json:"cpu"`
-	} `json:"host"`
 	Gate struct {
-		Benchtime   string             `json:"benchtime"`
-		NsTolerance float64            `json:"ns_tolerance"`
-		Benchmarks  map[string]metrics `json:"benchmarks"`
+		Benchtime  string             `json:"benchtime"`
+		Benchmarks map[string]metrics `json:"benchmarks"`
 	} `json:"gate"`
 }
 
@@ -59,19 +55,14 @@ type baseline struct {
 // without the -N GOMAXPROCS suffix benchmark names carry on SMP hosts.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
-// parseBench reads `go test -bench` output: the result rows by benchmark
-// name, and the host's `cpu:` line.
-func parseBench(r io.Reader) (got map[string]metrics, hostCPU string, err error) {
-	got = map[string]metrics{}
+// parseBench reads the result rows of `go test -bench` output by
+// benchmark name.
+func parseBench(r io.Reader) (map[string]metrics, error) {
+	got := map[string]metrics{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
-			hostCPU = rest
-			continue
-		}
-		m := benchLine.FindStringSubmatch(line)
+		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
@@ -82,18 +73,18 @@ func parseBench(r io.Reader) (got map[string]metrics, hostCPU string, err error)
 		allocs, _ := strconv.ParseInt(m[4], 10, 64)
 		got[m[1]] = metrics{NsOp: ns, BOp: b, AllocsOp: allocs}
 	}
-	return got, hostCPU, sc.Err()
+	return got, sc.Err()
 }
 
-// Slack on top of 1% for the two machine-independent gates.
+// Slack on top of 1% for the two gates.
 const (
 	allocSlack = 8
 	byteSlack  = 1024
 )
 
-// check applies the three gates to one benchmark and returns a line per
-// violated gate; gateNs says whether the host is the baseline's.
-func check(name string, have, want metrics, gateNs bool, tol float64) (fails []string) {
+// check applies the gates to one benchmark and returns a line per
+// violated gate.
+func check(name string, have, want metrics) (fails []string) {
 	if limit := want.AllocsOp + want.AllocsOp/100 + allocSlack; have.AllocsOp > limit {
 		fails = append(fails, fmt.Sprintf("FAIL %s: %d allocs/op, baseline %d (cap %d)",
 			name, have.AllocsOp, want.AllocsOp, limit))
@@ -101,10 +92,6 @@ func check(name string, have, want metrics, gateNs bool, tol float64) (fails []s
 	if limit := want.BOp + want.BOp/100 + byteSlack; have.BOp > limit {
 		fails = append(fails, fmt.Sprintf("FAIL %s: %d B/op, baseline %d (cap %d)",
 			name, have.BOp, want.BOp, limit))
-	}
-	if ratio := have.NsOp / want.NsOp; gateNs && ratio > 1+tol {
-		fails = append(fails, fmt.Sprintf("FAIL %s: %.0f ns/op is %.2fx baseline %.0f (tolerance %.0f%%)",
-			name, have.NsOp, ratio, want.NsOp, tol*100))
 	}
 	return fails
 }
@@ -124,19 +111,10 @@ func main() {
 	if len(base.Gate.Benchmarks) == 0 {
 		fatalf("benchgate: %s has no gate benchmarks", *baseFile)
 	}
-	tol := base.Gate.NsTolerance
-	if tol <= 0 {
-		tol = 0.15
-	}
 
-	got, hostCPU, err := parseBench(os.Stdin)
+	got, err := parseBench(os.Stdin)
 	if err != nil {
 		fatalf("benchgate: reading stdin: %v", err)
-	}
-	sameCPU := hostCPU != "" && hostCPU == base.Host.CPU
-	if !sameCPU {
-		fmt.Printf("benchgate: host cpu %q != baseline %q; ns/op reported but not gated\n",
-			hostCPU, base.Host.CPU)
 	}
 
 	failed := false
@@ -148,7 +126,7 @@ func main() {
 			continue
 		}
 		status := "ok  "
-		for _, f := range check(name, have, want, sameCPU, tol) {
+		for _, f := range check(name, have, want) {
 			status, failed = "FAIL", true
 			fmt.Println(f)
 		}

@@ -14,9 +14,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/api"
@@ -30,23 +34,42 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run measures until the campaign's end (or ctx is cancelled: the
+// recording is still closed and the summary printed) and returns the exit
+// code: 0, 1 when the backend or the recording fails, 2 for a command
+// line it rejects.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("measure", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		city    = flag.String("city", "manhattan", "city profile: manhattan or sf")
-		hours   = flag.Int("hours", 6, "simulation hours to measure (in-process mode)")
-		seed    = flag.Int64("seed", 42, "simulation seed (in-process mode)")
-		jitter  = flag.Bool("jitter", true, "April 2015 mode (in-process mode)")
-		addr    = flag.String("addr", "", "remote uberd base URL; empty = in-process")
-		rounds  = flag.Int("rounds", 720, "ping rounds in remote mode (1 round / 5 s)")
-		recFile = flag.String("record", "", "write the raw pingClient stream to this path")
-		store   = flag.String("store", record.StoreJSONL,
+		city    = fs.String("city", "manhattan", "city profile: manhattan or sf")
+		hours   = fs.Float64("hours", 6, "simulation hours to measure (in-process mode)")
+		seed    = fs.Int64("seed", 42, "simulation seed (in-process mode)")
+		jitter  = fs.Bool("jitter", true, "April 2015 mode (in-process mode)")
+		addr    = fs.String("addr", "", "remote uberd base URL; empty = in-process")
+		rounds  = fs.Int("rounds", 720, "ping rounds in remote mode (1 round / 5 s)")
+		recFile = fs.String("record", "", "write the raw pingClient stream to this path")
+		store   = fs.String("store", record.StoreJSONL,
 			"recording store: jsonl (one gzip file) or tsdb (crash-safe compressed directory)")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	profile, err := sim.ProfileByName(*city)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if *store != record.StoreJSONL && *store != record.StoreTSDB {
+		// Checked here, not by record.Create: without -record nothing else
+		// would ever look at it.
+		fmt.Fprintf(stderr, "measure: -store must be %s or %s (got %q)\n", record.StoreJSONL, record.StoreTSDB, *store)
+		return 2
 	}
 
 	pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, client.NumClients)
@@ -55,102 +78,94 @@ func main() {
 	for i, p := range pts {
 		clientAreas[i] = sim.AreaOf(areas, p)
 	}
-	proj := geo.NewProjection(profile.Origin)
 
+	// The two modes differ in the backend, the campaign's time span and
+	// what paces the rounds; everything around that is shared.
+	var (
+		camp       *client.Campaign
+		start, end int64
+		banner     string
+		drive      func()
+	)
 	if *addr != "" {
 		remote := api.NewRemote(*addr, nil)
-		camp := client.NewCampaign(remote, proj, pts)
+		camp = client.NewCampaign(remote, geo.NewProjection(profile.Origin), pts)
 		for _, cl := range camp.Clients {
 			if err := remote.Register(cl.ID); err != nil {
-				fmt.Fprintf(os.Stderr, "register %s: %v\n", cl.ID, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "register %s: %v\n", cl.ID, err)
+				return 1
 			}
 		}
-		start, err := remote.NowErr()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "backend unreachable: %v\n", err)
-			os.Exit(1)
+		if start, err = remote.NowErr(); err != nil {
+			fmt.Fprintf(stderr, "backend unreachable: %v\n", err)
+			return 1
 		}
-		end := start + int64(*rounds+1)*client.PingPeriod*100 // generous series bound
-		ds := measure.NewDataset(measure.Config{
-			Profile: profile, Start: start, End: end, ClientAreas: clientAreas,
-		}, len(pts))
-		camp.AddSink(ds)
-		rec := openRecorder(*store, *recFile, profile.Name, start, pts)
-		if rec != nil {
-			camp.AddSink(rec)
+		end = start + int64(*rounds+1)*client.PingPeriod*100 // generous series bound
+		banner = fmt.Sprintf("measuring remote %s (%s) for %d rounds...", *addr, profile.Name, *rounds)
+		drive = func() {
+			for i := 0; i < *rounds && ctx.Err() == nil; i++ {
+				camp.Round()
+				select { // the remote clock advances on its own
+				case <-ctx.Done():
+				case <-time.After(100 * time.Millisecond):
+				}
+			}
 		}
-		fmt.Printf("measuring remote %s (%s) for %d rounds...\n", *addr, profile.Name, *rounds)
-		for i := 0; i < *rounds; i++ {
-			camp.Round()
-			time.Sleep(100 * time.Millisecond) // remote clock advances on its own
+	} else {
+		svc := api.NewBackend(profile, *seed, *jitter)
+		camp = client.NewCampaign(svc, svc.World().Projection(), pts)
+		camp.RegisterAll(svc)
+		end = int64(*hours * 3600)
+		banner = fmt.Sprintf("measuring %s for %g simulated hours (%d clients)...", profile.Name, *hours, len(camp.Clients))
+		drive = func() {
+			for ctx.Err() == nil && svc.Now() < end {
+				svc.Step()
+				camp.Round()
+			}
 		}
-		ds.Close()
-		closeRecorder(rec, *recFile, *store)
-		printSummary(ds, camp)
-		return
 	}
 
-	svc := api.NewBackend(profile, *seed, *jitter)
-	camp := client.NewCampaign(svc, svc.World().Projection(), pts)
-	camp.RegisterAll(svc)
-	end := int64(*hours) * 3600
 	ds := measure.NewDataset(measure.Config{
-		Profile: profile, Start: 0, End: end, ClientAreas: clientAreas,
+		Profile: profile, Start: start, End: end, ClientAreas: clientAreas,
 	}, len(pts))
 	camp.AddSink(ds)
-
-	rec := openRecorder(*store, *recFile, profile.Name, 0, pts)
-	if rec != nil {
+	var rec record.CampaignWriter
+	if *recFile != "" {
+		rec, err = record.Create(*store, *recFile,
+			record.Header{City: profile.Name, Start: start, Clients: pts}, nil)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
 		camp.AddSink(rec)
 	}
 
-	fmt.Printf("measuring %s for %d simulated hours (%d clients)...\n",
-		profile.Name, *hours, len(camp.Clients))
-	camp.RunSim(svc, end)
+	fmt.Fprintln(stdout, banner)
+	drive()
 	ds.Close()
-	closeRecorder(rec, *recFile, *store)
-	printSummary(ds, camp)
+	if rec != nil {
+		if err := rec.Close(); err != nil {
+			fmt.Fprintln(stderr, "recording:", err)
+			return 1
+		}
+		rows, _ := rec.Written()
+		fmt.Fprintf(stdout, "recorded %d rows to %s (store=%s)\n", rows, *recFile, *store)
+	}
+	printSummary(stdout, ds, camp)
+	return 0
 }
 
-// openRecorder opens the -record store (nil when -record is unset),
-// exiting on error.
-func openRecorder(kind, path, city string, start int64, pts []geo.Point) record.CampaignWriter {
-	if path == "" {
-		return nil
-	}
-	rec, err := record.Create(kind, path,
-		record.Header{City: city, Start: start, Clients: pts}, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return rec
-}
-
-func closeRecorder(rec record.CampaignWriter, path, kind string) {
-	if rec == nil {
-		return
-	}
-	if err := rec.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "recording:", err)
-		os.Exit(1)
-	}
-	rows, _ := rec.Written()
-	fmt.Printf("recorded %d rows to %s (store=%s)\n", rows, path, kind)
-}
-
-func printSummary(ds *measure.Dataset, camp *client.Campaign) {
-	fmt.Printf("rounds: %d, ping errors: %d\n", camp.Rounds, camp.Errors)
+func printSummary(w io.Writer, ds *measure.Dataset, camp *client.Campaign) {
+	fmt.Fprintf(w, "rounds: %d, ping errors: %d\n", camp.Rounds, camp.Errors)
 	if expected := camp.Rounds * int64(len(camp.Clients)); expected > 0 && ds.Gaps > 0 {
-		fmt.Printf("gaps: %d of %d expected observations (%.2f%% loss; paper lost ~2.5%%)\n",
+		fmt.Fprintf(w, "gaps: %d of %d expected observations (%.2f%% loss; paper lost ~2.5%%)\n",
 			ds.Gaps, expected, 100*float64(ds.Gaps)/float64(expected))
 	}
 
 	supply := ds.SupplySeries(core.UberX)
-	fmt.Printf("UberX supply per 5-min interval: mean %.1f\n", seriesMean(supply))
+	fmt.Fprintf(w, "UberX supply per 5-min interval: mean %.1f\n", supply.Mean())
 	deaths := ds.DeathSeries(core.UberX)
-	fmt.Printf("UberX deaths per 5-min interval: mean %.1f\n", seriesMean(deaths))
+	fmt.Fprintf(w, "UberX deaths per 5-min interval: mean %.1f\n", deaths.Mean())
 
 	if len(ds.EWTSamples) > 0 {
 		xs := make([]float64, len(ds.EWTSamples))
@@ -158,7 +173,7 @@ func printSummary(ds *measure.Dataset, camp *client.Campaign) {
 			xs[i] = float64(v)
 		}
 		c := stats.NewCDF(xs)
-		fmt.Printf("EWT minutes: median %.2f, p90 %.2f, P(≤4min) %.1f%%\n",
+		fmt.Fprintf(w, "EWT minutes: median %.2f, p90 %.2f, P(≤4min) %.1f%%\n",
 			c.Median(), c.Quantile(0.9), c.At(4)*100)
 	}
 	if len(ds.SurgeSamples) > 0 {
@@ -167,24 +182,9 @@ func printSummary(ds *measure.Dataset, camp *client.Campaign) {
 			xs[i] = float64(v)
 		}
 		c := stats.NewCDF(xs)
-		fmt.Printf("surge: P(=1) %.1f%%, median %.2f, max %.1f\n",
+		fmt.Fprintf(w, "surge: P(=1) %.1f%%, median %.2f, max %.1f\n",
 			c.At(1)*100, c.Median(), c.Quantile(1))
 	}
 	events := measure.ExtractJitter(ds.Changes)
-	fmt.Printf("jitter events detected: %d\n", len(events))
-}
-
-func seriesMean(s *stats.Series) float64 {
-	var sum float64
-	n := 0
-	for _, v := range s.Values {
-		if v == v { // not NaN
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	fmt.Fprintf(w, "jitter events detected: %d\n", len(events))
 }

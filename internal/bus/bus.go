@@ -26,12 +26,11 @@
 package bus
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,8 +50,6 @@ var (
 	// past, and the next open would truncate the segment at it.
 	ErrTooLarge = errors.New("bus: event too large")
 )
-
-func crc32Sum(p []byte) uint32 { return crc32.ChecksumIEEE(p) }
 
 // Options configures a Broker. The zero value is usable.
 type Options struct {
@@ -111,6 +108,18 @@ type topicMeta struct {
 	Partitions int `json:"partitions"`
 }
 
+// readTopicMeta reads and validates a topic directory's TOPIC.json.
+func readTopicMeta(dir string) (meta topicMeta, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, "TOPIC.json"))
+	if err != nil {
+		return meta, err
+	}
+	if err := json.Unmarshal(data, &meta); err != nil || meta.Partitions <= 0 {
+		return meta, fmt.Errorf("bus: %s: TOPIC.json: %w", filepath.Base(dir), ErrCorrupt)
+	}
+	return meta, nil
+}
+
 // Topic opens (creating if needed) a topic with the given partition
 // count. The count is fixed at creation: reopening an existing topic
 // uses the stored count and errors if a different non-zero count is
@@ -131,19 +140,13 @@ func (b *Broker) Topic(name string, partitions int) (*Topic, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	metaPath := filepath.Join(dir, "TOPIC.json")
-	var meta topicMeta
-	if data, err := os.ReadFile(metaPath); err == nil {
-		if err := json.Unmarshal(data, &meta); err != nil || meta.Partitions <= 0 {
-			return nil, fmt.Errorf("bus: %s: TOPIC.json: %w", name, ErrCorrupt)
-		}
-	} else if errors.Is(err, os.ErrNotExist) {
+	meta, err := readTopicMeta(dir)
+	if errors.Is(err, os.ErrNotExist) {
 		meta.Partitions = partitions
 		blob, _ := json.Marshal(meta)
-		if err := wire.WriteFileAtomic(metaPath, blob); err != nil {
-			return nil, err
-		}
-	} else {
+		err = wire.WriteFileAtomic(filepath.Join(dir, "TOPIC.json"), blob)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if partitions != meta.Partitions && partitions != 1 {
@@ -154,7 +157,6 @@ func (b *Broker) Topic(name string, partitions int) (*Topic, error) {
 	t := &Topic{
 		b:      b,
 		name:   name,
-		dir:    dir,
 		notif:  make(map[chan struct{}]struct{}),
 		m:      newTopicMetrics(b.opts.Metrics, name),
 		groups: filepath.Join(dir, "groups"),
@@ -170,8 +172,9 @@ func (b *Broker) Topic(name string, partitions int) (*Topic, error) {
 	return t, nil
 }
 
-// Sync fsyncs every partition's active segment.
-func (b *Broker) Sync() error {
+// eachPartition calls fn, under the partition's lock, on every partition
+// of the topics open when it is called; it returns fn's first error.
+func (b *Broker) eachPartition(fn func(*partition) error) error {
 	b.mu.Lock()
 	topics := make([]*Topic, 0, len(b.topics))
 	for _, t := range b.topics {
@@ -182,15 +185,23 @@ func (b *Broker) Sync() error {
 	for _, t := range topics {
 		for _, p := range t.parts {
 			p.mu.Lock()
-			if p.f != nil {
-				if err := p.f.Sync(); err != nil && firstErr == nil {
-					firstErr = err
-				}
+			if err := fn(p); err != nil && firstErr == nil {
+				firstErr = err
 			}
 			p.mu.Unlock()
 		}
 	}
 	return firstErr
+}
+
+// Sync fsyncs every partition's active segment.
+func (b *Broker) Sync() error {
+	return b.eachPartition(func(p *partition) error {
+		if p.f == nil {
+			return nil
+		}
+		return p.f.Sync()
+	})
 }
 
 // Close syncs and closes every partition and unblocks stalled
@@ -204,40 +215,30 @@ func (b *Broker) Close() error {
 		return nil
 	}
 	b.closed = true
-	topics := make([]*Topic, 0, len(b.topics))
-	for _, t := range b.topics {
-		topics = append(topics, t)
-	}
 	b.mu.Unlock()
 
-	var firstErr error
-	for _, t := range topics {
-		for _, p := range t.parts {
-			p.mu.Lock()
-			p.closed = true
-			if p.f != nil {
-				if err := p.f.Sync(); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if err := p.f.Close(); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				p.f = nil
-			}
-			p.pubWait.Broadcast()
-			p.mu.Unlock()
+	err := b.eachPartition(func(p *partition) error {
+		p.closed = true
+		p.pubWait.Broadcast()
+		p.t.wake()
+		if p.f == nil {
+			return nil
 		}
-		t.wake()
-	}
+		err := p.f.Sync()
+		if cerr := p.f.Close(); err == nil {
+			err = cerr
+		}
+		p.f = nil
+		return err
+	})
 	close(b.done)
-	return firstErr
+	return err
 }
 
 // Topic is one named event stream, split into partitions.
 type Topic struct {
 	b      *Broker
 	name   string
-	dir    string
 	groups string
 	parts  []*partition
 	m      *topicMetrics
@@ -248,9 +249,6 @@ type Topic struct {
 	consMu sync.Mutex
 	notif  map[chan struct{}]struct{}
 }
-
-// Partitions returns the topic's partition count.
-func (t *Topic) Partitions() int { return len(t.parts) }
 
 // Name returns the topic's name.
 func (t *Topic) Name() string { return t.name }
@@ -330,11 +328,10 @@ type partition struct {
 	pubWait sync.Cond // publishers stalled on backpressure
 	closed  bool
 
-	f       *os.File // active segment (last of segs)
+	f       *os.File // active segment
 	enc     *encDict
 	scratch []byte
 	segSize int64 // bytes written to the active segment
-	segs    []segInfo
 
 	next int64 // next offset to assign
 	cum  int64 // cumulative frame bytes appended since open
@@ -347,9 +344,8 @@ type partition struct {
 }
 
 // openPartition opens (creating if needed) one partition directory,
-// recovering the write frontier from the newest segment: its intact
-// frames fix the next offset and the dictionary state, and any torn tail
-// left by a crash is truncated away, exactly like the tsdb WAL.
+// recovering the write frontier from the newest segment, exactly like the
+// tsdb WAL.
 func openPartition(t *Topic, idx int, dir string) (*partition, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -366,37 +362,61 @@ func openPartition(t *Topic, idx int, dir string) (*partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.segs = segs
 	if len(segs) == 0 {
-		if err := p.roll(0); err != nil {
-			return nil, err
-		}
-		return p, nil
+		err = p.roll(0)
+	} else {
+		err = p.recoverActive(segs[len(segs)-1])
 	}
-	last := segs[len(segs)-1]
-	body, err := readSegmentBody(last.path)
 	if err != nil {
 		return nil, err
 	}
-	evs, goodSize, dict := decodeFrames(body, last.base)
-	f, err := os.OpenFile(last.path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(goodSize); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(goodSize, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	p.f = f
-	p.enc = dict.toEnc()
-	p.segSize = goodSize - int64(len(segMagic))
-	p.next = last.base + int64(len(evs))
-	p.ringLo = p.next
 	return p, nil
+}
+
+// recoverActive reopens the newest segment for appending. The cursor
+// reads its intact frames, which fix the next offset and the dictionary;
+// whatever follows them is a crash's torn tail and is truncated away.
+func (p *partition) recoverActive(seg segInfo) (err error) {
+	f, err := os.OpenFile(seg.path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if st.Size() < int64(len(segMagic)) {
+		// A kill inside roll, between creating the file and writing its
+		// magic: the segment never started. Start it now.
+		if err := f.Truncate(0); err != nil {
+			return err
+		}
+		if _, err := f.WriteAt([]byte(segMagic), 0); err != nil {
+			return err
+		}
+	}
+	var c segCursor
+	if !c.attach(f, seg.base) {
+		return fmt.Errorf("bus: %s: bad segment magic: %w", seg.path, ErrCorrupt)
+	}
+	for ok := true; ok; {
+		_, ok = c.readFrame()
+	}
+	if err := f.Truncate(c.off); err != nil {
+		return err
+	}
+	if _, err := f.Seek(c.off, io.SeekStart); err != nil {
+		return err
+	}
+	p.f, p.enc = f, c.dict.toEnc()
+	p.segSize = c.off - int64(len(segMagic))
+	p.next, p.ringLo = c.next, c.next
+	return nil
 }
 
 // roll closes the active segment and starts a fresh one whose base
@@ -420,7 +440,6 @@ func (p *partition) roll(base int64) error {
 	p.f = f
 	p.enc = newEncDict()
 	p.segSize = 0
-	p.segs = append(p.segs, segInfo{base: base, path: path})
 	return nil
 }
 
@@ -465,12 +484,8 @@ func (p *partition) publish(ev *Event) error {
 			return err
 		}
 	}
-	p.scratch = p.scratch[:0]
-	p.scratch = append(p.scratch, 0, 0, 0, 0, 0, 0, 0, 0) // frame header
-	p.scratch = appendEvent(p.scratch, ev, p.enc)
-	payload := p.scratch[8:]
-	binary.LittleEndian.PutUint32(p.scratch[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(p.scratch[4:], crc32Sum(payload))
+	p.scratch = appendEvent(wire.BeginFrame(p.scratch[:0]), ev, p.enc)
+	wire.EndFrame(p.scratch, 0)
 	if _, err := p.f.Write(p.scratch); err != nil {
 		return err
 	}
@@ -521,25 +536,13 @@ func listSegments(dir string) ([]segInfo, error) {
 	return segs, nil
 }
 
-// readSegmentBody reads a segment file and validates its magic,
-// returning the frame bytes after it.
-func readSegmentBody(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return nil, fmt.Errorf("bus: %s: bad segment magic: %w", path, ErrCorrupt)
-	}
-	return data[len(segMagic):], nil
-}
-
 // topicMetrics are the nil-safe per-topic handles.
 type topicMetrics struct {
 	published *obs.Counter
 	pubBytes  *obs.Counter
 	dropped   *obs.Counter
 	blocked   *obs.Counter
+	skipped   *obs.Counter
 	reg       *obs.Registry
 	name      string
 }
@@ -553,6 +556,7 @@ func newTopicMetrics(reg *obs.Registry, topic string) *topicMetrics {
 	m.pubBytes = reg.Counter("bus_publish_bytes_total", obs.L("topic", topic))
 	m.dropped = reg.Counter("bus_dropped_total", obs.L("topic", topic))
 	m.blocked = reg.Counter("bus_backpressure_waits_total", obs.L("topic", topic))
+	m.skipped = reg.Counter("bus_skipped_events_total", obs.L("topic", topic))
 	return m
 }
 

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -401,6 +403,133 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 		if ev.Time != int64(i) {
 			t.Fatalf("event %d has time %d", i, ev.Time)
 		}
+	}
+}
+
+// TestCrashInsideRollReopens: a kill between roll creating the next
+// segment file and writing its magic leaves an empty newest segment. That
+// is a segment that never started, not corruption: the broker must come
+// back up and carry on at the same base.
+func TestCrashInsideRollReopens(t *testing.T) {
+	dir := t.TempDir()
+	b := openTestBroker(t, dir, Options{})
+	tp := mustTopic(t, b, "t", 1)
+	for i := 0; i < 3; i++ {
+		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: "k"})
+	}
+	b.Close()
+	empty := filepath.Join(dir, "t", "p0", fmt.Sprintf("%016d.seg", 3))
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b2 := openTestBroker(t, dir, Options{})
+	defer b2.Close()
+	tp2 := mustTopic(t, b2, "t", 1)
+	mustPublish(t, tp2, Event{Time: 3, Kind: KindPing, Key: "k"})
+	c, err := tp2.Subscribe("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	evs := drain(c)
+	if len(evs) != 4 {
+		t.Fatalf("got %d events, want 4", len(evs))
+	}
+	for i, ev := range evs {
+		if ev.Seq != int64(i) || ev.Time != int64(i) {
+			t.Fatalf("event %d: seq %d time %d", i, ev.Seq, ev.Time)
+		}
+	}
+}
+
+// TestDamagedSealedSegmentSameForAllReaders: one flipped byte in a sealed
+// segment costs every reader the same events — that segment's frames
+// from the damage on — and stalls none of them: the in-process consumer
+// and the cross-process tailer deliver the same offsets, the consumer
+// counts what it passed over, and publishers are not left blocked behind
+// a reader that will never move.
+func TestDamagedSealedSegmentSameForAllReaders(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 256, MaxInflight: 512}
+	b := openTestBroker(t, dir, opts)
+	tp := mustTopic(t, b, "t", 1)
+	const total = 200
+	for i := 0; i < total; i++ {
+		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: fmt.Sprintf("c-%d", i%7)})
+	}
+	b.Close()
+
+	segs, err := listSegments(filepath.Join(dir, "t", "p0"))
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("listSegments: %v (%d segments)", err, len(segs))
+	}
+	data, err := os.ReadFile(segs[1].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(segs[1].path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.Metrics = obs.NewRegistry()
+	b2 := openTestBroker(t, dir, opts)
+	defer b2.Close()
+	tp2 := mustTopic(t, b2, "t", 1)
+	c, err := tp2.Subscribe("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tail, err := OpenTail(dir, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+
+	seqs := func(evs []Event) []int64 {
+		out := make([]int64, len(evs))
+		for i, ev := range evs {
+			out[i] = ev.Seq
+		}
+		return out
+	}
+	got, want := seqs(drain(c)), seqs(tail.Poll(nil))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("consumer delivered %v\ntailer delivered %v", got, want)
+	}
+	lost := int64(total - len(got))
+	if lost <= 0 || lost >= segs[2].base-segs[1].base || got[len(got)-1] != total-1 {
+		t.Fatalf("delivered %d of %d events ending at %d; want all but part of segment [%d, %d)",
+			len(got), total, got[len(got)-1], segs[1].base, segs[2].base)
+	}
+	if lag := c.Lag(); lag != 0 {
+		t.Fatalf("consumer lag %d after draining", lag)
+	}
+	if n := opts.Metrics.Counter("bus_skipped_events_total", obs.L("topic", "t")).Value(); n != lost {
+		t.Fatalf("bus_skipped_events_total = %d, want %d", n, lost)
+	}
+
+	// Well past MaxInflight in new events: a wedged reader would block this.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := total; i < total+64; i++ {
+			if err := tp2.Publish(Event{Time: int64(i), Kind: KindPing, Key: "k"}); err != nil {
+				t.Errorf("Publish: %v", err)
+				return
+			}
+			if ev, ok := c.Next(); !ok || ev.Seq != int64(i) {
+				t.Errorf("after publishing %d: Next = %+v, %v", i, ev, ok)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("publisher blocked behind the consumer")
 	}
 }
 

@@ -3,7 +3,7 @@
 // Segment file layout:
 //
 //	magic "UBERBUS1" (8 bytes)
-//	frame*: len u32 ‖ crc32(payload) u32 ‖ payload (one event)
+//	frame*: one wire frame (len u32 ‖ crc32 u32 ‖ payload) per event
 //
 // An event's offset is implied by its position: the segment's base offset
 // (from the file name) plus its frame index. The payload codec is a flat
@@ -177,38 +177,4 @@ func DecodeObservation(data []byte) (Observation, error) {
 		return Observation{}, ErrCorrupt
 	}
 	return o, nil
-}
-
-// decodeFrames decodes every intact frame in a segment body (the bytes
-// after the magic), assigning offsets base, base+1, … It stops without
-// error at a torn tail — for the active segment that is simply the write
-// frontier; for sealed segments callers decide whether short is corrupt.
-// It returns the events, the byte size of the intact prefix (including
-// the magic), and the dictionary state after the last intact frame.
-func decodeFrames(body []byte, base int64) (evs []Event, goodSize int64, dict *decDict) {
-	dict = newDecDict()
-	goodSize = int64(len(segMagic))
-	off := 0
-	for {
-		if len(body)-off < 8 {
-			return evs, goodSize, dict
-		}
-		n := binary.LittleEndian.Uint32(body[off:])
-		crc := binary.LittleEndian.Uint32(body[off+4:])
-		if n > maxFramePayload || int(n) > len(body)-off-8 {
-			return evs, goodSize, dict
-		}
-		payload := body[off+8 : off+8+int(n)]
-		if crc32Sum(payload) != crc {
-			return evs, goodSize, dict
-		}
-		ev, err := decodeEvent(payload, dict)
-		if err != nil {
-			return evs, goodSize, dict
-		}
-		ev.Seq = base + int64(len(evs))
-		evs = append(evs, ev)
-		off += 8 + int(n)
-		goodSize += 8 + int64(n)
-	}
 }

@@ -16,6 +16,7 @@
 package bus
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -46,9 +47,8 @@ type partReader struct {
 	// the partition's watermark at attach (resuming through an old
 	// backlog must not stall publishers).
 	readCum int64
-	// buf holds disk-read events pending delivery (pos has not advanced
-	// past them yet).
-	buf []Event
+	// cur reads the segments back while pos is below the ring.
+	cur *segCursor
 }
 
 // Subscribe opens the group's cursor over the topic, resuming from its
@@ -125,7 +125,7 @@ func (c *Consumer) Lag() int64 {
 	var lag int64
 	for _, pr := range c.prs {
 		pr.p.mu.Lock()
-		lag += pr.p.next - pr.pos + int64(len(pr.buf))
+		lag += pr.p.next - pr.pos
 		pr.p.mu.Unlock()
 	}
 	return lag
@@ -162,18 +162,13 @@ func (c *Consumer) Close() {
 		delete(pr.p.readers, pr)
 		pr.p.pubWait.Broadcast()
 		pr.p.mu.Unlock()
+		pr.closeCursor()
 	}
 }
 
-// nextEvent returns the reader's next event: buffered disk events first,
-// then the ring, then a segment read for positions the ring has evicted.
+// nextEvent returns the reader's next event: from the ring, or through
+// the segment cursor for positions the ring has evicted.
 func (pr *partReader) nextEvent() (Event, bool) {
-	if len(pr.buf) > 0 {
-		ev := pr.buf[0]
-		pr.buf = pr.buf[1:]
-		pr.pos++
-		return ev, true
-	}
 	p := pr.p
 	p.mu.Lock()
 	if pr.pos >= p.next {
@@ -188,74 +183,51 @@ func (pr *partReader) nextEvent() (Event, bool) {
 		}
 		pr.pos++
 		p.mu.Unlock()
+		pr.closeCursor()
 		return e.ev, true
 	}
-	// Behind the ring: read the gap [pos, ringLo) back from segments.
-	// Everything below ringLo is fully framed on disk (frames are
-	// written before offsets advance), so a short read here is real
-	// corruption, surfaced as "no event" after the scan comes up empty.
-	segs := make([]segInfo, len(p.segs))
-	copy(segs, p.segs)
-	limit := p.ringLo
 	p.mu.Unlock()
 
-	evs := readRange(segs, pr.pos, limit)
-	if len(evs) == 0 {
+	// Behind the ring. Everything below ringLo is fully framed on disk
+	// (frames are written before offsets advance), so what the cursor
+	// cannot read there is damage: it resumes at the next segment, and
+	// the offsets passed over are counted, never silently missing.
+	if pr.cur == nil {
+		pr.cur = newSegCursor(p.dir, p.idx)
+	}
+	if pr.cur.next != pr.pos {
+		pr.cur.seek(pr.pos)
+	}
+	ev, ok := pr.cur.nextEvent()
+	if !ok {
 		return Event{}, false
 	}
-	for i := range evs {
-		evs[i].Part = p.idx // decodeFrames knows offsets, not partitions
+	if gap := ev.Seq - pr.pos; gap > 0 {
+		p.t.m.skipped.Add(gap)
 	}
-	pr.buf = evs[1:]
-	pr.pos++
-	return evs[0], true
+	pr.pos = ev.Seq + 1
+	return ev, true
 }
 
-// readRange decodes events with offsets in [pos, limit) from the segment
-// that contains pos (one segment per call; the caller comes back for
-// more). Unreadable segments yield nothing.
-func readRange(segs []segInfo, pos, limit int64) []Event {
-	// Find the last segment with base <= pos.
-	idx := -1
-	for i := range segs {
-		if segs[i].base <= pos {
-			idx = i
-		}
+func (pr *partReader) closeCursor() {
+	if pr.cur != nil {
+		pr.cur.close()
+		pr.cur = nil
 	}
-	if idx < 0 {
-		return nil
-	}
-	body, err := readSegmentBody(segs[idx].path)
-	if err != nil {
-		return nil
-	}
-	evs, _, _ := decodeFrames(body, segs[idx].base)
-	lo := pos - segs[idx].base
-	if lo >= int64(len(evs)) {
-		return nil
-	}
-	evs = evs[lo:]
-	if end := limit - pos; end < int64(len(evs)) {
-		evs = evs[:end]
-	}
-	return evs
 }
 
-// Offsets file: magic, then one length+CRC frame whose payload is the
+// Offsets file: magic, then one wire frame whose payload is the
 // per-partition offsets. Written atomically, so a reader sees the old or
 // the new file, never a torn one.
 const offMagic = "UBUSOFF1"
 
 func saveOffsets(path string, offs []int64) error {
-	payload := binary.AppendUvarint(nil, uint64(len(offs)))
+	buf := wire.BeginFrame([]byte(offMagic))
+	buf = binary.AppendUvarint(buf, uint64(len(offs)))
 	for _, o := range offs {
-		payload = binary.AppendUvarint(payload, uint64(o))
+		buf = binary.AppendUvarint(buf, uint64(o))
 	}
-	buf := make([]byte, 0, len(offMagic)+8+len(payload))
-	buf = append(buf, offMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32Sum(payload))
-	buf = append(buf, payload...)
+	wire.EndFrame(buf, len(offMagic))
 	return wire.WriteFileAtomic(path, buf)
 }
 
@@ -270,14 +242,10 @@ func loadOffsets(path string, n int) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(offMagic)+8 || string(data[:len(offMagic)]) != offMagic {
-		return nil, fmt.Errorf("bus: %s: %w", path, ErrCorrupt)
-	}
-	body := data[len(offMagic):]
-	ln := binary.LittleEndian.Uint32(body[0:])
-	crc := binary.LittleEndian.Uint32(body[4:])
-	payload := body[8:]
-	if uint32(len(payload)) != ln || crc32Sum(payload) != crc {
+	body, ok := bytes.CutPrefix(data, []byte(offMagic))
+	br := bytes.NewReader(body)
+	payload, err := wire.ReadFrame(br, len(body), nil)
+	if !ok || err != nil || br.Len() != 0 {
 		return nil, fmt.Errorf("bus: %s: %w", path, ErrCorrupt)
 	}
 	r := wire.NewReader(payload)

@@ -2,7 +2,6 @@ package bus
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"repro/internal/wire"
@@ -14,7 +13,7 @@ import (
 //   - no decoder panics or over-allocates on arbitrary input
 //   - any accepted input re-encodes byte-identically (the codec is
 //     canonical, so decode is injective on the accepted set)
-//   - frame scanning (decodeFrames) accepts exactly a prefix of the
+//   - frame scanning (the segment cursor) accepts exactly a prefix of the
 //     body, and re-framing that prefix reproduces its bytes
 func FuzzEventCodec(f *testing.F) {
 	// A framed segment body with dictionary reuse across frames.
@@ -25,10 +24,7 @@ func FuzzEventCodec(f *testing.F) {
 		{Time: 65, Kind: KindTripDispatch, Key: "sess-aa", Area: 12, Num: 1.5, Str: "UberX"},
 		{Time: 120, Kind: KindTripComplete, Key: "sess-aa", Area: 14, Num: 23.40, Str: "UberX"},
 	} {
-		payload := appendEvent(nil, &ev, enc)
-		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(payload)))
-		seg = binary.LittleEndian.AppendUint32(seg, crc32Sum(payload))
-		seg = append(seg, payload...)
+		seg = appendFramed(seg, &ev, enc)
 	}
 	f.Add(append([]byte{0}, seg...))
 
@@ -60,10 +56,26 @@ func FuzzEventCodec(f *testing.F) {
 	})
 }
 
-// fuzzFrames: decodeFrames accepts a prefix; re-encoding the decoded
-// events with a fresh dictionary must reproduce that prefix exactly.
+func appendFramed(buf []byte, ev *Event, enc *encDict) []byte {
+	start := len(buf)
+	buf = appendEvent(wire.BeginFrame(buf), ev, enc)
+	wire.EndFrame(buf, start)
+	return buf
+}
+
+// fuzzFrames: the segment cursor, over body as a segment's frames,
+// accepts a prefix; re-encoding the decoded events with a fresh
+// dictionary must reproduce that prefix exactly.
 func fuzzFrames(t *testing.T, body []byte) {
-	evs, goodSize, _ := decodeFrames(body, 100)
+	var c segCursor
+	if !c.attach(bytes.NewReader(append([]byte(segMagic), body...)), 100) {
+		t.Fatal("cursor refused a segment that starts with the magic")
+	}
+	var evs []Event
+	for ev, ok := c.readFrame(); ok; ev, ok = c.readFrame() {
+		evs = append(evs, ev)
+	}
+	goodSize := c.off
 	prefix := goodSize - int64(len(segMagic))
 	if prefix < 0 || prefix > int64(len(body)) {
 		t.Fatalf("goodSize %d out of range for %d-byte body", goodSize, len(body))
@@ -76,10 +88,7 @@ func fuzzFrames(t *testing.T, body []byte) {
 	enc := newEncDict()
 	var re []byte
 	for i := range evs {
-		payload := appendEvent(nil, &evs[i], enc)
-		re = binary.LittleEndian.AppendUint32(re, uint32(len(payload)))
-		re = binary.LittleEndian.AppendUint32(re, crc32Sum(payload))
-		re = append(re, payload...)
+		re = appendFramed(re, &evs[i], enc)
 	}
 	if !bytes.Equal(re, body[:prefix]) {
 		t.Fatalf("re-framing %d events: got %d bytes != accepted %d-byte prefix", len(evs), len(re), prefix)

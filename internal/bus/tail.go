@@ -3,11 +3,8 @@
 // A Tailer never talks to the owning Broker — it watches the segment
 // files directly, which is what lets `analyze -follow` and `bustail`
 // attach to a live uberd from another process. The write path makes this
-// safe to poll: every frame is appended with a single write call, so a
-// poll either sees a complete frame or an incomplete tail that will be
-// complete on the next poll. A new segment file appearing with a higher
-// base offset means the current one is sealed; an incomplete tail on a
-// sealed segment is a crash artifact and is skipped.
+// safe to poll, and each partition is read through the same segment
+// cursor (cursor.go) the broker's own readers use.
 //
 // Tailers exert no backpressure (they are not attached readers); they
 // are observers, not participants.
@@ -15,10 +12,6 @@
 package bus
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"os"
 	"path/filepath"
 	"strconv"
 )
@@ -26,17 +19,7 @@ import (
 // Tailer follows one topic's partitions read-only. Not safe for
 // concurrent use.
 type Tailer struct {
-	dir  string
-	curs []*tailCursor
-}
-
-type tailCursor struct {
-	dir     string
-	segBase int64 // base offset of the segment being read (-1 before the first)
-	off     int64 // byte offset of the next frame in that segment
-	next    int64 // next event offset to deliver
-	dict    *decDict
-	f       *os.File
+	curs []*segCursor
 }
 
 // OpenTail opens a follower over <busdir>/<topic>, starting at each
@@ -44,20 +27,13 @@ type tailCursor struct {
 // written), which it is as soon as the publishing process opened it.
 func OpenTail(busDir, topic string) (*Tailer, error) {
 	dir := filepath.Join(busDir, topic)
-	data, err := os.ReadFile(filepath.Join(dir, "TOPIC.json"))
+	meta, err := readTopicMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	var meta topicMeta
-	if err := json.Unmarshal(data, &meta); err != nil || meta.Partitions <= 0 {
-		return nil, fmt.Errorf("bus: %s: TOPIC.json: %w", topic, ErrCorrupt)
-	}
-	t := &Tailer{dir: dir}
+	t := &Tailer{}
 	for k := 0; k < meta.Partitions; k++ {
-		t.curs = append(t.curs, &tailCursor{
-			dir:     filepath.Join(dir, "p"+strconv.Itoa(k)),
-			segBase: -1,
-		})
+		t.curs = append(t.curs, newSegCursor(filepath.Join(dir, "p"+strconv.Itoa(k)), k))
 	}
 	return t, nil
 }
@@ -66,8 +42,10 @@ func OpenTail(busDir, topic string) (*Tailer, error) {
 // per-partition order) to dst and returns the extended slice. It never
 // blocks; an empty poll means no complete new frames yet.
 func (t *Tailer) Poll(dst []Event) []Event {
-	for part, c := range t.curs {
-		dst = c.poll(dst, part)
+	for _, c := range t.curs {
+		for ev, ok := c.nextEvent(); ok; ev, ok = c.nextEvent() {
+			dst = append(dst, ev)
+		}
 	}
 	return dst
 }
@@ -75,113 +53,6 @@ func (t *Tailer) Poll(dst []Event) []Event {
 // Close releases the tailer's file handles.
 func (t *Tailer) Close() {
 	for _, c := range t.curs {
-		if c.f != nil {
-			c.f.Close()
-			c.f = nil
-		}
+		c.close()
 	}
-}
-
-func (c *tailCursor) poll(dst []Event, part int) []Event {
-	for {
-		if c.f == nil && !c.openSegment() {
-			return dst
-		}
-		ev, ok := c.readFrame()
-		if ok {
-			ev.Seq = c.next
-			ev.Part = part
-			c.next++
-			dst = append(dst, ev)
-			continue
-		}
-		// No complete frame at off. If a newer segment exists, this one
-		// is sealed: anything unread here is a torn crash tail — skip to
-		// the next segment (accounting the skipped offsets by base).
-		nextSeg, found := c.nextSegmentBase()
-		if !found {
-			return dst
-		}
-		c.f.Close()
-		c.f = nil
-		c.segBase = nextSeg - 1 // openSegment looks for base > segBase
-		if c.next < nextSeg {
-			c.next = nextSeg
-		}
-	}
-}
-
-// openSegment opens the next segment after segBase (or the first), and
-// positions the cursor at its first frame.
-func (c *tailCursor) openSegment() bool {
-	segs, err := listSegments(c.dir)
-	if err != nil {
-		return false
-	}
-	for _, s := range segs {
-		if s.base <= c.segBase {
-			continue
-		}
-		f, err := os.Open(s.path)
-		if err != nil {
-			return false
-		}
-		var magic [len(segMagic)]byte
-		if n, _ := f.ReadAt(magic[:], 0); n != len(magic) || string(magic[:]) != segMagic {
-			// Header not fully written yet; retry next poll.
-			f.Close()
-			return false
-		}
-		c.f = f
-		c.segBase = s.base
-		c.off = int64(len(segMagic))
-		c.dict = newDecDict()
-		if c.next < s.base {
-			c.next = s.base
-		}
-		return true
-	}
-	return false
-}
-
-// readFrame reads and decodes the frame at off, advancing on success.
-// A short or failed read leaves the cursor unmoved (retry next poll).
-func (c *tailCursor) readFrame() (Event, bool) {
-	var hdr [8]byte
-	if n, _ := c.f.ReadAt(hdr[:], c.off); n != 8 {
-		return Event{}, false
-	}
-	ln := binary.LittleEndian.Uint32(hdr[0:])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if ln > maxFramePayload {
-		return Event{}, false
-	}
-	payload := make([]byte, ln)
-	if n, _ := c.f.ReadAt(payload, c.off+8); n != int(ln) {
-		return Event{}, false
-	}
-	if crc32Sum(payload) != crc {
-		return Event{}, false
-	}
-	ev, err := decodeEvent(payload, c.dict)
-	if err != nil {
-		return Event{}, false
-	}
-	c.off += 8 + int64(ln)
-	return ev, true
-}
-
-// nextSegmentBase returns the smallest segment base greater than the
-// current one, if any.
-func (c *tailCursor) nextSegmentBase() (int64, bool) {
-	segs, err := listSegments(c.dir)
-	if err != nil {
-		return 0, false
-	}
-	for _, s := range segs {
-		if s.base > c.segBase {
-			return s.base, true
-		}
-	}
-	return 0, false
 }

@@ -302,10 +302,10 @@ func TestHourlyMeanAndSeriesMean(t *testing.T) {
 	if nonzero == 0 {
 		t.Error("hourly means all zero")
 	}
-	if math.IsNaN(SeriesMean(s)) {
+	if math.IsNaN(s.Mean()) {
 		t.Error("series mean NaN")
 	}
-	if sm := SeriesMean(m.Dataset.SupplySeries(core.UberX)); sm <= 0 {
+	if sm := m.Dataset.SupplySeries(core.UberX).Mean(); sm <= 0 {
 		t.Errorf("UberX supply mean = %v", sm)
 	}
 }

@@ -153,22 +153,6 @@ func HourlyMean(s *stats.Series) [24]float64 {
 	return out
 }
 
-// SeriesMean averages the non-NaN values of a series.
-func SeriesMean(s *stats.Series) float64 {
-	var sum float64
-	n := 0
-	for _, v := range s.Values {
-		if !math.IsNaN(v) {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
 // ---------------------------------------------------------------- Figs 9/10
 
 // HeatCell is one client cell of the spatial heatmaps.

@@ -243,8 +243,8 @@ type SupplyDemandSummary struct {
 // Summarize computes the headline aggregates of a run.
 func Summarize(r *CityRun) SupplyDemandSummary {
 	var s SupplyDemandSummary
-	s.MeanSupplyX = SeriesMean(r.Dataset.SupplySeries(measure.TrackedTypes[0]))
-	s.MeanEWTMin = SeriesMean(r.Dataset.EWTSeries())
+	s.MeanSupplyX = r.Dataset.SupplySeries(measure.TrackedTypes[0]).Mean()
+	s.MeanEWTMin = r.Dataset.EWTSeries().Mean()
 	surged, n := 0, 0
 	var sum float64
 	for _, v := range r.Dataset.SurgeSamples {

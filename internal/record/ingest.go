@@ -55,12 +55,7 @@ type LiveIngester struct {
 // client ping locations into the store's plane coordinates. On resume
 // the existing header wins and its client→series map is adopted.
 func NewLiveIngester(dir string, hdr Header, proj *geo.Projection, metrics *obs.Registry) (*LiveIngester, error) {
-	hdr.Version = Version
-	extra, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, err
-	}
-	db, err := tsdb.Open(dir, tsdb.Options{Extra: extra, Metrics: metrics})
+	db, err := openStore(dir, &hdr, metrics)
 	if err != nil {
 		return nil, err
 	}

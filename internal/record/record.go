@@ -174,22 +174,35 @@ func (w *Writer) Close() error {
 // Written reports the rows (total) and gap rows recorded so far.
 func (w *Writer) Written() (rows, gaps int64) { return w.Rows, w.Gaps }
 
+// openJSONL opens a gzip-JSONL recording and decodes its header, leaving
+// dec at the first row; the caller closes gz. On an unsupported version
+// the header is returned with the error.
+func openJSONL(r io.Reader) (*gzip.Reader, *json.Decoder, Header, error) {
+	gz, err := gzip.NewReader(r)
+	if err != nil {
+		return nil, nil, Header{}, fmt.Errorf("record: open: %w", err)
+	}
+	dec := json.NewDecoder(bufio.NewReaderSize(gz, 1<<16))
+	var hdr Header
+	if err := dec.Decode(&hdr); err != nil {
+		gz.Close()
+		return nil, nil, Header{}, fmt.Errorf("record: read header: %w", err)
+	}
+	if hdr.Version != Version {
+		gz.Close()
+		return nil, nil, hdr, fmt.Errorf("record: unsupported version %d", hdr.Version)
+	}
+	return gz, dec, hdr, nil
+}
+
 // ReadHeader decodes only a recording's header, without decompressing the
 // observation stream behind it.
 func ReadHeader(r io.Reader) (Header, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return Header{}, fmt.Errorf("record: open: %w", err)
+	gz, _, hdr, err := openJSONL(r)
+	if err == nil {
+		gz.Close()
 	}
-	defer gz.Close()
-	var hdr Header
-	if err := json.NewDecoder(bufio.NewReaderSize(gz, 1<<16)).Decode(&hdr); err != nil {
-		return Header{}, fmt.Errorf("record: read header: %w", err)
-	}
-	if hdr.Version != Version {
-		return hdr, fmt.Errorf("record: unsupported version %d", hdr.Version)
-	}
-	return hdr, nil
+	return hdr, err
 }
 
 // Replay streams a recording into sinks, reconstructing round boundaries
@@ -211,20 +224,11 @@ const (
 // ReplayRange is Replay restricted to rows with from ≤ time < to.
 // Rounds outside the window are skipped entirely (no EndRound).
 func ReplayRange(r io.Reader, from, to int64, sinks ...client.Sink) (Header, int64, error) {
-	gz, err := gzip.NewReader(r)
+	gz, dec, hdr, err := openJSONL(r)
 	if err != nil {
-		return Header{}, 0, fmt.Errorf("record: open: %w", err)
+		return hdr, 0, err
 	}
 	defer gz.Close()
-	dec := json.NewDecoder(bufio.NewReaderSize(gz, 1<<16))
-
-	var hdr Header
-	if err := dec.Decode(&hdr); err != nil {
-		return Header{}, 0, fmt.Errorf("record: read header: %w", err)
-	}
-	if hdr.Version != Version {
-		return hdr, 0, fmt.Errorf("record: unsupported version %d", hdr.Version)
-	}
 
 	rp := newRoundPlayer(hdr, sinks)
 	for {

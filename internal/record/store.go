@@ -64,16 +64,22 @@ func Create(kind, path string, hdr Header, metrics *obs.Registry) (CampaignWrite
 // tsdb metadata; reopening an existing store resumes it (rows recovered
 // from the WAL are counted as written).
 func CreateTSDB(dir string, hdr Header, metrics *obs.Registry) (*Writer, error) {
+	db, err := openStore(dir, &hdr, metrics)
+	if err != nil {
+		return nil, err
+	}
+	return &Writer{store: db, Rows: int64(db.Recovered())}, nil
+}
+
+// openStore opens (or resumes) the writable tsdb store at dir; *hdr,
+// stamped with the current Version, is the campaign header of a fresh one.
+func openStore(dir string, hdr *Header, metrics *obs.Registry) (*tsdb.DB, error) {
 	hdr.Version = Version
 	extra, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, err
 	}
-	db, err := tsdb.Open(dir, tsdb.Options{Extra: extra, Metrics: metrics})
-	if err != nil {
-		return nil, err
-	}
-	return &Writer{store: db, Rows: int64(db.Recovered())}, nil
+	return tsdb.Open(dir, tsdb.Options{Extra: extra, Metrics: metrics})
 }
 
 // headerFromStore decodes the campaign header a tsdb store carries.

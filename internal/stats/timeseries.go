@@ -50,6 +50,23 @@ func (s *Series) Set(t int64, v float64) {
 // Len returns the number of buckets.
 func (s *Series) Len() int { return len(s.Values) }
 
+// Mean averages the buckets that hold a value, skipping the missing (NaN)
+// ones; it is 0 when every bucket is missing.
+func (s *Series) Mean() float64 {
+	var sum float64
+	n := 0
+	for _, v := range s.Values {
+		if !math.IsNaN(v) {
+			sum += v
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // Accumulator builds bucket means incrementally: feed raw samples with Add,
 // then call Means to collapse each bucket to its average. This is exactly
 // how the paper turns 5-second ping observations into 5-minute features.

@@ -22,6 +22,12 @@ func TestSeriesSetAtIndex(t *testing.T) {
 	if got := s.At(1300); got != 9 {
 		t.Errorf("At(1300) = %v, want 9", got)
 	}
+	if got := s.Mean(); got != 8 {
+		t.Errorf("Mean = %v, want 8 (the two written buckets)", got)
+	}
+	if got := NewSeries(0, 300, 4).Mean(); got != 0 {
+		t.Errorf("Mean of an all-missing series = %v, want 0", got)
+	}
 	// Out of range: ignored / NaN.
 	s.Set(999, 1)
 	s.Set(1000+300*10, 1)

@@ -13,7 +13,6 @@ package tsdb
 import (
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 )
 
@@ -43,20 +42,10 @@ func (db *DB) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	// Union of series, ascending; per series the segments are already in
-	// time order (seal order + the monotonic append invariant).
-	set := make(map[int]bool)
-	for _, sr := range db.segs {
-		for _, s := range sr.series {
-			set[s] = true
-		}
-	}
-	series := make([]int, 0, len(set))
-	for s := range set {
-		series = append(series, s)
-	}
-	sort.Ints(series)
-	for _, s := range series {
+	// Series ascending; per series the segments are already in time order
+	// (seal order + the monotonic append invariant). A series only the
+	// head holds has no chunks to copy.
+	for _, s := range db.seriesLocked() {
 		for _, sr := range db.segs {
 			for _, e := range sr.bySeries[s] {
 				rows, err := sr.chunk(e)

@@ -1,9 +1,9 @@
-// Range queries. Query walks one series; QueryAll merges every series by
-// time (ties broken by series id), which is how a campaign replay
-// reconstructs ping rounds. Both decode lazily, chunk by chunk, touching
-// only chunks whose [minT, maxT] intersects the window — the point of the
-// sparse index: a one-hour window of a four-week campaign reads a few
-// chunks, not the whole file.
+// Range queries. QueryAll merges every series by time (ties broken by
+// series id), which is how a campaign replay reconstructs ping rounds;
+// Query is the same merge over one series. Both decode lazily, chunk by
+// chunk, touching only chunks whose [minT, maxT] intersects the window —
+// the point of the sparse index: a one-hour window of a four-week campaign
+// reads a few chunks, not the whole file.
 
 package tsdb
 
@@ -73,22 +73,15 @@ func (it *seriesIter) next() (*Row, bool) {
 //	}
 //	if err := it.Err(); err != nil { ... }
 type Iterator struct {
-	single *seriesIter
-	merged *mergeIter
-	row    *Row
+	m   mergeIter
+	row *Row
 }
 
 // Next advances to the next row, reporting false at the end of the window
 // or on error.
 func (it *Iterator) Next() bool {
-	var r *Row
 	var ok bool
-	if it.single != nil {
-		r, ok = it.single.next()
-	} else {
-		r, ok = it.merged.next()
-	}
-	it.row = r
+	it.row, ok = it.m.next()
 	return ok
 }
 
@@ -96,12 +89,7 @@ func (it *Iterator) Next() bool {
 func (it *Iterator) Row() *Row { return it.row }
 
 // Err returns the first decoding/IO error encountered, if any.
-func (it *Iterator) Err() error {
-	if it.single != nil {
-		return it.single.err
-	}
-	return it.merged.err()
-}
+func (it *Iterator) Err() error { return it.m.failure }
 
 // seriesIterLocked snapshots the chunk refs for one series under db.mu.
 // Decoding happens outside the lock.
@@ -122,34 +110,25 @@ func (db *DB) seriesIterLocked(series int, from, to int64) *seriesIter {
 }
 
 // Query returns an iterator over one series' rows with from ≤ Time < to.
-func (db *DB) Query(series int, from, to int64) *Iterator {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return &Iterator{single: db.seriesIterLocked(series, from, to)}
-}
+func (db *DB) Query(series int, from, to int64) *Iterator { return db.query(from, to, series) }
 
 // QueryAll returns an iterator over every series' rows with
 // from ≤ Time < to, merged in (time, series) order.
-func (db *DB) QueryAll(from, to int64) *Iterator {
+func (db *DB) QueryAll(from, to int64) *Iterator { return db.query(from, to) }
+
+// query merges the named series, or every stored one when none is named.
+func (db *DB) query(from, to int64, series ...int) *Iterator {
 	db.mu.Lock()
-	set := make(map[int]bool)
-	for _, sr := range db.segs {
-		for _, s := range sr.series {
-			set[s] = true
-		}
+	if series == nil {
+		series = db.seriesLocked()
 	}
-	for s, rows := range db.head {
-		if len(rows) > 0 {
-			set[s] = true
-		}
-	}
-	m := &mergeIter{}
-	for s := range set {
-		m.sources = append(m.sources, mergeSource{series: s, it: db.seriesIterLocked(s, from, to)})
+	it := &Iterator{}
+	for _, s := range series {
+		it.m.sources = append(it.m.sources, mergeSource{series: s, it: db.seriesIterLocked(s, from, to)})
 	}
 	db.mu.Unlock()
-	m.init()
-	return &Iterator{merged: m}
+	it.m.init()
+	return it
 }
 
 type mergeSource struct {
@@ -196,8 +175,6 @@ func (m *mergeIter) next() (*Row, bool) {
 	}
 	return row, true
 }
-
-func (m *mergeIter) err() error { return m.failure }
 
 type mergeHeap []mergeSource
 

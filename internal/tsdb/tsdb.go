@@ -295,7 +295,7 @@ func (db *DB) recoverWAL() error {
 		}
 		db.headRows = len(res.rows)
 		if res.goodSize > walHeaderSize {
-			db.headRaw = uint64(res.goodSize-walHeaderSize) - 8*uint64(len(res.rows))
+			db.headRaw = uint64(res.goodSize-walHeaderSize) - wire.FrameHeader*uint64(len(res.rows))
 		}
 		db.recovered = len(res.rows)
 		if res.seq >= nextSeq {
@@ -375,7 +375,7 @@ func (db *DB) Append(row Row) error {
 		return err
 	}
 	db.m.walBytes.Add(int64(db.wal.bytes - before))
-	db.headRaw += db.wal.bytes - before - 8
+	db.headRaw += db.wal.bytes - before - wire.FrameHeader
 	db.head[row.Series] = append(db.head[row.Series], row)
 	db.lastTime[row.Series] = row.Time
 	db.headRows++
@@ -430,7 +430,7 @@ func (db *DB) sealLocked() error {
 	if err != nil {
 		return err
 	}
-	for _, s := range sortedSeries(db.head) {
+	for _, s := range db.seriesLocked() { // one with no head rows adds nothing
 		if err := sw.add(s, db.head[s]); err != nil {
 			return err
 		}
@@ -471,15 +471,6 @@ func (db *DB) sealLocked() error {
 	return nil
 }
 
-func sortedSeries(head map[int][]Row) []int {
-	out := make([]int, 0, len(head))
-	for s := range head {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
 func (db *DB) boundsLocked() (minT, maxT int64, ok bool) {
 	minT, maxT = int64(1)<<62, -(int64(1) << 62)
 	for _, sr := range db.segs {
@@ -518,6 +509,12 @@ func (db *DB) Bounds() (minT, maxT int64, ok bool) {
 func (db *DB) Series() []int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.seriesLocked()
+}
+
+// seriesLocked is the union of the sealed segments' series and the
+// head's, ascending.
+func (db *DB) seriesLocked() []int {
 	set := make(map[int]bool)
 	for _, sr := range db.segs {
 		for _, s := range sr.series {

@@ -3,7 +3,7 @@
 // Layout:
 //
 //	magic "TSDBWAL1" (8 bytes) ‖ seq u64
-//	record*: len u32 ‖ crc32(payload) u32 ‖ payload (one row, row.go codec)
+//	record*: one wire frame (len u32 ‖ crc32 u32 ‖ payload) per row, row.go codec
 //
 // seq is the seal sequence number the head will become. Sealing writes the
 // segment durably FIRST and only then starts a fresh WAL with seq+1, so a
@@ -22,9 +22,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/wire"
 )
 
 const walMagic = "TSDBWAL1"
@@ -40,7 +41,6 @@ type walWriter struct {
 	bw      *bufio.Writer
 	seq     uint64
 	bytes   uint64 // bytes appended (records only)
-	rows    uint64
 	scratch []byte
 }
 
@@ -66,18 +66,12 @@ func createWAL(path string, seq uint64) (*walWriter, error) {
 }
 
 func (w *walWriter) append(row *Row) error {
-	w.scratch = appendRowBinary(w.scratch[:0], row)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(w.scratch)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(w.scratch))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
-	}
+	w.scratch = appendRowBinary(wire.BeginFrame(w.scratch[:0]), row)
+	wire.EndFrame(w.scratch, 0)
 	if _, err := w.bw.Write(w.scratch); err != nil {
 		return err
 	}
-	w.bytes += uint64(8 + len(w.scratch))
-	w.rows++
+	w.bytes += uint64(len(w.scratch))
 	return nil
 }
 
@@ -123,42 +117,20 @@ func scanWAL(path string) (*walScanResult, error) {
 		return nil, fmt.Errorf("tsdb: %s: wal magic: %w", path, ErrCorrupt)
 	}
 	res := &walScanResult{seq: binary.LittleEndian.Uint64(hdr[8:]), goodSize: walHeaderSize}
-	var rec [8]byte
 	payload := make([]byte, 0, 4096)
 	for {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
+		payload, err = wire.ReadFrame(br, maxWALRecord, payload)
+		if err != nil {
 			res.torn = err != io.EOF
 			return res, nil
 		}
-		n := binary.LittleEndian.Uint32(rec[0:])
-		crc := binary.LittleEndian.Uint32(rec[4:])
-		if n > maxWALRecord {
-			res.torn = true
-			return res, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			res.torn = true
-			return res, nil
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			res.torn = true
-			return res, nil
-		}
 		row, err := decodeRowBinary(payload)
-		if err != nil {
-			res.torn = true
-			return res, nil
-		}
-		if len(res.rows) >= maxRowsPerWAL {
+		if err != nil || len(res.rows) >= maxRowsPerWAL {
 			res.torn = true
 			return res, nil
 		}
 		res.rows = append(res.rows, row)
-		res.goodSize += int64(8 + n)
+		res.goodSize += int64(wire.FrameHeader + len(payload))
 	}
 }
 
@@ -182,6 +154,5 @@ func resumeWAL(path string, res *walScanResult) (*walWriter, error) {
 		bw:    bufio.NewWriterSize(f, 1<<16),
 		seq:   res.seq,
 		bytes: uint64(res.goodSize - walHeaderSize),
-		rows:  uint64(len(res.rows)),
 	}, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -109,10 +110,61 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+func appendFramed(buf, payload []byte) []byte {
+	start := len(buf)
+	buf = append(BeginFrame(buf), payload...)
+	EndFrame(buf, start)
+	return buf
+}
+
+// TestReadFrameEndVersusTorn: a log cut at every possible length reads
+// back the frames wholly before the cut, then io.EOF exactly on a frame
+// boundary and ErrTorn anywhere else; a flipped byte and a length over
+// the caller's cap are torn too, the latter before anything is allocated.
+func TestReadFrameEndVersusTorn(t *testing.T) {
+	payloads := [][]byte{[]byte("first row"), {}, bytes.Repeat([]byte{0xab}, 40)}
+	var log []byte
+	bounds := map[int]int{0: 0} // log length → frames before it
+	for i, p := range payloads {
+		log = appendFramed(log, p)
+		bounds[len(log)] = i + 1
+	}
+	for cut := 0; cut <= len(log); cut++ {
+		r := bytes.NewReader(log[:cut])
+		var buf []byte
+		var err error
+		n := 0
+		for ; ; n++ {
+			if buf, err = ReadFrame(r, 64, buf); err != nil {
+				break
+			}
+			if !bytes.Equal(buf, payloads[n]) {
+				t.Fatalf("cut %d: frame %d = %q", cut, n, buf)
+			}
+		}
+		want, whole := bounds[cut]
+		if whole && (err != io.EOF || n != want) {
+			t.Errorf("cut %d (a frame boundary): %d frames then %v, want %d then io.EOF", cut, n, err, want)
+		}
+		if !whole && err != ErrTorn {
+			t.Errorf("cut %d (inside a frame): %d frames then %v, want ErrTorn", cut, n, err)
+		}
+	}
+	flipped := append([]byte(nil), log...)
+	flipped[FrameHeader+2] ^= 1
+	if _, err := ReadFrame(bytes.NewReader(flipped), 64, nil); err != ErrTorn {
+		t.Errorf("flipped payload byte: %v, want ErrTorn", err)
+	}
+	if got, err := ReadFrame(bytes.NewReader(log[len(log)-FrameHeader-40:]), 39, nil); err != ErrTorn || got != nil {
+		t.Errorf("40-byte payload under a 39-byte cap: %v, %v; want ErrTorn", got, err)
+	}
+}
+
 // FuzzWire drives the shared primitives with raw bytes; the first byte
 // routes the operation. Invariants: nothing panics or allocates beyond
 // what the input backs, an accepted varint is the minimal encoding of its
-// value, and an accepted types section re-encodes byte-identically.
+// value, an accepted types section re-encodes byte-identically, and a
+// frame scan accepts exactly a prefix that re-frames to the same bytes.
 func FuzzWire(f *testing.F) {
 	f.Add(append([]byte{0}, AppendTypes(nil, sampleTypes)...))
 	f.Add([]byte{0, 0x00})                   // no types
@@ -120,12 +172,15 @@ func FuzzWire(f *testing.F) {
 	f.Add([]byte{1, 0x80, 0x00})             // non-minimal varint
 	f.Add([]byte{1, 0xac, 0x02})
 	f.Add(append([]byte{2}, AppendString(nil, "http 503")...))
+	f.Add(appendFramed(appendFramed([]byte{3}, []byte("row")), nil))
+	f.Add([]byte{3, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // a length nothing backs
+	f.Add(appendFramed([]byte{3}, []byte("torn"))[:10])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		op, body := data[0]%3, data[1:]
+		op, body := data[0]%4, data[1:]
 		r := NewReader(body)
 		switch op {
 		case 0:
@@ -165,6 +220,29 @@ func FuzzWire(f *testing.F) {
 			}
 			if re := AppendString(nil, s); !bytes.Equal(re, body[:r.off]) {
 				t.Fatalf("string not canonical: %x vs %x", body[:r.off], re)
+			}
+		case 3:
+			const max = 1 << 10
+			br := bytes.NewReader(body)
+			var re, buf []byte
+			for {
+				payload, err := ReadFrame(br, max, buf)
+				if err != nil {
+					// io.EOF exactly when the accepted prefix is the whole
+					// input, ErrTorn exactly when it is not.
+					if atEnd := len(re) == len(body); !(err == io.EOF && atEnd || err == ErrTorn && !atEnd) {
+						t.Fatalf("after a %d-byte prefix of %d bytes: %v", len(re), len(body), err)
+					}
+					break
+				}
+				if cap(payload) > max {
+					t.Fatalf("a %d-byte buffer for a frame under a %d-byte cap", cap(payload), max)
+				}
+				buf = payload
+				re = appendFramed(re, payload)
+			}
+			if len(re) > len(body) || !bytes.Equal(re, body[:len(re)]) {
+				t.Fatalf("re-framing the accepted payloads: %d bytes that are not a prefix of the input", len(re))
 			}
 		}
 	})
