@@ -1,8 +1,10 @@
 package api
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
@@ -83,4 +85,25 @@ func BenchmarkEstimatePriceParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRemotePing is a ping as a remote campaign pays for it: an
+// httptest shard, Remote.PingClientCtx, one connection. Allocations cover
+// both ends (the server runs in this process); the client's share is the
+// four slabs of core.DecodePing plus net/http's per-request state.
+func BenchmarkRemotePing(b *testing.B) {
+	s := NewBackend(sim.Manhattan(), 42, false)
+	s.Register("bench-00")
+	s.RunUntil(300)
+	ts := httptest.NewServer(NewServer(s))
+	defer ts.Close()
+	remote := NewRemote(ts.URL, ts.Client(), WithoutRetry(), WithoutBreaker(), WithoutRetryBudget())
+	loc, ctx := center(s), context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := remote.PingClientCtx(ctx, "bench-00", loc); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -1,0 +1,52 @@
+package api
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"sync"
+)
+
+const (
+	// maxBody is the largest response body Remote accepts. A ping is 25 kB;
+	// a server that streams without end must not grow the client without
+	// bound.
+	maxBody = 16 << 20
+	// maxPooledBody is the largest buffer kept for reuse: one oversized
+	// body must not pin its memory in the pool.
+	maxPooledBody = 1 << 20
+)
+
+// bodyBuf is a pooled buffer holding one whole JSON body: a response
+// Remote has read and is about to decode, or one WriteJSON has encoded and
+// is about to send. Nothing that outlives putBody may point into it.
+type bodyBuf struct {
+	bytes.Buffer
+	lim io.LimitedReader // readAll's, here so that it is not allocated per read
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+func getBody() *bodyBuf { return bodyPool.Get().(*bodyBuf) }
+
+func putBody(b *bodyBuf) {
+	if b.Cap() > maxPooledBody {
+		return
+	}
+	b.Reset()
+	bodyPool.Put(b)
+}
+
+// readAll reads r to its end into the buffer, refusing more than maxBody.
+func (b *bodyBuf) readAll(r io.Reader) error {
+	b.lim = io.LimitedReader{R: r, N: maxBody + 1}
+	_, err := b.ReadFrom(&b.lim)
+	b.lim.R = nil
+	if err != nil {
+		return err
+	}
+	if b.lim.N <= 0 {
+		return fmt.Errorf("body exceeds %d bytes", maxBody)
+	}
+	return nil
+}

@@ -143,10 +143,23 @@ func (s *Server) route(pattern, endpoint string, h http.HandlerFunc) {
 // WriteError and QueryLoc, because the gateway must answer for itself in
 // exactly the shapes a shard would: a client cannot tell a gateway edge
 // from a shard edge.
+//
+// The body is encoded into a pooled buffer before the header goes out, so a
+// value encoding/json refuses (a NaN position) is answered 500 with the
+// error body instead of a 200 with nothing after it. Content-Length is left
+// to net/http although it is known here: declaring it on a large body lets
+// the client see the body's end before this handler has returned, and so
+// before route has recorded the request.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := getBody()
+	defer putBody(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // WriteError answers status with the API's one error body, {"error": msg}.

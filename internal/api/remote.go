@@ -60,6 +60,7 @@ type Remote struct {
 	mOpens     *obs.Counter // breaker transitions into open
 	mNowErrs   *obs.Counter // Now() calls that hit a dead backend
 	mExhausted *obs.Counter // retries skipped on an empty retry budget
+	mFallback  *obs.Counter // ping bodies core.DecodePing handed to encoding/json
 }
 
 // retryBudget is a token bucket bounding the client's aggregate retry
@@ -177,6 +178,8 @@ func WithoutRetryBudget() RemoteOption {
 //	client_breaker_fastfail_total calls rejected while a breaker was open
 //	client_breaker_opens_total    breaker transitions into the open state
 //	client_now_errors_total       Now() calls answered 0 for a dead backend
+//	client_retry_budget_exhausted_total retries skipped on an empty budget
+//	client_decode_fallback_total  ping bodies outside the fast decoder's grammar
 func WithRegistry(reg *obs.Registry) RemoteOption {
 	return func(r *Remote) {
 		r.mRetries = reg.Counter("client_retries_total")
@@ -185,6 +188,7 @@ func WithRegistry(reg *obs.Registry) RemoteOption {
 		r.mOpens = reg.Counter("client_breaker_opens_total")
 		r.mNowErrs = reg.Counter("client_now_errors_total")
 		r.mExhausted = reg.Counter("client_retry_budget_exhausted_total")
+		r.mFallback = reg.Counter("client_decode_fallback_total")
 	}
 }
 
@@ -403,11 +407,10 @@ func (r *Remote) Register(clientID string) error {
 	return r.RegisterCtx(context.Background(), clientID)
 }
 
-// get performs one resilient GET against a query endpoint, decoding the
-// JSON response into out.
-func (r *Remote) get(ctx context.Context, path, clientID string, loc geo.LatLng, out any) error {
-	u := fmt.Sprintf("%s%s?client=%s&lat=%.7f&lng=%.7f",
-		r.base, path, url.QueryEscape(clientID), loc.Lat, loc.Lng)
+// get performs one resilient GET of u, decoding the JSON body of a 200
+// into out. It is the one place Remote classifies a response: every read
+// endpoint, /health included, comes through here.
+func (r *Remote) get(ctx context.Context, path, u string, out any) error {
 	return r.call(ctx, path, func(ctx context.Context) attemptOutcome {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
@@ -418,46 +421,69 @@ func (r *Remote) get(ctx context.Context, path, clientID string, loc geo.LatLng,
 		if err != nil {
 			return attemptOutcome{err: fmt.Errorf("api: GET %s: %w", path, err)}
 		}
+		defer drain(resp)
 		switch resp.StatusCode {
 		case http.StatusOK:
-			err := json.NewDecoder(resp.Body).Decode(out)
-			drain(resp)
-			if err != nil {
-				// A decode failure on a 200 is a truncated or garbled body:
-				// transport-class, retryable.
+			if err := r.decode(resp.Body, out); err != nil {
+				// A short read or a decode failure on a 200 is a truncated or
+				// garbled body: transport-class, retryable.
 				return attemptOutcome{err: fmt.Errorf("api: GET %s: decode: %w", path, err)}
 			}
 			return attemptOutcome{}
 		case http.StatusUnauthorized:
-			drain(resp)
 			return attemptOutcome{err: ErrUnknownAccount, terminal: true}
 		case http.StatusTooManyRequests:
-			ra := retryAfterHeader(resp)
-			drain(resp)
 			// A 429 with Retry-After is the server pacing us: honor it. A
 			// bare 429 is the hourly budget — waiting a backoff won't help.
+			ra := retryAfterHeader(resp)
 			return attemptOutcome{err: ErrRateLimited, terminal: ra == 0, retryAfter: ra}
 		case http.StatusNotFound:
-			drain(resp)
 			return attemptOutcome{err: ErrOutOfService, terminal: true}
 		default:
-			ra := retryAfterHeader(resp)
-			code := resp.StatusCode
-			drain(resp)
 			return attemptOutcome{
-				err:        fmt.Errorf("api: GET %s: status %d", path, code),
-				terminal:   code < 500,
-				retryAfter: ra,
+				err:        fmt.Errorf("api: GET %s: status %d", path, resp.StatusCode),
+				terminal:   resp.StatusCode < 500,
+				retryAfter: retryAfterHeader(resp),
 			}
 		}
 	})
+}
+
+// decode reads one whole body into a pooled buffer and decodes it into out
+// with json.Unmarshal's semantics: unlike a json.Decoder, anything but
+// whitespace after the value is an error. A ping goes through
+// core.DecodePing, which allocates the result at its exact size and hands
+// what it is not sure of to json.Unmarshal itself; neither leaves anything
+// in out that points into the buffer, so it returns to the pool here.
+func (r *Remote) decode(body io.Reader, out any) error {
+	buf := getBody()
+	defer putBody(buf)
+	if err := buf.readAll(body); err != nil {
+		return err
+	}
+	ping, ok := out.(*core.PingResponse)
+	if !ok {
+		return json.Unmarshal(buf.Bytes(), out)
+	}
+	fast, err := core.DecodePing(buf.Bytes(), ping)
+	if !fast {
+		r.mFallback.Inc()
+	}
+	return err
+}
+
+// query performs get against one of the per-account GPS endpoints.
+func (r *Remote) query(ctx context.Context, path, clientID string, loc geo.LatLng, out any) error {
+	u := fmt.Sprintf("%s%s?client=%s&lat=%.7f&lng=%.7f",
+		r.base, path, url.QueryEscape(clientID), loc.Lat, loc.Lng)
+	return r.get(ctx, path, u, out)
 }
 
 // PingClientCtx implements core.Service over the wire with a caller
 // context.
 func (r *Remote) PingClientCtx(ctx context.Context, clientID string, loc geo.LatLng) (*core.PingResponse, error) {
 	var resp core.PingResponse
-	if err := r.get(ctx, "/pingClient", clientID, loc, &resp); err != nil {
+	if err := r.query(ctx, "/pingClient", clientID, loc, &resp); err != nil {
 		return nil, err
 	}
 	// TypeName travels on the wire; rebuild the enum for local use.
@@ -480,7 +506,7 @@ func (r *Remote) PingClient(clientID string, loc geo.LatLng) (*core.PingResponse
 // context.
 func (r *Remote) EstimatePriceCtx(ctx context.Context, clientID string, loc geo.LatLng) ([]core.PriceEstimate, error) {
 	var out []core.PriceEstimate
-	if err := r.get(ctx, "/estimates/price", clientID, loc, &out); err != nil {
+	if err := r.query(ctx, "/estimates/price", clientID, loc, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -495,7 +521,7 @@ func (r *Remote) EstimatePrice(clientID string, loc geo.LatLng) ([]core.PriceEst
 // context.
 func (r *Remote) EstimateTimeCtx(ctx context.Context, clientID string, loc geo.LatLng) ([]core.TimeEstimate, error) {
 	var out []core.TimeEstimate
-	if err := r.get(ctx, "/estimates/time", clientID, loc, &out); err != nil {
+	if err := r.query(ctx, "/estimates/time", clientID, loc, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -518,34 +544,7 @@ func (r *Remote) NowCtx(ctx context.Context) (int64, error) {
 	var body struct {
 		Time int64 `json:"time"`
 	}
-	err := r.call(ctx, "/health", func(ctx context.Context) attemptOutcome {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/health", nil)
-		if err != nil {
-			return attemptOutcome{err: err, terminal: true}
-		}
-		applyDeadlineHeader(ctx, req)
-		resp, err := r.hc.Do(req)
-		if err != nil {
-			return attemptOutcome{err: fmt.Errorf("api: GET /health: %w", err)}
-		}
-		if resp.StatusCode != http.StatusOK {
-			ra := retryAfterHeader(resp)
-			code := resp.StatusCode
-			drain(resp)
-			return attemptOutcome{
-				err:        fmt.Errorf("api: GET /health: status %d", code),
-				terminal:   code < 500 && code != http.StatusTooManyRequests,
-				retryAfter: ra,
-			}
-		}
-		derr := json.NewDecoder(resp.Body).Decode(&body)
-		drain(resp)
-		if derr != nil {
-			return attemptOutcome{err: fmt.Errorf("api: GET /health: decode: %w", derr)}
-		}
-		return attemptOutcome{}
-	})
-	if err != nil {
+	if err := r.get(ctx, "/health", r.base+"/health", &body); err != nil {
 		return 0, err
 	}
 	return body.Time, nil

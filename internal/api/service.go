@@ -224,7 +224,7 @@ func (s *Service) PingClient(clientID string, loc geo.LatLng) (*core.PingRespons
 	area := snap.AreaOf(p)
 	now := snap.Now
 	fuzz := s.fuzzMeters()
-	resp := &core.PingResponse{Time: now}
+	resp := &core.PingResponse{Time: now, Types: make([]core.TypeStatus, 0, len(s.offered))}
 	for _, vt := range s.offered {
 		ts := core.TypeStatus{
 			Type:       vt,
