@@ -321,7 +321,7 @@ func BenchmarkAblationJitter(b *testing.B) {
 // "1M drivers stepping in real time" north-star. They step a bare world
 // (no campaign, no surge engine) so the numbers isolate the simulation
 // tick: struct-of-arrays movement, parallel spawn/dispatch, and the
-// incremental snapshot. BENCH_step.json records the blessed numbers for
+// snapshot build. BENCH_step.json records the blessed numbers for
 // these benchmarks (plus the pre-refactor AoS figures they replaced) and
 // cmd/benchgate compares fresh runs against it in CI.
 
@@ -402,14 +402,14 @@ func BenchmarkRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotDelta measures the incremental snapshot build: each
-// iteration steps the world off the clock, then times only the delta
-// rebuild of the cells the tick touched.
-func BenchmarkSnapshotDelta(b *testing.B) {
+// BenchmarkSnapshotEpoch measures the snapshot build: each iteration
+// steps the world off the clock, then times only the build of the next
+// epoch from the live idle grids.
+func BenchmarkSnapshotEpoch(b *testing.B) {
 	for _, size := range []string{"10k", "100k"} {
 		b.Run("fleet="+size, func(b *testing.B) {
 			w := fleetWorld(b, size)
-			w.Snapshot() // pay the full first build before the timer
+			w.Snapshot() // seed the path histories before the timer
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

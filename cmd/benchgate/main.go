@@ -2,7 +2,7 @@
 // baseline in BENCH_step.json and fails CI when the fleet-scale tick
 // regresses. It reads the benchmark output on stdin:
 //
-//	go test -run '^$' -bench 'BenchmarkStep|BenchmarkSnapshotDelta' \
+//	go test -run '^$' -bench 'BenchmarkStep|BenchmarkSnapshotEpoch' \
 //	    -benchtime 5x -benchmem . | go run ./cmd/benchgate
 //
 // Two gates, applied to every benchmark in the baseline's "gate" section:
@@ -14,7 +14,7 @@
 //     not exactly — reproducible run to run.
 //   - B/op may not regress anywhere either, with 1% + 1 KiB of slack (six
 //     repeated sweeps differ by at most 64 B/op). Bytes do not track
-//     allocs: the history-chunk snapshot tripled BenchmarkSnapshotDelta's
+//     allocs: the history-chunk snapshot tripled BenchmarkSnapshotEpoch's
 //     allocs/op while cutting its B/op by 70%, and the reverse trade would
 //     sail through a count-only gate.
 //

@@ -11,7 +11,7 @@ func TestParseBench(t *testing.T) {
 		"goos: linux",
 		"cpu: Intel(R) Xeon(R) Processor @ 2.10GHz",
 		"BenchmarkStep/fleet=10k-2  	       5	    739903 ns/op	  178584 B/op	     526 allocs/op",
-		"BenchmarkSnapshotDelta/fleet=100k         	       5	  11176933 ns/op	 4412643 B/op	    5250 allocs/op",
+		"BenchmarkSnapshotEpoch/fleet=100k         	       5	  11176933 ns/op	 4412643 B/op	    5250 allocs/op",
 		"BenchmarkRoute-16 	     300	    589543.5 ns/op",
 		"BenchmarkBroken-2 	       5	    n/a ns/op",
 		"--- BENCH: BenchmarkStep/fleet=10k-2",
@@ -23,7 +23,7 @@ func TestParseBench(t *testing.T) {
 	}
 	want := map[string]metrics{
 		"BenchmarkStep/fleet=10k":           {NsOp: 739903, BOp: 178584, AllocsOp: 526},
-		"BenchmarkSnapshotDelta/fleet=100k": {NsOp: 11176933, BOp: 4412643, AllocsOp: 5250},
+		"BenchmarkSnapshotEpoch/fleet=100k": {NsOp: 11176933, BOp: 4412643, AllocsOp: 5250},
 		"BenchmarkRoute":                    {NsOp: 589543.5},
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -224,6 +224,11 @@ func (g *SlotGrid) FirstWithin(from Point, radius float64) int32 {
 	return best
 }
 
+// Cell returns the points indexed in cell c (see Cells.CellIndex), in the
+// order Each visits them. The slice is the grid's own: read-only, and
+// valid only until the next mutation.
+func (g *SlotGrid) Cell(c int) []SlotPoint { return g.cells[c] }
+
 // Each calls fn for every indexed point. Iteration order is by cell, then
 // insertion order within the cell — deterministic for a deterministic
 // mutation history.

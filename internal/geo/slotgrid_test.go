@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -287,6 +288,33 @@ func TestGridEach(t *testing.T) {
 		if p != (Point{float64(s), float64(s)}) {
 			t.Errorf("Each reported slot %d at %v", s, p)
 		}
+	}
+}
+
+// Cell by cell, the grid reads as Each reads it, and every point sits in
+// the cell its position maps to — after moves and removes too.
+func TestGridCell(t *testing.T) {
+	g := NewSlotGrid(NewRect(Point{0, 0}, Point{1000, 1000}), 100)
+	rng := rand.New(rand.NewSource(3))
+	for s := int32(0); s < 300; s++ {
+		g.Insert(s, Point{rng.Float64() * 1000, rng.Float64() * 1000})
+	}
+	for s := int32(0); s < 300; s += 3 {
+		g.Move(s, Point{rng.Float64() * 1000, rng.Float64() * 1000})
+		g.Remove(s + 1)
+	}
+	var each, cells []SlotPoint
+	g.Each(func(s int32, p Point) { each = append(each, SlotPoint{Slot: s, Pos: p}) })
+	for c := 0; c < g.NumCells(); c++ {
+		for _, sp := range g.Cell(c) {
+			if got := g.CellIndex(sp.Pos); got != c {
+				t.Fatalf("slot %d at %v listed in cell %d, maps to cell %d", sp.Slot, sp.Pos, c, got)
+			}
+			cells = append(cells, sp)
+		}
+	}
+	if len(cells) != g.Len() || !reflect.DeepEqual(cells, each) {
+		t.Fatalf("Cell walk read %d points, Each %d, Len %d; sequences must agree", len(cells), len(each), g.Len())
 	}
 }
 

@@ -141,7 +141,6 @@ func (w *World) logon(pl *spawnPlan) int32 {
 	f.resetPath(s)
 	f.resetRoute(s)
 	w.grids[pl.vt].Insert(s, pl.pos)
-	w.markChanged(s)
 	return s
 }
 
@@ -381,7 +380,6 @@ func (w *World) commitSub(sub *subPlan) {
 	f.stops[slot] = nil
 	f.poolRiders[slot] = 1
 	w.grids[f.typ[slot]].Remove(slot)
-	w.markChanged(slot)
 	w.TotalPickups++
 	w.priceSum += price
 	w.priceSumSq += price * price

@@ -134,12 +134,12 @@ func (f *fleet) resetPath(s int32) {
 	f.pathGen[s] += 2
 }
 
-// record appends the slot's current position to its path ring and
-// reports whether the ring's observable content changed. When the ring
-// is already saturated with the current position (a parked car), the
-// write is skipped entirely, so a parked car is not marked changed and the
-// snapshot builder keeps sharing its cell entry.
-func (f *fleet) record(s int32) bool {
+// record appends the slot's current position to its path ring. When the
+// ring is already saturated with the current position (a parked car), the
+// write is skipped entirely and pathGen stands still: pathGen means "the
+// ring took a write", which is how the snapshot builder knows the car's
+// published path window is still exact.
+func (f *fleet) record(s int32) {
 	base := int(s) * pathLen
 	p := f.pos[s]
 	if f.pathN[s] == pathLen {
@@ -151,7 +151,7 @@ func (f *fleet) record(s int32) bool {
 			}
 		}
 		if same {
-			return false
+			return
 		}
 	}
 	f.path[base+int(f.pathPos[s])] = p
@@ -160,7 +160,6 @@ func (f *fleet) record(s int32) bool {
 		f.pathN[s]++
 	}
 	f.pathGen[s]++
-	return true
 }
 
 // pathPoints appends the slot's recent positions oldest-first to buf.

@@ -102,9 +102,8 @@ func (p plane) cruise(s int32, dt float64, rng *rand.Rand) {
 // shardOps is one movement shard's private state: its RNG (rng draws
 // from stream, which shardRand re-keys every tick), its mover, and the
 // buffer of deferred world mutations — grid updates, joinable-POOL index
-// updates, removals, and snapshot dirty marks may not touch shared state
-// from workers, so they queue here and the commit loop applies them in
-// (shard, index) order.
+// updates, and removals may not touch shared state from workers, so they
+// queue here and the commit loop applies them in (shard, index) order.
 type shardOps struct {
 	stream   *shardStream
 	rng      *rand.Rand
@@ -115,7 +114,6 @@ type shardOps struct {
 	poolIns  []geo.SlotPoint                       // trips becoming joinable
 	poolMove []geo.SlotPoint                       // joinable trips that moved
 	poolDel  []int32                               // trips no longer joinable
-	changed  []int32                               // idle cars whose wire view changed
 	dropoffs int64
 }
 
@@ -128,7 +126,6 @@ func (o *shardOps) reset() {
 	o.poolIns = o.poolIns[:0]
 	o.poolMove = o.poolMove[:0]
 	o.poolDel = o.poolDel[:0]
-	o.changed = o.changed[:0]
 	o.dropoffs = 0
 }
 
@@ -162,7 +159,6 @@ func (w *World) moveDrivers() {
 			for _, ip := range o.inserts[vt] {
 				// A re-inserted driver just finished a trip; the commit loop
 				// runs serially in shard order, so emission order is stable.
-				w.markChanged(ip.Slot)
 				w.emitSlot(bus.KindTripComplete, ip.Slot, 0, core.VehicleType(vt).String())
 			}
 		}
@@ -170,9 +166,6 @@ func (w *World) moveDrivers() {
 			w.TotalOffline++
 			w.emitSlot(bus.KindDriverOffline, sl, 0, core.VehicleType(f.typ[sl]).String())
 			w.removeSlot(sl)
-		}
-		for _, sl := range o.changed {
-			w.markChanged(sl)
 		}
 	}
 }
@@ -211,13 +204,10 @@ func (w *World) moveOne(s int32, dt float64, rng *rand.Rand, o *shardOps) {
 		}
 		before := f.pos[s]
 		o.mv.cruise(s, dt, rng)
-		moved := f.pos[s] != before
-		if moved {
+		if f.pos[s] != before {
 			o.moves[f.typ[s]] = append(o.moves[f.typ[s]], geo.SlotPoint{Slot: s, Pos: f.pos[s]})
 		}
-		if f.record(s) || moved {
-			o.changed = append(o.changed, s)
-		}
+		f.record(s)
 		return
 	case StateEnRoute:
 		if o.mv.advance(s, f.pickup[s], dt) {

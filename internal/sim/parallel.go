@@ -8,10 +8,9 @@ import (
 
 // The phase-parallel tick.
 //
-// Step's expensive phases (movement/cruise, window stats, and the
-// snapshot build in snapshot.go) run over fixed driver shards spread
-// across Config.Workers goroutines. Determinism is by construction, not
-// by scheduling discipline:
+// Step's expensive phases (movement/cruise and window stats) run over
+// fixed driver shards spread across Config.Workers goroutines.
+// Determinism is by construction, not by scheduling discipline:
 //
 //   - The shard structure is fixed: shardSize drivers per shard,
 //     regardless of worker count. Workers only decide *who* runs a

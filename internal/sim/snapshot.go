@@ -25,10 +25,10 @@ import (
 //   - the rasterized area index and area polygons;
 //   - the simulation clock and the service region.
 //
-// Snapshots are built incrementally (see snapBuilder below): consecutive
-// snapshots share every grid cell no marked car left or entered, and window
-// into the same append-only per-car path histories (carHist). All methods
-// are safe for unlimited concurrent use.
+// Every snapshot is built whole from the live idle grids (see World.Snapshot);
+// consecutive snapshots share only the append-only per-car path histories
+// they window into (carHist). All methods are safe for unlimited concurrent
+// use.
 type Snapshot struct {
 	// Now is the simulation time the snapshot was taken at.
 	Now int64
@@ -67,9 +67,8 @@ type snapCar struct {
 
 // productCells is a read-only uniform grid over one product's idle cars:
 // cells[c] lists the cars in cell c of the embedded geometry, which is
-// the live grids' own. Cell slices are immutable once published — the
-// incremental builder copies a cell before changing it — so consecutive
-// snapshots share the cells churn didn't touch.
+// the live grids' own. The non-empty cells are cap-limited windows of one
+// slab per product, written once by the build and immutable once published.
 type productCells struct {
 	geo.Cells
 	count int
@@ -171,212 +170,53 @@ func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighb
 	return buf
 }
 
-// touchedCell names one (product, cell) pair a build must re-materialize.
-type touchedCell struct {
-	cell int32
-	vt   uint8
-}
-
-// snapBuilder is the world's incremental snapshot state. The sim phases
-// mark slots whose snapshot-observable state changed (position, path
-// ring, idle membership) via markChanged; the next Snapshot() call
-// re-encodes only the marked cars and rebuilds only the grid cells they
-// left or entered, reusing every other cell slice from the previous
-// snapshot by structural sharing; a re-encode usually projects one new
-// point onto the car's history chunk (see encodeCar).
-//
-// The builder stays dormant (and markChanged free) until the first
-// Snapshot() call, so worlds that never snapshot — batch experiments,
-// benchmarks — pay nothing.
+// snapBuilder is what the world remembers between snapshot builds: each
+// visible slot's path history (see carHist) and the build that last encoded
+// it. Nothing is remembered about cells — every idle car cruises every tick,
+// so every build re-encodes every visible car and no cell entry of one epoch
+// is valid in the next (measured: DESIGN.md "Snapshot build"). The sim
+// phases owe the builder nothing: it reads the live idle grids and the
+// fleet's pathGen, and a world that never snapshots pays nothing.
 type snapBuilder struct {
-	inited bool
-	// queued is the dirty-slot list, deduplicated by snapSlot.queued.
-	queued []int32
-	slots  []snapSlot
-	// cells/counts are the last published per-product state; a build
-	// clones a product's top-level slice before changing any entry.
-	cells  [core.NumVehicleTypes][][]snapCar
-	counts [core.NumVehicleTypes]int
-	// Per-build scratch: touchStamp/touchIdx map (product, cell) to this
-	// build's touched-list entry; seq distinguishes builds so the maps
-	// never need clearing.
-	touchStamp [core.NumVehicleTypes][]int32
-	touchIdx   [core.NumVehicleTypes][]int32
-	seq        int32
-	touched    []touchedCell
-	addLists   [][]int32
-	last       *Snapshot
+	slots []snapSlot
+	// seq numbers the builds, from 1.
+	seq uint32
 	// renewals counts this build's fresh history chunks; the counters are
 	// World.Instrument's, bumped once per build.
 	renewals                 int64
 	mCars, mRenewals, mCells *obs.Counter
 }
 
-// snapSlot is the builder's memory of one fleet slot: its place in the last
-// published snapshot (prod -1 means invisible: busy or offline) and, while
-// visible, its history chunk, the points written and their fleet.pathGen.
+// snapSlot is the builder's memory of one fleet slot: its history chunk, the
+// points written, their fleet.pathGen and the build that wrote them. A chunk
+// is extended only for a slot the immediately preceding build encoded, so a
+// car that was invisible to any build in between starts a fresh one.
 type snapSlot struct {
-	hist   *carHist
-	cell   int32
-	gen    uint32
-	prod   int8
-	end    uint8
-	queued bool
-}
-
-// markChanged queues a slot for re-encoding in the next snapshot build.
-// Serial-phase only (the parallel move shards queue into their shardOps
-// and the commit loop forwards here).
-func (w *World) markChanged(s int32) {
-	b := &w.snap
-	if !b.inited {
-		return
-	}
-	for int32(len(b.slots)) <= s {
-		b.slots = append(b.slots, snapSlot{prod: -1})
-	}
-	if !b.slots[s].queued {
-		b.slots[s].queued = true
-		b.queued = append(b.queued, s)
-	}
-}
-
-// initSnapBuilder allocates the builder's geometry and queues the whole
-// live fleet as the first delta.
-func (w *World) initSnapBuilder() {
-	b := &w.snap
-	n := w.grids[0].NumCells()
-	for vt := range b.cells {
-		b.cells[vt] = make([][]snapCar, n)
-		b.touchStamp[vt] = make([]int32, n)
-		b.touchIdx[vt] = make([]int32, n)
-	}
-	b.inited = true
-	f := &w.fleet
-	for s := int32(0); int(s) < f.high; s++ {
-		if f.live[s] {
-			w.markChanged(s)
-		}
-	}
-}
-
-// touch registers a (product, cell) pair for rebuild and returns its
-// add-list.
-func (b *snapBuilder) touch(vt uint8, cell int32) int {
-	if b.touchStamp[vt][cell] == b.seq {
-		return int(b.touchIdx[vt][cell])
-	}
-	b.touchStamp[vt][cell] = b.seq
-	idx := len(b.touched)
-	b.touchIdx[vt][cell] = int32(idx)
-	b.touched = append(b.touched, touchedCell{cell: cell, vt: vt})
-	if len(b.addLists) <= idx {
-		b.addLists = append(b.addLists, nil)
-	}
-	b.addLists[idx] = b.addLists[idx][:0]
-	return idx
+	hist *carHist
+	gen  uint32
+	seen uint32
+	end  uint8
 }
 
 // Snapshot freezes the world's queryable state. It must be called from
 // the same goroutine that steps the world (or under the caller's step
 // lock); the returned snapshot itself is immutable.
 //
-// The build is incremental: cost is proportional to the tick's churn
-// (cars that moved, changed visibility, or extended their path ring),
-// not to the fleet size. With no churn since the last call, the previous
-// snapshot is returned as-is.
+// The build is one pass over the live idle grids, which hold exactly the
+// visible cars, by cell, at their committed positions: per product one cell
+// table and one exact-size slab of entries, each non-empty cell a
+// cap-limited window of the slab. Cost is proportional to the idle fleet.
+//
+// Entry order inside a cell is the live grid's and is unobservable: every
+// answer is ordered by (dist, slot) in insertSnapNeighbor. The pass may
+// therefore be sharded in any deterministic order.
 func (w *World) Snapshot() *Snapshot {
 	b := &w.snap
-	if !b.inited {
-		w.initSnapBuilder()
-	}
-	if len(b.queued) == 0 && b.last != nil && b.last.Now == w.now {
-		return b.last
-	}
-	f := &w.fleet
-	geom := productCells{Cells: w.grids[0].Cells}
 	b.seq++
-	b.touched = b.touched[:0]
-
-	// Classify every dirty slot: where was it in the last snapshot, where
-	// does it belong now. Touch the cells on both ends.
-	var productTouched [core.NumVehicleTypes]bool
-	for _, s := range b.queued {
-		sl := &b.slots[s]
-		oldP, oldC := sl.prod, sl.cell
-		newP, newC := int8(-1), int32(-1)
-		if f.live[s] && DriverState(f.state[s]) == StateIdle {
-			newP = int8(f.typ[s])
-			newC = int32(geom.CellIndex(f.pos[s]))
-		}
-		if oldP < 0 && newP < 0 {
-			continue
-		}
-		if oldP >= 0 {
-			b.touch(uint8(oldP), oldC)
-			productTouched[oldP] = true
-			b.counts[oldP]--
-		}
-		if newP >= 0 {
-			idx := b.touch(uint8(newP), newC)
-			b.addLists[idx] = append(b.addLists[idx], s)
-			productTouched[newP] = true
-			b.counts[newP]++
-		} else {
-			sl.hist = nil
-		}
-		sl.prod, sl.cell = newP, newC
-	}
-
-	// Clone the top-level cell table of every touched product so the
-	// previously published snapshots stay immutable.
-	for vt := range productTouched {
-		if !productTouched[vt] {
-			continue
-		}
-		clone := make([][]snapCar, len(b.cells[vt]))
-		copy(clone, b.cells[vt])
-		b.cells[vt] = clone
-	}
-
-	// Rebuild each touched cell: keep the still-valid frozen entries
-	// (slots not queued), then append fresh encodings of the cell's
-	// incoming cars.
-	var cars int64
 	b.renewals = 0
-	for ti, tc := range b.touched {
-		old := b.cells[tc.vt][tc.cell]
-		adds := b.addLists[ti]
-		n := len(adds)
-		for i := range old {
-			if !b.slots[old[i].slot].queued {
-				n++
-			}
-		}
-		var fresh []snapCar
-		if n > 0 {
-			fresh = make([]snapCar, 0, n)
-			for i := range old {
-				if !b.slots[old[i].slot].queued {
-					fresh = append(fresh, old[i])
-				}
-			}
-			for _, s := range adds {
-				fresh = append(fresh, w.encodeCar(s))
-			}
-			cars += int64(len(adds))
-		}
-		b.cells[tc.vt][tc.cell] = fresh
+	for len(b.slots) < w.fleet.high {
+		b.slots = append(b.slots, snapSlot{})
 	}
-	b.mCars.Add(cars)
-	b.mRenewals.Add(b.renewals)
-	b.mCells.Add(int64(len(b.touched)))
-
-	for _, s := range b.queued {
-		b.slots[s].queued = false
-	}
-	b.queued = b.queued[:0]
-
 	snap := &Snapshot{
 		Now:     w.now,
 		Areas:   w.areas,
@@ -385,41 +225,67 @@ func (w *World) Snapshot() *Snapshot {
 		areaIdx: w.areaIndex,
 		trip:    w.mv.freeze(),
 	}
-	for vt := range snap.products {
-		pc := geom
-		pc.count = b.counts[vt]
-		pc.cells = b.cells[vt]
-		snap.products[vt] = pc
+	var cars, cells int64
+	for vt, g := range w.grids {
+		pc := &snap.products[vt]
+		pc.Cells = g.Cells
+		pc.count = g.Len()
+		if pc.count == 0 {
+			continue // kNearest never reads the cells of an empty product
+		}
+		pc.cells = make([][]snapCar, g.NumCells())
+		slab := make([]snapCar, 0, pc.count)
+		for c := range pc.cells {
+			live := g.Cell(c)
+			if len(live) == 0 {
+				continue
+			}
+			lo := len(slab)
+			for _, sp := range live {
+				slab = append(slab, w.encodeCar(sp.Slot))
+			}
+			pc.cells[c] = slab[lo:len(slab):len(slab)]
+			cells++
+		}
+		cars += int64(len(slab))
 	}
-	b.last = snap
+	b.mCars.Add(cars)
+	b.mRenewals.Add(b.renewals)
+	b.mCells.Add(cells)
 	return snap
 }
 
-// encodeCar returns slot s's cell entry for this build. A car that stayed
-// visible and whose ring took exactly one write since its last encode gains
-// one projected point on its chunk. A full chunk is renewed from the ring;
-// so is anything else (newly visible, a new session in a recycled slot, a
-// skipped build), at an offset staggered by slot so that the fleet's
-// renewals spread over builds. The newest point is always the car's
-// position: record wrote it last.
+// encodeCar returns slot s's cell entry for this build. A car the preceding
+// build encoded keeps its window if its ring took no write since (parked, or
+// a second build at one instant) and gains one projected point on its chunk
+// if the ring took exactly one. A full chunk is renewed from the ring; so is
+// anything else (newly visible, a new session in a recycled slot, a skipped
+// build), at an offset staggered by slot so that the fleet's renewals spread
+// over builds. The newest point is always the car's position: record wrote
+// it last.
 func (w *World) encodeCar(s int32) snapCar {
-	f, sl := &w.fleet, &w.snap.slots[s]
+	f, b := &w.fleet, &w.snap
+	sl := &b.slots[s]
 	n := int(f.pathN[s])
-	one := sl.hist != nil && f.pathGen[s] == sl.gen+1
-	if !one || int(sl.end) == len(sl.hist.pts) {
-		sl.hist, sl.end = &carHist{id: f.session[s]}, 0
-		if !one {
-			sl.end = uint8(s % (pathLen + 1))
+	stayed := sl.hist != nil && sl.seen == b.seq-1
+	sl.seen = b.seq
+	if !stayed || f.pathGen[s] != sl.gen {
+		one := stayed && f.pathGen[s] == sl.gen+1
+		if !one || int(sl.end) == len(sl.hist.pts) {
+			sl.hist, sl.end = &carHist{id: f.session[s]}, 0
+			if !one {
+				sl.end = uint8(s % (pathLen + 1))
+			}
+			var ring [pathLen]geo.Point
+			for _, p := range f.pathPoints(s, ring[:0])[:n-1] {
+				sl.hist.pts[sl.end] = w.proj.ToLatLng(p)
+				sl.end++
+			}
+			b.renewals++
 		}
-		var ring [pathLen]geo.Point
-		for _, p := range f.pathPoints(s, ring[:0])[:n-1] {
-			sl.hist.pts[sl.end] = w.proj.ToLatLng(p)
-			sl.end++
-		}
-		w.snap.renewals++
+		sl.hist.pts[sl.end] = w.proj.ToLatLng(f.pos[s])
+		sl.end++
+		sl.gen = f.pathGen[s]
 	}
-	sl.hist.pts[sl.end] = w.proj.ToLatLng(f.pos[s])
-	sl.end++
-	sl.gen = f.pathGen[s]
 	return snapCar{pos: f.pos[s], hist: sl.hist, slot: s, end: sl.end, n: uint8(n)}
 }

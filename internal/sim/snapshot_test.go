@@ -82,9 +82,11 @@ func recycleIdleSlot(t *testing.T, w *World, rng *rand.Rand) {
 
 // Every tick of TestSnapshotMatchesLiveWorld is followed by a build, so it
 // only ever extends each history chunk by one point. Here builds come every
-// 1-7 ticks and sessions are replaced inside their slot — mid-window, and
-// between two builds with no tick at all — so re-seeding, chunk renewal and
-// the pathGen bookkeeping are all held to the from-scratch World answers.
+// 1-7 ticks, sessions are replaced inside their slot — mid-window, and
+// between two builds with no tick at all — and a coordinated logoff wave
+// empties cells between two builds at one instant, so re-seeding, chunk
+// renewal, the pathGen bookkeeping and windows kept as they are are all
+// held to the from-scratch World answers.
 func TestSnapshotAnyCadenceAndSlotReuse(t *testing.T) {
 	for _, roads := range []bool{false, true} {
 		name := "euclid"
@@ -96,7 +98,7 @@ func TestSnapshotAnyCadenceAndSlotReuse(t *testing.T) {
 			p.RoadNetwork = roads
 			w := NewWorld(Config{Profile: p, Seed: 11, StartTime: 8 * 3600, Workers: 1})
 			rng := rand.New(rand.NewSource(5))
-			builds, next := 0, 0
+			builds, waves, next := 0, 0, 0
 			for tick := 0; tick < 640; tick++ {
 				if rng.Intn(8) == 0 {
 					recycleIdleSlot(t, w, rng)
@@ -107,14 +109,21 @@ func TestSnapshotAnyCadenceAndSlotReuse(t *testing.T) {
 				}
 				next = tick + 1 + rng.Intn(7)
 				requireSnapshotMatchesWorld(t, w, w.Snapshot(), rng, 25)
-				if rng.Intn(4) == 0 {
+				switch rng.Intn(4) {
+				case 0:
 					recycleIdleSlot(t, w, rng)
+					requireSnapshotMatchesWorld(t, w, w.Snapshot(), rng, 25)
+				case 1:
+					area := rng.Intn(len(w.Areas()))
+					if w.ForceOffline(core.UberX, area, 10, 60) > 0 {
+						waves++
+					}
 					requireSnapshotMatchesWorld(t, w, w.Snapshot(), rng, 25)
 				}
 				builds++
 			}
-			if builds < 100 {
-				t.Fatalf("only %d builds in 640 ticks", builds)
+			if builds < 100 || waves < 10 {
+				t.Fatalf("only %d builds and %d logoff waves in 640 ticks", builds, waves)
 			}
 		})
 	}
@@ -254,12 +263,11 @@ func TestWorldAreaIndexMatchesAreaOf(t *testing.T) {
 	}
 }
 
-// BenchmarkSnapshotBuild measures the per-tick delta build (a repeated
-// Snapshot without a Step in between returns the cached snapshot, so the
-// loop steps the world to generate real churn).
+// BenchmarkSnapshotBuild measures the per-tick build, step included: the
+// histories grow by a point per build only when the cars moved in between.
 func BenchmarkSnapshotBuild(b *testing.B) {
 	w := snapshotWorld(b, 42)
-	w.Snapshot() // initialize the incremental builder
+	w.Snapshot() // seed the path histories
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -100,8 +100,8 @@ func (w WindowStats) AvgEWT() float64 {
 // Driver state lives in a struct-of-arrays fleet (see fleet.go): hot
 // per-driver fields are flat columns indexed by slot, recycled through a
 // free list. Every slot-keyed structure — the per-product idle grids, the
-// joinable-POOL index, the delta-snapshot builder — keys by slot, so
-// there is no id→index map on any hot path.
+// joinable-POOL index, the snapshot builder's path histories — keys by
+// slot, so there is no id→index map on any hot path.
 type World struct {
 	cfg     Config
 	profile *CityProfile
@@ -194,7 +194,7 @@ type World struct {
 	// carries a fork of it in its shardOps.
 	mv mover
 
-	// snap is the incremental snapshot builder (see snapshot.go).
+	// snap is what Snapshot remembers between builds (see snapshot.go).
 	snap snapBuilder
 
 	// events receives lifecycle/trip events (see SetEventSink); nil when
@@ -246,7 +246,8 @@ var phaseLabelSets = func() [numPhases]pprof.LabelSet {
 //	sim_pickups_total           fulfilled requests
 //	sim_requests_priced_out_total / sim_requests_unmet_total  lost demand
 //	sim_snapshot_{cars_reencoded,history_renewals,cells_rebuilt}_total  what
-//	Snapshot builds redid: cars, fresh history chunks for them, grid cells
+//	Snapshot builds made: cars encoded (the idle cars of each build), fresh
+//	history chunks among them, non-empty grid cells
 func (w *World) Instrument(reg *obs.Registry) {
 	w.hStep = reg.Histogram("sim_step_duration_seconds", nil)
 	for i := range w.hPhase {
@@ -574,7 +575,6 @@ func (w *World) removeSlot(s int32) {
 	if core.VehicleType(f.typ[s]) == core.UberPOOL {
 		w.poolGrid.Remove(s)
 	}
-	w.markChanged(s)
 	f.freeSlot(s)
 }
 

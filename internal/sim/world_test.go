@@ -312,8 +312,10 @@ func TestDriverPathRing(t *testing.T) {
 	f.resetPath(s)
 	for i := 2; i <= 7; i++ {
 		f.pos[s] = geo.Point{X: float64(i)}
-		if !f.record(s) {
-			t.Fatalf("record at X=%d reported no change", i)
+		gen := f.pathGen[s]
+		f.record(s)
+		if f.pathGen[s] != gen+1 {
+			t.Fatalf("record at X=%d moved pathGen %d -> %d, want +1", i, gen, f.pathGen[s])
 		}
 	}
 	pts := f.pathPoints(s, nil)
@@ -333,12 +335,14 @@ func TestDriverPathRing(t *testing.T) {
 		t.Errorf("Driver.PathPoints = %v, want %v", got, pts)
 	}
 	// A parked car saturates the ring with one position; after that
-	// record must leave the ring alone and say so.
+	// record must leave the ring alone and pathGen with it.
 	for i := 0; i < pathLen; i++ {
 		f.record(s)
 	}
-	if f.record(s) {
-		t.Error("record on a saturated parked ring reported a change")
+	gen := f.pathGen[s]
+	f.record(s)
+	if f.pathGen[s] != gen {
+		t.Errorf("record on a saturated parked ring moved pathGen %d -> %d", gen, f.pathGen[s])
 	}
 	for _, p := range f.pathPoints(s, pts[:0]) {
 		if p.X != 7 {
