@@ -1,9 +1,12 @@
 // Command benchgate compares a `go test -bench` run against the committed
-// baseline in BENCH_step.json and fails CI when the fleet-scale tick
-// regresses. It reads the benchmark output on stdin:
+// baseline in BENCH_step.json and fails CI when the fleet-scale tick or the
+// tsdb store regresses. It reads the benchmark output on stdin, of one
+// package or several:
 //
-//	go test -run '^$' -bench 'BenchmarkStep|BenchmarkSnapshotEpoch' \
-//	    -benchtime 5x -benchmem . | go run ./cmd/benchgate
+//	{ go test -run '^$' -bench 'BenchmarkStep|BenchmarkSnapshotEpoch' \
+//	    -benchtime 5x -benchmem .
+//	  go test -run '^$' -bench 'BenchmarkSeal$|BenchmarkRangeQuery|BenchmarkFullScan' \
+//	    -benchtime 5x -benchmem ./internal/tsdb; } | go run ./cmd/benchgate
 //
 // Two gates, applied to every benchmark in the baseline's "gate" section:
 //

@@ -30,6 +30,7 @@ func BenchmarkAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
@@ -51,6 +52,8 @@ func BenchmarkAppend(b *testing.B) {
 
 func BenchmarkSealedBytesPerRow(b *testing.B) {
 	rounds := benchCampaign(400)
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db, err := Open(b.TempDir(), Options{SyncEveryCommits: -1})
 		if err != nil {
@@ -74,6 +77,39 @@ func BenchmarkSealedBytesPerRow(b *testing.B) {
 	}
 }
 
+// BenchmarkSeal measures turning a head of rows into a sealed segment:
+// the appends, which encode each series' full chunks as they fill, and
+// the seal, which writes those and encodes the rest. Timing only Seal
+// would miss the encoding the head now does at Append.
+func BenchmarkSeal(b *testing.B) {
+	rounds := benchCampaign(1100) // two full chunks and a partial one per series
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db, err := Open(b.TempDir(), Options{SyncEveryCommits: -1, HeadMaxRows: 1 << 20, CompactMinSegments: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, round := range rounds {
+			for _, row := range round {
+				if err := db.Append(row); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := db.Seal(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkRangeQuery measures a one-hour window query against a sealed
 // multi-hour store — the access pattern cmd/analyze uses with -from/-to.
 func BenchmarkRangeQuery(b *testing.B) {
@@ -93,6 +129,7 @@ func BenchmarkRangeQuery(b *testing.B) {
 	if err := db.Seal(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it := db.Query(7, 4000, 4720) // 720s window, one series
@@ -130,6 +167,7 @@ func BenchmarkFullScan(b *testing.B) {
 	if err := db.Seal(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it := db.QueryAll(-1<<62, 1<<62)

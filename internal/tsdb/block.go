@@ -18,7 +18,7 @@ package tsdb
 
 import (
 	"encoding/binary"
-	"math"
+	"sort"
 
 	"repro/internal/wire"
 )
@@ -33,90 +33,137 @@ const maxRowsPerChunk = 1 << 20
 // encodeChunk encodes rows (one series, non-decreasing time) into a
 // self-contained payload.
 func encodeChunk(rows []Row) []byte {
-	var (
-		dict      dictBuilder
-		times     = make([]int64, len(rows))
-		meta      []byte
-		typeIDs   []byte
-		surges    []float64
-		ewts      []float64
-		carCounts []byte
-		carIDs    []byte
-		lats      []float64
-		lngs      []float64
-		reasons   []byte
-	)
-	for i := range rows {
-		r := &rows[i]
-		times[i] = r.Time
-		if r.Gap {
-			meta = binary.AppendUvarint(meta, 1)
-			reasons = binary.AppendUvarint(reasons, dict.id(r.Reason))
-			continue
-		}
-		meta = binary.AppendUvarint(meta, uint64(len(r.Types))<<1)
-		for ti := range r.Types {
-			t := &r.Types[ti]
-			typeIDs = binary.AppendUvarint(typeIDs, dict.id(t.Name))
-			surges = append(surges, t.Surge)
-			ewts = append(ewts, t.EWT)
-			carCounts = binary.AppendUvarint(carCounts, uint64(len(t.Cars)))
-			for _, c := range t.Cars {
-				carIDs = binary.AppendUvarint(carIDs, dict.id(c.ID))
-				lats = append(lats, c.Lat)
-				lngs = append(lngs, c.Lng)
-			}
-		}
-	}
-
-	buf := binary.AppendUvarint(nil, uint64(len(rows)))
-	buf = dict.encode(buf)
-	appendCol := func(col []byte) {
-		buf = binary.AppendUvarint(buf, uint64(len(col)))
-		buf = append(buf, col...)
-	}
-	appendCol(timesEncode(nil, times))
-	appendCol(meta)
-	appendCol(typeIDs)
-	appendCol(xorEncode(nil, surges))
-	appendCol(xorEncode(nil, ewts))
-	appendCol(carCounts)
-	appendCol(carIDs)
-	appendCol(xorEncode(nil, lats))
-	appendCol(xorEncode(nil, lngs))
-	appendCol(reasons)
-	return buf
+	var e chunkEncoder
+	return e.encode(rows)
 }
 
 // decodeChunk decodes a chunk payload into rows, assigning every row the
 // given series. It never panics on corrupt input.
 func decodeChunk(payload []byte, series int) ([]Row, error) {
+	var d chunkDecoder
+	if err := d.decode(payload, series); err != nil {
+		return nil, err
+	}
+	return d.rows(0, d.n), nil
+}
+
+// chunkEncoder is the chunk encoder. It keeps its column buffers,
+// dictionary and bitstream from one chunk to the next, so once they have
+// grown to a chunk's size encoding allocates nothing.
+type chunkEncoder struct {
+	dict                                      dictBuilder
+	times                                     []int64
+	meta, typeIDs, carCounts, carIDs, reasons []byte
+	surges, ewts, lats, lngs                  []float64
+	bits                                      bitWriter
+	col, buf                                  []byte
+}
+
+// encode returns the payload of rows (one series, non-decreasing time).
+// It is valid until the next call.
+func (e *chunkEncoder) encode(rows []Row) []byte {
+	e.dict.reset()
+	e.times = e.times[:0]
+	e.meta, e.typeIDs, e.carCounts, e.carIDs, e.reasons = e.meta[:0], e.typeIDs[:0], e.carCounts[:0], e.carIDs[:0], e.reasons[:0]
+	e.surges, e.ewts, e.lats, e.lngs = e.surges[:0], e.ewts[:0], e.lats[:0], e.lngs[:0]
+	for i := range rows {
+		r := &rows[i]
+		e.times = append(e.times, r.Time)
+		if r.Gap {
+			e.meta = binary.AppendUvarint(e.meta, 1)
+			e.reasons = binary.AppendUvarint(e.reasons, e.dict.id(r.Reason))
+			continue
+		}
+		e.meta = binary.AppendUvarint(e.meta, uint64(len(r.Types))<<1)
+		for ti := range r.Types {
+			t := &r.Types[ti]
+			e.typeIDs = binary.AppendUvarint(e.typeIDs, e.dict.id(t.Name))
+			e.surges = append(e.surges, t.Surge)
+			e.ewts = append(e.ewts, t.EWT)
+			e.carCounts = binary.AppendUvarint(e.carCounts, uint64(len(t.Cars)))
+			for _, c := range t.Cars {
+				e.carIDs = binary.AppendUvarint(e.carIDs, e.dict.id(c.ID))
+				e.lats = append(e.lats, c.Lat)
+				e.lngs = append(e.lngs, c.Lng)
+			}
+		}
+	}
+
+	buf := binary.AppendUvarint(e.buf[:0], uint64(len(rows)))
+	buf = e.dict.encode(buf)
+	appendCol := func(col []byte) {
+		buf = binary.AppendUvarint(buf, uint64(len(col)))
+		buf = append(buf, col...)
+	}
+	appendXOR := func(vals []float64) {
+		e.col = e.bits.appendXOR(e.col[:0], vals)
+		appendCol(e.col)
+	}
+	e.col = timesEncode(e.col[:0], e.times)
+	appendCol(e.col)
+	appendCol(e.meta)
+	appendCol(e.typeIDs)
+	appendXOR(e.surges)
+	appendXOR(e.ewts)
+	appendCol(e.carCounts)
+	appendCol(e.carIDs)
+	appendXOR(e.lats)
+	appendXOR(e.lngs)
+	appendCol(e.reasons)
+	e.buf = buf
+	return buf
+}
+
+// chunkDecoder is the chunk decoder. decode validates a whole payload
+// into column scratch the decoder keeps from one chunk to the next; rows
+// and window then build only the rows a caller asks for. It also holds
+// the read buffer segmentReader.chunk fills.
+type chunkDecoder struct {
+	read   []byte
+	series int
+	n      int // rows decoded
+	strs   []string
+	times  []int64
+	// Per row: the index of its first type (n+1 entries, a prefix sum), and
+	// the dictionary id of a gap row's reason, -1 for an observation.
+	firstType []int
+	reason    []int
+	// Per type: the name's dictionary id, surge, EWT and the index of its
+	// first car (one entry more than types).
+	name       []int
+	surge, ewt []float64
+	firstCar   []int
+	// Per car.
+	carID    []int
+	lat, lng []float64
+}
+
+// decode validates payload — every count, every column length and every
+// dictionary reference, of every row — and keeps its columns for rows and
+// window. It never panics on corrupt input.
+func (d *chunkDecoder) decode(payload []byte, series int) error {
+	d.n = 0
 	r := wire.NewReader(payload)
 	nRows := r.Uvarint()
 	// Each row costs at least one meta byte and one timestamp byte.
 	if r.Err() != nil || nRows > maxRowsPerChunk || nRows > uint64(len(payload)) {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	strs, err := dictDecode(r)
-	if err != nil {
-		return nil, err
+	var err error
+	if d.strs, err = dictDecodeTo(d.strs, r); err != nil {
+		return err
 	}
 	// A column that overruns the payload fails r (checked once all ten
 	// are cut) and reads as empty.
-	col := func() *wire.Reader {
+	col := func() wire.Reader {
 		n := r.Uvarint()
 		if r.Err() != nil || n > uint64(r.Remaining()) {
 			r.Fail()
-			return wire.NewReader(nil)
+			return wire.Reader{}
 		}
-		return wire.NewReader(r.Take(int(n)))
+		return *wire.NewReader(r.Take(int(n)))
 	}
-
 	timesCol := col()
-	times, err := timesDecode(timesCol)
-	if err != nil || uint64(len(times)) != nRows {
-		return nil, ErrCorrupt
-	}
 	metaCol := col()
 	typeIDsCol := col()
 	surgesCol := col()
@@ -127,100 +174,144 @@ func decodeChunk(payload []byte, series int) ([]Row, error) {
 	lngsCol := col()
 	reasonsCol := col()
 	if r.Err() != nil {
-		return nil, ErrCorrupt
+		return ErrCorrupt
+	}
+	d.times, err = timesDecodeTo(d.times, &timesCol)
+	if err != nil || uint64(len(d.times)) != nRows {
+		return ErrCorrupt
 	}
 
-	// First pass over meta to learn the per-row type counts.
-	counts := make([]uint64, nRows)
+	// Row meta: per-row type counts, or the gap bit.
+	n := int(nRows)
+	d.firstType = resize(d.firstType, n+1)
+	d.reason = resize(d.reason, n)
 	var totalTypes uint64
-	for i := range counts {
+	for i := 0; i < n; i++ {
+		d.firstType[i] = int(totalTypes)
+		d.reason[i] = -1
 		v := metaCol.Uvarint()
 		if v&1 == 1 {
-			counts[i] = math.MaxUint64 // gap marker
+			d.reason[i] = 0 // a gap: its reason is read below
 			continue
 		}
-		counts[i] = v >> 1
-		if counts[i] > maxTypesPerRow {
-			return nil, ErrCorrupt
+		if v>>1 > maxTypesPerRow {
+			return ErrCorrupt
 		}
-		totalTypes += counts[i]
+		totalTypes += v >> 1
 	}
 	if metaCol.Err() != nil || totalTypes > uint64(typeIDsCol.Remaining())+1 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
+	nTypes := int(totalTypes)
+	d.firstType[n] = nTypes
 
-	surges, err := xorDecode(surgesCol)
-	if err != nil || uint64(len(surges)) != totalTypes {
-		return nil, ErrCorrupt
+	if d.surge, err = xorDecodeTo(d.surge, &surgesCol); err != nil || len(d.surge) != nTypes {
+		return ErrCorrupt
 	}
-	ewts, err := xorDecode(ewtsCol)
-	if err != nil || uint64(len(ewts)) != totalTypes {
-		return nil, ErrCorrupt
+	if d.ewt, err = xorDecodeTo(d.ewt, &ewtsCol); err != nil || len(d.ewt) != nTypes {
+		return ErrCorrupt
 	}
-	carCounts := make([]uint64, totalTypes)
+	d.firstCar = resize(d.firstCar, nTypes+1)
 	var totalCars uint64
-	for i := range carCounts {
-		carCounts[i] = carCountsCol.Uvarint()
-		if carCounts[i] > maxCarsPerType {
-			return nil, ErrCorrupt
+	for i := 0; i < nTypes; i++ {
+		d.firstCar[i] = int(totalCars)
+		c := carCountsCol.Uvarint()
+		if c > maxCarsPerType {
+			return ErrCorrupt
 		}
-		totalCars += carCounts[i]
+		totalCars += c
 	}
 	if carCountsCol.Err() != nil || totalCars > uint64(carIDsCol.Remaining())+1 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	lats, err := xorDecode(latsCol)
-	if err != nil || uint64(len(lats)) != totalCars {
-		return nil, ErrCorrupt
+	nCars := int(totalCars)
+	d.firstCar[nTypes] = nCars
+	if d.lat, err = xorDecodeTo(d.lat, &latsCol); err != nil || len(d.lat) != nCars {
+		return ErrCorrupt
 	}
-	lngs, err := xorDecode(lngsCol)
-	if err != nil || uint64(len(lngs)) != totalCars {
-		return nil, ErrCorrupt
+	if d.lng, err = xorDecodeTo(d.lng, &lngsCol); err != nil || len(d.lng) != nCars {
+		return ErrCorrupt
 	}
 
-	rows := make([]Row, nRows)
-	ti, ci := 0, 0
+	// Dictionary references, all of them: a window that skips a row must
+	// not skip its validation.
+	d.name = resize(d.name, nTypes)
+	d.carID = resize(d.carID, nCars)
+	if !d.refs(d.name, &typeIDsCol) || !d.refs(d.carID, &carIDsCol) {
+		return ErrCorrupt
+	}
+	for i, id := range d.reason[:n] {
+		if id < 0 {
+			continue
+		}
+		if !d.refs(d.reason[i:i+1], &reasonsCol) {
+			return ErrCorrupt
+		}
+	}
+	d.series, d.n = series, n
+	return nil
+}
+
+// refs fills ids from col, each a reference into the chunk's dictionary.
+func (d *chunkDecoder) refs(ids []int, col *wire.Reader) bool {
+	for i := range ids {
+		id := col.Uvarint()
+		if _, err := dictRef(d.strs, id); err != nil {
+			return false
+		}
+		ids[i] = int(id)
+	}
+	return col.Err() == nil
+}
+
+// window builds the decoded rows with from ≤ Time < to, the rows clip
+// would keep of the whole chunk.
+func (d *chunkDecoder) window(from, to int64) []Row {
+	ts := d.times[:d.n]
+	lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= from })
+	hi := sort.Search(len(ts), func(i int) bool { return ts[i] >= to })
+	return d.rows(lo, max(lo, hi))
+}
+
+// rows builds decoded rows [lo, hi) in three fresh slabs — rows, types
+// and cars — handing each row its types, and each type its cars, as a
+// cap-limited sub-slice, so appending to one never reaches its neighbour.
+// The slabs are never reused: the rows stay valid for as long as the
+// caller holds them.
+func (d *chunkDecoder) rows(lo, hi int) []Row {
+	if lo == hi {
+		return nil
+	}
+	t0, t1 := d.firstType[lo], d.firstType[hi]
+	c0, c1 := d.firstCar[t0], d.firstCar[t1]
+	rows := make([]Row, hi-lo)
+	types := make([]TypeObs, t1-t0)
+	cars := make([]Car, c1-c0)
 	for i := range rows {
+		k := lo + i
 		row := &rows[i]
-		row.Time = times[i]
-		row.Series = series
-		if counts[i] == math.MaxUint64 {
-			row.Gap = true
-			row.Reason, err = dictRef(strs, reasonsCol.Uvarint())
-			if err != nil || reasonsCol.Err() != nil {
-				return nil, ErrCorrupt
-			}
+		row.Time, row.Series = d.times[k], d.series
+		if id := d.reason[k]; id >= 0 {
+			row.Gap, row.Reason = true, d.strs[id]
 			continue
 		}
-		if counts[i] == 0 {
+		a, b := d.firstType[k], d.firstType[k+1]
+		if a == b {
 			continue
 		}
-		row.Types = make([]TypeObs, counts[i])
-		for k := range row.Types {
-			t := &row.Types[k]
-			t.Name, err = dictRef(strs, typeIDsCol.Uvarint())
-			if err != nil || typeIDsCol.Err() != nil {
-				return nil, ErrCorrupt
-			}
-			t.Surge = surges[ti]
-			t.EWT = ewts[ti]
-			nc := carCounts[ti]
-			ti++
-			if nc == 0 {
+		row.Types = types[a-t0 : b-t0 : b-t0]
+		for j := a; j < b; j++ {
+			t := &types[j-t0]
+			t.Name, t.Surge, t.EWT = d.strs[d.name[j]], d.surge[j], d.ewt[j]
+			ca, cb := d.firstCar[j], d.firstCar[j+1]
+			if ca == cb {
 				continue
 			}
-			t.Cars = make([]Car, nc)
-			for m := range t.Cars {
-				c := &t.Cars[m]
-				c.ID, err = dictRef(strs, carIDsCol.Uvarint())
-				if err != nil || carIDsCol.Err() != nil {
-					return nil, ErrCorrupt
-				}
-				c.Lat = lats[ci]
-				c.Lng = lngs[ci]
-				ci++
+			t.Cars = cars[ca-c0 : cb-c0 : cb-c0]
+			for m := ca; m < cb; m++ {
+				cars[m-c0] = Car{ID: d.strs[d.carID[m]], Lat: d.lat[m], Lng: d.lng[m]}
 			}
 		}
 	}
-	return rows, nil
+	return rows
 }

@@ -31,26 +31,29 @@ type bitWriter struct {
 	n   uint // bits used in cur
 }
 
-func (w *bitWriter) writeBit(b uint64) {
-	w.cur = w.cur<<1 | byte(b&1)
-	w.n++
-	if w.n == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.n = 0, 0
-	}
-}
+// reset empties the stream, keeping its buffer.
+func (w *bitWriter) reset() { w.buf, w.cur, w.n = w.buf[:0], 0, 0 }
 
-// writeBits writes the low nb bits of v, most significant first.
+// writeBits writes the low nb bits of v, most significant first, filling
+// the current byte a run of bits at a time.
 func (w *bitWriter) writeBits(v uint64, nb uint) {
-	for i := int(nb) - 1; i >= 0; i-- {
-		w.writeBit(v >> uint(i))
+	for nb > 0 {
+		take := min(8-w.n, nb)
+		nb -= take
+		w.cur = w.cur<<take | byte(v>>nb)&(1<<take-1)
+		w.n += take
+		if w.n == 8 {
+			w.buf = append(w.buf, w.cur)
+			w.cur, w.n = 0, 0
+		}
 	}
 }
 
 // finish pads the final byte with zero bits and returns the stream.
 func (w *bitWriter) finish() []byte {
-	for w.n != 0 {
-		w.writeBit(0)
+	if w.n != 0 {
+		w.buf = append(w.buf, w.cur<<(8-w.n))
+		w.cur, w.n = 0, 0
 	}
 	return w.buf
 }
@@ -62,24 +65,23 @@ type bitReader struct {
 	fail bool
 }
 
-func (r *bitReader) readBit() uint64 {
-	if r.fail || r.off >= len(r.buf) {
-		r.fail = true
-		return 0
-	}
-	b := uint64(r.buf[r.off]>>(7-r.bit)) & 1
-	r.bit++
-	if r.bit == 8 {
-		r.bit = 0
-		r.off++
-	}
-	return b
-}
-
+// readBits reads nb bits, most significant first; past the end it sets
+// fail and returns 0.
 func (r *bitReader) readBits(nb uint) uint64 {
 	var v uint64
-	for i := uint(0); i < nb; i++ {
-		v = v<<1 | r.readBit()
+	for nb > 0 {
+		if r.off >= len(r.buf) {
+			r.fail = true
+			return 0
+		}
+		take := min(8-r.bit, nb)
+		v = v<<take | uint64(r.buf[r.off]<<r.bit>>(8-take))
+		nb -= take
+		r.bit += take
+		if r.bit == 8 {
+			r.bit = 0
+			r.off++
+		}
 	}
 	return v
 }
@@ -115,14 +117,17 @@ func timesEncode(buf []byte, ts []int64) []byte {
 }
 
 // timesDecode reads a timestamp block produced by timesEncode.
-func timesDecode(r *wire.Reader) ([]int64, error) {
+func timesDecode(r *wire.Reader) ([]int64, error) { return timesDecodeTo(nil, r) }
+
+// timesDecodeTo is timesDecode into dst's storage.
+func timesDecodeTo(dst []int64, r *wire.Reader) ([]int64, error) {
 	n := r.Uvarint()
 	// Each encoded timestamp costs at least one byte, so n is bounded by
 	// the remaining payload; this rejects absurd counts before allocating.
 	if r.Err() != nil || n > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
 	}
-	out := make([]int64, n)
+	out := resize(dst, int(n))
 	var prev, prevDelta int64
 	for i := range out {
 		v := r.Varint()
@@ -152,11 +157,17 @@ func timesDecode(r *wire.Reader) ([]int64, error) {
 // Surge multipliers (few distinct quantized values) and slowly drifting
 // coordinates compress to a few bits each.
 func xorEncode(buf []byte, vals []float64) []byte {
+	var w bitWriter
+	return w.appendXOR(buf, vals)
+}
+
+// appendXOR is xorEncode with w as the reusable bitstream buffer.
+func (w *bitWriter) appendXOR(buf []byte, vals []float64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(vals)))
 	if len(vals) == 0 {
 		return buf
 	}
-	w := bitWriter{}
+	w.reset()
 	prev := math.Float64bits(vals[0])
 	w.writeBits(prev, 64)
 	lz, tz := -1, -1 // current window; -1 = none yet
@@ -165,21 +176,21 @@ func xorEncode(buf []byte, vals []float64) []byte {
 		x := prev ^ cur
 		prev = cur
 		if x == 0 {
-			w.writeBit(0)
+			w.writeBits(0, 1)
 			continue
 		}
-		w.writeBit(1)
+		w.writeBits(1, 1)
 		l := bits.LeadingZeros64(x)
 		if l > 31 {
 			l = 31 // 5-bit field
 		}
 		t := bits.TrailingZeros64(x)
 		if lz >= 0 && l >= lz && t >= tz {
-			w.writeBit(0)
+			w.writeBits(0, 1)
 			w.writeBits(x>>uint(tz), uint(64-lz-tz))
 			continue
 		}
-		w.writeBit(1)
+		w.writeBits(1, 1)
 		m := 64 - l - t
 		w.writeBits(uint64(l), 5)
 		w.writeBits(uint64(m-1), 6)
@@ -192,13 +203,16 @@ func xorEncode(buf []byte, vals []float64) []byte {
 }
 
 // xorDecode reads a float block produced by xorEncode.
-func xorDecode(r *wire.Reader) ([]float64, error) {
+func xorDecode(r *wire.Reader) ([]float64, error) { return xorDecodeTo(nil, r) }
+
+// xorDecodeTo is xorDecode into dst's storage.
+func xorDecodeTo(dst []float64, r *wire.Reader) ([]float64, error) {
 	n := r.Uvarint()
 	if r.Err() != nil {
 		return nil, ErrCorrupt
 	}
 	if n == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
 	streamLen := r.Uvarint()
 	if r.Err() != nil || streamLen > uint64(r.Remaining()) {
@@ -209,16 +223,16 @@ func xorDecode(r *wire.Reader) ([]float64, error) {
 	if int64(br.bitsLeft()) < 64+int64(n-1) {
 		return nil, ErrCorrupt
 	}
-	out := make([]float64, n)
+	out := resize(dst, int(n))
 	prev := br.readBits(64)
 	out[0] = math.Float64frombits(prev)
 	lz, tz := -1, -1
 	for i := uint64(1); i < n; i++ {
-		if br.readBit() == 0 {
+		if br.readBits(1) == 0 {
 			out[i] = math.Float64frombits(prev)
 			continue
 		}
-		if br.readBit() == 0 {
+		if br.readBits(1) == 0 {
 			if lz < 0 {
 				return nil, ErrCorrupt // window reuse before any window set
 			}
@@ -256,6 +270,12 @@ type dictBuilder struct {
 	strs []string
 }
 
+// reset empties the dictionary, keeping its map and slice.
+func (d *dictBuilder) reset() {
+	clear(d.ids)
+	d.strs = d.strs[:0]
+}
+
 func (d *dictBuilder) id(s string) uint64 {
 	if d.ids == nil {
 		d.ids = make(map[string]uint64)
@@ -277,13 +297,17 @@ func (d *dictBuilder) encode(buf []byte) []byte {
 	return buf
 }
 
-func dictDecode(r *wire.Reader) ([]string, error) {
+func dictDecode(r *wire.Reader) ([]string, error) { return dictDecodeTo(nil, r) }
+
+// dictDecodeTo is dictDecode into dst's storage; the strings themselves
+// are always fresh.
+func dictDecodeTo(dst []string, r *wire.Reader) ([]string, error) {
 	n := r.Uvarint()
 	// Every dictionary entry costs at least one byte (its length prefix).
 	if r.Err() != nil || n > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
 	}
-	strs := make([]string, n)
+	strs := resize(dst, int(n))
 	for i := range strs {
 		strs[i] = r.String(maxStringLen)
 	}
@@ -298,4 +322,13 @@ func dictRef(strs []string, id uint64) (string, error) {
 		return "", ErrCorrupt
 	}
 	return strs[id], nil
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The elements are stale; callers overwrite all n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

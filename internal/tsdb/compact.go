@@ -44,15 +44,16 @@ func (db *DB) compactLocked() error {
 	}
 	// Series ascending; per series the segments are already in time order
 	// (seal order + the monotonic append invariant). A series only the
-	// head holds has no chunks to copy.
+	// head holds has no chunks to copy. Rows are re-chunked, so a series'
+	// partial chunk at the end of one segment fills up from the next.
+	var d chunkDecoder
 	for _, s := range db.seriesLocked() {
 		for _, sr := range db.segs {
 			for _, e := range sr.bySeries[s] {
-				rows, err := sr.chunk(e)
-				if err != nil {
+				if err := sr.chunk(&d, e); err != nil {
 					return err
 				}
-				if err := sw.add(s, rows); err != nil {
+				if err := sw.add(s, d.rows(0, d.n)); err != nil {
 					return err
 				}
 			}

@@ -13,7 +13,8 @@ import (
 //   - no decoder may panic or over-allocate, whatever the input;
 //   - any input decodeRowBinary accepts must re-encode to the exact same
 //     bytes (the row codec is canonical);
-//   - any input decodeChunk accepts must survive encode→decode unchanged.
+//   - any input decodeChunk accepts must survive encode→decode unchanged,
+//     and a window of it must build the rows clip keeps of the whole.
 //
 // The first byte routes to a decoder so one target covers the whole stack
 // (the CI fuzz step runs a single -fuzz=FuzzCodec pattern).
@@ -56,6 +57,30 @@ func FuzzCodec(f *testing.F) {
 				b = appendRowBinary(b[:0], &back[i])
 				if string(a) != string(b) {
 					t.Fatalf("chunk re-encode changed row %d", i)
+				}
+			}
+			// A window whose edges the input's last two bytes pick (a row's
+			// stamp, or one past it) builds the rows clip keeps.
+			edge := func(b byte) int64 {
+				if len(got) == 0 {
+					return int64(b)
+				}
+				return got[int(b>>1)%len(got)].Time + int64(b&1)
+			}
+			from, to := edge(data[len(data)-2]), edge(data[len(data)-1])
+			var d chunkDecoder
+			if err := d.decode(payload, 3); err != nil {
+				t.Fatalf("window decode rejected an accepted chunk: %v", err)
+			}
+			win, want := d.window(from, to), clip(got, from, to)
+			if len(win) != len(want) {
+				t.Fatalf("window [%d, %d) built %d rows, clip keeps %d", from, to, len(win), len(want))
+			}
+			for i := range win {
+				a = appendRowBinary(a[:0], &win[i])
+				b = appendRowBinary(b[:0], &want[i])
+				if string(a) != string(b) {
+					t.Fatalf("window [%d, %d) row %d differs from the full decode", from, to, i)
 				}
 			}
 		case 1:

@@ -3,7 +3,9 @@
 // Query is the same merge over one series. Both decode lazily, chunk by
 // chunk, touching only chunks whose [minT, maxT] intersects the window —
 // the point of the sparse index: a one-hour window of a four-week campaign
-// reads a few chunks, not the whole file.
+// reads a few chunks, not the whole file — and build only the rows inside
+// the window. One Iterator decodes every chunk it reads with one
+// chunkDecoder; the merge runs on the caller's goroutine.
 
 package tsdb
 
@@ -12,16 +14,19 @@ import (
 	"sort"
 )
 
-// chunkRef is one lazily decodable batch: either a sealed chunk or a
-// filtered snapshot of head rows.
+// chunkRef is one lazily decoded batch: a sealed chunk, an encoded head
+// chunk, or a snapshot of a head series' open rows.
 type chunkRef struct {
-	sr    *segmentReader // nil ⇒ head batch
-	entry chunkEntry
-	head  []Row
+	sr      *segmentReader // sealed: the file and the chunk's index entry
+	entry   chunkEntry
+	payload []byte // encoded head chunk
+	open    []Row  // open head rows
 }
 
 // seriesIter yields one series' rows within [from, to) in time order.
 type seriesIter struct {
+	dec      *chunkDecoder // the Iterator's, shared by all its series
+	series   int
 	refs     []chunkRef
 	from, to int64
 	cur      []Row
@@ -33,7 +38,7 @@ type seriesIter struct {
 func clip(rows []Row, from, to int64) []Row {
 	lo := sort.Search(len(rows), func(i int) bool { return rows[i].Time >= from })
 	hi := sort.Search(len(rows), func(i int) bool { return rows[i].Time >= to })
-	return rows[lo:hi]
+	return rows[lo:max(lo, hi)]
 }
 
 func (it *seriesIter) next() (*Row, bool) {
@@ -51,29 +56,33 @@ func (it *seriesIter) next() (*Row, bool) {
 		}
 		ref := it.refs[0]
 		it.refs = it.refs[1:]
-		if ref.sr == nil {
-			it.cur = clip(ref.head, it.from, it.to)
-		} else {
-			rows, err := ref.sr.chunk(ref.entry)
-			if err != nil {
-				it.err = err
-				return nil, false
-			}
-			it.cur = clip(rows, it.from, it.to)
-		}
 		it.idx = 0
+		if ref.open != nil {
+			it.cur = clip(ref.open, it.from, it.to)
+			continue
+		}
+		if ref.sr != nil {
+			it.err = ref.sr.chunk(it.dec, ref.entry)
+		} else {
+			it.err = it.dec.decode(ref.payload, it.series)
+		}
+		if it.err != nil {
+			return nil, false
+		}
+		it.cur = it.dec.window(it.from, it.to)
 	}
 }
 
 // Iterator walks query results. Typical use:
 //
-//	it, _ := db.Query(3, from, to)
+//	it := db.Query(3, from, to)
 //	for it.Next() {
-//		row := it.Row() // valid until the next call to Next
+//		row := it.Row()
 //	}
 //	if err := it.Err(); err != nil { ... }
 type Iterator struct {
 	m   mergeIter
+	dec chunkDecoder
 	row *Row
 }
 
@@ -85,26 +94,35 @@ func (it *Iterator) Next() bool {
 	return ok
 }
 
-// Row returns the current row; it stays valid until the next call to Next.
+// Row returns the current row. Its memory is never reused by the store:
+// the row, and its Types and Cars, stay valid after Next for as long as
+// the caller holds them, and must not be modified.
 func (it *Iterator) Row() *Row { return it.row }
 
 // Err returns the first decoding/IO error encountered, if any.
 func (it *Iterator) Err() error { return it.m.failure }
 
 // seriesIterLocked snapshots the chunk refs for one series under db.mu.
-// Decoding happens outside the lock.
-func (db *DB) seriesIterLocked(series int, from, to int64) *seriesIter {
-	it := &seriesIter{from: from, to: to}
+// Decoding happens outside the lock, with dec.
+func (db *DB) seriesIterLocked(dec *chunkDecoder, series int, from, to int64) *seriesIter {
+	it := &seriesIter{dec: dec, series: series, from: from, to: to}
 	for _, sr := range db.segs {
 		for _, e := range sr.overlapping(series, from, to) {
 			it.refs = append(it.refs, chunkRef{sr: sr, entry: e})
 		}
 	}
-	if rows := db.head[series]; len(rows) > 0 {
-		// Snapshot the slice header: appends either grow beyond the
-		// snapshot's length (invisible) or reallocate; elements are
-		// never mutated in place.
-		it.refs = append(it.refs, chunkRef{head: rows})
+	if hs := db.head[series]; hs != nil {
+		// Encoded chunks are immutable. The open rows' header is a
+		// snapshot: appends either land beyond its length (invisible) or,
+		// at a cut, go to a fresh slice; rows are never mutated in place.
+		for _, c := range hs.chunks {
+			if c.maxT >= from && c.minT < to {
+				it.refs = append(it.refs, chunkRef{payload: c.payload})
+			}
+		}
+		if len(hs.open) > 0 {
+			it.refs = append(it.refs, chunkRef{open: hs.open})
+		}
 	}
 	return it
 }
@@ -124,7 +142,7 @@ func (db *DB) query(from, to int64, series ...int) *Iterator {
 	}
 	it := &Iterator{}
 	for _, s := range series {
-		it.m.sources = append(it.m.sources, mergeSource{series: s, it: db.seriesIterLocked(s, from, to)})
+		it.m.sources = append(it.m.sources, mergeSource{series: s, it: db.seriesIterLocked(&it.dec, s, from, to)})
 	}
 	db.mu.Unlock()
 	it.m.init()

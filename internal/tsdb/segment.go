@@ -87,7 +87,7 @@ type segmentWriter struct {
 	entries   []chunkEntry
 	curSeries int
 	buf       []Row
-	rows      uint64
+	enc       chunkEncoder
 }
 
 func newSegmentWriter(path string) (*segmentWriter, error) {
@@ -109,15 +109,26 @@ func newSegmentWriter(path string) (*segmentWriter, error) {
 	return sw, nil
 }
 
+// startSeries flushes the previous series' buffered rows when series
+// differs from it.
+func (sw *segmentWriter) startSeries(series int) error {
+	if series == sw.curSeries {
+		return nil
+	}
+	if series < sw.curSeries {
+		return fmt.Errorf("tsdb: segment writer: series out of order")
+	}
+	if err := sw.flushChunk(); err != nil {
+		return err
+	}
+	sw.curSeries = series
+	return nil
+}
+
+// add buffers rows, cutting a chunk every defaultChunkRows rows.
 func (sw *segmentWriter) add(series int, rows []Row) error {
-	if series != sw.curSeries {
-		if series < sw.curSeries {
-			return fmt.Errorf("tsdb: segment writer: series out of order")
-		}
-		if err := sw.flushChunk(); err != nil {
-			return err
-		}
-		sw.curSeries = series
+	if err := sw.startSeries(series); err != nil {
+		return err
 	}
 	for len(rows) > 0 {
 		n := defaultChunkRows - len(sw.buf)
@@ -135,18 +146,38 @@ func (sw *segmentWriter) add(series int, rows []Row) error {
 	return nil
 }
 
+// addChunk writes a chunk encoded elsewhere (a full head chunk) as is.
+// Rows still buffered for the series are flushed first; the seal writes a
+// series' encoded chunks before its open rows, so it has none.
+func (sw *segmentWriter) addChunk(series int, c headChunk) error {
+	if err := sw.startSeries(series); err != nil {
+		return err
+	}
+	if err := sw.flushChunk(); err != nil {
+		return err
+	}
+	return sw.writeChunk(c.payload, c.minT, c.maxT, defaultChunkRows)
+}
+
 func (sw *segmentWriter) flushChunk() error {
 	if len(sw.buf) == 0 {
 		return nil
 	}
-	payload := encodeChunk(sw.buf)
+	err := sw.writeChunk(sw.enc.encode(sw.buf), sw.buf[0].Time, sw.buf[len(sw.buf)-1].Time, len(sw.buf))
+	sw.buf = sw.buf[:0]
+	return err
+}
+
+// writeChunk appends one chunk of the current series and its CRC, and
+// indexes it.
+func (sw *segmentWriter) writeChunk(payload []byte, minT, maxT int64, rows int) error {
 	e := chunkEntry{
 		series: sw.curSeries,
 		offset: sw.cw.off,
 		length: uint64(len(payload)),
-		minT:   sw.buf[0].Time,
-		maxT:   sw.buf[len(sw.buf)-1].Time,
-		rows:   uint64(len(sw.buf)),
+		minT:   minT,
+		maxT:   maxT,
+		rows:   uint64(rows),
 	}
 	if err := sw.cw.write(payload); err != nil {
 		return err
@@ -157,8 +188,6 @@ func (sw *segmentWriter) flushChunk() error {
 		return err
 	}
 	sw.entries = append(sw.entries, e)
-	sw.rows += uint64(len(sw.buf))
-	sw.buf = sw.buf[:0]
 	return nil
 }
 
@@ -310,25 +339,26 @@ func openSegment(path string, lo, hi uint64) (*segmentReader, error) {
 	return sr, nil
 }
 
-// chunk reads, CRC-checks, and decodes one chunk.
-func (sr *segmentReader) chunk(e chunkEntry) ([]Row, error) {
-	buf := make([]byte, e.length+4)
+// chunk reads e's chunk into d's read buffer, CRC-checks it, decodes it
+// into d and checks its row count against the index.
+func (sr *segmentReader) chunk(d *chunkDecoder, e chunkEntry) error {
+	d.read = resize(d.read, int(e.length+4))
+	buf := d.read
 	if _, err := sr.f.ReadAt(buf, int64(e.offset)); err != nil {
-		return nil, fmt.Errorf("tsdb: %s: read chunk at %d: %w", sr.path, e.offset, err)
+		return fmt.Errorf("tsdb: %s: read chunk at %d: %w", sr.path, e.offset, err)
 	}
 	payload := buf[:e.length]
 	want := binary.LittleEndian.Uint32(buf[e.length:])
 	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("tsdb: %s: chunk CRC mismatch at offset %d: %w", sr.path, e.offset, ErrCorrupt)
+		return fmt.Errorf("tsdb: %s: chunk CRC mismatch at offset %d: %w", sr.path, e.offset, ErrCorrupt)
 	}
-	rows, err := decodeChunk(payload, e.series)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: %s: chunk at offset %d: %w", sr.path, e.offset, err)
+	if err := d.decode(payload, e.series); err != nil {
+		return fmt.Errorf("tsdb: %s: chunk at offset %d: %w", sr.path, e.offset, err)
 	}
-	if uint64(len(rows)) != e.rows {
-		return nil, fmt.Errorf("tsdb: %s: chunk at offset %d: row count mismatch: %w", sr.path, e.offset, ErrCorrupt)
+	if uint64(d.n) != e.rows {
+		return fmt.Errorf("tsdb: %s: chunk at offset %d: row count mismatch: %w", sr.path, e.offset, ErrCorrupt)
 	}
-	return rows, nil
+	return nil
 }
 
 // overlapping returns the chunk entries of series that intersect [from, to).

@@ -11,15 +11,17 @@
 //	            (delta-of-delta timestamps, Gorilla XOR floats, dictionary
 //	            car ids), a sparse time index, and CRC32 footers
 //
-// Writes append to the WAL and an in-memory head; when the head reaches
-// HeadMaxRows it is sealed into a segment and the WAL rotates. Opening a
-// crashed DB replays the WAL, so acknowledged (committed) rows survive.
+// Writes append to the WAL and an in-memory head, which keeps every full
+// chunk of a series encoded; when the head reaches HeadMaxRows it is
+// sealed into a segment and the WAL rotates. Opening a crashed DB replays
+// the WAL, so acknowledged (committed) rows survive.
 // Query(series, from, to) walks only the chunks overlapping the window;
 // background compaction merges small segments and an optional retention
 // policy drops segments past a time horizon.
 package tsdb
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,7 +55,8 @@ type Options struct {
 	// creation (the campaign recording header).
 	Extra json.RawMessage
 	// HeadMaxRows seals the head into a segment when it reaches this many
-	// rows. Default 65536 (~127 campaign rounds of 43 clients × 12 rows).
+	// rows. Default 65536 (≈ 1,524 campaign rounds of 43 clients, one row
+	// per client per round).
 	HeadMaxRows int
 	// SyncEveryCommits fsyncs the WAL on every Nth Commit (default 1:
 	// every commit, i.e. one fsync per ping round). Negative disables
@@ -96,7 +99,8 @@ type DB struct {
 	segs      []*segmentReader // sorted by lo, non-overlapping
 	graveyard []*segmentReader // replaced/retired files kept open for live iterators
 	wal       *walWriter
-	head      map[int][]Row
+	head      map[int]*headSeries
+	enc       chunkEncoder // cuts the head's full chunks
 	headRows  int
 	headRaw   uint64 // WAL payload bytes backing the head (compression baseline)
 	lastTime  map[int]int64
@@ -106,6 +110,54 @@ type DB struct {
 
 	compacting atomic.Bool
 	wg         sync.WaitGroup
+}
+
+// headSeries is one series' rows in the head: its full chunks, encoded
+// exactly as the seal writes them, and the rows since the last cut.
+type headSeries struct {
+	chunks []headChunk
+	open   []Row // fewer than defaultChunkRows
+}
+
+// headChunk is the payload of defaultChunkRows rows and their time range.
+type headChunk struct {
+	payload    []byte
+	minT, maxT int64
+}
+
+// bounds returns the series' first and last head timestamps. A series is
+// in the head only once it has a row.
+func (hs *headSeries) bounds() (minT, maxT int64) {
+	if len(hs.chunks) > 0 {
+		minT, maxT = hs.chunks[0].minT, hs.chunks[len(hs.chunks)-1].maxT
+	} else {
+		minT = hs.open[0].Time
+	}
+	if n := len(hs.open); n > 0 {
+		maxT = hs.open[n-1].Time
+	}
+	return minT, maxT
+}
+
+// appendHead adds row to the head, cutting its series' open rows into an
+// encoded chunk once they fill one. The open slice is replaced, never
+// truncated: iterators may hold its header.
+func (db *DB) appendHead(row Row) {
+	hs := db.head[row.Series]
+	if hs == nil {
+		hs = new(headSeries)
+		db.head[row.Series] = hs
+	}
+	hs.open = append(hs.open, row)
+	if len(hs.open) < defaultChunkRows {
+		return
+	}
+	hs.chunks = append(hs.chunks, headChunk{
+		payload: bytes.Clone(db.enc.encode(hs.open)),
+		minT:    hs.open[0].Time,
+		maxT:    row.Time,
+	})
+	hs.open = make([]Row, 0, defaultChunkRows)
 }
 
 func (db *DB) segDir() string  { return filepath.Join(db.dir, "seg") }
@@ -129,7 +181,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		dir:      dir,
 		opts:     opts,
 		m:        newMetrics(opts.Metrics),
-		head:     make(map[int][]Row),
+		head:     make(map[int]*headSeries),
 		lastTime: make(map[int]int64),
 	}
 	if !opts.ReadOnly {
@@ -290,7 +342,7 @@ func (db *DB) recoverWAL() error {
 	}
 	if res != nil {
 		for _, row := range res.rows {
-			db.head[row.Series] = append(db.head[row.Series], row)
+			db.appendHead(row)
 			db.noteTime(row.Series, row.Time)
 		}
 		db.headRows = len(res.rows)
@@ -376,7 +428,7 @@ func (db *DB) Append(row Row) error {
 	}
 	db.m.walBytes.Add(int64(db.wal.bytes - before))
 	db.headRaw += db.wal.bytes - before - wire.FrameHeader
-	db.head[row.Series] = append(db.head[row.Series], row)
+	db.appendHead(row)
 	db.lastTime[row.Series] = row.Time
 	db.headRows++
 	db.m.rows.Inc()
@@ -430,8 +482,20 @@ func (db *DB) sealLocked() error {
 	if err != nil {
 		return err
 	}
-	for _, s := range db.seriesLocked() { // one with no head rows adds nothing
-		if err := sw.add(s, db.head[s]); err != nil {
+	// The encoded chunks are copied; only each series' open rows are
+	// encoded here. Cuts fall every defaultChunkRows rows of a series from
+	// the head's start, as a seal of the rows would cut them.
+	for _, s := range db.seriesLocked() {
+		hs := db.head[s]
+		if hs == nil {
+			continue
+		}
+		for _, c := range hs.chunks {
+			if err := sw.addChunk(s, c); err != nil {
+				return err
+			}
+		}
+		if err := sw.add(s, hs.open); err != nil {
 			return err
 		}
 	}
@@ -455,7 +519,7 @@ func (db *DB) sealLocked() error {
 		return err
 	}
 	db.wal = w
-	db.head = make(map[int][]Row)
+	db.head = make(map[int]*headSeries)
 	db.headRows = 0
 	db.headRaw = 0
 	db.updateGauges()
@@ -482,17 +546,9 @@ func (db *DB) boundsLocked() (minT, maxT int64, ok bool) {
 		}
 		ok = true
 	}
-	for _, rows := range db.head {
-		if len(rows) == 0 {
-			continue
-		}
-		if t := rows[0].Time; t < minT {
-			minT = t
-		}
-		if t := rows[len(rows)-1].Time; t > maxT {
-			maxT = t
-		}
-		ok = true
+	for _, hs := range db.head {
+		lo, hi := hs.bounds()
+		minT, maxT, ok = min(minT, lo), max(maxT, hi), true
 	}
 	return minT, maxT, ok
 }
@@ -521,10 +577,8 @@ func (db *DB) seriesLocked() []int {
 			set[s] = true
 		}
 	}
-	for s, rows := range db.head {
-		if len(rows) > 0 {
-			set[s] = true
-		}
+	for s := range db.head {
+		set[s] = true
 	}
 	out := make([]int, 0, len(set))
 	for s := range set {

@@ -79,23 +79,23 @@ func verifySegment(sr *segmentReader) (SegmentReport, error) {
 	if err := sr.verifyFileCRC(); err != nil {
 		return rep, err
 	}
+	var d chunkDecoder
 	for _, s := range sr.series {
 		last := int64(math.MinInt64)
 		for _, e := range sr.bySeries[s] {
-			rows, err := sr.chunk(e) // CRC + decode + count check
-			if err != nil {
+			if err := sr.chunk(&d, e); err != nil { // CRC + decode + count check
 				return rep, err
 			}
-			for _, r := range rows {
-				if r.Time < e.minT || r.Time > e.maxT {
+			for _, t := range d.times[:d.n] {
+				if t < e.minT || t > e.maxT {
 					return rep, fmt.Errorf("tsdb: %s: row outside chunk bounds: %w", sr.path, ErrCorrupt)
 				}
-				if r.Time < last {
+				if t < last {
 					return rep, fmt.Errorf("tsdb: %s: series %d out of order: %w", sr.path, s, ErrCorrupt)
 				}
-				last = r.Time
+				last = t
 			}
-			rep.Rows += uint64(len(rows))
+			rep.Rows += uint64(d.n)
 			rep.Chunks++
 		}
 	}

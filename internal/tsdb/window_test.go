@@ -1,0 +1,154 @@
+package tsdb
+
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/wire"
+)
+
+// TestChunkWindowDecode: the rows a window builds are exactly the rows
+// clip keeps of the whole chunk, for empty, one-row, whole and straddling
+// windows, with one decoder reused across chunks of every size.
+func TestChunkWindowDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var d chunkDecoder
+	for trial := 0; trial < 60; trial++ {
+		n := []int{1, 2, 7, 100, defaultChunkRows}[rng.Intn(5)]
+		rows := randomRows(rng, 5, n, int64(rng.Intn(1000)))
+		payload := encodeChunk(rows)
+		full, err := decodeChunk(payload, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, last := rows[0].Time, rows[n-1].Time
+		a, b := rows[rng.Intn(n)].Time, rows[rng.Intn(n)].Time
+		windows := [][2]int64{
+			{first, first},                 // empty, at a row
+			{first - 100, first},           // before every row
+			{last + 1, last + 100},         // after every row
+			{a, a + 1},                     // one row
+			{math.MinInt64, math.MaxInt64}, // whole
+			{first, last + 1},              // whole, exactly
+			{min(a, b), max(a, b) + 1},     // straddling
+			{min(a, b) + 1, max(a, b) + 3}, // straddling, off the stamps
+			{max(a, b) + 1, min(a, b)},     // inverted
+		}
+		if err := d.decode(payload, 5); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range windows {
+			requireByteEqual(t, d.window(w[0], w[1]), clip(full, w[0], w[1]))
+		}
+	}
+}
+
+// TestChunkWindowValidatesWholeChunk: a dictionary reference out of range
+// in a row outside the window still makes the chunk corrupt.
+func TestChunkWindowValidatesWholeChunk(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	rows := randomRows(rng, 1, 100, 0)
+	last := rows[len(rows)-1].Time + 5
+	rows = append(rows, Row{Time: last, Series: 1, Gap: true, Reason: "only in the last row"})
+	payload := encodeChunk(rows)
+
+	// Re-encode the dictionary without its last entry, the last row's
+	// reason: that row's reference is now one past the end.
+	r := wire.NewReader(payload)
+	nRows := r.Uvarint()
+	strs, err := dictDecode(r)
+	if err != nil || strs[len(strs)-1] != "only in the last row" {
+		t.Fatalf("dictionary %q: %v", strs, err)
+	}
+	var dict dictBuilder
+	for _, s := range strs[:len(strs)-1] {
+		dict.id(s)
+	}
+	bad := dict.encode(binary.AppendUvarint(nil, nRows))
+	bad = append(bad, r.Take(r.Remaining())...)
+
+	var d chunkDecoder
+	for _, w := range [][2]int64{{math.MinInt64, math.MaxInt64}, {0, 6}, {200, 300}, {last, last + 1}, {7, 7}} {
+		if err := d.decode(payload, 1); err != nil {
+			t.Fatalf("the intact chunk: %v", err)
+		}
+		if len(d.window(w[0], w[1])) == 0 && w[0] != w[1] {
+			t.Fatalf("window %v of the intact chunk is empty", w)
+		}
+		if err := d.decode(bad, 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("window %v: err = %v, want ErrCorrupt", w, err)
+		}
+	}
+}
+
+// TestWindowRowsDoNotAlias: rows of one window share three slabs, so an
+// append to one row's Types, or to one type's Cars, must not write into
+// its neighbour.
+func TestWindowRowsDoNotAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rows := randomRows(rng, 2, 200, 0)
+	var d chunkDecoder
+	if err := d.decode(encodeChunk(rows), 2); err != nil {
+		t.Fatal(err)
+	}
+	got := d.window(rows[50].Time, rows[150].Time)
+	want := clip(rows, rows[50].Time, rows[150].Time)
+	for i := range got {
+		r := &got[i]
+		if r.Gap {
+			continue
+		}
+		cars := r.Types[0].Cars
+		r.Types[0].Cars = append(cars, Car{ID: "intruder"})
+		r.Types[0].Cars = cars
+		types := r.Types
+		r.Types = append(types, TypeObs{Name: "intruder", Cars: []Car{{ID: "intruder"}}})
+		r.Types = types
+	}
+	requireByteEqual(t, got, want)
+}
+
+// TestIteratorRowsOutliveChunks: rows handed out by an Iterator stay
+// intact while it decodes more chunks, sealed and head alike, into the
+// same decoder.
+func TestIteratorRowsOutliveChunks(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{SyncEveryCommits: -1, CompactMinSegments: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(24))
+	want := randomRows(rng, 0, 5*defaultChunkRows+30, 0)
+	for i, row := range want {
+		if err := db.Append(row); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 == 2*defaultChunkRows {
+			if err := db.Seal(); err != nil { // two sealed chunks, three in the head
+				t.Fatal(err)
+			}
+		}
+	}
+	it := db.Query(0, math.MinInt64, math.MaxInt64)
+	var kept []*Row
+	n := 0
+	for ; it.Next(); n++ {
+		if n < defaultChunkRows {
+			kept = append(kept, it.Row())
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(want) {
+		t.Fatalf("iterated %d rows, want %d", n, len(want))
+	}
+	got := make([]Row, len(kept))
+	for i, p := range kept {
+		got[i] = *p
+	}
+	requireByteEqual(t, got, want[:defaultChunkRows])
+}
