@@ -4,12 +4,12 @@
 // series, EWT and surge distributions, surge durations, jitter events,
 // and the Table 1 forecasting fits.
 //
-// It reads both store kinds: a gzip recording (`measure -record x.jsonl.gz`)
-// or a tsdb directory (`measure -record x.tsdb -store tsdb`). With -from/-to
-// a tsdb store is range-queried, decoding only the chunks overlapping the
-// window instead of the whole campaign. A recording with a truncated tail
-// (crashed campaign, partial copy) is analyzed up to the damage, with a
-// warning.
+// It reads the tsdb campaign store `measure -record DIR` writes (an old
+// gzip recording is converted first: `tsdbtool convert -in X -out DIR`).
+// The store is opened once; with -from/-to it is range-queried, decoding
+// only the chunks overlapping the window instead of the whole campaign.
+// Series are bucketed from the campaign's start time. A store with a
+// damaged chunk is analyzed up to the damage, with a warning.
 //
 // With -follow it switches from batch to streaming: it tails a live bus
 // directory (uberd -bus DIR), reports each 5-minute window as it seals,
@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	analyze -in campaign.jsonl.gz
+//	analyze -in campaign.tsdb
 //	analyze -in campaign.tsdb -from 1672531200 -to 1672617600
 //	analyze -follow -bus /tmp/ubus -windows 12
 package main
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/chart"
+	"repro/internal/client"
 	"repro/internal/forecast"
 	"repro/internal/measure"
 	"repro/internal/record"
@@ -53,7 +54,7 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	in := fs.String("in", "", "recording file or tsdb directory (required unless -follow)")
+	in := fs.String("in", "", "campaign store directory (required unless -follow)")
 	from := fs.Int64("from", 0, "analyze observations at or after this campaign time (0 = start)")
 	to := fs.Int64("to", 0, "analyze observations before this campaign time (0 = end)")
 	follow := fs.Bool("follow", false, "stream live windows from a bus directory instead of replaying a store")
@@ -74,7 +75,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *follow:
 		return runFollow(ctx, *busDir, *windows, *poll, stdout, stderr)
 	case *in == "":
-		fmt.Fprintln(stderr, "usage: analyze -in campaign.jsonl.gz [-from T] [-to T]")
+		fmt.Fprintln(stderr, "usage: analyze -in campaign.tsdb [-from T] [-to T]")
 		return 2
 	case *to != 0 && *to <= *from:
 		fmt.Fprintf(stderr, "analyze: -to must be after -from (got -from %d -to %d)\n", *from, *to)
@@ -85,12 +86,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// One pass over the header only; the data stream stays untouched until
-	// the replay below.
-	hdr, err := record.ReadHeaderPath(*in)
+	db, hdr, err := record.Open(*in)
 	if err != nil {
 		return fail(err)
 	}
+	defer db.Close()
 
 	profile, err := sim.ProfileByName(hdr.City)
 	if err != nil {
@@ -109,28 +109,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *to != 0 {
 		hi = *to
 	}
-	// A tsdb store knows its extent up front, so the series can be sized
-	// exactly; a gzip recording is bounded generously and trimmed later.
-	start, end := hdr.Start, hdr.Start+14*24*3600
-	if minT, maxT, ok, err := record.StoreBounds(*in); err != nil {
-		return fail(err)
-	} else if ok {
-		start, end = minT, maxT+measure.Interval
-	}
-	if lo > start {
-		start = lo
-	}
-	if hi < end {
-		end = hi
+	// The buckets start on the campaign clock, hdr.Start, which the paper's
+	// 5-minute intervals align to; the store's last observation bounds the
+	// series and the analysis window.
+	start := max(hdr.Start, lo)
+	maxT := start - client.PingPeriod // an empty store: an empty window
+	if _, t, ok := db.Bounds(); ok {
+		maxT = t
 	}
 	ds := measure.NewDataset(measure.Config{
 		Profile:     profile,
 		Start:       start,
-		End:         end,
+		End:         min(hi, maxT+measure.Interval),
 		ClientAreas: clientAreas,
 	}, len(hdr.Clients))
 
-	hdr2, rounds, err := record.ReplayPathRange(*in, lo, hi, ds)
+	rounds, err := record.Replay(db, hdr, lo, hi, ds)
 	if errors.Is(err, record.ErrTruncated) {
 		fmt.Fprintf(stderr, "warning: %v; analyzing the %d rounds before the damage\n", err, rounds)
 		err = nil
@@ -140,11 +134,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	ds.Close()
 
-	fmt.Fprintf(stdout, "recording: city=%s clients=%d rounds=%d\n", hdr2.City, len(hdr2.Clients), rounds)
+	end := min(hi, maxT+client.PingPeriod)
+	fmt.Fprintf(stdout, "recording: city=%s clients=%d rounds=%d\n", hdr.City, len(hdr.Clients), rounds)
 	printSeries(stdout, ds)
 	printDistributions(stdout, ds)
-	printSurgeAnalysis(stdout, ds, start, start+rounds*5)
-	printForecast(stdout, ds, start, start+rounds*5)
+	printSurgeAnalysis(stdout, ds, start, end)
+	printForecast(stdout, ds, start, end)
 	return 0
 }
 

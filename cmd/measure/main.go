@@ -1,7 +1,9 @@
 // Command measure runs the paper's measurement campaign — 43 emulated
 // Uber Client apps in a grid — against a backend and prints the measured
 // aggregates (supply, deaths, surge distribution, EWT distribution,
-// jitter events).
+// jitter events). With -record it also keeps the raw pingClient stream in
+// a tsdb campaign store (a crash-safe, range-queryable directory) for
+// cmd/analyze to replay offline.
 //
 // With -addr it measures a remote uberd over HTTP at that server's pace;
 // without it, it builds an in-process backend and runs at simulation
@@ -9,7 +11,7 @@
 //
 // Usage:
 //
-//	measure -city sf -hours 24 -seed 7 -jitter
+//	measure -city sf -hours 24 -seed 7 -jitter -record sf.tsdb
 //	measure -addr http://localhost:8080 -city sf -rounds 720
 package main
 
@@ -53,9 +55,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		jitter  = fs.Bool("jitter", true, "April 2015 mode (in-process mode)")
 		addr    = fs.String("addr", "", "remote uberd base URL; empty = in-process")
 		rounds  = fs.Int("rounds", 720, "ping rounds in remote mode (1 round / 5 s)")
-		recFile = fs.String("record", "", "write the raw pingClient stream to this path")
-		store   = fs.String("store", record.StoreJSONL,
-			"recording store: jsonl (one gzip file) or tsdb (crash-safe compressed directory)")
+		recFile = fs.String("record", "", "record the raw pingClient stream into a tsdb store at this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -63,12 +63,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	profile, err := sim.ProfileByName(*city)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if *store != record.StoreJSONL && *store != record.StoreTSDB {
-		// Checked here, not by record.Create: without -record nothing else
-		// would ever look at it.
-		fmt.Fprintf(stderr, "measure: -store must be %s or %s (got %q)\n", record.StoreJSONL, record.StoreTSDB, *store)
 		return 2
 	}
 
@@ -131,7 +125,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	camp.AddSink(ds)
 	var rec record.CampaignWriter
 	if *recFile != "" {
-		rec, err = record.Create(*store, *recFile,
+		rec, err = record.Create(record.StoreTSDB, *recFile,
 			record.Header{City: profile.Name, Start: start, Clients: pts}, nil)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -149,7 +143,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		rows, _ := rec.Written()
-		fmt.Fprintf(stdout, "recorded %d rows to %s (store=%s)\n", rows, *recFile, *store)
+		fmt.Fprintf(stdout, "recorded %d rows to %s\n", rows, *recFile)
 	}
 	printSummary(stdout, ds, camp)
 	return 0

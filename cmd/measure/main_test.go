@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +14,11 @@ import (
 
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
+	// A regular file where -record needs a directory to create the store in.
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// 0.1667 h is the paper's campaign for ten simulated minutes: 120
 	// rounds of 43 clients.
 	const tenMinutes, wantRows = "0.1667", "recorded 5160 rows"
@@ -26,13 +32,14 @@ func TestRun(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2, "", "flag provided but not defined", ""},
 		{"unknown city", []string{"-city", "atlantis"}, 2, "", "atlantis", ""},
-		// Without -record nothing looked at -store, so a typo was accepted.
-		{"unknown store", []string{"-store", "nope"}, 2, "", "-store must be jsonl or tsdb", ""},
-		{"unknown store with -record", []string{"-store", "nope", "-record", filepath.Join(dir, "x")}, 2, "", "-store must be", ""},
-		{"unwritable recording", []string{"-hours", tenMinutes, "-record", filepath.Join(dir, "no", "such", "dir.gz")}, 1, "", "no such file", ""},
+		// There is one store kind, so -store is no longer a flag.
+		{"unknown store", []string{"-store", "nope"}, 2, "", "flag provided but not defined: -store", ""},
+		{"unknown store with -record", []string{"-store", "tsdb", "-record", filepath.Join(dir, "x")}, 2, "", "flag provided but not defined: -store", ""},
+		{"unwritable recording", []string{"-hours", tenMinutes, "-record", filepath.Join(file, "c.tsdb")}, 1, "", "not a directory", ""},
 		{"unreachable backend", []string{"-addr", "http://127.0.0.1:1", "-rounds", "1"}, 1, "", "register", ""},
+		// The old quickstart's file name: -record still writes a store.
 		{"jsonl", []string{"-hours", tenMinutes, "-record", filepath.Join(dir, "c.jsonl.gz")}, 0, wantRows, "", filepath.Join(dir, "c.jsonl.gz")},
-		{"tsdb", []string{"-hours", tenMinutes, "-store", "tsdb", "-record", filepath.Join(dir, "c.tsdb")}, 0, wantRows, "", filepath.Join(dir, "c.tsdb")},
+		{"tsdb", []string{"-hours", tenMinutes, "-record", filepath.Join(dir, "c.tsdb")}, 0, wantRows, "", filepath.Join(dir, "c.tsdb")},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -57,7 +64,7 @@ func TestRun(t *testing.T) {
 			if !strings.Contains(stdout.String(), "rounds: 120, ping errors: 0\n") {
 				t.Errorf("summary lacks the 120 clean rounds:\n%s", &stdout)
 			}
-			hdr, rounds, err := record.ReplayPath(c.store)
+			hdr, rounds, err := record.ReplayPathRange(c.store, record.MinTime, record.MaxTime)
 			if err != nil || rounds != 120 || hdr.City != "manhattan" || len(hdr.Clients) != 43 {
 				t.Errorf("replaying %s: %d rounds of %d clients in %q, %v", c.store, rounds, len(hdr.Clients), hdr.City, err)
 			}

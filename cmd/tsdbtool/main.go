@@ -1,16 +1,21 @@
 // Command tsdbtool inspects and maintains tsdb campaign stores (the
-// directories written by `measure -record DIR -store tsdb`).
+// directories written by `measure -record DIR`).
 //
 // Usage:
 //
 //	tsdbtool inspect DIR            summarize segments, series, time range
 //	tsdbtool verify DIR             walk every CRC; nonzero exit on damage
 //	tsdbtool compact DIR            merge all sealed segments into one
-//	tsdbtool convert -in A -out B   convert tsdb dir ↔ gzip recording
+//	tsdbtool convert -in A -out B   old gzip recording → store, store → text
 //
 // verify re-reads every byte: whole-file CRCs (a single flipped byte
 // anywhere fails), per-chunk CRCs, decode of every chunk, and a WAL scan
 // reporting how many rows a reopen would recover after a crash.
+//
+// convert is the one reader of the gzip JSON-lines recordings campaigns
+// were written as before the tsdb store: given one, it imports it into a
+// new store at -out; given a store, it writes its rows as gzip JSON lines
+// in (time, series) order.
 package main
 
 import (
@@ -69,7 +74,7 @@ func inspect(w io.Writer, dir string) error {
 	defer db.Close()
 	st := db.Stats()
 	fmt.Fprintf(w, "store: %s\n", dir)
-	if hdr, err := record.ReadHeaderPath(dir); err == nil {
+	if hdr, err := record.ReadHeader(db); err == nil {
 		fmt.Fprintf(w, "campaign: city=%s clients=%d start=%d\n", hdr.City, len(hdr.Clients), hdr.Start)
 	}
 	fmt.Fprintf(w, "segments: %d (%d bytes, %d rows)\n", st.Segments, st.SegmentBytes, st.SegmentRows)
@@ -129,8 +134,8 @@ func compact(w io.Writer, dir string) error {
 func convert(w, stderr io.Writer, args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	in := fs.String("in", "", "source store (tsdb directory or gzip recording)")
-	out := fs.String("out", "", "destination store (kind inferred: the opposite of -in)")
+	in := fs.String("in", "", "source: a store directory, or an old gzip recording")
+	out := fs.String("out", "", "destination: gzip JSON lines for a store, a new store for a recording")
 	if fs.Parse(args) != nil { // the flag set has printed why
 		return errUsage
 	}

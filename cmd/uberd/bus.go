@@ -3,7 +3,7 @@
 // registrations, injected faults) to an embedded broker, and optionally
 // runs the live tsdb ingester as an in-process consumer group so a
 // campaign store grows while the server runs — `analyze` reads it like
-// any `measure -store tsdb` recording.
+// any `measure -record` store.
 
 package main
 

@@ -1,6 +1,6 @@
 // LiveIngester: the bus→tsdb bridge. It consumes api.pings events off
 // the event bus and writes the exact rows the poll-based campaign
-// (measure -store tsdb) would have written, so cmd/analyze works
+// (measure -record) would have written, so cmd/analyze works
 // unchanged on a store that was ingested live.
 //
 // Series assignment: the first time a client ID appears it gets the next
@@ -66,7 +66,7 @@ func NewLiveIngester(dir string, hdr Header, proj *geo.Projection, metrics *obs.
 		series: make(map[string]int),
 		last:   make(map[int]int64),
 	}
-	if stored, err := headerFromStore(db); err == nil {
+	if stored, err := ReadHeader(db); err == nil {
 		ing.hdr = stored
 	}
 	if len(ing.hdr.ClientIDs) != len(ing.hdr.Clients) && len(ing.hdr.ClientIDs) > 0 {

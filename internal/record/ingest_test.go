@@ -43,21 +43,22 @@ func (rc *ingestRowCollector) Observe(clientIdx int, pos geo.Point, resp *core.P
 
 func (rc *ingestRowCollector) EndRound(int64) {}
 
-func collectStore(t *testing.T, path string) (map[int64][]string, int64) {
+func collectStore(t *testing.T, path string) (map[int64][]string, int64, Header) {
 	t.Helper()
-	hdr, err := ReadHeaderPath(path)
+	db, hdr, err := Open(path)
 	if err != nil {
-		t.Fatalf("read header %s: %v", path, err)
+		t.Fatalf("open %s: %v", path, err)
 	}
+	defer db.Close()
 	rc := &ingestRowCollector{ids: hdr.ClientIDs, rows: make(map[int64][]string)}
-	_, rounds, err := ReplayPath(path, rc)
+	rounds, err := Replay(db, hdr, MinTime, MaxTime, rc)
 	if err != nil {
 		t.Fatalf("replay %s: %v", path, err)
 	}
 	for _, rows := range rc.rows {
 		sort.Strings(rows)
 	}
-	return rc.rows, rounds
+	return rc.rows, rounds, hdr
 }
 
 // TestLiveIngestMatchesBatchStore runs one campaign writing the batch
@@ -83,7 +84,7 @@ func TestLiveIngestMatchesBatchStore(t *testing.T) {
 		ids[i] = fmt.Sprintf("probe-%02d", i)
 	}
 	hdr := Header{City: profile.Name, Start: 0, Clients: pts, ClientIDs: ids}
-	batch, err := CreateTSDB(batchDir, hdr, nil)
+	batch, err := Create(StoreTSDB, batchDir, hdr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +177,8 @@ func TestLiveIngestMatchesBatchStore(t *testing.T) {
 	}
 	cons2.Close()
 
-	batchRows, batchRounds := collectStore(t, batchDir)
-	liveRows, liveRounds := collectStore(t, liveDir)
+	batchRows, batchRounds, _ := collectStore(t, batchDir)
+	liveRows, liveRounds, liveHdr := collectStore(t, liveDir)
 	if batchRounds == 0 {
 		t.Fatal("batch store replayed zero rounds")
 	}
@@ -205,10 +206,6 @@ func TestLiveIngestMatchesBatchStore(t *testing.T) {
 	// The live header must name every campaign client exactly once (in
 	// bus-delivery order, some permutation of campaign order), with each
 	// series' stored position matching that client's grid point.
-	liveHdr, err := ReadHeaderPath(liveDir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(liveHdr.ClientIDs) != len(pts) {
 		t.Fatalf("live header has %d client IDs, want %d", len(liveHdr.ClientIDs), len(pts))
 	}

@@ -1,48 +1,34 @@
 package record
 
 import (
-	"bytes"
 	"compress/gzip"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// TestJSONLFixturePinned pins the v2 gzip-JSONL format by its text: a
-// literal recording (header, one observation row, one gap row) must
-// replay into exactly these sink calls, and recording those calls again
-// must reproduce the text byte for byte — keys, key order and omitted
-// empties included.
+// TestJSONLFixturePinned pins the v2 gzip-JSONL text by a literal
+// recording (header, one observation row, one gap row): imported into a
+// store it must replay into exactly these sink calls, and exporting the
+// store must reproduce the text byte for byte — keys, key order and
+// omitted empties included.
 func TestJSONLFixturePinned(t *testing.T) {
 	const fixture = `{"version":2,"city":"manhattan","start":600,"clients":[{"x":100,"y":-250.5},{"x":300,"y":0}]}
 {"t":605,"c":0,"y":[{"t":"uberX","s":1.5,"e":240,"c":[{"i":"sess-1","a":40.74,"o":-73.98},{"i":"sess-2","a":40.76,"o":-74}]},{"t":"uberT","s":1,"e":600}]}
 {"t":605,"c":1,"g":true,"r":"http 503"}
 `
-	var rec bytes.Buffer
-	gz := gzip.NewWriter(&rec)
-	if _, err := io.WriteString(gz, fixture); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
+	tmp := t.TempDir()
+	in, store, out := filepath.Join(tmp, "in.jsonl.gz"), filepath.Join(tmp, "c.tsdb"), filepath.Join(tmp, "out.jsonl.gz")
+	writeGzip(t, in, fixture)
+	if _, rows, err := Convert(in, store, nil); err != nil || rows != 2 {
+		t.Fatalf("import: %d rows, err %v", rows, err)
 	}
 
 	var got rowCollector
-	var out bytes.Buffer
-	hdr, err := ReadHeader(bytes.NewReader(rec.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriter(&out, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rounds, err := Replay(bytes.NewReader(rec.Bytes()), &got, w)
-	if err != nil || rounds != 1 {
-		t.Fatalf("Replay: %d rounds, err %v", rounds, err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	if _, rounds, err := ReplayPathRange(store, MinTime, MaxTime, &got); err != nil || rounds != 1 {
+		t.Fatalf("replay: %d rounds, err %v", rounds, err)
 	}
 	want := []string{
 		"obs c=0 t=605 [uberX s=1.5 e=240 (sess-1 40.74 -73.98) (sess-2 40.76 -74)] [uberT s=1 e=600]",
@@ -53,7 +39,40 @@ func TestJSONLFixturePinned(t *testing.T) {
 		t.Errorf("replayed calls:\n got %q\nwant %q", got.lines, want)
 	}
 
-	zr, err := gzip.NewReader(&out)
+	if _, rows, err := Convert(store, out, nil); err != nil || rows != 2 {
+		t.Fatalf("export: %d rows, err %v", rows, err)
+	}
+	if text := readGzip(t, out); text != fixture {
+		t.Errorf("exported recording:\n got %s\nwant %s", text, fixture)
+	}
+}
+
+func writeGzip(t *testing.T, path, text string) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz := gzip.NewWriter(f)
+	if _, err := io.WriteString(gz, text); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readGzip(t *testing.T, path string) string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +80,5 @@ func TestJSONLFixturePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(text) != fixture {
-		t.Errorf("re-encoded recording:\n got %s\nwant %s", text, fixture)
-	}
+	return string(text)
 }

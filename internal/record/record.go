@@ -1,38 +1,43 @@
 // Package record persists a measurement campaign's pingClient stream to
 // disk and replays it later — the paper's workflow of collecting hundreds
-// of gigabytes first and analyzing offline afterwards. One Writer feeds
-// either of two stores holding the same rows (tsdb.Row; package wire owns
-// the observation body): gzip-compressed JSON lines — a header describing
-// the campaign, then one row per (round, client) observation — or a tsdb
-// directory (store.go). Car path vectors are dropped (no analysis
-// consumes them); everything else the Dataset needs is kept.
+// of gigabytes first and analyzing offline afterwards. A campaign store is
+// a tsdb directory: the campaign header in its metadata, then one row
+// (tsdb.Row; package wire owns the observation body) per (round, client)
+// observation, one series per client. Car path vectors are dropped (no
+// analysis consumes them); everything else the Dataset needs is kept.
+//
+// Writer records a campaign, Open and Replay read one back, and Convert
+// (convert.go) imports an old gzip JSON-lines recording or exports text.
 package record
 
 import (
-	"bufio"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"os"
 
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/tsdb"
 	"repro/internal/wire"
 )
 
-// Version is the current file format version. Version 2 added explicit
+// Version is the current campaign header version. Version 2 added explicit
 // gap rows (failed pings recorded as holes, not silently dropped).
 const Version = 2
 
-// ErrTruncated marks a recording with a truncated or corrupt tail (a
-// crashed campaign, a partial copy). Replay returns it wrapped after
-// delivering every row it could decode, so callers can analyze the
+// ErrTruncated marks a store with damaged data (a flipped byte in a
+// sealed chunk, a partial copy). Replay returns it wrapped after
+// delivering every row before the damage, so callers can analyze the
 // partial data: errors.Is(err, ErrTruncated) distinguishes "the tail is
-// missing" from "the file is unreadable".
+// missing" from "the store is unreadable".
 var ErrTruncated = errors.New("record: truncated recording")
+
+// errNotStore marks a path that exists but is not a directory, which is
+// what an old gzip recording handed to Open is.
+var errNotStore = errors.New("not a campaign store")
 
 // Header opens every recording.
 type Header struct {
@@ -47,85 +52,70 @@ type Header struct {
 	ClientIDs []string `json:"client_ids,omitempty"`
 }
 
-// rowStore is the back end a Writer appends to: *tsdb.DB as it stands, or
-// the gzip-JSONL stream.
-type rowStore interface {
-	Append(tsdb.Row) error
-	// Commit makes the rows appended so far durable (a no-op for JSONL,
-	// which is only whole once closed).
-	Commit() error
+// CampaignWriter is the write side of a campaign store, which cmd/measure
+// attaches as a campaign sink.
+type CampaignWriter interface {
+	client.Sink
+	client.GapSink
 	Close() error
+	Written() (rows, gaps int64)
 }
+
+// StoreTSDB is the one store kind Create accepts (as does "").
+const StoreTSDB = "tsdb"
 
 // Writer streams a campaign into a store: one series per client. It
 // implements client.Sink (and client.GapSink: failed pings are written as
 // explicit gap rows, the way the paper's dataset accounts for its ~2.5%
 // loss), so it can be attached to a campaign next to the live Dataset.
 type Writer struct {
-	store rowStore
-	err   error
-	// Rows counts rows written (on a resumed tsdb store, recovered ones
-	// included); Gaps counts the gap rows among them.
-	Rows, Gaps int64
+	db  *tsdb.DB
+	err error
+	// rows counts rows written (on a resumed store, recovered ones
+	// included); gaps counts the gap rows among them.
+	rows, gaps int64
 	// pendingGaps buffers the round's failed pings until EndRound, when
 	// the round's timestamp is known.
 	pendingGaps []tsdb.Row
 }
 
-// jsonlStore is the gzip-JSONL back end: a header line, then one JSON row
-// per Append. f is the file Create opened, nil when the caller owns w.
-type jsonlStore struct {
-	gz  *gzip.Writer
-	bw  *bufio.Writer
-	enc *json.Encoder
-	f   io.Closer
-}
-
-func (s *jsonlStore) Append(row tsdb.Row) error { return s.enc.Encode(&row) }
-
-func (s *jsonlStore) Commit() error { return nil }
-
-func (s *jsonlStore) Close() error {
-	err := s.bw.Flush()
-	if err == nil {
-		err = s.gz.Close()
+// Create creates (or reopens) a campaign store at dir: one Commit (one WAL
+// fsync) per ping round. The campaign header is stored in the tsdb
+// metadata; reopening an existing store resumes it (rows recovered from
+// the WAL are counted as written). kind must be "" or StoreTSDB. metrics
+// may be nil; the store reports compression/fsync/compaction metrics to it.
+func Create(kind, dir string, hdr Header, metrics *obs.Registry) (CampaignWriter, error) {
+	if kind != "" && kind != StoreTSDB {
+		return nil, fmt.Errorf("record: unknown store kind %q (want %s)", kind, StoreTSDB)
 	}
-	if s.f != nil {
-		if cerr := s.f.Close(); err == nil {
-			err = cerr
-		}
+	db, err := openStore(dir, &hdr, metrics)
+	if err != nil {
+		return nil, err
 	}
-	return err
+	return &Writer{db: db, rows: int64(db.Recovered())}, nil
 }
 
-// NewWriter writes the header and returns a sink-compatible writer of the
-// gzip-JSONL format.
-func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
-	return newJSONLWriter(w, nil, hdr)
-}
-
-// newJSONLWriter is NewWriter that also closes f, if not nil, on Close.
-func newJSONLWriter(w io.Writer, f io.Closer, hdr Header) (*Writer, error) {
+// openStore opens (or resumes) the writable tsdb store at dir; *hdr,
+// stamped with the current Version, is the campaign header of a fresh one.
+func openStore(dir string, hdr *Header, metrics *obs.Registry) (*tsdb.DB, error) {
 	hdr.Version = Version
-	gz := gzip.NewWriter(w)
-	bw := bufio.NewWriterSize(gz, 1<<16)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(hdr); err != nil {
-		return nil, fmt.Errorf("record: write header: %w", err)
+	extra, err := json.Marshal(hdr)
+	if err != nil {
+		return nil, err
 	}
-	return &Writer{store: &jsonlStore{gz: gz, bw: bw, enc: enc, f: f}}, nil
+	return tsdb.Open(dir, tsdb.Options{Extra: extra, Metrics: metrics})
 }
 
 func (w *Writer) append(row tsdb.Row) {
 	if w.err != nil {
 		return
 	}
-	if w.err = w.store.Append(row); w.err != nil {
+	if w.err = w.db.Append(row); w.err != nil {
 		return
 	}
-	w.Rows++
+	w.rows++
 	if row.Gap {
-		w.Gaps++
+		w.gaps++
 	}
 }
 
@@ -146,10 +136,10 @@ func (w *Writer) ObserveGap(clientIdx int, pos geo.Point, lastSeen int64, err er
 }
 
 // EndRound implements client.Sink: the round's buffered gap rows get its
-// timestamp and the round is committed (one WAL fsync on a tsdb store).
-// Rounds are reconstructed on replay from the shared timestamp. (If every
-// ping in a round failed, the gaps attach to the previous round's
-// timestamp — the closest time the recording knows.)
+// timestamp and the round is committed (one WAL fsync). Rounds are
+// reconstructed on replay from the shared timestamp. (If every ping in a
+// round failed, the gaps attach to the previous round's timestamp — the
+// closest time the recording knows.)
 func (w *Writer) EndRound(now int64) {
 	for _, row := range w.pendingGaps {
 		row.Time = now
@@ -157,14 +147,13 @@ func (w *Writer) EndRound(now int64) {
 	}
 	w.pendingGaps = w.pendingGaps[:0]
 	if w.err == nil {
-		w.err = w.store.Commit()
+		w.err = w.db.Commit()
 	}
 }
 
-// Close finalizes the store: the gzip stream is flushed and closed, a
-// tsdb store sealed.
+// Close seals the store.
 func (w *Writer) Close() error {
-	cerr := w.store.Close()
+	cerr := w.db.Close()
 	if w.err != nil {
 		return w.err
 	}
@@ -172,141 +161,119 @@ func (w *Writer) Close() error {
 }
 
 // Written reports the rows (total) and gap rows recorded so far.
-func (w *Writer) Written() (rows, gaps int64) { return w.Rows, w.Gaps }
+func (w *Writer) Written() (rows, gaps int64) { return w.rows, w.gaps }
 
-// openJSONL opens a gzip-JSONL recording and decodes its header, leaving
-// dec at the first row; the caller closes gz. On an unsupported version
-// the header is returned with the error.
-func openJSONL(r io.Reader) (*gzip.Reader, *json.Decoder, Header, error) {
-	gz, err := gzip.NewReader(r)
+// Open opens the campaign store at dir read-only and decodes its header.
+// It is the one place that decides what a store is: a path that exists but
+// is not a directory (an old gzip recording) is refused with the command
+// that converts it. The caller closes the db.
+func Open(dir string) (*tsdb.DB, Header, error) {
+	fi, err := os.Stat(dir)
 	if err != nil {
-		return nil, nil, Header{}, fmt.Errorf("record: open: %w", err)
+		return nil, Header{}, err
 	}
-	dec := json.NewDecoder(bufio.NewReaderSize(gz, 1<<16))
+	if !fi.IsDir() {
+		return nil, Header{}, fmt.Errorf("record: %s: %w (an old gzip recording converts with: tsdbtool convert -in %s -out DIR)",
+			dir, errNotStore, dir)
+	}
+	db, err := tsdb.Open(dir, tsdb.Options{ReadOnly: true})
+	if err != nil {
+		return nil, Header{}, err
+	}
+	hdr, err := ReadHeader(db)
+	if err != nil {
+		db.Close()
+		return nil, hdr, err
+	}
+	return db, hdr, nil
+}
+
+// ReadHeader decodes the campaign header a store carries.
+func ReadHeader(db *tsdb.DB) (Header, error) {
 	var hdr Header
-	if err := dec.Decode(&hdr); err != nil {
-		gz.Close()
-		return nil, nil, Header{}, fmt.Errorf("record: read header: %w", err)
+	if len(db.Extra()) == 0 {
+		return hdr, errors.New("record: tsdb store has no campaign header")
+	}
+	if err := json.Unmarshal(db.Extra(), &hdr); err != nil {
+		return hdr, fmt.Errorf("record: tsdb store header: %w", err)
 	}
 	if hdr.Version != Version {
-		gz.Close()
-		return nil, nil, hdr, fmt.Errorf("record: unsupported version %d", hdr.Version)
+		return hdr, fmt.Errorf("record: unsupported version %d", hdr.Version)
 	}
-	return gz, dec, hdr, nil
+	return hdr, nil
 }
 
-// ReadHeader decodes only a recording's header, without decompressing the
-// observation stream behind it.
-func ReadHeader(r io.Reader) (Header, error) {
-	gz, _, hdr, err := openJSONL(r)
-	if err == nil {
-		gz.Close()
-	}
-	return hdr, err
-}
-
-// Replay streams a recording into sinks, reconstructing round boundaries
-// (all observations of one round share a timestamp). It returns the
-// header and the number of rounds replayed. If the stream ends in a
-// truncated or corrupt tail, every decodable row is delivered first and
-// the returned error wraps ErrTruncated.
-func Replay(r io.Reader, sinks ...client.Sink) (Header, int64, error) {
-	return ReplayRange(r, MinTime, MaxTime, sinks...)
-}
-
-// MinTime and MaxTime are open range bounds for the *Range replay
-// helpers: [MinTime, MaxTime) covers every observation.
+// MinTime and MaxTime are open range bounds for Replay: [MinTime, MaxTime)
+// covers every observation.
 const (
 	MinTime = int64(-1) << 62
 	MaxTime = int64(1) << 62
 )
 
-// ReplayRange is Replay restricted to rows with from ≤ time < to.
-// Rounds outside the window are skipped entirely (no EndRound).
-func ReplayRange(r io.Reader, from, to int64, sinks ...client.Sink) (Header, int64, error) {
-	gz, dec, hdr, err := openJSONL(r)
+// Replay streams the rows of db with from ≤ time < to into sinks in
+// (time, series) order, reconstructing round boundaries (all observations
+// of one round share a timestamp), and returns the number of rounds
+// replayed. hdr places each series (client) for the sinks. If a chunk is
+// damaged, every row before it is delivered first and the returned error
+// wraps ErrTruncated.
+func Replay(db *tsdb.DB, hdr Header, from, to int64, sinks ...client.Sink) (rounds int64, err error) {
+	cur := int64(-1)
+	endRound := func() {
+		for _, s := range sinks {
+			s.EndRound(cur)
+		}
+		rounds++
+	}
+	it := db.QueryAll(from, to)
+	for it.Next() {
+		row := it.Row()
+		if cur >= 0 && row.Time != cur {
+			endRound()
+		}
+		cur = row.Time
+		var pos geo.Point
+		if row.Series >= 0 && row.Series < len(hdr.Clients) {
+			pos = hdr.Clients[row.Series]
+		}
+		if row.Gap {
+			// The reason is passed through verbatim so a recording survives
+			// conversions without accreting wrapper prefixes.
+			gapErr := errors.New(row.Reason)
+			for _, s := range sinks {
+				if gs, ok := s.(client.GapSink); ok {
+					gs.ObserveGap(row.Series, pos, row.Time, gapErr)
+				}
+			}
+			continue
+		}
+		resp, err := wire.ToResponse(row.Time, row.Types)
+		if err != nil {
+			return rounds, fmt.Errorf("record: %w", err)
+		}
+		for _, s := range sinks {
+			s.Observe(row.Series, pos, resp)
+		}
+	}
+	if cur >= 0 {
+		endRound()
+	}
+	if err := it.Err(); err != nil {
+		// A damaged chunk behaves like a truncated tail: partial data plus
+		// a sentinel the caller can tolerate.
+		return rounds, fmt.Errorf("record: %v: %w", err, ErrTruncated)
+	}
+	return rounds, nil
+}
+
+// ReplayPathRange is Open, Replay and Close: it replays the rows of the
+// store at dir with from ≤ time < to, reading only the chunks that
+// overlap the window.
+func ReplayPathRange(dir string, from, to int64, sinks ...client.Sink) (Header, int64, error) {
+	db, hdr, err := Open(dir)
 	if err != nil {
 		return hdr, 0, err
 	}
-	defer gz.Close()
-
-	rp := newRoundPlayer(hdr, sinks)
-	for {
-		var rec tsdb.Row
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			// A tail the campaign never finished writing (crash mid-row,
-			// missing gzip trailer): deliver what decoded, mark the rest.
-			rp.finish()
-			return hdr, rp.rounds, fmt.Errorf("record: read row: %v: %w", err, ErrTruncated)
-		}
-		if rec.Time < from || rec.Time >= to {
-			continue
-		}
-		if err := rp.play(&rec); err != nil {
-			return hdr, rp.rounds, err
-		}
-	}
-	rp.finish()
-	return hdr, rp.rounds, nil
-}
-
-// roundPlayer feeds decoded rows to sinks, closing each round when the
-// shared timestamp changes. It is the common replay tail for the gzip
-// and tsdb stores.
-type roundPlayer struct {
-	hdr     Header
-	sinks   []client.Sink
-	curTime int64
-	rounds  int64
-}
-
-func newRoundPlayer(hdr Header, sinks []client.Sink) *roundPlayer {
-	return &roundPlayer{hdr: hdr, sinks: sinks, curTime: -1}
-}
-
-func (rp *roundPlayer) play(rec *tsdb.Row) error {
-	if rp.curTime >= 0 && rec.Time != rp.curTime {
-		rp.endRound()
-	}
-	rp.curTime = rec.Time
-	var pos geo.Point
-	if rec.Series >= 0 && rec.Series < len(rp.hdr.Clients) {
-		pos = rp.hdr.Clients[rec.Series]
-	}
-	if rec.Gap {
-		// The reason is passed through verbatim so a recording survives
-		// store conversions without accreting wrapper prefixes.
-		gapErr := errors.New(rec.Reason)
-		for _, s := range rp.sinks {
-			if gs, ok := s.(client.GapSink); ok {
-				gs.ObserveGap(rec.Series, pos, rec.Time, gapErr)
-			}
-		}
-		return nil
-	}
-	resp, err := wire.ToResponse(rec.Time, rec.Types)
-	if err != nil {
-		return fmt.Errorf("record: %w", err)
-	}
-	for _, s := range rp.sinks {
-		s.Observe(rec.Series, pos, resp)
-	}
-	return nil
-}
-
-func (rp *roundPlayer) endRound() {
-	for _, s := range rp.sinks {
-		s.EndRound(rp.curTime)
-	}
-	rp.rounds++
-}
-
-// finish closes the final round, if any.
-func (rp *roundPlayer) finish() {
-	if rp.curTime >= 0 {
-		rp.endRound()
-	}
+	defer db.Close()
+	rounds, err := Replay(db, hdr, from, to, sinks...)
+	return hdr, rounds, err
 }

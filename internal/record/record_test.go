@@ -1,10 +1,11 @@
 package record
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/api"
@@ -16,7 +17,7 @@ import (
 )
 
 // runRecordedCampaign runs a 1-hour campaign writing both a live dataset
-// and a recording, then replays the recording into a second dataset.
+// and a store, then replays the store into a second dataset.
 func runRecordedCampaign(t *testing.T) (live, replayed *measure.Dataset, hdr Header, rounds int64) {
 	t.Helper()
 	profile := sim.Manhattan()
@@ -39,8 +40,8 @@ func runRecordedCampaign(t *testing.T) (live, replayed *measure.Dataset, hdr Hea
 	live = mkDataset()
 	camp.AddSink(live)
 
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{City: profile.Name, Start: 0, Clients: pts})
+	dir := filepath.Join(t.TempDir(), "c.tsdb")
+	w, err := Create(StoreTSDB, dir, Header{City: profile.Name, Start: 0, Clients: pts}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +51,12 @@ func runRecordedCampaign(t *testing.T) (live, replayed *measure.Dataset, hdr Hea
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Rows == 0 {
+	if rows, _ := w.Written(); rows == 0 {
 		t.Fatal("nothing recorded")
 	}
 
 	replayed = mkDataset()
-	hdr, rounds, err = Replay(&buf, replayed)
+	hdr, rounds, err = ReplayPathRange(dir, MinTime, MaxTime, replayed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,22 +112,27 @@ func eqNaN(a, b float64) bool {
 }
 
 func TestReplayCorruptInput(t *testing.T) {
-	if _, _, err := Replay(bytes.NewReader([]byte("not gzip"))); err == nil {
+	tmp := t.TempDir()
+	// Neither a store nor gzip: converting it fails.
+	garbage := filepath.Join(tmp, "garbage")
+	if err := os.WriteFile(garbage, []byte("not gzip"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Convert(garbage, filepath.Join(tmp, "out.tsdb"), nil); err == nil {
 		t.Error("garbage input should error")
 	}
-	// Valid gzip, garbage JSON.
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{City: "x"})
+	// An empty store: header only, zero rounds.
+	dir := filepath.Join(tmp, "empty.tsdb")
+	w, err := Create(StoreTSDB, dir, Header{City: "x"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Empty body: header only, zero rounds.
-	hdr, rounds, err := Replay(&buf)
+	hdr, rounds, err := ReplayPathRange(dir, MinTime, MaxTime)
 	if err != nil {
-		t.Fatalf("empty recording should replay cleanly: %v", err)
+		t.Fatalf("empty store should replay cleanly: %v", err)
 	}
 	if hdr.City != "x" || rounds != 0 {
 		t.Errorf("hdr=%+v rounds=%d", hdr, rounds)
@@ -136,8 +142,8 @@ func TestReplayCorruptInput(t *testing.T) {
 func TestWriterPreservesUnknownTypesError(t *testing.T) {
 	// A record with an unknown vehicle type fails replay loudly rather
 	// than being silently dropped.
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{City: "x", Clients: []geo.Point{{}}})
+	dir := filepath.Join(t.TempDir(), "c.tsdb")
+	w, err := Create(StoreTSDB, dir, Header{City: "x", Clients: []geo.Point{{}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +154,7 @@ func TestWriterPreservesUnknownTypesError(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Replay(&buf, discardSink{}); err == nil {
+	if _, _, err := ReplayPathRange(dir, MinTime, MaxTime, discardSink{}); err == nil {
 		t.Error("unknown type should fail replay")
 	}
 }
@@ -191,8 +197,8 @@ func TestRoundTripPreservesGaps(t *testing.T) {
 	live := mkDataset()
 	camp.AddSink(live)
 
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{City: profile.Name, Start: 0, Clients: pts})
+	dir := filepath.Join(t.TempDir(), "c.tsdb")
+	w, err := Create(StoreTSDB, dir, Header{City: profile.Name, Start: 0, Clients: pts}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,15 +208,16 @@ func TestRoundTripPreservesGaps(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if camp.Errors == 0 || w.Gaps == 0 {
-		t.Fatalf("campaign errors = %d, recorded gaps = %d; want both > 0", camp.Errors, w.Gaps)
+	_, gaps := w.Written()
+	if camp.Errors == 0 || gaps == 0 {
+		t.Fatalf("campaign errors = %d, recorded gaps = %d; want both > 0", camp.Errors, gaps)
 	}
-	if w.Gaps != camp.Errors {
-		t.Errorf("recorded gaps = %d, campaign errors = %d", w.Gaps, camp.Errors)
+	if gaps != camp.Errors {
+		t.Errorf("recorded gaps = %d, campaign errors = %d", gaps, camp.Errors)
 	}
 
 	replayed := mkDataset()
-	if _, _, err := Replay(&buf, replayed); err != nil {
+	if _, _, err := ReplayPathRange(dir, MinTime, MaxTime, replayed); err != nil {
 		t.Fatal(err)
 	}
 	replayed.Close()

@@ -1,13 +1,16 @@
 package record
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -78,26 +81,28 @@ func (rc *rowCollector) EndRound(now int64) {
 	rc.lines = append(rc.lines, fmt.Sprintf("end t=%d", now))
 }
 
-// rounds splits a stream at its "end" lines, sorting each round's lines:
-// within a round the delivery order is not part of the format contract
-// (the gzip store appends buffered gap rows last, the tsdb store merges
-// by series id), so equivalence is per-round set equality in round order.
-func (rc *rowCollector) roundSets() [][]string {
-	var out [][]string
-	var cur []string
+// digest hashes the stream split at its "end" lines, each round's lines
+// sorted: within a round the delivery order is not part of the contract
+// (the gzip-JSONL writer appended buffered gap rows last, a store merges
+// by series id), so a stream is pinned as per-round sets in round order.
+func (rc *rowCollector) digest() string {
+	h := sha256.New()
+	var round []string
+	flush := func() {
+		sort.Strings(round)
+		for _, l := range round {
+			fmt.Fprintln(h, l)
+		}
+		round = round[:0]
+	}
 	for _, l := range rc.lines {
-		cur = append(cur, l)
-		if len(l) >= 3 && l[:3] == "end" {
-			sort.Strings(cur)
-			out = append(out, cur)
-			cur = nil
+		round = append(round, l)
+		if strings.HasPrefix(l, "end") {
+			flush()
 		}
 	}
-	if len(cur) > 0 {
-		sort.Strings(cur)
-		out = append(out, cur)
-	}
-	return out
+	flush()
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // dataLines returns a stream's observation and gap lines, without the
@@ -105,230 +110,213 @@ func (rc *rowCollector) roundSets() [][]string {
 func dataLines(rc *rowCollector) []string {
 	var out []string
 	for _, l := range rc.lines {
-		if len(l) < 3 || l[:3] != "end" {
+		if !strings.HasPrefix(l, "end") {
 			out = append(out, l)
 		}
 	}
 	return out
 }
 
-func requireSameStream(t *testing.T, got, want *rowCollector) {
-	t.Helper()
-	g, w := got.roundSets(), want.roundSets()
-	if len(g) != len(w) {
-		t.Fatalf("stream has %d rounds, want %d", len(g), len(w))
-	}
-	for r := range w {
-		if len(g[r]) != len(w[r]) {
-			t.Fatalf("round %d has %d lines, want %d", r, len(g[r]), len(w[r]))
-		}
-		for i := range w[r] {
-			if g[r][i] != w[r][i] {
-				t.Fatalf("round %d diverges:\n got %s\nwant %s", r, g[r][i], w[r][i])
-			}
-		}
-	}
+// lineTime is the timestamp a collected line carries.
+func lineTime(l string) int64 {
+	_, rest, _ := strings.Cut(l, "t=")
+	var t int64
+	fmt.Sscan(strings.Fields(rest)[0], &t)
+	return t
 }
 
-// writeBothStores runs the same synthetic campaign into a gzip recording
-// and a tsdb store, returning the recording bytes and the tsdb dir.
-func writeBothStores(t *testing.T, rounds int) ([]byte, string, Header) {
+// writeStore runs a synthetic 4-client campaign of the given rounds (one
+// ping of every seventh round fails) into a new store. With split > 0 the
+// writer is closed after that many rounds and a resumed one writes the
+// rest, so the store holds two sealed segments.
+func writeStore(t *testing.T, rounds, split int) (string, Header) {
 	t.Helper()
 	hdr := Header{City: "sf", Start: 0, Clients: make([]geo.Point, 4)}
-	var buf bytes.Buffer
-	jw, err := NewWriter(&buf, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := filepath.Join(t.TempDir(), "campaign.tsdb")
-	tw, err := CreateTSDB(dir, hdr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(30))
+	var w CampaignWriter
 	for i := 0; i < rounds; i++ {
+		if w == nil {
+			var err error
+			if w, err = Create(StoreTSDB, dir, hdr, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 		gapIdx := -1
 		if i%7 == 3 {
 			gapIdx = i % 4
 		}
-		synthRound(rng, []client.Sink{jw, tw}, int64(5+i*5), 4, gapIdx)
+		synthRound(rng, []client.Sink{w}, int64(5+i*5), 4, gapIdx)
+		if i+1 == split || i+1 == rounds {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w = nil
+		}
 	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	jr, jg := jw.Written()
-	tr, tg := tw.Written()
-	if jr == 0 || jg == 0 {
-		t.Fatalf("jsonl wrote rows=%d gaps=%d; want both > 0", jr, jg)
-	}
-	if jr != tr || jg != tg {
-		t.Fatalf("stores disagree: jsonl rows=%d gaps=%d, tsdb rows=%d gaps=%d", jr, jg, tr, tg)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), dir, hdr
+	return dir, hdr
 }
 
-// TestTSDBReplayMatchesJSONL is the store-equivalence pin: the exact
-// observation stream (every value, every gap, every round boundary) must
-// be identical whichever store served it.
-func TestTSDBReplayMatchesJSONL(t *testing.T) {
-	rec, dir, _ := writeBothStores(t, 40)
-
-	var fromJSONL, fromTSDB rowCollector
-	if _, _, err := Replay(bytes.NewReader(rec), &fromJSONL); err != nil {
-		t.Fatal(err)
-	}
-	hdr, rounds, err := ReplayPath(dir, &fromTSDB)
+// replayAll collects the whole stream of the store at dir.
+func replayAll(t *testing.T, dir string) (*rowCollector, Header, int64) {
+	t.Helper()
+	var rc rowCollector
+	hdr, rounds, err := ReplayPathRange(dir, MinTime, MaxTime, &rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.City != "sf" || len(hdr.Clients) != 4 {
-		t.Fatalf("tsdb header = %+v", hdr)
-	}
-	if rounds != 40 {
-		t.Fatalf("tsdb replay rounds = %d, want 40", rounds)
-	}
-	requireSameStream(t, &fromTSDB, &fromJSONL)
+	return &rc, hdr, rounds
 }
 
+// TestTSDBReplayMatchesJSONL is the store's stream pin: the exact
+// observation stream (every value, every gap, every round boundary) of a
+// synthetic campaign, as a digest of its per-round sorted lines. The
+// digest is the one the gzip-JSONL replay of the same campaign produced
+// while that format was still a store, so the store is held to it.
+func TestTSDBReplayMatchesJSONL(t *testing.T) {
+	const want = "635453b60ca789161657c207b351eb78541af75e68da46db07b09568d708318b"
+	dir, _ := writeStore(t, 40, 0)
+	got, hdr, rounds := replayAll(t, dir)
+	if hdr.City != "sf" || len(hdr.Clients) != 4 {
+		t.Fatalf("header = %+v", hdr)
+	}
+	if rounds != 40 || len(got.lines) != 200 {
+		t.Fatalf("replay: %d rounds, %d lines; want 40 and 200", rounds, len(got.lines))
+	}
+	if d := got.digest(); d != want {
+		t.Fatalf("stream digest %s, want %s", d, want)
+	}
+}
+
+// TestReplayPathRangeMatchesAcrossStores reads a window that straddles the
+// store's two segments: it must be exactly the full stream's lines in
+// [from, to), in the same order.
 func TestReplayPathRangeMatchesAcrossStores(t *testing.T) {
-	rec, dir, _ := writeBothStores(t, 40)
+	dir, _ := writeStore(t, 40, 20)
 	from, to := int64(50), int64(120)
 
-	var fromJSONL, fromTSDB rowCollector
-	if _, _, err := ReplayRange(bytes.NewReader(rec), from, to, &fromJSONL); err != nil {
+	all, _, _ := replayAll(t, dir)
+	var window rowCollector
+	if _, _, err := ReplayPathRange(dir, from, to, &window); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReplayPathRange(dir, from, to, &fromTSDB); err != nil {
-		t.Fatal(err)
+	var want []string
+	for _, l := range all.lines {
+		if tm := lineTime(l); tm >= from && tm < to {
+			want = append(want, l)
+		}
 	}
-	if len(fromJSONL.lines) == 0 {
-		t.Fatal("window selected nothing; widen the test range")
+	if len(want) == 0 || len(want) == len(all.lines) {
+		t.Fatalf("window selects %d of %d lines; move it inside the campaign", len(want), len(all.lines))
 	}
-	requireSameStream(t, &fromTSDB, &fromJSONL)
-	// The window excludes rounds outside [from, to).
-	var all rowCollector
-	if _, _, err := ReplayPath(dir, &all); err != nil {
-		t.Fatal(err)
-	}
-	if len(all.lines) <= len(fromTSDB.lines) {
-		t.Fatalf("window (%d lines) did not restrict the stream (%d lines)", len(fromTSDB.lines), len(all.lines))
+	if !reflect.DeepEqual(window.lines, want) {
+		t.Fatalf("window stream:\n got %q\nwant %q", window.lines, want)
 	}
 }
 
 func TestReadHeaderPath(t *testing.T) {
-	rec, dir, hdr := writeBothStores(t, 5)
-	for _, src := range []struct {
-		name string
-		get  func() (Header, error)
-	}{
-		{"jsonl-reader", func() (Header, error) { return ReadHeader(bytes.NewReader(rec)) }},
-		{"tsdb-path", func() (Header, error) { return ReadHeaderPath(dir) }},
-	} {
-		got, err := src.get()
-		if err != nil {
-			t.Fatalf("%s: %v", src.name, err)
-		}
-		if got.City != hdr.City || got.Version != Version || len(got.Clients) != len(hdr.Clients) {
-			t.Fatalf("%s: header = %+v", src.name, got)
-		}
+	dir, hdr := writeStore(t, 5, 0)
+	db, got, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// ReadHeaderPath also handles plain files.
+	db.Close()
+	if got.City != hdr.City || got.Version != Version || len(got.Clients) != len(hdr.Clients) {
+		t.Fatalf("header = %+v", got)
+	}
+	// A file, such as an old gzip recording, is not a store, and the error
+	// names the command that converts it.
 	f := filepath.Join(t.TempDir(), "c.jsonl.gz")
-	if err := os.WriteFile(f, rec, 0o644); err != nil {
+	if err := os.WriteFile(f, []byte("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadHeaderPath(f); err != nil || got.City != hdr.City {
-		t.Fatalf("file path header: %+v, %v", got, err)
+	if _, _, err := Open(f); !errors.Is(err, errNotStore) || !strings.Contains(err.Error(), "tsdbtool convert -in "+f) {
+		t.Fatalf("file path: err = %v", err)
+	}
+	if _, _, err := Open(filepath.Join(t.TempDir(), "absent")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing path: err = %v", err)
 	}
 }
 
-// TestReplayTruncatedTail cuts a recording mid-stream: every complete row
-// before the damage must be delivered, with ErrTruncated as the verdict.
+// flipChunkByte flips one byte of the first chunk in the newest sealed
+// segment of the store at dir (chunk payloads follow the 8-byte segment
+// magic), so a replay reads good chunks before it meets the damage.
+func flipChunkByte(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("want two sealed segments, have %v (%v)", segs, err)
+	}
+	path := segs[len(segs)-1]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[12] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayTruncatedTail flips one byte inside a sealed chunk: every row
+// before the damage must be delivered, in order, with ErrTruncated as the
+// verdict.
 func TestReplayTruncatedTail(t *testing.T) {
-	rec, _, _ := writeBothStores(t, 40)
+	dir, _ := writeStore(t, 40, 20)
+	whole, _, _ := replayAll(t, dir)
+	flipChunkByte(t, dir)
 
-	var whole rowCollector
-	if _, _, err := Replay(bytes.NewReader(rec), &whole); err != nil {
-		t.Fatal(err)
+	var partial rowCollector
+	hdr, rounds, err := ReplayPathRange(dir, MinTime, MaxTime, &partial)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
-
-	for _, cut := range []int{len(rec) - 1, len(rec) * 3 / 4, len(rec) / 2} {
-		var partial rowCollector
-		hdr, rounds, err := Replay(bytes.NewReader(rec[:cut]), &partial)
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut at %d/%d: err = %v, want ErrTruncated", cut, len(rec), err)
-		}
-		if hdr.City != "sf" {
-			t.Fatalf("cut at %d: header lost: %+v", cut, hdr)
-		}
-		if rounds == 0 || len(partial.lines) == 0 {
-			t.Fatalf("cut at %d: no partial data delivered (rounds=%d lines=%d)", cut, rounds, len(partial.lines))
-		}
-		// The partial data lines are a prefix of the full stream's. ("end"
-		// lines are excluded: the truncated final round is closed early, and
-		// cutting only the gzip trailer can still deliver every row.)
-		pd, wd := dataLines(&partial), dataLines(&whole)
-		if len(pd) > len(wd) {
-			t.Fatalf("cut at %d: partial stream longer than whole (%d vs %d)", cut, len(pd), len(wd))
-		}
-		if cut <= len(rec)*3/4 && len(pd) >= len(wd) {
-			t.Fatalf("cut at %d: partial stream not shorter (%d vs %d)", cut, len(pd), len(wd))
-		}
-		for i := range pd {
-			if pd[i] != wd[i] {
-				t.Fatalf("cut at %d: partial stream diverges at data line %d", cut, i)
-			}
-		}
+	if hdr.City != "sf" {
+		t.Fatalf("header lost: %+v", hdr)
 	}
-	// Truncating inside the header is a hard error, not ErrTruncated.
-	if _, _, err := Replay(bytes.NewReader(rec[:4])); err == nil || errors.Is(err, ErrTruncated) {
-		t.Fatalf("header truncation: err = %v", err)
+	if rounds == 0 || rounds >= 40 {
+		t.Fatalf("replayed %d rounds of 40; want a nonempty part", rounds)
+	}
+	// The partial data lines are a strict prefix of the whole stream's.
+	// ("end" lines are excluded: a round the damage cuts is closed early.)
+	pd, wd := dataLines(&partial), dataLines(whole)
+	if len(pd) == 0 || len(pd) >= len(wd) {
+		t.Fatalf("partial stream has %d data lines, whole %d", len(pd), len(wd))
+	}
+	if !reflect.DeepEqual(pd, wd[:len(pd)]) {
+		t.Fatal("partial stream is not a prefix of the whole")
 	}
 }
 
+// TestConvertBothWays exports a store to gzip-JSONL text and imports the
+// text into a second store: both replay the same stream.
 func TestConvertBothWays(t *testing.T) {
-	rec, dir, _ := writeBothStores(t, 30)
-
-	// gzip file → tsdb directory.
+	dir, _ := writeStore(t, 30, 0)
 	tmp := t.TempDir()
-	src := filepath.Join(tmp, "c.jsonl.gz")
-	if err := os.WriteFile(src, rec, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	toTSDB := filepath.Join(tmp, "converted.tsdb")
-	if _, rows, err := Convert(src, toTSDB, nil); err != nil || rows == 0 {
-		t.Fatalf("convert to tsdb: rows=%d err=%v", rows, err)
-	}
-	// tsdb directory → gzip file.
-	toJSONL := filepath.Join(tmp, "back.jsonl.gz")
-	if _, rows, err := Convert(dir, toJSONL, nil); err != nil || rows == 0 {
-		t.Fatalf("convert to jsonl: rows=%d err=%v", rows, err)
-	}
 
-	var want, viaTSDB, viaJSONL rowCollector
-	if _, _, err := Replay(bytes.NewReader(rec), &want); err != nil {
-		t.Fatal(err)
+	text := filepath.Join(tmp, "c.jsonl.gz")
+	_, exported, err := Convert(dir, text, nil)
+	if err != nil || exported == 0 {
+		t.Fatalf("export: rows=%d err=%v", exported, err)
 	}
-	if _, _, err := ReplayPath(toTSDB, &viaTSDB); err != nil {
-		t.Fatal(err)
+	back := filepath.Join(tmp, "back.tsdb")
+	if _, imported, err := Convert(text, back, nil); err != nil || imported != exported {
+		t.Fatalf("import: rows=%d (exported %d) err=%v", imported, exported, err)
 	}
-	if _, _, err := ReplayPath(toJSONL, &viaJSONL); err != nil {
-		t.Fatal(err)
+	want, _, _ := replayAll(t, dir)
+	got, _, _ := replayAll(t, back)
+	if !reflect.DeepEqual(got.lines, want.lines) {
+		t.Fatal("store → text → store changed the stream")
 	}
-	requireSameStream(t, &viaTSDB, &want)
-	requireSameStream(t, &viaJSONL, &want)
 }
 
-// TestTSDBWriterResumesAfterCrash abandons a tsdb store without closing
-// it (the committed WAL is what a kill -9 leaves) and checks a replay
-// sees every committed round, then resumes the campaign on reopen.
+// TestTSDBWriterResumesAfterCrash abandons a store without closing it (the
+// committed WAL is what a kill -9 leaves) and checks a replay sees every
+// committed round, then resumes the campaign on reopen.
 func TestTSDBWriterResumesAfterCrash(t *testing.T) {
 	hdr := Header{City: "sf", Start: 0, Clients: make([]geo.Point, 3)}
 	dir := filepath.Join(t.TempDir(), "crash.tsdb")
-	w, err := CreateTSDB(dir, hdr, nil)
+	w, err := Create(StoreTSDB, dir, hdr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,35 +333,33 @@ func TestTSDBWriterResumesAfterCrash(t *testing.T) {
 	if rep.WALRows == 0 {
 		t.Fatal("verify found no WAL rows to recover")
 	}
-	var got rowCollector
-	if _, rounds, err := ReplayPath(dir, &got); err != nil || rounds != 10 {
-		t.Fatalf("replay after crash: rounds=%d err=%v", rounds, err)
+	if _, _, rounds := replayAll(t, dir); rounds != 10 {
+		t.Fatalf("replay after crash: rounds=%d", rounds)
 	}
 
 	// Reopen WITHOUT closing w — a clean Close would seal the head and
 	// leave nothing for recovery. The abandoned handles just leak until
 	// the test ends, as a crashed process's would.
-	w2, err := CreateTSDB(dir, hdr, nil)
+	w2, err := Create(StoreTSDB, dir, hdr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := w2.Written()
-	if rows == 0 {
+	if rows, _ := w2.Written(); rows == 0 {
 		t.Fatal("reopened writer does not count recovered rows")
 	}
 	synthRound(rng, []client.Sink{w2}, 5+10*5, 3, -1)
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var resumed rowCollector
-	if _, rounds, err := ReplayPath(dir, &resumed); err != nil || rounds != 11 {
-		t.Fatalf("replay after resume: rounds=%d err=%v", rounds, err)
+	if _, _, rounds := replayAll(t, dir); rounds != 11 {
+		t.Fatalf("replay after resume: rounds=%d", rounds)
 	}
 }
 
 func TestCreateRejectsUnknownKind(t *testing.T) {
-	_, err := Create("parquet", filepath.Join(t.TempDir(), "x"), Header{}, nil)
-	if err == nil {
-		t.Fatal("unknown store kind accepted")
+	for _, kind := range []string{"parquet", "jsonl"} {
+		if _, err := Create(kind, filepath.Join(t.TempDir(), "x"), Header{}, nil); err == nil {
+			t.Fatalf("store kind %q accepted", kind)
+		}
 	}
 }

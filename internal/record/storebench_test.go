@@ -48,11 +48,11 @@ const (
 	benchStart   = 1000
 )
 
-// writeBenchStore records a synthetic campaign to one store kind and
-// returns the on-disk size in bytes.
-func writeBenchStore(tb testing.TB, kind, path string, rounds int) int64 {
+// writeBenchStore records a synthetic campaign into a store at dir and
+// returns its size on disk in bytes.
+func writeBenchStore(tb testing.TB, dir string, rounds int) int64 {
 	hdr := Header{City: "bench", Start: benchStart, Clients: make([]geo.Point, benchClients)}
-	w, err := Create(kind, path, hdr, nil)
+	w, err := Create(StoreTSDB, dir, hdr, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -63,19 +63,8 @@ func writeBenchStore(tb testing.TB, kind, path string, rounds int) int64 {
 	if err := w.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	return diskSize(tb, path)
-}
-
-func diskSize(tb testing.TB, path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if !fi.IsDir() {
-		return fi.Size()
-	}
 	var total int64
-	err = filepath.Walk(path, func(_ string, fi os.FileInfo, err error) error {
+	err = filepath.Walk(dir, func(_ string, fi os.FileInfo, err error) error {
 		if err == nil && !fi.IsDir() {
 			total += fi.Size()
 		}
@@ -87,24 +76,14 @@ func diskSize(tb testing.TB, path string) int64 {
 	return total
 }
 
-// BenchmarkStoreWriteJSONL and BenchmarkStoreWriteTSDB record the same
-// 200-round, 43-client campaign; bytes/row is the per-observation cost
-// on disk (tsdb is measured sealed, as a long campaign mostly is).
-func BenchmarkStoreWriteJSONL(b *testing.B) {
-	const rounds = 200
-	var bytes int64
-	for i := 0; i < b.N; i++ {
-		bytes = writeBenchStore(b, StoreJSONL, filepath.Join(b.TempDir(), "c.gz"), rounds)
-	}
-	b.ReportMetric(float64(bytes)/float64(rounds*benchClients), "bytes/row")
-	b.ReportMetric(float64(rounds*benchClients*b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
+// BenchmarkStoreWriteTSDB records a 200-round, 43-client campaign;
+// bytes/row is the per-observation cost on disk, measured sealed, as a
+// long campaign mostly is.
 func BenchmarkStoreWriteTSDB(b *testing.B) {
 	const rounds = 200
 	var bytes int64
 	for i := 0; i < b.N; i++ {
-		bytes = writeBenchStore(b, StoreTSDB, filepath.Join(b.TempDir(), "c.tsdb"), rounds)
+		bytes = writeBenchStore(b, filepath.Join(b.TempDir(), "c.tsdb"), rounds)
 	}
 	b.ReportMetric(float64(bytes)/float64(rounds*benchClients), "bytes/row")
 	b.ReportMetric(float64(rounds*benchClients*b.N)/b.Elapsed().Seconds(), "rows/s")
@@ -116,20 +95,13 @@ type countSink struct{ rows int64 }
 func (s *countSink) Observe(int, geo.Point, *core.PingResponse) { s.rows++ }
 func (s *countSink) EndRound(int64)                             {}
 
-// BenchmarkStoreRangeJSONL and BenchmarkStoreRangeTSDB replay the same
-// 120-round window out of a 2000-round campaign — the "analyze one
-// evening of a four-week campaign" access pattern. The gzip recording
-// must stream and decode the whole file; the tsdb store reads only the
-// chunks whose time range overlaps the window.
-func BenchmarkStoreRangeJSONL(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "c.gz")
-	writeBenchStore(b, StoreJSONL, path, 2000)
-	benchRange(b, path)
-}
-
+// BenchmarkStoreRangeTSDB replays a 120-round window out of a 2000-round
+// campaign — the "analyze one evening of a four-week campaign" access
+// pattern: the store reads only the chunks whose time range overlaps the
+// window.
 func BenchmarkStoreRangeTSDB(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "c.tsdb")
-	writeBenchStore(b, StoreTSDB, path, 2000)
+	writeBenchStore(b, path, 2000)
 	benchRange(b, path)
 }
 
