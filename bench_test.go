@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/experiments"
 	"repro/internal/geo"
 	"repro/internal/road"
@@ -319,11 +320,11 @@ func BenchmarkAblationJitter(b *testing.B) {
 //
 // The benchmarks below are the performance contract for the ROADMAP's
 // "1M drivers stepping in real time" north-star. They step a bare world
-// (no campaign, no surge engine) so the numbers isolate the simulation
-// tick: struct-of-arrays movement, parallel spawn/dispatch, and the
-// snapshot build. BENCH_step.json records the blessed numbers for
-// these benchmarks (plus the pre-refactor AoS figures they replaced) and
-// cmd/benchgate compares fresh runs against it in CI.
+// (no campaign, and no surge engine outside BenchmarkServiceStep) so the
+// numbers isolate the simulation tick: struct-of-arrays movement, parallel
+// spawn/dispatch, and the snapshot build. BENCH_step.json records the
+// blessed numbers for these benchmarks (plus the pre-refactor AoS figures
+// they replaced) and cmd/benchgate compares fresh runs against it in CI.
 
 // fleetWorld builds a Manhattan world rescaled to seed ~n drivers at the
 // midnight diurnal trough. The peak targets are the exact values the AoS
@@ -417,6 +418,27 @@ func BenchmarkSnapshotEpoch(b *testing.B) {
 				w.Step()
 				b.StartTimer()
 				_ = w.Snapshot()
+			}
+		})
+	}
+}
+
+// BenchmarkServiceStep measures one api.Service.Step — world tick, surge
+// engine, and the publish of the next epoch — on the BenchmarkStep worlds.
+// Unlike BenchmarkSnapshotEpoch's bare builds, publish hands each build the
+// buffers of the epoch retired two builds before, as uberd runs; two Steps
+// before the timer put every timed build on that recycled path.
+func BenchmarkServiceStep(b *testing.B) {
+	for _, size := range []string{"10k", "100k"} {
+		b.Run("fleet="+size, func(b *testing.B) {
+			w := fleetWorld(b, size)
+			s := api.NewService(w, surge.New(w, surge.Config{Params: w.Profile().Surge, Seed: 1}))
+			s.Step()
+			s.Step()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
 			}
 		})
 	}

@@ -44,7 +44,8 @@ func (s *Service) PartnerMap(driverID string) ([]PartnerArea, error) {
 	if !s.accounts.isPartner(driverID) {
 		return nil, ErrNotPartner
 	}
-	st := s.state.Load()
+	st := s.acquire()
+	defer st.release()
 	snap, sv := st.world, st.surge
 	out := make([]PartnerArea, 0, len(snap.Areas))
 	for a, pg := range snap.Areas {

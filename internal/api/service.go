@@ -41,11 +41,18 @@ type account struct {
 
 // queryState is one published epoch of the lock-free query path: an
 // immutable world snapshot paired with the surge engine's immutable read
-// view, both taken at the end of the same tick.
+// view, both taken at the end of the same tick. A queryState is never
+// reused, so its address names one epoch for good.
 type queryState struct {
 	world *sim.Snapshot
 	surge *surge.View
+	// readers counts the queries that pinned this epoch (acquire) and have
+	// not released it; publish recycles a retired epoch only at 0.
+	readers atomic.Int32
 }
+
+// release unpins an epoch pinned by Service.acquire.
+func (st *queryState) release() { st.readers.Add(-1) }
 
 // Service answers client and API queries against a running backend.
 // All methods are safe for concurrent use.
@@ -60,6 +67,13 @@ type queryState struct {
 // and rate-limit charges) lives in a 16-way sharded table with per-shard
 // mutexes, so the per-request auth write doesn't serialize the request
 // stream either.
+//
+// Epoch lifetime: a query that reads the snapshot pins its epoch (acquire)
+// and unpins it when done (release), two atomic adds. Each publish hands the
+// epoch retired by the previous publish to the world's next build
+// (sim.World.Recycle) if nothing pins it, and leaves it to the GC if
+// something does. An epoch is therefore reused two builds after it was
+// published, never while a pinned query reads it (see acquire).
 type Service struct {
 	mu     sync.Mutex // serializes Step and the world/engine writers
 	world  *sim.World
@@ -67,6 +81,7 @@ type Service struct {
 	fares  map[core.VehicleType]core.FareSchedule
 
 	state    atomic.Pointer[queryState]
+	retired  *queryState // the epoch the last publish replaced; guarded by mu
 	accounts accountTable
 
 	// events holds the optional bus sinks (see SetEventSinks); swapped
@@ -84,9 +99,11 @@ type Service struct {
 	offered []core.VehicleType
 
 	// nil-safe metric handles; zero until Instrument is called.
-	mRegistrations *obs.Counter
-	mRateLimited   *obs.Counter
-	mJitterServed  *obs.Counter
+	mRegistrations  *obs.Counter
+	mRateLimited    *obs.Counter
+	mJitterServed   *obs.Counter
+	mEpochsRecycled *obs.Counter
+	mEpochsPinned   *obs.Counter
 }
 
 var _ core.Service = (*Service)(nil)
@@ -113,9 +130,40 @@ func NewService(w *sim.World, e surge.Pricer) *Service {
 }
 
 // publish freezes the current world/engine state into a fresh queryState
-// epoch. Callers must hold mu (or be the constructor).
+// epoch, first recycling the epoch the previous publish retired unless a
+// query still pins it. Callers must hold mu (or be the constructor).
+//
+// A reader that will ever read the retired epoch's snapshot raised its
+// readers count before re-loading state and seeing that epoch still
+// current (acquire), so before the previous publish's store replaced it;
+// all three are sequentially consistent atomics, so this load sees the
+// raise until the reader releases. A reader that raises the count later
+// re-loads a newer epoch, backs off, and never touches the recycled one.
 func (s *Service) publish() {
-	s.state.Store(&queryState{world: s.world.Snapshot(), surge: s.engine.View()})
+	if r := s.retired; r != nil {
+		if r.readers.Load() == 0 {
+			s.world.Recycle(r.world)
+			s.mEpochsRecycled.Inc()
+		} else {
+			s.mEpochsPinned.Inc()
+		}
+	}
+	s.retired = s.state.Swap(&queryState{world: s.world.Snapshot(), surge: s.engine.View()})
+}
+
+// acquire returns the current epoch pinned against recycling; the caller
+// must release it once done reading its snapshot. The re-load closes the
+// race with publish: a pin raised on an epoch publish already replaced is
+// dropped and taken again on the current one.
+func (s *Service) acquire() *queryState {
+	for {
+		st := s.state.Load()
+		st.readers.Add(1)
+		if s.state.Load() == st {
+			return st
+		}
+		st.release()
+	}
 }
 
 // Instrument wires the service's counters into reg and cascades to the
@@ -124,10 +172,15 @@ func (s *Service) publish() {
 //	api_registrations_total    accounts created
 //	api_rate_limited_total     estimates requests rejected with 429
 //	api_jitter_served_total    pings answered inside a jitter window
+//	api_epochs_recycled_total  retired epochs whose buffers the next build reused
+//	api_epochs_pinned_total    retired epochs a query still pinned at the
+//	                           next publish, left to the GC
 func (s *Service) Instrument(reg *obs.Registry) {
 	s.mRegistrations = reg.Counter("api_registrations_total")
 	s.mRateLimited = reg.Counter("api_rate_limited_total")
 	s.mJitterServed = reg.Counter("api_jitter_served_total")
+	s.mEpochsRecycled = reg.Counter("api_epochs_recycled_total")
+	s.mEpochsPinned = reg.Counter("api_epochs_pinned_total")
 	s.world.Instrument(reg)
 	s.engine.Instrument(reg)
 }
@@ -215,7 +268,8 @@ func (s *Service) PingClient(clientID string, loc geo.LatLng) (*core.PingRespons
 	if err := s.auth(clientID); err != nil {
 		return nil, err
 	}
-	st := s.state.Load()
+	st := s.acquire()
+	defer st.release()
 	snap, sv := st.world, st.surge
 	p := snap.Proj.ToPlane(loc)
 	if !snap.Region.Contains(p) {
@@ -282,7 +336,8 @@ func fuzzPos(proj *geo.Projection, fuzz float64, carID string, now int64, ll geo
 // nominal 5 km / 15 minute trip under the current API-stream surge
 // multiplier (no jitter), rate limited per account. Lock-free.
 func (s *Service) EstimatePrice(clientID string, loc geo.LatLng) ([]core.PriceEstimate, error) {
-	st := s.state.Load()
+	st := s.acquire()
+	defer st.release()
 	snap, sv := st.world, st.surge
 	now := snap.Now
 	if err := s.authLimited(clientID, now); err != nil {
@@ -315,7 +370,8 @@ func (s *Service) EstimatePrice(clientID string, loc geo.LatLng) ([]core.PriceEs
 // EstimateTime emulates the estimates/time endpoint: EWT per product,
 // rate limited per account. Lock-free.
 func (s *Service) EstimateTime(clientID string, loc geo.LatLng) ([]core.TimeEstimate, error) {
-	st := s.state.Load()
+	st := s.acquire()
+	defer st.release()
 	snap := st.world
 	if err := s.authLimited(clientID, snap.Now); err != nil {
 		return nil, err

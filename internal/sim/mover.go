@@ -34,7 +34,9 @@ type mover interface {
 	tally()
 	// freeze returns trip under the conditions of this instant, safe for
 	// concurrent use and unaffected by later ticks: what a Snapshot carries.
-	freeze() tripFunc
+	// A model with conditions to freeze copies them into buf (a recycled
+	// snapshot's, or nil) and returns the copy; the plane returns nil.
+	freeze(buf []float64) (tripFunc, []float64)
 }
 
 // tripFunc is a frozen mover.trip.
@@ -66,9 +68,9 @@ func (p plane) trip(from, to geo.Point) (meters, seconds float64) {
 	return planeTrip(p.w.now, from, to)
 }
 
-func (p plane) freeze() tripFunc {
+func (p plane) freeze([]float64) (tripFunc, []float64) {
 	now := p.w.now
-	return func(from, to geo.Point) (float64, float64) { return planeTrip(now, from, to) }
+	return func(from, to geo.Point) (float64, float64) { return planeTrip(now, from, to) }, nil
 }
 
 func (plane) refineK() int      { return 1 }

@@ -159,16 +159,17 @@ func (m *street) trip(from, to geo.Point) (meters, seconds float64) {
 	return roadTrip(m.net.Graph, m.rt, m.net.Cong.Factors(), from, to)
 }
 
-// freeze clones the factor table (the graph is immutable and shared), so
-// estimates served from a snapshot are unaffected by later congestion
-// commits; concurrent readers borrow routers from the graph's pool.
-func (m *street) freeze() tripFunc {
-	g, factors := m.net.Graph, m.net.Cong.CloneFactors(nil)
+// freeze copies the factor table into buf (the graph is immutable and
+// shared), so estimates served from a snapshot are unaffected by later
+// congestion commits; concurrent readers borrow routers from the graph's
+// pool.
+func (m *street) freeze(buf []float64) (tripFunc, []float64) {
+	g, factors := m.net.Graph, m.net.Cong.CloneFactors(buf)
 	return func(from, to geo.Point) (float64, float64) {
 		rt := g.AcquireRouter()
 		defer g.ReleaseRouter(rt)
 		return roadTrip(g, rt, factors, from, to)
-	}
+	}, factors
 }
 
 // roadTrip returns the street distance (meters) and congested duration

@@ -27,8 +27,11 @@ import (
 //
 // Every snapshot is built whole from the live idle grids (see World.Snapshot);
 // consecutive snapshots share only the append-only per-car path histories
-// they window into (carHist). All methods are safe for unlimited concurrent
-// use.
+// they window into (carHist). A snapshot no query will read again may be
+// handed back with World.Recycle, and a later build overwrites its slabs,
+// cell tables and frozen factor table; the struct itself and the histories
+// are never reused, so Now, Areas, Region, Proj and every served Path stay
+// valid. All methods are safe for unlimited concurrent use until Recycle.
 type Snapshot struct {
 	// Now is the simulation time the snapshot was taken at.
 	Now int64
@@ -42,8 +45,10 @@ type Snapshot struct {
 	areaIdx  *geo.AreaIndex
 	products [core.NumVehicleTypes]productCells
 
-	// trip is the world's movement model frozen at Now (see mover.freeze).
-	trip tripFunc
+	// trip is the world's movement model frozen at Now (see mover.freeze),
+	// and factors the congestion factor table it reads (nil on the plane).
+	trip    tripFunc
+	factors []float64
 }
 
 // carHist is one car's projected path history, oldest first. It is
@@ -67,12 +72,13 @@ type snapCar struct {
 
 // productCells is a read-only uniform grid over one product's idle cars:
 // cells[c] lists the cars in cell c of the embedded geometry, which is
-// the live grids' own. The non-empty cells are cap-limited windows of one
-// slab per product, written once by the build and immutable once published.
+// the live grids' own. The non-empty cells are cap-limited windows of slab,
+// written once by the build and immutable once published.
 type productCells struct {
 	geo.Cells
 	count int
 	cells [][]snapCar
+	slab  []snapCar
 }
 
 // AreaOf returns the surge area containing the plane point, or -1;
@@ -172,13 +178,19 @@ func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighb
 
 // snapBuilder is what the world remembers between snapshot builds: each
 // visible slot's path history (see carHist) and the build that last encoded
-// it. Nothing is remembered about cells — every idle car cruises every tick,
-// so every build re-encodes every visible car and no cell entry of one epoch
-// is valid in the next (measured: DESIGN.md "Snapshot build"). The sim
-// phases owe the builder nothing: it reads the live idle grids and the
-// fleet's pathGen, and a world that never snapshots pays nothing.
+// it, and the buffers of epochs handed back by World.Recycle. No cell entry
+// is remembered — every idle car cruises every tick, so every build
+// re-encodes every visible car and no cell entry of one epoch is valid in
+// the next (measured: DESIGN.md "Snapshot build"); only the memory it was
+// written to is. The sim phases owe the builder nothing: it reads the live
+// idle grids and the fleet's pathGen, and a world that never snapshots pays
+// nothing.
 type snapBuilder struct {
 	slots []snapSlot
+	// spare holds recycled cell tables and slabs per product, and
+	// spareFactors a recycled factor table, until a build takes them.
+	spare        [core.NumVehicleTypes]productCells
+	spareFactors []float64
 	// seq numbers the builds, from 1.
 	seq uint32
 	// renewals counts this build's fresh history chunks; the counters are
@@ -200,12 +212,15 @@ type snapSlot struct {
 
 // Snapshot freezes the world's queryable state. It must be called from
 // the same goroutine that steps the world (or under the caller's step
-// lock); the returned snapshot itself is immutable.
+// lock); the returned snapshot itself is immutable until it is recycled.
 //
 // The build is one pass over the live idle grids, which hold exactly the
 // visible cars, by cell, at their committed positions: per product one cell
-// table and one exact-size slab of entries, each non-empty cell a
-// cap-limited window of the slab. Cost is proportional to the idle fleet.
+// table and one slab of entries, each non-empty cell a cap-limited window of
+// the slab. Cost is proportional to the idle fleet. With nothing recycled
+// both are made exact-size; a recycled table is overwritten whole, and a
+// recycled slab too small for the product regrows with a sixteenth of
+// headroom, so two epochs recycled in turn settle on two buffers.
 //
 // Entry order inside a cell is the live grid's and is unobservable: every
 // answer is ordered by (dist, slot) in insertSnapNeighbor. The pass may
@@ -223,8 +238,9 @@ func (w *World) Snapshot() *Snapshot {
 		Region:  w.profile.Region,
 		Proj:    w.proj,
 		areaIdx: w.areaIndex,
-		trip:    w.mv.freeze(),
 	}
+	snap.trip, snap.factors = w.mv.freeze(b.spareFactors)
+	b.spareFactors = nil
 	var cars, cells int64
 	for vt, g := range w.grids {
 		pc := &snap.products[vt]
@@ -233,11 +249,24 @@ func (w *World) Snapshot() *Snapshot {
 		if pc.count == 0 {
 			continue // kNearest never reads the cells of an empty product
 		}
-		pc.cells = make([][]snapCar, g.NumCells())
-		slab := make([]snapCar, 0, pc.count)
+		spare := b.spare[vt]
+		b.spare[vt] = productCells{}
+		pc.cells = spare.cells
+		if len(pc.cells) != g.NumCells() {
+			pc.cells = make([][]snapCar, g.NumCells())
+		}
+		slab := spare.slab[:0]
+		if cap(slab) < pc.count {
+			n := pc.count
+			if spare.slab != nil {
+				n += n / 16
+			}
+			slab = make([]snapCar, 0, n)
+		}
 		for c := range pc.cells {
 			live := g.Cell(c)
 			if len(live) == 0 {
+				pc.cells[c] = nil
 				continue
 			}
 			lo := len(slab)
@@ -247,12 +276,36 @@ func (w *World) Snapshot() *Snapshot {
 			pc.cells[c] = slab[lo:len(slab):len(slab)]
 			cells++
 		}
+		// A recycled slab's tail would keep retired history chunks alive.
+		clear(slab[len(slab):cap(slab)])
+		pc.slab = slab
 		cars += int64(len(slab))
 	}
 	b.mCars.Add(cars)
 	b.mRenewals.Add(b.renewals)
 	b.mCells.Add(cells)
 	return snap
+}
+
+// Recycle hands s's cell tables, slabs and frozen factor table to the next
+// build, which overwrites them. The caller guarantees that no query is
+// reading s and none will: afterwards s answers as if no car were idle. Its
+// Now, Areas, Region and Proj stay valid, and so do the Paths it served,
+// which alias history chunks that are never reused. Recycling s twice is
+// harmless. Like Snapshot, it must be called from the goroutine that steps
+// the world.
+func (w *World) Recycle(s *Snapshot) {
+	b := &w.snap
+	for vt := range s.products {
+		pc := &s.products[vt]
+		if pc.slab != nil {
+			b.spare[vt] = productCells{cells: pc.cells, slab: pc.slab}
+		}
+		pc.count, pc.cells, pc.slab = 0, nil, nil
+	}
+	if s.factors != nil {
+		b.spareFactors, s.factors = s.factors, nil
+	}
 }
 
 // encodeCar returns slot s's cell entry for this build. A car the preceding

@@ -129,6 +129,61 @@ func TestSnapshotAnyCadenceAndSlotReuse(t *testing.T) {
 	}
 }
 
+// Recycled builds answer like fresh ones: every other build is made into the
+// buffers of the epoch before it (World.Recycle). A recycled cell table must
+// forget the cells that emptied, and a recycled slab must be reused when the
+// idle fleet shrank — a logoff wave between two builds at one instant — and
+// regrow when it grew, as the wave's drivers return. Every epoch, recycled or
+// fresh, is held to the live world's answers.
+func TestSnapshotRecycledBuildsMatchFresh(t *testing.T) {
+	for _, roads := range []bool{false, true} {
+		name := "euclid"
+		if roads {
+			name = "road"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := Manhattan()
+			p.RoadNetwork = roads
+			w := NewWorld(Config{Profile: p, Seed: 13, StartTime: 8 * 3600, Workers: 1})
+			rng := rand.New(rand.NewSource(6))
+			var prev *Snapshot
+			builds, reused, regrown := 0, 0, 0
+			build := func() {
+				if builds%2 == 1 {
+					w.Recycle(prev)
+					if prev.IdleCars(core.UberX) != 0 {
+						t.Fatal("a recycled epoch still reports idle cars")
+					}
+					if cap(w.snap.spare[core.UberX].slab) >= w.grids[core.UberX].Len() {
+						reused++
+					} else {
+						regrown++
+					}
+				}
+				prev = w.Snapshot()
+				requireSnapshotMatchesWorld(t, w, prev, rng, 10)
+				builds++
+			}
+			waves := 0
+			for tick := 0; tick < 300; tick++ {
+				w.Step()
+				build()
+				if rng.Intn(3) == 0 {
+					area := rng.Intn(len(w.Areas()))
+					if w.ForceOffline(core.UberX, area, 20, 60) > 0 {
+						waves++
+					}
+					build()
+				}
+			}
+			if waves < 30 || reused < 30 || regrown < 30 {
+				t.Fatalf("%d logoff waves, %d recycled slabs reused and %d regrown in %d builds", waves, reused, regrown, builds)
+			}
+			t.Logf("%d logoff waves, %d recycled slabs reused and %d regrown in %d builds", waves, reused, regrown, builds)
+		})
+	}
+}
+
 // The snapshot index counts exactly the idle cars of each product.
 func TestSnapshotIdleCarCounts(t *testing.T) {
 	w := snapshotWorld(t, 5)
