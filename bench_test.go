@@ -310,7 +310,7 @@ func BenchmarkAblationJitter(b *testing.B) {
 			r.RunUntil(3600)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.ClientMultiplier("bench-client", i%4, w.Now())
+				e.View().ClientMultiplier("bench-client", i%4, w.Now())
 			}
 		})
 	}

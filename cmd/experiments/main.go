@@ -49,9 +49,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	reject := func(why any) int { fmt.Fprintln(stderr, why); return 2 }
 	if err := surge.CheckEngine(*engine); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return reject(err)
+	}
+	switch {
+	case !(*scale > 0): // not "<= 0": NaN must be rejected too
+		return reject("-fleet-scale must be positive")
+	case *hours < 0:
+		return reject("-hours must not be negative")
+	case *days < 1:
+		return reject("-days must be at least 1")
+	case *opencab < 0:
+		return reject("-openstreetcab must not be negative")
 	}
 
 	var f *os.File // the -out file, nil when the report goes to stdout

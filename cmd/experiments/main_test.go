@@ -23,6 +23,15 @@ func TestRun(t *testing.T) {
 	}{
 		{"unknown engine", []string{"-engine", "nope"}, 2, `^$`, `"nope" (want one of ` + names + ")\n"},
 		{"unknown flag", []string{"-no-such-flag"}, 2, `^$`, "flag provided but not defined"},
+		// Out-of-range values used to run something else: the calibrated
+		// city for a fleet scale that is not positive, a whole day for
+		// negative hours.
+		{"negative fleet scale", append(audit, "-fleet-scale", "-2"), 2, `^$`, "-fleet-scale must be positive"},
+		{"zero fleet scale", append(audit, "-fleet-scale", "0"), 2, `^$`, "-fleet-scale must be positive"},
+		{"NaN fleet scale", append(audit, "-fleet-scale", "NaN"), 2, `^$`, "-fleet-scale must be positive"},
+		{"negative hours", append(audit, "-hours", "-1"), 2, `^$`, "-hours must not be negative"},
+		{"zero days", append(audit, "-days", "0"), 2, `^$`, "-days must be at least 1"},
+		{"negative openstreetcab", append(audit, "-openstreetcab", "-1"), 2, `^$`, "-openstreetcab must not be negative"},
 		{"audit", audit, 0, `(?m)^engine-report: engine=additive .* offgrid-frac=1\.000 `, ""},
 		{"out in missing directory", append(audit, "-out", filepath.Join(t.TempDir(), "gone", "report.md")), 1, `^$`, "no such file"},
 		// A disk that fills while the report is written must not pass for

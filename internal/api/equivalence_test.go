@@ -18,7 +18,7 @@ func legacyPing(s *Service, clientID string, loc geo.LatLng) (*core.PingResponse
 	if err := s.auth(clientID); err != nil {
 		return nil, err
 	}
-	w, e := s.World(), s.Engine()
+	w, e := s.World(), s.Engine().View()
 	proj := w.Projection()
 	p := proj.ToPlane(loc)
 	if !w.Profile().Region.Contains(p) {
@@ -52,7 +52,7 @@ func legacyPing(s *Service, clientID string, loc geo.LatLng) (*core.PingResponse
 // legacyPrice mirrors the pre-snapshot EstimatePrice (minus the rate-limit
 // charge, which the snapshot path still performs through the shared table).
 func legacyPrice(s *Service, clientID string, loc geo.LatLng) ([]core.PriceEstimate, error) {
-	w, e := s.World(), s.Engine()
+	w, e := s.World(), s.Engine().View()
 	p := w.Projection().ToPlane(loc)
 	if !w.Profile().Region.Contains(p) {
 		return nil, ErrOutOfService

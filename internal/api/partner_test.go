@@ -50,7 +50,7 @@ func TestPartnerMapMatchesAPIStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pa := range m {
-		want := s.Engine().APIMultiplier(pa.Area, s.Now())
+		want := s.Engine().View().APIMultiplier(pa.Area, s.Now())
 		if pa.Surge != want {
 			t.Errorf("area %d: partner %v != api %v", pa.Area, pa.Surge, want)
 		}

@@ -354,15 +354,7 @@ func (s *Service) EstimatePrice(clientID string, loc geo.LatLng) ([]core.PriceEs
 		if vt.Surgeable() {
 			m = sv.APIMultiplier(area, now)
 		}
-		const nominalMeters, nominalSeconds = 5000.0, 900.0
-		mid := s.fares[vt].Fare(nominalMeters, nominalSeconds, m)
-		out = append(out, core.PriceEstimate{
-			TypeName: vt.String(),
-			Surge:    m,
-			LowUSD:   mid * 0.8,
-			HighUSD:  mid * 1.2,
-			Currency: "USD",
-		})
+		out = append(out, s.fares[vt].Estimate(vt, m))
 	}
 	return out, nil
 }

@@ -113,7 +113,7 @@ func record(cfg Config, attacked bool) trajectory {
 	end := cfg.At + cfg.ObserveFor
 	for w.Now() < end {
 		r.RunUntil(w.Now()/300*300 + 300)
-		tr.series = append(tr.series, e.CurrentMultiplier(cfg.Area))
+		tr.series = append(tr.series, e.View().CurrentMultiplier(cfg.Area))
 		if w.Now() <= returnAt {
 			faresAtReturn = w.AreaFares[cfg.Area]
 		}

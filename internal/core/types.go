@@ -172,6 +172,17 @@ func (f FareSchedule) Fare(meters float64, seconds float64, surge float64) float
 	return metered*surge + f.BookingFeeUSD
 }
 
+// Quote is the fare the estimates/price endpoint quotes under multiplier
+// surge: the one nominal 5 km / 15 minute trip every estimate prices.
+func (f FareSchedule) Quote(surge float64) float64 { return f.Fare(5000, 900, surge) }
+
+// Estimate is the estimates/price entry for product vt under multiplier
+// surge: the nominal Quote with a ±20% band around it.
+func (f FareSchedule) Estimate(vt VehicleType, surge float64) PriceEstimate {
+	mid := f.Quote(surge)
+	return PriceEstimate{TypeName: vt.String(), Surge: surge, LowUSD: mid * 0.8, HighUSD: mid * 1.2, Currency: "USD"}
+}
+
 // DefaultFares returns the circa-2015 fare schedules used for price
 // estimates, keyed by product. Values follow Uber's published SF rate card
 // of the period; they only need to be plausible since the paper never

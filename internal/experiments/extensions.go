@@ -134,7 +134,8 @@ type marketOutcome struct {
 // runDriverSetMarket runs the Sidecar-style market (no surge engine; the
 // world's default surge provider pins 1).
 func runDriverSetMarket(profile *sim.CityProfile, seed int64, hours int) marketOutcome {
-	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed, Pricing: sim.PricingDriverSet})
+	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed})
+	w.SetMarket(sim.MarketDriverSet)
 	return runMarket(w, hours, w.Step)
 }
 

@@ -121,7 +121,7 @@ func newTruthTracker(run *CityRun, areas int) *truthTracker {
 // sessions by area, conditions on the previous interval's multipliers.
 func (tt *truthTracker) tick() {
 	w := tt.run.Svc.World()
-	e := tt.run.Svc.Engine()
+	v := tt.run.Svc.Engine().View()
 	areas := w.Areas()
 	n := len(areas)
 	newBy := make([]float64, n)
@@ -165,7 +165,7 @@ func (tt *truthTracker) tick() {
 		}
 	}
 	for a := 0; a < n; a++ {
-		tt.prevM[a] = e.CurrentMultiplier(a)
+		tt.prevM[a] = v.CurrentMultiplier(a)
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 
 // TestResumeRestoresPricingState is the regression test for the
 // suspended-driver resume bug: returning drivers used to be rebuilt
-// without PriceFactor or idleSince, so under PricingDriverSet they
-// quoted factor 0 and the 20-minute lose-shift rule fired on their
-// first cruise tick.
+// without PriceFactor or idleSince, so in MarketDriverSet they quoted
+// factor 0 and the 20-minute lose-shift rule fired on their first cruise
+// tick.
 func TestResumeRestoresPricingState(t *testing.T) {
 	p := Manhattan()
 	p.PeakRequestsPerHour = 0 // no bookings: win-stay can't move factors
-	w := NewWorld(Config{Profile: p, Seed: 3, Pricing: PricingDriverSet})
+	w := NewWorld(Config{Profile: p, Seed: 3})
+	w.SetMarket(MarketDriverSet)
 	w.Run(3600)
 
 	n := w.ForceOffline(core.UberX, 0, 10, 60)

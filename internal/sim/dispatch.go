@@ -300,8 +300,8 @@ func (w *World) commitSub(sub *subPlan) {
 	// Select the driver and the price multiplier the passenger faces.
 	slot := int32(-1)
 	var price float64
-	switch w.cfg.Pricing {
-	case PricingDriverSet:
+	switch w.market {
+	case MarketDriverSet:
 		// Sidecar-style market (§8): passengers see the nearby drivers'
 		// self-set prices and take the cheapest. The still-idle prefix of
 		// the phase-start list is the live 4-nearest; only an exhausted
@@ -368,7 +368,7 @@ func (w *World) commitSub(sub *subPlan) {
 	}
 
 	// Book the driver: the car disappears from the map.
-	if w.cfg.Pricing == PricingDriverSet && w.now-f.idleSince[slot] < 300 {
+	if w.market == MarketDriverSet && w.now-f.idleSince[slot] < 300 {
 		// Booked within 5 minutes of becoming available: demand is hot,
 		// raise the asking price (win-stay).
 		f.priceFactor[slot] = clampFactor(f.priceFactor[slot] + 0.1)
@@ -384,7 +384,7 @@ func (w *World) commitSub(sub *subPlan) {
 	w.priceSum += price
 	w.priceSumSq += price * price
 	w.priceN++
-	w.settleFare(slot, pickup, sub.dest, price, area, w.cfg.Pricing != PricingDriverSet && vt.Surgeable())
+	w.settleFare(slot, pickup, sub.dest, price, area, w.market != MarketDriverSet && vt.Surgeable())
 	if area >= 0 {
 		w.areaStats[area].Pickups++
 	}

@@ -73,8 +73,8 @@ type Driver struct {
 	OfflineAt int64
 
 	// PriceFactor is the driver's self-set price multiplier under
-	// PricingDriverSet (the Sidecar-style market of §8); ignored under
-	// surge pricing. Drivers adapt it win-stay/lose-shift: quick bookings
+	// MarketDriverSet (the Sidecar-style market of §8); ignored in the
+	// other markets. Drivers adapt it win-stay/lose-shift: quick bookings
 	// raise it, long idle stretches lower it.
 	PriceFactor float64
 	// idleSince tracks how long the driver has waited for a fare.

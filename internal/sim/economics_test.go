@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestFareLedgerBalances(t *testing.T) {
@@ -35,6 +37,32 @@ func TestFareLedgerBalances(t *testing.T) {
 	}
 	if areaSum < w.FareVolume*0.95 {
 		t.Errorf("area fares %v far below volume %v", areaSum, w.FareVolume)
+	}
+}
+
+// TestAdditiveLedgerWholePips is ledger conservation with whole pips: in
+// MarketAdditive the platform takes 20% of each base fare only, so the
+// volume beyond commission/0.2 is exactly the pips riders paid — a whole
+// number of them, one per surge-priced pickup at most. In MarketSurge the
+// commission is 20% of everything, and no pip is left over.
+func TestAdditiveLedgerWholePips(t *testing.T) {
+	pip := (1.5 - 1) * core.DefaultFares()[core.UberX].Quote(1)
+	pips := func(m Market) (n float64, pickups int64) {
+		w := NewWorld(Config{Profile: Manhattan(), Seed: 7})
+		w.SetSurgeProvider(func(int) float64 { return 1.5 })
+		w.SetMarket(m)
+		w.Run(2 * 3600)
+		return (w.FareVolume - w.CommissionUSD/CommissionRate) / pip, w.TotalPickups
+	}
+	n, pickups := pips(MarketAdditive)
+	if math.Abs(n-math.Round(n)) > 1e-6 {
+		t.Errorf("additive: %.9f pips beyond commission/0.2, want a whole number", n)
+	}
+	if n < 1 || math.Round(n) > float64(pickups) {
+		t.Errorf("additive: %.0f pips paid over %d pickups, want 1..pickups", n, pickups)
+	}
+	if n, _ := pips(MarketSurge); math.Abs(n) > 1e-6 {
+		t.Errorf("surge: %.9f pips beyond commission/0.2, want 0", n)
 	}
 }
 

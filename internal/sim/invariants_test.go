@@ -76,8 +76,9 @@ func checkInvariants(t *testing.T, w *World) {
 }
 
 func TestWorldInvariantsUnderChurn(t *testing.T) {
-	for _, mode := range []PricingMode{PricingSurge, PricingDriverSet} {
-		w := NewWorld(Config{Profile: SanFrancisco(), Seed: 99, Pricing: mode})
+	for _, market := range []Market{MarketSurge, MarketDriverSet} {
+		w := NewWorld(Config{Profile: SanFrancisco(), Seed: 99})
+		w.SetMarket(market)
 		w.SetSurgeProvider(func(int) float64 { return 1.3 })
 		for hour := 0; hour < 6; hour++ {
 			w.Run(int64(hour+1) * 3600)

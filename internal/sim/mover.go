@@ -198,7 +198,7 @@ func (w *World) moveOne(s int32, dt float64, rng *rand.Rand, o *shardOps) {
 			o.removals = append(o.removals, s)
 			return // departed drivers don't extend their path
 		}
-		if w.cfg.Pricing == PricingDriverSet && w.now-f.idleSince[s] > 1200 {
+		if w.market == MarketDriverSet && w.now-f.idleSince[s] > 1200 {
 			// No fare for 20 minutes: lower the asking price and keep
 			// waiting (lose-shift).
 			f.priceFactor[s] = clampFactor(f.priceFactor[s] - 0.1)

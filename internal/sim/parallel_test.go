@@ -215,7 +215,8 @@ func TestStepWorkerInvarianceMultiShard(t *testing.T) {
 // (lose-shift in cruise, suspension/resume) under the parallel tick.
 func TestStepWorkerInvarianceDriverSet(t *testing.T) {
 	run := func(workers int) uint64 {
-		w := NewWorld(Config{Profile: SanFrancisco(), Seed: 7, Pricing: PricingDriverSet, Workers: workers})
+		w := NewWorld(Config{Profile: SanFrancisco(), Seed: 7, Workers: workers})
+		w.SetMarket(MarketDriverSet)
 		for i := 0; i < 300; i++ {
 			w.Step()
 		}

@@ -7,7 +7,8 @@ import (
 )
 
 func TestDriverSetPricingBasics(t *testing.T) {
-	w := NewWorld(Config{Profile: SanFrancisco(), Seed: 7, Pricing: PricingDriverSet})
+	w := NewWorld(Config{Profile: SanFrancisco(), Seed: 7})
+	w.SetMarket(MarketDriverSet)
 	w.Run(6 * 3600)
 	if w.TotalPickups == 0 {
 		t.Fatal("no pickups in the driver-set market")
@@ -48,7 +49,8 @@ func TestSurgePricingRecordsMultipliersPaid(t *testing.T) {
 func TestDriverSetAdaptationConvergesDispersion(t *testing.T) {
 	// Adaptation should keep price dispersion bounded: after a day the
 	// standard deviation stays well under the full clamp width.
-	w := NewWorld(Config{Profile: Manhattan(), Seed: 9, Pricing: PricingDriverSet})
+	w := NewWorld(Config{Profile: Manhattan(), Seed: 9})
+	w.SetMarket(MarketDriverSet)
 	w.Run(SecondsPerDay)
 	_, std, n := w.PriceStats()
 	if n == 0 {
@@ -63,7 +65,8 @@ func TestDriverSetCheapestWins(t *testing.T) {
 	// In the driver-set market passengers pick the cheapest of the
 	// nearby drivers, so the mean price paid sits below the mean posted
 	// price (selection effect).
-	w := NewWorld(Config{Profile: SanFrancisco(), Seed: 21, Pricing: PricingDriverSet})
+	w := NewWorld(Config{Profile: SanFrancisco(), Seed: 21})
+	w.SetMarket(MarketDriverSet)
 	w.Run(4 * 3600)
 	meanPaid, _, n := w.PriceStats()
 	if n == 0 {

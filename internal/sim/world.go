@@ -25,8 +25,6 @@ type Config struct {
 	// StartTime is the initial simulation time (seconds since Monday
 	// midnight). Defaults to 0.
 	StartTime int64
-	// Pricing selects the market mechanism (default PricingSurge).
-	Pricing PricingMode
 	// Workers is how many goroutines the phase-parallel portions of Step
 	// (movement/cruise, spawn and dispatch precompute, window stats) fan
 	// out over; 0 means runtime.GOMAXPROCS(0). Results are bit-for-bit
@@ -45,15 +43,26 @@ type Config struct {
 	RoadShared bool
 }
 
-// PricingMode selects how prices form.
-type PricingMode int
+// Market selects how prices form and how drivers answer them. A pricing
+// engine sets it when it installs itself; driver-set pricing has no
+// engine, so its caller sets it (see SetMarket).
+type Market uint8
 
-// The two market designs the paper contrasts in §8: Uber's centralized
-// surge algorithm, and Sidecar's model where every driver sets their own
-// price and passengers pick whom to accept.
 const (
-	PricingSurge PricingMode = iota
-	PricingDriverSet
+	// MarketSurge is the paper's §5 market: the surge provider's multiplier
+	// scales every surgeable fare.
+	MarketSurge Market = iota
+	// MarketAdditive prices surgeable full fares as base + a USD pip the
+	// driver keeps whole (Garg & Nazerzadeh). The pip is the multiplier's
+	// excess over 1 times the nominal UberX quote, so the provider's
+	// effective multiplier carries it.
+	MarketAdditive
+	// MarketWithholding is surge pricing plus Schröder et al.'s strategic
+	// drivers, who log off below a personal threshold (withholding.go).
+	MarketWithholding
+	// MarketDriverSet is Sidecar's market (§8): every driver sets their own
+	// price and passengers take the cheapest nearby.
+	MarketDriverSet
 )
 
 // WindowStats aggregates one surge area's activity over the trailing
@@ -128,8 +137,7 @@ type World struct {
 	areaStats  []WindowStats
 	surgeOf    func(area int) float64 // provided by the surge engine
 	surgeCache []float64              // per-area multiplier, refreshed each tick
-	pipOf      func(area int) float64 // additive USD surcharge, nil unless an additive engine installs it
-	pipCache   []float64              // per-area pip, refreshed each tick when pipOf is set
+	market     Market                 // how prices form; see SetMarket
 	fleetCDF   []float64              // cumulative fleet shares
 	demandCDF  []float64              // cumulative demand shares
 	hotspotCDF []float64
@@ -144,10 +152,6 @@ type World struct {
 	// suspended drivers (the §8 collusion scenario: drivers go offline
 	// together to starve supply, then return once surge rises).
 	suspended []suspendedDriver
-
-	// withhold, when armed, makes drivers strategically idle out below a
-	// personal surge threshold (see withholding.go).
-	withhold WithholdingConfig
 
 	// lifetime counters (ground truth for tests and validation).
 	// Spawned/Offline count organic session starts and deaths only;
@@ -166,7 +170,7 @@ type World struct {
 	TotalPoolJoins int64
 
 	// price multipliers paid by fulfilled passengers (surge multiplier
-	// or the chosen driver's PriceFactor, by pricing mode).
+	// or the chosen driver's PriceFactor, by market).
 	priceSum, priceSumSq float64
 	priceN               int64
 
@@ -436,20 +440,13 @@ func (w *World) SetSurgeProvider(f func(area int) float64) {
 	}
 }
 
-// SetPipProvider registers the function used to look up the additive USD
-// surcharge for an area; an additive pricing engine installs itself here.
-// When set, settleFare prices surgeable trips as base + pip (the driver
-// keeping the whole pip) instead of scaling by the multiplier.
-func (w *World) SetPipProvider(f func(area int) float64) {
-	w.pipOf = f
-}
+// SetMarket selects the world's market (MarketSurge until set).
+func (w *World) SetMarket(m Market) { w.market = m }
 
 // refreshSurgeCache samples the surge provider once per area per tick.
 // The multipliers are interval-quantized by the engine, so within one
 // tick the cached value is exact — and the parallel spawn/dispatch
 // precompute can read it without re-entering the provider concurrently.
-// The pip cache refreshes on the same schedule when an additive engine
-// is installed.
 func (w *World) refreshSurgeCache() {
 	if cap(w.surgeCache) < len(w.areas) {
 		w.surgeCache = make([]float64, len(w.areas))
@@ -457,16 +454,6 @@ func (w *World) refreshSurgeCache() {
 	w.surgeCache = w.surgeCache[:len(w.areas)]
 	for i := range w.surgeCache {
 		w.surgeCache[i] = w.surgeOf(i)
-	}
-	if w.pipOf == nil {
-		return
-	}
-	if cap(w.pipCache) < len(w.areas) {
-		w.pipCache = make([]float64, len(w.areas))
-	}
-	w.pipCache = w.pipCache[:len(w.areas)]
-	for i := range w.pipCache {
-		w.pipCache[i] = w.pipOf(i)
 	}
 }
 
@@ -716,16 +703,16 @@ func (w *World) surgeWeight(p geo.Point) float64 {
 // settleFare charges the passenger the upfront fare for the trip estimate
 // and splits it between the driver (80%) and the platform (20%).
 // surgePriced marks trips that carry the dynamic price signal (surgeable
-// product, full-fare booking): under an additive engine those trips are
-// priced base + pip, with the driver keeping the entire pip on top of the
-// usual 80% of base — the Garg & Nazerzadeh payout structure.
+// product, full-fare booking): in MarketAdditive those trips are priced
+// base + pip, with the driver keeping the entire pip on top of the usual
+// 80% of base — the Garg & Nazerzadeh payout structure.
 func (w *World) settleFare(slot int32, pickup, dest geo.Point, multiplier float64, area int, surgePriced bool) {
 	meters, seconds := w.mv.trip(pickup, dest)
 	seconds += tripStopSeconds
 	sched := w.fares[core.VehicleType(w.fleet.typ[slot])]
-	if w.pipOf != nil && surgePriced && area >= 0 {
+	if w.market == MarketAdditive && surgePriced && area >= 0 {
 		base := sched.Fare(meters, seconds, 1)
-		pip := w.pipCache[area]
+		pip := (w.surgeCache[area] - 1) * w.fares[core.UberX].Quote(1)
 		fare := base + pip
 		w.FareVolume += fare
 		w.CommissionUSD += base * CommissionRate

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // The additive regime implements the post-2015 driver surge scheme
@@ -13,7 +12,8 @@ import (
 // quantized USD pip to every surgeable trip in the area. The rider's
 // quote becomes base + pip, and the driver keeps the entire pip on top of
 // the usual 80% of the base fare (the sim's settleFare applies that split
-// through the pip provider installPips registers).
+// in sim.MarketAdditive, reading the pip back off the API-stream
+// multiplier, so riders are charged what the quote showed).
 //
 // It prices the same market signal as mult2015 — the identical
 // rawPressures features and RNG stream — but publishes it through the
@@ -30,11 +30,10 @@ import (
 // drivers flat per-trip "surge pips" in small fixed increments).
 const PipStep = 0.25
 
-// nominalBaseFare is the fare the estimates/price endpoint quotes for its
-// nominal 5 km / 15 minute trip at multiplier 1 — the denominator that
-// converts a USD pip into an effective multiplier (and back, exactly, for
-// the nominal UberX quote).
-var nominalBaseFare = core.DefaultFares()[core.UberX].Fare(5000, 900, 1)
+// nominalBaseFare is the UberX fare the estimates/price endpoint quotes
+// at multiplier 1 — the denominator that converts a USD pip into an
+// effective multiplier (and back, exactly, for the nominal UberX quote).
+var nominalBaseFare = core.DefaultFares()[core.UberX].Quote(1)
 
 // quantizePip is the additive regime's quantiser: the raw multiplicative
 // pressure above 1 converts to USD on the nominal fare, snaps to the
@@ -53,20 +52,3 @@ func quantizePip(cfg *Config, raw float64) float64 {
 	}
 	return 1 + pip/nominalBaseFare
 }
-
-// installPips registers the pip the sim settles fares with. It tracks the
-// API stream exactly: riders are charged what the quote showed.
-func installPips(w *sim.World, e *Engine) {
-	w.SetPipProvider(func(area int) float64 {
-		return (e.APIMultiplier(area, w.Now()) - 1) * nominalBaseFare
-	})
-}
-
-// CurrentPip returns the USD surcharge the interval's ground-truth
-// multiplier encodes on the nominal fare.
-func (e *Engine) CurrentPip(area int) float64 {
-	return (e.CurrentMultiplier(area) - 1) * nominalBaseFare
-}
-
-// NominalBase returns the base fare pips are quoted against.
-func (e *Engine) NominalBase() float64 { return nominalBaseFare }

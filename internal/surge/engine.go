@@ -52,11 +52,6 @@ type Config struct {
 	// dramatic". 0 disables smoothing; otherwise it is the weight of the
 	// previous multiplier (e.g. 0.6 keeps 60% of the old value).
 	Smoothing float64
-	// QuantStep overrides the multiplier grid. Uber's is 0.1 (the
-	// default); Lyft's contemporaneous "Prime Time" used 25% increments
-	// (0.25), which §3.3 mentions as the pricing the authors could not
-	// ethically measure.
-	QuantStep float64
 	// KeepHistory records the ground-truth multiplier series per area,
 	// one snapshot per completed update, in Engine.History. Experiments
 	// and tests turn it on; a long-running uberd leaves it off — the
@@ -80,8 +75,8 @@ type Engine struct {
 	apiSwitchAt   int64 // when the API stream starts serving cur
 
 	// view is the published immutable read state; every externally
-	// visible multiplier/jitter answer is served through it, so the
-	// lock-free query path and the engine's own accessors cannot diverge.
+	// visible multiplier/jitter answer — the world's surge provider
+	// included — is served through it.
 	view *View
 
 	// History records the ground-truth multiplier series per area, one
@@ -131,10 +126,10 @@ func New(w *sim.World, cfg Config) *Engine { return newEngine(w, &regimes[0], cf
 // Name identifies the engine's pricing regime.
 func (e *Engine) Name() string { return e.regime.name }
 
+// newEngine builds an engine under regime r and installs it into the
+// world: its View's API stream as the surge provider, its market as the
+// world's.
 func newEngine(w *sim.World, r *regime, cfg Config) *Engine {
-	if cfg.QuantStep == 0 {
-		cfg.QuantStep = 0.1
-	}
 	cfg.Jitter = cfg.Jitter && r.jitter
 	n := len(w.Areas())
 	e := &Engine{
@@ -152,11 +147,9 @@ func newEngine(w *sim.World, r *regime, cfg Config) *Engine {
 	e.scheduleSwitches(w.Now() - w.Now()%UpdatePeriod)
 	e.rebuildView()
 	w.SetSurgeProvider(func(area int) float64 {
-		return e.APIMultiplier(area, w.Now())
+		return e.view.APIMultiplier(area, w.Now())
 	})
-	if r.install != nil {
-		r.install(w, e)
-	}
+	w.SetMarket(r.market)
 	return e
 }
 
@@ -283,32 +276,17 @@ func (e *Engine) update(boundary int64) {
 	e.gSurgeAreas.Set(surging)
 }
 
-// InJitter reports whether clientID is inside an April-bug jitter window
-// at simulation time now (always false when Jitter is off). The api layer
-// uses this to count jitter servings without duplicating the schedule
-// math.
-func (e *Engine) InJitter(clientID string, now int64) bool {
-	return e.view.InJitter(clientID, now)
-}
-
 // scheduleSwitches draws this interval's API propagation delay: updates
 // land within a ~35 s band of each interval (Fig 15). Client-stream
-// delays are per-client; see clientSwitchFor.
+// delays are per-client; see clientSwitchAt.
 func (e *Engine) scheduleSwitches(boundary int64) {
 	e.intervalStart = boundary
 	e.apiSwitchAt = boundary + 5 + int64(e.rng.Float64()*35)
 }
 
 // Quantize snaps a raw multiplier to Uber's 0.1 steps with a floor of 1.
-func Quantize(m float64) float64 { return QuantizeStep(m, 0.1) }
-
-// QuantizeStep snaps a raw multiplier to the given grid with a floor of 1
-// (0.1 for Uber, 0.25 for Lyft-style Prime Time).
-func QuantizeStep(m, step float64) float64 {
-	if step <= 0 {
-		step = 0.1
-	}
-	q := math.Round(m/step) * step
+func Quantize(m float64) float64 {
+	q := math.Round(m/0.1) * 0.1
 	// Normalize binary noise (0.30000000000000004 -> 0.3).
 	q = math.Round(q*1e9) / 1e9
 	if q < 1 {
@@ -317,70 +295,14 @@ func QuantizeStep(m, step float64) float64 {
 	return q
 }
 
-// quantizeGrid is the multiplicative regimes' quantiser: the
-// Config.QuantStep grid.
-func quantizeGrid(cfg *Config, raw float64) float64 { return QuantizeStep(raw, cfg.QuantStep) }
-
-// APIMultiplier returns the multiplier the estimates/price API serves for
-// an area at time now. The API stream has no jitter.
-func (e *Engine) APIMultiplier(area int, now int64) float64 {
-	return e.view.APIMultiplier(area, now)
-}
-
-// ClientMultiplier returns the multiplier the pingClient stream serves to
-// a specific client at time now.
-//
-// In February mode (Jitter off) the client stream behaves exactly like
-// the API: one shared switch moment inside a ~35-second band, so
-// co-located clients always agree — the paper's calibration finding.
-//
-// In April mode (Jitter on) each client switches to the new multiplier at
-// its own moment inside a ~2-minute band (Fig 15's wider spread), and
-// per-client jitter windows leak the previous interval's multiplier for
-// 20-30 s (Figs 14, 16, 17).
-func (e *Engine) ClientMultiplier(clientID string, area int, now int64) float64 {
-	return e.view.ClientMultiplier(clientID, area, now)
-}
-
-// clientSwitchFor derives the client's personal switch moment for the
-// interval: 10-130 seconds in, deterministically from (client, interval,
-// seed).
-func (e *Engine) clientSwitchFor(clientID string, boundary int64) int64 {
-	return clientSwitchAt(e.cfg.Seed, clientID, boundary)
-}
-
-// CurrentMultiplier returns the ground-truth multiplier computed for the
-// current interval (what the whole area converges to once both streams
-// switch).
-func (e *Engine) CurrentMultiplier(area int) float64 {
-	if area < 0 || area >= len(e.cur) {
-		return 1
-	}
-	return e.cur[area]
-}
-
-// PrevMultiplier returns the previous interval's ground-truth multiplier.
-func (e *Engine) PrevMultiplier(area int) float64 {
-	if area < 0 || area >= len(e.prev) {
-		return 1
-	}
-	return e.prev[area]
-}
-
-// jitterWindow deterministically derives the jitter schedule for a client
-// in the interval starting at boundary: a hash of (seed, client, interval)
-// decides whether a jitter event occurs, when it starts (uniform in the
-// interval) and how long it lasts (20-30 s for 90% of events, 30-60 s for
-// the rest — matching the paper's measured durations). It returns
-// (-1, 0) when the client has no jitter event this interval.
-func (e *Engine) jitterWindow(clientID string, boundary int64) (start, dur int64) {
-	return jitterWindowFor(e.cfg.Seed, clientID, boundary)
-}
+// quantizeGrid is the multiplicative regimes' quantiser: Uber's 0.1 grid.
+func quantizeGrid(_ *Config, raw float64) float64 { return Quantize(raw) }
 
 // Runner couples a world and its default-regime engine and advances them
 // together; it is the minimal "backend main loop" the experiment harness
 // and the surge tests drive. Code that must be engine-agnostic steps a
 // Pricer directly (w.Step() then p.Step(w.Now())), as api.Service does.
+// Either way, prices are read from Engine.View.
 type Runner struct {
 	World  *sim.World
 	Engine *Engine

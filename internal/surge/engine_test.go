@@ -26,37 +26,6 @@ func TestQuantize(t *testing.T) {
 	}
 }
 
-func TestQuantizeStepLyft(t *testing.T) {
-	// Lyft's Prime Time moves in 25% increments.
-	cases := []struct{ in, want float64 }{
-		{1.1, 1}, {1.13, 1.25}, {1.4, 1.5}, {1.8, 1.75}, {2.0, 2.0},
-	}
-	for _, c := range cases {
-		if got := QuantizeStep(c.in, 0.25); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("QuantizeStep(%v, 0.25) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	// Zero step falls back to Uber's grid.
-	if got := QuantizeStep(1.26, 0); got != 1.3 {
-		t.Errorf("fallback = %v", got)
-	}
-}
-
-func TestEngineWithPrimeTimeGrid(t *testing.T) {
-	p := sim.SanFrancisco()
-	w := sim.NewWorld(sim.Config{Profile: p, Seed: 3})
-	e := New(w, Config{Params: p.Surge, Seed: 3, QuantStep: 0.25, KeepHistory: true})
-	r := &Runner{World: w, Engine: e}
-	r.RunUntil(8 * 3600)
-	for _, snap := range e.History {
-		for _, m := range snap {
-			if q := QuantizeStep(m, 0.25); math.Abs(q-m) > 1e-9 {
-				t.Fatalf("multiplier %v not on the 0.25 grid", m)
-			}
-		}
-	}
-}
-
 func TestEngineUpdatesOnFiveMinuteClock(t *testing.T) {
 	r := newRunner(t, sim.SanFrancisco(), 1, false)
 	r.RunUntil(3600)
@@ -124,13 +93,14 @@ func TestAPISwitchWithinInterval(t *testing.T) {
 	// (Fig 15: a ~35-second band).
 	for i := 0; i < 20; i++ {
 		r.RunUntil(r.World.Now() + 300)
-		off := r.Engine.apiSwitchAt - r.Engine.intervalStart
+		v := r.Engine.View()
+		off := v.apiSwitchAt - v.intervalStart
 		if off < 5 || off > 40 {
 			t.Errorf("API switch offset %d s outside [5,40]", off)
 		}
 		for c := 0; c < 5; c++ {
 			id := fmt.Sprintf("sw-%d", c)
-			coff := r.Engine.clientSwitchFor(id, r.Engine.intervalStart) - r.Engine.intervalStart
+			coff := clientSwitchAt(v.seed, id, v.intervalStart) - v.intervalStart
 			if coff < 10 || coff > 130 {
 				t.Errorf("client switch offset %d s outside [10,130]", coff)
 			}
@@ -143,18 +113,18 @@ func TestAPIMultiplierServesPrevBeforeSwitch(t *testing.T) {
 	// Run until we find an interval where cur != prev for some area.
 	for i := 0; i < 400; i++ {
 		r.RunUntil(r.World.Now() + 300)
-		e := r.Engine
+		v := r.Engine.View()
 		for a := 0; a < 4; a++ {
-			if e.CurrentMultiplier(a) == e.PrevMultiplier(a) {
+			if v.cur[a] == v.prev[a] {
 				continue
 			}
-			before := e.APIMultiplier(a, e.intervalStart+1)
-			after := e.APIMultiplier(a, e.apiSwitchAt)
-			if before != e.PrevMultiplier(a) {
-				t.Errorf("before switch: got %v, want prev %v", before, e.PrevMultiplier(a))
+			before := v.APIMultiplier(a, v.intervalStart+1)
+			after := v.APIMultiplier(a, v.apiSwitchAt)
+			if before != v.prev[a] {
+				t.Errorf("before switch: got %v, want prev %v", before, v.prev[a])
 			}
-			if after != e.CurrentMultiplier(a) {
-				t.Errorf("after switch: got %v, want cur %v", after, e.CurrentMultiplier(a))
+			if after != v.cur[a] {
+				t.Errorf("after switch: got %v, want cur %v", after, v.cur[a])
 			}
 			return
 		}
@@ -164,31 +134,31 @@ func TestAPIMultiplierServesPrevBeforeSwitch(t *testing.T) {
 
 func TestJitterServesStaleMultiplier(t *testing.T) {
 	r := newRunner(t, sim.SanFrancisco(), 11, true)
-	e := r.Engine
 	found := false
 	// Scan many intervals and synthetic clients for a jitter window and
 	// verify the served value inside it equals the previous interval's.
 	for i := 0; i < 200 && !found; i++ {
 		r.RunUntil(r.World.Now() + 300)
+		v := r.Engine.View()
 		for c := 0; c < 43; c++ {
 			id := fmt.Sprintf("client-%d", c)
-			start, _ := e.jitterWindow(id, e.intervalStart)
+			start, _ := jitterWindowFor(v.seed, id, v.intervalStart)
 			if start < 0 {
 				continue
 			}
 			for a := 0; a < 4; a++ {
-				if e.CurrentMultiplier(a) == e.PrevMultiplier(a) {
+				if v.cur[a] == v.prev[a] {
 					continue
 				}
 				// Query inside the jitter window, after this client's
 				// switch so that the base value would be cur.
-				at := e.intervalStart + start + 1
-				if at < e.clientSwitchFor(id, e.intervalStart) {
+				at := v.intervalStart + start + 1
+				if at < clientSwitchAt(v.seed, id, v.intervalStart) {
 					continue
 				}
-				got := e.ClientMultiplier(id, a, at)
-				if got != e.PrevMultiplier(a) {
-					t.Errorf("jitter at t=%d served %v, want prev %v", at, got, e.PrevMultiplier(a))
+				got := v.ClientMultiplier(id, a, at)
+				if got != v.prev[a] {
+					t.Errorf("jitter at t=%d served %v, want prev %v", at, got, v.prev[a])
 				}
 				found = true
 			}
@@ -203,13 +173,13 @@ func TestJitterDisabledMeansConsistentClients(t *testing.T) {
 	r := newRunner(t, sim.SanFrancisco(), 13, false)
 	for i := 0; i < 50; i++ {
 		r.RunUntil(r.World.Now() + 300)
-		e := r.Engine
+		v := r.Engine.View()
 		// February mode: the client stream equals the API stream at every
 		// instant, so any probe moment works.
-		t1 := e.intervalStart + 150
+		t1 := v.intervalStart + 150
 		for a := 0; a < 4; a++ {
-			m0 := e.ClientMultiplier("alpha", a, t1)
-			m1 := e.ClientMultiplier("beta", a, t1)
+			m0 := v.ClientMultiplier("alpha", a, t1)
+			m1 := v.ClientMultiplier("beta", a, t1)
 			if m0 != m1 {
 				t.Fatalf("clients disagree without jitter: %v vs %v", m0, m1)
 			}
@@ -218,8 +188,6 @@ func TestJitterDisabledMeansConsistentClients(t *testing.T) {
 }
 
 func TestJitterWindowProperties(t *testing.T) {
-	r := newRunner(t, sim.Manhattan(), 17, true)
-	e := r.Engine
 	events, total := 0, 0
 	shortDur := 0
 	for k := int64(0); k < 2000; k++ {
@@ -227,7 +195,7 @@ func TestJitterWindowProperties(t *testing.T) {
 		for c := 0; c < 5; c++ {
 			id := fmt.Sprintf("c%d", c)
 			total++
-			start, dur := e.jitterWindow(id, boundary)
+			start, dur := jitterWindowFor(17, id, boundary)
 			if start < 0 {
 				continue
 			}
@@ -255,15 +223,13 @@ func TestJitterWindowProperties(t *testing.T) {
 }
 
 func TestJitterIndependentAcrossClients(t *testing.T) {
-	r := newRunner(t, sim.Manhattan(), 19, true)
-	e := r.Engine
 	// Count how often two specific clients jitter in the same interval;
 	// with p=0.35 the expected coincidence rate is ~0.12, not ~0.35.
 	both, either := 0, 0
 	for k := int64(0); k < 3000; k++ {
 		b := k * 300
-		s1, _ := e.jitterWindow("one", b)
-		s2, _ := e.jitterWindow("two", b)
+		s1, _ := jitterWindowFor(19, "one", b)
+		s2, _ := jitterWindowFor(19, "two", b)
 		if s1 >= 0 || s2 >= 0 {
 			either++
 		}
@@ -290,7 +256,7 @@ func TestSurgeFrequenciesMatchPaper(t *testing.T) {
 		for r.World.Now() < 2*sim.SecondsPerDay {
 			r.RunUntil(r.World.Now() + 300)
 			for a := 0; a < 4; a++ {
-				m := r.Engine.CurrentMultiplier(a)
+				m := r.Engine.View().CurrentMultiplier(a)
 				n++
 				mean += m
 				if m > 1 {
@@ -345,14 +311,14 @@ func TestElasticityFeedbackDampsDemand(t *testing.T) {
 
 func TestOutOfRangeAreas(t *testing.T) {
 	r := newRunner(t, sim.Manhattan(), 29, true)
-	e := r.Engine
-	if e.APIMultiplier(-1, 0) != 1 || e.APIMultiplier(99, 0) != 1 {
+	v := r.Engine.View()
+	if v.APIMultiplier(-1, 0) != 1 || v.APIMultiplier(99, 0) != 1 {
 		t.Error("out-of-range API multiplier should be 1")
 	}
-	if e.ClientMultiplier("x", -1, 0) != 1 || e.ClientMultiplier("x", 99, 0) != 1 {
+	if v.ClientMultiplier("x", -1, 0) != 1 || v.ClientMultiplier("x", 99, 0) != 1 {
 		t.Error("out-of-range client multiplier should be 1")
 	}
-	if e.CurrentMultiplier(-1) != 1 || e.PrevMultiplier(99) != 1 {
-		t.Error("out-of-range current/prev multiplier should be 1")
+	if v.CurrentMultiplier(-1) != 1 || v.CurrentMultiplier(99) != 1 {
+		t.Error("out-of-range current multiplier should be 1")
 	}
 }

@@ -68,3 +68,48 @@ func TestEnginePins(t *testing.T) {
 		})
 	}
 }
+
+// TestDriverSetPins holds the one market no engine selects,
+// sim.MarketDriverSet, to literal goldens: Manhattan at four times the
+// fleet, seed 42, TestEnginePins' shocks, one hour, no engine (the
+// default provider pins surge at 1). `state` is driverSetHashes' drivers
+// — self-set price factors included — and counters; `economics` is what
+// the market charged and paid.
+func TestDriverSetPins(t *testing.T) {
+	const wantState, wantEconomics = 0x1b1c0e626f5556d0, 0x399e0b43a1b065d9
+	w := sim.NewWorld(sim.Config{Profile: sim.Manhattan().Scale(4), Seed: 42})
+	w.SetMarket(sim.MarketDriverSet)
+	w.InjectDemandShock(0, 8, 4*3600)
+	w.InjectDemandShock(2, 8, 4*3600)
+	w.Run(3600)
+	if w.TotalPickups == 0 {
+		t.Fatal("no pickups: the market settled nothing")
+	}
+	state, economics := driverSetHashes(w)
+	if state != wantState {
+		t.Errorf("state hash %#x, want %#x", state, wantState)
+	}
+	if economics != wantEconomics {
+		t.Errorf("economics hash %#x, want %#x", economics, wantEconomics)
+	}
+}
+
+// driverSetHashes digests a world's end state in two halves: state is
+// every driver column but earnings, and every lifetime counter; economics
+// is each driver's earnings, the fare volume, commission, area fares and
+// the price-paid statistics.
+func driverSetHashes(w *sim.World) (state, economics uint64) {
+	s, e := fnv.New64a(), fnv.New64a()
+	w.EachDriver(func(d *sim.Driver) {
+		fmt.Fprintf(s, "%d|%s|%d|%v|%v|%d|%v|%v|%d|%d|%v\n",
+			d.ID, d.Session, d.Type, d.Pos, d.State, d.PoolRiders,
+			d.Pickup, d.Dest, d.OfflineAt, int64(d.PriceFactor*1e9), d.PathPoints())
+		fmt.Fprintf(e, "earned|%d|%v\n", d.ID, d.EarnedUSD)
+	})
+	fmt.Fprintf(s, "counters|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d\n",
+		w.TotalSpawned, w.TotalOffline, w.TotalSuspended, w.TotalResumed, w.TotalWithheld,
+		w.TotalPickups, w.TotalDropoffs, w.TotalPricedOut, w.TotalUnmet, w.TotalPoolJoins)
+	mean, std, n := w.PriceStats()
+	fmt.Fprintf(e, "economics|%v|%v|%v|%v|%v|%d\n", w.FareVolume, w.CommissionUSD, w.AreaFares, mean, std, n)
+	return s.Sum64(), e.Sum64()
+}

@@ -12,20 +12,20 @@ import (
 // Pricer is the pricing-engine contract the backend layers (api.Service,
 // cmd/uberd, the experiment harness) program against. A Pricer owns the
 // 5-minute update clock and per-area price state for one world, publishes
-// an immutable View for the lock-free query path, and emits SurgeChange
-// events when prices move.
+// an immutable View — the one place every price question is answered —
+// and emits SurgeChange events when prices move.
 //
 // Every regime keeps three invariants the audit methodology and the
 // parallel simulator rely on:
 //
 //   - Determinism: every externally visible answer is a pure function of
-//     (Config.Seed, world history, clientID, time). Any incentive-response
-//     hooks installed into the sim must run in serial phases only, so
+//     (Config.Seed, world history, clientID, time). The sim.Market a
+//     regime selects must act in serial phases only, so
 //     TestStepWorkerInvariance holds at every worker count.
 //   - Floor: multipliers never fall below 1; a regime that prices in
 //     additive USD pips encodes them as effective multipliers ≥ 1.
 //   - API stream purity: jitter (the April 2015 bug) may only ever affect
-//     the client stream; APIMultiplier answers are never jittered.
+//     the client stream; View.APIMultiplier answers are never jittered.
 //
 // Engine is the one implementation; its regimes are the table below.
 type Pricer interface {
@@ -41,17 +41,6 @@ type Pricer interface {
 	// SetEventSink installs fn to receive a bus.KindSurgeChange event per
 	// area whose price moves at an update boundary; nil detaches.
 	SetEventSink(fn func(bus.Event))
-	// APIMultiplier is the multiplier the estimates/price API serves.
-	APIMultiplier(area int, now int64) float64
-	// ClientMultiplier is the multiplier the pingClient stream serves to
-	// one client (the only stream jitter may touch).
-	ClientMultiplier(clientID string, area int, now int64) float64
-	// InJitter reports whether the client is inside a jitter window.
-	InJitter(clientID string, now int64) bool
-	// CurrentMultiplier is the interval's ground-truth multiplier.
-	CurrentMultiplier(area int) float64
-	// PrevMultiplier is the previous interval's ground-truth multiplier.
-	PrevMultiplier(area int) float64
 }
 
 // regime is everything that distinguishes one pricing engine from
@@ -65,25 +54,22 @@ type regime struct {
 	// jitter reports whether Config.Jitter is honoured; a regime that
 	// postdates the April 2015 bug never jitters, whatever the config asks.
 	jitter bool
-	// install hooks the regime into the world beyond the surge provider
-	// every engine installs; nil for none.
-	install func(w *sim.World, e *Engine)
+	// market is the sim.Market the engine sets on its world.
+	market sim.Market
 }
 
 // regimes is the one list of selectable pricing engines, default first.
 var regimes = []regime{
-	// The paper's §5 multiplicative algorithm: multipliers on the
-	// Config.QuantStep grid, April jitter when asked for.
+	// The paper's §5 multiplicative algorithm: multipliers on the 0.1
+	// grid, April jitter when asked for.
 	{name: "mult2015", quantize: quantizeGrid, jitter: true},
 	// Garg & Nazerzadeh's driver surge pips; see additive.go.
-	{name: "additive", quantize: quantizePip, install: installPips},
+	{name: "additive", quantize: quantizePip, market: sim.MarketAdditive},
 	// mult2015 pricing coupled to Schröder et al.'s strategic driver
-	// response (sim.WithholdingConfig): only the supply side changes, in
-	// the world's serial spawn phase, and shows up as DriverSuspend events
-	// and in TotalSuspended/TotalWithheld.
-	{name: "withholding", quantize: quantizeGrid, jitter: true, install: func(w *sim.World, _ *Engine) {
-		w.SetWithholding(sim.DefaultWithholding())
-	}},
+	// response: only the supply side changes, in the world's serial spawn
+	// phase, and shows up as DriverSuspend events and in
+	// TotalSuspended/TotalWithheld.
+	{name: "withholding", quantize: quantizeGrid, jitter: true, market: sim.MarketWithholding},
 }
 
 // EngineNames lists the selectable pricing engines, default first.

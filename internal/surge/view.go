@@ -52,8 +52,16 @@ func (v *View) APIMultiplier(area int, now int64) float64 {
 }
 
 // ClientMultiplier returns the multiplier the pingClient stream serves to
-// a specific client at time now; see Engine.ClientMultiplier for the
-// February/April semantics.
+// a specific client at time now.
+//
+// In February mode (Jitter off) the client stream behaves exactly like
+// the API: one shared switch moment inside a ~35-second band, so
+// co-located clients always agree — the paper's calibration finding.
+//
+// In April mode (Jitter on) each client switches to the new multiplier at
+// its own moment inside a ~2-minute band (Fig 15's wider spread), and
+// per-client jitter windows leak the previous interval's multiplier for
+// 20-30 s (Figs 14, 16, 17).
 func (v *View) ClientMultiplier(clientID string, area int, now int64) float64 {
 	if area < 0 || area >= len(v.cur) {
 		return 1
@@ -74,7 +82,8 @@ func (v *View) ClientMultiplier(clientID string, area int, now int64) float64 {
 }
 
 // InJitter reports whether clientID is inside an April-bug jitter window
-// at time now (always false when jitter is off).
+// at time now (always false when jitter is off). The api layer uses this
+// to count jitter servings without duplicating the schedule math.
 func (v *View) InJitter(clientID string, now int64) bool {
 	if !v.jitter {
 		return false
@@ -87,7 +96,8 @@ func (v *View) InJitter(clientID string, now int64) bool {
 	return t >= start && t < start+dur
 }
 
-// CurrentMultiplier returns the interval's ground-truth multiplier.
+// CurrentMultiplier returns the interval's ground-truth multiplier (what
+// the whole area converges to once both streams switch).
 func (v *View) CurrentMultiplier(area int) float64 {
 	if area < 0 || area >= len(v.cur) {
 		return 1
@@ -110,8 +120,12 @@ func clientSwitchAt(seed int64, clientID string, boundary int64) int64 {
 const jitterProb = 0.25
 
 // jitterWindowFor deterministically derives the jitter schedule for a
-// client in the interval starting at boundary; see Engine.jitterWindow.
-// It returns (-1, 0) when the client has no jitter event this interval.
+// client in the interval starting at boundary: a hash of (seed, client,
+// interval) decides whether a jitter event occurs, when it starts
+// (uniform in the interval) and how long it lasts (20-30 s for 90% of
+// events, 30-60 s for the rest — matching the paper's measured
+// durations). It returns (-1, 0) when the client has no jitter event this
+// interval.
 func jitterWindowFor(seed int64, clientID string, boundary int64) (start, dur int64) {
 	v := hashBits(seed, clientID, boundary, 0x71772)
 	u1 := float64(v&0xFFFF) / 65536     // occurrence

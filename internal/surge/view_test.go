@@ -7,45 +7,36 @@ import (
 	"repro/internal/sim"
 )
 
-// A View must answer exactly as the live engine does inside its interval,
-// and keep answering for its own interval after the engine moves on.
-func TestViewMatchesEngineAndStaysFrozen(t *testing.T) {
+// A View keeps answering for its own interval after the engine moves on:
+// every client's multiplier and jitter window, and the API stream.
+func TestViewStaysFrozen(t *testing.T) {
 	p := sim.SanFrancisco()
 	w := sim.NewWorld(sim.Config{Profile: p, Seed: 9, StartTime: 17 * 3600})
 	e := New(w, Config{Params: p.Surge, Seed: 9, Jitter: true})
 	r := &Runner{World: w, Engine: e}
 	r.RunUntil(18 * 3600)
 
+	// Record the view's answers, advance the engine across several
+	// updates, and check the captured view is unaffected.
 	v := e.View()
-	start := e.intervalStart
+	start := v.intervalStart
+	type key struct {
+		id string
+		a  int
+		dt int64
+	}
+	type answer struct {
+		client, api float64
+		jitter      bool
+	}
+	frozen := make(map[key]answer)
 	for c := 0; c < 8; c++ {
 		id := fmt.Sprintf("probe-%02d", c)
 		for a := 0; a < len(w.Areas()); a++ {
 			for dt := int64(0); dt < UpdatePeriod; dt += 13 {
 				now := start + dt
-				if got, want := v.ClientMultiplier(id, a, now), e.ClientMultiplier(id, a, now); got != want {
-					t.Fatalf("ClientMultiplier(%s, %d, %d) view=%v engine=%v", id, a, now, got, want)
-				}
-				if got, want := v.APIMultiplier(a, now), e.APIMultiplier(a, now); got != want {
-					t.Fatalf("APIMultiplier(%d, %d) view=%v engine=%v", a, now, got, want)
-				}
-				if got, want := v.InJitter(id, now), e.InJitter(id, now); got != want {
-					t.Fatalf("InJitter(%s, %d) view=%v engine=%v", id, now, got, want)
-				}
+				frozen[key{id, a, dt}] = answer{v.ClientMultiplier(id, a, now), v.APIMultiplier(a, now), v.InJitter(id, now)}
 			}
-		}
-	}
-
-	// Freeze the old view's answers, advance the engine across several
-	// updates, and check the captured view is unaffected.
-	type key struct {
-		a  int
-		dt int64
-	}
-	frozen := make(map[key]float64)
-	for a := 0; a < len(w.Areas()); a++ {
-		for dt := int64(0); dt < UpdatePeriod; dt += 60 {
-			frozen[key{a, dt}] = v.ClientMultiplier("probe-00", a, start+dt)
 		}
 	}
 	r.RunUntil(w.Now() + 4*UpdatePeriod)
@@ -53,13 +44,14 @@ func TestViewMatchesEngineAndStaysFrozen(t *testing.T) {
 		t.Fatal("engine did not publish a new view across updates")
 	}
 	for k, want := range frozen {
-		if got := v.ClientMultiplier("probe-00", k.a, start+k.dt); got != want {
-			t.Fatalf("frozen view changed: area %d dt %d: %v -> %v", k.a, k.dt, want, got)
+		now := start + k.dt
+		if got := (answer{v.ClientMultiplier(k.id, k.a, now), v.APIMultiplier(k.a, now), v.InJitter(k.id, now)}); got != want {
+			t.Fatalf("frozen view changed: %s area %d dt %d: %+v -> %+v", k.id, k.a, k.dt, want, got)
 		}
 	}
 }
 
-// Out-of-range areas serve multiplier 1 from a View, as from the engine.
+// Out-of-range areas serve multiplier 1 from a View.
 func TestViewOutOfRangeAreas(t *testing.T) {
 	p := sim.Manhattan()
 	w := sim.NewWorld(sim.Config{Profile: p, Seed: 3})

@@ -90,7 +90,7 @@ func TestLiveTailFollowsEngine(t *testing.T) {
 		t.Fatal("no surge changes published over four simulated hours")
 	}
 	for a := 0; a < numAreas; a++ {
-		if got, want := lt.Multipliers()[a], svc.Engine().CurrentMultiplier(a); got != want {
+		if got, want := lt.Multipliers()[a], svc.Engine().View().CurrentMultiplier(a); got != want {
 			t.Errorf("area %d: live map %.2f, engine %.2f", a, got, want)
 		}
 	}

@@ -132,12 +132,7 @@ func (r *Replayer) ewt(p geo.Point) float64 {
 
 // EstimatePrice serves flat taxi fares (no surge), mirroring UberT.
 func (r *Replayer) EstimatePrice(clientID string, loc geo.LatLng) ([]core.PriceEstimate, error) {
-	f := core.DefaultFares()[core.UberT]
-	mid := f.Fare(5000, 900, 1)
-	return []core.PriceEstimate{{
-		TypeName: core.UberT.String(), Surge: 1,
-		LowUSD: mid * 0.8, HighUSD: mid * 1.2, Currency: "USD",
-	}}, nil
+	return []core.PriceEstimate{core.DefaultFares()[core.UberT].Estimate(core.UberT, 1)}, nil
 }
 
 // EstimateTime serves the nearest-taxi EWT.
