@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -58,6 +59,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		recFile = fs.String("record", "", "record the raw pingClient stream into a tsdb store at this directory")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// The campaign ends at the whole second hours×3600, which must be a
+	// positive int64; for any other -hours, or -rounds < 1, it would measure
+	// nothing.
+	if secs := *hours * 3600; !(secs >= 1 && secs < math.MaxInt64) {
+		fmt.Fprintf(stderr, "-hours %v: must be a positive, finite number of hours (at least one second, below 2^63 seconds)\n", *hours)
+		return 2
+	}
+	if *rounds < 1 {
+		fmt.Fprintf(stderr, "-rounds %d: must be at least 1\n", *rounds)
 		return 2
 	}
 	profile, err := sim.ProfileByName(*city)

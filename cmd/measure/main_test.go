@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/record"
+	"repro/internal/sim"
 )
 
 func TestRun(t *testing.T) {
@@ -19,6 +22,9 @@ func TestRun(t *testing.T) {
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A reachable backend, so that a -rounds row fails on the flag alone.
+	backend := httptest.NewServer(api.NewServer(api.NewBackend(sim.Manhattan(), 11, false)))
+	defer backend.Close()
 	// 0.1667 h is the paper's campaign for ten simulated minutes: 120
 	// rounds of 43 clients.
 	const tenMinutes, wantRows = "0.1667", "recorded 5160 rows"
@@ -37,6 +43,16 @@ func TestRun(t *testing.T) {
 		{"unknown store with -record", []string{"-store", "tsdb", "-record", filepath.Join(dir, "x")}, 2, "", "flag provided but not defined: -store", ""},
 		{"unwritable recording", []string{"-hours", tenMinutes, "-record", filepath.Join(file, "c.tsdb")}, 1, "", "not a directory", ""},
 		{"unreachable backend", []string{"-addr", "http://127.0.0.1:1", "-rounds", "1"}, 1, "", "register", ""},
+		// A campaign that would measure nothing is a command line error; each
+		// of these used to print "rounds: 0" and exit 0.
+		{"negative hours", []string{"-hours", "-1"}, 2, "", "-hours -1", ""},
+		{"zero hours", []string{"-hours", "0"}, 2, "", "-hours 0", ""},
+		{"under a second", []string{"-hours", "0.0001"}, 2, "", "-hours 0.0001", ""},
+		{"NaN hours", []string{"-hours", "NaN"}, 2, "", "-hours NaN", ""},
+		{"infinite hours", []string{"-hours", "Inf"}, 2, "", "-hours +Inf", ""},
+		{"hours overflow int64 seconds", []string{"-hours", "1e300"}, 2, "", "-hours 1e+300", ""},
+		{"zero rounds", []string{"-addr", backend.URL, "-rounds", "0"}, 2, "", "-rounds 0", ""},
+		{"negative rounds", []string{"-addr", backend.URL, "-rounds", "-5"}, 2, "", "-rounds -5", ""},
 		// The old quickstart's file name: -record still writes a store.
 		{"jsonl", []string{"-hours", tenMinutes, "-record", filepath.Join(dir, "c.jsonl.gz")}, 0, wantRows, "", filepath.Join(dir, "c.jsonl.gz")},
 		{"tsdb", []string{"-hours", tenMinutes, "-record", filepath.Join(dir, "c.tsdb")}, 0, wantRows, "", filepath.Join(dir, "c.tsdb")},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +16,16 @@ import (
 	"repro/internal/surge"
 )
 
+// epochReader is what a snapshot and the live world it was taken from both
+// answer.
+type epochReader interface {
+	NearestCars(vt core.VehicleType, pos geo.Point, k int) []core.CarView
+	EWT(vt core.VehicleType, pos geo.Point) float64
+}
+
 // epochAnswers reads every product's NearestCars (paths copied out) and EWT
-// at each point from one snapshot.
-func epochAnswers(snap *sim.Snapshot, pts []geo.Point) (cars [][]core.CarView, ewts []float64) {
+// at each point from one snapshot, or from the world.
+func epochAnswers(snap epochReader, pts []geo.Point) (cars [][]core.CarView, ewts []float64) {
 	for _, p := range pts {
 		for _, vt := range core.AllVehicleTypes() {
 			views := snap.NearestCars(vt, p, core.MaxVisibleCars)
@@ -115,11 +123,123 @@ func TestPinnedEpochSurvivesSteps(t *testing.T) {
 	}
 }
 
-// TestServiceStepAllocs pins what a steady Service.Step allocates: with the
-// retired epochs' slabs, cell tables and factor table reused, what is left
-// is the history chunks the build renews (176 B each) and a small constant
-// for the tick, the engine and the epoch itself — not a slab and a cell
-// table per product every tick.
+// epochPoints is a 4×3 lattice of plane points over the service region.
+func epochPoints(s *Service) []geo.Point {
+	region := s.World().Profile().Region
+	var pts []geo.Point
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 3; j++ {
+			pts = append(pts, geo.Point{
+				X: region.Min.X + (0.1+0.25*float64(i))*region.Width(),
+				Y: region.Min.Y + (0.15+0.35*float64(j))*region.Height(),
+			})
+		}
+	}
+	return pts
+}
+
+// copyPing deep-copies a ping response, paths included.
+func copyPing(r *core.PingResponse) *core.PingResponse {
+	c := *r
+	c.Types = slices.Clone(r.Types)
+	for i := range c.Types {
+		c.Types[i].Cars = slices.Clone(r.Types[i].Cars)
+		for j := range c.Types[i].Cars {
+			c.Types[i].Cars[j].Path = slices.Clone(r.Types[i].Cars[j].Path)
+		}
+	}
+	return &c
+}
+
+// A Path a ping returned is the caller's for good: publish hands the history
+// chunks of recycled epochs to later builds, but never one a query was served
+// a window of. Responses served over the first chunk period are held across
+// three more of Steps, while concurrent pings pin and release the epochs
+// around them, and must equal the copies taken when they were served.
+func TestServedPathsSurviveReuse(t *testing.T) {
+	s := testBackend(t, false)
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	reused := reg.Counter("sim_snapshot_history_reused_total")
+	proj := s.World().Projection()
+	pts := epochPoints(s)
+
+	const readers = 2
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(loc geo.LatLng) {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, err := s.PingClient("tester", loc); err != nil {
+					t.Errorf("PingClient: %v", err)
+					return
+				}
+			}
+		}(proj.ToLatLng(pts[r]))
+	}
+
+	// A history chunk lasts eight builds.
+	const chunkBuilds = 8
+	type served struct{ resp, copy *core.PingResponse }
+	var held []served
+	for i := 0; i < 4*chunkBuilds; i++ {
+		if i < chunkBuilds {
+			for _, p := range pts[readers:] {
+				resp, err := s.PingClient("tester", proj.ToLatLng(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, served{resp, copyPing(resp)})
+			}
+		}
+		s.Step()
+	}
+	stop.Store(true)
+	wg.Wait()
+	for i, h := range held {
+		if !reflect.DeepEqual(h.resp, h.copy) {
+			t.Fatalf("held response %d changed after it was served:\n now  %+v\n then %+v", i, h.resp, h.copy)
+		}
+	}
+	if reused.Value() == 0 {
+		t.Fatal("no build reused a history chunk: nothing was tested")
+	}
+}
+
+// A pinned epoch's history chunks are not reused either, though no query was
+// served them yet: the epoch pinned here is first read after 24 Steps, and
+// must then answer as the live world did when it was pinned.
+func TestPinnedEpochChunksNotReused(t *testing.T) {
+	s := testBackend(t, false)
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	reused := reg.Counter("sim_snapshot_history_reused_total")
+	pts := epochPoints(s)
+
+	st := s.acquire()
+	// Nothing steps the world while it shows the pinned epoch's instant.
+	cars, ewts := epochAnswers(s.World(), pts)
+	for i := 0; i < 24; i++ {
+		s.Step()
+	}
+	gotCars, gotEWTs := epochAnswers(st.world, pts)
+	st.release()
+	if !reflect.DeepEqual(gotCars, cars) || !reflect.DeepEqual(gotEWTs, ewts) {
+		t.Fatal("a pinned epoch no query had read answered differently after 24 Steps")
+	}
+	if reused.Value() == 0 {
+		t.Fatal("no build reused a history chunk: nothing was tested")
+	}
+}
+
+// TestServiceStepAllocs pins what a steady, query-free Service.Step
+// allocates: with the retired epochs' slabs, cell tables and factor table
+// reused, and the history chunks the build renews taken from the chunks
+// recycled epochs left behind (no query was served one), what is left is a
+// small constant for the tick, the engine and the epoch itself — not a slab
+// and a cell table per product, nor a chunk per renewal, every tick.
 func TestServiceStepAllocs(t *testing.T) {
 	profile := sim.Manhattan().Scale(24)
 	w := sim.NewWorld(sim.Config{Profile: profile, Seed: 24, StartTime: 15 * 3600, Workers: 1})
@@ -127,21 +247,25 @@ func TestServiceStepAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 	renewals := reg.Counter("sim_snapshot_history_renewals_total")
+	reused := reg.Counter("sim_snapshot_history_reused_total")
 	for i := 0; i < 24; i++ {
 		s.Step()
 	}
-	const steps, chunkBytes, slack = 12, 176, 32 << 10
+	const steps, limit = 12, 32 << 10
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	bytes, r := ms.TotalAlloc, renewals.Value()
+	bytes, r, u := ms.TotalAlloc, renewals.Value(), reused.Value()
 	for i := 0; i < steps; i++ {
 		s.Step()
 	}
 	runtime.ReadMemStats(&ms)
 	per := float64(ms.TotalAlloc-bytes) / steps
-	r = renewals.Value() - r
-	if limit := float64(r*chunkBytes)/steps + slack; per > limit {
-		t.Fatalf("a Service.Step allocated %.0f B, want <= %.0f (%d history renewals per step)", per, limit, r/steps)
+	r, u = renewals.Value()-r, reused.Value()-u
+	if per > limit {
+		t.Errorf("a Service.Step allocated %.0f B, want <= %d (%d history renewals, %d reused per step)", per, limit, r/steps, u/steps)
 	}
-	t.Logf("%.0f B per Service.Step, %d history renewals per step", per, r/steps)
+	if r == 0 || 10*u < 9*r {
+		t.Errorf("%d of %d history renewals reused a recycled chunk, want >= 90%%", u, r)
+	}
+	t.Logf("%.0f B per Service.Step, %d history renewals per step, %d reused", per, r/steps, u/steps)
 }

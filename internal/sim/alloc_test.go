@@ -38,7 +38,8 @@ func TestMovePhaseZeroAlloc(t *testing.T) {
 
 // rushWorldInRenewalCycle returns an instrumented 24× Manhattan at the
 // evening rush, stepped and snapshotted until the path rings are saturated
-// and the history chunks renew a sixth of the fleet per build.
+// and the history chunks renew an eighth of the fleet per build. It never
+// recycles, so every renewal makes a chunk.
 func rushWorldInRenewalCycle(seed int64) (*World, *obs.Registry) {
 	w := NewWorld(Config{Profile: Manhattan().Scale(24), Seed: seed, StartTime: 17 * 3600, Workers: 1})
 	reg := obs.NewRegistry()
@@ -86,7 +87,7 @@ func TestSnapshotAllocsPerBuild(t *testing.T) {
 // TestSnapshotBytesPerCar pins what a build costs per car: every idle car
 // cruises every tick, so every build encodes the whole idle fleet, and each
 // car may allocate only its 32-byte slab entry plus its share of a history
-// chunk (176 B every pathLen+1 builds) and of the cell tables — not a fresh
+// chunk (224 B every histPoints-pathLen+1 builds) and of the cell tables — not a fresh
 // path. Re-seed offsets are staggered by slot, so no
 // build pays for the whole fleet's chunk renewals at once.
 func TestSnapshotBytesPerCar(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -29,9 +30,11 @@ import (
 // consecutive snapshots share only the append-only per-car path histories
 // they window into (carHist). A snapshot no query will read again may be
 // handed back with World.Recycle, and a later build overwrites its slabs,
-// cell tables and frozen factor table; the struct itself and the histories
-// are never reused, so Now, Areas, Region, Proj and every served Path stay
-// valid. All methods are safe for unlimited concurrent use until Recycle.
+// cell tables and frozen factor table, and reuses the history chunks no
+// query was ever served a window of once every epoch that windowed into them
+// has been recycled. The struct itself and the served chunks are never
+// reused, so Now, Areas, Region, Proj and every served Path stay valid. All
+// methods are safe for unlimited concurrent use until Recycle.
 type Snapshot struct {
 	// Now is the simulation time the snapshot was taken at.
 	Now int64
@@ -49,15 +52,28 @@ type Snapshot struct {
 	// and factors the congestion factor table it reads (nil on the plane).
 	trip    tripFunc
 	factors []float64
+	// seq is the build that made the snapshot (snapBuilder.seq).
+	seq uint32
 }
+
+// histPoints is a history chunk's capacity: 12 points make carHist exactly
+// the 224 B size class, and a chunk lasts histPoints-pathLen+1 builds.
+const histPoints = 12
 
 // carHist is one car's projected path history, oldest first. It is
 // append-only: the builder writes only past every published snapCar.end,
 // so a published window is never written again, and starts a fresh chunk
-// when this one is full (176 B, a size class; every pathLen+1 builds).
+// when this one is full (every histPoints-pathLen+1 builds). A chunk left
+// behind may be reused for another car (see World.Recycle) unless served
+// says a query returned a window of it: that Path is the caller's for good.
 type carHist struct {
 	id  string
-	pts [2 * pathLen]geo.LatLng
+	pts [histPoints]geo.LatLng
+	// born is the build that started the chunk.
+	born   uint32
+	served atomic.Bool
+	// next links the builder's retired and free lists; no reader reads it.
+	next *carHist
 }
 
 // snapCar is one idle car frozen into a snapshot: the plane position and
@@ -108,7 +124,8 @@ func (s *Snapshot) EWT(vt core.VehicleType, pos geo.Point) float64 {
 // wire-format views, ordered by ascending distance with ties broken by
 // slot — the same cars in the same order World.NearestCars returns. The
 // returned slice is fresh; the Path slices are shared with the cars'
-// history chunks and must be treated as read-only.
+// history chunks, must be treated as read-only, and stay valid for good:
+// a chunk once served is never reused.
 func (s *Snapshot) NearestCars(vt core.VehicleType, pos geo.Point, k int) []core.CarView {
 	var buf [core.MaxVisibleCars]snapNeighbor // exact for every ping; a larger k grows it
 	near := s.products[int(vt)].kNearest(pos, k, buf[:0])
@@ -116,6 +133,9 @@ func (s *Snapshot) NearestCars(vt core.VehicleType, pos geo.Point, k int) []core
 	for _, nb := range near {
 		// Cap-limited to its window: later appends to the chunk are out of reach.
 		h, end := nb.car.hist, int(nb.car.end)
+		if !h.served.Load() { // a load, not a store, on the common path: chunks are shared by readers
+			h.served.Store(true)
+		}
 		out = append(out, core.CarView{ID: h.id, Pos: h.pts[end-1], Path: h.pts[end-int(nb.car.n) : end : end]})
 	}
 	return out
@@ -178,13 +198,13 @@ func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighb
 
 // snapBuilder is what the world remembers between snapshot builds: each
 // visible slot's path history (see carHist) and the build that last encoded
-// it, and the buffers of epochs handed back by World.Recycle. No cell entry
-// is remembered — every idle car cruises every tick, so every build
-// re-encodes every visible car and no cell entry of one epoch is valid in
-// the next (measured: DESIGN.md "Snapshot build"); only the memory it was
-// written to is. The sim phases owe the builder nothing: it reads the live
-// idle grids and the fleet's pathGen, and a world that never snapshots pays
-// nothing.
+// it, and the buffers and unserved history chunks of epochs handed back by
+// World.Recycle. No cell entry is remembered — every idle car cruises every
+// tick, so every build re-encodes every visible car and no cell entry of one
+// epoch is valid in the next (measured: DESIGN.md "Snapshot build"); only
+// the memory it was written to is. The sim phases owe the builder nothing:
+// it reads the live idle grids and the fleet's pathGen, and a world that
+// never snapshots pays nothing.
 type snapBuilder struct {
 	slots []snapSlot
 	// spare holds recycled cell tables and slabs per product, and
@@ -193,10 +213,17 @@ type snapBuilder struct {
 	spareFactors []float64
 	// seq numbers the builds, from 1.
 	seq uint32
-	// renewals counts this build's fresh history chunks; the counters are
-	// World.Instrument's, bumped once per build.
-	renewals                 int64
-	mCars, mRenewals, mCells *obs.Counter
+	// retired lists the chunks build seq renewed away from their slots, until
+	// a Recycle moves the reusable ones to free or the next build drops it.
+	retired, free *carHist
+	// recycled is the last epoch Recycle took in order; every epoch in
+	// (leak, recycled] went through Recycle, and those up to leak may not.
+	recycled, leak uint32
+	// renewals counts the history chunks this build started and reused those
+	// of them taken from free; the counters are World.Instrument's, bumped
+	// once per build.
+	renewals, reused                  int64
+	mCars, mRenewals, mReused, mCells *obs.Counter
 }
 
 // snapSlot is the builder's memory of one fleet slot: its history chunk, the
@@ -228,7 +255,8 @@ type snapSlot struct {
 func (w *World) Snapshot() *Snapshot {
 	b := &w.snap
 	b.seq++
-	b.renewals = 0
+	b.renewals, b.reused = 0, 0
+	b.drainRetired(false) // no Recycle claimed the last build's
 	for len(b.slots) < w.fleet.high {
 		b.slots = append(b.slots, snapSlot{})
 	}
@@ -238,6 +266,7 @@ func (w *World) Snapshot() *Snapshot {
 		Region:  w.profile.Region,
 		Proj:    w.proj,
 		areaIdx: w.areaIndex,
+		seq:     b.seq,
 	}
 	snap.trip, snap.factors = w.mv.freeze(b.spareFactors)
 	b.spareFactors = nil
@@ -283,6 +312,7 @@ func (w *World) Snapshot() *Snapshot {
 	}
 	b.mCars.Add(cars)
 	b.mRenewals.Add(b.renewals)
+	b.mReused.Add(b.reused)
 	b.mCells.Add(cells)
 	return snap
 }
@@ -291,9 +321,17 @@ func (w *World) Snapshot() *Snapshot {
 // build, which overwrites them. The caller guarantees that no query is
 // reading s and none will: afterwards s answers as if no car were idle. Its
 // Now, Areas, Region and Proj stay valid, and so do the Paths it served,
-// which alias history chunks that are never reused. Recycling s twice is
-// harmless. Like Snapshot, it must be called from the goroutine that steps
-// the world.
+// which alias history chunks that are never reused once served.
+//
+// Recycle also hands back history chunks. Epochs are expected in build
+// order; one that skips some marks the skipped ones as leaked (pinned, or
+// built by a caller that does not recycle), for good. When s is recycled
+// and the latest build is at most s's next, every epoch that windows into
+// a chunk that build renewed lies between the chunk's birth and s. So a
+// chunk born after the last leaked epoch, and never served, has no reader
+// left, and the next builds reuse it. An out-of-order or repeated Recycle
+// only hands back buffers. Like Snapshot, it must be called from the
+// goroutine that steps the world.
 func (w *World) Recycle(s *Snapshot) {
 	b := &w.snap
 	for vt := range s.products {
@@ -306,6 +344,45 @@ func (w *World) Recycle(s *Snapshot) {
 	if s.factors != nil {
 		b.spareFactors, s.factors = s.factors, nil
 	}
+	if s.seq <= b.recycled {
+		return
+	}
+	if s.seq != b.recycled+1 {
+		b.leak = s.seq - 1
+	}
+	b.recycled = s.seq
+	if b.seq <= s.seq+1 {
+		b.drainRetired(true)
+	}
+}
+
+// drainRetired empties the retired list. With reusable set it moves to free
+// the chunks born after the last leaked epoch and never served; every other
+// chunk is unlinked, for the GC to take once no epoch or Path holds it.
+func (b *snapBuilder) drainRetired(reusable bool) {
+	for h := b.retired; h != nil; {
+		next := h.next
+		h.next = nil
+		if reusable && h.born > b.leak && !h.served.Load() {
+			h.next, b.free = b.free, h
+		}
+		h = next
+	}
+	b.retired = nil
+}
+
+// newHist returns a history chunk for a car of session id, born at this
+// build: a reusable one if Recycle left any, else a fresh one.
+func (b *snapBuilder) newHist(id string) *carHist {
+	h := b.free
+	if h == nil {
+		return &carHist{id: id, born: b.seq}
+	}
+	b.free, h.next = h.next, nil
+	h.id, h.born = id, b.seq
+	h.served.Store(false)
+	b.reused++
+	return h
 }
 
 // encodeCar returns slot s's cell entry for this build. A car the preceding
@@ -325,9 +402,12 @@ func (w *World) encodeCar(s int32) snapCar {
 	if !stayed || f.pathGen[s] != sl.gen {
 		one := stayed && f.pathGen[s] == sl.gen+1
 		if !one || int(sl.end) == len(sl.hist.pts) {
-			sl.hist, sl.end = &carHist{id: f.session[s]}, 0
+			if sl.hist != nil {
+				sl.hist.next, b.retired = b.retired, sl.hist
+			}
+			sl.hist, sl.end = b.newHist(f.session[s]), 0
 			if !one {
-				sl.end = uint8(s % (pathLen + 1))
+				sl.end = uint8(s % (histPoints - pathLen + 1))
 			}
 			var ring [pathLen]geo.Point
 			for _, p := range f.pathPoints(s, ring[:0])[:n-1] {

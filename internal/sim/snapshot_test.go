@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/obs"
 )
 
 // snapshotWorld returns a mid-morning Manhattan world with traffic flowing.
@@ -24,24 +25,57 @@ func snapshotWorld(t testing.TB, seed int64) *World {
 // EWT and NearestCars, which must agree exactly.
 func requireSnapshotMatchesWorld(t *testing.T, w *World, s *Snapshot, rng *rand.Rand, n int) {
 	t.Helper()
-	if s.Now != w.Now() {
-		t.Fatalf("snapshot Now = %d, world Now = %d", s.Now, w.Now())
-	}
+	requireSnapshotAnswers(t, s, worldAnswers(w, rng, n))
+}
+
+// answers are the live world's replies at some instant to the questions a
+// snapshot of that instant must answer identically.
+type answers struct {
+	now   int64
+	pts   []geo.Point
+	areas []int
+	ewts  [][core.NumVehicleTypes]float64
+	cars  [][core.NumVehicleTypes][]core.CarView
+}
+
+// worldAnswers asks the live world AreaOf, and every product's EWT and
+// NearestCars, at n random points.
+func worldAnswers(w *World, rng *rand.Rand, n int) answers {
+	a := answers{now: w.Now()}
 	r := w.Profile().Region
 	for q := 0; q < n; q++ {
 		p := geo.Point{
 			X: r.Min.X + rng.Float64()*r.Width(),
 			Y: r.Min.Y + rng.Float64()*r.Height(),
 		}
-		if got, want := s.AreaOf(p), AreaOf(w.Areas(), p); got != want {
+		var ewts [core.NumVehicleTypes]float64
+		var cars [core.NumVehicleTypes][]core.CarView
+		for _, vt := range core.AllVehicleTypes() {
+			ewts[vt] = w.EWT(vt, p)
+			cars[vt] = w.NearestCars(vt, p, core.MaxVisibleCars)
+		}
+		a.pts, a.areas = append(a.pts, p), append(a.areas, AreaOf(w.Areas(), p))
+		a.ewts, a.cars = append(a.ewts, ewts), append(a.cars, cars)
+	}
+	return a
+}
+
+// requireSnapshotAnswers asks s the questions of a, which it must answer
+// exactly as the world did.
+func requireSnapshotAnswers(t *testing.T, s *Snapshot, a answers) {
+	t.Helper()
+	if s.Now != a.now {
+		t.Fatalf("snapshot Now = %d, world Now = %d", s.Now, a.now)
+	}
+	for q, p := range a.pts {
+		if got, want := s.AreaOf(p), a.areas[q]; got != want {
 			t.Fatalf("AreaOf(%v) = %d, brute force = %d", p, got, want)
 		}
 		for _, vt := range core.AllVehicleTypes() {
-			if got, want := s.EWT(vt, p), w.EWT(vt, p); got != want {
+			if got, want := s.EWT(vt, p), a.ewts[q][vt]; got != want {
 				t.Fatalf("EWT(%v, %v) = %v, world = %v", vt, p, got, want)
 			}
-			got := s.NearestCars(vt, p, core.MaxVisibleCars)
-			want := w.NearestCars(vt, p, core.MaxVisibleCars)
+			got, want := s.NearestCars(vt, p, core.MaxVisibleCars), a.cars[q][vt]
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("NearestCars(%v, %v):\n snapshot %+v\n world    %+v", vt, p, got, want)
 			}
@@ -180,6 +214,92 @@ func TestSnapshotRecycledBuildsMatchFresh(t *testing.T) {
 				t.Fatalf("%d logoff waves, %d recycled slabs reused and %d regrown in %d builds", waves, reused, regrown, builds)
 			}
 			t.Logf("%d logoff waves, %d recycled slabs reused and %d regrown in %d builds", waves, reused, regrown, builds)
+		})
+	}
+}
+
+// Reused history chunks never reach a reader. Before every build the epoch
+// two back is recycled, as api.Service.publish does, and first read: until
+// then it must still answer as the world did when it was built, so a chunk
+// it windows into reused one build early shows as a changed answer. Each
+// epoch is read first at its recycle, so nothing marks its chunks served
+// before the builds that could reuse them. Random skips stand in for pins:
+// a skipped epoch is never recycled and must answer the same at the end.
+// Some recycles come just after the next build instead of just before it,
+// which World.Recycle allows: the latest build's chunks are still windowed
+// by the epoch in between and must not be freed. Sessions replaced inside
+// their slots and logoff waves between two builds at one instant move
+// chunks from car to car.
+func TestSnapshotReusedChunksNeverReachAReader(t *testing.T) {
+	for _, roads := range []bool{false, true} {
+		name := "euclid"
+		if roads {
+			name = "road"
+		}
+		t.Run(name, func(t *testing.T) {
+			// Four times the calibrated fleet: the few cars each epoch's
+			// questions are served stay a small share of those renewing.
+			p := Manhattan().Scale(4)
+			p.RoadNetwork = roads
+			w := NewWorld(Config{Profile: p, Seed: 17, StartTime: 8 * 3600, Workers: 1})
+			reg := obs.NewRegistry()
+			w.Instrument(reg)
+			renewals := reg.Counter("sim_snapshot_history_renewals_total")
+			reused := reg.Counter("sim_snapshot_history_reused_total")
+			rng := rand.New(rand.NewSource(8))
+			type epoch struct {
+				s *Snapshot
+				a answers
+			}
+			var epochs, pinned []epoch
+			// recycle takes the epoch two before the build about to be made
+			// (after: just made).
+			recycle := func(after bool) {
+				i := len(epochs) - 2
+				if after {
+					i--
+				}
+				if i < 0 {
+					return
+				}
+				if e := epochs[i]; rng.Intn(16) == 0 {
+					pinned = append(pinned, e)
+				} else {
+					requireSnapshotAnswers(t, e.s, e.a)
+					w.Recycle(e.s)
+				}
+			}
+			build := func() {
+				late := rng.Intn(4) == 0
+				if !late {
+					recycle(false)
+				}
+				s := w.Snapshot()
+				epochs = append(epochs, epoch{s, worldAnswers(w, rng, 3)})
+				if late {
+					recycle(true)
+				}
+			}
+			for tick := 0; tick < 240; tick++ {
+				if rng.Intn(4) == 0 {
+					recycleIdleSlot(t, w, rng)
+				}
+				w.Step()
+				build()
+				if rng.Intn(8) == 0 {
+					w.ForceOffline(core.UberX, rng.Intn(len(w.Areas())), 10, 60)
+					build()
+				}
+			}
+			for _, e := range pinned {
+				requireSnapshotAnswers(t, e.s, e.a)
+			}
+			if r, u := renewals.Value(), reused.Value(); len(pinned) < 5 || 5*u < r {
+				t.Fatalf("%d of %d history renewals reused a chunk and %d epochs pinned in %d builds; want a fifth and 5",
+					u, r, len(pinned), len(epochs))
+			}
+			t.Logf("%d of %d history renewals reused a chunk, %d epochs pinned in %d builds",
+				reused.Value(), renewals.Value(), len(pinned), len(epochs))
 		})
 	}
 }

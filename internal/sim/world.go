@@ -249,9 +249,10 @@ var phaseLabelSets = func() [numPhases]pprof.LabelSet {
 //	sim_time_seconds            simulation clock
 //	sim_pickups_total           fulfilled requests
 //	sim_requests_priced_out_total / sim_requests_unmet_total  lost demand
-//	sim_snapshot_{cars_reencoded,history_renewals,cells_rebuilt}_total  what
-//	Snapshot builds made: cars encoded (the idle cars of each build), fresh
-//	history chunks among them, non-empty grid cells
+//	sim_snapshot_{cars_reencoded,history_renewals,history_reused,cells_rebuilt}_total
+//	what Snapshot builds made: cars encoded (the idle cars of each build),
+//	history chunks started for them, those of the chunks that a recycled
+//	epoch handed back (see Recycle), non-empty grid cells
 func (w *World) Instrument(reg *obs.Registry) {
 	w.hStep = reg.Histogram("sim_step_duration_seconds", nil)
 	for i := range w.hPhase {
@@ -267,6 +268,7 @@ func (w *World) Instrument(reg *obs.Registry) {
 	w.lastUnmet = w.TotalUnmet
 	w.snap.mCars = reg.Counter("sim_snapshot_cars_reencoded_total")
 	w.snap.mRenewals = reg.Counter("sim_snapshot_history_renewals_total")
+	w.snap.mReused = reg.Counter("sim_snapshot_history_reused_total")
 	w.snap.mCells = reg.Counter("sim_snapshot_cells_rebuilt_total")
 }
 
