@@ -14,6 +14,9 @@ package repro
 
 import (
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -442,4 +445,46 @@ func BenchmarkServiceStep(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPingServe measures what a shard's handler pays for one
+// /pingClient — query parsing, auth, the pinned epoch and the body written
+// from it into a pooled buffer — on a warm Manhattan backend with the jitter
+// bug on. The ResponseWriter keeps its header map and discards the body, so
+// net/http's connection state is not in the number.
+func BenchmarkPingServe(b *testing.B) {
+	s := api.NewBackend(sim.Manhattan(), 1, true)
+	s.Register("bench-00")
+	s.RunUntil(300)
+	h := api.NewServer(s)
+	loc := s.World().Profile().Origin
+	req := httptest.NewRequest(http.MethodGet, "/pingClient?client=bench-00&lat="+
+		strconv.FormatFloat(loc.Lat, 'g', -1, 64)+"&lng="+strconv.FormatFloat(loc.Lng, 'g', -1, 64), nil)
+	w := &discardWriter{header: http.Header{}}
+	h.ServeHTTP(w, req) // warms the body pool
+	if w.status != http.StatusOK || w.n == 0 {
+		b.Fatalf("/pingClient answered %d with %d bytes", w.status, w.n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, req)
+	}
+}
+
+// discardWriter is an http.ResponseWriter that records the status and the
+// body's length.
+type discardWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) WriteHeader(status int) { w.status = status }
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.n = len(p)
+	return len(p), nil
 }

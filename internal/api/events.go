@@ -8,6 +8,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -30,26 +31,36 @@ func (s *Service) SetEventSinks(pings, registers func(bus.Event)) {
 	s.events.Store(&eventSinks{pings: pings, registers: registers})
 }
 
-// emitPing publishes the response served to one pingClient call.
-func (s *Service) emitPing(clientID string, loc geo.LatLng, area int, resp *core.PingResponse) {
-	sinks := s.events.Load()
-	if sinks == nil || sinks.pings == nil {
-		return
-	}
+// emitPing publishes, through sinks.pings, the answer served at now to one
+// pingClient call in its stored form.
+func (s *Service) emitPing(sinks *eventSinks, clientID string, loc geo.LatLng, area int, now int64, types []wire.TypeObs) {
 	o := bus.Observation{
 		Client: clientID,
 		Lat:    loc.Lat,
 		Lng:    loc.Lng,
-		Time:   resp.Time,
-		Types:  wire.FromResponse(resp),
+		Time:   now,
+		Types:  types,
 	}
 	sinks.pings(bus.Event{
-		Time: resp.Time,
+		Time: now,
 		Kind: bus.KindPing,
 		Key:  clientID,
 		Area: int32(area),
 		Data: bus.AppendObservation(nil, &o),
 	})
+}
+
+// typeObs is one product's section of a served ping in its stored form, as
+// wire.FromResponse converts it: no path vectors.
+func typeObs(vt core.VehicleType, cars []sim.NearCar, ewt, surge float64) wire.TypeObs {
+	t := wire.TypeObs{Name: vt.String(), Surge: surge, EWT: ewt}
+	if len(cars) > 0 {
+		t.Cars = make([]wire.Car, len(cars))
+	}
+	for i, c := range cars {
+		t.Cars[i] = wire.Car{ID: c.ID, Lat: c.Pos.Lat, Lng: c.Pos.Lng}
+	}
+	return t
 }
 
 // emitRegister publishes a first-time account registration.

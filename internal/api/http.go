@@ -73,7 +73,7 @@ func NewServer(svc *Service, opts ...ServerOption) *Server {
 		s.ready.AddCheck("epoch", svc.EpochPublished)
 	}
 	s.route("POST /login", "/login", s.handleLogin)
-	s.route("GET /pingClient", "/pingClient", query(svc.PingClient))
+	s.route("GET /pingClient", "/pingClient", s.handlePing)
 	s.route("GET /estimates/price", "/estimates/price", query(svc.EstimatePrice))
 	s.route("GET /estimates/time", "/estimates/time", query(svc.EstimateTime))
 	s.route("GET /health", "/health", s.handleHealth)
@@ -157,9 +157,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody answers status with an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // WriteError answers status with the API's one error body, {"error": msg}.
@@ -211,19 +216,28 @@ func QueryLoc(q url.Values) (geo.LatLng, error) {
 	return geo.LatLng{Lat: lat, Lng: lng}, nil
 }
 
-// query adapts one of the Service's per-account GPS queries to HTTP: the
-// three GET endpoints differ only in the call and its response type.
+// queryArgs reads the account and location of a per-account GPS query,
+// answering 400 when either is missing or invalid.
+func queryArgs(w http.ResponseWriter, r *http.Request) (client string, loc geo.LatLng, ok bool) {
+	q := r.URL.Query()
+	if client = q.Get("client"); client == "" {
+		WriteError(w, http.StatusBadRequest, "client parameter required")
+		return "", loc, false
+	}
+	loc, err := QueryLoc(q)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return "", loc, false
+	}
+	return client, loc, true
+}
+
+// query adapts one of the Service's estimate queries to HTTP: the two
+// endpoints differ only in the call and its response type.
 func query[T any](call func(client string, loc geo.LatLng) (T, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		client := q.Get("client")
-		if client == "" {
-			WriteError(w, http.StatusBadRequest, "client parameter required")
-			return
-		}
-		loc, err := QueryLoc(q)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, err.Error())
+		client, loc, ok := queryArgs(w, r)
+		if !ok {
 			return
 		}
 		resp, err := call(client, loc)
@@ -233,6 +247,29 @@ func query[T any](call func(client string, loc geo.LatLng) (T, error)) http.Hand
 		}
 		WriteJSON(w, http.StatusOK, resp)
 	}
+}
+
+// handlePing answers /pingClient with the body the ping walk appends from
+// the pinned epoch into a pooled buffer: the bytes WriteJSON writes for
+// PingClient's response, a value encoding/json refuses answered 500 with
+// its error, without building the response or holding any of its paths.
+func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
+	client, loc, ok := queryArgs(w, r)
+	if !ok {
+		return
+	}
+	buf := getBody()
+	defer putBody(buf)
+	if err := s.svc.ping(client, loc, &buf.ping); err != nil {
+		writeErr(w, err)
+		return
+	}
+	body, err := buf.ping.End()
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/surge"
+	"repro/internal/wire"
 )
 
 // RateLimitPerHour is Uber's documented API rate limit per user account.
@@ -265,43 +266,96 @@ func (s *Service) authLimited(clientID string, now int64) error {
 // when the April bug is active, per-client jitter. The response is served
 // entirely from the published snapshot epoch; no lock is taken.
 func (s *Service) PingClient(clientID string, loc geo.LatLng) (*core.PingResponse, error) {
-	if err := s.auth(clientID); err != nil {
+	resp := &core.PingResponse{Types: make([]core.TypeStatus, 0, len(s.offered))}
+	if err := s.ping(clientID, loc, (*pingBuilder)(resp)); err != nil {
 		return nil, err
+	}
+	return resp, nil
+}
+
+// pingSink receives one ping's answer from the walk, in document order:
+// begin, then per offered product one product call, car for each of its n
+// cars (location fuzz applied) and end. A car's Path is readable only during
+// the call; a sink that keeps it must Keep it.
+type pingSink interface {
+	begin(now int64)
+	product(vt core.VehicleType, n int)
+	car(c sim.NearCar)
+	end(ewt, surge float64)
+}
+
+// pingBuilder is PingClient's sink: the response itself, whose Paths are
+// the caller's for good.
+type pingBuilder core.PingResponse
+
+func (r *pingBuilder) begin(now int64) { r.Time = now }
+
+func (r *pingBuilder) product(vt core.VehicleType, n int) {
+	r.Types = append(r.Types, core.TypeStatus{Type: vt, TypeName: vt.String(), Cars: make([]core.CarView, 0, n)})
+}
+
+func (r *pingBuilder) car(c sim.NearCar) {
+	ts := &r.Types[len(r.Types)-1]
+	ts.Cars = append(ts.Cars, core.CarView{ID: c.ID, Pos: c.Pos, Path: c.Keep()})
+}
+
+func (r *pingBuilder) end(ewt, surge float64) {
+	ts := &r.Types[len(r.Types)-1]
+	ts.EWTSeconds, ts.Surge = ewt, surge
+}
+
+// ping is the one pingClient walk, whatever answers it: auth, the pinned
+// epoch, region and area, then per offered product the nearest cars, EWT
+// and multiplier into out, then the jitter counter and the bus event. out
+// sees every car while the epoch is pinned.
+func (s *Service) ping(clientID string, loc geo.LatLng, out pingSink) error {
+	if err := s.auth(clientID); err != nil {
+		return err
 	}
 	st := s.acquire()
 	defer st.release()
 	snap, sv := st.world, st.surge
 	p := snap.Proj.ToPlane(loc)
 	if !snap.Region.Contains(p) {
-		return nil, ErrOutOfService
+		return ErrOutOfService
 	}
 	area := snap.AreaOf(p)
 	now := snap.Now
 	fuzz := s.fuzzMeters()
-	resp := &core.PingResponse{Time: now, Types: make([]core.TypeStatus, 0, len(s.offered))}
+	sinks := s.events.Load()
+	var stored []wire.TypeObs // the bus event's, built only for a ping sink
+	if sinks != nil && sinks.pings != nil {
+		stored = make([]wire.TypeObs, 0, len(s.offered))
+	}
+	out.begin(now)
+	var buf [core.MaxVisibleCars]sim.NearCar
 	for _, vt := range s.offered {
-		ts := core.TypeStatus{
-			Type:       vt,
-			TypeName:   vt.String(),
-			Cars:       snap.NearestCars(vt, p, core.MaxVisibleCars),
-			EWTSeconds: snap.EWT(vt, p),
-			Surge:      1,
-		}
+		cars := snap.AppendNearest(buf[:0], vt, p, core.MaxVisibleCars)
+		ewt, surge := snap.EWT(vt, p), 1.0
 		if vt.Surgeable() {
-			ts.Surge = sv.ClientMultiplier(clientID, area, now)
+			surge = sv.ClientMultiplier(clientID, area, now)
 		}
 		if fuzz > 0 {
-			for i := range ts.Cars {
-				ts.Cars[i].Pos = fuzzPos(snap.Proj, fuzz, ts.Cars[i].ID, now, ts.Cars[i].Pos)
+			for i := range cars {
+				cars[i].Pos = fuzzPos(snap.Proj, fuzz, cars[i].ID, now, cars[i].Pos)
 			}
 		}
-		resp.Types = append(resp.Types, ts)
+		out.product(vt, len(cars))
+		for _, c := range cars {
+			out.car(c)
+		}
+		out.end(ewt, surge)
+		if stored != nil {
+			stored = append(stored, typeObs(vt, cars, ewt, surge))
+		}
 	}
 	if sv.InJitter(clientID, now) {
 		s.mJitterServed.Inc()
 	}
-	s.emitPing(clientID, loc, area, resp)
-	return resp, nil
+	if stored != nil {
+		s.emitPing(sinks, clientID, loc, area, now, stored)
+	}
+	return nil
 }
 
 // SetLocationFuzz enables deterministic perturbation of reported car

@@ -373,7 +373,9 @@ func (g *Gateway) do(s *Shard, r *http.Request) (*http.Response, error) {
 		cancel()
 		return nil, err
 	}
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
+	if ct := r.Header.Get("Content-Type"); ct != "" {
+		req.Header.Set("Content-Type", ct)
+	}
 	req.Header.Set(chaos.DeadlineHeader, strconv.FormatInt(budget.Milliseconds(), 10))
 	resp, err := g.cfg.HTTPClient.Do(req)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -593,5 +594,50 @@ func TestGatewayEdgeMatchesShardEdge(t *testing.T) {
 		if gBody != sBody || gType != sType {
 			t.Errorf("%s: gateway answered %q (%s), shard %q (%s)", tc.query, gBody, gType, sBody, sType)
 		}
+	}
+}
+
+// A forwarded request carries Content-Type only when the client sent one:
+// a GET reaches the shard with no Content-Type line at all (it used to carry
+// an empty one), and a login POST keeps the client's.
+func TestGatewayForwardsContentTypeOnlyWhenSent(t *testing.T) {
+	mh := sim.Manhattan()
+	svc := api.NewBackend(mh, 1, false)
+	svc.RunUntil(600)
+	inner := api.NewServer(svc)
+	var mu sync.Mutex
+	seen := map[string][]string{}
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/login" || r.URL.Path == "/pingClient" {
+			mu.Lock()
+			seen[r.URL.Path] = append([]string(nil), r.Header["Content-Type"]...)
+			mu.Unlock()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer shard.Close()
+	g := startGateway(t, Config{
+		Regions: []RegionSpec{regionSpec(mh)},
+		Shards:  []ShardSpec{{Name: "manhattan-0", Region: mh.Name, BaseURL: shard.URL}},
+	})
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	registerVia(t, gw.URL, "c1")
+	resp, err := http.Get(fmt.Sprintf("%s/pingClient?client=c1&lat=%f&lng=%f", gw.URL, mh.Origin.Lat, mh.Origin.Lng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ping via gateway: status %d", resp.StatusCode)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if ct, ok := seen["/pingClient"]; !ok || ct != nil {
+		t.Errorf("forwarded GET: shard saw Content-Type %q (forwarded %v), want no such header", ct, ok)
+	}
+	if ct := seen["/login"]; len(ct) != 1 || ct[0] != "application/json" {
+		t.Errorf("forwarded login: shard saw Content-Type %q, want [application/json]", ct)
 	}
 }

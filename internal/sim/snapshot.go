@@ -127,18 +127,54 @@ func (s *Snapshot) EWT(vt core.VehicleType, pos geo.Point) float64 {
 // history chunks, must be treated as read-only, and stay valid for good:
 // a chunk once served is never reused.
 func (s *Snapshot) NearestCars(vt core.VehicleType, pos geo.Point, k int) []core.CarView {
-	var buf [core.MaxVisibleCars]snapNeighbor // exact for every ping; a larger k grows it
-	near := s.products[int(vt)].kNearest(pos, k, buf[:0])
+	var buf [core.MaxVisibleCars]NearCar
+	near := s.AppendNearest(buf[:0], vt, pos, k)
 	out := make([]core.CarView, 0, len(near))
-	for _, nb := range near {
-		// Cap-limited to its window: later appends to the chunk are out of reach.
-		h, end := nb.car.hist, int(nb.car.end)
-		if !h.served.Load() { // a load, not a store, on the common path: chunks are shared by readers
-			h.served.Store(true)
-		}
-		out = append(out, core.CarView{ID: h.id, Pos: h.pts[end-1], Path: h.pts[end-int(nb.car.n) : end : end]})
+	for _, c := range near {
+		out = append(out, core.CarView{ID: c.ID, Pos: c.Pos, Path: c.Keep()})
 	}
 	return out
+}
+
+// NearCar is one car a nearest-car query found: its session ID, its wire
+// position, and the window of its history chunk that is its path vector.
+type NearCar struct {
+	ID  string
+	Pos geo.LatLng
+	// hist[end-n:end] is the path window.
+	hist   *carHist
+	end, n uint8
+}
+
+// Path returns the car's path vector, oldest first. It aliases the car's
+// history chunk, which a later build may reuse once the snapshot is
+// recycled: read it only until World.Recycle is called on the snapshot, or
+// hold Keep's.
+func (c NearCar) Path() []geo.LatLng {
+	// Cap-limited to its window: later appends to the chunk are out of reach.
+	return c.hist.pts[int(c.end)-int(c.n) : c.end : c.end]
+}
+
+// Keep returns Path for good: it marks the chunk served, and a served chunk
+// is never reused. Call it before World.Recycle is called on the snapshot.
+func (c NearCar) Keep() []geo.LatLng {
+	if !c.hist.served.Load() { // a load, not a store, on the common path: chunks are shared by readers
+		c.hist.served.Store(true)
+	}
+	return c.Path()
+}
+
+// AppendNearest appends to dst up to k idle cars of the product nearest to
+// pos, in NearestCars' order, and returns the extended slice. It allocates
+// nothing when dst has room for k cars and k <= core.MaxVisibleCars, and it
+// marks no chunk served: only Keep does.
+func (s *Snapshot) AppendNearest(dst []NearCar, vt core.VehicleType, pos geo.Point, k int) []NearCar {
+	var buf [core.MaxVisibleCars]snapNeighbor // exact for every ping; a larger k grows it
+	for _, nb := range s.products[int(vt)].kNearest(pos, k, buf[:0]) {
+		h, end := nb.car.hist, nb.car.end
+		dst = append(dst, NearCar{ID: h.id, Pos: h.pts[end-1], hist: h, end: end, n: nb.car.n})
+	}
+	return dst
 }
 
 // gridCellMeters is the uniform cell edge shared by the live geo.SlotGrid
