@@ -40,9 +40,8 @@ var (
 func benchRuns(b *testing.B) (*experiments.CityRun, *experiments.CityRun) {
 	b.Helper()
 	benchOnce.Do(func() {
-		opts := experiments.Options{Seed: 42, Hours: 4, Jitter: true}
-		benchMHTN = experiments.RunCity(sim.Manhattan(), opts)
-		benchSF = experiments.RunCity(sim.SanFrancisco(), opts)
+		benchMHTN = experiments.RunCity(experiments.Options{Scenario: api.Scenario{City: "manhattan", Seed: 42, Jitter: true}, Hours: 4})
+		benchSF = experiments.RunCity(experiments.Options{Scenario: api.Scenario{City: "sf", Seed: 42, Jitter: true}, Hours: 4})
 	})
 	return benchMHTN, benchSF
 }
@@ -229,8 +228,10 @@ func BenchmarkBackendDay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := sim.NewWorld(sim.Config{Profile: sim.Manhattan(), Seed: int64(i) + 1})
 		e := surge.New(w, surge.Config{Params: sim.Manhattan().Surge, Seed: int64(i) + 1})
-		r := &surge.Runner{World: w, Engine: e}
-		r.RunUntil(3600)
+		for w.Now() < 3600 {
+			w.Step()
+			e.Step(w.Now())
+		}
 	}
 }
 
@@ -309,8 +310,10 @@ func BenchmarkAblationJitter(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			w := sim.NewWorld(sim.Config{Profile: sim.SanFrancisco(), Seed: 5})
 			e := surge.New(w, surge.Config{Params: sim.SanFrancisco().Surge, Seed: 5, Jitter: jitter})
-			r := &surge.Runner{World: w, Engine: e}
-			r.RunUntil(3600)
+			for w.Now() < 3600 {
+				w.Step()
+				e.Step(w.Now())
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.View().ClientMultiplier("bench-client", i%4, w.Now())
@@ -453,7 +456,7 @@ func BenchmarkServiceStep(b *testing.B) {
 // bug on. The ResponseWriter keeps its header map and discards the body, so
 // net/http's connection state is not in the number.
 func BenchmarkPingServe(b *testing.B) {
-	s := api.NewBackend(sim.Manhattan(), 1, true)
+	s := api.Scenario{City: "manhattan", Seed: 1, Jitter: true}.Build()
 	s.Register("bench-00")
 	s.RunUntil(300)
 	h := api.NewServer(s)

@@ -25,7 +25,7 @@ func recordCampaign(t *testing.T, city string, seed, seconds int64, starts map[s
 		t.Fatal(err)
 	}
 	pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, client.NumClients)
-	svc := api.NewBackend(profile, seed, true)
+	svc := api.Scenario{City: city, Seed: seed, Jitter: true}.Build()
 	camp := client.NewCampaign(svc, svc.World().Projection(), pts)
 	camp.RegisterAll(svc)
 	var recs []record.CampaignWriter

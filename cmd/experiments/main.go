@@ -18,9 +18,10 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 
+	"repro/internal/api"
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/surge"
 )
 
@@ -50,12 +51,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	reject := func(why any) int { fmt.Fprintln(stderr, why); return 2 }
-	if err := surge.CheckEngine(*engine); err != nil {
+	// The audits measure Manhattan; the report sets each of its runs' city.
+	sc := api.Scenario{City: "manhattan", Seed: *seed, Scale: *scale, Engine: *engine, Jitter: true, Workers: *workers}
+	if !(*scale > 0) { // not "<= 0": NaN must be rejected too
+		return reject("-fleet-scale must be positive")
+	}
+	if err := sc.Validate(); err != nil {
 		return reject(err)
 	}
 	switch {
-	case !(*scale > 0): // not "<= 0": NaN must be rejected too
-		return reject("-fleet-scale must be positive")
 	case *hours < 0:
 		return reject("-hours must not be negative")
 	case *days < 1:
@@ -75,14 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dst = f
 	}
 	w := bufio.NewWriter(dst)
-	report(w, *opencab, *compare, *engine, *preamble, experiments.Options{
-		Seed:       *seed,
-		Days:       *days,
-		Hours:      *hours,
-		Jitter:     true,
-		Workers:    *workers,
-		FleetScale: *scale,
-	})
+	report(w, *opencab, *compare, *preamble, experiments.Options{Scenario: sc, Days: *days, Hours: *hours})
 	err := w.Flush()
 	if f != nil {
 		if cerr := f.Close(); err == nil {
@@ -97,19 +94,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // report writes the one report the flags select.
-func report(w io.Writer, opencab int, compare bool, engine string, preamble bool, opts experiments.Options) {
+func report(w io.Writer, opencab int, compare, preamble bool, opts experiments.Options) {
 	switch {
 	case opencab > 0:
-		cab := experiments.OpenStreetCabOptions{Seed: opts.Seed, Hours: opencab, Workers: opts.Workers}
+		cab := experiments.OpenStreetCabOptions{Seed: opts.Scenario.Seed, Hours: opencab, Workers: opts.Scenario.Workers}
 		experiments.WriteOpenStreetCab(w, cab, experiments.RunOpenStreetCab(cab))
 	case compare:
-		experiments.WriteEngineComparison(w, opts, experiments.RunEngineComparison(sim.Manhattan(), opts))
-	case engine != "":
-		experiments.WriteEngineAudit(w, experiments.AuditEngine(sim.Manhattan(), engine, opts))
+		experiments.WriteEngineComparison(w, opts, experiments.RunEngineComparison(opts))
+	case opts.Scenario.Engine != "":
+		experiments.WriteEngineAudit(w, experiments.AuditEngine(opts))
 	default:
 		if preamble {
 			experiments.WritePreamble(w)
 		}
-		experiments.Report(w, opts)
+		mhtn, sf := runCities(opts)
+		experiments.Report(w, mhtn, sf)
 	}
+}
+
+// runCities runs the report's Manhattan and San Francisco campaigns; they
+// are independent, so in parallel.
+func runCities(opts experiments.Options) (mhtn, sf *experiments.CityRun) {
+	var wg sync.WaitGroup
+	run := func(city string, out **experiments.CityRun) {
+		defer wg.Done()
+		o := opts
+		o.Scenario.City = city
+		*out = experiments.RunCity(o)
+	}
+	wg.Add(2)
+	go run("manhattan", &mhtn)
+	go run("sf", &sf)
+	wg.Wait()
+	return mhtn, sf
 }

@@ -9,11 +9,10 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/loadgen"
-	"repro/internal/sim"
 )
 
 func TestRun(t *testing.T) {
-	ts := httptest.NewServer(api.NewServer(api.NewBackend(sim.Manhattan(), 11, false)))
+	ts := httptest.NewServer(api.NewServer(api.Scenario{City: "manhattan", Seed: 11}.Build()))
 	defer ts.Close()
 	cases := []struct {
 		name   string

@@ -118,7 +118,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	} else {
-		svc := api.NewBackend(profile, *seed, *jitter)
+		svc := api.Scenario{City: *city, Seed: *seed, Jitter: *jitter}.Build()
 		camp = client.NewCampaign(svc, svc.World().Projection(), pts)
 		camp.RegisterAll(svc)
 		end = int64(*hours * 3600)

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/record"
-	"repro/internal/sim"
 )
 
 func TestRun(t *testing.T) {
@@ -23,7 +22,7 @@ func TestRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A reachable backend, so that a -rounds row fails on the flag alone.
-	backend := httptest.NewServer(api.NewServer(api.NewBackend(sim.Manhattan(), 11, false)))
+	backend := httptest.NewServer(api.NewServer(api.Scenario{City: "manhattan", Seed: 11}.Build()))
 	defer backend.Close()
 	// 0.1667 h is the paper's campaign for ten simulated minutes: 120
 	// rounds of 43 clients.

@@ -54,7 +54,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/chaos"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/surge"
 )
 
@@ -100,15 +99,15 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	logger := log.New(stderr, "uberd: ", log.LstdFlags|log.Lmsgprefix)
 
 	reject := func(why any) int { fmt.Fprintln(stderr, why); return 2 }
-	profile, err := sim.ProfileByName(*city)
-	if err != nil {
-		return reject(err)
-	}
+	sc := api.Scenario{City: *city, Seed: *seed, Scale: *scale, Road: *roads, Engine: *engine, Jitter: *jitter, Workers: *workers}
 	if !(*speedup > 0) { // not "<= 0": NaN must be rejected too
 		return reject("-speedup must be positive")
 	}
 	if !(*scale > 0) {
 		return reject("-fleet-scale must be positive")
+	}
+	if err := sc.Validate(); err != nil {
+		return reject(err)
 	}
 	if *busIngest != "" && *busDir == "" {
 		return reject("-bus-ingest requires -bus")
@@ -117,15 +116,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	if err != nil {
 		return reject(err)
 	}
-	profile = profile.Scale(*scale)
-	if *roads {
-		profile.RoadNetwork = true
-	}
 
-	svc, err := api.NewBackendEngine(profile, *seed, *jitter, *workers, *engine)
-	if err != nil {
-		return reject(err)
-	}
+	svc := sc.Build()
 	reg := obs.NewRegistry()
 	svc.Instrument(reg)
 	svc.RunUntil(*warmup)
@@ -191,7 +183,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	logger.Printf("serving %s on %s (engine %s, seed %d, jitter %v, %gx speedup, sim t=%d)",
-		profile.Name, *addr, svc.Engine().Name(), *seed, *jitter, *speedup, svc.Now())
+		svc.World().Profile().Name, *addr, svc.Engine().Name(), *seed, *jitter, *speedup, svc.Now())
 	code := 0
 	if err := api.Serve(ctx, &http.Server{Addr: *addr, Handler: mux}, ready, edge.Drain); err != nil {
 		logger.Print(err)

@@ -10,11 +10,10 @@ import (
 	"log"
 
 	"repro/internal/api"
-	"repro/internal/sim"
 )
 
 func main() {
-	svc := api.NewBackend(sim.SanFrancisco(), 33, false)
+	svc := api.Scenario{City: "sf", Seed: 33}.Build()
 	if err := svc.RegisterPartner("driver-007", true); err != nil {
 		log.Fatal(err)
 	}

@@ -11,12 +11,11 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/sim"
 )
 
 func main() {
 	// A Manhattan backend in April 2015 mode (jitter bug active).
-	svc := api.NewBackend(sim.Manhattan(), 42, true)
+	svc := api.Scenario{City: "manhattan", Seed: 42, Jitter: true}.Build()
 	svc.Register("demo")
 
 	// Stand at the center of midtown (Times Square-ish).

@@ -15,8 +15,8 @@ import (
 )
 
 func main() {
-	profile := sim.SanFrancisco()
-	svc := api.NewBackend(profile, 7, false)
+	svc := api.Scenario{City: "sf", Seed: 7}.Build()
+	profile := svc.World().Profile()
 	proj := svc.World().Projection()
 
 	// One API probe per surge area (720 requests/hour each: within the

@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // BenchmarkPingClientParallel measures the lock-free ping path under
@@ -17,7 +15,7 @@ import (
 // snapshot refactor every iteration serialized on Service.mu; now
 // throughput should scale with GOMAXPROCS.
 func BenchmarkPingClientParallel(b *testing.B) {
-	s := NewBackend(sim.SanFrancisco(), 42, true)
+	s := Scenario{City: "sf", Seed: 42, Jitter: true}.Build()
 	for i := 0; i < 64; i++ {
 		s.Register(fmt.Sprintf("bench-%02d", i))
 	}
@@ -50,7 +48,7 @@ func BenchmarkPingClientParallel(b *testing.B) {
 // BenchmarkPingClientSerial is the single-goroutine baseline for the
 // parallel benchmark (no background stepping).
 func BenchmarkPingClientSerial(b *testing.B) {
-	s := NewBackend(sim.SanFrancisco(), 42, true)
+	s := Scenario{City: "sf", Seed: 42, Jitter: true}.Build()
 	s.Register("bench-00")
 	loc := center(s)
 	s.Step()
@@ -67,7 +65,7 @@ func BenchmarkPingClientSerial(b *testing.B) {
 // plus the snapshot read, across 64 accounts so charges spread over all
 // 16 shards.
 func BenchmarkEstimatePriceParallel(b *testing.B) {
-	s := NewBackend(sim.SanFrancisco(), 42, false)
+	s := Scenario{City: "sf", Seed: 42}.Build()
 	for i := 0; i < 64; i++ {
 		s.Register(fmt.Sprintf("bench-%02d", i))
 	}
@@ -92,7 +90,7 @@ func BenchmarkEstimatePriceParallel(b *testing.B) {
 // both ends (the server runs in this process); the client's share is the
 // four slabs of core.DecodePing plus net/http's per-request state.
 func BenchmarkRemotePing(b *testing.B) {
-	s := NewBackend(sim.Manhattan(), 42, false)
+	s := Scenario{City: "manhattan", Seed: 42}.Build()
 	s.Register("bench-00")
 	s.RunUntil(300)
 	ts := httptest.NewServer(NewServer(s))

@@ -105,10 +105,7 @@ func TestSnapshotServedEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, fuzz := range []float64{0, 25} {
 			t.Run(fmt.Sprintf("workers=%d/fuzz=%v", workers, fuzz), func(t *testing.T) {
-				s, err := NewBackendEngine(sim.SanFrancisco(), 11, true, workers, "")
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := Scenario{City: "sf", Seed: 11, Jitter: true, Workers: workers}.Build()
 				s.SetLocationFuzz(fuzz)
 				clients := make([]string, 6)
 				for i := range clients {
@@ -174,7 +171,7 @@ func TestSnapshotServedEquivalence(t *testing.T) {
 // TestSnapshotServedOutOfService checks the error path is served from the
 // snapshot with identical semantics.
 func TestSnapshotServedOutOfService(t *testing.T) {
-	s := NewBackend(sim.Manhattan(), 5, false)
+	s := Scenario{City: "manhattan", Seed: 5}.Build()
 	s.Register("eq-err")
 	far := geo.LatLng{Lat: 0, Lng: 0}
 	if _, err := s.PingClient("eq-err", far); err != ErrOutOfService {

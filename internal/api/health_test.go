@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 func readyzStatus(t *testing.T, rd *Readiness) (int, map[string]any) {
@@ -96,7 +94,7 @@ func TestHealthzReportsSimTime(t *testing.T) {
 // publishes the first epoch), and a caller-supplied Readiness can gate
 // and drain the shard.
 func TestServerHealthEndpoints(t *testing.T) {
-	svc := NewBackend(sim.Manhattan(), 3, false)
+	svc := Scenario{City: "manhattan", Seed: 3}.Build()
 	svc.RunUntil(600)
 	rd := NewReadiness()
 	rd.AddCheck("epoch", svc.EpochPublished)

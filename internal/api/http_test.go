@@ -9,12 +9,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/sim"
 )
 
 func testHTTP(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
-	svc := NewBackend(sim.Manhattan(), 3, false)
+	svc := Scenario{City: "manhattan", Seed: 3}.Build()
 	svc.RunUntil(600)
 	ts := httptest.NewServer(NewServer(svc))
 	t.Cleanup(ts.Close)

@@ -11,13 +11,12 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // testObsHTTP builds an instrumented server over a warmed backend.
 func testObsHTTP(t *testing.T) (*Service, *obs.Registry, *obs.Tracer, *httptest.Server) {
 	t.Helper()
-	svc := NewBackend(sim.Manhattan(), 3, false)
+	svc := Scenario{City: "manhattan", Seed: 3}.Build()
 	svc.RunUntil(600)
 	reg := obs.NewRegistry()
 	svc.Instrument(reg)
@@ -195,7 +194,7 @@ func TestLoginBodyCapped(t *testing.T) {
 // (pings, estimates) run concurrently with writers (Step) and account
 // churn. Run with -race to validate the locking.
 func TestConcurrentQueriesAndSteps(t *testing.T) {
-	svc := NewBackend(sim.Manhattan(), 7, true)
+	svc := Scenario{City: "manhattan", Seed: 7, Jitter: true}.Build()
 	svc.RunUntil(600)
 	loc := center(svc)
 	var wg sync.WaitGroup

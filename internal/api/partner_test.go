@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestPartnerMapRequiresAgreement(t *testing.T) {
@@ -66,7 +64,7 @@ func TestClientAccountIsNotPartner(t *testing.T) {
 }
 
 func TestPartnerHTTPEndpoints(t *testing.T) {
-	svc := NewBackend(sim.SanFrancisco(), 3, false)
+	svc := Scenario{City: "sf", Seed: 3}.Build()
 	svc.RunUntil(600)
 	ts := httptest.NewServer(NewServer(svc))
 	defer ts.Close()

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // pingURL is the /pingClient request for client at loc, the coordinates
@@ -41,12 +40,7 @@ func TestPingBodyMatchesWriteJSON(t *testing.T) {
 	for _, roads := range []bool{false, true} {
 		for _, fuzz := range []float64{0, 25, math.Inf(1)} {
 			t.Run(fmt.Sprintf("roads=%v/fuzz=%v", roads, fuzz), func(t *testing.T) {
-				p := sim.Manhattan()
-				p.RoadNetwork = roads
-				s, err := NewBackendEngine(p, 13, true, 1, "mult2015")
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := Scenario{City: "manhattan", Seed: 13, Road: roads, Engine: "mult2015", Jitter: true, Workers: 1}.Build()
 				clients := []string{"ghost"} // never registered: 401
 				for i := 0; i < 5; i++ {
 					clients = append(clients, fmt.Sprintf("enc-%d", i))
@@ -102,7 +96,7 @@ func TestPingBodyMatchesWriteJSON(t *testing.T) {
 // counter the same way: the event and the counter are the ping walk's, not
 // the sink's.
 func TestHTTPPingEventParity(t *testing.T) {
-	s := NewBackend(sim.SanFrancisco(), 11, true)
+	s := Scenario{City: "sf", Seed: 11, Jitter: true}.Build()
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 	jitter := reg.Counter("api_jitter_served_total")

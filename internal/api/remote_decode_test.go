@@ -70,7 +70,7 @@ func TestRemotePingMatchesEncodingJSON(t *testing.T) {
 		seed    int64
 		jitter  bool
 	}{{sim.Manhattan(), 7, false}, {sim.SanFrancisco(), 3, true}} {
-		s := NewBackend(tc.profile, tc.seed, tc.jitter)
+		s := Scenario{City: tc.profile.Name, Seed: tc.seed, Jitter: tc.jitter}.Build()
 		s.Register("tester")
 		s.RunUntil(600)
 		ts := httptest.NewServer(NewServer(s))
@@ -144,7 +144,7 @@ func TestRemotePingMatchesEncodingJSONCorners(t *testing.T) {
 // and /health against our own Server leave the counter at 0; one hand-made
 // body with its keys out of order moves it to 1 and still decodes.
 func TestDecodeFallbackCounter(t *testing.T) {
-	s := NewBackend(sim.Manhattan(), 11, true)
+	s := Scenario{City: "manhattan", Seed: 11, Jitter: true}.Build()
 	s.RunUntil(300)
 	ts := httptest.NewServer(NewServer(s))
 	defer ts.Close()

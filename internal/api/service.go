@@ -435,25 +435,3 @@ func (s *Service) EstimateTime(clientID string, loc geo.LatLng) ([]core.TimeEsti
 	}
 	return out, nil
 }
-
-// NewBackend is a convenience constructor: build the world, the default
-// pricing engine, and the service for a city profile in one call. The
-// simulation uses GOMAXPROCS-many tick workers; results are identical for
-// every worker count.
-func NewBackend(profile *sim.CityProfile, seed int64, jitter bool) *Service {
-	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed})
-	return NewService(w, surge.New(w, surge.Config{Params: profile.Surge, Seed: seed, Jitter: jitter}))
-}
-
-// NewBackendEngine is NewBackend with an explicit simulation worker count
-// for the phase-parallel tick (0 = GOMAXPROCS) and a pricing engine
-// selected by name (one of surge.EngineNames; "" is the default). An
-// unknown name is an error for the caller's flag handling to surface.
-func NewBackendEngine(profile *sim.CityProfile, seed int64, jitter bool, workers int, engine string) (*Service, error) {
-	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed, Workers: workers})
-	e, err := surge.NewPricer(w, engine, surge.Config{Params: profile.Surge, Seed: seed, Jitter: jitter})
-	if err != nil {
-		return nil, err
-	}
-	return NewService(w, e), nil
-}

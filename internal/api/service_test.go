@@ -6,12 +6,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/sim"
 )
 
 func testBackend(t testing.TB, jitter bool) *Service {
 	t.Helper()
-	s := NewBackend(sim.Manhattan(), 7, jitter)
+	s := Scenario{City: "manhattan", Seed: 7, Jitter: jitter}.Build()
 	s.Register("tester")
 	s.RunUntil(600)
 	return s
@@ -183,7 +182,7 @@ func TestAPIAndClientStreamsAgreeWithoutJitter(t *testing.T) {
 
 func TestDeterministicResponses(t *testing.T) {
 	collect := func() []float64 {
-		s := NewBackend(sim.SanFrancisco(), 11, true)
+		s := Scenario{City: "sf", Seed: 11, Jitter: true}.Build()
 		s.Register("a")
 		var out []float64
 		loc := s.World().Projection().ToLatLng(geo.Point{X: 100, Y: 100})

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestConcurrentQueriesDuringSteps hammers the lock-free query path from
@@ -17,7 +15,7 @@ import (
 // state. Each goroutine also checks that the response timestamps it sees
 // never go backwards — epochs are published monotonically.
 func TestConcurrentQueriesDuringSteps(t *testing.T) {
-	s := NewBackend(sim.SanFrancisco(), 77, true)
+	s := Scenario{City: "sf", Seed: 77, Jitter: true}.Build()
 	stressQueriesDuringSteps(t, s, 200)
 }
 
@@ -27,10 +25,7 @@ func TestConcurrentQueriesDuringSteps(t *testing.T) {
 // the lock-free query path (this is the -race probe for Step-internal
 // parallelism meeting concurrent reads).
 func TestParallelStepConcurrentQueries(t *testing.T) {
-	s, err := NewBackendEngine(sim.SanFrancisco(), 78, true, 4, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Scenario{City: "sf", Seed: 78, Jitter: true, Workers: 4}.Build()
 	stressQueriesDuringSteps(t, s, 120)
 }
 
@@ -111,7 +106,7 @@ func stressQueriesDuringSteps(t *testing.T, s *Service, steps int) {
 // TestConcurrentPartnerMapDuringSteps covers the remaining snapshot-served
 // surface under the same churn.
 func TestConcurrentPartnerMapDuringSteps(t *testing.T) {
-	s := NewBackend(sim.Manhattan(), 13, false)
+	s := Scenario{City: "manhattan", Seed: 13}.Build()
 	if err := s.RegisterPartner("drv-1", true); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +135,7 @@ func TestConcurrentPartnerMapDuringSteps(t *testing.T) {
 // goroutines: registration, auth, and rate-limit charges on overlapping
 // IDs must be linearizable per account under -race.
 func TestShardedAccountsConcurrent(t *testing.T) {
-	s := NewBackend(sim.SanFrancisco(), 3, false)
+	s := Scenario{City: "sf", Seed: 3}.Build()
 	loc := center(s)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -11,15 +11,14 @@
 package attack
 
 import (
+	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/sim"
-	"repro/internal/surge"
 )
 
 // Config parameterizes a collusion experiment.
 type Config struct {
-	Profile *sim.CityProfile
-	Seed    int64
+	// Scenario names the backend both runs build.
+	Scenario api.Scenario
 	// Area is the surge area the ring targets.
 	Area int
 	// Drivers is how many idle UberX drivers collude.
@@ -98,10 +97,9 @@ type trajectory struct {
 }
 
 func record(cfg Config, attacked bool) trajectory {
-	w := sim.NewWorld(sim.Config{Profile: cfg.Profile, Seed: cfg.Seed})
-	e := surge.New(w, surge.Config{Params: cfg.Profile.Surge, Seed: cfg.Seed})
-	r := &surge.Runner{World: w, Engine: e}
-	r.RunUntil(cfg.At)
+	svc := cfg.Scenario.Build()
+	w := svc.World()
+	svc.RunUntil(cfg.At)
 
 	var tr trajectory
 	if attacked {
@@ -112,8 +110,8 @@ func record(cfg Config, attacked bool) trajectory {
 	returnAt := cfg.At + cfg.Duration
 	end := cfg.At + cfg.ObserveFor
 	for w.Now() < end {
-		r.RunUntil(w.Now()/300*300 + 300)
-		tr.series = append(tr.series, e.View().CurrentMultiplier(cfg.Area))
+		svc.RunUntil(w.Now()/300*300 + 300)
+		tr.series = append(tr.series, svc.Engine().View().CurrentMultiplier(cfg.Area))
 		if w.Now() <= returnAt {
 			faresAtReturn = w.AreaFares[cfg.Area]
 		}

@@ -3,6 +3,7 @@ package attack
 import (
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -62,8 +63,7 @@ func TestCollusionInducesSurge(t *testing.T) {
 	// (The seed is pinned to a run where enough of the fleet idles in
 	// the target area; the lift threshold is trajectory-sensitive.)
 	res := Run(Config{
-		Profile:    sim.SanFrancisco(),
-		Seed:       12,
+		Scenario:   api.Scenario{City: "sf", Seed: 12},
 		Area:       1,
 		Drivers:    200,
 		At:         17*3600 + 1800,
@@ -88,8 +88,7 @@ func TestCollusionFizzlesOffPeak(t *testing.T) {
 	}
 	// The same ring at 1pm in Manhattan: the slack in supply absorbs it.
 	res := Run(Config{
-		Profile:    sim.Manhattan(),
-		Seed:       11,
+		Scenario:   api.Scenario{City: "manhattan", Seed: 11},
 		Area:       1,
 		Drivers:    60,
 		At:         13 * 3600,
@@ -104,8 +103,7 @@ func TestCollusionFizzlesOffPeak(t *testing.T) {
 func TestCollusionBaselineIsClean(t *testing.T) {
 	// With zero drivers, the two trajectories are identical (same seed).
 	res := Run(Config{
-		Profile:    sim.Manhattan(),
-		Seed:       13,
+		Scenario:   api.Scenario{City: "manhattan", Seed: 13},
 		Area:       0,
 		Drivers:    0,
 		At:         10 * 3600,

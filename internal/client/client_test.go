@@ -6,7 +6,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/sim"
 )
 
 func TestGridLayoutCoverage(t *testing.T) {
@@ -62,7 +61,7 @@ func (c *countingSink) EndRound(now int64) {
 
 func newCampaignBackend(t testing.TB) (*api.Service, *Campaign) {
 	t.Helper()
-	svc := api.NewBackend(sim.Manhattan(), 5, false)
+	svc := api.Scenario{City: "manhattan", Seed: 5}.Build()
 	p := svc.World().Profile()
 	pts := GridLayout(p.MeasureRect, p.ClientSpacing, NumClients)
 	camp := NewCampaign(svc, svc.World().Projection(), pts)
@@ -111,7 +110,7 @@ func TestCampaignClientIDsAndLocations(t *testing.T) {
 }
 
 func TestCheckDeterminism(t *testing.T) {
-	svc := api.NewBackend(sim.Manhattan(), 9, false)
+	svc := api.Scenario{City: "manhattan", Seed: 9}.Build()
 	loc := svc.World().Projection().ToLatLng(geo.Point{X: 50, Y: 50})
 	ok, err := CheckDeterminism(svc, svc, svc, loc, 10, 600)
 	if err != nil {
@@ -126,7 +125,7 @@ func TestCheckDeterminismSeesJitterDivergence(t *testing.T) {
 	// With the April bug enabled, co-located clients eventually diverge;
 	// run long enough that a jitter event almost surely appears during a
 	// surge-transition interval.
-	svc := api.NewBackend(sim.SanFrancisco(), 11, true)
+	svc := api.Scenario{City: "sf", Seed: 11, Jitter: true}.Build()
 	svc.RunUntil(7 * 3600) // reach a surging morning
 	loc := svc.World().Projection().ToLatLng(geo.Point{X: 1000, Y: 1000})
 	ok, err := CheckDeterminism(svc, svc, svc, loc, 20, 4*3600)
@@ -139,7 +138,7 @@ func TestCheckDeterminismSeesJitterDivergence(t *testing.T) {
 }
 
 func TestMeasureVisibilityRadius(t *testing.T) {
-	svc := api.NewBackend(sim.Manhattan(), 13, false)
+	svc := api.Scenario{City: "manhattan", Seed: 13}.Build()
 	svc.RunUntil(12 * 3600) // noon: dense supply, small radius
 	w := svc.World()
 	res, err := MeasureVisibilityRadius(svc, svc, svc, w.Projection(), geo.Point{}, core.UberX)
@@ -160,9 +159,9 @@ func TestMeasureVisibilityRadius(t *testing.T) {
 }
 
 func TestVisibilityRadiusLargerAtNight(t *testing.T) {
-	day := api.NewBackend(sim.Manhattan(), 15, false)
+	day := api.Scenario{City: "manhattan", Seed: 15}.Build()
 	day.RunUntil(13 * 3600)
-	night := api.NewBackend(sim.Manhattan(), 15, false)
+	night := api.Scenario{City: "manhattan", Seed: 15}.Build()
 	night.RunUntil(4 * 3600)
 
 	resDay, err := MeasureVisibilityRadius(day, day, day, day.World().Projection(), geo.Point{}, core.UberX)

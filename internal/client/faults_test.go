@@ -8,7 +8,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/sim"
 )
 
 // flakyService wraps a core.Service and fails a fraction of pings, the way
@@ -31,7 +30,7 @@ func (f *flakyService) PingClient(clientID string, loc geo.LatLng) (*core.PingRe
 }
 
 func TestCampaignSurvivesTransportFailures(t *testing.T) {
-	svc := api.NewBackend(sim.Manhattan(), 31, false)
+	svc := api.Scenario{City: "manhattan", Seed: 31}.Build()
 	flaky := &flakyService{Service: svc, rng: rand.New(rand.NewSource(1)), failProb: 0.2}
 	p := svc.World().Profile()
 	pts := GridLayout(p.MeasureRect, p.ClientSpacing, NumClients)
@@ -60,7 +59,7 @@ func TestCampaignSurvivesTransportFailures(t *testing.T) {
 }
 
 func TestCampaignAllPingsFail(t *testing.T) {
-	svc := api.NewBackend(sim.Manhattan(), 31, false)
+	svc := api.Scenario{City: "manhattan", Seed: 31}.Build()
 	flaky := &flakyService{Service: svc, rng: rand.New(rand.NewSource(1)), failProb: 1.0}
 	pts := GridLayout(svc.World().Profile().MeasureRect, 280, 5)
 	camp := NewCampaign(flaky, svc.World().Projection(), pts)
@@ -78,7 +77,7 @@ func TestCampaignAllPingsFail(t *testing.T) {
 }
 
 func TestCampaignUnregisteredClientsCountErrors(t *testing.T) {
-	svc := api.NewBackend(sim.Manhattan(), 31, false)
+	svc := api.Scenario{City: "manhattan", Seed: 31}.Build()
 	pts := GridLayout(svc.World().Profile().MeasureRect, 280, 3)
 	camp := NewCampaign(svc, svc.World().Projection(), pts)
 	// Deliberately skip RegisterAll.
@@ -103,7 +102,7 @@ func (g *gapSink) ObserveGap(clientIdx int, pos geo.Point, lastSeen int64, err e
 }
 
 func TestCampaignReportsGapsToGapSinks(t *testing.T) {
-	svc := api.NewBackend(sim.Manhattan(), 31, false)
+	svc := api.Scenario{City: "manhattan", Seed: 31}.Build()
 	flaky := &flakyService{Service: svc, rng: rand.New(rand.NewSource(2)), failProb: 0.2}
 	p := svc.World().Profile()
 	pts := GridLayout(p.MeasureRect, p.ClientSpacing, NumClients)
@@ -142,7 +141,7 @@ func TestCampaignReportsGapsToGapSinks(t *testing.T) {
 // plainSink does not implement GapSink; a campaign with failures must not
 // treat that as an error (gap reporting is opt-in).
 func TestCampaignToleratesNonGapSinks(t *testing.T) {
-	svc := api.NewBackend(sim.Manhattan(), 31, false)
+	svc := api.Scenario{City: "manhattan", Seed: 31}.Build()
 	flaky := &flakyService{Service: svc, rng: rand.New(rand.NewSource(3)), failProb: 0.5}
 	pts := GridLayout(svc.World().Profile().MeasureRect, 280, 5)
 	camp := NewCampaign(flaky, svc.World().Projection(), pts)

@@ -18,8 +18,8 @@ func TestCampaignOverHTTPMatchesInProcess(t *testing.T) {
 	// Two identical backends (the campaign's queries don't perturb the
 	// simulation, but sharing one backend would interleave rate-limit
 	// state; identical seeds keep the worlds in lockstep).
-	svcA := api.NewBackend(profile, 12345, true)
-	svcB := api.NewBackend(profile, 12345, true)
+	svcA := api.Scenario{City: profile.Name, Seed: 12345, Jitter: true}.Build()
+	svcB := api.Scenario{City: profile.Name, Seed: 12345, Jitter: true}.Build()
 	ts := httptest.NewServer(api.NewServer(svcB))
 	defer ts.Close()
 	remote := api.NewRemote(ts.URL, ts.Client())

@@ -13,7 +13,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/surge"
 )
@@ -52,14 +51,13 @@ type EngineAudit struct {
 	Withheld int64
 }
 
-// AuditEngine runs the measurement campaign against one engine and
-// reduces it to the audit fingerprint. The strategy sweeps and lattice
+// AuditEngine runs the measurement campaign against the scenario's engine
+// and reduces it to the audit fingerprint. The strategy sweeps and lattice
 // prober are skipped: neither feeds the regime fingerprint.
-func AuditEngine(profile *sim.CityProfile, engine string, opts Options) EngineAudit {
-	opts.Engine = engine
+func AuditEngine(opts Options) EngineAudit {
 	opts.SkipStrategy = true
 	opts.SkipProber = true
-	r := RunCity(profile, opts)
+	r := RunCity(opts)
 
 	a := EngineAudit{Engine: r.Svc.Engine().Name()}
 	a.Summary = Summarize(r)
@@ -89,11 +87,13 @@ func AuditEngine(profile *sim.CityProfile, engine string, opts Options) EngineAu
 }
 
 // RunEngineComparison audits every selectable engine under the same
-// options, in EngineNames order (the 2015 baseline first).
-func RunEngineComparison(profile *sim.CityProfile, opts Options) []EngineAudit {
+// options, in EngineNames order (the 2015 baseline first); the scenario's
+// own engine is ignored.
+func RunEngineComparison(opts Options) []EngineAudit {
 	var out []EngineAudit
 	for _, name := range surge.EngineNames() {
-		out = append(out, AuditEngine(profile, name, opts))
+		opts.Scenario.Engine = name
+		out = append(out, AuditEngine(opts))
 	}
 	return out
 }
@@ -155,7 +155,7 @@ func WriteEngineComparison(w io.Writer, opts Options, audits []EngineAudit) {
 	if opts.Hours > 0 {
 		span = fmt.Sprintf("%d hour(s)", opts.Hours)
 	}
-	fmt.Fprintf(w, "engine-comparison: seed=%d span=%s engines=%d\n", opts.Seed, span, len(audits))
+	fmt.Fprintf(w, "engine-comparison: seed=%d span=%s engines=%d\n", opts.Scenario.Seed, span, len(audits))
 	for _, a := range audits {
 		WriteEngineAudit(w, a)
 	}

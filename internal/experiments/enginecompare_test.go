@@ -5,14 +5,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/api"
 )
 
 // TestAuditEngineSmoke runs the shortest real audit end to end: the
 // fingerprint must come from the named engine and render every grep line
 // the CI engine-smoke step asserts on.
 func TestAuditEngineSmoke(t *testing.T) {
-	a := AuditEngine(sim.Manhattan(), "additive", Options{Seed: 7, Hours: 1, Jitter: true, Workers: 4})
+	a := AuditEngine(Options{Scenario: api.Scenario{City: "manhattan", Seed: 7, Engine: "additive", Jitter: true, Workers: 4}, Hours: 1})
 	if a.Engine != "additive" {
 		t.Fatalf("audited engine %q, want additive", a.Engine)
 	}
@@ -67,7 +67,7 @@ func TestEngineComparisonVerdict(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	WriteEngineComparison(&buf, Options{Seed: 1, Hours: 12}, []EngineAudit{base, near, far})
+	WriteEngineComparison(&buf, Options{Scenario: api.Scenario{Seed: 1}, Hours: 12}, []EngineAudit{base, near, far})
 	out := buf.String()
 	for _, want := range []string{
 		"engine-verdict: additive-vs-mult2015 distinguishable=false",

@@ -7,8 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/transition"
 )
 
@@ -23,9 +23,8 @@ var (
 func sharedRuns(t testing.TB) (*CityRun, *CityRun) {
 	t.Helper()
 	runOnce.Do(func() {
-		opts := Options{Seed: 1234, Hours: 8, Jitter: true}
-		mhtnRun = RunCity(sim.Manhattan(), opts)
-		sfRun = RunCity(sim.SanFrancisco(), opts)
+		mhtnRun = RunCity(Options{Scenario: api.Scenario{City: "manhattan", Seed: 1234, Jitter: true}, Hours: 8})
+		sfRun = RunCity(Options{Scenario: api.Scenario{City: "sf", Seed: 1234, Jitter: true}, Hours: 8})
 	})
 	return mhtnRun, sfRun
 }
@@ -347,8 +346,9 @@ func TestReportRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report is slow")
 	}
+	m, s := sharedRuns(t)
 	var buf bytes.Buffer
-	Report(&buf, Options{Seed: 99, Hours: 4, Jitter: true})
+	Report(&buf, m, s)
 	out := buf.String()
 	for _, want := range []string{
 		"Fig 2", "Fig 4", "Figs 5-7", "Fig 8", "Figs 9/10", "Fig 11", "Fig 12",

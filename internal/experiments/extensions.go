@@ -35,10 +35,9 @@ type ExtCollusionResult struct {
 // tight enough for missing supply to bite. (Off-peak attacks fizzle: the
 // slack Uber keeps in car supply absorbs the whole ring, which is itself
 // a finding.)
-func ExtCollusion(profile *sim.CityProfile, seed int64) ExtCollusionResult {
+func ExtCollusion(sc api.Scenario) ExtCollusionResult {
 	res := attack.Run(attack.Config{
-		Profile:    profile,
-		Seed:       seed,
+		Scenario:   sc,
 		Area:       1,
 		Drivers:    200, // the whole area's idle UberX fleet colludes
 		At:         17*3600 + 1800,
@@ -46,7 +45,7 @@ func ExtCollusion(profile *sim.CityProfile, seed int64) ExtCollusionResult {
 		ObserveFor: 5400, // ...then an hour of harvesting
 	})
 	return ExtCollusionResult{
-		City:     profile.Name,
+		City:     sc.City,
 		Complied: res.Complied,
 		PeakLift: res.PeakLift(),
 		Induced:  res.Induced(),
@@ -108,10 +107,14 @@ type ExtMarketResult struct {
 }
 
 // ExtMarketComparison runs both market designs for `hours` and compares
-// price levels, dispersion, and service quality.
-func ExtMarketComparison(profile *sim.CityProfile, seed int64, hours int) ExtMarketResult {
-	s := runSurgeMarket(profile, seed, hours)
-	d := runDriverSetMarket(profile, seed, hours)
+// price levels, dispersion, and service quality. The surge market is the
+// scenario's backend; the driver-set market has no engine, so it is a bare
+// world over the same city and seed.
+func ExtMarketComparison(sc api.Scenario, hours int) ExtMarketResult {
+	svc := sc.Build()
+	profile := svc.World().Profile()
+	s := runMarket(svc.World(), hours, svc.Step)
+	d := runDriverSetMarket(profile, sc.Seed, hours)
 	return ExtMarketResult{
 		City:               profile.Name,
 		SurgeMeanPrice:     s.mean,
@@ -137,13 +140,6 @@ func runDriverSetMarket(profile *sim.CityProfile, seed int64, hours int) marketO
 	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed})
 	w.SetMarket(sim.MarketDriverSet)
 	return runMarket(w, hours, w.Step)
-}
-
-// runSurgeMarket runs the surge market with its engine stepped properly.
-func runSurgeMarket(profile *sim.CityProfile, seed int64, hours int) marketOutcome {
-	w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed})
-	r := &surge.Runner{World: w, Engine: surge.New(w, surge.Config{Params: profile.Surge, Seed: seed})}
-	return runMarket(w, hours, r.Step)
 }
 
 // runMarket advances w by step for `hours`, sampling the city-center
@@ -185,11 +181,14 @@ type ExtFuzzResult struct {
 	DeathRatio  float64
 }
 
-// ExtFuzzRobustness runs the paired campaigns for `hours`.
-func ExtFuzzRobustness(profile *sim.CityProfile, seed int64, hours int) ExtFuzzResult {
+// ExtFuzzRobustness runs the paired campaigns against the scenario's
+// backend for `hours`.
+func ExtFuzzRobustness(sc api.Scenario, hours int) ExtFuzzResult {
+	var profile *sim.CityProfile
 	run := func(fuzz float64) (supply, deaths float64) {
-		svc := api.NewBackend(profile, seed, false)
+		svc := sc.Build()
 		svc.SetLocationFuzz(fuzz)
+		profile = svc.World().Profile()
 		pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, client.NumClients)
 		camp := client.NewCampaign(svc, svc.World().Projection(), pts)
 		camp.RegisterAll(svc)
@@ -238,13 +237,17 @@ type ExtSmoothingResult struct {
 	SmoothedSurgedFrac float64
 }
 
-// ExtSmoothing runs both engines for `hours` from the same seed.
+// ExtSmoothing runs both engines for `hours` from the same seed. The
+// smoothing weight is no scenario setting, so each run wires its own world
+// and engine and steps them together.
 func ExtSmoothing(profile *sim.CityProfile, seed int64, hours int) ExtSmoothingResult {
 	run := func(smoothing float64) (vol float64, ep int, frac float64) {
 		w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed})
 		e := surge.New(w, surge.Config{Params: profile.Surge, Seed: seed, Smoothing: smoothing, KeepHistory: true})
-		r := &surge.Runner{World: w, Engine: e}
-		r.RunUntil(int64(hours) * 3600)
+		for end := int64(hours) * 3600; w.Now() < end; {
+			w.Step()
+			e.Step(w.Now())
+		}
 		surged, total := 0, 0
 		for a := 0; a < 4; a++ {
 			inEp := false

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/sim"
 )
 
@@ -10,7 +11,7 @@ func TestExtCollusion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two backends")
 	}
-	c := ExtCollusion(sim.SanFrancisco(), 11)
+	c := ExtCollusion(api.Scenario{City: "sf", Seed: 11})
 	if c.Complied == 0 {
 		t.Fatal("no colluders")
 	}
@@ -40,7 +41,7 @@ func TestExtMarketComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two markets")
 	}
-	m := ExtMarketComparison(sim.SanFrancisco(), 5, 8)
+	m := ExtMarketComparison(api.Scenario{City: "sf", Seed: 5}, 8)
 	if m.SurgeMeanPrice < 1 || m.DriverSetMeanPrice < 0.7 {
 		t.Errorf("price levels implausible: %+v", m)
 	}
@@ -60,7 +61,7 @@ func TestExtFuzzRobustness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two campaigns")
 	}
-	f := ExtFuzzRobustness(sim.Manhattan(), 3, 2)
+	f := ExtFuzzRobustness(api.Scenario{City: "manhattan", Seed: 3}, 2)
 	// A 25 m perturbation must not materially change what the
 	// methodology measures.
 	if f.SupplyRatio < 0.9 || f.SupplyRatio > 1.1 {

@@ -39,8 +39,8 @@ func Fig2VisibilityRadius(seed int64, hours []int) []Fig2Row {
 	// average three start points per hour, like repeating the paper's
 	// experiment "over several days with different random locations".
 	starts := []geo.Point{{X: 0, Y: 0}, {X: 400, Y: -300}, {X: -500, Y: 400}}
-	for _, profile := range []*sim.CityProfile{sim.Manhattan(), sim.SanFrancisco()} {
-		svc := api.NewBackend(profile, seed, false)
+	for _, city := range []string{"manhattan", "sf"} {
+		svc := api.Scenario{City: city, Seed: seed}.Build()
 		for _, h := range hours {
 			svc.RunUntil(int64(h) * 3600)
 			var sum float64
@@ -57,7 +57,7 @@ func Fig2VisibilityRadius(seed int64, hours []int) []Fig2Row {
 			if n == 0 {
 				continue
 			}
-			out = append(out, Fig2Row{City: profile.Name, Hour: h, RadiusM: sum / float64(n)})
+			out = append(out, Fig2Row{City: city, Hour: h, RadiusM: sum / float64(n)})
 		}
 	}
 	return out

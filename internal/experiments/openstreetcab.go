@@ -21,14 +21,12 @@ import (
 	"repro/internal/surge"
 )
 
-// OpenStreetCabOptions configures the two-service run.
+// OpenStreetCabOptions configures the two-service run. The two fleets are
+// the same size (midtown reality is nearer ten taxis per Uber).
 type OpenStreetCabOptions struct {
-	Seed  int64
-	Hours int // simulated hours starting 17:00 (default 1)
-	// TaxiShare sizes the taxi fleet relative to the Uber fleet
-	// (default 1: equal fleets; midtown reality is nearer 10).
-	TaxiShare float64
-	Workers   int
+	Seed    int64
+	Hours   int // simulated hours starting 17:00 (default 1)
+	Workers int
 }
 
 // FleetResult is one service's side of the scoreboard.
@@ -71,12 +69,9 @@ func RunOpenStreetCab(opts OpenStreetCabOptions) *OpenStreetCabResult {
 	if opts.Hours <= 0 {
 		opts.Hours = 1
 	}
-	if opts.TaxiShare <= 0 {
-		opts.TaxiShare = 1
-	}
 	profile := sim.Manhattan()
 	profile.RoadNetwork = true
-	taxiProfile := profile.TaxiCity(opts.TaxiShare)
+	taxiProfile := profile.TaxiCity()
 	net := road.ForProfile(profile.Name, profile.Region)
 
 	const start = 17 * 3600 // evening rush: both fleets busy from tick one
@@ -147,11 +142,7 @@ func RunOpenStreetCab(opts OpenStreetCabOptions) *OpenStreetCabResult {
 // WriteOpenStreetCab prints the scoreboard in grep-friendly lines (the
 // CI road-smoke step asserts on them).
 func WriteOpenStreetCab(w io.Writer, opts OpenStreetCabOptions, res *OpenStreetCabResult) {
-	share := opts.TaxiShare
-	if share <= 0 {
-		share = 1
-	}
-	fmt.Fprintf(w, "openstreetcab: hours=%d seed=%d taxi-share=%.2g\n", opts.Hours, opts.Seed, share)
+	fmt.Fprintf(w, "openstreetcab: hours=%d seed=%d taxi-share=1\n", opts.Hours, opts.Seed)
 	for _, fl := range []*FleetResult{&res.Uber, &res.Taxi} {
 		fmt.Fprintf(w, "%s fleet: pickups=%d dropoffs=%d fares=$%.2f wins=%d\n",
 			fl.Name, fl.Pickups, fl.Dropoffs, fl.FareVolume, fl.Wins)

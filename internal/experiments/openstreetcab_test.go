@@ -63,7 +63,7 @@ func TestOpenStreetCabPeakFactor(t *testing.T) {
 
 	profile := sim.Manhattan()
 	profile.RoadNetwork = true
-	taxiProfile := profile.TaxiCity(1)
+	taxiProfile := profile.TaxiCity()
 	net := road.ForProfile(profile.Name, profile.Region)
 	const start = 17 * 3600
 	uberW := sim.NewWorld(sim.Config{

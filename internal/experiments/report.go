@@ -5,34 +5,27 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 
+	"repro/internal/api"
 	"repro/internal/chart"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/transition"
 )
 
-// Report runs every experiment and renders the paper-vs-measured rows to
-// w in Markdown. It is the engine behind cmd/experiments and
-// EXPERIMENTS.md.
-func Report(w io.Writer, opts Options) {
+// Report renders the paper-vs-measured rows of a Manhattan and a San
+// Francisco run to w in Markdown; the experiments that need backends of
+// their own (Figs 2 and 4, the extensions) run from the runs' scenario.
+// It is the engine behind cmd/experiments and EXPERIMENTS.md.
+func Report(w io.Writer, mhtn, sf *CityRun) {
+	opts := mhtn.Opts
 	fmt.Fprintf(w, "# Experiments: paper vs. measured\n\n")
 	fmt.Fprintf(w, "Configuration: %d day(s)/city, seed %d, jitter=%v.\n\n",
-		maxInt(opts.Days, 1), opts.Seed, opts.Jitter)
-
-	// The two cities are independent; run them in parallel.
-	var mhtn, sf *CityRun
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); mhtn = RunCity(sim.Manhattan(), opts) }()
-	go func() { defer wg.Done(); sf = RunCity(sim.SanFrancisco(), opts) }()
-	wg.Wait()
+		opts.Days, opts.Scenario.Seed, opts.Scenario.Jitter)
 	runs := []*CityRun{mhtn, sf}
 
-	reportFig2(w, opts.Seed)
-	reportFig4(w, opts.Seed)
+	reportFig2(w, opts.Scenario.Seed)
+	reportFig4(w, opts.Scenario.Seed)
 	reportFig7(w, runs)
 	reportFig8(w, runs)
 	reportFig9_10(w, runs)
@@ -47,10 +40,18 @@ func Report(w io.Writer, opts Options) {
 	reportTable1(w, runs)
 	reportFig22(w, runs)
 	reportFig23_24(w, runs)
-	reportExtensions(w, opts, runs)
+	reportExtensions(w, runs)
 }
 
-func reportExtensions(w io.Writer, opts Options, runs []*CityRun) {
+// extScenario is the backend an extension builds for run r: the run's
+// scenario under the city's profile name, without the April jitter.
+func extScenario(r *CityRun) api.Scenario {
+	sc := r.Opts.Scenario
+	sc.City, sc.Jitter = r.Profile.Name, false
+	return sc
+}
+
+func reportExtensions(w io.Writer, runs []*CityRun) {
 	fmt.Fprintf(w, "## Extensions — the §8 discussion, made executable\n\n")
 	fmt.Fprintf(w, "These experiments go beyond the paper's measurements: the authors could only\nspeculate about them because they did not control the system. This reproduction does.\n\n")
 
@@ -58,7 +59,7 @@ func reportExtensions(w io.Writer, opts Options, runs []*CityRun) {
 	fmt.Fprintf(w, "A ring logs off together for 30 minutes at evening rush, then returns to harvest.\n\n")
 	fmt.Fprintf(w, "| city | drivers dark | peak surge lift | area fare lift after return |\n|---|---|---|---|\n")
 	for _, r := range runs {
-		c := ExtCollusion(r.Profile, opts.Seed)
+		c := ExtCollusion(extScenario(r))
 		fmt.Fprintf(w, "| %s | %d | +%.1f | %+.0f USD/h |\n", c.City, c.Complied, c.PeakLift, c.FareLift)
 	}
 	fmt.Fprintln(w)
@@ -79,7 +80,7 @@ func reportExtensions(w io.Writer, opts Options, runs []*CityRun) {
 	fmt.Fprintf(w, "With the slack Uber keeps in supply, the free market clears *below* the base fare\n(competition drives idle drivers' asks down) and prices almost nobody out; the surge\nmarket holds the base price and rations by multiplier instead.\n\n")
 	fmt.Fprintf(w, "| city | market | mean price | price σ | unmet | priced out | mean EWT (min) |\n|---|---|---|---|---|---|---|\n")
 	for _, r := range runs {
-		m := ExtMarketComparison(r.Profile, opts.Seed, 12)
+		m := ExtMarketComparison(extScenario(r), 12)
 		fmt.Fprintf(w, "| %s | surge | %.2f | %.2f | %.1f%% | %.1f%% | %.1f |\n",
 			m.City, m.SurgeMeanPrice, m.SurgePriceStd, m.SurgeUnmetFrac*100, m.SurgePricedOut*100, m.SurgeMeanEWT)
 		fmt.Fprintf(w, "| %s | driver-set | %.2f | %.2f | %.1f%% | %.1f%% | %.1f |\n",
@@ -90,7 +91,7 @@ func reportExtensions(w io.Writer, opts Options, runs []*CityRun) {
 	fmt.Fprintf(w, "### Robustness to location perturbation (paper §3.3: positions \"may be slightly perturbed\")\n\n")
 	fmt.Fprintf(w, "| city | fuzz | measured supply ratio | measured deaths ratio |\n|---|---|---|---|\n")
 	for _, r := range runs {
-		f := ExtFuzzRobustness(r.Profile, opts.Seed, 4)
+		f := ExtFuzzRobustness(extScenario(r), 4)
 		fmt.Fprintf(w, "| %s | 25 m | %.3f | %.3f |\n", f.City, f.SupplyRatio, f.DeathRatio)
 	}
 	fmt.Fprintln(w)
@@ -99,7 +100,7 @@ func reportExtensions(w io.Writer, opts Options, runs []*CityRun) {
 	fmt.Fprintf(w, "Smoothing delivers what the paper asks for — far less oscillation and almost no\nsub-5-minute flicker — but at a price the paper did not anticipate: the EWMA decays\nslowly toward 1, so mild surge becomes near-permanent (see the surged-fraction column).\n\n")
 	fmt.Fprintf(w, "| city | engine | Σ\\|Δm\\| | episodes | surged fraction |\n|---|---|---|---|---|\n")
 	for _, r := range runs {
-		s := ExtSmoothing(r.Profile, opts.Seed, 12)
+		s := ExtSmoothing(r.Profile, r.Opts.Scenario.Seed, 12)
 		fmt.Fprintf(w, "| %s | stock | %.1f | %d | %.1f%% |\n", s.City, s.RawVolatility, s.RawEpisodes, s.RawSurgedFrac*100)
 		fmt.Fprintf(w, "| %s | smoothed (0.6) | %.1f | %d | %.1f%% |\n", s.City, s.SmoothedVolatility, s.SmoothedEpisodes, s.SmoothedSurgedFrac*100)
 	}

@@ -25,30 +25,21 @@ import (
 
 // Options configures a CityRun.
 type Options struct {
-	Seed int64
+	// Scenario names the backend the campaign measures. Its Jitter is the
+	// April 2015 datastream (Fig 13's February line comes from the API
+	// probes, which never jitter); its Engine, when not the default, is
+	// one of the alternative regimes the audit methodology is run against.
+	Scenario api.Scenario
 	// Days of measurement (default 1).
 	Days int
 	// Hours, when > 0, overrides Days with a sub-day window (tests and
 	// benches use this).
 	Hours int
-	// Jitter enables the April 2015 datastream (default true; Fig 13's
-	// February line comes from the API probes, which never jitter).
-	Jitter bool
 	// SkipStrategy disables the per-interval strategy sweeps (they are
 	// the most expensive part of the loop).
 	SkipStrategy bool
 	// SkipProber disables surge-area lattice probing.
 	SkipProber bool
-	// Workers is the simulation's phase-parallel tick worker count
-	// (0 = GOMAXPROCS). Campaign results are identical for every value.
-	Workers int
-	// FleetScale multiplies each profile's driver and request targets
-	// (see sim.CityProfile.Scale); 0 or 1 runs the calibrated size.
-	FleetScale float64
-	// Engine selects the pricing engine, one of surge.EngineNames ("" is
-	// the default, the paper's multiplicative surge; the others are the
-	// alternative regimes the audit methodology is run against).
-	Engine string
 }
 
 // StrategyStats aggregates Figs 23/24 inputs for one client position.
@@ -169,11 +160,9 @@ func (tt *truthTracker) tick() {
 	}
 }
 
-// RunCity executes the full campaign for a profile.
-func RunCity(profile *sim.CityProfile, opts Options) *CityRun {
-	if opts.FleetScale > 0 {
-		profile = profile.Scale(opts.FleetScale)
-	}
+// RunCity executes the full campaign against the options' scenario, which
+// must be valid (commands validate it at flag-parse time).
+func RunCity(opts Options) *CityRun {
 	if opts.Days <= 0 {
 		opts.Days = 1
 	}
@@ -182,10 +171,8 @@ func RunCity(profile *sim.CityProfile, opts Options) *CityRun {
 		end = int64(opts.Hours) * 3600
 	}
 
-	svc, err := api.NewBackendEngine(profile, opts.Seed, opts.Jitter, opts.Workers, opts.Engine)
-	if err != nil {
-		panic(err) // unknown engine names are caught at flag-parse time
-	}
+	svc := opts.Scenario.Build()
+	profile := svc.World().Profile()
 	pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, client.NumClients)
 	camp := client.NewCampaign(svc, svc.World().Projection(), pts)
 	camp.RegisterAll(svc)

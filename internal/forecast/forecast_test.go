@@ -18,7 +18,7 @@ func sfDataset(t testing.TB) *measure.Dataset {
 		return sfDatasetCache
 	}
 	profile := sim.SanFrancisco()
-	svc := api.NewBackend(profile, 77, false)
+	svc := api.Scenario{City: profile.Name, Seed: 77}.Build()
 	pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, client.NumClients)
 	camp := client.NewCampaign(svc, svc.World().Projection(), pts)
 	camp.RegisterAll(svc)

@@ -25,7 +25,7 @@ import (
 // way a real uberd shard looks to the gateway (API + /healthz + /readyz).
 func backendServer(t *testing.T, profile *sim.CityProfile, seed int64, opts ...api.ServerOption) *httptest.Server {
 	t.Helper()
-	svc := api.NewBackend(profile, seed, false)
+	svc := api.Scenario{City: profile.Name, Seed: seed}.Build()
 	svc.RunUntil(600)
 	ts := httptest.NewServer(api.NewServer(svc, opts...))
 	t.Cleanup(ts.Close)
@@ -351,7 +351,7 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func TestGatewayReloginAfterShardLosesAccounts(t *testing.T) {
 	mh := sim.Manhattan()
-	svc1 := api.NewBackend(mh, 1, false)
+	svc1 := api.Scenario{City: mh.Name, Seed: 1}.Build()
 	svc1.RunUntil(600)
 	sw := &swapHandler{}
 	sw.h.Store(http.Handler(api.NewServer(svc1)))
@@ -374,7 +374,7 @@ func TestGatewayReloginAfterShardLosesAccounts(t *testing.T) {
 	registerVia(t, gw.URL, "c1") // broadcast: both shards know c1
 
 	// The shard is replaced by a fresh process with an empty account table.
-	svc2 := api.NewBackend(mh, 1, false)
+	svc2 := api.Scenario{City: mh.Name, Seed: 1}.Build()
 	svc2.RunUntil(600)
 	sw.h.Store(http.Handler(api.NewServer(svc2)))
 
@@ -602,7 +602,7 @@ func TestGatewayEdgeMatchesShardEdge(t *testing.T) {
 // an empty one), and a login POST keeps the client's.
 func TestGatewayForwardsContentTypeOnlyWhenSent(t *testing.T) {
 	mh := sim.Manhattan()
-	svc := api.NewBackend(mh, 1, false)
+	svc := api.Scenario{City: mh.Name, Seed: 1}.Build()
 	svc.RunUntil(600)
 	inner := api.NewServer(svc)
 	var mu sync.Mutex

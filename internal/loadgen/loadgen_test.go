@@ -18,7 +18,7 @@ import (
 // checks the report is populated and consistent with the shared registry.
 func TestRunSmoke(t *testing.T) {
 	profile := sim.Manhattan()
-	svc := api.NewBackend(profile, 11, false)
+	svc := api.Scenario{City: profile.Name, Seed: 11}.Build()
 	svc.RunUntil(600)
 	reg := obs.NewRegistry()
 	svc.Instrument(reg)
@@ -114,7 +114,7 @@ func TestReportJSON(t *testing.T) {
 // must not exceed its configured request budget.
 func TestRunPaced(t *testing.T) {
 	profile := sim.Manhattan()
-	svc := api.NewBackend(profile, 12, false)
+	svc := api.Scenario{City: profile.Name, Seed: 12}.Build()
 	svc.RunUntil(600)
 	ts := httptest.NewServer(api.NewServer(svc))
 	defer ts.Close()
@@ -152,7 +152,7 @@ func TestRunBadBaseURL(t *testing.T) {
 // client goroutine with an integer divide by zero; 8:-1:1 silently skewed
 // the mix.
 func TestRunRejectsNegativeWeight(t *testing.T) {
-	ts := httptest.NewServer(api.NewServer(api.NewBackend(sim.Manhattan(), 11, false)))
+	ts := httptest.NewServer(api.NewServer(api.Scenario{City: "manhattan", Seed: 11}.Build()))
 	defer ts.Close()
 	for _, w := range [][3]int{{1, -1, 0}, {8, -1, 1}, {0, 0, -1}} {
 		_, err := Run(Config{
@@ -173,7 +173,7 @@ func TestRunRejectsNegativeWeight(t *testing.T) {
 // the retry loop, and the per-endpoint breakers.
 func TestRunAbsorbsChaos(t *testing.T) {
 	profile := sim.Manhattan()
-	svc := api.NewBackend(profile, 13, false)
+	svc := api.Scenario{City: profile.Name, Seed: 13}.Build()
 	svc.RunUntil(600)
 	reg := obs.NewRegistry()
 	svc.Instrument(reg)
@@ -231,7 +231,7 @@ func TestRunAbsorbsChaos(t *testing.T) {
 // resilience layer off, injected faults surface as client-visible errors.
 func TestRunNoRetryExposesFaults(t *testing.T) {
 	profile := sim.Manhattan()
-	svc := api.NewBackend(profile, 13, false)
+	svc := api.Scenario{City: profile.Name, Seed: 13}.Build()
 	svc.RunUntil(600)
 	reg := obs.NewRegistry()
 

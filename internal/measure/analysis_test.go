@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/geo"
-	"repro/internal/sim"
 )
 
 func TestExtractJitterFindsPattern(t *testing.T) {
@@ -126,7 +125,7 @@ func TestChangeMoments(t *testing.T) {
 }
 
 func TestAPIProbe(t *testing.T) {
-	svc := api.NewBackend(sim.SanFrancisco(), 31, true)
+	svc := api.Scenario{City: "sf", Seed: 31, Jitter: true}.Build()
 	svc.Register("api-probe")
 	loc := svc.World().Projection().ToLatLng(geo.Point{X: 1000, Y: 1000})
 	probe := NewAPIProbe(svc, "api-probe", loc)
@@ -155,7 +154,7 @@ func TestAPIProbe(t *testing.T) {
 }
 
 func TestAPIProbeRateLimitSurfaces(t *testing.T) {
-	svc := api.NewBackend(sim.Manhattan(), 33, false)
+	svc := api.Scenario{City: "manhattan", Seed: 33}.Build()
 	svc.Register("greedy")
 	loc := svc.World().Projection().ToLatLng(geo.Point{})
 	probe := NewAPIProbe(svc, "greedy", loc)

@@ -15,7 +15,7 @@ import (
 // returns the dataset.
 func runCampaign(t testing.TB, profile *sim.CityProfile, seed, start, end int64, jitter bool) (*Dataset, *client.Campaign) {
 	t.Helper()
-	svc := api.NewBackend(profile, seed, jitter)
+	svc := api.Scenario{City: profile.Name, Seed: seed, Jitter: jitter}.Build()
 	pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, client.NumClients)
 	camp := client.NewCampaign(svc, svc.World().Projection(), pts)
 	camp.RegisterAll(svc)

@@ -69,7 +69,7 @@ func collectStore(t *testing.T, path string) (map[int64][]string, int64, Header)
 // per-round row sets.
 func TestLiveIngestMatchesBatchStore(t *testing.T) {
 	profile := sim.Manhattan()
-	svc := api.NewBackend(profile, 21, true)
+	svc := api.Scenario{City: profile.Name, Seed: 21, Jitter: true}.Build()
 	pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, 12)
 	camp := client.NewCampaign(svc, svc.World().Projection(), pts)
 	if err := camp.RegisterAll(svc); err != nil {

@@ -21,7 +21,7 @@ import (
 func runRecordedCampaign(t *testing.T) (live, replayed *measure.Dataset, hdr Header, rounds int64) {
 	t.Helper()
 	profile := sim.Manhattan()
-	svc := api.NewBackend(profile, 77, true)
+	svc := api.Scenario{City: profile.Name, Seed: 77, Jitter: true}.Build()
 	pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, client.NumClients)
 	camp := client.NewCampaign(svc, svc.World().Projection(), pts)
 	camp.RegisterAll(svc)
@@ -183,7 +183,7 @@ func (f *flakyPinger) PingClient(clientID string, loc geo.LatLng) (*core.PingRes
 // series — as the live one. This is the v2 format's reason to exist.
 func TestRoundTripPreservesGaps(t *testing.T) {
 	profile := sim.Manhattan()
-	svc := api.NewBackend(profile, 78, false)
+	svc := api.Scenario{City: profile.Name, Seed: 78}.Build()
 	flaky := &flakyPinger{Service: svc, rng: rand.New(rand.NewSource(9)), failProb: 0.1}
 	pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, client.NumClients)
 	camp := client.NewCampaign(flaky, svc.World().Projection(), pts)

@@ -382,18 +382,12 @@ func (p *CityProfile) Scale(f float64) *CityProfile {
 // TaxiCity derives a flat-fare street-hail fleet from p: the same
 // geometry, hotspots, and diurnal curves, but every car is UberT, no
 // surge (multiplier pinned at 1), and road movement on — the second
-// service of the OpenStreetCab-style price-comparison scenario. share
-// scales its fleet and demand relative to p's (taxi fleets dwarfed
-// Uber's in 2015 Manhattan; pass >1 to reproduce that).
-func (p *CityProfile) TaxiCity(share float64) *CityProfile {
-	if share <= 0 {
-		share = 1
-	}
+// service of the OpenStreetCab-style price-comparison scenario, with a
+// fleet and demand the size of p's.
+func (p *CityProfile) TaxiCity() *CityProfile {
 	q := *p
 	q.Name = p.Name + "-taxi"
 	q.RoadName = p.Name
-	q.PeakDrivers = int(math.Round(float64(p.PeakDrivers) * share))
-	q.PeakRequestsPerHour = p.PeakRequestsPerHour * share
 	q.FleetShare = map[core.VehicleType]float64{core.UberT: 1}
 	q.DemandShare = map[core.VehicleType]float64{core.UberT: 1}
 	q.Surge = SurgeParams{MaxMultiplier: 1}

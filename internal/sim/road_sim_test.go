@@ -97,7 +97,7 @@ func TestRoadSharedNetwork(t *testing.T) {
 	profile := Manhattan()
 	net := road.ForProfile(profile.Name, profile.Region)
 	uber := NewWorld(Config{Profile: profile, Seed: 1, StartTime: 17 * 3600, Road: net, RoadShared: true})
-	taxi := NewWorld(Config{Profile: profile.TaxiCity(1), Seed: 2, StartTime: 17 * 3600, Road: net, RoadShared: true})
+	taxi := NewWorld(Config{Profile: profile.TaxiCity(), Seed: 2, StartTime: 17 * 3600, Road: net, RoadShared: true})
 	if uber.Road() != taxi.Road() {
 		t.Fatal("worlds did not share the network")
 	}

@@ -39,7 +39,7 @@ func TestNearestOnPolygon(t *testing.T) {
 
 func TestEntryPointInsideArea(t *testing.T) {
 	profile := sim.Manhattan()
-	svc := api.NewBackend(profile, 3, false)
+	svc := api.Scenario{City: profile.Name, Seed: 3}.Build()
 	svc.Register("walker")
 	ad := NewAdvisor(svc, "walker", profile)
 	pos := ad.Areas[0].Centroid()
@@ -57,7 +57,7 @@ func TestEntryPointInsideArea(t *testing.T) {
 
 func TestAdviseShape(t *testing.T) {
 	profile := sim.SanFrancisco()
-	svc := api.NewBackend(profile, 5, false)
+	svc := api.Scenario{City: profile.Name, Seed: 5}.Build()
 	svc.Register("walker")
 	svc.RunUntil(8 * 3600)
 	ad := NewAdvisor(svc, "walker", profile)
@@ -104,7 +104,7 @@ func TestStrategyFindsSavingsUnderDifferentialSurge(t *testing.T) {
 	// surging independently, the strategy must find savings at least
 	// occasionally, and never recommend an infeasible option.
 	profile := sim.SanFrancisco()
-	svc := api.NewBackend(profile, 7, false)
+	svc := api.Scenario{City: profile.Name, Seed: 7}.Build()
 	svc.Register("walker")
 	ad := NewAdvisor(svc, "walker", profile)
 	// Near SF's area cross point (the UCSF corner: SplitX/SplitY place it

@@ -7,7 +7,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/geo"
 	"repro/internal/measure"
-	"repro/internal/sim"
 )
 
 func TestWaitOutSyntheticLog(t *testing.T) {
@@ -56,7 +55,7 @@ func TestWaitOutOnRealStream(t *testing.T) {
 	// On a real SF API stream, waiting one 5-minute interval from onset
 	// must beat paying immediately a substantial fraction of the time —
 	// the paper's "majority of surges are short-lived" argument.
-	svc := api.NewBackend(sim.SanFrancisco(), 17, false)
+	svc := api.Scenario{City: "sf", Seed: 17}.Build()
 	svc.Register("waiter")
 	loc := svc.World().Projection().ToLatLng(geo.Point{X: 500, Y: -500})
 	probe := measure.NewAPIProbe(svc, "waiter", loc)

@@ -297,31 +297,3 @@ func Quantize(m float64) float64 {
 
 // quantizeGrid is the multiplicative regimes' quantiser: Uber's 0.1 grid.
 func quantizeGrid(_ *Config, raw float64) float64 { return Quantize(raw) }
-
-// Runner couples a world and its default-regime engine and advances them
-// together; it is the minimal "backend main loop" the experiment harness
-// and the surge tests drive. Code that must be engine-agnostic steps a
-// Pricer directly (w.Step() then p.Step(w.Now())), as api.Service does.
-// Either way, prices are read from Engine.View.
-type Runner struct {
-	World  *sim.World
-	Engine *Engine
-}
-
-// NewRunner builds a world plus engine pair.
-func NewRunner(w *sim.World, cfg Config) *Runner {
-	return &Runner{World: w, Engine: New(w, cfg)}
-}
-
-// Step advances the backend by one tick.
-func (r *Runner) Step() {
-	r.World.Step()
-	r.Engine.Step(r.World.Now())
-}
-
-// RunUntil advances the backend to time end.
-func (r *Runner) RunUntil(end int64) {
-	for r.World.Now() < end {
-		r.Step()
-	}
-}

@@ -8,10 +8,25 @@ import (
 	"repro/internal/sim"
 )
 
-func newRunner(t testing.TB, p *sim.CityProfile, seed int64, jitter bool) *Runner {
+// runner steps a world and its engine together, as api.Service does
+// without the query epoch.
+type runner struct {
+	World  *sim.World
+	Engine *Engine
+}
+
+// RunUntil advances the pair to time end.
+func (r *runner) RunUntil(end int64) {
+	for r.World.Now() < end {
+		r.World.Step()
+		r.Engine.Step(r.World.Now())
+	}
+}
+
+func newRunner(t testing.TB, p *sim.CityProfile, seed int64, jitter bool) *runner {
 	t.Helper()
 	w := sim.NewWorld(sim.Config{Profile: p, Seed: seed})
-	return NewRunner(w, Config{Params: p.Surge, Seed: seed, Jitter: jitter, KeepHistory: true})
+	return &runner{World: w, Engine: New(w, Config{Params: p.Surge, Seed: seed, Jitter: jitter, KeepHistory: true})}
 }
 
 func TestQuantize(t *testing.T) {
@@ -59,7 +74,7 @@ func TestEngineUpdatesOnFiveMinuteClock(t *testing.T) {
 func TestHistoryOffByDefault(t *testing.T) {
 	p := sim.SanFrancisco()
 	w := sim.NewWorld(sim.Config{Profile: p, Seed: 1})
-	r := NewRunner(w, Config{Params: p.Surge, Seed: 1})
+	r := &runner{World: w, Engine: New(w, Config{Params: p.Surge, Seed: 1})}
 	r.RunUntil(3600)
 	if got := len(r.Engine.History); got != 0 {
 		t.Errorf("History grew to %d snapshots without KeepHistory", got)

@@ -38,7 +38,7 @@ func TestSmoothingReducesVolatility(t *testing.T) {
 		p := sim.SanFrancisco()
 		w := sim.NewWorld(sim.Config{Profile: p, Seed: 99})
 		e := New(w, Config{Params: p.Surge, Seed: 99, Smoothing: smoothing, KeepHistory: true})
-		r := &Runner{World: w, Engine: e}
+		r := &runner{World: w, Engine: e}
 		r.RunUntil(16 * 3600)
 		return e
 	}
@@ -73,7 +73,7 @@ func TestSmoothingStillTracksDemand(t *testing.T) {
 	p := sim.SanFrancisco()
 	w := sim.NewWorld(sim.Config{Profile: p, Seed: 3})
 	e := New(w, Config{Params: p.Surge, Seed: 3, Smoothing: 0.6, KeepHistory: true})
-	r := &Runner{World: w, Engine: e}
+	r := &runner{World: w, Engine: e}
 	r.RunUntil(12 * 3600)
 	surged, total := 0, 0
 	for _, snap := range e.History {
@@ -96,7 +96,7 @@ func TestSmoothingZeroIsIdentity(t *testing.T) {
 		p := sim.Manhattan()
 		w := sim.NewWorld(sim.Config{Profile: p, Seed: 5})
 		e := New(w, Config{Params: p.Surge, Seed: 5, Smoothing: smoothing, KeepHistory: true})
-		r := &Runner{World: w, Engine: e}
+		r := &runner{World: w, Engine: e}
 		r.RunUntil(2 * 3600)
 		return e.History
 	}

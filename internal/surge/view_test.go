@@ -13,7 +13,7 @@ func TestViewStaysFrozen(t *testing.T) {
 	p := sim.SanFrancisco()
 	w := sim.NewWorld(sim.Config{Profile: p, Seed: 9, StartTime: 17 * 3600})
 	e := New(w, Config{Params: p.Surge, Seed: 9, Jitter: true})
-	r := &Runner{World: w, Engine: e}
+	r := &runner{World: w, Engine: e}
 	r.RunUntil(18 * 3600)
 
 	// Record the view's answers, advance the engine across several

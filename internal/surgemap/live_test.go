@@ -50,7 +50,7 @@ func TestLiveTailApply(t *testing.T) {
 // map must agree exactly with the engine's own multipliers.
 func TestLiveTailFollowsEngine(t *testing.T) {
 	profile := sim.Manhattan()
-	svc := api.NewBackend(profile, 9, false)
+	svc := api.Scenario{City: profile.Name, Seed: 9}.Build()
 
 	dir := t.TempDir()
 	br, err := bus.Open(dir, bus.Options{})

@@ -44,7 +44,7 @@ func TestInferRecoversTrueAreas(t *testing.T) {
 	// SF surges most of the time, so a modest probe window separates the
 	// areas.
 	profile := sim.SanFrancisco()
-	svc := api.NewBackend(profile, 17, false)
+	svc := api.Scenario{City: profile.Name, Seed: 17}.Build()
 	prober, err := NewProber(svc, svc, svc.World().Projection(), profile.MeasureRect, 350)
 	if err != nil {
 		t.Fatal(err)

@@ -114,7 +114,7 @@ func TestEndToEndSurgeEffects(t *testing.T) {
 	// directional findings: the share of new cars appearing in an area
 	// rises when that area surges above its neighbors, and dying falls.
 	profile := sim.SanFrancisco()
-	svc := api.NewBackend(profile, 19, false)
+	svc := api.Scenario{City: profile.Name, Seed: 19}.Build()
 	pts := client.GridLayout(profile.MeasureRect, profile.ClientSpacing, client.NumClients)
 	camp := client.NewCampaign(svc, svc.World().Projection(), pts)
 	camp.RegisterAll(svc)
