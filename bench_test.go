@@ -16,13 +16,16 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/client"
 	"repro/internal/experiments"
 	"repro/internal/geo"
+	"repro/internal/record"
 	"repro/internal/road"
 	"repro/internal/sim"
 	"repro/internal/surge"
@@ -472,6 +475,44 @@ func BenchmarkPingServe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkCampaignRound measures one tick of the paper's campaign in
+// process: api.Service.Step on a warm Manhattan backend, then a Round of the
+// 43 GridLayout clients into a tsdb record.Writer. The campaign fills one
+// response for every ping and lends it to the writer, which keeps each
+// observation's stored form; so B/op is the tick, the rows the store holds
+// and its seals, and no response.
+func BenchmarkCampaignRound(b *testing.B) {
+	s := api.Scenario{City: "manhattan", Seed: 1}.Build()
+	s.RunUntil(300)
+	p := s.World().Profile()
+	pts := client.GridLayout(p.MeasureRect, p.ClientSpacing, client.NumClients)
+	camp := client.NewCampaign(s, s.World().Projection(), pts)
+	if err := camp.RegisterAll(s); err != nil {
+		b.Fatal(err)
+	}
+	w, err := record.Create(record.StoreTSDB, filepath.Join(b.TempDir(), "c.tsdb"),
+		record.Header{City: p.Name, Start: s.Now(), Clients: pts}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	camp.AddSink(w)
+	s.Step()
+	camp.Round() // sizes the campaign's response
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+		camp.Round()
+	}
+	b.StopTimer()
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if camp.Errors != 0 {
+		b.Fatalf("%d pings failed", camp.Errors)
 	}
 }
 

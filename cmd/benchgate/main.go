@@ -54,9 +54,14 @@ type baseline struct {
 	} `json:"gate"`
 }
 
-// benchLine matches `go test -bench -benchmem` result rows, with or
-// without the -N GOMAXPROCS suffix benchmark names carry on SMP hosts.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// benchLine matches `go test -bench` result rows up to ns/op, with or
+// without the -N GOMAXPROCS suffix benchmark names carry on SMP hosts;
+// benchMem matches the -benchmem columns after it, which follow any
+// metrics the benchmark reports itself (BenchmarkStoreRangeTSDB's rows/op).
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`)
+	benchMem  = regexp.MustCompile(`\s(\d+) (B|allocs)/op`)
+)
 
 // parseBench reads the result rows of `go test -bench` output by
 // benchmark name.
@@ -69,12 +74,19 @@ func parseBench(r io.Reader) (map[string]metrics, error) {
 		if m == nil {
 			continue
 		}
-		// The pattern admits only digits (and dots in ns/op); a row without
-		// -benchmem leaves the byte and alloc groups empty, read as 0.
-		ns, _ := strconv.ParseFloat(m[2], 64)
-		b, _ := strconv.ParseInt(m[3], 10, 64)
-		allocs, _ := strconv.ParseInt(m[4], 10, 64)
-		got[m[1]] = metrics{NsOp: ns, BOp: b, AllocsOp: allocs}
+		// The patterns admit only digits (and dots in ns/op); a row without
+		// -benchmem reads 0 bytes and 0 allocs.
+		row := metrics{}
+		row.NsOp, _ = strconv.ParseFloat(m[2], 64)
+		for _, u := range benchMem.FindAllStringSubmatch(sc.Text()[len(m[0]):], -1) {
+			n, _ := strconv.ParseInt(u[1], 10, 64)
+			if u[2] == "B" {
+				row.BOp = n
+			} else {
+				row.AllocsOp = n
+			}
+		}
+		got[m[1]] = row
 	}
 	return got, sc.Err()
 }

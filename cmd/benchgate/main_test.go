@@ -13,6 +13,7 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkStep/fleet=10k-2  	       5	    739903 ns/op	  178584 B/op	     526 allocs/op",
 		"BenchmarkSnapshotEpoch/fleet=100k         	       5	  11176933 ns/op	 4412643 B/op	    5250 allocs/op",
 		"BenchmarkRoute-16 	     300	    589543.5 ns/op",
+		"BenchmarkStoreRangeTSDB-2 	       5	 150073724 ns/op	      5160 rows/op	10004916 B/op	    5277 allocs/op",
 		"BenchmarkBroken-2 	       5	    n/a ns/op",
 		"--- BENCH: BenchmarkStep/fleet=10k-2",
 		"PASS",
@@ -25,6 +26,7 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkStep/fleet=10k":           {NsOp: 739903, BOp: 178584, AllocsOp: 526},
 		"BenchmarkSnapshotEpoch/fleet=100k": {NsOp: 11176933, BOp: 4412643, AllocsOp: 5250},
 		"BenchmarkRoute":                    {NsOp: 589543.5},
+		"BenchmarkStoreRangeTSDB":           {NsOp: 150073724, BOp: 10004916, AllocsOp: 5277},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("parsed rows\n got  %+v\n want %+v", got, want)

@@ -479,27 +479,39 @@ func (r *Remote) query(ctx context.Context, path, clientID string, loc geo.LatLn
 	return r.get(ctx, path, u, out)
 }
 
-// PingClientCtx implements core.Service over the wire with a caller
-// context.
-func (r *Remote) PingClientCtx(ctx context.Context, clientID string, loc geo.LatLng) (*core.PingResponse, error) {
-	var resp core.PingResponse
-	if err := r.query(ctx, "/pingClient", clientID, loc, &resp); err != nil {
-		return nil, err
-	}
-	// TypeName travels on the wire; rebuild the enum for local use.
-	for i := range resp.Types {
-		vt, err := core.ParseVehicleType(resp.Types[i].TypeName)
-		if err != nil {
-			return nil, fmt.Errorf("api: bad type in response: %w", err)
-		}
-		resp.Types[i].Type = vt
-	}
-	return &resp, nil
+// PingInto implements core.Service over the wire: the body is decoded
+// into *dst by core.DecodePing.
+func (r *Remote) PingInto(clientID string, loc geo.LatLng, dst *core.PingResponse) error {
+	return r.pingInto(context.Background(), clientID, loc, dst)
 }
 
-// PingClient implements core.Service over the wire.
+// PingClientCtx is PingInto with a caller context, into a fresh response.
+func (r *Remote) PingClientCtx(ctx context.Context, clientID string, loc geo.LatLng) (*core.PingResponse, error) {
+	resp := new(core.PingResponse)
+	if err := r.pingInto(ctx, clientID, loc, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// PingClient is PingClientCtx without a deadline.
 func (r *Remote) PingClient(clientID string, loc geo.LatLng) (*core.PingResponse, error) {
 	return r.PingClientCtx(context.Background(), clientID, loc)
+}
+
+func (r *Remote) pingInto(ctx context.Context, clientID string, loc geo.LatLng, dst *core.PingResponse) error {
+	if err := r.query(ctx, "/pingClient", clientID, loc, dst); err != nil {
+		return err
+	}
+	// TypeName travels on the wire; rebuild the enum for local use.
+	for i := range dst.Types {
+		vt, err := core.ParseVehicleType(dst.Types[i].TypeName)
+		if err != nil {
+			return fmt.Errorf("api: bad type in response: %w", err)
+		}
+		dst.Types[i].Type = vt
+	}
+	return nil
 }
 
 // EstimatePriceCtx implements core.Service over the wire with a caller

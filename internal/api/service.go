@@ -58,7 +58,7 @@ func (st *queryState) release() { st.readers.Add(-1) }
 // Service answers client and API queries against a running backend.
 // All methods are safe for concurrent use.
 //
-// Concurrency model: the query endpoints (PingClient, EstimatePrice,
+// Concurrency model: the query endpoints (PingInto, EstimatePrice,
 // EstimateTime, PartnerMap) are lock-free. Step holds mu while advancing
 // the world and engine, then publishes an immutable queryState through an
 // atomic pointer; queries load the pointer and serve entirely from that
@@ -260,14 +260,22 @@ func (s *Service) authLimited(clientID string, now int64) error {
 	return nil
 }
 
-// PingClient emulates the Client app's 5-second ping: for each offered
-// product it returns the eight nearest available cars (randomized session
+// PingInto emulates the Client app's 5-second ping: for each offered
+// product it writes the eight nearest available cars (randomized session
 // IDs and path vectors), the EWT, and the surge multiplier — including,
-// when the April bug is active, per-client jitter. The response is served
-// entirely from the published snapshot epoch; no lock is taken.
+// when the April bug is active, per-client jitter — into *dst, reusing the
+// capacity of dst.Types and of each product's Cars. The answer is served
+// entirely from the published snapshot epoch; no lock is taken. Served
+// Paths are kept, so they stay valid after dst is filled again.
+func (s *Service) PingInto(clientID string, loc geo.LatLng, dst *core.PingResponse) error {
+	return s.ping(clientID, loc, (*pingBuilder)(dst))
+}
+
+// PingClient is PingInto into a fresh response sized to the offered
+// products.
 func (s *Service) PingClient(clientID string, loc geo.LatLng) (*core.PingResponse, error) {
 	resp := &core.PingResponse{Types: make([]core.TypeStatus, 0, len(s.offered))}
-	if err := s.ping(clientID, loc, (*pingBuilder)(resp)); err != nil {
+	if err := s.PingInto(clientID, loc, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
@@ -284,14 +292,24 @@ type pingSink interface {
 	end(ewt, surge float64)
 }
 
-// pingBuilder is PingClient's sink: the response itself, whose Paths are
-// the caller's for good.
+// pingBuilder is PingInto's sink: the response itself, filled in place.
+// Its Paths are the caller's for good.
 type pingBuilder core.PingResponse
 
-func (r *pingBuilder) begin(now int64) { r.Time = now }
+func (r *pingBuilder) begin(now int64) { r.Time, r.Types = now, r.Types[:0] }
 
+// product opens the next product's section over the slot's old one, keeping
+// its Cars when they hold n. A product with no cars still gets a non-nil
+// Cars, so it encodes as [] and not null.
 func (r *pingBuilder) product(vt core.VehicleType, n int) {
-	r.Types = append(r.Types, core.TypeStatus{Type: vt, TypeName: vt.String(), Cars: make([]core.CarView, 0, n)})
+	var cars []core.CarView
+	if k := len(r.Types); k < cap(r.Types) {
+		cars = r.Types[:k+1][k].Cars[:0]
+	}
+	if cars == nil || cap(cars) < n {
+		cars = make([]core.CarView, 0, n)
+	}
+	r.Types = append(r.Types, core.TypeStatus{Type: vt, TypeName: vt.String(), Cars: cars})
 }
 
 func (r *pingBuilder) car(c sim.NearCar) {

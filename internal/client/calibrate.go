@@ -30,20 +30,21 @@ func CheckDeterminism(b Stepper, svc core.Service, reg Registrar, loc geo.LatLng
 			return false, err
 		}
 	}
+	// The first client's answer and each later one's need their own
+	// responses: filled into one, they would always compare equal.
+	var ref, cur core.PingResponse
 	end := b.Now() + duration
 	for b.Now() < end {
 		b.Step()
-		var ref *core.PingResponse
-		for _, id := range ids {
-			resp, err := svc.PingClient(id, loc)
-			if err != nil {
+		for i, id := range ids {
+			dst := &cur
+			if i == 0 {
+				dst = &ref
+			}
+			if err := svc.PingInto(id, loc, dst); err != nil {
 				return false, err
 			}
-			if ref == nil {
-				ref = resp
-				continue
-			}
-			if !sameResponse(ref, resp) {
+			if i > 0 && !sameResponse(&ref, &cur) {
 				return false, nil
 			}
 		}
@@ -102,13 +103,13 @@ func MeasureVisibilityRadius(b Stepper, svc core.Service, reg Registrar, proj *g
 	}
 
 	res := CalibrationResult{}
+	var resp core.PingResponse
 	for step := 0; ; step++ {
 		b.Step()
 		// Intersect the four visible-car ID sets.
 		var inter map[string]bool
 		for i := range ids {
-			resp, err := svc.PingClient(ids[i], proj.ToLatLng(pos[i]))
-			if err != nil {
+			if err := svc.PingInto(ids[i], proj.ToLatLng(pos[i]), &resp); err != nil {
 				return res, err
 			}
 			seen := make(map[string]bool)

@@ -30,6 +30,11 @@ type Client struct {
 // Sink consumes ping responses as they arrive. Observe is called once per
 // client per round; EndRound is called after every client in a round has
 // reported, with the round's timestamp.
+//
+// Observe borrows resp: the response, its Types and each product's Cars
+// are valid for the call only, because the caller fills the same response
+// again for the next observation. A sink that keeps any of them copies
+// them; the strings and Paths inside may be kept as they are.
 type Sink interface {
 	Observe(clientIdx int, pos geo.Point, resp *core.PingResponse)
 	EndRound(now int64)
@@ -99,6 +104,9 @@ type Campaign struct {
 	// lastNow is the most recent response timestamp, handed to GapSinks
 	// so gaps carry an approximate time.
 	lastNow int64
+	// resp is the one response every ping of every round fills and lends
+	// to the sinks.
+	resp core.PingResponse
 }
 
 // NewCampaign builds a campaign with clients at the given plane positions.
@@ -132,16 +140,16 @@ func (c *Campaign) RegisterAll(r Registrar) error {
 // AddSink attaches a measurement sink.
 func (c *Campaign) AddSink(s Sink) { c.Sinks = append(c.Sinks, s) }
 
-// Round performs one ping round: every client pings once and the
-// responses are fanned out to the sinks. Failed pings are reported to
-// GapSinks so the round's record shows an explicit hole where the
-// observation should have been.
+// Round performs one ping round: every client pings once into the
+// campaign's one response, which is lent to each sink in turn. Failed pings
+// are reported to GapSinks so the round's record shows an explicit hole
+// where the observation should have been.
 func (c *Campaign) Round() {
 	now := c.lastNow
+	resp := &c.resp
 	for i := range c.Clients {
 		cl := &c.Clients[i]
-		resp, err := c.Service.PingClient(cl.ID, cl.Loc)
-		if err != nil {
+		if err := c.Service.PingInto(cl.ID, cl.Loc, resp); err != nil {
 			c.Errors++
 			for _, s := range c.Sinks {
 				if gs, ok := s.(GapSink); ok {

@@ -21,12 +21,12 @@ type flakyService struct {
 
 var errFlaky = errors.New("transient transport failure")
 
-func (f *flakyService) PingClient(clientID string, loc geo.LatLng) (*core.PingResponse, error) {
+func (f *flakyService) PingInto(clientID string, loc geo.LatLng, dst *core.PingResponse) error {
 	if f.rng.Float64() < f.failProb {
 		f.failures++
-		return nil, errFlaky
+		return errFlaky
 	}
-	return f.Service.PingClient(clientID, loc)
+	return f.Service.PingInto(clientID, loc, dst)
 }
 
 func TestCampaignSurvivesTransportFailures(t *testing.T) {

@@ -132,14 +132,19 @@ type TimeEstimate struct {
 // internal/api implements it for the simulated Uber service; internal/taxi
 // implements it for the ground-truth taxi replayer (without surge).
 //
-// PingClient emulates the smartphone app's 5-second ping: clientID
+// PingInto emulates the smartphone app's 5-second ping: clientID
 // identifies the logged-in account (jitter in the April 2015 datastream was
-// per-client, so the backend needs to know who is asking).
+// per-client, so the backend needs to know who is asking). It overwrites
+// *dst with the answer and may reuse the capacity of dst.Types and of each
+// dst.Types[i].Cars, so a caller that fills one response over and over
+// allocates none, and one that keeps an answer past its next ping copies
+// the slices first (strings and Paths stay valid for good). On error *dst
+// is unspecified.
 //
 // EstimatePrice and EstimateTime emulate the public HTTP API, which serves
 // surge without jitter but is rate limited per account.
 type Service interface {
-	PingClient(clientID string, loc geo.LatLng) (*PingResponse, error)
+	PingInto(clientID string, loc geo.LatLng, dst *PingResponse) error
 	EstimatePrice(clientID string, loc geo.LatLng) ([]PriceEstimate, error)
 	EstimateTime(clientID string, loc geo.LatLng) ([]TimeEstimate, error)
 	// Now returns the backend's current simulation time in seconds.

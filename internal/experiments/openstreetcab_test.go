@@ -111,8 +111,9 @@ type fakeQuoteService struct {
 	ewt float64
 }
 
-func (f *fakeQuoteService) PingClient(string, geo.LatLng) (*core.PingResponse, error) {
-	return &core.PingResponse{}, nil
+func (f *fakeQuoteService) PingInto(_ string, _ geo.LatLng, dst *core.PingResponse) error {
+	*dst = core.PingResponse{}
+	return nil
 }
 
 func (f *fakeQuoteService) EstimatePrice(string, geo.LatLng) ([]core.PriceEstimate, error) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -107,7 +108,6 @@ type Gateway struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mRequests  func(shard, class string) *obs.Counter
 	mReroutes  *obs.Counter
 	mFailovers *obs.Counter
 	mSheds     func(region string) *obs.Counter
@@ -153,9 +153,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	g.router = router
 	g.ready.AddCheck("shards", g.AnyEligible)
 
-	g.mRequests = func(shard, class string) *obs.Counter {
-		return reg.Counter("gate_requests_total", obs.L("shard", shard), obs.L("class", class))
-	}
 	g.mReroutes = reg.Counter("gate_reroutes_total")
 	g.mFailovers = reg.Counter("gate_failovers_total")
 	g.mSheds = func(region string) *obs.Counter {
@@ -416,7 +413,25 @@ func (g *Gateway) relay(w http.ResponseWriter, route Route, resp *http.Response)
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-	g.mRequests(route.Shard.Name, statusClass(resp.StatusCode)).Inc()
+	g.requests(route.Shard, resp.StatusCode).Inc()
+}
+
+// requests returns shard s's gate_requests_total counter for code's status
+// class. The class's first response looks it up in the registry and caches
+// it on the shard, so later requests take no registry lock.
+func (g *Gateway) requests(s *Shard, code int) *obs.Counter {
+	var slot *atomic.Pointer[obs.Counter]
+	if class := code / 100; class >= 0 && class < len(s.mRequests) {
+		slot = &s.mRequests[class]
+		if c := slot.Load(); c != nil {
+			return c
+		}
+	}
+	c := g.cfg.Registry.Counter("gate_requests_total", obs.L("shard", s.Name), obs.L("class", statusClass(code)))
+	if slot != nil {
+		slot.Store(c)
+	}
+	return c
 }
 
 func statusClass(code int) string {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -639,5 +640,90 @@ func TestGatewayForwardsContentTypeOnlyWhenSent(t *testing.T) {
 	}
 	if ct := seen["/login"]; len(ct) != 1 || ct[0] != "application/json" {
 		t.Errorf("forwarded login: shard saw Content-Type %q, want [application/json]", ct)
+	}
+}
+
+// TestGatewayRequestCounters pins gate_requests_total against stub shards:
+// one series per shard and status class actually relayed, none for a class
+// never seen, and counts that keep adding up once each class's counter is
+// cached on its shard.
+func TestGatewayRequestCounters(t *testing.T) {
+	mh, sf := sim.Manhattan(), sim.SanFrancisco()
+	stub := func() *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/healthz":
+				io.WriteString(w, `{"time":5}`)
+			case "/readyz":
+				io.WriteString(w, "ok")
+			default:
+				code, _ := strconv.Atoi(r.URL.Query().Get("code"))
+				w.WriteHeader(code)
+			}
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	reg := obs.NewRegistry()
+	g := startGateway(t, Config{
+		Regions: []RegionSpec{regionSpec(mh), regionSpec(sf)},
+		Shards: []ShardSpec{
+			{Name: "mh-0", Region: mh.Name, BaseURL: stub().URL},
+			{Name: "sf-0", Region: sf.Name, BaseURL: stub().URL},
+		},
+		Registry: reg,
+	})
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	send := func(loc geo.LatLng, code, n int) {
+		for i := 0; i < n; i++ {
+			resp, err := http.Get(fmt.Sprintf("%s/pingClient?client=c&code=%d&lat=%f&lng=%f", gw.URL, code, loc.Lat, loc.Lng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != code {
+				t.Fatalf("relayed status %d, want %d", resp.StatusCode, code)
+			}
+		}
+	}
+	series := func() string {
+		var buf bytes.Buffer
+		reg.WritePrometheus(&buf)
+		var lines []string
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(l, "gate_requests_total") {
+				lines = append(lines, l)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+
+	send(mh.Origin, 200, 3)
+	send(mh.Origin, 404, 2)
+	send(mh.Origin, 429, 1)
+	send(sf.Origin, 200, 2)
+	send(sf.Origin, 503, 1)
+	want := strings.Join([]string{
+		`gate_requests_total{class="2xx",shard="mh-0"} 3`,
+		`gate_requests_total{class="2xx",shard="sf-0"} 2`,
+		`gate_requests_total{class="4xx",shard="mh-0"} 3`,
+		`gate_requests_total{class="5xx",shard="sf-0"} 1`,
+	}, "\n")
+	if got := series(); got != want {
+		t.Fatalf("request series:\n%s\nwant:\n%s", got, want)
+	}
+	send(mh.Origin, 200, 2)
+	send(sf.Origin, 404, 1)
+	want = strings.Join([]string{
+		`gate_requests_total{class="2xx",shard="mh-0"} 5`,
+		`gate_requests_total{class="2xx",shard="sf-0"} 2`,
+		`gate_requests_total{class="4xx",shard="mh-0"} 3`,
+		`gate_requests_total{class="4xx",shard="sf-0"} 1`,
+		`gate_requests_total{class="5xx",shard="sf-0"} 1`,
+	}, "\n")
+	if got := series(); got != want {
+		t.Fatalf("request series after more requests:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -67,6 +67,9 @@ type Shard struct {
 	mUp    *obs.Gauge   // 1 while alive
 	mReady *obs.Gauge   // 1 while ready
 	mDown  *obs.Counter // transitions alive→down
+	// mRequests caches the gateway's gate_requests_total counters by
+	// status class (code/100), each set on its class's first response.
+	mRequests [10]atomic.Pointer[obs.Counter]
 }
 
 // Alive reports the liveness probe state.

@@ -213,10 +213,12 @@ const (
 // Replay streams the rows of db with from ≤ time < to into sinks in
 // (time, series) order, reconstructing round boundaries (all observations
 // of one round share a timestamp), and returns the number of rounds
-// replayed. hdr places each series (client) for the sinks. If a chunk is
-// damaged, every row before it is delivered first and the returned error
-// wraps ErrTruncated.
+// replayed. hdr places each series (client) for the sinks. Every row is
+// filled into one response that each sink borrows (see client.Sink). If a
+// chunk is damaged, every row before it is delivered first and the returned
+// error wraps ErrTruncated.
 func Replay(db *tsdb.DB, hdr Header, from, to int64, sinks ...client.Sink) (rounds int64, err error) {
+	var resp core.PingResponse
 	cur := int64(-1)
 	endRound := func() {
 		for _, s := range sinks {
@@ -246,12 +248,11 @@ func Replay(db *tsdb.DB, hdr Header, from, to int64, sinks ...client.Sink) (roun
 			}
 			continue
 		}
-		resp, err := wire.ToResponse(row.Time, row.Types)
-		if err != nil {
+		if err := wire.FillResponse(&resp, row.Time, row.Types); err != nil {
 			return rounds, fmt.Errorf("record: %w", err)
 		}
 		for _, s := range sinks {
-			s.Observe(row.Series, pos, resp)
+			s.Observe(row.Series, pos, &resp)
 		}
 	}
 	if cur >= 0 {

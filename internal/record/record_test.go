@@ -171,11 +171,11 @@ type flakyPinger struct {
 	failProb float64
 }
 
-func (f *flakyPinger) PingClient(clientID string, loc geo.LatLng) (*core.PingResponse, error) {
+func (f *flakyPinger) PingInto(clientID string, loc geo.LatLng, dst *core.PingResponse) error {
 	if f.rng.Float64() < f.failProb {
-		return nil, errors.New("simulated transport failure")
+		return errors.New("simulated transport failure")
 	}
-	return f.Service.PingClient(clientID, loc)
+	return f.Service.PingInto(clientID, loc, dst)
 }
 
 // TestRoundTripPreservesGaps runs a lossy campaign and checks the replayed

@@ -22,8 +22,9 @@ func (f *fakeService) Register(string) error { return nil }
 
 func (f *fakeService) Now() int64 { return 0 }
 
-func (f *fakeService) PingClient(string, geo.LatLng) (*core.PingResponse, error) {
-	return &core.PingResponse{}, nil
+func (f *fakeService) PingInto(_ string, _ geo.LatLng, dst *core.PingResponse) error {
+	*dst = core.PingResponse{}
+	return nil
 }
 
 func (f *fakeService) EstimatePrice(string, geo.LatLng) ([]core.PriceEstimate, error) {

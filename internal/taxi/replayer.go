@@ -103,23 +103,29 @@ func (r *Replayer) sync() {
 // accounts, so it always succeeds.
 func (r *Replayer) Register(clientID string) error { return nil }
 
-// PingClient returns the eight nearest available taxis as UberT.
-func (r *Replayer) PingClient(clientID string, loc geo.LatLng) (*core.PingResponse, error) {
+// PingInto writes the eight nearest available taxis into *dst as UberT,
+// reusing dst's capacity.
+func (r *Replayer) PingInto(clientID string, loc geo.LatLng, dst *core.PingResponse) error {
 	p := r.proj.ToPlane(loc)
-	near := r.grid.KNearest(p, core.MaxVisibleCars)
-	st := core.TypeStatus{
-		Type:     core.UberT,
-		TypeName: core.UberT.String(),
-		Surge:    1,
+	var cars []core.CarView
+	if cap(dst.Types) > 0 {
+		cars = dst.Types[:1][0].Cars[:0]
 	}
-	for _, n := range near {
-		st.Cars = append(st.Cars, core.CarView{
+	for _, n := range r.grid.KNearest(p, core.MaxVisibleCars) {
+		cars = append(cars, core.CarView{
 			ID:  r.pubID[n.Slot],
 			Pos: r.proj.ToLatLng(n.Pos),
 		})
 	}
-	st.EWTSeconds = r.ewt(p)
-	return &core.PingResponse{Time: r.now, Types: []core.TypeStatus{st}}, nil
+	dst.Time = r.now
+	dst.Types = append(dst.Types[:0], core.TypeStatus{
+		Type:       core.UberT,
+		TypeName:   core.UberT.String(),
+		Cars:       cars,
+		EWTSeconds: r.ewt(p),
+		Surge:      1,
+	})
+	return nil
 }
 
 func (r *Replayer) ewt(p geo.Point) float64 {

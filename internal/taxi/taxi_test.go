@@ -110,8 +110,8 @@ func TestReplayerVisibilityAndIDs(t *testing.T) {
 		t.Fatal("no taxis visible at noon")
 	}
 	loc := rep.Projection().ToLatLng(geo.Point{})
-	resp, err := rep.PingClient("anyone", loc)
-	if err != nil {
+	var resp core.PingResponse
+	if err := rep.PingInto("anyone", loc, &resp); err != nil {
 		t.Fatal(err)
 	}
 	st := resp.Status(core.UberT)

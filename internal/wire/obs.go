@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -45,29 +46,27 @@ func FromResponse(resp *core.PingResponse) []TypeObs {
 	return types
 }
 
-// ToResponse rebuilds the ping served at time from its stored form. A
-// product name the API does not know is an error, not a dropped section.
-func ToResponse(time int64, types []TypeObs) (*core.PingResponse, error) {
-	resp := &core.PingResponse{Time: time}
-	if len(types) > 0 {
-		resp.Types = make([]core.TypeStatus, len(types))
-	}
+// FillResponse rebuilds the ping served at time from its stored form into
+// *dst, reusing the capacity of dst.Types and of each product's Cars. A
+// product name the API does not know is an error, not a dropped section;
+// on error *dst is unspecified.
+func FillResponse(dst *core.PingResponse, time int64, types []TypeObs) error {
+	dst.Time = time
+	dst.Types = slices.Grow(dst.Types[:0], len(types))[:len(types)]
 	for i := range types {
 		t := &types[i]
 		vt, err := core.ParseVehicleType(t.Name)
 		if err != nil {
-			return nil, fmt.Errorf("wire: observation at t=%d: %w", time, err)
+			return fmt.Errorf("wire: observation at t=%d: %w", time, err)
 		}
-		ts := &resp.Types[i]
+		ts := &dst.Types[i]
 		ts.Type, ts.TypeName, ts.Surge, ts.EWTSeconds = vt, t.Name, t.Surge, t.EWT
-		if len(t.Cars) > 0 {
-			ts.Cars = make([]core.CarView, len(t.Cars))
-		}
+		ts.Cars = slices.Grow(ts.Cars[:0], len(t.Cars))[:len(t.Cars)]
 		for j, c := range t.Cars {
 			ts.Cars[j] = core.CarView{ID: c.ID, Pos: geo.LatLng{Lat: c.Lat, Lng: c.Lng}}
 		}
 	}
-	return resp, nil
+	return nil
 }
 
 // AppendTypes appends the flat encoding of types: a count, then per type

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -91,23 +92,93 @@ func TestResponseRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(types, sampleTypes) {
 		t.Fatalf("FromResponse = %+v", types)
 	}
-	back, err := ToResponse(605, types)
-	if err != nil {
+	back := new(core.PingResponse)
+	if err := FillResponse(back, 605, types); err != nil {
 		t.Fatal(err)
 	}
 	resp.Types[0].Cars[0].Path = nil
 	if !reflect.DeepEqual(back, resp) {
-		t.Errorf("ToResponse = %+v, want %+v", back, resp)
+		t.Errorf("FillResponse = %+v, want %+v", back, resp)
 	}
 	if got := FromResponse(&core.PingResponse{}); got != nil {
 		t.Errorf("FromResponse of no types = %v, want nil", got)
 	}
-	if back, err := ToResponse(5, nil); err != nil || back.Types != nil {
-		t.Errorf("ToResponse of no types = %+v, %v", back, err)
+	back = new(core.PingResponse)
+	if err := FillResponse(back, 5, nil); err != nil || back.Types != nil {
+		t.Errorf("FillResponse of no types = %+v, %v", back, err)
 	}
-	if _, err := ToResponse(5, []TypeObs{{Name: "uberWARP"}}); err == nil {
+	if err := FillResponse(new(core.PingResponse), 5, []TypeObs{{Name: "uberWARP"}}); err == nil {
 		t.Error("unknown product name converted without error")
 	}
+}
+
+// TestFillResponseReusesDst: a response filled over a longer earlier row
+// answers what a fresh one does, up to an empty Types or Cars that keeps
+// the old capacity instead of reading nil, and it reuses that capacity.
+func TestFillResponseReusesDst(t *testing.T) {
+	long := []TypeObs{
+		{Name: "uberX", Surge: 2, EWT: 120, Cars: []Car{{ID: "a"}, {ID: "b"}, {ID: "c"}}},
+		{Name: "uberT", Surge: 1, EWT: 300, Cars: []Car{{ID: "d"}, {ID: "e"}}},
+		{Name: core.UberBLACK.String(), Surge: 1.2, EWT: 400, Cars: []Car{{ID: "f"}}},
+	}
+	for _, tc := range []struct {
+		name  string
+		types []TypeObs
+	}{
+		{"no types", nil},
+		{"a type with no cars", []TypeObs{{Name: "uberT", Surge: 1, EWT: 600}}},
+		{"fewer types and cars", sampleTypes},
+	} {
+		fresh := new(core.PingResponse)
+		if err := FillResponse(fresh, 905, tc.types); err != nil {
+			t.Fatalf("%s: fresh: %v", tc.name, err)
+		}
+		dirty := new(core.PingResponse)
+		if err := FillResponse(dirty, 5, long); err != nil {
+			t.Fatal(err)
+		}
+		cars := &dirty.Types[0].Cars[:1][0]
+		if err := FillResponse(dirty, 905, tc.types); err != nil {
+			t.Fatalf("%s: reused: %v", tc.name, err)
+		}
+		if got := nilEmpty(dirty); !reflect.DeepEqual(got, fresh) {
+			t.Errorf("%s: reused dst = %+v, fresh = %+v", tc.name, got, fresh)
+		}
+		if len(tc.types) > 0 && len(tc.types[0].Cars) > 0 && &dirty.Types[0].Cars[0] != cars {
+			t.Errorf("%s: the first product's cars were reallocated", tc.name)
+		}
+	}
+
+	// An unknown product after a longer row is the same error a fresh
+	// response gets.
+	bad := []TypeObs{{Name: "uberX"}, {Name: "uberWARP"}}
+	want := FillResponse(new(core.PingResponse), 905, bad)
+	dirty := new(core.PingResponse)
+	if err := FillResponse(dirty, 5, long); err != nil {
+		t.Fatal(err)
+	}
+	got := FillResponse(dirty, 905, bad)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Errorf("unknown product after a longer row: err %v, fresh %v", got, want)
+	}
+	if want != nil && want.Error() != `wire: observation at t=905: core: unknown vehicle type "uberWARP"` {
+		t.Errorf("unknown product error text = %q", want)
+	}
+}
+
+// nilEmpty returns a copy of resp whose empty Types and Cars read nil, the
+// way a fresh FillResponse leaves them.
+func nilEmpty(resp *core.PingResponse) *core.PingResponse {
+	out := &core.PingResponse{Time: resp.Time}
+	if len(resp.Types) > 0 {
+		out.Types = slices.Clone(resp.Types)
+	}
+	for i := range out.Types {
+		if len(out.Types[i].Cars) == 0 {
+			out.Types[i].Cars = nil
+		}
+	}
+	return out
 }
 
 func appendFramed(buf, payload []byte) []byte {
