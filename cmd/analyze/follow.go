@@ -36,10 +36,11 @@ func runFollow(ctx context.Context, busDir string, maxWindows int, poll time.Dur
 		return 1
 	}
 
-	a := measure.NewStreamAnalyzer(measure.StreamConfig{})
+	a := measure.NewStreamAnalyzer()
 	sealed := 0
+	done := func() bool { return maxWindows > 0 && sealed >= maxWindows }
 	var batch []bus.Event
-	for ctx.Err() == nil && (maxWindows == 0 || sealed < maxWindows) {
+	for ctx.Err() == nil && !done() {
 		// One poll gathers every topic before feeding, merged by event
 		// time — otherwise catching up on a long backlog would drain one
 		// topic whole, sealing windows the other topics still have
@@ -53,6 +54,10 @@ func runFollow(ctx context.Context, busDir string, maxWindows int, poll time.Dur
 			if w := a.Feed(ev); w != nil {
 				fmt.Fprintln(stdout, w)
 				sealed++
+				if done() {
+					// A backlog can seal many windows in one batch.
+					break
+				}
 			}
 		}
 		if len(batch) == 0 {
@@ -62,8 +67,12 @@ func runFollow(ctx context.Context, busDir string, maxWindows int, poll time.Dur
 			}
 		}
 	}
-	if w := a.Flush(); w != nil {
-		fmt.Fprintf(stdout, "%s (partial)\n", w)
+	// A run the window count stopped reports exactly those windows: the
+	// open one is not flushed into the correlations.
+	if !done() {
+		if w := a.Flush(); w != nil {
+			fmt.Fprintf(stdout, "%s (partial)\n", w)
+		}
 	}
 
 	surgeSupply, surgeEWT, surgeDemand, n := a.Correlations()

@@ -68,6 +68,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *follow && *busDir == "":
 		fmt.Fprintln(stderr, "usage: analyze -follow -bus DIR [-windows N]")
 		return 2
+	case *follow && *windows < 0:
+		fmt.Fprintf(stderr, "analyze: -windows must be >= 0 (got %d)\n", *windows)
+		return 2
 	case *follow && *poll <= 0:
 		// time.After(0) would turn the idle wait into a busy spin.
 		fmt.Fprintf(stderr, "analyze: -poll must be > 0 (got %s)\n", *poll)

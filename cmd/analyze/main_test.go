@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,9 +11,12 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/bus"
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/record"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // recordCampaign runs the paper's 43-client campaign in-process for the
@@ -103,6 +107,8 @@ func TestRun(t *testing.T) {
 		{"follow without -bus", []string{"-follow"}, 2, "", "usage: analyze -follow -bus DIR"},
 		// -poll 0 used to spin a core through time.After(0).
 		{"follow with zero poll", []string{"-follow", "-bus", dir, "-poll", "0"}, 2, "", "-poll must be > 0"},
+		// A negative count used to read nothing and exit 0.
+		{"follow with negative windows", []string{"-follow", "-bus", dir, "-windows", "-1"}, 2, "", "-windows must be >= 0"},
 		// An empty window used to be analyzed, silently, as nothing.
 		{"window ends before it starts", []string{"-in", store, "-from", "100", "-to", "50"}, 2, "", "-to must be after -from"},
 		{"no such store", []string{"-in", filepath.Join(dir, "nope")}, 1, "", "no such file"},
@@ -170,5 +176,63 @@ func TestRunWindowFromStoreExtent(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("header start 10 minutes early:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestFollowStopsAtWindows: a bus whose backlog holds six windows of pings
+// and dispatches. -windows 2 used to print every window the backlog
+// sealed, then the open one as partial, and correlate them all; it must
+// print and correlate exactly two.
+func TestFollowStopsAtWindows(t *testing.T) {
+	dir := t.TempDir()
+	b, err := bus.Open(dir, bus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	pings, err := b.Topic(bus.TopicPings, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cars, err := b.Topic(bus.TopicCars, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts := int64(0); ts < 6*300; ts += 30 {
+		o := bus.Observation{Client: "c0", Time: ts, Types: []wire.TypeObs{{
+			Name: core.UberX.String(), Surge: 1, EWT: 120,
+			Cars: []wire.Car{{ID: fmt.Sprintf("car%d", ts/60), Lat: 40.75, Lng: -73.99}},
+		}}}
+		if err := pings.Publish(bus.Event{Time: ts, Kind: bus.KindPing, Key: o.Client, Data: bus.AppendObservation(nil, &o)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cars.Publish(bus.Event{Time: ts, Kind: bus.KindTripDispatch, Key: "d"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var stdout, stderr bytes.Buffer
+	if code := run(ctx, []string{"-follow", "-bus", dir, "-windows", "2", "-poll", "5ms"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, &stderr)
+	}
+	if ctx.Err() != nil {
+		t.Error("run did not stop by itself")
+	}
+	var windows []string
+	for _, l := range strings.Split(stdout.String(), "\n") {
+		if strings.HasPrefix(l, "t=") {
+			windows = append(windows, l)
+		}
+	}
+	if len(windows) != 2 || strings.Contains(stdout.String(), "partial") {
+		t.Errorf("printed %d windows, want the first two sealed ones:\n%s", len(windows), &stdout)
+	}
+	if !strings.Contains(stdout.String(), "\n2 windows\n") {
+		t.Errorf("summary does not cover exactly two windows:\n%s", &stdout)
 	}
 }

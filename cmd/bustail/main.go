@@ -52,6 +52,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *busDir == "":
 		fmt.Fprintln(stderr, "usage: bustail -bus DIR [-topic NAME] [-json] [-n N] | -surgemap [-areas N]")
 		return 2
+	case *maxN < 0:
+		fmt.Fprintf(stderr, "bustail: -n must be >= 0 (got %d)\n", *maxN)
+		return 2
 	case *poll <= 0:
 		// time.After(0) would turn the idle wait into a busy spin.
 		fmt.Fprintf(stderr, "bustail: -poll must be > 0 (got %s)\n", *poll)

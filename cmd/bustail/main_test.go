@@ -43,6 +43,8 @@ func TestRun(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}, 2, 0, "flag provided but not defined"},
 		// -poll 0 used to spin a core through time.After(0).
 		{"zero poll", []string{"-bus", dir, "-poll", "0"}, 2, 0, "-poll must be > 0"},
+		// A negative count used to print nothing and exit 0.
+		{"negative count", []string{"-bus", dir, "-n", "-1"}, 2, 0, "-n must be >= 0"},
 		{"surgemap without areas", []string{"-bus", dir, "-surgemap", "-areas", "0"}, 2, 0, "-areas must be > 0"},
 		{"no such topic", []string{"-bus", dir, "-topic", "nope"}, 1, 0, "no such file"},
 		{"live", []string{"-bus", dir, "-n", "7", "-json", "-poll", "5ms"}, 0, n, ""},

@@ -119,17 +119,6 @@ var _ core.Service = (*Remote)(nil)
 // RemoteOption configures a Remote.
 type RemoteOption func(*Remote)
 
-// WithTimeout sets the per-attempt timeout of the default HTTP client. It
-// has no effect when NewRemote was given an explicit *http.Client (that
-// client's own timeout governs).
-func WithTimeout(d time.Duration) RemoteOption {
-	return func(r *Remote) {
-		if r.hc == defaultClient() {
-			r.hc = &http.Client{Timeout: d}
-		}
-	}
-}
-
 // WithBackoff overrides the retry policy.
 func WithBackoff(b chaos.Backoff) RemoteOption {
 	return func(r *Remote) { r.retry = b }
@@ -192,26 +181,18 @@ func WithRegistry(reg *obs.Registry) RemoteOption {
 	}
 }
 
-var sharedDefaultClient *http.Client
-var sharedDefaultOnce sync.Once
-
 // defaultClient is the client used when the caller passes nil: the
 // standard transport with DefaultTimeout (never http.DefaultClient, which
 // waits forever).
-func defaultClient() *http.Client {
-	sharedDefaultOnce.Do(func() {
-		sharedDefaultClient = &http.Client{Timeout: DefaultTimeout}
-	})
-	return sharedDefaultClient
-}
+var defaultClient = &http.Client{Timeout: DefaultTimeout}
 
 // NewRemote returns a client for the service at base (e.g.
 // "http://localhost:8080"). It does not dial until the first call. A nil
-// hc selects a default client with DefaultTimeout (override the timeout
-// with WithTimeout, or pass your own client).
+// hc selects a default client with DefaultTimeout (pass your own client
+// for another timeout).
 func NewRemote(base string, hc *http.Client, opts ...RemoteOption) *Remote {
 	if hc == nil {
-		hc = defaultClient()
+		hc = defaultClient
 	}
 	r := &Remote{
 		base:     base,

@@ -312,14 +312,6 @@ func TestRemoteNilClientHasTimeout(t *testing.T) {
 	if remote.hc.Timeout != DefaultTimeout {
 		t.Errorf("default client timeout = %v, want %v", remote.hc.Timeout, DefaultTimeout)
 	}
-	custom := NewRemote("http://example.invalid", nil, WithTimeout(3*time.Second))
-	if custom.hc.Timeout != 3*time.Second {
-		t.Errorf("WithTimeout client timeout = %v, want 3s", custom.hc.Timeout)
-	}
-	// WithTimeout must not mutate the shared default client.
-	if remote.hc.Timeout != DefaultTimeout {
-		t.Error("WithTimeout mutated the shared default client")
-	}
 }
 
 func TestRemoteRegisterRetriesShed(t *testing.T) {

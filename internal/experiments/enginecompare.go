@@ -55,9 +55,7 @@ type EngineAudit struct {
 // and reduces it to the audit fingerprint. The strategy sweeps and lattice
 // prober are skipped: neither feeds the regime fingerprint.
 func AuditEngine(opts Options) EngineAudit {
-	opts.SkipStrategy = true
-	opts.SkipProber = true
-	r := RunCity(opts)
+	r := runCity(opts, false)
 
 	a := EngineAudit{Engine: r.Svc.Engine().Name()}
 	a.Summary = Summarize(r)

@@ -243,17 +243,25 @@ type ExtSmoothingResult struct {
 func ExtSmoothing(profile *sim.CityProfile, seed int64, hours int) ExtSmoothingResult {
 	run := func(smoothing float64) (vol float64, ep int, frac float64) {
 		w := sim.NewWorld(sim.Config{Profile: profile, Seed: seed})
-		e := surge.New(w, surge.Config{Params: profile.Surge, Seed: seed, Smoothing: smoothing, KeepHistory: true})
+		e := surge.New(w, surge.Config{Params: profile.Surge, Seed: seed, Smoothing: smoothing})
+		// The engine publishes one View per update, so a Step that
+		// changes the View completed an interval.
+		var views []*surge.View
 		for end := int64(hours) * 3600; w.Now() < end; {
 			w.Step()
+			v := e.View()
 			e.Step(w.Now())
+			if e.View() != v {
+				views = append(views, e.View())
+			}
 		}
 		surged, total := 0, 0
 		for a := 0; a < 4; a++ {
 			inEp := false
-			for i, snap := range e.History {
+			for i, v := range views {
+				m := v.CurrentMultiplier(a)
 				total++
-				if snap[a] > 1 {
+				if m > 1 {
 					surged++
 					if !inEp {
 						ep++
@@ -263,7 +271,7 @@ func ExtSmoothing(profile *sim.CityProfile, seed int64, hours int) ExtSmoothingR
 					inEp = false
 				}
 				if i > 0 {
-					vol += math.Abs(snap[a] - e.History[i-1][a])
+					vol += math.Abs(m - views[i-1].CurrentMultiplier(a))
 				}
 			}
 		}

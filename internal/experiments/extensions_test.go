@@ -88,4 +88,17 @@ func TestExtSmoothing(t *testing.T) {
 		t.Errorf("smoothing did not merge episodes: %d vs %d",
 			s.SmoothedEpisodes, s.RawEpisodes)
 	}
+	// Exact values: the series is one published View per 5-minute update.
+	want := ExtSmoothingResult{
+		City:               "sf",
+		RawVolatility:      202.69999999999973,
+		SmoothedVolatility: 61.100000000000236,
+		RawEpisodes:        74,
+		SmoothedEpisodes:   4,
+		RawSurgedFrac:      0.6958333333333333,
+		SmoothedSurgedFrac: 0.975,
+	}
+	if s != want {
+		t.Errorf("ExtSmoothing = %+v, want %+v", s, want)
+	}
 }

@@ -35,11 +35,6 @@ type Options struct {
 	// Hours, when > 0, overrides Days with a sub-day window (tests and
 	// benches use this).
 	Hours int
-	// SkipStrategy disables the per-interval strategy sweeps (they are
-	// the most expensive part of the loop).
-	SkipStrategy bool
-	// SkipProber disables surge-area lattice probing.
-	SkipProber bool
 }
 
 // StrategyStats aggregates Figs 23/24 inputs for one client position.
@@ -162,7 +157,12 @@ func (tt *truthTracker) tick() {
 
 // RunCity executes the full campaign against the options' scenario, which
 // must be valid (commands validate it at flag-parse time).
-func RunCity(opts Options) *CityRun {
+func RunCity(opts Options) *CityRun { return runCity(opts, true) }
+
+// runCity is RunCity; without sweeps it skips the surge-area lattice
+// prober and the per-interval strategy sweeps (the most expensive part of
+// the loop).
+func runCity(opts Options, sweeps bool) *CityRun {
 	if opts.Days <= 0 {
 		opts.Days = 1
 	}
@@ -213,14 +213,14 @@ func RunCity(opts Options) *CityRun {
 		run.APIProbes = append(run.APIProbes, measure.NewAPIProbe(svc, id, proj.ToLatLng(pt)))
 	}
 
-	if !opts.SkipProber {
+	if sweeps {
 		// In-process registration cannot fail; the error path exists for
 		// remote probers.
 		run.Prober, _ = surgemap.NewProber(svc, svc, proj, profile.MeasureRect, proberSpacing(profile))
 	}
 
 	var advisors []*strategy.Advisor
-	if !opts.SkipStrategy {
+	if sweeps {
 		run.Strategy = make([]StrategyStats, len(pts))
 		for i := range pts {
 			id := fmt.Sprintf("walker-%02d", i)

@@ -78,8 +78,6 @@ type Config struct {
 	Start, End int64
 	// ClientAreas maps each campaign client index to its surge area.
 	ClientAreas []int
-	// EdgeMargin overrides DefaultEdgeMargin when > 0.
-	EdgeMargin float64
 	// TrackTypes overrides TrackedTypes (the products with full
 	// supply/death series) when non-nil. The taxi validation harness
 	// tracks UberT only.
@@ -91,7 +89,6 @@ type Dataset struct {
 	cfg        Config
 	areas      []geo.Polygon
 	projection *geo.Projection
-	edgeMargin float64
 	nIntervals int
 
 	cars  map[string]*carState
@@ -151,9 +148,6 @@ var TrackedTypes = []core.VehicleType{core.UberX, core.UberXL, core.UberBLACK, c
 // NewDataset builds the aggregation state for a campaign with nClients
 // clients.
 func NewDataset(cfg Config, nClients int) *Dataset {
-	if cfg.EdgeMargin <= 0 {
-		cfg.EdgeMargin = DefaultEdgeMargin
-	}
 	n := int((cfg.End - cfg.Start) / Interval)
 	if n < 1 {
 		n = 1
@@ -163,7 +157,6 @@ func NewDataset(cfg Config, nClients int) *Dataset {
 		cfg:        cfg,
 		areas:      areas,
 		projection: geo.NewProjection(cfg.Profile.Origin),
-		edgeMargin: cfg.EdgeMargin,
 		nIntervals: n,
 		cars:       make(map[string]*carState),
 		lives:      make(map[string]*lifeRecord),
@@ -380,7 +373,7 @@ func (d *Dataset) EndRound(now int64) {
 		// Edge filter: a car last seen near the measurement boundary may
 		// simply have driven out (§3.3); only interior disappearances
 		// count as fulfilled demand.
-		if d.cfg.Profile.MeasureRect.DistToBoundary(cs.lastPos) <= d.edgeMargin {
+		if d.cfg.Profile.MeasureRect.DistToBoundary(cs.lastPos) <= DefaultEdgeMargin {
 			continue
 		}
 		if acc, tracked := d.deathAcc[cs.vt]; tracked {

@@ -21,15 +21,9 @@ import (
 	"repro/internal/stats"
 )
 
-// StreamConfig configures a StreamAnalyzer.
-type StreamConfig struct {
-	// Window is the aggregation bucket in simulation seconds
-	// (default Interval, the paper's 5 minutes).
-	Window int64
-	// History bounds the windows retained for correlations
-	// (default 288 = one day of 5-minute windows).
-	History int
-}
+// streamWindows bounds the sealed windows a StreamAnalyzer keeps for
+// correlations: one day of 5-minute windows.
+const streamWindows = 288
 
 // WindowStats is one sealed aggregation window.
 type WindowStats struct {
@@ -48,12 +42,10 @@ type WindowStats struct {
 	Pings int
 }
 
-// StreamAnalyzer aggregates bus events into rolling windows. Not safe
-// for concurrent use: one goroutine feeds it (the tail loop).
+// StreamAnalyzer aggregates bus events into rolling windows of Interval
+// seconds, the paper's 5 minutes. Not safe for concurrent use: one
+// goroutine feeds it (the tail loop).
 type StreamAnalyzer struct {
-	window  int64
-	history int
-
 	cur      WindowStats
 	curOpen  bool
 	cars     map[string]struct{}
@@ -71,27 +63,16 @@ type StreamAnalyzer struct {
 	Corrupt int64
 }
 
-// NewStreamAnalyzer returns an analyzer with cfg's window and history
-// (defaults applied).
-func NewStreamAnalyzer(cfg StreamConfig) *StreamAnalyzer {
-	if cfg.Window <= 0 {
-		cfg.Window = Interval
-	}
-	if cfg.History <= 0 {
-		cfg.History = 288
-	}
-	return &StreamAnalyzer{
-		window:  cfg.Window,
-		history: cfg.History,
-		cars:    make(map[string]struct{}),
-	}
+// NewStreamAnalyzer returns an empty analyzer.
+func NewStreamAnalyzer() *StreamAnalyzer {
+	return &StreamAnalyzer{cars: make(map[string]struct{})}
 }
 
 // Feed consumes one bus event. When the event's time enters a new
 // window, the finished window is sealed and returned (nil otherwise).
 func (a *StreamAnalyzer) Feed(ev bus.Event) *WindowStats {
 	var sealed *WindowStats
-	start := ev.Time - ev.Time%a.window
+	start := ev.Time - ev.Time%Interval
 	if a.curOpen && start > a.cur.Start {
 		sealed = a.seal()
 	}
@@ -142,8 +123,8 @@ func (a *StreamAnalyzer) seal() *WindowStats {
 		w.MeanSurge = a.surgeSum / float64(a.samples)
 	}
 	a.windows = append(a.windows, w)
-	if len(a.windows) > a.history {
-		a.windows = a.windows[len(a.windows)-a.history:]
+	if len(a.windows) > streamWindows {
+		a.windows = a.windows[len(a.windows)-streamWindows:]
 	}
 	a.curOpen = false
 	clear(a.cars)
@@ -159,7 +140,8 @@ func (a *StreamAnalyzer) Flush() *WindowStats {
 	return a.seal()
 }
 
-// Windows returns the sealed windows, oldest first (bounded by History).
+// Windows returns the sealed windows, oldest first (the last
+// streamWindows of them).
 func (a *StreamAnalyzer) Windows() []WindowStats { return a.windows }
 
 // Correlations reports the Fig 20/21-style Pearson correlations of mean

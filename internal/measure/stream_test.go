@@ -26,7 +26,7 @@ func pingEvent(t int64, client string, surge, ewt float64, carIDs ...string) bus
 // TestStreamAnalyzerWindows: windows seal on time boundaries with the
 // expected supply (unique cars), dispatch counts, and means.
 func TestStreamAnalyzerWindows(t *testing.T) {
-	a := NewStreamAnalyzer(StreamConfig{Window: 300})
+	a := NewStreamAnalyzer()
 
 	// Window [0,300): two pings sharing one car, one dispatch.
 	if s := a.Feed(pingEvent(10, "c0", 1.0, 120, "carA", "carB")); s != nil {
@@ -75,7 +75,7 @@ func TestStreamAnalyzerWindows(t *testing.T) {
 // rises exactly when supply falls and EWT rises must report the Fig
 // 20/21 signs: corr(surge, supply) < 0, corr(surge, EWT) > 0.
 func TestStreamAnalyzerCorrelations(t *testing.T) {
-	a := NewStreamAnalyzer(StreamConfig{Window: 300})
+	a := NewStreamAnalyzer()
 	for w := 0; w < 12; w++ {
 		base := int64(w) * 300
 		// Supply alternates rich/poor out of phase with surge.
@@ -113,7 +113,7 @@ func TestStreamAnalyzerCorrelations(t *testing.T) {
 // TestStreamAnalyzerDegenerate: constant series yield NaN, not a panic
 // or a fake correlation.
 func TestStreamAnalyzerDegenerate(t *testing.T) {
-	a := NewStreamAnalyzer(StreamConfig{Window: 300})
+	a := NewStreamAnalyzer()
 	for w := 0; w < 4; w++ {
 		a.Feed(pingEvent(int64(w)*300+5, "c0", 1.0, 120, "carA"))
 	}

@@ -82,9 +82,6 @@ func (g *Graph) NodePos(v int32) geo.Point { return g.nodes[v] }
 // EdgeLen returns edge e's length in meters.
 func (g *Graph) EdgeLen(e int32) float64 { return g.length[e] }
 
-// EdgeBase returns edge e's free-flow traversal time in seconds.
-func (g *Graph) EdgeBase(e int32) float64 { return g.base[e] }
-
 // EdgeSpeed returns edge e's free-flow speed in m/s.
 func (g *Graph) EdgeSpeed(e int32) float64 { return classSpeed[g.class[e]] }
 

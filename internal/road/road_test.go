@@ -258,12 +258,12 @@ func TestCongestionMonotonic(t *testing.T) {
 			}
 			c.Commit()
 		}
-		tt := g.EdgeBase(e) * c.Factor(e)
+		tt := g.base[e] * c.Factor(e)
 		if tt < prevTime {
 			t.Fatalf("load %d: traversal %gs faster than lighter load's %gs", load, tt, prevTime)
 		}
-		if tt < g.EdgeBase(e) {
-			t.Fatalf("congested traversal %gs below free flow %gs", tt, g.EdgeBase(e))
+		if tt < g.base[e] {
+			t.Fatalf("congested traversal %gs below free flow %gs", tt, g.base[e])
 		}
 		prevTime = tt
 	}

@@ -1,10 +1,6 @@
 package strategy
 
-import (
-	"sort"
-
-	"repro/internal/measure"
-)
+import "repro/internal/measure"
 
 // WaitOutResult evaluates the paper's §5.2 takeaway — "savvy Uber
 // passengers should wait-out surges rather than pay higher prices" — on a
@@ -92,17 +88,4 @@ func valueAt(log []measure.SurgeChange, initial float64, t int64) float64 {
 		v = log[j].To
 	}
 	return v
-}
-
-// WaitCurve sweeps waiting times and returns the improved-fraction for
-// each, so callers can pick the knee of the curve (the paper's "wait 5
-// minutes" heuristic corresponds to one surge-clock interval).
-func WaitCurve(log []measure.SurgeChange, initial float64, start, end int64, waits []int64) map[int64]WaitOutResult {
-	out := make(map[int64]WaitOutResult, len(waits))
-	ws := append([]int64(nil), waits...)
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	for _, w := range ws {
-		out[w] = WaitOut(log, initial, start, end, w)
-	}
-	return out
 }

@@ -52,12 +52,6 @@ type Config struct {
 	// dramatic". 0 disables smoothing; otherwise it is the weight of the
 	// previous multiplier (e.g. 0.6 keeps 60% of the old value).
 	Smoothing float64
-	// KeepHistory records the ground-truth multiplier series per area,
-	// one snapshot per completed update, in Engine.History. Experiments
-	// and tests turn it on; a long-running uberd leaves it off — the
-	// history grows by one slice per 5-minute update forever, a slow leak
-	// on a server that never reads it.
-	KeepHistory bool
 }
 
 // Engine computes and serves surge multipliers for one world, under one
@@ -78,11 +72,6 @@ type Engine struct {
 	// visible multiplier/jitter answer — the world's surge provider
 	// included — is served through it.
 	view *View
-
-	// History records the ground-truth multiplier series per area, one
-	// entry per completed update, for tests and ablations. Empty unless
-	// Config.KeepHistory is set.
-	History [][]float64
 
 	// nil-safe metric handles; zero until Instrument is called.
 	mUpdates    *obs.Counter
@@ -242,9 +231,6 @@ func (e *Engine) update(boundary int64) {
 			raw = s*e.prev[a] + (1-s)*raw
 		}
 		e.cur[a] = e.regime.quantize(&e.cfg, raw)
-	}
-	if e.cfg.KeepHistory {
-		e.History = append(e.History, append([]float64(nil), e.cur...))
 	}
 	e.scheduleSwitches(boundary)
 	e.rebuildView()

@@ -9,24 +9,30 @@ import (
 )
 
 // runner steps a world and its engine together, as api.Service does
-// without the query epoch.
+// without the query epoch, and records the ground-truth multipliers of
+// every View the engine publishes: one per completed update.
 type runner struct {
 	World  *sim.World
 	Engine *Engine
+	Series [][]float64
 }
 
 // RunUntil advances the pair to time end.
 func (r *runner) RunUntil(end int64) {
 	for r.World.Now() < end {
 		r.World.Step()
+		v := r.Engine.View()
 		r.Engine.Step(r.World.Now())
+		if nv := r.Engine.View(); nv != v {
+			r.Series = append(r.Series, nv.cur)
+		}
 	}
 }
 
 func newRunner(t testing.TB, p *sim.CityProfile, seed int64, jitter bool) *runner {
 	t.Helper()
 	w := sim.NewWorld(sim.Config{Profile: p, Seed: seed})
-	return &runner{World: w, Engine: New(w, Config{Params: p.Surge, Seed: seed, Jitter: jitter, KeepHistory: true})}
+	return &runner{World: w, Engine: New(w, Config{Params: p.Surge, Seed: seed, Jitter: jitter})}
 }
 
 func TestQuantize(t *testing.T) {
@@ -45,10 +51,10 @@ func TestEngineUpdatesOnFiveMinuteClock(t *testing.T) {
 	r := newRunner(t, sim.SanFrancisco(), 1, false)
 	r.RunUntil(3600)
 	// 3600 s = 12 intervals; one update per boundary crossed.
-	if got := len(r.Engine.History); got != 12 {
+	if got := len(r.Series); got != 12 {
 		t.Errorf("updates = %d, want 12", got)
 	}
-	for _, snap := range r.Engine.History {
+	for _, snap := range r.Series {
 		if len(snap) != 4 {
 			t.Fatalf("snapshot covers %d areas, want 4", len(snap))
 		}
@@ -67,26 +73,12 @@ func TestEngineUpdatesOnFiveMinuteClock(t *testing.T) {
 	}
 }
 
-// TestHistoryOffByDefault is the regression test for the History leak: a
-// long-running engine (uberd) must not accumulate one snapshot per
-// 5-minute update forever. History records only under Config.KeepHistory,
-// which experiments and tests set and uberd does not.
-func TestHistoryOffByDefault(t *testing.T) {
-	p := sim.SanFrancisco()
-	w := sim.NewWorld(sim.Config{Profile: p, Seed: 1})
-	r := &runner{World: w, Engine: New(w, Config{Params: p.Surge, Seed: 1})}
-	r.RunUntil(3600)
-	if got := len(r.Engine.History); got != 0 {
-		t.Errorf("History grew to %d snapshots without KeepHistory", got)
-	}
-}
-
 func TestEngineDeterminism(t *testing.T) {
 	collect := func() []float64 {
 		r := newRunner(t, sim.Manhattan(), 7, true)
 		r.RunUntil(2 * 3600)
 		var out []float64
-		for _, snap := range r.Engine.History {
+		for _, snap := range r.Series {
 			out = append(out, snap...)
 		}
 		return out

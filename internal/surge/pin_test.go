@@ -3,7 +3,6 @@ package surge
 import (
 	"fmt"
 	"hash/fnv"
-	"reflect"
 	"testing"
 
 	"repro/internal/bus"
@@ -15,9 +14,10 @@ import (
 // is engineStateHash (drivers, counters, economics — so the pip the sim
 // settles fares with — and cur/prev); `series` digests what the engine
 // itself produced, in order: each update's API switch moment as the View
-// publishes it, every SurgeChange event, and the recorded History. The
-// RNG stream (city shock, per-area shocks, switch draw), smoothing, clamp
-// and quantiser of a regime cannot move without moving one of the two.
+// publishes it, every SurgeChange event, and each published View's
+// multipliers. The RNG stream (city shock, per-area shocks, switch draw),
+// smoothing, clamp and quantiser of a regime cannot move without moving
+// one of the two.
 func TestEnginePins(t *testing.T) {
 	golden := map[string]struct{ state, series uint64 }{
 		"mult2015":    {0x5d561f1a35fa1999, 0xf6e51b728b5a26f2},
@@ -28,7 +28,7 @@ func TestEnginePins(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := sim.Manhattan()
 			w := sim.NewWorld(sim.Config{Profile: p, Seed: 42})
-			pr, err := NewPricer(w, name, Config{Params: p.Surge, Seed: 42, Jitter: true, KeepHistory: true})
+			pr, err := NewPricer(w, name, Config{Params: p.Surge, Seed: 42, Jitter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,18 +41,18 @@ func TestEnginePins(t *testing.T) {
 			})
 			view := pr.View()
 			fmt.Fprintf(series, "switch|%d|%d\n", view.intervalStart, view.apiSwitchAt)
+			var history [][]float64 // each published View's multipliers
 			for w.Now() < 3600 {
 				w.Step()
 				pr.Step(w.Now())
 				if v := pr.View(); v != view {
 					view = v
 					fmt.Fprintf(series, "switch|%d|%d\n", v.intervalStart, v.apiSwitchAt)
+					history = append(history, v.cur)
 				}
 			}
-			// History is a field, not part of the Pricer contract.
-			history := reflect.Indirect(reflect.ValueOf(pr)).FieldByName("History").Interface().([][]float64)
 			if len(history) != 12 {
-				t.Fatalf("History holds %d updates, want 12", len(history))
+				t.Fatalf("%d Views published, want 12", len(history))
 			}
 			for i, snap := range history {
 				fmt.Fprintf(series, "history|%d|%v\n", i, snap)

@@ -34,26 +34,25 @@ func episodes(history [][]float64, area int) int {
 func TestSmoothingReducesVolatility(t *testing.T) {
 	// The paper's §8 proposal: a weighted moving average should make
 	// surge changes less dramatic and episodes less fragmented.
-	run := func(smoothing float64) *Engine {
+	run := func(smoothing float64) *runner {
 		p := sim.SanFrancisco()
 		w := sim.NewWorld(sim.Config{Profile: p, Seed: 99})
-		e := New(w, Config{Params: p.Surge, Seed: 99, Smoothing: smoothing, KeepHistory: true})
-		r := &runner{World: w, Engine: e}
+		r := &runner{World: w, Engine: New(w, Config{Params: p.Surge, Seed: 99, Smoothing: smoothing})}
 		r.RunUntil(16 * 3600)
-		return e
+		return r
 	}
 	raw := run(0)
 	smooth := run(0.6)
-	if len(raw.History) != len(smooth.History) {
-		t.Fatalf("history lengths differ: %d vs %d", len(raw.History), len(smooth.History))
+	if len(raw.Series) != len(smooth.Series) {
+		t.Fatalf("history lengths differ: %d vs %d", len(raw.Series), len(smooth.Series))
 	}
 	var vRaw, vSmooth float64
 	epRaw, epSmooth := 0, 0
 	for a := 0; a < 4; a++ {
-		vRaw += volatility(raw.History, a)
-		vSmooth += volatility(smooth.History, a)
-		epRaw += episodes(raw.History, a)
-		epSmooth += episodes(smooth.History, a)
+		vRaw += volatility(raw.Series, a)
+		vSmooth += volatility(smooth.Series, a)
+		epRaw += episodes(raw.Series, a)
+		epSmooth += episodes(smooth.Series, a)
 	}
 	if vSmooth >= vRaw {
 		t.Errorf("smoothing did not reduce volatility: %.1f vs %.1f", vSmooth, vRaw)
@@ -72,11 +71,10 @@ func TestSmoothingStillTracksDemand(t *testing.T) {
 	// substantial fraction of the time.
 	p := sim.SanFrancisco()
 	w := sim.NewWorld(sim.Config{Profile: p, Seed: 3})
-	e := New(w, Config{Params: p.Surge, Seed: 3, Smoothing: 0.6, KeepHistory: true})
-	r := &runner{World: w, Engine: e}
+	r := &runner{World: w, Engine: New(w, Config{Params: p.Surge, Seed: 3, Smoothing: 0.6})}
 	r.RunUntil(12 * 3600)
 	surged, total := 0, 0
-	for _, snap := range e.History {
+	for _, snap := range r.Series {
 		for _, m := range snap {
 			total++
 			if m > 1 {
@@ -95,10 +93,9 @@ func TestSmoothingZeroIsIdentity(t *testing.T) {
 	run := func(smoothing float64) [][]float64 {
 		p := sim.Manhattan()
 		w := sim.NewWorld(sim.Config{Profile: p, Seed: 5})
-		e := New(w, Config{Params: p.Surge, Seed: 5, Smoothing: smoothing, KeepHistory: true})
-		r := &runner{World: w, Engine: e}
+		r := &runner{World: w, Engine: New(w, Config{Params: p.Surge, Seed: 5, Smoothing: smoothing})}
 		r.RunUntil(2 * 3600)
-		return e.History
+		return r.Series
 	}
 	a, b := run(0), run(0)
 	for i := range a {

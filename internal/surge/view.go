@@ -4,10 +4,12 @@ import "hash/fnv"
 
 // View is an immutable snapshot of the engine's externally visible
 // pricing state: the current and previous interval multipliers and the
-// interval's switch schedule. The engine publishes a fresh View at every
-// 5-minute update; the api layer pairs it with a sim.Snapshot so the
-// query path can resolve per-client multipliers, propagation delay, and
-// jitter without locking the engine.
+// interval's switch schedule. The engine publishes exactly one fresh View
+// per 5-minute update (and one at construction), so a new View pointer
+// marks a completed update: readers of the ground-truth multiplier series
+// record Views, the engine keeps no history. The api layer pairs a View
+// with a sim.Snapshot so the query path can resolve per-client
+// multipliers, propagation delay, and jitter without locking the engine.
 //
 // All schedule math (API switch moment, per-client switch moments, jitter
 // windows) is deterministic in (seed, client, interval), so a View can

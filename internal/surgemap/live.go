@@ -1,8 +1,8 @@
 // LiveTail: the streaming counterpart of Prober. Where Prober infers the
 // surge partition from outside by probing the price API, LiveTail rides
 // the surge.changes bus topic — every area's multiplier move as the
-// engine commits it — and maintains the current city surge map plus each
-// area's change series, with no polling and no API quota.
+// engine commits it — and maintains the current city surge map and each
+// area's change count, with no polling and no API quota.
 
 package surgemap
 
@@ -20,8 +20,6 @@ type LiveTail struct {
 	changes []int
 	// lastTime is the newest event time applied.
 	lastTime int64
-	// series logs (time, multiplier) per area, for duration analysis.
-	series [][]bus.Event
 }
 
 // NewLiveTail tracks numAreas areas, all starting at multiplier 1.
@@ -29,7 +27,6 @@ func NewLiveTail(numAreas int) *LiveTail {
 	lt := &LiveTail{
 		cur:     make([]float64, numAreas),
 		changes: make([]int, numAreas),
-		series:  make([][]bus.Event, numAreas),
 	}
 	for i := range lt.cur {
 		lt.cur[i] = 1
@@ -46,7 +43,6 @@ func (lt *LiveTail) Apply(ev bus.Event) bool {
 	a := int(ev.Area)
 	lt.cur[a] = ev.Num
 	lt.changes[a]++
-	lt.series[a] = append(lt.series[a], ev)
 	if ev.Time > lt.lastTime {
 		lt.lastTime = ev.Time
 	}
@@ -72,14 +68,6 @@ func (lt *LiveTail) Surging() int {
 		}
 	}
 	return n
-}
-
-// History returns area a's change events in arrival order.
-func (lt *LiveTail) History(a int) []bus.Event {
-	if a < 0 || a >= len(lt.series) {
-		return nil
-	}
-	return lt.series[a]
 }
 
 // ASCII renders the live map one line per area: index, multiplier, a

@@ -10,7 +10,7 @@ import (
 )
 
 // TestLiveTailApply: unit semantics — fold, ignore foreign kinds and
-// out-of-range areas, track history.
+// out-of-range areas, count changes.
 func TestLiveTailApply(t *testing.T) {
 	lt := NewLiveTail(3)
 	if !lt.Apply(bus.Event{Time: 300, Kind: bus.KindSurgeChange, Area: 1, Num: 1.5}) {
@@ -36,9 +36,6 @@ func TestLiveTailApply(t *testing.T) {
 	}
 	if lt.LastTime() != 600 {
 		t.Errorf("last time = %d, want 600", lt.LastTime())
-	}
-	if h := lt.History(1); len(h) != 2 || h[1].Num != 2.0 {
-		t.Errorf("history(1) = %v", h)
 	}
 	if out := lt.ASCII(); !strings.Contains(out, "2/3 areas surging") {
 		t.Errorf("ASCII missing surge summary:\n%s", out)

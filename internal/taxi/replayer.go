@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/road"
 	"repro/internal/stats"
 )
 
@@ -26,13 +25,6 @@ type Replayer struct {
 	grid   *geo.SlotGrid // visible taxis, slot = session index
 	segIdx []int         // per session: current segment cursor
 	pubID  []string      // per session: public ID of the current idle period
-
-	// Snap-to-road playback (nil/empty unless EnableRoads was called).
-	roadG     *road.Graph
-	roadRt    *road.Router
-	roadSeg   []int      // per session: segment index the cached path is for
-	roadPaths []roadPath // per session: cached route polyline
-	pathBuf   []int32
 }
 
 var _ core.Service = (*Replayer)(nil)
@@ -95,7 +87,7 @@ func (r *Replayer) sync() {
 		if r.pubID[s] == "" {
 			r.pubID[s] = fmt.Sprintf("t%08x%08x", r.rng.Uint32(), r.rng.Uint32())
 		}
-		r.grid.Move(int32(s), r.segPos(s, i, segs[i])) // inserts on first sight
+		r.grid.Move(int32(s), segs[i].Pos(r.now)) // inserts on first sight
 	}
 }
 
