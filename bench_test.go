@@ -453,6 +453,45 @@ func BenchmarkServiceStep(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceStepPinged is the tick workloads' loop on the
+// BenchmarkServiceStep worlds: one api.Service.Step, then 32 in-process
+// PingClient at locations drawn over the service region, per op, after two
+// chunk periods (16 ops) untimed. A ping copies the paths it answers with
+// into its response and keeps no history chunk from reuse, so B/op is the
+// Step's plus 32 responses; pings that pinned the chunks they served would
+// add a fresh chunk for each renewal that found its chunk served.
+func BenchmarkServiceStepPinged(b *testing.B) {
+	for _, size := range []string{"10k", "100k"} {
+		b.Run("fleet="+size, func(b *testing.B) {
+			w := fleetWorld(b, size)
+			s := api.NewService(w, surge.New(w, surge.Config{Params: w.Profile().Surge, Seed: 1}))
+			s.Register("bench-00")
+			region, proj := w.Profile().Region, w.Projection()
+			rng := rand.New(rand.NewSource(1))
+			step := func() {
+				s.Step()
+				for i := 0; i < 32; i++ {
+					loc := proj.ToLatLng(geo.Point{
+						X: region.Min.X + rng.Float64()*region.Width(),
+						Y: region.Min.Y + rng.Float64()*region.Height(),
+					})
+					if _, err := s.PingClient("bench-00", loc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 16; i++ {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}
+
 // BenchmarkPingServe measures what a shard's handler pays for one
 // /pingClient — query parsing, auth, the pinned epoch and the body written
 // from it into a pooled buffer — on a warm Manhattan backend with the jitter

@@ -45,7 +45,7 @@ func putBody(b *bodyBuf) {
 
 // pingBody is the /pingClient handler's sink for the ping walk: it appends
 // the body straight from the pinned epoch, reading each path only during the
-// walk, so it builds no response and marks no history chunk served.
+// walk, so it builds no response.
 type pingBody struct{ core.PingEncoder }
 
 func (b *pingBody) begin(now int64)                    { b.Begin(now) }

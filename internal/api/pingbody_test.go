@@ -148,8 +148,9 @@ func TestHTTPPingEventParity(t *testing.T) {
 
 // Writing a ping body into a warmed buffer allocates nothing, with location
 // fuzz off and on; PingClient still allocates its response, its product
-// list and one car list per product that has cars, and nothing else: the
-// walk boxes no sink on the in-process path.
+// list and, per product that has cars, one car list and one point slab for
+// their paths, and nothing else: the walk boxes no sink on the in-process
+// path.
 func TestPingBodyAllocs(t *testing.T) {
 	s := testBackend(t, true)
 	loc := center(s)
@@ -179,7 +180,7 @@ func TestPingBodyAllocs(t *testing.T) {
 	want := 2
 	for _, ts := range resp.Types {
 		if len(ts.Cars) > 0 {
-			want++
+			want += 2
 		}
 	}
 	n := testing.AllocsPerRun(100, func() {
@@ -188,44 +189,68 @@ func TestPingBodyAllocs(t *testing.T) {
 		}
 	})
 	if n != float64(want) {
-		t.Errorf("PingClient: %.1f allocations, want %d (response, products, %d car lists)", n, want, want-2)
+		t.Errorf("PingClient: %.1f allocations, want %d (response, products, %d car lists and point slabs)", n, want, want-2)
 	}
 }
 
-// HTTP pings mark no history chunk served, so a shard pinged over HTTP
-// between its Steps reuses exactly the chunks a query-free shard reuses;
-// in-process pings, whose Paths are the caller's, keep theirs from reuse.
-func TestHTTPPingsLeaveChunkReuseAlone(t *testing.T) {
-	run := func(ping func(s *Service, loc geo.LatLng)) (renewals, reused int64) {
-		s := testBackend(t, false)
-		reg := obs.NewRegistry()
-		s.Instrument(reg)
-		locs := probeLocs(s, 12)
-		for i := 0; i < 48; i++ {
-			for _, loc := range locs {
-				if ping != nil {
-					ping(s, loc)
-				}
+// pingedShardReuse steps a shard 48 times, pinging it at 12 locations
+// before each Step (none when ping is nil), and returns the history chunks
+// its builds renewed, how many of them reused a recycled chunk, and the
+// chunks left waiting for reuse after the last build.
+func pingedShardReuse(t *testing.T, ping func(s *Service, loc geo.LatLng)) (renewals, reused int64, free float64) {
+	t.Helper()
+	s := testBackend(t, false)
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	locs := probeLocs(s, 12)
+	for i := 0; i < 48; i++ {
+		for _, loc := range locs {
+			if ping != nil {
+				ping(s, loc)
 			}
-			s.Step()
 		}
-		return reg.Counter("sim_snapshot_history_renewals_total").Value(), reg.Counter("sim_snapshot_history_reused_total").Value()
+		s.Step()
 	}
-	quietRenewals, quiet := run(nil)
-	httpRenewals, overHTTP := run(func(s *Service, loc geo.LatLng) {
-		if rec := record(NewServer(s), pingURL("tester", loc)); rec.Code != http.StatusOK {
-			t.Fatalf("HTTP ping: %d", rec.Code)
-		}
-	})
-	_, inProcess := run(func(s *Service, loc geo.LatLng) {
-		if _, err := s.PingClient("tester", loc); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if quiet == 0 || httpRenewals != quietRenewals || overHTTP != quiet {
-		t.Errorf("reused %d of %d renewals under HTTP pings, %d of %d on a quiet shard; want equal", overHTTP, httpRenewals, quiet, quietRenewals)
+	return reg.Counter("sim_snapshot_history_renewals_total").Value(),
+		reg.Counter("sim_snapshot_history_reused_total").Value(),
+		reg.Gauge("sim_snapshot_history_free").Value()
+}
+
+// No ping keeps a history chunk from reuse: a shard pinged between its Steps
+// over HTTP, by PingClient or by PingInto into one reused response renews
+// and reuses exactly the chunks a query-free shard does, and leaves the same
+// sim_snapshot_history_free, because every ping reads its paths while the
+// epoch is pinned and copies what it keeps.
+func TestHTTPPingsLeaveChunkReuseAlone(t *testing.T) {
+	quietRenewals, quiet, quietFree := pingedShardReuse(t, nil)
+	if quiet == 0 || quietFree == 0 {
+		t.Errorf("a quiet shard reused %d history chunks and has %v waiting: nothing was tested", quiet, quietFree)
 	}
-	if inProcess >= quiet {
-		t.Errorf("in-process pings left %d reused renewals, a quiet shard %d: their served chunks were reused", inProcess, quiet)
+	var resp core.PingResponse
+	pings := map[string]func(s *Service, loc geo.LatLng){
+		"HTTP": func(s *Service, loc geo.LatLng) {
+			if rec := record(NewServer(s), pingURL("tester", loc)); rec.Code != http.StatusOK {
+				t.Fatalf("HTTP ping: %d", rec.Code)
+			}
+		},
+		"PingClient": func(s *Service, loc geo.LatLng) {
+			if _, err := s.PingClient("tester", loc); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"PingInto": func(s *Service, loc geo.LatLng) {
+			if err := s.PingInto("tester", loc, &resp); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, ping := range pings {
+		renewals, reused, free := pingedShardReuse(t, ping)
+		if renewals != quietRenewals || reused != quiet {
+			t.Errorf("%s pings: reused %d of %d renewals, a quiet shard %d of %d; want equal", name, reused, renewals, quiet, quietRenewals)
+		}
+		if free != quietFree {
+			t.Errorf("%s pings: sim_snapshot_history_free = %v, a quiet shard %v", name, free, quietFree)
+		}
 	}
 }

@@ -102,3 +102,33 @@ func TestPingIntoReusedEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// A warm PingInto into a reused response allocates nothing, the copied paths
+// included, with location fuzz off and on: each car's path goes into the
+// Path its slot held.
+func TestPingIntoWarmAllocs(t *testing.T) {
+	s := testBackend(t, false)
+	loc := center(s)
+	var resp core.PingResponse
+	ping := func() {
+		if err := s.PingInto("tester", loc, &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fuzz := range []float64{0, 25} {
+		s.SetLocationFuzz(fuzz)
+		ping()
+		points := 0
+		for _, ts := range resp.Types {
+			for _, c := range ts.Cars {
+				points += len(c.Path)
+			}
+		}
+		if points == 0 {
+			t.Fatalf("fuzz %v: the answer holds no path point: nothing was tested", fuzz)
+		}
+		if n := testing.AllocsPerRun(100, ping); n != 0 {
+			t.Errorf("fuzz %v: %.1f allocations per warm PingInto, want 0", fuzz, n)
+		}
+	}
+}

@@ -264,15 +264,15 @@ func (s *Service) authLimited(clientID string, now int64) error {
 // product it writes the eight nearest available cars (randomized session
 // IDs and path vectors), the EWT, and the surge multiplier — including,
 // when the April bug is active, per-client jitter — into *dst, reusing the
-// capacity of dst.Types and of each product's Cars. The answer is served
-// entirely from the published snapshot epoch; no lock is taken. Served
-// Paths are kept, so they stay valid after dst is filled again.
+// capacity of dst.Types, of each product's Cars and of each car's Path. The
+// answer is served entirely from the published snapshot epoch; no lock is
+// taken. Its Paths, like its Cars, are valid until dst is filled again.
 func (s *Service) PingInto(clientID string, loc geo.LatLng, dst *core.PingResponse) error {
 	return s.ping(clientID, loc, (*pingBuilder)(dst))
 }
 
 // PingClient is PingInto into a fresh response sized to the offered
-// products.
+// products; all of it, Paths included, is the caller's for good.
 func (s *Service) PingClient(clientID string, loc geo.LatLng) (*core.PingResponse, error) {
 	resp := &core.PingResponse{Types: make([]core.TypeStatus, 0, len(s.offered))}
 	if err := s.PingInto(clientID, loc, resp); err != nil {
@@ -284,7 +284,7 @@ func (s *Service) PingClient(clientID string, loc geo.LatLng) (*core.PingRespons
 // pingSink receives one ping's answer from the walk, in document order:
 // begin, then per offered product one product call, car for each of its n
 // cars (location fuzz applied) and end. A car's Path is readable only during
-// the call; a sink that keeps it must Keep it.
+// the call; a sink that keeps it copies it.
 type pingSink interface {
 	begin(now int64)
 	product(vt core.VehicleType, n int)
@@ -292,29 +292,43 @@ type pingSink interface {
 	end(ewt, surge float64)
 }
 
-// pingBuilder is PingInto's sink: the response itself, filled in place.
-// Its Paths are the caller's for good.
+// pingBuilder is PingInto's sink: the response itself, filled in place. It
+// copies each car's path into memory the response owns.
 type pingBuilder core.PingResponse
 
 func (r *pingBuilder) begin(now int64) { r.Time, r.Types = now, r.Types[:0] }
 
 // product opens the next product's section over the slot's old one, keeping
-// its Cars when they hold n. A product with no cars still gets a non-nil
-// Cars, so it encodes as [] and not null.
+// its Cars, and the Path of each, when they hold n. Fresh Cars come with one
+// point slab, each car's Path a capped window of it. A product with no cars
+// still gets a non-nil Cars, so it encodes as [] and not null.
 func (r *pingBuilder) product(vt core.VehicleType, n int) {
 	var cars []core.CarView
 	if k := len(r.Types); k < cap(r.Types) {
 		cars = r.Types[:k+1][k].Cars[:0]
 	}
 	if cars == nil || cap(cars) < n {
-		cars = make([]core.CarView, 0, n)
+		cars = make([]core.CarView, n)
+		pts := make([]geo.LatLng, n*core.MaxPathLen)
+		for i := range cars {
+			lo := i * core.MaxPathLen
+			cars[i].Path = pts[lo : lo : lo+core.MaxPathLen]
+		}
+		cars = cars[:0]
 	}
 	r.Types = append(r.Types, core.TypeStatus{Type: vt, TypeName: vt.String(), Cars: cars})
 }
 
+// car appends c, its path copied into the Path its slot held.
 func (r *pingBuilder) car(c sim.NearCar) {
 	ts := &r.Types[len(r.Types)-1]
-	ts.Cars = append(ts.Cars, core.CarView{ID: c.ID, Pos: c.Pos, Path: c.Keep()})
+	k := len(ts.Cars)
+	ts.Cars = ts.Cars[:k+1]
+	path := ts.Cars[k].Path[:0]
+	if cap(path) < core.MaxPathLen {
+		path = make([]geo.LatLng, 0, core.MaxPathLen)
+	}
+	ts.Cars[k] = core.CarView{ID: c.ID, Pos: c.Pos, Path: append(path, c.Path()...)}
 }
 
 func (r *pingBuilder) end(ewt, surge float64) {

@@ -31,10 +31,10 @@ type Client struct {
 // client per round; EndRound is called after every client in a round has
 // reported, with the round's timestamp.
 //
-// Observe borrows resp: the response, its Types and each product's Cars
-// are valid for the call only, because the caller fills the same response
-// again for the next observation. A sink that keeps any of them copies
-// them; the strings and Paths inside may be kept as they are.
+// Observe borrows resp: the response, its Types, each product's Cars and
+// each car's Path are valid for the call only, because the caller fills the
+// same response again for the next observation. A sink that keeps any of
+// them copies them; the strings inside may be kept as they are.
 type Sink interface {
 	Observe(clientIdx int, pos geo.Point, resp *core.PingResponse)
 	EndRound(now int64)

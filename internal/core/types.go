@@ -95,6 +95,9 @@ type TypeStatus struct {
 // MaxVisibleCars is the number of nearest cars a client can see per product.
 const MaxVisibleCars = 8
 
+// MaxPathLen is the most points a car's path vector holds.
+const MaxPathLen = 5
+
 // PingResponse is the JSON document the emulated Client app receives every
 // five seconds.
 type PingResponse struct {
@@ -135,11 +138,11 @@ type TimeEstimate struct {
 // PingInto emulates the smartphone app's 5-second ping: clientID
 // identifies the logged-in account (jitter in the April 2015 datastream was
 // per-client, so the backend needs to know who is asking). It overwrites
-// *dst with the answer and may reuse the capacity of dst.Types and of each
-// dst.Types[i].Cars, so a caller that fills one response over and over
-// allocates none, and one that keeps an answer past its next ping copies
-// the slices first (strings and Paths stay valid for good). On error *dst
-// is unspecified.
+// *dst with the answer and may reuse the capacity of dst.Types, of each
+// dst.Types[i].Cars and of each car's Path, so a caller that fills one
+// response over and over allocates none, and one that keeps an answer past
+// its next ping copies the slices first, Paths included (strings stay valid
+// for good). On error *dst is unspecified.
 //
 // EstimatePrice and EstimateTime emulate the public HTTP API, which serves
 // surge without jitter but is rate limited per account.

@@ -39,7 +39,7 @@ func (s DriverState) String() string {
 
 // pathLen is the number of recent positions kept for the pingClient path
 // vector.
-const pathLen = 5
+const pathLen = core.MaxPathLen
 
 // PoolStop is one queued stop of a shared UberPOOL trip.
 type PoolStop struct {

@@ -110,13 +110,13 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 // TestSnapshotEWTZeroAlloc pins the lock-free queries on a euclidean
 // world: the exact-size neighbour buffers and the scan closure handed to
 // the ring walk stay on the stack, so EWT allocates nothing and
-// NearestCars only its result — the views are sliced out of the cars'
-// history chunks, not copied.
+// NearestCars only its result — one block holds the views and the paths
+// they copy out of the cars' history chunks.
 func TestSnapshotEWTZeroAlloc(t *testing.T) {
 	w := NewWorld(Config{Profile: Manhattan(), Seed: 22, Workers: 1})
 	w.Run(600)
 	snap := w.Snapshot()
-	if snap.IdleCars(core.UberX) == 0 {
+	if snap.products[core.UberX].count == 0 {
 		t.Fatal("no idle UberX to query")
 	}
 	pos := geo.Point{X: 120, Y: -340}

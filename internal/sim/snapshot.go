@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -30,11 +29,11 @@ import (
 // consecutive snapshots share only the append-only per-car path histories
 // they window into (carHist). A snapshot no query will read again may be
 // handed back with World.Recycle, and a later build overwrites its slabs,
-// cell tables and frozen factor table, and reuses the history chunks no
-// query was ever served a window of once every epoch that windowed into them
-// has been recycled. The struct itself and the served chunks are never
-// reused, so Now, Areas, Region, Proj and every served Path stay valid. All
-// methods are safe for unlimited concurrent use until Recycle.
+// cell tables and frozen factor table, and reuses a history chunk once every
+// epoch that windowed into it has been recycled. Every answer copies its
+// paths out, so no reader holds a chunk past the call. The struct itself is
+// never reused, so Now, Areas, Region and Proj stay valid. All methods are
+// safe for unlimited concurrent use until Recycle.
 type Snapshot struct {
 	// Now is the simulation time the snapshot was taken at.
 	Now int64
@@ -64,14 +63,12 @@ const histPoints = 12
 // append-only: the builder writes only past every published snapCar.end,
 // so a published window is never written again, and starts a fresh chunk
 // when this one is full (every histPoints-pathLen+1 builds). A chunk left
-// behind may be reused for another car (see World.Recycle) unless served
-// says a query returned a window of it: that Path is the caller's for good.
+// behind may be reused for another car (see World.Recycle).
 type carHist struct {
 	id  string
 	pts [histPoints]geo.LatLng
 	// born is the build that started the chunk.
-	born   uint32
-	served atomic.Bool
+	born uint32
 	// next links the builder's retired and free lists; no reader reads it.
 	next *carHist
 }
@@ -101,11 +98,6 @@ type productCells struct {
 // identical to the brute-force AreaOf scan.
 func (s *Snapshot) AreaOf(p geo.Point) int { return s.areaIdx.Find(p) }
 
-// IdleCars returns the number of visible (idle) cars of the product.
-func (s *Snapshot) IdleCars(vt core.VehicleType) int {
-	return s.products[int(vt)].count
-}
-
 // EWT returns the estimated wait time in seconds for a product at a
 // location, computed exactly as World.EWT does: dispatch overhead plus
 // the movement model's drive time of the nearest idle car, capped at the
@@ -123,15 +115,26 @@ func (s *Snapshot) EWT(vt core.VehicleType, pos geo.Point) float64 {
 // NearestCars returns up to k idle cars of the product nearest to pos as
 // wire-format views, ordered by ascending distance with ties broken by
 // slot — the same cars in the same order World.NearestCars returns. The
-// returned slice is fresh; the Path slices are shared with the cars'
-// history chunks, must be treated as read-only, and stay valid for good:
-// a chunk once served is never reused.
+// views and their paths are fresh copies, the caller's for good; up to
+// core.MaxVisibleCars of them share one allocation.
 func (s *Snapshot) NearestCars(vt core.VehicleType, pos geo.Point, k int) []core.CarView {
 	var buf [core.MaxVisibleCars]NearCar
 	near := s.AppendNearest(buf[:0], vt, pos, k)
-	out := make([]core.CarView, 0, len(near))
+	var out []core.CarView
+	var pts []geo.LatLng
+	if len(near) <= core.MaxVisibleCars {
+		one := new(struct {
+			cars [core.MaxVisibleCars]core.CarView
+			pts  [core.MaxVisibleCars * pathLen]geo.LatLng
+		})
+		out, pts = one.cars[:0:len(near)], one.pts[:0]
+	} else {
+		out, pts = make([]core.CarView, 0, len(near)), make([]geo.LatLng, 0, len(near)*pathLen)
+	}
 	for _, c := range near {
-		out = append(out, core.CarView{ID: c.ID, Pos: c.Pos, Path: c.Keep()})
+		lo := len(pts)
+		pts = append(pts, c.Path()...)
+		out = append(out, core.CarView{ID: c.ID, Pos: c.Pos, Path: pts[lo:len(pts):len(pts)]})
 	}
 	return out
 }
@@ -146,28 +149,18 @@ type NearCar struct {
 	end, n uint8
 }
 
-// Path returns the car's path vector, oldest first. It aliases the car's
-// history chunk, which a later build may reuse once the snapshot is
-// recycled: read it only until World.Recycle is called on the snapshot, or
-// hold Keep's.
+// Path returns the car's path vector, oldest first, at most pathLen points.
+// It aliases the car's history chunk, which a later build may reuse once the
+// snapshot is recycled: read or copy it only until World.Recycle is called
+// on the snapshot.
 func (c NearCar) Path() []geo.LatLng {
 	// Cap-limited to its window: later appends to the chunk are out of reach.
 	return c.hist.pts[int(c.end)-int(c.n) : c.end : c.end]
 }
 
-// Keep returns Path for good: it marks the chunk served, and a served chunk
-// is never reused. Call it before World.Recycle is called on the snapshot.
-func (c NearCar) Keep() []geo.LatLng {
-	if !c.hist.served.Load() { // a load, not a store, on the common path: chunks are shared by readers
-		c.hist.served.Store(true)
-	}
-	return c.Path()
-}
-
 // AppendNearest appends to dst up to k idle cars of the product nearest to
 // pos, in NearestCars' order, and returns the extended slice. It allocates
-// nothing when dst has room for k cars and k <= core.MaxVisibleCars, and it
-// marks no chunk served: only Keep does.
+// nothing when dst has room for k cars and k <= core.MaxVisibleCars.
 func (s *Snapshot) AppendNearest(dst []NearCar, vt core.VehicleType, pos geo.Point, k int) []NearCar {
 	var buf [core.MaxVisibleCars]snapNeighbor // exact for every ping; a larger k grows it
 	for _, nb := range s.products[int(vt)].kNearest(pos, k, buf[:0]) {
@@ -234,7 +227,7 @@ func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighb
 
 // snapBuilder is what the world remembers between snapshot builds: each
 // visible slot's path history (see carHist) and the build that last encoded
-// it, and the buffers and unserved history chunks of epochs handed back by
+// it, and the buffers and history chunks of epochs handed back by
 // World.Recycle. No cell entry is remembered — every idle car cruises every
 // tick, so every build re-encodes every visible car and no cell entry of one
 // epoch is valid in the next (measured: DESIGN.md "Snapshot build"); only
@@ -250,8 +243,10 @@ type snapBuilder struct {
 	// seq numbers the builds, from 1.
 	seq uint32
 	// retired lists the chunks build seq renewed away from their slots, until
-	// a Recycle moves the reusable ones to free or the next build drops it.
+	// a Recycle moves the reusable ones to free or the next build drops it;
+	// nfree is the length of free.
 	retired, free *carHist
+	nfree         int
 	// recycled is the last epoch Recycle took in order; every epoch in
 	// (leak, recycled] went through Recycle, and those up to leak may not.
 	recycled, leak uint32
@@ -260,6 +255,7 @@ type snapBuilder struct {
 	// once per build.
 	renewals, reused                  int64
 	mCars, mRenewals, mReused, mCells *obs.Counter
+	mFree                             *obs.Gauge
 }
 
 // snapSlot is the builder's memory of one fleet slot: its history chunk, the
@@ -350,24 +346,24 @@ func (w *World) Snapshot() *Snapshot {
 	b.mRenewals.Add(b.renewals)
 	b.mReused.Add(b.reused)
 	b.mCells.Add(cells)
+	b.mFree.Set(float64(b.nfree))
 	return snap
 }
 
 // Recycle hands s's cell tables, slabs and frozen factor table to the next
 // build, which overwrites them. The caller guarantees that no query is
 // reading s and none will: afterwards s answers as if no car were idle. Its
-// Now, Areas, Region and Proj stay valid, and so do the Paths it served,
-// which alias history chunks that are never reused once served.
+// Now, Areas, Region and Proj stay valid; the paths it served were copies.
 //
 // Recycle also hands back history chunks. Epochs are expected in build
 // order; one that skips some marks the skipped ones as leaked (pinned, or
 // built by a caller that does not recycle), for good. When s is recycled
 // and the latest build is at most s's next, every epoch that windows into
 // a chunk that build renewed lies between the chunk's birth and s. So a
-// chunk born after the last leaked epoch, and never served, has no reader
-// left, and the next builds reuse it. An out-of-order or repeated Recycle
-// only hands back buffers. Like Snapshot, it must be called from the
-// goroutine that steps the world.
+// chunk born after the last leaked epoch has no reader left, and the next
+// builds reuse it. An out-of-order or repeated Recycle only hands back
+// buffers. Like Snapshot, it must be called from the goroutine that steps
+// the world.
 func (w *World) Recycle(s *Snapshot) {
 	b := &w.snap
 	for vt := range s.products {
@@ -393,14 +389,15 @@ func (w *World) Recycle(s *Snapshot) {
 }
 
 // drainRetired empties the retired list. With reusable set it moves to free
-// the chunks born after the last leaked epoch and never served; every other
-// chunk is unlinked, for the GC to take once no epoch or Path holds it.
+// the chunks born after the last leaked epoch; every other chunk is
+// unlinked, for the GC to take once no epoch holds it.
 func (b *snapBuilder) drainRetired(reusable bool) {
 	for h := b.retired; h != nil; {
 		next := h.next
 		h.next = nil
-		if reusable && h.born > b.leak && !h.served.Load() {
+		if reusable && h.born > b.leak {
 			h.next, b.free = b.free, h
+			b.nfree++
 		}
 		h = next
 	}
@@ -415,8 +412,8 @@ func (b *snapBuilder) newHist(id string) *carHist {
 		return &carHist{id: id, born: b.seq}
 	}
 	b.free, h.next = h.next, nil
+	b.nfree--
 	h.id, h.born = id, b.seq
-	h.served.Store(false)
 	b.reused++
 	return h
 }

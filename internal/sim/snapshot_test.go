@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,7 +186,7 @@ func TestSnapshotRecycledBuildsMatchFresh(t *testing.T) {
 			build := func() {
 				if builds%2 == 1 {
 					w.Recycle(prev)
-					if prev.IdleCars(core.UberX) != 0 {
+					if prev.products[core.UberX].count != 0 {
 						t.Fatal("a recycled epoch still reports idle cars")
 					}
 					if cap(w.snap.spare[core.UberX].slab) >= w.grids[core.UberX].Len() {
@@ -222,8 +223,8 @@ func TestSnapshotRecycledBuildsMatchFresh(t *testing.T) {
 // two back is recycled, as api.Service.publish does, and first read: until
 // then it must still answer as the world did when it was built, so a chunk
 // it windows into reused one build early shows as a changed answer. Each
-// epoch is read first at its recycle, so nothing marks its chunks served
-// before the builds that could reuse them. Random skips stand in for pins:
+// epoch is read first at its recycle, after the builds that could reuse its
+// chunks. Random skips stand in for pins:
 // a skipped epoch is never recycled and must answer the same at the end.
 // Some recycles come just after the next build instead of just before it,
 // which World.Recycle allows: the latest build's chunks are still windowed
@@ -304,13 +305,64 @@ func TestSnapshotReusedChunksNeverReachAReader(t *testing.T) {
 	}
 }
 
+// NearestCars' paths are copies the caller keeps: views read from the first
+// epochs are held as returned while those epochs are recycled as
+// api.Service.publish does, the epoch two back before each build, and later
+// builds reuse their history chunks; they must still equal the deep copies
+// taken when they were read. One epoch is skipped, as a pin would, so the
+// chunks born before it are dropped rather than freed. After every build
+// sim_snapshot_history_free is the length of the builder's free list.
+func TestSnapshotPathsOutliveRecycle(t *testing.T) {
+	w := NewWorld(Config{Profile: Manhattan(), Seed: 19, StartTime: 8 * 3600, Workers: 1})
+	reg := obs.NewRegistry()
+	w.Instrument(reg)
+	free := reg.Gauge("sim_snapshot_history_free")
+	reused := reg.Counter("sim_snapshot_history_reused_total")
+	center := w.Profile().Region.Center()
+	var held, copies [][]core.CarView
+	var epochs []*Snapshot
+	maxFree := 0
+	for i := 0; i < 48; i++ {
+		w.Step()
+		if n := len(epochs) - 2; n >= 0 && n != 20 {
+			w.Recycle(epochs[n])
+		}
+		s := w.Snapshot()
+		epochs = append(epochs, s)
+		n := 0
+		for h := w.snap.free; h != nil; h = h.next {
+			n++
+		}
+		if got := free.Value(); got != float64(n) {
+			t.Fatalf("build %d: sim_snapshot_history_free = %v, the free list holds %d", i, got, n)
+		}
+		maxFree = max(maxFree, n)
+		if i < 8 {
+			for _, vt := range core.AllVehicleTypes() {
+				views := s.NearestCars(vt, center, core.MaxVisibleCars)
+				c := slices.Clone(views)
+				for j := range c {
+					c[j].Path = slices.Clone(c[j].Path)
+				}
+				held, copies = append(held, views), append(copies, c)
+			}
+		}
+	}
+	if !reflect.DeepEqual(held, copies) {
+		t.Fatal("a path NearestCars returned changed after its epoch was recycled")
+	}
+	if reused.Value() == 0 || maxFree == 0 {
+		t.Fatalf("%d chunks reused, at most %d free: nothing was tested", reused.Value(), maxFree)
+	}
+}
+
 // The snapshot index counts exactly the idle cars of each product.
 func TestSnapshotIdleCarCounts(t *testing.T) {
 	w := snapshotWorld(t, 5)
 	s := w.Snapshot()
 	for _, vt := range core.AllVehicleTypes() {
 		idle, _, _ := w.CountByState(vt)
-		if got := s.IdleCars(vt); got != idle {
+		if got := s.products[vt].count; got != idle {
 			t.Errorf("%v: snapshot has %d idle cars, world has %d", vt, got, idle)
 		}
 	}
@@ -323,7 +375,7 @@ func allViews(s *Snapshot) ([][]core.CarView, []float64) {
 	var views [][]core.CarView
 	var ewts []float64
 	for _, vt := range core.AllVehicleTypes() {
-		cars := s.NearestCars(vt, center, s.IdleCars(vt))
+		cars := s.NearestCars(vt, center, s.products[vt].count)
 		for i := range cars {
 			cars[i].Path = append([]geo.LatLng(nil), cars[i].Path...)
 		}

@@ -253,6 +253,8 @@ var phaseLabelSets = func() [numPhases]pprof.LabelSet {
 //	what Snapshot builds made: cars encoded (the idle cars of each build),
 //	history chunks started for them, those of the chunks that a recycled
 //	epoch handed back (see Recycle), non-empty grid cells
+//	sim_snapshot_history_free   history chunks recycled epochs handed back
+//	                            that no build has taken yet, after the last build
 func (w *World) Instrument(reg *obs.Registry) {
 	w.hStep = reg.Histogram("sim_step_duration_seconds", nil)
 	for i := range w.hPhase {
@@ -270,6 +272,7 @@ func (w *World) Instrument(reg *obs.Registry) {
 	w.snap.mRenewals = reg.Counter("sim_snapshot_history_renewals_total")
 	w.snap.mReused = reg.Counter("sim_snapshot_history_reused_total")
 	w.snap.mCells = reg.Counter("sim_snapshot_cells_rebuilt_total")
+	w.snap.mFree = reg.Gauge("sim_snapshot_history_free")
 }
 
 // CommissionRate is Uber's share of each fare (§2).
