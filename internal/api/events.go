@@ -51,7 +51,7 @@ func (s *Service) emitPing(sinks *eventSinks, clientID string, loc geo.LatLng, a
 }
 
 // typeObs is one product's section of a served ping in its stored form, as
-// wire.FromResponse converts it: no path vectors.
+// wire.FillTypes converts it: no path vectors.
 func typeObs(vt core.VehicleType, cars []sim.NearCar, ewt, surge float64) wire.TypeObs {
 	t := wire.TypeObs{Name: vt.String(), Surge: surge, EWT: ewt}
 	if len(cars) > 0 {

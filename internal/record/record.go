@@ -77,6 +77,9 @@ type Writer struct {
 	// pendingGaps buffers the round's failed pings until EndRound, when
 	// the round's timestamp is known.
 	pendingGaps []tsdb.Row
+	// types is every observation's stored form in turn: the store keeps
+	// nothing of the row it is lent.
+	types []wire.TypeObs
 }
 
 // Create creates (or reopens) a campaign store at dir: one Commit (one WAL
@@ -121,7 +124,8 @@ func (w *Writer) append(row tsdb.Row) {
 
 // Observe implements client.Sink.
 func (w *Writer) Observe(clientIdx int, pos geo.Point, resp *core.PingResponse) {
-	w.append(tsdb.Row{Time: resp.Time, Series: clientIdx, Types: wire.FromResponse(resp)})
+	w.types = wire.FillTypes(w.types, resp)
+	w.append(tsdb.Row{Time: resp.Time, Series: clientIdx, Types: w.types})
 }
 
 // ObserveGap implements client.GapSink. The row is buffered until

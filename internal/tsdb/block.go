@@ -47,50 +47,90 @@ func decodeChunk(payload []byte, series int) ([]Row, error) {
 	return d.rows(0, d.n), nil
 }
 
-// chunkEncoder is the chunk encoder. It keeps its column buffers,
-// dictionary and bitstream from one chunk to the next, so once they have
-// grown to a chunk's size encoding allocates nothing.
-type chunkEncoder struct {
+// chunkCols is a chunk being built: the columns and dictionary of the
+// rows added since the last reset, before the columns' codecs run. The
+// head keeps one per series as its open rows; reset keeps every buffer,
+// so once they have grown to a chunk's size adding rows allocates nothing.
+type chunkCols struct {
 	dict                                      dictBuilder
 	times                                     []int64
 	meta, typeIDs, carCounts, carIDs, reasons []byte
 	surges, ewts, lats, lngs                  []float64
-	bits                                      bitWriter
-	col, buf                                  []byte
+}
+
+// reset empties the columns and the dictionary, keeping their buffers.
+func (c *chunkCols) reset() {
+	c.dict.reset()
+	c.times = c.times[:0]
+	c.meta, c.typeIDs, c.carCounts, c.carIDs, c.reasons = c.meta[:0], c.typeIDs[:0], c.carCounts[:0], c.carIDs[:0], c.reasons[:0]
+	c.surges, c.ewts, c.lats, c.lngs = c.surges[:0], c.ewts[:0], c.lats[:0], c.lngs[:0]
+}
+
+// reserve sizes empty columns for n rows shaped like r. Grown one append
+// at a time, a column allocates several times its final size.
+func (c *chunkCols) reserve(n int, r *Row) {
+	types, cars := len(r.Types), 0
+	for i := range r.Types {
+		cars += len(r.Types[i].Cars)
+	}
+	c.times, c.meta = make([]int64, 0, n), make([]byte, 0, n)
+	c.typeIDs, c.carCounts = make([]byte, 0, n*types), make([]byte, 0, n*types)
+	c.surges, c.ewts = make([]float64, 0, n*types), make([]float64, 0, n*types)
+	c.carIDs = make([]byte, 0, n*cars)
+	c.lats, c.lngs = make([]float64, 0, n*cars), make([]float64, 0, n*cars)
+}
+
+// rows is the number of rows added since the last reset.
+func (c *chunkCols) rows() int { return len(c.times) }
+
+// add appends r (of the chunk's series, not before its last row) to the
+// columns. Nothing of r is kept but its strings, which are immutable.
+func (c *chunkCols) add(r *Row) {
+	c.times = append(c.times, r.Time)
+	if r.Gap {
+		c.meta = binary.AppendUvarint(c.meta, 1)
+		c.reasons = binary.AppendUvarint(c.reasons, c.dict.id(r.Reason))
+		return
+	}
+	c.meta = binary.AppendUvarint(c.meta, uint64(len(r.Types))<<1)
+	for ti := range r.Types {
+		t := &r.Types[ti]
+		c.typeIDs = binary.AppendUvarint(c.typeIDs, c.dict.id(t.Name))
+		c.surges = append(c.surges, t.Surge)
+		c.ewts = append(c.ewts, t.EWT)
+		c.carCounts = binary.AppendUvarint(c.carCounts, uint64(len(t.Cars)))
+		for _, car := range t.Cars {
+			c.carIDs = binary.AppendUvarint(c.carIDs, c.dict.id(car.ID))
+			c.lats = append(c.lats, car.Lat)
+			c.lngs = append(c.lngs, car.Lng)
+		}
+	}
+}
+
+// chunkEncoder is the chunk encoder. It keeps its columns, dictionary,
+// bitstream and payload buffer from one chunk to the next, so once they
+// have grown to a chunk's size encoding allocates nothing.
+type chunkEncoder struct {
+	cols     chunkCols
+	bits     bitWriter
+	col, buf []byte
 }
 
 // encode returns the payload of rows (one series, non-decreasing time).
 // It is valid until the next call.
 func (e *chunkEncoder) encode(rows []Row) []byte {
-	e.dict.reset()
-	e.times = e.times[:0]
-	e.meta, e.typeIDs, e.carCounts, e.carIDs, e.reasons = e.meta[:0], e.typeIDs[:0], e.carCounts[:0], e.carIDs[:0], e.reasons[:0]
-	e.surges, e.ewts, e.lats, e.lngs = e.surges[:0], e.ewts[:0], e.lats[:0], e.lngs[:0]
+	e.cols.reset()
 	for i := range rows {
-		r := &rows[i]
-		e.times = append(e.times, r.Time)
-		if r.Gap {
-			e.meta = binary.AppendUvarint(e.meta, 1)
-			e.reasons = binary.AppendUvarint(e.reasons, e.dict.id(r.Reason))
-			continue
-		}
-		e.meta = binary.AppendUvarint(e.meta, uint64(len(r.Types))<<1)
-		for ti := range r.Types {
-			t := &r.Types[ti]
-			e.typeIDs = binary.AppendUvarint(e.typeIDs, e.dict.id(t.Name))
-			e.surges = append(e.surges, t.Surge)
-			e.ewts = append(e.ewts, t.EWT)
-			e.carCounts = binary.AppendUvarint(e.carCounts, uint64(len(t.Cars)))
-			for _, c := range t.Cars {
-				e.carIDs = binary.AppendUvarint(e.carIDs, e.dict.id(c.ID))
-				e.lats = append(e.lats, c.Lat)
-				e.lngs = append(e.lngs, c.Lng)
-			}
-		}
+		e.cols.add(&rows[i])
 	}
+	return e.payload(&e.cols)
+}
 
-	buf := binary.AppendUvarint(e.buf[:0], uint64(len(rows)))
-	buf = e.dict.encode(buf)
+// payload returns the payload of c's rows, leaving c as it was. It is
+// valid until the next call.
+func (e *chunkEncoder) payload(c *chunkCols) []byte {
+	buf := binary.AppendUvarint(e.buf[:0], uint64(c.rows()))
+	buf = c.dict.encode(buf)
 	appendCol := func(col []byte) {
 		buf = binary.AppendUvarint(buf, uint64(len(col)))
 		buf = append(buf, col...)
@@ -99,17 +139,17 @@ func (e *chunkEncoder) encode(rows []Row) []byte {
 		e.col = e.bits.appendXOR(e.col[:0], vals)
 		appendCol(e.col)
 	}
-	e.col = timesEncode(e.col[:0], e.times)
+	e.col = timesEncode(e.col[:0], c.times)
 	appendCol(e.col)
-	appendCol(e.meta)
-	appendCol(e.typeIDs)
-	appendXOR(e.surges)
-	appendXOR(e.ewts)
-	appendCol(e.carCounts)
-	appendCol(e.carIDs)
-	appendXOR(e.lats)
-	appendXOR(e.lngs)
-	appendCol(e.reasons)
+	appendCol(c.meta)
+	appendCol(c.typeIDs)
+	appendXOR(c.surges)
+	appendXOR(c.ewts)
+	appendCol(c.carCounts)
+	appendCol(c.carIDs)
+	appendXOR(c.lats)
+	appendXOR(c.lngs)
+	appendCol(c.reasons)
 	e.buf = buf
 	return buf
 }
@@ -264,8 +304,7 @@ func (d *chunkDecoder) refs(ids []int, col *wire.Reader) bool {
 	return col.Err() == nil
 }
 
-// window builds the decoded rows with from ≤ Time < to, the rows clip
-// would keep of the whole chunk.
+// window builds the decoded rows with from ≤ Time < to.
 func (d *chunkDecoder) window(from, to int64) []Row {
 	ts := d.times[:d.n]
 	lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= from })

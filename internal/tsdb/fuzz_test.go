@@ -14,7 +14,7 @@ import (
 //   - any input decodeRowBinary accepts must re-encode to the exact same
 //     bytes (the row codec is canonical);
 //   - any input decodeChunk accepts must survive encode→decode unchanged,
-//     and a window of it must build the rows clip keeps of the whole.
+//     and a window of it must build the rows inWindow keeps of the whole.
 //
 // The first byte routes to a decoder so one target covers the whole stack
 // (the CI fuzz step runs a single -fuzz=FuzzCodec pattern).
@@ -60,7 +60,7 @@ func FuzzCodec(f *testing.F) {
 				}
 			}
 			// A window whose edges the input's last two bytes pick (a row's
-			// stamp, or one past it) builds the rows clip keeps.
+			// stamp, or one past it) builds the rows inWindow keeps.
 			edge := func(b byte) int64 {
 				if len(got) == 0 {
 					return int64(b)
@@ -72,9 +72,9 @@ func FuzzCodec(f *testing.F) {
 			if err := d.decode(payload, 3); err != nil {
 				t.Fatalf("window decode rejected an accepted chunk: %v", err)
 			}
-			win, want := d.window(from, to), clip(got, from, to)
+			win, want := d.window(from, to), inWindow(got, from, to)
 			if len(win) != len(want) {
-				t.Fatalf("window [%d, %d) built %d rows, clip keeps %d", from, to, len(win), len(want))
+				t.Fatalf("window [%d, %d) built %d rows, inWindow keeps %d", from, to, len(win), len(want))
 			}
 			for i := range win {
 				a = appendRowBinary(a[:0], &win[i])

@@ -10,17 +10,16 @@
 package tsdb
 
 import (
+	"bytes"
 	"container/heap"
-	"sort"
 )
 
-// chunkRef is one lazily decoded batch: a sealed chunk, an encoded head
-// chunk, or a snapshot of a head series' open rows.
+// chunkRef is one lazily decoded batch: a sealed chunk, or the payload of
+// a head chunk or of a head series' open rows.
 type chunkRef struct {
 	sr      *segmentReader // sealed: the file and the chunk's index entry
 	entry   chunkEntry
-	payload []byte // encoded head chunk
-	open    []Row  // open head rows
+	payload []byte // head
 }
 
 // seriesIter yields one series' rows within [from, to) in time order.
@@ -32,13 +31,6 @@ type seriesIter struct {
 	cur      []Row
 	idx      int
 	err      error
-}
-
-// clip narrows rows (time-sorted) to [from, to).
-func clip(rows []Row, from, to int64) []Row {
-	lo := sort.Search(len(rows), func(i int) bool { return rows[i].Time >= from })
-	hi := sort.Search(len(rows), func(i int) bool { return rows[i].Time >= to })
-	return rows[lo:max(lo, hi)]
 }
 
 func (it *seriesIter) next() (*Row, bool) {
@@ -57,10 +49,6 @@ func (it *seriesIter) next() (*Row, bool) {
 		ref := it.refs[0]
 		it.refs = it.refs[1:]
 		it.idx = 0
-		if ref.open != nil {
-			it.cur = clip(ref.open, it.from, it.to)
-			continue
-		}
 		if ref.sr != nil {
 			it.err = ref.sr.chunk(it.dec, ref.entry)
 		} else {
@@ -112,16 +100,15 @@ func (db *DB) seriesIterLocked(dec *chunkDecoder, series int, from, to int64) *s
 		}
 	}
 	if hs := db.head[series]; hs != nil {
-		// Encoded chunks are immutable. The open rows' header is a
-		// snapshot: appends either land beyond its length (invisible) or,
-		// at a cut, go to a fresh slice; rows are never mutated in place.
+		// Encoded chunks are immutable. The open columns are reused after
+		// the next cut, so the iterator gets their payload.
 		for _, c := range hs.chunks {
 			if c.maxT >= from && c.minT < to {
 				it.refs = append(it.refs, chunkRef{payload: c.payload})
 			}
 		}
-		if len(hs.open) > 0 {
-			it.refs = append(it.refs, chunkRef{open: hs.open})
+		if n := hs.open.rows(); n > 0 && hs.open.times[n-1] >= from && hs.open.times[0] < to {
+			it.refs = append(it.refs, chunkRef{payload: bytes.Clone(db.enc.payload(&hs.open))})
 		}
 	}
 	return it

@@ -24,6 +24,7 @@
 package tsdb
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -52,10 +53,11 @@ type chunkEntry struct {
 
 // ---- writer ----
 
-// crcFileWriter tracks a running CRC and offset over everything written.
+// crcFileWriter tracks a running CRC and offset over everything written
+// through its buffer.
 type crcFileWriter struct {
-	w   *os.File
-	buf []byte
+	f   *os.File
+	w   *bufio.Writer
 	crc uint32
 	off uint64
 }
@@ -63,19 +65,7 @@ type crcFileWriter struct {
 func (c *crcFileWriter) write(p []byte) error {
 	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
 	c.off += uint64(len(p))
-	c.buf = append(c.buf, p...)
-	if len(c.buf) >= 1<<20 {
-		return c.flush()
-	}
-	return nil
-}
-
-func (c *crcFileWriter) flush() error {
-	if len(c.buf) == 0 {
-		return nil
-	}
-	_, err := c.w.Write(c.buf)
-	c.buf = c.buf[:0]
+	_, err := c.w.Write(p)
 	return err
 }
 
@@ -97,7 +87,7 @@ func newSegmentWriter(path string) (*segmentWriter, error) {
 		return nil, err
 	}
 	sw := &segmentWriter{
-		cw:        &crcFileWriter{w: f},
+		cw:        &crcFileWriter{f: f, w: bufio.NewWriterSize(f, 1<<20)},
 		path:      path,
 		tmp:       tmp,
 		curSeries: -1,
@@ -146,17 +136,17 @@ func (sw *segmentWriter) add(series int, rows []Row) error {
 	return nil
 }
 
-// addChunk writes a chunk encoded elsewhere (a full head chunk) as is.
-// Rows still buffered for the series are flushed first; the seal writes a
-// series' encoded chunks before its open rows, so it has none.
-func (sw *segmentWriter) addChunk(series int, c headChunk) error {
+// addChunk writes a chunk encoded elsewhere (a head chunk) as is. Rows
+// still buffered for the series are flushed first; the seal adds no rows,
+// so it has none.
+func (sw *segmentWriter) addChunk(series int, payload []byte, minT, maxT int64, rows int) error {
 	if err := sw.startSeries(series); err != nil {
 		return err
 	}
 	if err := sw.flushChunk(); err != nil {
 		return err
 	}
-	return sw.writeChunk(c.payload, c.minT, c.maxT, defaultChunkRows)
+	return sw.writeChunk(payload, minT, maxT, rows)
 }
 
 func (sw *segmentWriter) flushChunk() error {
@@ -196,7 +186,7 @@ func (sw *segmentWriter) writeChunk(payload []byte, minT, maxT int64, rows int) 
 func (sw *segmentWriter) finish() (retErr error) {
 	defer func() {
 		if retErr != nil {
-			sw.cw.w.Close()
+			sw.cw.f.Close()
 			os.Remove(sw.tmp)
 		}
 	}()
@@ -228,14 +218,16 @@ func (sw *segmentWriter) finish() (retErr error) {
 	}
 	binary.LittleEndian.PutUint32(ftr[16:], sw.cw.crc)
 	binary.LittleEndian.PutUint32(ftr[20:], footerMagic)
-	sw.cw.buf = append(sw.cw.buf, ftr[16:]...)
-	if err := sw.cw.flush(); err != nil {
+	if _, err := sw.cw.w.Write(ftr[16:]); err != nil {
 		return err
 	}
-	if err := sw.cw.w.Sync(); err != nil {
+	if err := sw.cw.w.Flush(); err != nil {
 		return err
 	}
-	if err := sw.cw.w.Close(); err != nil {
+	if err := sw.cw.f.Sync(); err != nil {
+		return err
+	}
+	if err := sw.cw.f.Close(); err != nil {
 		return err
 	}
 	if err := os.Rename(sw.tmp, sw.path); err != nil {

@@ -100,7 +100,8 @@ type DB struct {
 	graveyard []*segmentReader // replaced/retired files kept open for live iterators
 	wal       *walWriter
 	head      map[int]*headSeries
-	enc       chunkEncoder // cuts the head's full chunks
+	spare     []*headSeries // emptied by the last seal, for the next period's series
+	enc       chunkEncoder  // encodes the head's open columns: cuts, seals, queries
 	headRows  int
 	headRaw   uint64 // WAL payload bytes backing the head (compression baseline)
 	lastTime  map[int]int64
@@ -113,10 +114,12 @@ type DB struct {
 }
 
 // headSeries is one series' rows in the head: its full chunks, encoded
-// exactly as the seal writes them, and the rows since the last cut.
+// exactly as the seal writes them, and the rows since the last cut as the
+// columns of the next chunk. The head owns that memory: a cut resets the
+// columns and the next rows reuse their buffers.
 type headSeries struct {
 	chunks []headChunk
-	open   []Row // fewer than defaultChunkRows
+	open   chunkCols // fewer than defaultChunkRows rows
 }
 
 // headChunk is the payload of defaultChunkRows rows and their time range.
@@ -131,33 +134,55 @@ func (hs *headSeries) bounds() (minT, maxT int64) {
 	if len(hs.chunks) > 0 {
 		minT, maxT = hs.chunks[0].minT, hs.chunks[len(hs.chunks)-1].maxT
 	} else {
-		minT = hs.open[0].Time
+		minT = hs.open.times[0]
 	}
-	if n := len(hs.open); n > 0 {
-		maxT = hs.open[n-1].Time
+	if n := hs.open.rows(); n > 0 {
+		maxT = hs.open.times[n-1]
 	}
 	return minT, maxT
 }
 
-// appendHead adds row to the head, cutting its series' open rows into an
-// encoded chunk once they fill one. The open slice is replaced, never
-// truncated: iterators may hold its header.
-func (db *DB) appendHead(row Row) {
+// appendHead adds row to its series' open columns, cutting them into an
+// encoded chunk once they hold a full one. Nothing of row is kept but its
+// strings.
+func (db *DB) appendHead(row *Row) {
 	hs := db.head[row.Series]
 	if hs == nil {
-		hs = new(headSeries)
+		if n := len(db.spare); n > 0 {
+			hs, db.spare = db.spare[n-1], db.spare[:n-1]
+		} else {
+			hs = new(headSeries)
+		}
 		db.head[row.Series] = hs
 	}
-	hs.open = append(hs.open, row)
-	if len(hs.open) < defaultChunkRows {
+	if cap(hs.open.times) == 0 {
+		// The columns fill to a whole chunk, and are kept for the next.
+		hs.open.reserve(defaultChunkRows, row)
+	}
+	hs.open.add(row)
+	if hs.open.rows() < defaultChunkRows {
 		return
 	}
 	hs.chunks = append(hs.chunks, headChunk{
-		payload: bytes.Clone(db.enc.encode(hs.open)),
-		minT:    hs.open[0].Time,
+		payload: bytes.Clone(db.enc.payload(&hs.open)),
+		minT:    hs.open.times[0],
 		maxT:    row.Time,
 	})
-	hs.open = make([]Row, 0, defaultChunkRows)
+	hs.open.reset()
+}
+
+// resetHead empties the head after a seal. Its series go onto the spare
+// list with their column buffers, which the next seal period fills again.
+func (db *DB) resetHead() {
+	for s, hs := range db.head {
+		clear(hs.chunks)
+		hs.chunks = hs.chunks[:0]
+		hs.open.reset()
+		db.spare = append(db.spare, hs)
+		delete(db.head, s)
+	}
+	db.headRows = 0
+	db.headRaw = 0
 }
 
 func (db *DB) segDir() string  { return filepath.Join(db.dir, "seg") }
@@ -341,9 +366,9 @@ func (db *DB) recoverWAL() error {
 		res = nil
 	}
 	if res != nil {
-		for _, row := range res.rows {
-			db.appendHead(row)
-			db.noteTime(row.Series, row.Time)
+		for i := range res.rows {
+			db.appendHead(&res.rows[i])
+			db.noteTime(res.rows[i].Series, res.rows[i].Time)
 		}
 		db.headRows = len(res.rows)
 		if res.goodSize > walHeaderSize {
@@ -409,7 +434,9 @@ func (db *DB) SeriesLastTime(series int) (int64, bool) {
 func (db *DB) Recovered() int { return db.recovered }
 
 // Append stores one row. Rows of a series must arrive in non-decreasing
-// time order. The row is durable after the next Commit (or seal).
+// time order. The row is durable after the next Commit (or seal). The row
+// is borrowed: Append keeps nothing of it but its strings, so the caller
+// may reuse its Types and Cars as soon as Append returns.
 func (db *DB) Append(row Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -428,7 +455,7 @@ func (db *DB) Append(row Row) error {
 	}
 	db.m.walBytes.Add(int64(db.wal.bytes - before))
 	db.headRaw += db.wal.bytes - before - wire.FrameHeader
-	db.appendHead(row)
+	db.appendHead(&row)
 	db.lastTime[row.Series] = row.Time
 	db.headRows++
 	db.m.rows.Inc()
@@ -482,7 +509,7 @@ func (db *DB) sealLocked() error {
 	if err != nil {
 		return err
 	}
-	// The encoded chunks are copied; only each series' open rows are
+	// The encoded chunks are copied; only each series' open columns are
 	// encoded here. Cuts fall every defaultChunkRows rows of a series from
 	// the head's start, as a seal of the rows would cut them.
 	for _, s := range db.seriesLocked() {
@@ -491,12 +518,14 @@ func (db *DB) sealLocked() error {
 			continue
 		}
 		for _, c := range hs.chunks {
-			if err := sw.addChunk(s, c); err != nil {
+			if err := sw.addChunk(s, c.payload, c.minT, c.maxT, defaultChunkRows); err != nil {
 				return err
 			}
 		}
-		if err := sw.add(s, hs.open); err != nil {
-			return err
+		if n := hs.open.rows(); n > 0 {
+			if err := sw.addChunk(s, db.enc.payload(&hs.open), hs.open.times[0], hs.open.times[n-1], n); err != nil {
+				return err
+			}
 		}
 	}
 	if err := sw.finish(); err != nil {
@@ -519,9 +548,7 @@ func (db *DB) sealLocked() error {
 		return err
 	}
 	db.wal = w
-	db.head = make(map[int]*headSeries)
-	db.headRows = 0
-	db.headRaw = 0
+	db.resetHead()
 	db.updateGauges()
 	if db.opts.CompactMinSegments > 0 && len(db.segs) >= db.opts.CompactMinSegments &&
 		db.compacting.CompareAndSwap(false, true) {
@@ -651,5 +678,7 @@ func (db *DB) Close() error {
 	}
 	db.closeAll()
 	db.closed = true
+	// The sealed head's storage would otherwise outlive the store.
+	db.head, db.spare = nil, nil
 	return err
 }

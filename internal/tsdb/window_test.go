@@ -11,7 +11,7 @@ import (
 )
 
 // TestChunkWindowDecode: the rows a window builds are exactly the rows
-// clip keeps of the whole chunk, for empty, one-row, whole and straddling
+// inWindow keeps of the whole chunk, for empty, one-row, whole and straddling
 // windows, with one decoder reused across chunks of every size.
 func TestChunkWindowDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -41,7 +41,7 @@ func TestChunkWindowDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range windows {
-			requireByteEqual(t, d.window(w[0], w[1]), clip(full, w[0], w[1]))
+			requireByteEqual(t, d.window(w[0], w[1]), inWindow(full, w[0], w[1]))
 		}
 	}
 }
@@ -84,6 +84,18 @@ func TestChunkWindowValidatesWholeChunk(t *testing.T) {
 	}
 }
 
+// inWindow returns the rows with from ≤ Time < to: the oracle a window
+// decode is held to.
+func inWindow(rows []Row, from, to int64) []Row {
+	var out []Row
+	for _, r := range rows {
+		if r.Time >= from && r.Time < to {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // TestWindowRowsDoNotAlias: rows of one window share three slabs, so an
 // append to one row's Types, or to one type's Cars, must not write into
 // its neighbour.
@@ -95,7 +107,7 @@ func TestWindowRowsDoNotAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := d.window(rows[50].Time, rows[150].Time)
-	want := clip(rows, rows[50].Time, rows[150].Time)
+	want := inWindow(rows, rows[50].Time, rows[150].Time)
 	for i := range got {
 		r := &got[i]
 		if r.Gap {

@@ -26,24 +26,21 @@ type TypeObs struct {
 	Cars  []Car   `json:"c,omitempty"`
 }
 
-// FromResponse converts a served ping to its stored form.
-func FromResponse(resp *core.PingResponse) []TypeObs {
-	if len(resp.Types) == 0 {
-		return nil
-	}
-	types := make([]TypeObs, len(resp.Types))
+// FillTypes fills dst with the stored form of a served ping and returns
+// it, reusing the capacity of dst and of each product's Cars. It is the
+// mirror of FillResponse.
+func FillTypes(dst []TypeObs, resp *core.PingResponse) []TypeObs {
+	dst = slices.Grow(dst[:0], len(resp.Types))[:len(resp.Types)]
 	for i := range resp.Types {
 		ts := &resp.Types[i]
-		t := &types[i]
+		t := &dst[i]
 		t.Name, t.Surge, t.EWT = ts.TypeName, ts.Surge, ts.EWTSeconds
-		if len(ts.Cars) > 0 {
-			t.Cars = make([]Car, len(ts.Cars))
-		}
+		t.Cars = slices.Grow(t.Cars[:0], len(ts.Cars))[:len(ts.Cars)]
 		for j, c := range ts.Cars {
 			t.Cars[j] = Car{ID: c.ID, Lat: c.Pos.Lat, Lng: c.Pos.Lng}
 		}
 	}
-	return types
+	return dst
 }
 
 // FillResponse rebuilds the ping served at time from its stored form into

@@ -88,9 +88,9 @@ func TestResponseRoundTrip(t *testing.T) {
 		}},
 		{Type: core.UberT, TypeName: "uberT", Surge: 1, EWTSeconds: 600},
 	}}
-	types := FromResponse(resp)
+	types := FillTypes(nil, resp)
 	if !reflect.DeepEqual(types, sampleTypes) {
-		t.Fatalf("FromResponse = %+v", types)
+		t.Fatalf("FillTypes = %+v", types)
 	}
 	back := new(core.PingResponse)
 	if err := FillResponse(back, 605, types); err != nil {
@@ -100,8 +100,8 @@ func TestResponseRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, resp) {
 		t.Errorf("FillResponse = %+v, want %+v", back, resp)
 	}
-	if got := FromResponse(&core.PingResponse{}); got != nil {
-		t.Errorf("FromResponse of no types = %v, want nil", got)
+	if got := FillTypes(nil, &core.PingResponse{}); got != nil {
+		t.Errorf("FillTypes of no types = %v, want nil", got)
 	}
 	back = new(core.PingResponse)
 	if err := FillResponse(back, 5, nil); err != nil || back.Types != nil {
@@ -163,6 +163,34 @@ func TestFillResponseReusesDst(t *testing.T) {
 	}
 	if want != nil && want.Error() != `wire: observation at t=905: core: unknown vehicle type "uberWARP"` {
 		t.Errorf("unknown product error text = %q", want)
+	}
+}
+
+// TestFillTypesReusesDst: stored types filled over a longer earlier ping
+// encode as fresh ones do, and reuse the first product's cars.
+func TestFillTypesReusesDst(t *testing.T) {
+	long := new(core.PingResponse)
+	if err := FillResponse(long, 5, []TypeObs{
+		{Name: "uberX", Surge: 2, EWT: 120, Cars: []Car{{ID: "a"}, {ID: "b"}, {ID: "c"}}},
+		{Name: "uberT", Surge: 1, EWT: 300, Cars: []Car{{ID: "d"}, {ID: "e"}}},
+		{Name: core.UberBLACK.String(), Surge: 1.2, EWT: 400, Cars: []Car{{ID: "f"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, types := range [][]TypeObs{nil, {{Name: "uberT", Surge: 1, EWT: 600}}, sampleTypes} {
+		resp := new(core.PingResponse)
+		if err := FillResponse(resp, 905, types); err != nil {
+			t.Fatal(err)
+		}
+		dirty := FillTypes(nil, long)
+		cars := &dirty[0].Cars[0]
+		dirty = FillTypes(dirty, resp)
+		if got, want := AppendTypes(nil, dirty), AppendTypes(nil, FillTypes(nil, resp)); !bytes.Equal(got, want) {
+			t.Errorf("reused types = %+v, want %+v", dirty, types)
+		}
+		if len(types) > 0 && len(types[0].Cars) > 0 && &dirty[0].Cars[0] != cars {
+			t.Errorf("%+v: the first product's cars were reallocated", types)
+		}
 	}
 }
 
