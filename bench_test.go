@@ -419,7 +419,7 @@ func BenchmarkSnapshotEpoch(b *testing.B) {
 	for _, size := range []string{"10k", "100k"} {
 		b.Run("fleet="+size, func(b *testing.B) {
 			w := fleetWorld(b, size)
-			w.Snapshot() // seed the path histories before the timer
+			w.Snapshot()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -455,11 +455,10 @@ func BenchmarkServiceStep(b *testing.B) {
 
 // BenchmarkServiceStepPinged is the tick workloads' loop on the
 // BenchmarkServiceStep worlds: one api.Service.Step, then 32 in-process
-// PingClient at locations drawn over the service region, per op, after two
-// chunk periods (16 ops) untimed. A ping copies the paths it answers with
-// into its response and keeps no history chunk from reuse, so B/op is the
-// Step's plus 32 responses; pings that pinned the chunks they served would
-// add a fresh chunk for each renewal that found its chunk served.
+// PingClient at locations drawn over the service region, per op, after 16
+// ops untimed. A ping copies the paths it answers with into its response
+// and releases its epoch before it returns, so B/op is the Step's plus 32
+// responses.
 func BenchmarkServiceStepPinged(b *testing.B) {
 	for _, size := range []string{"10k", "100k"} {
 		b.Run("fleet="+size, func(b *testing.B) {

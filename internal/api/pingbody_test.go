@@ -193,11 +193,10 @@ func TestPingBodyAllocs(t *testing.T) {
 	}
 }
 
-// pingedShardReuse steps a shard 48 times, pinging it at 12 locations
-// before each Step (none when ping is nil), and returns the history chunks
-// its builds renewed, how many of them reused a recycled chunk, and the
-// chunks left waiting for reuse after the last build.
-func pingedShardReuse(t *testing.T, ping func(s *Service, loc geo.LatLng)) (renewals, reused int64, free float64) {
+// pingedShardEpochs steps a shard 48 times, pinging it at 12 locations
+// before each Step (none when ping is nil), and returns how many retired
+// epochs its publishes recycled and how many a query still pinned.
+func pingedShardEpochs(t *testing.T, ping func(s *Service, loc geo.LatLng)) (recycled, pinned int64) {
 	t.Helper()
 	s := testBackend(t, false)
 	reg := obs.NewRegistry()
@@ -211,20 +210,17 @@ func pingedShardReuse(t *testing.T, ping func(s *Service, loc geo.LatLng)) (rene
 		}
 		s.Step()
 	}
-	return reg.Counter("sim_snapshot_history_renewals_total").Value(),
-		reg.Counter("sim_snapshot_history_reused_total").Value(),
-		reg.Gauge("sim_snapshot_history_free").Value()
+	return reg.Counter("api_epochs_recycled_total").Value(), reg.Counter("api_epochs_pinned_total").Value()
 }
 
-// No ping keeps a history chunk from reuse: a shard pinged between its Steps
-// over HTTP, by PingClient or by PingInto into one reused response renews
-// and reuses exactly the chunks a query-free shard does, and leaves the same
-// sim_snapshot_history_free, because every ping reads its paths while the
-// epoch is pinned and copies what it keeps.
-func TestHTTPPingsLeaveChunkReuseAlone(t *testing.T) {
-	quietRenewals, quiet, quietFree := pingedShardReuse(t, nil)
-	if quiet == 0 || quietFree == 0 {
-		t.Errorf("a quiet shard reused %d history chunks and has %v waiting: nothing was tested", quiet, quietFree)
+// No ping keeps an epoch from reuse: a shard pinged between its Steps over
+// HTTP, by PingClient or by PingInto into one reused response recycles
+// exactly the epochs a query-free shard does and pins none, because every
+// ping releases its epoch before it returns and copies what it keeps.
+func TestPingsLeaveEpochReuseAlone(t *testing.T) {
+	quiet, quietPinned := pingedShardEpochs(t, nil)
+	if quiet == 0 || quietPinned != 0 {
+		t.Errorf("a quiet shard recycled %d epochs and pinned %d", quiet, quietPinned)
 	}
 	var resp core.PingResponse
 	pings := map[string]func(s *Service, loc geo.LatLng){
@@ -245,12 +241,8 @@ func TestHTTPPingsLeaveChunkReuseAlone(t *testing.T) {
 		},
 	}
 	for name, ping := range pings {
-		renewals, reused, free := pingedShardReuse(t, ping)
-		if renewals != quietRenewals || reused != quiet {
-			t.Errorf("%s pings: reused %d of %d renewals, a quiet shard %d of %d; want equal", name, reused, renewals, quiet, quietRenewals)
-		}
-		if free != quietFree {
-			t.Errorf("%s pings: sim_snapshot_history_free = %v, a quiet shard %v", name, free, quietFree)
+		if recycled, pinned := pingedShardEpochs(t, ping); recycled != quiet || pinned != 0 {
+			t.Errorf("%s pings: %d epochs recycled and %d pinned, a quiet shard %d and 0", name, recycled, pinned, quiet)
 		}
 	}
 }

@@ -283,8 +283,8 @@ func (s *Service) PingClient(clientID string, loc geo.LatLng) (*core.PingRespons
 
 // pingSink receives one ping's answer from the walk, in document order:
 // begin, then per offered product one product call, car for each of its n
-// cars (location fuzz applied) and end. A car's Path is readable only during
-// the call; a sink that keeps it copies it.
+// cars (location fuzz applied) and end. A car's Path aliases nothing but the
+// sink's own copy c, which lives for the call; a sink that keeps it copies it.
 type pingSink interface {
 	begin(now int64)
 	product(vt core.VehicleType, n int)

@@ -140,10 +140,6 @@ func (a *StreamAnalyzer) Flush() *WindowStats {
 	return a.seal()
 }
 
-// Windows returns the sealed windows, oldest first (the last
-// streamWindows of them).
-func (a *StreamAnalyzer) Windows() []WindowStats { return a.windows }
-
 // Correlations reports the Fig 20/21-style Pearson correlations of mean
 // surge against supply, EWT, and dispatches across the sealed windows,
 // and the window count they were computed over. A correlation whose

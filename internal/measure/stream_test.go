@@ -66,8 +66,8 @@ func TestStreamAnalyzerWindows(t *testing.T) {
 	if got := a.Flush(); got == nil || got.Supply != 2 || got.Pings != 2 {
 		t.Errorf("flushed window = %+v, want supply=2 pings=2 (carA + late carZ)", got)
 	}
-	if len(a.Windows()) != 2 {
-		t.Errorf("retained %d windows, want 2", len(a.Windows()))
+	if len(a.windows) != 2 {
+		t.Errorf("retained %d windows, want 2", len(a.windows))
 	}
 }
 

@@ -79,9 +79,6 @@ func (g *Graph) NumEdges() int { return len(g.to) }
 // NodePos returns the plane position of node v.
 func (g *Graph) NodePos(v int32) geo.Point { return g.nodes[v] }
 
-// EdgeLen returns edge e's length in meters.
-func (g *Graph) EdgeLen(e int32) float64 { return g.length[e] }
-
 // EdgeSpeed returns edge e's free-flow speed in m/s.
 func (g *Graph) EdgeSpeed(e int32) float64 { return classSpeed[g.class[e]] }
 

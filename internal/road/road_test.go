@@ -208,7 +208,7 @@ func TestRouteMatchesDijkstra(t *testing.T) {
 				if e < 0 {
 					t.Fatalf("graph %d: path hop %d→%d is not an edge", gi, path[i], path[i+1])
 				}
-				wantM += g.EdgeLen(e)
+				wantM += g.length[e]
 			}
 			if meters != wantM {
 				t.Fatalf("graph %d: meters %v != path sum %v", gi, meters, wantM)

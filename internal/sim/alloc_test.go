@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -36,11 +37,9 @@ func TestMovePhaseZeroAlloc(t *testing.T) {
 	}
 }
 
-// rushWorldInRenewalCycle returns an instrumented 24× Manhattan at the
-// evening rush, stepped and snapshotted until the path rings are saturated
-// and the history chunks renew an eighth of the fleet per build. It never
-// recycles, so every renewal makes a chunk.
-func rushWorldInRenewalCycle(seed int64) (*World, *obs.Registry) {
+// rushWorld returns an instrumented 24× Manhattan at the evening rush,
+// stepped and snapshotted until every car's path ring is full.
+func rushWorld(seed int64) (*World, *obs.Registry) {
 	w := NewWorld(Config{Profile: Manhattan().Scale(24), Seed: seed, StartTime: 17 * 3600, Workers: 1})
 	reg := obs.NewRegistry()
 	w.Instrument(reg)
@@ -51,13 +50,12 @@ func rushWorldInRenewalCycle(seed int64) (*World, *obs.Registry) {
 	return w, reg
 }
 
-// TestSnapshotAllocsPerBuild pins the shape of the build: one cell table and
-// one slab per offered product, one chunk per history renewal, and a
-// constant for the epoch itself (its struct, the frozen trip, now and then
-// a longer builder slot table) — however many cells the fleet occupies.
+// TestSnapshotAllocsPerBuild pins the shape of a build that recycles
+// nothing: one cell table and one slab per offered product, and a constant
+// for the epoch itself (its struct, the frozen trip) — however many cells
+// and cars the fleet occupies.
 func TestSnapshotAllocsPerBuild(t *testing.T) {
-	w, reg := rushWorldInRenewalCycle(22)
-	renewals := reg.Counter("sim_snapshot_history_renewals_total")
+	w, reg := rushWorld(22)
 	cells := reg.Counter("sim_snapshot_cells_rebuilt_total")
 	offered := 0
 	for _, share := range w.Profile().FleetShare {
@@ -69,30 +67,32 @@ func TestSnapshotAllocsPerBuild(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		w.Step()
 		runtime.ReadMemStats(&ms)
-		mallocs, r, c := ms.Mallocs, renewals.Value(), cells.Value()
+		mallocs, c := ms.Mallocs, cells.Value()
 		w.Snapshot()
 		runtime.ReadMemStats(&ms)
-		r, c = renewals.Value()-r, cells.Value()-c
-		got, want := int64(ms.Mallocs-mallocs), int64(2*offered)+r+16
+		c = cells.Value() - c
+		got, want := int64(ms.Mallocs-mallocs), int64(2*offered)+16
 		if c < int64(20*offered) {
 			t.Fatalf("build %d filled %d cells; the fleet is not spread out", i, c)
 		}
 		if got > want {
-			t.Errorf("build %d allocated %d objects for %d products, %d renewals and %d cells, want <= %d",
-				i, got, offered, r, c, want)
+			t.Errorf("build %d allocated %d objects for %d products and %d cells, want <= %d",
+				i, got, offered, c, want)
 		}
 	}
 }
 
-// TestSnapshotBytesPerCar pins what a build costs per car: every idle car
-// cruises every tick, so every build encodes the whole idle fleet, and each
-// car may allocate only its 32-byte slab entry plus its share of a history
-// chunk (224 B every histPoints-pathLen+1 builds) and of the cell tables — not a fresh
-// path. Re-seed offsets are staggered by slot, so no
-// build pays for the whole fleet's chunk renewals at once.
+// TestSnapshotBytesPerCar pins what a build that recycles nothing costs per
+// car: every idle car cruises every tick, so every build encodes the whole
+// idle fleet, and each car may allocate only its slab entry and its share
+// of the cell tables and of the epoch struct.
 func TestSnapshotBytesPerCar(t *testing.T) {
-	w, reg := rushWorldInRenewalCycle(23)
+	w, reg := rushWorld(23)
 	cars := reg.Counter("sim_snapshot_cars_reencoded_total")
+	tables := 0
+	for _, g := range w.grids {
+		tables += g.NumCells() * int(unsafe.Sizeof([]snapCar(nil)))
+	}
 	var ms runtime.MemStats
 	lo, hi := math.Inf(1), 0.0
 	for i := 0; i < 12; i++ {
@@ -106,8 +106,9 @@ func TestSnapshotBytesPerCar(t *testing.T) {
 			t.Fatalf("build %d encoded %d cars of %d online; most of this fleet should be idle", i, n, w.fleet.n)
 		}
 		per := float64(ms.TotalAlloc-bytes) / float64(n)
-		if per > 70 {
-			t.Errorf("build %d allocated %.1f B per encoded car, want <= 70", i, per)
+		limit := float64(unsafe.Sizeof(snapCar{})) + float64(tables+64<<10)/float64(n)
+		if per > limit {
+			t.Errorf("build %d allocated %.1f B per encoded car, want <= %.1f", i, per, limit)
 		}
 		lo, hi = min(lo, per), max(hi, per)
 	}
@@ -115,4 +116,31 @@ func TestSnapshotBytesPerCar(t *testing.T) {
 		t.Errorf("bytes per encoded car range %.1f..%.1f over 12 builds, want max/min <= 1.5", lo, hi)
 	}
 	t.Logf("%.1f..%.1f B per encoded car", lo, hi)
+}
+
+// TestSnapshotRecycledBytesPerCar pins the production shape: with the epoch
+// two back recycled before each build, as api.Service.publish does, a steady
+// build writes into the segments it was handed and allocates at most a byte
+// per car.
+func TestSnapshotRecycledBytesPerCar(t *testing.T) {
+	w, reg := rushWorld(23)
+	cars := reg.Counter("sim_snapshot_cars_reencoded_total")
+	epochs := []*Snapshot{w.Snapshot(), w.Snapshot()}
+	var ms runtime.MemStats
+	hi := 0.0
+	for i := 0; i < 24; i++ {
+		w.Step()
+		w.Recycle(epochs[len(epochs)-2])
+		runtime.ReadMemStats(&ms)
+		bytes, n := ms.TotalAlloc, cars.Value()
+		epochs = append(epochs, w.Snapshot())
+		runtime.ReadMemStats(&ms)
+		n = cars.Value() - n
+		per := float64(ms.TotalAlloc-bytes) / float64(n)
+		if per > 1 {
+			t.Errorf("build %d allocated %.2f B per encoded car, want <= 1", i, per)
+		}
+		hi = max(hi, per)
+	}
+	t.Logf("<= %.2f B per encoded car", hi)
 }

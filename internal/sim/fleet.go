@@ -39,13 +39,10 @@ type fleet struct {
 	cruiseTarget []geo.Point
 	cruiseUntil  []int64
 
-	// position-history ring, pathLen entries per slot, flat; pathGen goes
-	// +1 per record that writes and +2 per resetPath, so the snapshot
-	// builder can tell "exactly one point appended since my last look".
+	// position-history ring, pathLen entries per slot, flat
 	path    []geo.Point
 	pathN   []uint8
 	pathPos []uint8
-	pathGen []uint32
 
 	// road-mode route state (unused, but still allocated, on euclidean
 	// worlds): the planned node path, the next hop's index into it (-1 =
@@ -96,7 +93,6 @@ func (f *fleet) alloc() int32 {
 	}
 	f.pathN = append(f.pathN, 0)
 	f.pathPos = append(f.pathPos, 0)
-	f.pathGen = append(f.pathGen, 0)
 	f.route = append(f.route, nil)
 	f.routeHop = append(f.routeHop, -1)
 	f.routeEdge = append(f.routeEdge, -1)
@@ -131,14 +127,11 @@ func (f *fleet) resetPath(s int32) {
 	f.path[base] = f.pos[s]
 	f.pathN[s] = 1
 	f.pathPos[s] = 1 % pathLen
-	f.pathGen[s] += 2
 }
 
 // record appends the slot's current position to its path ring. When the
 // ring is already saturated with the current position (a parked car), the
-// write is skipped entirely and pathGen stands still: pathGen means "the
-// ring took a write", which is how the snapshot builder knows the car's
-// published path window is still exact.
+// write is skipped entirely: it would change nothing the ring returns.
 func (f *fleet) record(s int32) {
 	base := int(s) * pathLen
 	p := f.pos[s]
@@ -159,7 +152,6 @@ func (f *fleet) record(s int32) {
 	if f.pathN[s] < pathLen {
 		f.pathN[s]++
 	}
-	f.pathGen[s]++
 }
 
 // pathPoints appends the slot's recent positions oldest-first to buf.

@@ -40,10 +40,10 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 			cars[i] = snapCar{slot: int32(s), pos: lattice(150)}
 		}
 		live := geo.NewSlotGrid(bounds, cell)
-		frozen := productCells{Cells: live.Cells, count: n, cells: make([][]snapCar, live.NumCells())}
+		frozen := productCells{count: n, cells: make([][]snapCar, live.NumCells())}
 		for i := range cars {
 			live.Insert(cars[i].slot, cars[i].pos)
-			c := frozen.CellIndex(cars[i].pos)
+			c := live.CellIndex(cars[i].pos)
 			frozen.cells[c] = append(frozen.cells[c], cars[i])
 		}
 
@@ -77,7 +77,7 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 					want = want[:k]
 				}
 				got := live.KNearest(from, k)
-				snap := frozen.kNearest(from, k, nil)
+				snap := frozen.kNearest(&live.Cells, from, k, nil)
 				if len(got) != len(want) || len(snap) != len(want) {
 					t.Fatalf("trial %d from %v k=%d: SlotGrid %d, snapshot %d results, want %d",
 						trial, from, k, len(got), len(snap), len(want))
@@ -111,7 +111,7 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 // world: the exact-size neighbour buffers and the scan closure handed to
 // the ring walk stay on the stack, so EWT allocates nothing and
 // NearestCars only its result — one block holds the views and the paths
-// they copy out of the cars' history chunks.
+// they copy out of the cars' entries.
 func TestSnapshotEWTZeroAlloc(t *testing.T) {
 	w := NewWorld(Config{Profile: Manhattan(), Seed: 22, Workers: 1})
 	w.Run(600)

@@ -3,14 +3,15 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/obs"
 )
 
 // snapshotWorld returns a mid-morning Manhattan world with traffic flowing.
@@ -115,12 +116,12 @@ func recycleIdleSlot(t *testing.T, w *World, rng *rand.Rand) {
 	t.Fatal("no idle car to recycle")
 }
 
-// Every tick of TestSnapshotMatchesLiveWorld is followed by a build, so it
-// only ever extends each history chunk by one point. Here builds come every
-// 1-7 ticks, sessions are replaced inside their slot — mid-window, and
+// Every tick of TestSnapshotMatchesLiveWorld is followed by a build, so
+// each car's path moves by one point between builds. Here builds come every
+// 1-7 ticks, sessions are replaced inside their slot — mid-path, and
 // between two builds with no tick at all — and a coordinated logoff wave
-// empties cells between two builds at one instant, so re-seeding, chunk
-// renewal, the pathGen bookkeeping and windows kept as they are are all
+// empties cells between two builds at one instant, so re-seeded paths,
+// paths that moved by several points and paths that did not move are all
 // held to the from-scratch World answers.
 func TestSnapshotAnyCadenceAndSlotReuse(t *testing.T) {
 	for _, roads := range []bool{false, true} {
@@ -166,10 +167,10 @@ func TestSnapshotAnyCadenceAndSlotReuse(t *testing.T) {
 
 // Recycled builds answer like fresh ones: every other build is made into the
 // buffers of the epoch before it (World.Recycle). A recycled cell table must
-// forget the cells that emptied, and a recycled slab must be reused when the
-// idle fleet shrank — a logoff wave between two builds at one instant — and
-// regrow when it grew, as the wave's drivers return. Every epoch, recycled or
-// fresh, is held to the live world's answers.
+// forget the cells that emptied, and recycled slab segments must be reused
+// when the idle fleet shrank — a logoff wave between two builds at one
+// instant — and gain a segment when it grew, as the wave's drivers return.
+// Every epoch, recycled or fresh, is held to the live world's answers.
 func TestSnapshotRecycledBuildsMatchFresh(t *testing.T) {
 	for _, roads := range []bool{false, true} {
 		name := "euclid"
@@ -189,7 +190,7 @@ func TestSnapshotRecycledBuildsMatchFresh(t *testing.T) {
 					if prev.products[core.UberX].count != 0 {
 						t.Fatal("a recycled epoch still reports idle cars")
 					}
-					if cap(w.snap.spare[core.UberX].slab) >= w.grids[core.UberX].Len() {
+					if segmentCap(w.snap.spare[core.UberX]) >= w.grids[core.UberX].Len() {
 						reused++
 					} else {
 						regrown++
@@ -219,19 +220,111 @@ func TestSnapshotRecycledBuildsMatchFresh(t *testing.T) {
 	}
 }
 
-// Reused history chunks never reach a reader. Before every build the epoch
-// two back is recycled, as api.Service.publish does, and first read: until
-// then it must still answer as the world did when it was built, so a chunk
-// it windows into reused one build early shows as a changed answer. Each
+// segmentCap is how many entries a product's slab segments hold in all.
+func segmentCap(pc productCells) int {
+	n := cap(pc.slab)
+	for _, seg := range pc.more {
+		n += cap(seg)
+	}
+	return n
+}
+
+// A build whose idle fleet outgrows the recycled slab segments allocates one
+// more segment, not a whole slab, and a build they hold allocates no entry
+// at all. Epochs are recycled as api.Service.publish does, the epoch two
+// back before each build, and logoff waves between two builds at one
+// instant shrink the idle fleet, which grows again as the wave's drivers
+// return. Every epoch is held to the live world's answers.
+func TestSnapshotGrowsBySegments(t *testing.T) {
+	for _, roads := range []bool{false, true} {
+		name := "euclid"
+		if roads {
+			name = "road"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := Manhattan()
+			p.RoadNetwork = roads
+			w := NewWorld(Config{Profile: p, Seed: 13, StartTime: 8 * 3600, Workers: 1})
+			rng := rand.New(rand.NewSource(6))
+			const entry = uint64(unsafe.Sizeof(snapCar{}))
+			var epochs []*Snapshot
+			var ms runtime.MemStats
+			builds, regrown := 0, 0
+			build := func() {
+				if n := len(epochs) - 2; n >= 0 {
+					w.Recycle(epochs[n])
+				}
+				var had [core.NumVehicleTypes]int // segments handed back, -1 for none
+				for vt, pc := range w.snap.spare {
+					had[vt] = -1
+					if pc.slab != nil {
+						had[vt] = 1 + len(pc.more)
+					}
+				}
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				s := w.Snapshot()
+				runtime.ReadMemStats(&ms)
+				// 8 kB is the epoch struct and its trip, with room for what
+				// the runtime allocates meanwhile: less than 70 entries.
+				got, want := ms.TotalAlloc-before, uint64(8<<10)
+				fresh := false // a product with no recycled buffers makes them
+				for vt := range s.products {
+					pc := &s.products[vt]
+					if pc.slab == nil {
+						continue
+					}
+					segs := append([][]snapCar{pc.slab}, pc.more...)
+					if had[vt] < 0 {
+						fresh = true
+						continue
+					}
+					switch len(segs) - had[vt] {
+					case 0:
+					case 1:
+						regrown++
+						want += uint64(cap(segs[len(segs)-1]))*entry + uint64(cap(pc.more))*uint64(unsafe.Sizeof(pc.slab))
+					default:
+						t.Fatalf("build %d added %d segments to %v's %d", builds, len(segs)-had[vt], core.VehicleType(vt), had[vt])
+					}
+				}
+				if !fresh && got > want {
+					t.Fatalf("build %d allocated %d B, want <= %d", builds, got, want)
+				}
+				epochs = append(epochs, s)
+				requireSnapshotMatchesWorld(t, w, s, rng, 10)
+				builds++
+			}
+			for tick := 0; tick < 300; tick++ {
+				w.Step()
+				build()
+				if rng.Intn(3) == 0 {
+					for i := 0; i < 3; i++ {
+						w.ForceOffline(core.UberX, rng.Intn(len(w.Areas())), 40, 60)
+					}
+					build()
+				}
+			}
+			if regrown < 5 {
+				t.Fatalf("%d of %d builds outgrew their recycled segments", regrown, builds)
+			}
+			t.Logf("%d of %d builds outgrew their recycled segments", regrown, builds)
+		})
+	}
+}
+
+// Reused slabs never reach a reader. Before every build the epoch two back
+// is recycled, as api.Service.publish does, and first read: until then it
+// must still answer as the world did when it was built, so a slab segment
+// or cell table reused one build early shows as a changed answer. Each
 // epoch is read first at its recycle, after the builds that could reuse its
-// chunks. Random skips stand in for pins:
+// buffers. Random skips stand in for pins:
 // a skipped epoch is never recycled and must answer the same at the end.
 // Some recycles come just after the next build instead of just before it,
-// which World.Recycle allows: the latest build's chunks are still windowed
-// by the epoch in between and must not be freed. Sessions replaced inside
-// their slots and logoff waves between two builds at one instant move
-// chunks from car to car.
-func TestSnapshotReusedChunksNeverReachAReader(t *testing.T) {
+// which World.Recycle allows: the epoch in between keeps its own buffers.
+// Sessions replaced inside their slots and logoff waves between two builds
+// at one instant move entries from cell to cell.
+func TestSnapshotReusedSlabsNeverReachAReader(t *testing.T) {
 	for _, roads := range []bool{false, true} {
 		name := "euclid"
 		if roads {
@@ -243,16 +336,13 @@ func TestSnapshotReusedChunksNeverReachAReader(t *testing.T) {
 			p := Manhattan().Scale(4)
 			p.RoadNetwork = roads
 			w := NewWorld(Config{Profile: p, Seed: 17, StartTime: 8 * 3600, Workers: 1})
-			reg := obs.NewRegistry()
-			w.Instrument(reg)
-			renewals := reg.Counter("sim_snapshot_history_renewals_total")
-			reused := reg.Counter("sim_snapshot_history_reused_total")
 			rng := rand.New(rand.NewSource(8))
 			type epoch struct {
 				s *Snapshot
 				a answers
 			}
 			var epochs, pinned []epoch
+			recycled := 0
 			// recycle takes the epoch two before the build about to be made
 			// (after: just made).
 			recycle := func(after bool) {
@@ -268,6 +358,7 @@ func TestSnapshotReusedChunksNeverReachAReader(t *testing.T) {
 				} else {
 					requireSnapshotAnswers(t, e.s, e.a)
 					w.Recycle(e.s)
+					recycled++
 				}
 			}
 			build := func() {
@@ -295,12 +386,11 @@ func TestSnapshotReusedChunksNeverReachAReader(t *testing.T) {
 			for _, e := range pinned {
 				requireSnapshotAnswers(t, e.s, e.a)
 			}
-			if r, u := renewals.Value(), reused.Value(); len(pinned) < 5 || 5*u < r {
-				t.Fatalf("%d of %d history renewals reused a chunk and %d epochs pinned in %d builds; want a fifth and 5",
-					u, r, len(pinned), len(epochs))
+			if len(pinned) < 5 || 5*recycled < 4*len(epochs) {
+				t.Fatalf("%d epochs recycled and %d pinned in %d builds; want four fifths and 5",
+					recycled, len(pinned), len(epochs))
 			}
-			t.Logf("%d of %d history renewals reused a chunk, %d epochs pinned in %d builds",
-				reused.Value(), renewals.Value(), len(pinned), len(epochs))
+			t.Logf("%d epochs recycled, %d pinned in %d builds", recycled, len(pinned), len(epochs))
 		})
 	}
 }
@@ -308,35 +398,22 @@ func TestSnapshotReusedChunksNeverReachAReader(t *testing.T) {
 // NearestCars' paths are copies the caller keeps: views read from the first
 // epochs are held as returned while those epochs are recycled as
 // api.Service.publish does, the epoch two back before each build, and later
-// builds reuse their history chunks; they must still equal the deep copies
-// taken when they were read. One epoch is skipped, as a pin would, so the
-// chunks born before it are dropped rather than freed. After every build
-// sim_snapshot_history_free is the length of the builder's free list.
+// builds overwrite their slabs; they must still equal the deep copies taken
+// when they were read. One epoch is skipped, as a pin would.
 func TestSnapshotPathsOutliveRecycle(t *testing.T) {
 	w := NewWorld(Config{Profile: Manhattan(), Seed: 19, StartTime: 8 * 3600, Workers: 1})
-	reg := obs.NewRegistry()
-	w.Instrument(reg)
-	free := reg.Gauge("sim_snapshot_history_free")
-	reused := reg.Counter("sim_snapshot_history_reused_total")
 	center := w.Profile().Region.Center()
 	var held, copies [][]core.CarView
 	var epochs []*Snapshot
-	maxFree := 0
+	recycled := 0
 	for i := 0; i < 48; i++ {
 		w.Step()
 		if n := len(epochs) - 2; n >= 0 && n != 20 {
 			w.Recycle(epochs[n])
+			recycled++
 		}
 		s := w.Snapshot()
 		epochs = append(epochs, s)
-		n := 0
-		for h := w.snap.free; h != nil; h = h.next {
-			n++
-		}
-		if got := free.Value(); got != float64(n) {
-			t.Fatalf("build %d: sim_snapshot_history_free = %v, the free list holds %d", i, got, n)
-		}
-		maxFree = max(maxFree, n)
 		if i < 8 {
 			for _, vt := range core.AllVehicleTypes() {
 				views := s.NearestCars(vt, center, core.MaxVisibleCars)
@@ -351,8 +428,8 @@ func TestSnapshotPathsOutliveRecycle(t *testing.T) {
 	if !reflect.DeepEqual(held, copies) {
 		t.Fatal("a path NearestCars returned changed after its epoch was recycled")
 	}
-	if reused.Value() == 0 || maxFree == 0 {
-		t.Fatalf("%d chunks reused, at most %d free: nothing was tested", reused.Value(), maxFree)
+	if recycled < 40 {
+		t.Fatalf("%d epochs recycled: nothing was tested", recycled)
 	}
 }
 
@@ -386,11 +463,10 @@ func allViews(s *Snapshot) ([][]core.CarView, []float64) {
 }
 
 // Published epochs keep answering identically while the world moves on and
-// later epochs are built: the builder appends to history chunks that held
-// epochs still window into, so an append landing inside a published window
+// later epochs are built: a build that wrote into memory a held epoch reads
 // would show here as a changed view (and, under -race, as a data race with
-// the readers). Epochs N, N+1 and N+5 are held across more than three chunk
-// periods of further builds.
+// the readers). Epochs N, N+1 and N+5 are held across more than three path
+// lengths of further builds.
 func TestSnapshotImmutableAcrossSteps(t *testing.T) {
 	w := snapshotWorld(t, 7)
 	type heldEpoch struct {
@@ -438,7 +514,7 @@ func TestSnapshotImmutableAcrossSteps(t *testing.T) {
 			}
 		}(r)
 	}
-	// At least four chunk periods of builds, and until every reader has
+	// At least four path lengths of builds, and until every reader has
 	// re-read the held epochs several times while builds were going on.
 	readersDone := func() bool {
 		for r := range passes {
@@ -490,11 +566,11 @@ func TestWorldAreaIndexMatchesAreaOf(t *testing.T) {
 	}
 }
 
-// BenchmarkSnapshotBuild measures the per-tick build, step included: the
-// histories grow by a point per build only when the cars moved in between.
+// BenchmarkSnapshotBuild measures the per-tick build, step included, without
+// recycling: every build makes its slabs and cell tables.
 func BenchmarkSnapshotBuild(b *testing.B) {
 	w := snapshotWorld(b, 42)
-	w.Snapshot() // seed the path histories
+	w.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -109,8 +109,8 @@ func (w WindowStats) AvgEWT() float64 {
 // Driver state lives in a struct-of-arrays fleet (see fleet.go): hot
 // per-driver fields are flat columns indexed by slot, recycled through a
 // free list. Every slot-keyed structure — the per-product idle grids, the
-// joinable-POOL index, the snapshot builder's path histories — keys by
-// slot, so there is no id→index map on any hot path.
+// joinable-POOL index — keys by slot, so there is no id→index map on any
+// hot path.
 type World struct {
 	cfg     Config
 	profile *CityProfile
@@ -249,12 +249,8 @@ var phaseLabelSets = func() [numPhases]pprof.LabelSet {
 //	sim_time_seconds            simulation clock
 //	sim_pickups_total           fulfilled requests
 //	sim_requests_priced_out_total / sim_requests_unmet_total  lost demand
-//	sim_snapshot_{cars_reencoded,history_renewals,history_reused,cells_rebuilt}_total
-//	what Snapshot builds made: cars encoded (the idle cars of each build),
-//	history chunks started for them, those of the chunks that a recycled
-//	epoch handed back (see Recycle), non-empty grid cells
-//	sim_snapshot_history_free   history chunks recycled epochs handed back
-//	                            that no build has taken yet, after the last build
+//	sim_snapshot_{cars_reencoded,cells_rebuilt}_total  what Snapshot builds
+//	made: cars encoded (the idle cars of each build), non-empty grid cells
 func (w *World) Instrument(reg *obs.Registry) {
 	w.hStep = reg.Histogram("sim_step_duration_seconds", nil)
 	for i := range w.hPhase {
@@ -269,10 +265,7 @@ func (w *World) Instrument(reg *obs.Registry) {
 	w.lastPricedOut = w.TotalPricedOut
 	w.lastUnmet = w.TotalUnmet
 	w.snap.mCars = reg.Counter("sim_snapshot_cars_reencoded_total")
-	w.snap.mRenewals = reg.Counter("sim_snapshot_history_renewals_total")
-	w.snap.mReused = reg.Counter("sim_snapshot_history_reused_total")
 	w.snap.mCells = reg.Counter("sim_snapshot_cells_rebuilt_total")
-	w.snap.mFree = reg.Gauge("sim_snapshot_history_free")
 }
 
 // CommissionRate is Uber's share of each fare (§2).
@@ -810,9 +803,6 @@ func (w *World) ConsumeWindow(area int) WindowStats {
 	w.areaStats[area] = WindowStats{}
 	return st
 }
-
-// PeekWindow returns the accumulated stats without resetting them.
-func (w *World) PeekWindow(area int) WindowStats { return w.areaStats[area] }
 
 // EWT returns the estimated wait time in seconds for a product at a
 // location: dispatch overhead plus the movement model's drive time of the

@@ -219,7 +219,7 @@ func TestSurgeBoostIncreasesArrivals(t *testing.T) {
 func TestWindowStatsAccumulateAndReset(t *testing.T) {
 	w := newTestWorld(t, Manhattan(), 31)
 	w.Run(300)
-	st := w.PeekWindow(0)
+	st := w.areaStats[0]
 	if st.Ticks != 60 {
 		t.Errorf("Ticks = %d, want 60 (300s / 5s)", st.Ticks)
 	}
@@ -234,10 +234,10 @@ func TestWindowStatsAccumulateAndReset(t *testing.T) {
 	if got.Ticks != st.Ticks {
 		t.Error("ConsumeWindow should return the accumulated stats")
 	}
-	if w.PeekWindow(0).Ticks != 0 {
+	if w.areaStats[0].Ticks != 0 {
 		t.Error("ConsumeWindow should reset the window")
 	}
-	if w.PeekWindow(1).Ticks != 60 {
+	if w.areaStats[1].Ticks != 60 {
 		t.Error("other areas should be untouched")
 	}
 }
@@ -263,13 +263,13 @@ func TestDemandShock(t *testing.T) {
 	base := func() int {
 		w := newTestWorld(t, Manhattan(), 37)
 		w.Run(1800)
-		return w.PeekWindow(0).LatentDemand
+		return w.areaStats[0].LatentDemand
 	}()
 	shocked := func() int {
 		w := newTestWorld(t, Manhattan(), 37)
 		w.InjectDemandShock(0, 2.0, 1800)
 		w.Run(1800)
-		return w.PeekWindow(0).LatentDemand
+		return w.areaStats[0].LatentDemand
 	}()
 	if shocked <= base {
 		t.Errorf("shocked demand (%d) should exceed base (%d)", shocked, base)
@@ -312,11 +312,7 @@ func TestDriverPathRing(t *testing.T) {
 	f.resetPath(s)
 	for i := 2; i <= 7; i++ {
 		f.pos[s] = geo.Point{X: float64(i)}
-		gen := f.pathGen[s]
 		f.record(s)
-		if f.pathGen[s] != gen+1 {
-			t.Fatalf("record at X=%d moved pathGen %d -> %d, want +1", i, gen, f.pathGen[s])
-		}
 	}
 	pts := f.pathPoints(s, nil)
 	if len(pts) != pathLen {
@@ -335,14 +331,14 @@ func TestDriverPathRing(t *testing.T) {
 		t.Errorf("Driver.PathPoints = %v, want %v", got, pts)
 	}
 	// A parked car saturates the ring with one position; after that
-	// record must leave the ring alone and pathGen with it.
+	// record must leave the ring alone.
 	for i := 0; i < pathLen; i++ {
 		f.record(s)
 	}
-	gen := f.pathGen[s]
+	at := f.pathPos[s]
 	f.record(s)
-	if f.pathGen[s] != gen {
-		t.Errorf("record on a saturated parked ring moved pathGen %d -> %d", gen, f.pathGen[s])
+	if f.pathPos[s] != at {
+		t.Errorf("record on a saturated parked ring moved its write position %d -> %d", at, f.pathPos[s])
 	}
 	for _, p := range f.pathPoints(s, pts[:0]) {
 		if p.X != 7 {

@@ -49,15 +49,8 @@ func (lt *LiveTail) Apply(ev bus.Event) bool {
 	return true
 }
 
-// Multipliers returns the current per-area multipliers (live slice; do
-// not mutate).
-func (lt *LiveTail) Multipliers() []float64 { return lt.cur }
-
 // Changes returns how many multiplier moves each area has had.
 func (lt *LiveTail) Changes() []int { return lt.changes }
-
-// LastTime is the newest applied event's simulation time.
-func (lt *LiveTail) LastTime() int64 { return lt.lastTime }
 
 // Surging counts areas currently above 1×.
 func (lt *LiveTail) Surging() int {

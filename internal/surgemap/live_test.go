@@ -25,7 +25,7 @@ func TestLiveTailApply(t *testing.T) {
 	lt.Apply(bus.Event{Time: 600, Kind: bus.KindSurgeChange, Area: 1, Num: 2.0})
 	lt.Apply(bus.Event{Time: 600, Kind: bus.KindSurgeChange, Area: 0, Num: 1.2})
 
-	if got := lt.Multipliers(); got[0] != 1.2 || got[1] != 2.0 || got[2] != 1 {
+	if got := lt.cur; got[0] != 1.2 || got[1] != 2.0 || got[2] != 1 {
 		t.Errorf("multipliers = %v, want [1.2 2 1]", got)
 	}
 	if got := lt.Changes(); got[0] != 1 || got[1] != 2 || got[2] != 0 {
@@ -34,8 +34,8 @@ func TestLiveTailApply(t *testing.T) {
 	if lt.Surging() != 2 {
 		t.Errorf("surging = %d, want 2", lt.Surging())
 	}
-	if lt.LastTime() != 600 {
-		t.Errorf("last time = %d, want 600", lt.LastTime())
+	if lt.lastTime != 600 {
+		t.Errorf("last time = %d, want 600", lt.lastTime)
 	}
 	if out := lt.ASCII(); !strings.Contains(out, "2/3 areas surging") {
 		t.Errorf("ASCII missing surge summary:\n%s", out)
@@ -87,7 +87,7 @@ func TestLiveTailFollowsEngine(t *testing.T) {
 		t.Fatal("no surge changes published over four simulated hours")
 	}
 	for a := 0; a < numAreas; a++ {
-		if got, want := lt.Multipliers()[a], svc.Engine().View().CurrentMultiplier(a); got != want {
+		if got, want := lt.cur[a], svc.Engine().View().CurrentMultiplier(a); got != want {
 			t.Errorf("area %d: live map %.2f, engine %.2f", a, got, want)
 		}
 	}

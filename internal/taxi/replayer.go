@@ -139,9 +139,6 @@ func (r *Replayer) EstimateTime(clientID string, loc geo.LatLng) ([]core.TimeEst
 	return []core.TimeEstimate{{TypeName: core.UberT.String(), EWTSeconds: r.ewt(p)}}, nil
 }
 
-// VisibleTaxis returns the instantaneous number of taxis on the map.
-func (r *Replayer) VisibleTaxis() int { return r.grid.Len() }
-
 // GroundTruth computes the true supply (unique available taxis inside the
 // measurement rect per interval) and demand (pickups per interval) series
 // from the trace itself — the quantities Fig 4 compares the measured
