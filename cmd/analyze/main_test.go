@@ -190,11 +190,11 @@ func TestFollowStopsAtWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	pings, err := b.Topic(bus.TopicPings, 1)
+	pings, err := b.Topic(bus.TopicPings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cars, err := b.Topic(bus.TopicCars, 1)
+	cars, err := b.Topic(bus.TopicCars)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 //
 //	bustail -bus /tmp/ubus -topic sim.cars
 //	bustail -bus /tmp/ubus -topic api.pings -json -n 100
-//	bustail -bus /tmp/ubus -surgemap -areas 6
+//	bustail -bus /tmp/ubus -surgemap
 package main
 
 import (
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/sim"
 	"repro/internal/surgemap"
 )
 
@@ -44,7 +45,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	maxN := fs.Int("n", 0, "stop after this many events (0 = until interrupted)")
 	poll := fs.Duration("poll", 200*time.Millisecond, "idle poll interval")
 	surgeMap := fs.Bool("surgemap", false, "render the live surge map from surge.changes instead of raw events")
-	areas := fs.Int("areas", 6, "number of surge areas (with -surgemap)")
+	areas := fs.Int("areas", len(sim.Manhattan().SurgeAreas()), "number of surge areas (with -surgemap; every city has the same count)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -98,13 +99,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				redraw = lt.Apply(ev) || redraw
 			case *asJSON:
 				enc.Encode(map[string]any{
-					"part": ev.Part, "seq": ev.Seq, "time": ev.Time,
+					"seq": ev.Seq, "time": ev.Time,
 					"kind": ev.Kind.String(), "key": ev.Key, "area": ev.Area,
 					"num": ev.Num, "str": ev.Str, "data_len": len(ev.Data),
 				})
 			default:
-				fmt.Fprintf(stdout, "%d/%-6d t=%-8d %-14s key=%s area=%d num=%g str=%q data=%dB\n",
-					ev.Part, ev.Seq, ev.Time, ev.Kind, ev.Key, ev.Area, ev.Num, ev.Str, len(ev.Data))
+				fmt.Fprintf(stdout, "%-8d t=%-8d %-14s key=%s area=%d num=%g str=%q data=%dB\n",
+					ev.Seq, ev.Time, ev.Kind, ev.Key, ev.Area, ev.Num, ev.Str, len(ev.Data))
 			}
 			if *maxN > 0 && seen >= *maxN {
 				break

@@ -27,8 +27,10 @@ func TestGoldenOutputs(t *testing.T) {
 		t.Skip("golden digests are recorded on amd64")
 	}
 	runs := map[string][]string{
-		"engine-mult2015": {"-engine", "mult2015", "-hours", "1", "-seed", "42"},
-		"openstreetcab":   {"-openstreetcab", "1", "-seed", "42"},
+		"engine-additive":    {"-engine", "additive", "-hours", "1", "-seed", "42"},
+		"engine-mult2015":    {"-engine", "mult2015", "-hours", "1", "-seed", "42"},
+		"engine-withholding": {"-engine", "withholding", "-hours", "1", "-seed", "42"},
+		"openstreetcab":      {"-openstreetcab", "1", "-seed", "42"},
 	}
 	got := map[string][]byte{}
 	for name, args := range runs {

@@ -56,19 +56,19 @@ func startBus(svc *api.Service, inj *chaos.Injector, reg *obs.Registry, logger *
 		}
 	}
 
-	cars, err := br.Topic(bus.TopicCars, 8)
+	cars, err := br.Topic(bus.TopicCars)
 	if err != nil {
 		return nil, err
 	}
 	svc.World().SetEventSink(pub(cars))
 
-	surgeTopic, err := br.Topic(bus.TopicSurge, 1)
+	surgeTopic, err := br.Topic(bus.TopicSurge)
 	if err != nil {
 		return nil, err
 	}
 	svc.Engine().SetEventSink(pub(surgeTopic))
 
-	pings, err := br.Topic(bus.TopicPings, 4)
+	pings, err := br.Topic(bus.TopicPings)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func startBus(svc *api.Service, inj *chaos.Injector, reg *obs.Registry, logger *
 	svc.SetEventSinks(pingPub, pingPub)
 
 	if inj != nil {
-		faults, err := br.Topic(bus.TopicFaults, 1)
+		faults, err := br.Topic(bus.TopicFaults)
 		if err != nil {
 			return nil, err
 		}

@@ -1,35 +1,32 @@
-// The broker: topics, partitions, the append path, and backpressure.
+// The broker: topics, the append path, and backpressure.
 //
 // Layout on disk:
 //
-//	<dir>/<topic>/TOPIC.json            partition count (fixed at creation)
-//	<dir>/<topic>/p<k>/<base>.seg       append-only segments, named by the
+//	<dir>/<topic>/<base>.seg            append-only segments, named by the
 //	                                    offset of their first event
-//	<dir>/<topic>/groups/<group>.off    a consumer group's committed offsets
+//	<dir>/<topic>/groups/<group>.off    a consumer group's committed offset
 //
 // The write path appends one frame per event with a single unbuffered
 // write, so the bytes are visible to same-host readers (the in-process
 // disk path and the cross-process Tailer) immediately through the page
-// cache; fsync happens only on Sync/Close. Each partition also keeps a
+// cache; fsync happens only on Sync/Close. Each topic also keeps a
 // bounded in-memory ring of recently published events, so a caught-up
 // consumer is served without touching the disk at all — segments are read
 // back only when a consumer resumes from an old committed offset.
 //
-// Backpressure is per partition: publishing stalls (or drops, by policy)
-// while any attached consumer is more than MaxInflight bytes behind the
+// Backpressure is per topic: publishing stalls (or drops, by policy)
+// while any attached consumer is more than maxInflight bytes behind the
 // bytes appended since it attached. Attach-relative accounting means a
 // consumer resuming into a large historical backlog does not instantly
 // freeze publishers; it throttles only growth it has seen and not yet
-// consumed. The ring is sized ≥ 2×MaxInflight, so a consumer inside its
+// consumed. The ring holds 2×maxInflight, so a consumer inside its
 // backpressure budget always finds its next event in the ring.
 
 package bus
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -51,30 +48,23 @@ var (
 	ErrTooLarge = errors.New("bus: event too large")
 )
 
+const (
+	// segmentBytes rolls a topic's active segment once it holds this many
+	// bytes. Rolling also resets the string dictionary, so segments stay
+	// self-contained.
+	segmentBytes = 1 << 20
+	// maxInflight bounds how many bytes may be appended to a topic beyond
+	// what its slowest attached consumer has read since it attached.
+	maxInflight = 4 << 20
+)
+
 // Options configures a Broker. The zero value is usable.
 type Options struct {
-	// SegmentBytes rolls a partition's active segment once it exceeds
-	// this many bytes (default 1 MiB). Rolling also resets the string
-	// dictionary, so segments stay self-contained.
-	SegmentBytes int
-	// MaxInflight bounds, per partition, how many bytes may be appended
-	// beyond what the slowest attached consumer has read since it
-	// attached (default 1 MiB).
-	MaxInflight int
-	// Drop makes publishers over the MaxInflight bound drop the event
+	// Drop makes publishers over the in-flight bound drop the event
 	// (counted, ErrBackpressure) instead of blocking.
 	Drop bool
 	// Metrics receives the broker's counters and gauges; nil disables.
 	Metrics *obs.Registry
-}
-
-func (o *Options) defaults() {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 1 << 20
-	}
 }
 
 // Broker is an embedded event broker rooted at one directory. All
@@ -91,7 +81,6 @@ type Broker struct {
 
 // Open opens (creating if needed) a broker rooted at dir.
 func Open(dir string, opts Options) (*Broker, error) {
-	opts.defaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -103,31 +92,9 @@ func Open(dir string, opts Options) (*Broker, error) {
 	}, nil
 }
 
-// topicMeta is the content of TOPIC.json.
-type topicMeta struct {
-	Partitions int `json:"partitions"`
-}
-
-// readTopicMeta reads and validates a topic directory's TOPIC.json.
-func readTopicMeta(dir string) (meta topicMeta, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, "TOPIC.json"))
-	if err != nil {
-		return meta, err
-	}
-	if err := json.Unmarshal(data, &meta); err != nil || meta.Partitions <= 0 {
-		return meta, fmt.Errorf("bus: %s: TOPIC.json: %w", filepath.Base(dir), ErrCorrupt)
-	}
-	return meta, nil
-}
-
-// Topic opens (creating if needed) a topic with the given partition
-// count. The count is fixed at creation: reopening an existing topic
-// uses the stored count and errors if a different non-zero count is
-// requested (repartitioning would scramble per-key order).
-func (b *Broker) Topic(name string, partitions int) (*Topic, error) {
-	if partitions <= 0 {
-		partitions = 1
-	}
+// Topic opens (creating if needed) the named topic. A directory of the
+// older partitioned layout is refused with an error naming it.
+func (b *Broker) Topic(name string) (*Topic, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -137,44 +104,36 @@ func (b *Broker) Topic(name string, partitions int) (*Topic, error) {
 		return t, nil
 	}
 	dir := filepath.Join(b.dir, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "groups"), 0o755); err != nil {
 		return nil, err
 	}
-	meta, err := readTopicMeta(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		meta.Partitions = partitions
-		blob, _ := json.Marshal(meta)
-		err = wire.WriteFileAtomic(filepath.Join(dir, "TOPIC.json"), blob)
-	}
+	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	if partitions != meta.Partitions && partitions != 1 {
-		return nil, fmt.Errorf("bus: topic %s has %d partitions, requested %d",
-			name, meta.Partitions, partitions)
-	}
-
 	t := &Topic{
-		b:      b,
-		name:   name,
-		notif:  make(map[chan struct{}]struct{}),
-		m:      newTopicMetrics(b.opts.Metrics, name),
-		groups: filepath.Join(dir, "groups"),
+		b:       b,
+		name:    name,
+		dir:     dir,
+		m:       newTopicMetrics(b.opts.Metrics, name),
+		readers: make(map[*Consumer]struct{}),
 	}
-	for k := 0; k < meta.Partitions; k++ {
-		p, err := openPartition(t, k, filepath.Join(dir, "p"+strconv.Itoa(k)))
-		if err != nil {
-			return nil, err
-		}
-		t.parts = append(t.parts, p)
+	t.pubWait.L = &t.mu
+	if len(segs) == 0 {
+		err = t.roll(0)
+	} else {
+		err = t.recoverActive(segs[len(segs)-1])
+	}
+	if err != nil {
+		return nil, err
 	}
 	b.topics[name] = t
 	return t, nil
 }
 
-// eachPartition calls fn, under the partition's lock, on every partition
-// of the topics open when it is called; it returns fn's first error.
-func (b *Broker) eachPartition(fn func(*partition) error) error {
+// eachTopic calls fn, under the topic's lock, on every topic open when
+// it is called; it returns fn's first error.
+func (b *Broker) eachTopic(fn func(*Topic) error) error {
 	b.mu.Lock()
 	topics := make([]*Topic, 0, len(b.topics))
 	for _, t := range b.topics {
@@ -183,31 +142,28 @@ func (b *Broker) eachPartition(fn func(*partition) error) error {
 	b.mu.Unlock()
 	var firstErr error
 	for _, t := range topics {
-		for _, p := range t.parts {
-			p.mu.Lock()
-			if err := fn(p); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			p.mu.Unlock()
+		t.mu.Lock()
+		if err := fn(t); err != nil && firstErr == nil {
+			firstErr = err
 		}
+		t.mu.Unlock()
 	}
 	return firstErr
 }
 
-// Sync fsyncs every partition's active segment.
+// Sync fsyncs every topic's active segment.
 func (b *Broker) Sync() error {
-	return b.eachPartition(func(p *partition) error {
-		if p.f == nil {
+	return b.eachTopic(func(t *Topic) error {
+		if t.f == nil {
 			return nil
 		}
-		return p.f.Sync()
+		return t.f.Sync()
 	})
 }
 
-// Close syncs and closes every partition and unblocks stalled
-// publishers and waiting consumers. Events already published remain
-// readable (consumers drain from the ring and from disk); new publishes
-// fail with ErrClosed.
+// Close syncs and closes every topic and unblocks stalled publishers and
+// waiting consumers. Events already published remain readable (consumers
+// drain from the ring and from disk); new publishes fail with ErrClosed.
 func (b *Broker) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -217,91 +173,22 @@ func (b *Broker) Close() error {
 	b.closed = true
 	b.mu.Unlock()
 
-	err := b.eachPartition(func(p *partition) error {
-		p.closed = true
-		p.pubWait.Broadcast()
-		p.t.wake()
-		if p.f == nil {
+	err := b.eachTopic(func(t *Topic) error {
+		t.closed = true
+		t.pubWait.Broadcast()
+		t.wake()
+		if t.f == nil {
 			return nil
 		}
-		err := p.f.Sync()
-		if cerr := p.f.Close(); err == nil {
+		err := t.f.Sync()
+		if cerr := t.f.Close(); err == nil {
 			err = cerr
 		}
-		p.f = nil
+		t.f = nil
 		return err
 	})
 	close(b.done)
 	return err
-}
-
-// Topic is one named event stream, split into partitions.
-type Topic struct {
-	b      *Broker
-	name   string
-	groups string
-	parts  []*partition
-	m      *topicMetrics
-
-	// consMu guards the consumer wake-up registry. Lock order: a
-	// partition's mu may be held when taking consMu (the publish path
-	// wakes consumers); never the reverse.
-	consMu sync.Mutex
-	notif  map[chan struct{}]struct{}
-}
-
-// Name returns the topic's name.
-func (t *Topic) Name() string { return t.name }
-
-// Publish appends ev to the partition its Key hashes to, assigning
-// ev.Seq/ev.Part. It blocks while the partition is over its in-flight
-// budget (or drops, under Options.Drop). An event the decoders would
-// reject is refused with ErrTooLarge and nothing is written.
-func (t *Topic) Publish(ev Event) error {
-	if len(ev.Key) > maxStringLen || len(ev.Str) > maxStringLen || len(ev.Data) > maxDataLen {
-		return fmt.Errorf("%w: key %d B, str %d B (limit %d), data %d B (limit %d)",
-			ErrTooLarge, len(ev.Key), len(ev.Str), maxStringLen, len(ev.Data), maxDataLen)
-	}
-	p := t.parts[partitionOf(ev.Key, len(t.parts))]
-	if err := p.publish(&ev); err != nil {
-		return err
-	}
-	t.wake()
-	return nil
-}
-
-// wake nudges every subscribed consumer (non-blocking).
-func (t *Topic) wake() {
-	t.consMu.Lock()
-	for ch := range t.notif {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-	t.consMu.Unlock()
-}
-
-func (t *Topic) addNotify(ch chan struct{}) {
-	t.consMu.Lock()
-	t.notif[ch] = struct{}{}
-	t.consMu.Unlock()
-}
-
-func (t *Topic) delNotify(ch chan struct{}) {
-	t.consMu.Lock()
-	delete(t.notif, ch)
-	t.consMu.Unlock()
-}
-
-// partitionOf maps a key to a partition by FNV-1a hash.
-func partitionOf(key string, n int) int {
-	if n == 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
 }
 
 // segInfo locates one segment file.
@@ -318,11 +205,13 @@ type ringEv struct {
 	cum  int64
 }
 
-// partition is one append-only log. All mutable state is guarded by mu.
-type partition struct {
-	t   *Topic
-	idx int
-	dir string
+// Topic is one named event stream: a single append-only log. All
+// mutable state is guarded by mu.
+type Topic struct {
+	b    *Broker
+	name string
+	dir  string
+	m    *topicMetrics
 
 	mu      sync.Mutex
 	pubWait sync.Cond // publishers stalled on backpressure
@@ -340,43 +229,16 @@ type partition struct {
 	ringLo   int64 // offset of ring[0]
 	ringSize int64
 
-	readers map[*partReader]struct{}
+	readers map[*Consumer]struct{}
 }
 
-// openPartition opens (creating if needed) one partition directory,
-// recovering the write frontier from the newest segment, exactly like the
-// tsdb WAL.
-func openPartition(t *Topic, idx int, dir string) (*partition, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	p := &partition{
-		t:       t,
-		idx:     idx,
-		dir:     dir,
-		readers: make(map[*partReader]struct{}),
-	}
-	p.pubWait.L = &p.mu
-
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(segs) == 0 {
-		err = p.roll(0)
-	} else {
-		err = p.recoverActive(segs[len(segs)-1])
-	}
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+// Name returns the topic's name.
+func (t *Topic) Name() string { return t.name }
 
 // recoverActive reopens the newest segment for appending. The cursor
 // reads its intact frames, which fix the next offset and the dictionary;
 // whatever follows them is a crash's torn tail and is truncated away.
-func (p *partition) recoverActive(seg segInfo) (err error) {
+func (t *Topic) recoverActive(seg segInfo) (err error) {
 	f, err := os.OpenFile(seg.path, os.O_RDWR, 0)
 	if err != nil {
 		return err
@@ -413,22 +275,22 @@ func (p *partition) recoverActive(seg segInfo) (err error) {
 	if _, err := f.Seek(c.off, io.SeekStart); err != nil {
 		return err
 	}
-	p.f, p.enc = f, c.dict.toEnc()
-	p.segSize = c.off - int64(len(segMagic))
-	p.next, p.ringLo = c.next, c.next
+	t.f, t.enc = f, c.dict.toEnc()
+	t.segSize = c.off - int64(len(segMagic))
+	t.next, t.ringLo = c.next, c.next
 	return nil
 }
 
 // roll closes the active segment and starts a fresh one whose base
 // offset is base, resetting the string dictionary.
-func (p *partition) roll(base int64) error {
-	if p.f != nil {
-		if err := p.f.Close(); err != nil {
+func (t *Topic) roll(base int64) error {
+	if t.f != nil {
+		if err := t.f.Close(); err != nil {
 			return err
 		}
-		p.f = nil
+		t.f = nil
 	}
-	path := filepath.Join(p.dir, fmt.Sprintf("%016d.seg", base))
+	path := filepath.Join(t.dir, fmt.Sprintf("%016d.seg", base))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -437,40 +299,47 @@ func (p *partition) roll(base int64) error {
 		f.Close()
 		return err
 	}
-	p.f = f
-	p.enc = newEncDict()
-	p.segSize = 0
+	t.f = f
+	t.enc = newEncDict()
+	t.segSize = 0
 	return nil
 }
 
-// overLimit reports whether any attached reader is more than MaxInflight
+// overLimit reports whether any attached reader is more than maxInflight
 // bytes behind the append watermark. Callers hold mu.
-func (p *partition) overLimit() bool {
-	limit := int64(p.t.b.opts.MaxInflight)
-	for r := range p.readers {
-		if p.cum-r.readCum > limit {
+func (t *Topic) overLimit() bool {
+	for c := range t.readers {
+		if t.cum-c.readCum > maxInflight {
 			return true
 		}
 	}
 	return false
 }
 
-func (p *partition) publish(ev *Event) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
+// Publish appends ev to the topic's log, assigning ev.Seq. It blocks
+// while the topic is over its in-flight budget (or drops, under
+// Options.Drop). An event the decoders would reject is refused with
+// ErrTooLarge and nothing is written.
+func (t *Topic) Publish(ev Event) error {
+	if len(ev.Key) > maxStringLen || len(ev.Str) > maxStringLen || len(ev.Data) > maxDataLen {
+		return fmt.Errorf("%w: key %d B, str %d B (limit %d), data %d B (limit %d)",
+			ErrTooLarge, len(ev.Key), len(ev.Str), maxStringLen, len(ev.Data), maxDataLen)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
 		return ErrClosed
 	}
-	if p.t.b.opts.Drop {
-		if p.overLimit() {
-			p.t.m.dropped.Inc()
+	if t.b.opts.Drop {
+		if t.overLimit() {
+			t.m.dropped.Inc()
 			return ErrBackpressure
 		}
 	} else {
-		for p.overLimit() {
-			p.t.m.blocked.Inc()
-			p.pubWait.Wait()
-			if p.closed {
+		for t.overLimit() {
+			t.m.blocked.Inc()
+			t.pubWait.Wait()
+			if t.closed {
 				return ErrClosed
 			}
 		}
@@ -478,51 +347,63 @@ func (p *partition) publish(ev *Event) error {
 
 	// Roll before encoding: encoding mutates the dictionary, which must
 	// match what the frame's segment will replay. The size check is a
-	// threshold, not a cap — one frame may overshoot SegmentBytes.
-	if p.segSize >= int64(p.t.b.opts.SegmentBytes) || p.enc.full() {
-		if err := p.roll(p.next); err != nil {
+	// threshold, not a cap — one frame may overshoot segmentBytes.
+	if t.segSize >= segmentBytes || t.enc.full() {
+		if err := t.roll(t.next); err != nil {
 			return err
 		}
 	}
-	p.scratch = appendEvent(wire.BeginFrame(p.scratch[:0]), ev, p.enc)
-	wire.EndFrame(p.scratch, 0)
-	if _, err := p.f.Write(p.scratch); err != nil {
+	t.scratch = appendEvent(wire.BeginFrame(t.scratch[:0]), &ev, t.enc)
+	wire.EndFrame(t.scratch, 0)
+	if _, err := t.f.Write(t.scratch); err != nil {
 		return err
 	}
-	size := int64(len(p.scratch))
-	p.segSize += size
+	size := int64(len(t.scratch))
+	t.segSize += size
 
-	ev.Seq = p.next
-	ev.Part = p.idx
-	p.next++
-	p.cum += size
-	p.ring = append(p.ring, ringEv{ev: *ev, size: size, cum: p.cum})
-	p.ringSize += size
-	// The in-memory ring of recent events holds 2×MaxInflight: any less and
-	// consumers inside their backpressure budget would thrash the disk.
-	for p.ringSize > 2*int64(p.t.b.opts.MaxInflight) && len(p.ring) > 1 {
-		p.ringSize -= p.ring[0].size
-		p.ring = p.ring[1:]
-		p.ringLo++
+	ev.Seq = t.next
+	t.next++
+	t.cum += size
+	t.ring = append(t.ring, ringEv{ev: ev, size: size, cum: t.cum})
+	t.ringSize += size
+	for t.ringSize > 2*maxInflight && len(t.ring) > 1 {
+		t.ringSize -= t.ring[0].size
+		t.ring = t.ring[1:]
+		t.ringLo++
 	}
 
-	p.t.m.published.Inc()
-	p.t.m.pubBytes.Add(size)
+	t.m.published.Inc()
+	t.m.pubBytes.Add(size)
+	t.wake()
 	return nil
 }
 
-// listSegments returns dir's segment files sorted by base offset.
+// wake nudges every subscribed consumer (non-blocking). Callers hold mu.
+func (t *Topic) wake() {
+	for c := range t.readers {
+		select {
+		case c.notify <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// listSegments returns the topic directory's segment files sorted by
+// base offset. It refuses a directory of the older partitioned layout
+// (a TOPIC.json beside p0/, p1/, …), whose events this version would
+// never read.
 func listSegments(dir string) ([]segInfo, error) {
 	ents, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
 	if err != nil {
 		return nil, err
 	}
 	var segs []segInfo
 	for _, e := range ents {
 		name := e.Name()
+		if name == "TOPIC.json" || name == "p0" {
+			return nil, fmt.Errorf("bus: %s: a topic of the older partitioned layout, which this version cannot read",
+				filepath.Join(dir, name))
+		}
 		if filepath.Ext(name) != ".seg" {
 			continue
 		}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,9 +25,9 @@ func openTestBroker(t *testing.T, dir string, opts Options) *Broker {
 	return b
 }
 
-func mustTopic(t *testing.T, b *Broker, name string, parts int) *Topic {
+func mustTopic(t *testing.T, b *Broker, name string) *Topic {
 	t.Helper()
-	tp, err := b.Topic(name, parts)
+	tp, err := b.Topic(name)
 	if err != nil {
 		t.Fatalf("Topic(%s): %v", name, err)
 	}
@@ -52,53 +53,84 @@ func drain(c *Consumer) []Event {
 	}
 }
 
-func TestPerPartitionOrdering(t *testing.T) {
-	b := openTestBroker(t, t.TempDir(), Options{})
+// TestTotalOrderPerTopic: a topic is one log. Publishers racing on many
+// keys get Seq numbers dense from 0, each publisher's events keep the
+// order it published them in, and a consumer group and a cross-process
+// tailer deliver the same sequence.
+func TestTotalOrderPerTopic(t *testing.T) {
+	dir := t.TempDir()
+	b := openTestBroker(t, dir, Options{})
 	defer b.Close()
-	tp := mustTopic(t, b, "t", 4)
+	tp := mustTopic(t, b, "t")
 
-	const keys, perKey = 13, 50
-	for i := 0; i < perKey; i++ {
-		for k := 0; k < keys; k++ {
-			mustPublish(t, tp, Event{
-				Time: int64(i), Kind: KindTripDispatch,
-				Key: fmt.Sprintf("car-%d", k), Num: float64(i),
-			})
-		}
+	const pubs, keys, each = 4, 13, 50
+	var wg sync.WaitGroup
+	for g := 0; g < pubs; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ev := Event{Time: int64(i), Kind: KindTripDispatch,
+					Key: fmt.Sprintf("car-%d", (g*each+i)%keys), Num: float64(g)}
+				if err := tp.Publish(ev); err != nil {
+					t.Errorf("Publish: %v", err)
+					return
+				}
+			}
+		}(g)
 	}
+	wg.Wait()
+
 	c, err := tp.Subscribe("g")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
 	defer c.Close()
 	evs := drain(c)
-	if len(evs) != keys*perKey {
-		t.Fatalf("got %d events, want %d", len(evs), keys*perKey)
+	if len(evs) != pubs*each {
+		t.Fatalf("got %d events, want %d", len(evs), pubs*each)
 	}
-	// Per-key order must match publish order, and per-partition Seq must
-	// be dense and monotone.
-	lastPerKey := make(map[string]int64)
-	lastSeq := make(map[int]int64)
-	for _, ev := range evs {
-		if prev, ok := lastPerKey[ev.Key]; ok && ev.Time <= prev {
-			t.Fatalf("key %s: time %d after %d", ev.Key, ev.Time, prev)
+	var next [pubs]int64 // each publisher's next event time
+	for i, ev := range evs {
+		if ev.Seq != int64(i) {
+			t.Fatalf("event %d has seq %d", i, ev.Seq)
 		}
-		lastPerKey[ev.Key] = ev.Time
-		if prev, ok := lastSeq[ev.Part]; ok && ev.Seq != prev+1 {
-			t.Fatalf("partition %d: seq %d after %d", ev.Part, ev.Seq, prev)
-		} else if !ok && ev.Seq != 0 {
-			t.Fatalf("partition %d: first seq %d, want 0", ev.Part, ev.Seq)
+		g := int(ev.Num)
+		if ev.Time != next[g] {
+			t.Fatalf("seq %d: publisher %d's event %d, want its event %d", ev.Seq, g, ev.Time, next[g])
 		}
-		lastSeq[ev.Part] = ev.Seq
+		next[g]++
+	}
+
+	tail, err := OpenTail(dir, "t")
+	if err != nil {
+		t.Fatalf("OpenTail: %v", err)
+	}
+	defer tail.Close()
+	type id struct {
+		seq, time int64
+		key       string
+		num       float64
+	}
+	ids := func(evs []Event) []id {
+		out := make([]id, len(evs))
+		for i, ev := range evs {
+			out[i] = id{ev.Seq, ev.Time, ev.Key, ev.Num}
+		}
+		return out
+	}
+	if got, want := ids(tail.Poll(nil)), ids(evs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tailer delivered %v\nconsumer delivered %v", got, want)
 	}
 }
 
 func TestOffsetResumeAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{SegmentBytes: 256}) // force several segments
-	tp := mustTopic(t, b, "t", 2)
+	b := openTestBroker(t, dir, Options{})
+	tp := mustTopic(t, b, "t")
+	data := make([]byte, segmentBytes/16) // force several segments
 	for i := 0; i < 100; i++ {
-		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: fmt.Sprintf("c-%d", i%7)})
+		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: fmt.Sprintf("c-%d", i%7), Data: data})
 	}
 	c, err := tp.Subscribe("g")
 	if err != nil {
@@ -123,11 +155,11 @@ func TestOffsetResumeAcrossRestart(t *testing.T) {
 	// Restart: same dir, new broker. The group resumes where it
 	// committed; together the two sessions see every event exactly once
 	// (no crash between processing and commit here).
-	b2 := openTestBroker(t, dir, Options{SegmentBytes: 256})
+	b2 := openTestBroker(t, dir, Options{})
 	defer b2.Close()
-	tp2 := mustTopic(t, b2, "t", 2)
+	tp2 := mustTopic(t, b2, "t")
 	for i := 100; i < 120; i++ {
-		mustPublish(t, tp2, Event{Time: int64(i), Kind: KindPing, Key: fmt.Sprintf("c-%d", i%7)})
+		mustPublish(t, tp2, Event{Time: int64(i), Kind: KindPing, Key: fmt.Sprintf("c-%d", i%7), Data: data})
 	}
 	c2, err := tp2.Subscribe("g")
 	if err != nil {
@@ -138,13 +170,13 @@ func TestOffsetResumeAcrossRestart(t *testing.T) {
 	if got, want := len(firstHalf)+len(rest), 120; got != want {
 		t.Fatalf("saw %d events across restart, want %d", got, want)
 	}
-	seen := make(map[string]int)
+	seen := make(map[int64]int)
 	for _, ev := range append(firstHalf, rest...) {
-		seen[fmt.Sprintf("%d/%d", ev.Part, ev.Seq)]++
+		seen[ev.Seq]++
 	}
 	for off, n := range seen {
 		if n != 1 {
-			t.Fatalf("offset %s delivered %d times, want 1", off, n)
+			t.Fatalf("offset %d delivered %d times, want 1", off, n)
 		}
 	}
 }
@@ -152,7 +184,7 @@ func TestOffsetResumeAcrossRestart(t *testing.T) {
 func TestAtLeastOnceRedeliveryWithoutCommit(t *testing.T) {
 	dir := t.TempDir()
 	b := openTestBroker(t, dir, Options{})
-	tp := mustTopic(t, b, "t", 1)
+	tp := mustTopic(t, b, "t")
 	for i := 0; i < 20; i++ {
 		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: "k"})
 	}
@@ -166,7 +198,7 @@ func TestAtLeastOnceRedeliveryWithoutCommit(t *testing.T) {
 
 	b2 := openTestBroker(t, dir, Options{})
 	defer b2.Close()
-	tp2 := mustTopic(t, b2, "t", 1)
+	tp2 := mustTopic(t, b2, "t")
 	c2, _ := tp2.Subscribe("g")
 	defer c2.Close()
 	redelivered := drain(c2)
@@ -182,22 +214,23 @@ func TestAtLeastOnceRedeliveryWithoutCommit(t *testing.T) {
 
 func TestResumeReadsFromDiskThenRing(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{SegmentBytes: 512})
-	tp := mustTopic(t, b, "t", 1)
+	b := openTestBroker(t, dir, Options{})
+	tp := mustTopic(t, b, "t")
+	data := make([]byte, segmentBytes/16) // several segments
 	for i := 0; i < 50; i++ {
-		mustPublish(t, tp, Event{Time: int64(i), Kind: KindSurgeChange, Key: "area-01", Num: 1.5})
+		mustPublish(t, tp, Event{Time: int64(i), Kind: KindSurgeChange, Key: "area-01", Num: 1.5, Data: data})
 	}
 	b.Close()
 
 	// The reopened broker's ring is empty: the first 50 events must come
 	// back from segment files, the next 10 from the live ring.
-	b2 := openTestBroker(t, dir, Options{SegmentBytes: 512})
+	b2 := openTestBroker(t, dir, Options{})
 	defer b2.Close()
-	tp2 := mustTopic(t, b2, "t", 1)
+	tp2 := mustTopic(t, b2, "t")
 	c, _ := tp2.Subscribe("g")
 	defer c.Close()
 	for i := 50; i < 60; i++ {
-		mustPublish(t, tp2, Event{Time: int64(i), Kind: KindSurgeChange, Key: "area-01", Num: 1.5})
+		mustPublish(t, tp2, Event{Time: int64(i), Kind: KindSurgeChange, Key: "area-01", Num: 1.5, Data: data})
 	}
 	evs := drain(c)
 	if len(evs) != 60 {
@@ -214,16 +247,16 @@ func TestResumeReadsFromDiskThenRing(t *testing.T) {
 }
 
 func TestBackpressureBlocksPublisher(t *testing.T) {
-	b := openTestBroker(t, t.TempDir(), Options{MaxInflight: 4096})
+	b := openTestBroker(t, t.TempDir(), Options{})
 	defer b.Close()
-	tp := mustTopic(t, b, "t", 1)
+	tp := mustTopic(t, b, "t")
 	c, err := tp.Subscribe("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	data := make([]byte, 512)
+	data := make([]byte, maxInflight/8)
 	blocked := make(chan struct{})
 	var published sync.WaitGroup
 	published.Add(1)
@@ -231,7 +264,7 @@ func TestBackpressureBlocksPublisher(t *testing.T) {
 		defer published.Done()
 		for i := 0; i < 64; i++ {
 			if i == 16 {
-				// Well past MaxInflight/event-size by now if nothing
+				// Well past maxInflight/event-size by now if nothing
 				// blocked; signal progress so the test can assert the
 				// publisher is stuck before this point.
 				close(blocked)
@@ -243,8 +276,8 @@ func TestBackpressureBlocksPublisher(t *testing.T) {
 		}
 	}()
 
-	// The publisher must stall before event 16: 4096/520 ≈ 7 events fit
-	// in flight with nothing consumed.
+	// The publisher must stall before event 16: about 7 events of an
+	// eighth of maxInflight each fit in flight with nothing consumed.
 	select {
 	case <-blocked:
 		t.Fatal("publisher ran past the in-flight budget without blocking")
@@ -264,13 +297,13 @@ func TestBackpressureBlocksPublisher(t *testing.T) {
 }
 
 func TestDropPolicyCountsDrops(t *testing.T) {
-	b := openTestBroker(t, t.TempDir(), Options{MaxInflight: 2048, Drop: true})
+	b := openTestBroker(t, t.TempDir(), Options{Drop: true})
 	defer b.Close()
-	tp := mustTopic(t, b, "t", 1)
+	tp := mustTopic(t, b, "t")
 	c, _ := tp.Subscribe("g")
 	defer c.Close()
 
-	data := make([]byte, 512)
+	data := make([]byte, maxInflight/4)
 	var dropped int
 	for i := 0; i < 32; i++ {
 		err := tp.Publish(Event{Time: int64(i), Kind: KindPing, Key: "k", Data: data})
@@ -293,9 +326,9 @@ func TestDropPolicyCountsDrops(t *testing.T) {
 func TestConcurrentPublishConsumeRace(t *testing.T) {
 	// Exercised under -race in CI: concurrent publishers on distinct
 	// keys, one consumer, commit/lag in the loop.
-	b := openTestBroker(t, t.TempDir(), Options{MaxInflight: 1 << 16})
+	b := openTestBroker(t, t.TempDir(), Options{})
 	defer b.Close()
-	tp := mustTopic(t, b, "t", 4)
+	tp := mustTopic(t, b, "t")
 	c, _ := tp.Subscribe("g")
 	defer c.Close()
 
@@ -333,11 +366,12 @@ func TestConcurrentPublishConsumeRace(t *testing.T) {
 
 func TestTailerFollowsLiveTopic(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{SegmentBytes: 256})
+	b := openTestBroker(t, dir, Options{})
 	defer b.Close()
-	tp := mustTopic(t, b, "surge.changes", 2)
+	tp := mustTopic(t, b, "surge.changes")
+	data := make([]byte, segmentBytes/8) // several segments
 	for i := 0; i < 30; i++ {
-		mustPublish(t, tp, Event{Time: int64(i), Kind: KindSurgeChange, Key: fmt.Sprintf("area-%02d", i%5), Num: 1 + float64(i%4)/10})
+		mustPublish(t, tp, Event{Time: int64(i), Kind: KindSurgeChange, Key: fmt.Sprintf("area-%02d", i%5), Num: 1 + float64(i%4)/10, Data: data})
 	}
 
 	tail, err := OpenTail(dir, "surge.changes")
@@ -351,7 +385,7 @@ func TestTailerFollowsLiveTopic(t *testing.T) {
 	}
 	// More events arrive; the tailer picks up exactly the delta.
 	for i := 30; i < 45; i++ {
-		mustPublish(t, tp, Event{Time: int64(i), Kind: KindSurgeChange, Key: fmt.Sprintf("area-%02d", i%5), Num: 2})
+		mustPublish(t, tp, Event{Time: int64(i), Kind: KindSurgeChange, Key: fmt.Sprintf("area-%02d", i%5), Num: 2, Data: data})
 	}
 	more := tail.Poll(nil)
 	if len(more) != 15 {
@@ -370,14 +404,14 @@ func TestTailerFollowsLiveTopic(t *testing.T) {
 func TestTornTailTruncatedOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	b := openTestBroker(t, dir, Options{})
-	tp := mustTopic(t, b, "t", 1)
+	tp := mustTopic(t, b, "t")
 	for i := 0; i < 10; i++ {
 		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: "k"})
 	}
 	b.Close()
 
 	// Simulate a crash mid-frame: append garbage to the active segment.
-	segs, err := listSegments(filepath.Join(dir, "t", "p0"))
+	segs, err := listSegments(filepath.Join(dir, "t"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("listSegments: %v (%d)", err, len(segs))
 	}
@@ -390,7 +424,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 
 	b2 := openTestBroker(t, dir, Options{})
 	defer b2.Close()
-	tp2 := mustTopic(t, b2, "t", 1)
+	tp2 := mustTopic(t, b2, "t")
 	// The torn tail is gone; appends continue at offset 10.
 	mustPublish(t, tp2, Event{Time: 10, Kind: KindPing, Key: "k"})
 	c, _ := tp2.Subscribe("g")
@@ -413,19 +447,19 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 func TestCrashInsideRollReopens(t *testing.T) {
 	dir := t.TempDir()
 	b := openTestBroker(t, dir, Options{})
-	tp := mustTopic(t, b, "t", 1)
+	tp := mustTopic(t, b, "t")
 	for i := 0; i < 3; i++ {
 		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: "k"})
 	}
 	b.Close()
-	empty := filepath.Join(dir, "t", "p0", fmt.Sprintf("%016d.seg", 3))
+	empty := filepath.Join(dir, "t", fmt.Sprintf("%016d.seg", 3))
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	b2 := openTestBroker(t, dir, Options{})
 	defer b2.Close()
-	tp2 := mustTopic(t, b2, "t", 1)
+	tp2 := mustTopic(t, b2, "t")
 	mustPublish(t, tp2, Event{Time: 3, Kind: KindPing, Key: "k"})
 	c, err := tp2.Subscribe("g")
 	if err != nil {
@@ -451,16 +485,17 @@ func TestCrashInsideRollReopens(t *testing.T) {
 // a reader that will never move.
 func TestDamagedSealedSegmentSameForAllReaders(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentBytes: 256, MaxInflight: 512}
+	var opts Options
 	b := openTestBroker(t, dir, opts)
-	tp := mustTopic(t, b, "t", 1)
+	tp := mustTopic(t, b, "t")
 	const total = 200
+	payload := make([]byte, segmentBytes/32) // several segments
 	for i := 0; i < total; i++ {
-		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: fmt.Sprintf("c-%d", i%7)})
+		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: fmt.Sprintf("c-%d", i%7), Data: payload})
 	}
 	b.Close()
 
-	segs, err := listSegments(filepath.Join(dir, "t", "p0"))
+	segs, err := listSegments(filepath.Join(dir, "t"))
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("listSegments: %v (%d segments)", err, len(segs))
 	}
@@ -476,7 +511,7 @@ func TestDamagedSealedSegmentSameForAllReaders(t *testing.T) {
 	opts.Metrics = obs.NewRegistry()
 	b2 := openTestBroker(t, dir, opts)
 	defer b2.Close()
-	tp2 := mustTopic(t, b2, "t", 1)
+	tp2 := mustTopic(t, b2, "t")
 	c, err := tp2.Subscribe("g")
 	if err != nil {
 		t.Fatal(err)
@@ -511,12 +546,13 @@ func TestDamagedSealedSegmentSameForAllReaders(t *testing.T) {
 		t.Fatalf("bus_skipped_events_total = %d, want %d", n, lost)
 	}
 
-	// Well past MaxInflight in new events: a wedged reader would block this.
+	// Well past maxInflight in new events: a wedged reader would block this.
+	big := make([]byte, maxInflight/16)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := total; i < total+64; i++ {
-			if err := tp2.Publish(Event{Time: int64(i), Kind: KindPing, Key: "k"}); err != nil {
+			if err := tp2.Publish(Event{Time: int64(i), Kind: KindPing, Key: "k", Data: big}); err != nil {
 				t.Errorf("Publish: %v", err)
 				return
 			}
@@ -540,7 +576,7 @@ func TestDamagedSealedSegmentSameForAllReaders(t *testing.T) {
 func TestOversizeEventRefused(t *testing.T) {
 	dir := t.TempDir()
 	b := openTestBroker(t, dir, Options{})
-	tp := mustTopic(t, b, "t", 1)
+	tp := mustTopic(t, b, "t")
 	for name, ev := range map[string]Event{
 		"key":  {Kind: KindFault, Key: strings.Repeat("k", maxStringLen+1)},
 		"str":  {Kind: KindFault, Key: "k", Str: strings.Repeat("/", maxStringLen+1)},
@@ -556,7 +592,7 @@ func TestOversizeEventRefused(t *testing.T) {
 
 	b2 := openTestBroker(t, dir, Options{})
 	defer b2.Close()
-	c, err := mustTopic(t, b2, "t", 1).Subscribe("g")
+	c, err := mustTopic(t, b2, "t").Subscribe("g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,4 +622,81 @@ func TestObservationRoundTrip(t *testing.T) {
 	if string(re) != string(enc) {
 		t.Fatalf("observation codec not canonical")
 	}
+}
+
+// TestOldLayoutRefused: a topic directory of the partitioned layout keeps
+// its events under p0/, p1/, … beside a TOPIC.json. Opened as a single
+// log it would look empty, so the broker and the tailer refuse it by
+// name; and a group offsets file of that layout (a count, then one offset
+// per partition) is corrupt, not an offset.
+func TestOldLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	for topic, old := range map[string]string{"meta": "TOPIC.json", "parts": "p0"} {
+		path := filepath.Join(dir, topic, old)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if old == "p0" {
+			err = os.Mkdir(path, 0o755)
+		} else {
+			err = os.WriteFile(path, []byte(`{"partitions":4}`), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := openTestBroker(t, dir, Options{})
+		if _, err := b.Topic(topic); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("Broker.Topic(%s) = %v, want an error naming %s", topic, err, path)
+		}
+		b.Close()
+		if _, err := OpenTail(dir, topic); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("OpenTail(%s) = %v, want an error naming %s", topic, err, path)
+		}
+	}
+
+	b := openTestBroker(t, dir, Options{})
+	defer b.Close()
+	tp := mustTopic(t, b, "t")
+	old := wire.BeginFrame([]byte(offMagic))
+	old = append(old, 2, 5, 7) // two partitions, at offsets 5 and 7
+	wire.EndFrame(old, len(offMagic))
+	if err := os.WriteFile(tp.offsetPath("g"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tp.Subscribe("g"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Subscribe over a per-partition offsets file = %v, want ErrCorrupt", err)
+	}
+}
+
+// BenchmarkPublishParallel: publishers on every P append ping-sized
+// (1.2 kB) events, cycling through the campaign's 43 client keys, to one
+// topic with no consumer attached. It is the cost of the topic's one lock
+// under the api.pings load of concurrent HTTP handlers.
+func BenchmarkPublishParallel(b *testing.B) {
+	br, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer br.Close()
+	tp, err := br.Topic(TopicPings)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var keys [43]string
+	for i := range keys {
+		keys[i] = fmt.Sprintf("probe-%02d", i)
+	}
+	data := make([]byte, 1200)
+	var gs atomic.Int64
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := int(gs.Add(1)); pb.Next(); i++ {
+			if err := tp.Publish(Event{Kind: KindPing, Key: keys[i%len(keys)], Area: -1, Data: data}); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -1,7 +1,7 @@
 // The segment cursor: the one path from segment files to Events.
 //
-// Recovery (openPartition), in-process catch-up below the ring
-// (partReader) and the cross-process Tailer all read through it, so one
+// Recovery (Broker.Topic), in-process catch-up below the ring
+// (Consumer) and the cross-process Tailer all read through it, so one
 // rule holds for every reader: a segment yields its intact prefix, and
 // once a segment with a higher base exists the cursor resumes at that
 // base — whatever is unreadable in between (a crash's torn tail, a
@@ -23,8 +23,7 @@ import (
 )
 
 type segCursor struct {
-	dir  string
-	part int // stamped on every event
+	dir string
 
 	src     io.ReaderAt // the open segment (nil before the first)
 	br      *bufio.Reader
@@ -35,8 +34,8 @@ type segCursor struct {
 	buf     []byte // frame payload scratch
 }
 
-func newSegCursor(dir string, part int) *segCursor {
-	return &segCursor{dir: dir, part: part, segBase: -1}
+func newSegCursor(dir string) *segCursor {
+	return &segCursor{dir: dir, segBase: -1}
 }
 
 // attach points the cursor at the first frame of a segment whose first
@@ -80,7 +79,7 @@ func (c *segCursor) readFrame() (Event, bool) {
 		c.buf = payload
 		var ev Event
 		if ev, err = decodeEvent(payload, c.dict); err == nil {
-			ev.Seq, ev.Part = c.next, c.part
+			ev.Seq = c.next
 			c.next++
 			c.off += int64(wire.FrameHeader + len(payload))
 			return ev, true

@@ -1,22 +1,22 @@
-// Package bus is an embedded, stdlib-only event broker: append-only
-// partitioned topics on disk, consumer groups with committed offsets that
-// survive restart, and explicit backpressure. It is the streaming
-// counterpart of the batch measure→record→analyze pipeline: the backend
-// layers publish typed events as they happen, and consumers (the live
-// tsdb ingester, the streaming analyzer, the surgemap tail) turn them
-// into the always-on measurement system the longitudinal-audit literature
-// calls for.
+// Package bus is an embedded, stdlib-only event broker: topics that are
+// each one append-only log on disk, consumer groups with committed
+// offsets that survive restart, and explicit backpressure. It is the
+// streaming counterpart of the batch measure→record→analyze pipeline: the
+// backend layers publish typed events as they happen, and consumers (the
+// live tsdb ingester, the streaming analyzer, the surgemap tail) turn
+// them into the always-on measurement system the longitudinal-audit
+// literature calls for.
 //
 // Guarantees:
 //
-//   - per-key ordering: events are partitioned by Key (car session, area
-//     label, client ID), and one partition is one append-only log, so all
-//     events for a key are delivered in publish order;
+//   - total order per topic: every reader of a topic — a consumer group
+//     or a cross-process Tailer — receives its events in publish order,
+//     numbered by Seq densely from 0;
 //   - at-least-once delivery: a consumer that crashes after processing
 //     but before Commit re-reads from its last committed offset;
-//   - bounded memory: each partition caps publisher-ahead-of-consumer
-//     bytes (MaxInflight). Publishers block (default) or drop with a
-//     counter — the broker never buffers unboundedly.
+//   - bounded memory: each topic caps publisher-ahead-of-consumer bytes.
+//     Publishers block (default) or drop with a counter — the broker
+//     never buffers unboundedly.
 package bus
 
 import "repro/internal/wire"
@@ -75,24 +75,21 @@ const (
 	TopicFaults = "chaos.faults"  // injected faults, keyed by fault kind
 )
 
-// Event is one published record. Key selects the partition (and thus the
-// ordering domain); the remaining fields are a small fixed schema chosen
-// so every layer's events fit without per-kind structs — Data carries the
-// one large payload (ping observations).
+// Event is one published record: a small fixed schema chosen so every
+// layer's events fit without per-kind structs — Data carries the one
+// large payload (ping observations).
 //
 // The broker retains Key, Str, and Data after Publish returns; callers
 // must hand over buffers they will not mutate.
 type Event struct {
-	// Seq is the event's offset within its partition, assigned by
-	// Publish (dense, starting at 0, monotone per partition).
+	// Seq is the event's offset within its topic, assigned by Publish
+	// (dense, starting at 0, in publish order).
 	Seq int64
-	// Part is the partition the event landed in, set on publish/delivery.
-	Part int
 	// Time is the simulation time the event happened, in seconds.
 	Time int64
 	Kind Kind
-	// Key is the partition and ordering key: driver session, area label,
-	// or client ID.
+	// Key names what the event is about: driver session, area label,
+	// client ID or fault kind.
 	Key string
 	// Area is the surge-area index the event happened in (-1 outside).
 	Area int32

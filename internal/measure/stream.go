@@ -55,8 +55,8 @@ type StreamAnalyzer struct {
 
 	windows []WindowStats
 	// Late counts events that arrived after their window was sealed
-	// (cross-partition skew); they are folded into the current window
-	// rather than reopening a sealed one.
+	// (skew between topics read in different polls); they are folded
+	// into the current window rather than reopening a sealed one.
 	Late int64
 	// Corrupt counts ping events whose payload did not decode; they add
 	// nothing to their window.

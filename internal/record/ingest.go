@@ -6,12 +6,10 @@
 // Series assignment: the first time a client ID appears it gets the next
 // series index, and the growing ID↔series map is persisted in the
 // campaign header (tsdb Extra) — a restarted ingester maps returning
-// clients back to their original series. Because the consumer drains
-// the topic's partitions round-robin, first-appearance order is a
-// stable but arbitrary interleaving of the clients, not campaign
-// order; ClientIDs in the header is the authoritative series→client
-// mapping, and comparisons against a poll-recorded store must join on
-// it rather than on raw series numbers.
+// clients back to their original series. The topic is one log delivered
+// in publish order, so the clients of a campaign that pings them in
+// order get their campaign indices as series numbers, as in a
+// poll-recorded store.
 //
 // Delivery is at-least-once: after a crash between tsdb commit and
 // consumer-offset commit, the bus redelivers the tail. The ingester
@@ -94,7 +92,7 @@ func (ing *LiveIngester) Handle(ev bus.Event) (roundDone bool, err error) {
 	}
 	o, err := bus.DecodeObservation(ev.Data)
 	if err != nil {
-		return false, fmt.Errorf("record: ping event %d/%d: %w", ev.Part, ev.Seq, err)
+		return false, fmt.Errorf("record: ping event %d: %w", ev.Seq, err)
 	}
 
 	// A later timestamp means every client of the previous round has

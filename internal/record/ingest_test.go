@@ -3,6 +3,7 @@ package record
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,25 +16,19 @@ import (
 )
 
 // ingestRowCollector records every replayed observation as a canonical string
-// per round. Rows are keyed by client ID, not series index: the live
-// ingester numbers series in bus-delivery (partition round-robin)
-// order, a stable but arbitrary permutation of campaign order, so raw
-// indices are not comparable across stores. Positions are ignored (the
-// live header roundtrips them through LatLng so the plane points
-// differ in the last ulps; the rows themselves carry no positions).
+// per round. Rows are keyed by series index: the bus delivers pings in
+// publish order, so the live ingester numbers series in campaign order,
+// as the batch store does. Positions are ignored (the live header
+// roundtrips them through LatLng so the plane points differ in the last
+// ulps; the rows themselves carry no positions).
 type ingestRowCollector struct {
-	ids  []string // series index → client ID
 	rows map[int64][]string
 }
 
 func (rc *ingestRowCollector) Observe(clientIdx int, pos geo.Point, resp *core.PingResponse) {
-	id := fmt.Sprintf("series-%d", clientIdx)
-	if clientIdx >= 0 && clientIdx < len(rc.ids) {
-		id = rc.ids[clientIdx]
-	}
 	for i := range resp.Types {
 		ts := &resp.Types[i]
-		s := fmt.Sprintf("%s|%s|%g|%g", id, ts.TypeName, ts.Surge, ts.EWTSeconds)
+		s := fmt.Sprintf("%d|%s|%g|%g", clientIdx, ts.TypeName, ts.Surge, ts.EWTSeconds)
 		for _, c := range ts.Cars {
 			s += fmt.Sprintf("|%s@%.9f,%.9f", c.ID, c.Pos.Lat, c.Pos.Lng)
 		}
@@ -50,7 +45,7 @@ func collectStore(t *testing.T, path string) (map[int64][]string, int64, Header)
 		t.Fatalf("open %s: %v", path, err)
 	}
 	defer db.Close()
-	rc := &ingestRowCollector{ids: hdr.ClientIDs, rows: make(map[int64][]string)}
+	rc := &ingestRowCollector{rows: make(map[int64][]string)}
 	rounds, err := Replay(db, hdr, MinTime, MaxTime, rc)
 	if err != nil {
 		t.Fatalf("replay %s: %v", path, err)
@@ -95,7 +90,7 @@ func TestLiveIngestMatchesBatchStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer br.Close()
-	topic, err := br.Topic(bus.TopicPings, 4)
+	topic, err := br.Topic(bus.TopicPings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,25 +198,15 @@ func TestLiveIngestMatchesBatchStore(t *testing.T) {
 		}
 	}
 
-	// The live header must name every campaign client exactly once (in
-	// bus-delivery order, some permutation of campaign order), with each
-	// series' stored position matching that client's grid point.
-	if len(liveHdr.ClientIDs) != len(pts) {
-		t.Fatalf("live header has %d client IDs, want %d", len(liveHdr.ClientIDs), len(pts))
+	// The live header must name the campaign's clients in campaign order,
+	// with each series' stored position matching that client's grid point.
+	if !slices.Equal(liveHdr.ClientIDs, ids) {
+		t.Fatalf("live header client IDs %v, want campaign order %v", liveHdr.ClientIDs, ids)
 	}
-	seen := make(map[string]bool)
-	for i, id := range liveHdr.ClientIDs {
-		if seen[id] {
-			t.Fatalf("client %s mapped to two series", id)
-		}
-		seen[id] = true
-		var campIdx int
-		if _, err := fmt.Sscanf(id, "probe-%d", &campIdx); err != nil || campIdx < 0 || campIdx >= len(pts) {
-			t.Fatalf("unexpected client ID %q in live header", id)
-		}
-		want, got := pts[campIdx], liveHdr.Clients[i]
+	for i, want := range pts {
+		got := liveHdr.Clients[i]
 		if dx, dy := got.X-want.X, got.Y-want.Y; dx*dx+dy*dy > 1e-6 {
-			t.Errorf("series %d (%s) stored at %v, campaign placed it at %v", i, id, got, want)
+			t.Errorf("series %d (%s) stored at %v, campaign placed it at %v", i, ids[i], got, want)
 		}
 	}
 }

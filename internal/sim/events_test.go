@@ -102,7 +102,7 @@ func BenchmarkStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { br.Close() })
-			topic, err := br.Topic("sim.cars", 4)
+			topic, err := br.Topic("sim.cars")
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -55,7 +55,7 @@ func TestLiveTailFollowsEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer br.Close()
-	topic, err := br.Topic(bus.TopicSurge, 1)
+	topic, err := br.Topic(bus.TopicSurge)
 	if err != nil {
 		t.Fatal(err)
 	}
