@@ -240,23 +240,6 @@ func BenchmarkBackendDay(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ---
 
-// BenchmarkAblationTickRate compares the default 5-second tick against a
-// 1-second tick: the finer tick quintuples work without changing any
-// 5-minute observable.
-func BenchmarkAblationTickRate(b *testing.B) {
-	for _, tick := range []int64{1, 5} {
-		name := map[int64]string{1: "tick=1s", 5: "tick=5s"}[tick]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w := sim.NewWorld(sim.Config{
-					Profile: sim.Manhattan(), Seed: 7, TickSeconds: tick,
-				})
-				w.Run(1800)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGridVsLinear compares the uniform-grid 8-nearest query
 // against a linear scan at the densities the backend serves.
 func BenchmarkAblationGridVsLinear(b *testing.B) {

@@ -54,6 +54,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/chaos"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/surge"
 )
 
@@ -142,7 +143,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 
 	// Advance the simulation in real time until shutdown. The shutdown
 	// path waits for tickDone so no tick publishes to a closing bus.
-	ticker := time.NewTicker(tickInterval(svc.World().TickSeconds(), *speedup))
+	ticker := time.NewTicker(tickInterval(sim.TickSeconds, *speedup))
 	tickDone := make(chan struct{})
 	go func() {
 		defer close(tickDone)

@@ -40,10 +40,6 @@ type Config struct {
 	ForwardTimeout time.Duration
 	// RetryAfter is advertised on 503 shed responses (default 1s).
 	RetryAfter time.Duration
-	// ScrapeTimeout bounds each shard's /metrics scrape in the fan-in
-	// (default 2s); a slow or dead shard is labeled missing, never
-	// blocks the exposition.
-	ScrapeTimeout time.Duration
 
 	// Registry receives gateway metrics (private one when nil).
 	Registry *obs.Registry
@@ -68,9 +64,6 @@ func (c *Config) defaults() {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.ScrapeTimeout <= 0 {
-		c.ScrapeTimeout = 2 * time.Second
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()

@@ -460,7 +460,6 @@ func TestGatewayMetricsFanIn(t *testing.T) {
 			// label its absence, not fail or block.
 			{Name: "manhattan-1", Region: mh.Name, BaseURL: "http://127.0.0.1:1"},
 		},
-		ScrapeTimeout: 500 * time.Millisecond,
 	})
 	// Generate one request so the live shard has series to relabel.
 	gw := httptest.NewServer(g.Handler())

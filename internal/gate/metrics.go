@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -54,9 +55,13 @@ func (g *Gateway) MetricsHandler() http.Handler {
 	})
 }
 
+// scrapeTimeout bounds each shard's /metrics scrape in the fan-in: a slow
+// or dead shard is labeled missing, never blocks the exposition.
+const scrapeTimeout = 2 * time.Second
+
 // scrapeShard fetches one shard's exposition under the scrape budget.
 func (g *Gateway) scrapeShard(ctx context.Context, s *Shard) (string, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.ScrapeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.BaseURL+"/metrics", nil)
 	if err != nil {

@@ -48,7 +48,7 @@ func TestReplayLendsOneResponse(t *testing.T) {
 // first cut, a round of 43 borrowed responses allocates nothing, except in
 // a round that cuts chunks.
 func TestWriterObserveAllocs(t *testing.T) {
-	db, err := tsdb.Open(filepath.Join(t.TempDir(), "c.tsdb"), tsdb.Options{SyncEveryCommits: -1})
+	db, err := tsdb.Open(filepath.Join(t.TempDir(), "c.tsdb"), tsdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

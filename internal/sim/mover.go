@@ -174,7 +174,7 @@ func (w *World) moveDrivers() {
 
 // moveShard runs one shard of the movement phase.
 func (w *World) moveShard(s int) {
-	dt := float64(w.cfg.TickSeconds)
+	dt := float64(TickSeconds)
 	o := &w.moveOps[s]
 	o.reset()
 	rng := w.shardRand(s)

@@ -36,7 +36,7 @@ func TestTripMatchesDrive(t *testing.T) {
 			}
 			f := &w.fleet
 			rng := rand.New(rand.NewSource(5))
-			dt := float64(w.TickSeconds())
+			dt := float64(TickSeconds)
 			cars, worst := 0, 0.0
 			for s := int32(0); int(s) < f.high && cars < 200; s++ {
 				if !f.live[s] || DriverState(f.state[s]) != StateIdle {

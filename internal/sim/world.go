@@ -15,13 +15,15 @@ import (
 	"repro/internal/road"
 )
 
+// TickSeconds is the simulation step: 5 s, the ping cadence of the Client
+// app. A measurement campaign pings once per Step, so its ping period is
+// this step.
+const TickSeconds = 5
+
 // Config configures a World.
 type Config struct {
 	Profile *CityProfile
 	Seed    int64
-	// TickSeconds is the simulation step; it defaults to 5, the ping
-	// cadence of the Client app.
-	TickSeconds int64
 	// StartTime is the initial simulation time (seconds since Monday
 	// midnight). Defaults to 0.
 	StartTime int64
@@ -313,9 +315,6 @@ func NewWorld(cfg Config) *World {
 	if cfg.Profile == nil {
 		panic("sim: Config.Profile is required")
 	}
-	if cfg.TickSeconds <= 0 {
-		cfg.TickSeconds = 5
-	}
 	p := cfg.Profile
 	if cfg.Road == nil && p.RoadNetwork {
 		// The network is keyed by city name only, never the sim seed:
@@ -426,9 +425,6 @@ func (w *World) AreaIndex() *geo.AreaIndex { return w.areaIndex }
 
 // Now returns the current simulation time in seconds.
 func (w *World) Now() int64 { return w.now }
-
-// TickSeconds returns the configured step size.
-func (w *World) TickSeconds() int64 { return w.cfg.TickSeconds }
 
 // SetSurgeProvider registers the function used to look up the current
 // surge multiplier for an area; the surge engine installs itself here.
@@ -572,8 +568,8 @@ func (w *World) Step() {
 		stepStart = time.Now()
 		phaseStart = stepStart
 	}
-	dt := float64(w.cfg.TickSeconds)
-	w.now += w.cfg.TickSeconds
+	dt := float64(TickSeconds)
+	w.now += TickSeconds
 	w.tick++
 	w.refreshSurgeCache()
 

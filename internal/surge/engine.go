@@ -181,7 +181,7 @@ func rawPressures(w *sim.World, p sim.SurgeParams, rng *rand.Rand, out []float64
 	var cityLoad, cityCap float64
 	for a := range out {
 		st := w.ConsumeWindow(a)
-		window := float64(st.Ticks) * float64(w.TickSeconds())
+		window := float64(st.Ticks) * float64(sim.TickSeconds)
 		if window <= 0 {
 			window = UpdatePeriod
 		}

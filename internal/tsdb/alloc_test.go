@@ -22,7 +22,6 @@ func allocated(f func()) (objects, bytes uint64) {
 // that seals only when asked.
 func campaignStore(t *testing.T, rounds [][]Row, opts Options) *DB {
 	t.Helper()
-	opts.SyncEveryCommits, opts.CompactMinSegments = -1, -1
 	db, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +108,7 @@ func TestRangeQueryAllocBudget(t *testing.T) {
 // yields must be the row appended at that place.
 func TestQueryDuringHeadChunkCut(t *testing.T) {
 	const series, rounds = 3, 3 * defaultChunkRows
-	db, err := Open(t.TempDir(), Options{SyncEveryCommits: -1, CompactMinSegments: -1})
+	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func benchCampaign(rounds int) [][]Row {
 
 func BenchmarkAppend(b *testing.B) {
 	rounds := benchCampaign(200)
-	db, err := Open(b.TempDir(), Options{SyncEveryCommits: -1})
+	db, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkSealedBytesPerRow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db, err := Open(b.TempDir(), Options{SyncEveryCommits: -1})
+		db, err := Open(b.TempDir(), Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkSeal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		db, err := Open(b.TempDir(), Options{SyncEveryCommits: -1, HeadMaxRows: 1 << 20, CompactMinSegments: -1})
+		db, err := Open(b.TempDir(), Options{HeadMaxRows: 1 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func BenchmarkSeal(b *testing.B) {
 // multi-hour store — the access pattern cmd/analyze uses with -from/-to.
 func BenchmarkRangeQuery(b *testing.B) {
 	rounds := benchCampaign(2000) // ~2.8 campaign hours at 5s/round
-	db, err := Open(b.TempDir(), Options{SyncEveryCommits: -1, HeadMaxRows: 20000, CompactMinSegments: -1})
+	db, err := Open(b.TempDir(), Options{HeadMaxRows: 20000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func BenchmarkRangeQuery(b *testing.B) {
 // decode every row in the store.
 func BenchmarkFullScan(b *testing.B) {
 	rounds := benchCampaign(2000)
-	db, err := Open(b.TempDir(), Options{SyncEveryCommits: -1, HeadMaxRows: 20000, CompactMinSegments: -1})
+	db, err := Open(b.TempDir(), Options{HeadMaxRows: 20000})
 	if err != nil {
 		b.Fatal(err)
 	}

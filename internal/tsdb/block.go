@@ -33,8 +33,12 @@ const maxRowsPerChunk = 1 << 20
 // encodeChunk encodes rows (one series, non-decreasing time) into a
 // self-contained payload.
 func encodeChunk(rows []Row) []byte {
+	var c chunkCols
+	for i := range rows {
+		c.add(&rows[i])
+	}
 	var e chunkEncoder
-	return e.encode(rows)
+	return e.payload(&c)
 }
 
 // decodeChunk decodes a chunk payload into rows, assigning every row the
@@ -107,23 +111,12 @@ func (c *chunkCols) add(r *Row) {
 	}
 }
 
-// chunkEncoder is the chunk encoder. It keeps its columns, dictionary,
-// bitstream and payload buffer from one chunk to the next, so once they
-// have grown to a chunk's size encoding allocates nothing.
+// chunkEncoder is the chunk encoder. It keeps its bitstream and payload
+// buffer from one chunk to the next, so once they have grown to a chunk's
+// size encoding allocates nothing.
 type chunkEncoder struct {
-	cols     chunkCols
 	bits     bitWriter
 	col, buf []byte
-}
-
-// encode returns the payload of rows (one series, non-decreasing time).
-// It is valid until the next call.
-func (e *chunkEncoder) encode(rows []Row) []byte {
-	e.cols.reset()
-	for i := range rows {
-		e.cols.add(&rows[i])
-	}
-	return e.payload(&e.cols)
 }
 
 // payload returns the payload of c's rows, leaving c as it was. It is

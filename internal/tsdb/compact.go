@@ -16,8 +16,8 @@ import (
 	"time"
 )
 
-// Compact merges all sealed segments into one. It is also triggered in
-// the background when the segment count reaches CompactMinSegments.
+// Compact merges all sealed segments into one. An Append whose seal makes
+// compactMinSegments segments compacts too.
 func (db *DB) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -38,28 +38,51 @@ func (db *DB) compactLocked() error {
 	lo := db.segs[0].lo
 	hi := db.segs[len(db.segs)-1].hi
 	path := filepath.Join(db.segDir(), segFileName(lo, hi))
-	sw, err := newSegmentWriter(path)
-	if err != nil {
-		return err
-	}
 	// Series ascending; per series the segments are already in time order
 	// (seal order + the monotonic append invariant). A series only the
-	// head holds has no chunks to copy. Rows are re-chunked, so a series'
-	// partial chunk at the end of one segment fills up from the next.
-	var d chunkDecoder
-	for _, s := range db.seriesLocked() {
-		for _, sr := range db.segs {
-			for _, e := range sr.bySeries[s] {
-				if err := sr.chunk(&d, e); err != nil {
-					return err
-				}
-				if err := sw.add(s, d.rows(0, d.n)); err != nil {
-					return err
+	// head holds has no chunks to copy. Rows are re-chunked every
+	// defaultChunkRows rows of a series, as the head cuts them, so a
+	// series' partial chunk at the end of one segment fills up from the
+	// next.
+	err := writeSegment(path, func(sw *segmentWriter) error {
+		var (
+			d    chunkDecoder
+			cols chunkCols
+			enc  chunkEncoder
+		)
+		cut := func(s int) error {
+			n := cols.rows()
+			if n == 0 {
+				return nil
+			}
+			err := sw.addChunk(s, enc.payload(&cols), cols.times[0], cols.times[n-1], n)
+			cols.reset()
+			return err
+		}
+		for _, s := range db.seriesLocked() {
+			for _, sr := range db.segs {
+				for _, e := range sr.bySeries[s] {
+					if err := sr.chunk(&d, e); err != nil {
+						return err
+					}
+					rows := d.rows(0, d.n)
+					for i := range rows {
+						cols.add(&rows[i])
+						if cols.rows() == defaultChunkRows {
+							if err := cut(s); err != nil {
+								return err
+							}
+						}
+					}
 				}
 			}
+			if err := cut(s); err != nil {
+				return err
+			}
 		}
-	}
-	if err := sw.finish(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	merged, err := openSegment(path, lo, hi)

@@ -14,7 +14,7 @@ import (
 // that was appended.
 func TestAppendCopiesRow(t *testing.T) {
 	const series, rounds = 3, 2*defaultChunkRows + 40
-	db, err := Open(t.TempDir(), Options{SyncEveryCommits: -1, CompactMinSegments: -1})
+	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestAppendCopiesRow(t *testing.T) {
 // and its chunk list's growth.
 func TestAppendReusesHeadStorage(t *testing.T) {
 	const series = 43
-	db, err := Open(t.TempDir(), Options{SyncEveryCommits: -1, CompactMinSegments: -1, HeadMaxRows: 1 << 20})
+	db, err := Open(t.TempDir(), Options{HeadMaxRows: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ type metrics struct {
 	segBytes    *obs.Counter // tsdb_bytes_written_total{kind="segment"}
 	walFsync    *obs.Histogram
 	compactDur  *obs.Histogram
+	compactErrs *obs.Counter // auto-compactions that failed in Append
 	segments    *obs.Gauge
 	headRows    *obs.Gauge
 	bytesPerRow *obs.Gauge // sealed bytes per row of the latest segment
@@ -27,6 +28,7 @@ func newMetrics(r *obs.Registry) *metrics {
 		segBytes:    r.Counter("tsdb_bytes_written_total", obs.L("kind", "segment")),
 		walFsync:    r.Histogram("tsdb_wal_fsync_seconds", nil),
 		compactDur:  r.Histogram("tsdb_compaction_seconds", nil),
+		compactErrs: r.Counter("tsdb_compaction_errors_total"),
 		segments:    r.Gauge("tsdb_segments"),
 		headRows:    r.Gauge("tsdb_head_rows"),
 		bytesPerRow: r.Gauge("tsdb_segment_bytes_per_row"),

@@ -66,7 +66,7 @@ func TestSegmentBytesPinned(t *testing.T) {
 	byRound := benchCampaign(2 * rounds)
 	open := func(dir string) *DB {
 		t.Helper()
-		db, err := Open(dir, Options{HeadMaxRows: 1 << 20, SyncEveryCommits: -1, CompactMinSegments: -1})
+		db, err := Open(dir, Options{HeadMaxRows: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,100 +69,53 @@ func (c *crcFileWriter) write(p []byte) error {
 	return err
 }
 
-// segmentWriter streams per-series row runs into a segment file. Rows for
-// a series must arrive in time order, and series in ascending order.
+// segmentWriter streams encoded chunks into a segment file. Chunks of a
+// series must arrive in time order, and series in ascending order.
 type segmentWriter struct {
-	cw        *crcFileWriter
-	path, tmp string
-	entries   []chunkEntry
-	curSeries int
-	buf       []Row
-	enc       chunkEncoder
+	cw      *crcFileWriter
+	entries []chunkEntry
 }
 
-func newSegmentWriter(path string) (*segmentWriter, error) {
+// writeSegment writes the chunks fill adds into a new segment file at
+// path, fsyncs it and renames it into place. On any error the temp file
+// is closed and removed.
+func writeSegment(path string, fill func(*segmentWriter) error) (retErr error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sw := &segmentWriter{
-		cw:        &crcFileWriter{f: f, w: bufio.NewWriterSize(f, 1<<20)},
-		path:      path,
-		tmp:       tmp,
-		curSeries: -1,
-	}
+	sw := &segmentWriter{cw: &crcFileWriter{f: f, w: bufio.NewWriterSize(f, 1<<20)}}
+	defer func() {
+		if retErr != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
 	if err := sw.cw.write([]byte(segMagic)); err != nil {
-		f.Close()
-		return nil, err
+		return err
 	}
-	return sw, nil
+	if err := fill(sw); err != nil {
+		return err
+	}
+	if err := sw.finish(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	wire.SyncDir(filepath.Dir(path))
+	return nil
 }
 
-// startSeries flushes the previous series' buffered rows when series
-// differs from it.
-func (sw *segmentWriter) startSeries(series int) error {
-	if series == sw.curSeries {
-		return nil
-	}
-	if series < sw.curSeries {
+// addChunk appends one encoded chunk of series and its CRC, and indexes
+// it.
+func (sw *segmentWriter) addChunk(series int, payload []byte, minT, maxT int64, rows int) error {
+	if n := len(sw.entries); n > 0 && series < sw.entries[n-1].series {
 		return fmt.Errorf("tsdb: segment writer: series out of order")
 	}
-	if err := sw.flushChunk(); err != nil {
-		return err
-	}
-	sw.curSeries = series
-	return nil
-}
-
-// add buffers rows, cutting a chunk every defaultChunkRows rows.
-func (sw *segmentWriter) add(series int, rows []Row) error {
-	if err := sw.startSeries(series); err != nil {
-		return err
-	}
-	for len(rows) > 0 {
-		n := defaultChunkRows - len(sw.buf)
-		if n > len(rows) {
-			n = len(rows)
-		}
-		sw.buf = append(sw.buf, rows[:n]...)
-		rows = rows[n:]
-		if len(sw.buf) >= defaultChunkRows {
-			if err := sw.flushChunk(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// addChunk writes a chunk encoded elsewhere (a head chunk) as is. Rows
-// still buffered for the series are flushed first; the seal adds no rows,
-// so it has none.
-func (sw *segmentWriter) addChunk(series int, payload []byte, minT, maxT int64, rows int) error {
-	if err := sw.startSeries(series); err != nil {
-		return err
-	}
-	if err := sw.flushChunk(); err != nil {
-		return err
-	}
-	return sw.writeChunk(payload, minT, maxT, rows)
-}
-
-func (sw *segmentWriter) flushChunk() error {
-	if len(sw.buf) == 0 {
-		return nil
-	}
-	err := sw.writeChunk(sw.enc.encode(sw.buf), sw.buf[0].Time, sw.buf[len(sw.buf)-1].Time, len(sw.buf))
-	sw.buf = sw.buf[:0]
-	return err
-}
-
-// writeChunk appends one chunk of the current series and its CRC, and
-// indexes it.
-func (sw *segmentWriter) writeChunk(payload []byte, minT, maxT int64, rows int) error {
 	e := chunkEntry{
-		series: sw.curSeries,
+		series: series,
 		offset: sw.cw.off,
 		length: uint64(len(payload)),
 		minT:   minT,
@@ -181,18 +134,8 @@ func (sw *segmentWriter) writeChunk(payload []byte, minT, maxT int64, rows int) 
 	return nil
 }
 
-// finish writes the index and footer, fsyncs, and atomically renames the
-// temp file into place.
-func (sw *segmentWriter) finish() (retErr error) {
-	defer func() {
-		if retErr != nil {
-			sw.cw.f.Close()
-			os.Remove(sw.tmp)
-		}
-	}()
-	if err := sw.flushChunk(); err != nil {
-		return err
-	}
+// finish writes the index and footer, then fsyncs and closes the file.
+func (sw *segmentWriter) finish() error {
 	var idx []byte
 	idx = binary.AppendUvarint(idx, uint64(len(sw.entries)))
 	for _, e := range sw.entries {
@@ -227,14 +170,7 @@ func (sw *segmentWriter) finish() (retErr error) {
 	if err := sw.cw.f.Sync(); err != nil {
 		return err
 	}
-	if err := sw.cw.f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(sw.tmp, sw.path); err != nil {
-		return err
-	}
-	wire.SyncDir(filepath.Dir(sw.path))
-	return nil
+	return sw.cw.f.Close()
 }
 
 // ---- reader ----

@@ -12,12 +12,12 @@
 //	            car ids), a sparse time index, and CRC32 footers
 //
 // Writes append to the WAL and an in-memory head, which keeps every full
-// chunk of a series encoded; when the head reaches HeadMaxRows it is
-// sealed into a segment and the WAL rotates. Opening a crashed DB replays
-// the WAL, so acknowledged (committed) rows survive.
-// Query(series, from, to) walks only the chunks overlapping the window;
-// background compaction merges small segments and an optional retention
-// policy drops segments past a time horizon.
+// chunk of a series encoded; every Commit fsyncs the WAL, so committed rows
+// survive a crash: opening a crashed DB replays the WAL. When the head
+// reaches HeadMaxRows, the Append that fills it seals it into a segment and
+// rotates the WAL; once that seal makes compactMinSegments segments, the
+// same Append merges them into one. Query(series, from, to) walks only the
+// chunks overlapping the window.
 package tsdb
 
 import (
@@ -29,7 +29,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -46,6 +45,10 @@ var ErrOutOfOrder = errors.New("tsdb: append out of time order")
 // ErrReadOnly is returned by mutating operations on a read-only DB.
 var ErrReadOnly = errors.New("tsdb: database is read-only")
 
+// compactMinSegments is the segment count at which an Append's seal
+// compacts the store.
+const compactMinSegments = 8
+
 // Options configures Open. The zero value is a writable DB with defaults.
 type Options struct {
 	// ReadOnly opens without creating or mutating anything on disk (no WAL
@@ -58,13 +61,6 @@ type Options struct {
 	// rows. Default 65536 (≈ 1,524 campaign rounds of 43 clients, one row
 	// per client per round).
 	HeadMaxRows int
-	// SyncEveryCommits fsyncs the WAL on every Nth Commit (default 1:
-	// every commit, i.e. one fsync per ping round). Negative disables
-	// periodic fsync; sealing and Close still sync.
-	SyncEveryCommits int
-	// CompactMinSegments triggers background compaction when the sealed
-	// segment count reaches it. Default 8; negative disables.
-	CompactMinSegments int
 	// Metrics receives tsdb gauges/histograms; nil disables (all obs
 	// handles are nil-safe).
 	Metrics *obs.Registry
@@ -73,12 +69,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.HeadMaxRows == 0 {
 		o.HeadMaxRows = 65536
-	}
-	if o.SyncEveryCommits == 0 {
-		o.SyncEveryCommits = 1
-	}
-	if o.CompactMinSegments == 0 {
-		o.CompactMinSegments = 8
 	}
 }
 
@@ -106,11 +96,7 @@ type DB struct {
 	headRaw   uint64 // WAL payload bytes backing the head (compression baseline)
 	lastTime  map[int]int64
 	recovered int
-	commits   uint64
 	closed    bool
-
-	compacting atomic.Bool
-	wg         sync.WaitGroup
 }
 
 // headSeries is one series' rows in the head: its full chunks, encoded
@@ -437,6 +423,11 @@ func (db *DB) Recovered() int { return db.recovered }
 // time order. The row is durable after the next Commit (or seal). The row
 // is borrowed: Append keeps nothing of it but its strings, so the caller
 // may reuse its Types and Cars as soon as Append returns.
+//
+// The row that fills the head seals it; if that seal makes
+// compactMinSegments segments, Append also compacts them. A failed
+// compaction is counted (tsdb_compaction_errors_total), not returned: the
+// seal is durable, the inputs stay, and the next seal tries again.
 func (db *DB) Append(row Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -462,34 +453,39 @@ func (db *DB) Append(row Row) error {
 	if row.Gap {
 		db.m.gapRows.Inc()
 	}
-	if db.headRows >= db.opts.HeadMaxRows {
-		return db.sealLocked()
+	if db.headRows < db.opts.HeadMaxRows {
+		return nil
+	}
+	if err := db.sealLocked(); err != nil {
+		return err
+	}
+	if len(db.segs) >= compactMinSegments {
+		if err := db.compactLocked(); err != nil {
+			db.m.compactErrs.Inc()
+		}
 	}
 	return nil
 }
 
 // Commit marks a batch boundary (the campaign calls it once per ping
-// round): the WAL is flushed, and fsynced per the sync policy, making
-// everything appended so far crash-durable.
+// round): the WAL is flushed and fsynced, making everything appended so
+// far crash-durable.
 func (db *DB) Commit() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed || db.opts.ReadOnly {
 		return ErrReadOnly
 	}
-	db.commits++
-	if db.opts.SyncEveryCommits > 0 && db.commits%uint64(db.opts.SyncEveryCommits) == 0 {
-		t0 := time.Now()
-		if err := db.wal.sync(); err != nil {
-			return err
-		}
-		db.m.walFsync.ObserveDuration(time.Since(t0))
-		return nil
+	t0 := time.Now()
+	if err := db.wal.sync(); err != nil {
+		return err
 	}
-	return db.wal.flush()
+	db.m.walFsync.ObserveDuration(time.Since(t0))
+	return nil
 }
 
-// Seal flushes the in-memory head into a sealed segment.
+// Seal flushes the in-memory head into a sealed segment. Unlike a seal in
+// Append, it never compacts.
 func (db *DB) Seal() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -505,30 +501,29 @@ func (db *DB) sealLocked() error {
 	}
 	seq := db.wal.seq
 	path := filepath.Join(db.segDir(), segFileName(seq, seq))
-	sw, err := newSegmentWriter(path)
-	if err != nil {
-		return err
-	}
 	// The encoded chunks are copied; only each series' open columns are
 	// encoded here. Cuts fall every defaultChunkRows rows of a series from
-	// the head's start, as a seal of the rows would cut them.
-	for _, s := range db.seriesLocked() {
-		hs := db.head[s]
-		if hs == nil {
-			continue
-		}
-		for _, c := range hs.chunks {
-			if err := sw.addChunk(s, c.payload, c.minT, c.maxT, defaultChunkRows); err != nil {
-				return err
+	// the head's start, as compaction cuts a series' rows.
+	err := writeSegment(path, func(sw *segmentWriter) error {
+		for _, s := range db.seriesLocked() {
+			hs := db.head[s]
+			if hs == nil {
+				continue
+			}
+			for _, c := range hs.chunks {
+				if err := sw.addChunk(s, c.payload, c.minT, c.maxT, defaultChunkRows); err != nil {
+					return err
+				}
+			}
+			if n := hs.open.rows(); n > 0 {
+				if err := sw.addChunk(s, db.enc.payload(&hs.open), hs.open.times[0], hs.open.times[n-1], n); err != nil {
+					return err
+				}
 			}
 		}
-		if n := hs.open.rows(); n > 0 {
-			if err := sw.addChunk(s, db.enc.payload(&hs.open), hs.open.times[0], hs.open.times[n-1], n); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sw.finish(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	sr, err := openSegment(path, seq, seq)
@@ -550,15 +545,6 @@ func (db *DB) sealLocked() error {
 	db.wal = w
 	db.resetHead()
 	db.updateGauges()
-	if db.opts.CompactMinSegments > 0 && len(db.segs) >= db.opts.CompactMinSegments &&
-		db.compacting.CompareAndSwap(false, true) {
-		db.wg.Add(1)
-		go func() {
-			defer db.wg.Done()
-			defer db.compacting.Store(false)
-			db.Compact()
-		}()
-	}
 	return nil
 }
 
@@ -664,9 +650,8 @@ func (db *DB) closeAll() {
 }
 
 // Close seals any buffered head rows (so a cleanly closed store recovers
-// nothing from the WAL) and releases all file handles.
+// nothing from the WAL) and releases all file handles. It never compacts.
 func (db *DB) Close() error {
-	db.wg.Wait() // let a background compaction finish
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {

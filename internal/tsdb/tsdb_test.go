@@ -1,12 +1,16 @@
 package tsdb
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // collect drains an iterator, copying each row.
@@ -39,34 +43,50 @@ func requireByteEqual(t *testing.T, got, want []Row) {
 	}
 }
 
-// campaign writes n rounds of nSeries clients (5s ping clock, occasional
-// gap rows) into db, committing once per round like the measurement loop.
-func campaign(t *testing.T, db *DB, rng *rand.Rand, nSeries, rounds int, start int64) []Row {
-	t.Helper()
-	var all []Row
-	perSeries := make(map[int][]Row)
-	for s := 0; s < nSeries; s++ {
+// campaignRows returns n rounds of nSeries clients (5s ping clock,
+// occasional gap rows) in append order: round by round, series ascending.
+// That is also the order QueryAll yields them in.
+func campaignRows(rng *rand.Rand, nSeries, rounds int, start int64) []Row {
+	perSeries := make([][]Row, nSeries)
+	for s := range perSeries {
 		perSeries[s] = randomRows(rng, s, rounds, start)
 	}
+	all := make([]Row, 0, nSeries*rounds)
 	for i := 0; i < rounds; i++ {
-		for s := 0; s < nSeries; s++ {
-			row := perSeries[s][i]
-			if err := db.Append(row); err != nil {
-				t.Fatalf("append: %v", err)
-			}
-			all = append(all, row)
-		}
-		if err := db.Commit(); err != nil {
-			t.Fatalf("commit: %v", err)
+		for s := range perSeries {
+			all = append(all, perSeries[s][i])
 		}
 	}
+	return all
+}
+
+// appendCampaign appends rows of nSeries clients, committing after every
+// round like the measurement loop.
+func appendCampaign(t *testing.T, db *DB, nSeries int, rows []Row) {
+	t.Helper()
+	for i, row := range rows {
+		if err := db.Append(row); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		if (i+1)%nSeries == 0 {
+			if err := db.Commit(); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+		}
+	}
+}
+
+// campaign writes n rounds of nSeries clients into db and returns them.
+func campaign(t *testing.T, db *DB, rng *rand.Rand, nSeries, rounds int, start int64) []Row {
+	t.Helper()
+	all := campaignRows(rng, nSeries, rounds, start)
+	appendCampaign(t, db, nSeries, all)
 	return all
 }
 
 // crash drops the DB's file handles without sealing or flushing buffered
 // WAL bytes — what a kill -9 leaves behind.
 func crash(db *DB) {
-	db.wg.Wait()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, sr := range db.segs {
@@ -302,27 +322,60 @@ func TestVerifyDetectsFlippedByte(t *testing.T) {
 	}
 }
 
+// TestAutoSealAndCompaction: the Append whose seal makes the
+// compactMinSegments-th segment merges them into one, under a reader
+// querying the store all along; Close's seal never compacts.
 func TestAutoSealAndCompaction(t *testing.T) {
+	const nSeries, perSeal = 4, 100
+	want := campaignRows(rand.New(rand.NewSource(16)), nSeries, compactMinSegments*perSeal/nSeries, 0)
 	dir := t.TempDir()
-	db, err := Open(dir, Options{HeadMaxRows: 100, CompactMinSegments: -1})
+	db, err := Open(dir, Options{HeadMaxRows: perSeal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(16))
-	want := campaign(t, db, rng, 4, 200, 0)
-	st := db.Stats()
-	if st.Segments < 2 {
-		t.Fatalf("auto-seal produced %d segments, want ≥2", st.Segments)
+
+	// Whatever the reader sees must be a prefix of the appended rows.
+	ctx, stopReader := context.WithCancel(context.Background())
+	defer stopReader()
+	done := make(chan error, 1)
+	go func() {
+		var a, b []byte
+		for ctx.Err() == nil {
+			it := db.QueryAll(-1<<62, 1<<62)
+			for i := 0; it.Next(); i++ {
+				a, b = appendRowBinary(a[:0], it.Row()), appendRowBinary(b[:0], &want[i])
+				if string(a) != string(b) {
+					done <- fmt.Errorf("reader: row %d differs from the row appended there", i)
+					return
+				}
+			}
+			if err := it.Err(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for seal := 1; seal <= compactMinSegments; seal++ {
+		appendCampaign(t, db, nSeries, want[(seal-1)*perSeal:seal*perSeal])
+		wantSegs := seal
+		if seal == compactMinSegments {
+			wantSegs = 1
+		}
+		if got := db.Stats().Segments; got != wantSegs {
+			t.Fatalf("after %d auto-seals: %d segments, want %d", seal, got, wantSegs)
+		}
 	}
-	if err := db.Compact(); err != nil {
+	stopReader()
+	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-	if got := db.Stats().Segments; got != 1 {
-		t.Fatalf("after compaction: %d segments, want 1", got)
 	}
 	requireByteEqual(t, collect(t, db.QueryAll(-1<<62, 1<<62)), want)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := segFiles(t, dir); len(got) != 1 || got[0] != segFileName(1, compactMinSegments) {
+		t.Fatalf("segment files %v, want the merged one", got)
 	}
 
 	// The merged file survives reopen and verification.
@@ -335,13 +388,89 @@ func TestAutoSealAndCompaction(t *testing.T) {
 	if _, err := Verify(dir); err != nil {
 		t.Fatalf("verify after compaction: %v", err)
 	}
+
+	// One row past the seventh auto-seal: Close seals it as the eighth
+	// segment and leaves all eight.
+	dir = t.TempDir()
+	db, err = Open(dir, Options{HeadMaxRows: perSeal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	some := want[:(compactMinSegments-1)*perSeal+1]
+	appendCampaign(t, db, nSeries, some)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := segFiles(t, dir); len(got) != compactMinSegments {
+		t.Fatalf("Close's seal left %d segment files, want %d: %v", len(got), compactMinSegments, got)
+	}
+	db2, err = Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	requireByteEqual(t, collect(t, db2.QueryAll(-1<<62, 1<<62)), some)
+}
+
+// TestAutoCompactionErrorCounted: an auto-compaction that fails is
+// counted and leaves the seal and its inputs as they are, Append still
+// succeeds, and the next auto-seal compacts.
+func TestAutoCompactionErrorCounted(t *testing.T) {
+	const nSeries, perSeal = 4, 100
+	want := campaignRows(rand.New(rand.NewSource(21)), nSeries, (compactMinSegments+1)*perSeal/nSeries, 0)
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	db, err := Open(dir, Options{HeadMaxRows: perSeal, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	errs := reg.Counter("tsdb_compaction_errors_total")
+	// A directory where the merged file's temp file goes stops the merge.
+	blocker := filepath.Join(dir, "seg", segFileName(1, compactMinSegments)+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	appendCampaign(t, db, nSeries, want[:compactMinSegments*perSeal])
+	if got := errs.Value(); got != 1 {
+		t.Fatalf("compaction errors = %d, want 1", got)
+	}
+	if got := db.Stats().Segments; got != compactMinSegments {
+		t.Fatalf("after a failed compaction: %d segments, want %d", got, compactMinSegments)
+	}
+	requireByteEqual(t, collect(t, db.QueryAll(-1<<62, 1<<62)), want[:compactMinSegments*perSeal])
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	appendCampaign(t, db, nSeries, want[compactMinSegments*perSeal:])
+	if got := db.Stats().Segments; got != 1 {
+		t.Fatalf("the next auto-seal left %d segments, want 1", got)
+	}
+	if got := errs.Value(); got != 1 {
+		t.Fatalf("compaction errors = %d, want 1", got)
+	}
+	requireByteEqual(t, collect(t, db.QueryAll(-1<<62, 1<<62)), want)
+}
+
+// segFiles lists the segment files in dir's seg directory.
+func segFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
+	}
+	return paths
 }
 
 func TestCompactionLeftoverCleanedOnOpen(t *testing.T) {
 	// A crash can leave a compaction input behind next to the merged file;
 	// open must prefer the merged file and ignore (then delete) the input.
 	dir := t.TempDir()
-	db, err := Open(dir, Options{HeadMaxRows: 60, CompactMinSegments: -1})
+	db, err := Open(dir, Options{HeadMaxRows: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +512,7 @@ func TestCompactionLeftoverCleanedOnOpen(t *testing.T) {
 
 func TestRangeQueryWindow(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{HeadMaxRows: 150, CompactMinSegments: -1})
+	db, err := Open(dir, Options{HeadMaxRows: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +654,7 @@ func TestIteratorSurvivesConcurrentSeal(t *testing.T) {
 	// An iterator snapshots its chunk refs; sealing or compacting under it
 	// must not invalidate the rows it yields.
 	dir := t.TempDir()
-	db, err := Open(dir, Options{CompactMinSegments: -1})
+	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@
 // recovery detects that and discards the stale WAL instead of replaying
 // duplicates.
 //
-// Appends are buffered; commit() flushes and (per the sync policy) fsyncs,
-// so one fsync covers a whole ping round — the fsync-batched write path.
+// Appends are buffered; DB.Commit flushes and fsyncs, so one fsync covers
+// a whole ping round — the fsync-batched write path.
 // Recovery replays records until the first bad length/CRC, truncates the
 // torn tail, and resumes appending from there.
 
@@ -74,8 +74,6 @@ func (w *walWriter) append(row *Row) error {
 	w.bytes += uint64(len(w.scratch))
 	return nil
 }
-
-func (w *walWriter) flush() error { return w.bw.Flush() }
 
 func (w *walWriter) sync() error {
 	if err := w.bw.Flush(); err != nil {

@@ -127,7 +127,7 @@ func TestWindowRowsDoNotAlias(t *testing.T) {
 // intact while it decodes more chunks, sealed and head alike, into the
 // same decoder.
 func TestIteratorRowsOutliveChunks(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{SyncEveryCommits: -1, CompactMinSegments: -1})
+	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
