@@ -185,7 +185,7 @@ func TestRunWindowFromStoreExtent(t *testing.T) {
 // print and correlate exactly two.
 func TestFollowStopsAtWindows(t *testing.T) {
 	dir := t.TempDir()
-	b, err := bus.Open(dir, bus.Options{})
+	b, err := bus.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

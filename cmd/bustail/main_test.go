@@ -18,7 +18,7 @@ import (
 func TestRun(t *testing.T) {
 	const n = 7
 	dir := t.TempDir()
-	b, err := bus.Open(dir, bus.Options{})
+	b, err := bus.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

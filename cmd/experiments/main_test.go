@@ -32,6 +32,7 @@ func TestRun(t *testing.T) {
 		{"negative hours", append(audit, "-hours", "-1"), 2, `^$`, "-hours must not be negative"},
 		{"zero days", append(audit, "-days", "0"), 2, `^$`, "-days must be at least 1"},
 		{"negative openstreetcab", append(audit, "-openstreetcab", "-1"), 2, `^$`, "-openstreetcab must not be negative"},
+		{"negative sim workers", []string{"-sim-workers", "-1", "-openstreetcab", "1"}, 2, `^$`, "workers -1"},
 		{"audit", audit, 0, `(?m)^engine-report: engine=additive .* offgrid-frac=1\.000 `, ""},
 		{"out in missing directory", append(audit, "-out", filepath.Join(t.TempDir(), "gone", "report.md")), 1, `^$`, "no such file"},
 		// A disk that fills while the report is written must not pass for

@@ -39,18 +39,16 @@ func (rt *busRuntime) Open() bool { return rt != nil && rt.open.Load() }
 // startBus opens the broker at dir, wires all four producers, and (when
 // ingestDir is non-empty) starts the live tsdb ingester consuming the
 // pings topic under the "uberd-ingest" group.
-func startBus(svc *api.Service, inj *chaos.Injector, reg *obs.Registry, logger *log.Logger, dir, ingestDir string, drop bool) (*busRuntime, error) {
-	br, err := bus.Open(dir, bus.Options{Drop: drop, Metrics: reg})
+func startBus(svc *api.Service, inj *chaos.Injector, reg *obs.Registry, logger *log.Logger, dir, ingestDir string) (*busRuntime, error) {
+	br, err := bus.Open(dir, reg)
 	if err != nil {
 		return nil, err
 	}
 	rt := &busRuntime{log: logger, broker: br}
-	// Publish failures are backpressure drops (already counted by the
-	// broker) or the shutdown race; neither is worth a log line per event.
+	// ErrClosed is the shutdown race, not worth a log line per event.
 	pub := func(t *bus.Topic) func(bus.Event) {
 		return func(ev bus.Event) {
-			err := t.Publish(ev)
-			if err != nil && !errors.Is(err, bus.ErrClosed) && !errors.Is(err, bus.ErrBackpressure) {
+			if err := t.Publish(ev); err != nil && !errors.Is(err, bus.ErrClosed) {
 				logger.Printf("bus %s: %v", t.Name(), err)
 			}
 		}

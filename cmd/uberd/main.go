@@ -87,7 +87,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 
 		busDir    = fs.String("bus", "", "publish backend events to an embedded bus broker at this directory")
 		busIngest = fs.String("bus-ingest", "", "live-ingest served pings into a tsdb campaign store at this directory (requires -bus)")
-		busDrop   = fs.Bool("bus-drop", false, "drop events instead of blocking publishers when a bus consumer falls behind")
 	)
 	var edge chaos.Edge
 	edge.Flags(fs, 5*time.Second)
@@ -131,12 +130,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	// backend.
 	var busRT *busRuntime
 	if *busDir != "" {
-		busRT, err = startBus(svc, injector, reg, logger, *busDir, *busIngest, *busDrop)
+		busRT, err = startBus(svc, injector, reg, logger, *busDir, *busIngest)
 		if err != nil {
 			logger.Printf("bus: %v", err)
 			return 1
 		}
-		logger.Printf("bus at %s (ingest %q, drop %v)", *busDir, *busIngest, *busDrop)
+		logger.Printf("bus at %s (ingest %q)", *busDir, *busIngest)
 	}
 
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)

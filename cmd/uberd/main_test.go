@@ -56,6 +56,7 @@ func TestRunRejects(t *testing.T) {
 		{"zero speedup", []string{"-speedup", "0"}, "-speedup must be positive"},
 		{"NaN speedup", []string{"-speedup", "NaN"}, "-speedup must be positive"},
 		{"zero fleet scale", []string{"-fleet-scale", "0"}, "-fleet-scale must be positive"},
+		{"negative sim workers", []string{"-sim-workers", "-1"}, "workers -1"},
 		{"fault probability above one", []string{"-chaos-error", "1.5"}, "-chaos-error 1.5"},
 		{"negative probability shifts the bands", []string{"-chaos-error", "-0.5", "-chaos-reset", "0.3"}, "-chaos-error -0.5"},
 		{"faults over unity", []string{"-chaos-error", "0.6", "-chaos-truncate", "0.6"}, "must sum to at most 1"},

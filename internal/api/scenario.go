@@ -32,8 +32,8 @@ type Scenario struct {
 	Workers int
 }
 
-// Validate reports what Build would refuse: an unknown city or engine, or
-// a scale that is negative, NaN or infinite.
+// Validate reports what Build would refuse: an unknown city or engine, a
+// scale that is negative, NaN or infinite, or a negative worker count.
 func (sc Scenario) Validate() error {
 	if _, err := sim.ProfileByName(sc.City); err != nil {
 		return err
@@ -43,6 +43,9 @@ func (sc Scenario) Validate() error {
 	}
 	if !(sc.Scale >= 0) || math.IsInf(sc.Scale, 1) {
 		return fmt.Errorf("fleet scale %v: must be finite and not negative", sc.Scale)
+	}
+	if sc.Workers < 0 {
+		return fmt.Errorf("workers %d: must not be negative (0 = GOMAXPROCS)", sc.Workers)
 	}
 	return nil
 }

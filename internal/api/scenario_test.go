@@ -12,9 +12,10 @@ import (
 )
 
 // TestScenarioValidate holds the rule commands apply to their flags before
-// Build: a known city (aliases included) and engine, and a scale that is
-// finite and not negative (0 runs the calibrated city). Build panics on
-// everything Validate refuses.
+// Build: a known city (aliases included) and engine, a scale that is
+// finite and not negative (0 runs the calibrated city), and a worker count
+// that is not negative (0 is GOMAXPROCS). Build panics on everything
+// Validate refuses.
 func TestScenarioValidate(t *testing.T) {
 	_, unknownCity := sim.ProfileByName("gotham")
 	cases := []struct {
@@ -31,6 +32,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"NaN scale", Scenario{City: "sf", Scale: math.NaN()}, "fleet scale NaN: must be finite and not negative"},
 		{"+Inf scale", Scenario{City: "sf", Scale: math.Inf(1)}, "fleet scale +Inf: must be finite and not negative"},
 		{"-Inf scale", Scenario{City: "sf", Scale: math.Inf(-1)}, "fleet scale -Inf: must be finite and not negative"},
+		{"negative workers", Scenario{City: "sf", Workers: -1}, "workers -1: must not be negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,4 +1,4 @@
-// The broker: topics, the append path, and backpressure.
+// The broker: topics and the append path.
 //
 // Layout on disk:
 //
@@ -7,20 +7,12 @@
 //	<dir>/<topic>/groups/<group>.off    a consumer group's committed offset
 //
 // The write path appends one frame per event with a single unbuffered
-// write, so the bytes are visible to same-host readers (the in-process
-// disk path and the cross-process Tailer) immediately through the page
-// cache; fsync happens only on Sync/Close. Each topic also keeps a
-// bounded in-memory ring of recently published events, so a caught-up
-// consumer is served without touching the disk at all — segments are read
-// back only when a consumer resumes from an old committed offset.
-//
-// Backpressure is per topic: publishing stalls (or drops, by policy)
-// while any attached consumer is more than maxInflight bytes behind the
-// bytes appended since it attached. Attach-relative accounting means a
-// consumer resuming into a large historical backlog does not instantly
-// freeze publishers; it throttles only growth it has seen and not yet
-// consumed. The ring holds 2×maxInflight, so a consumer inside its
-// backpressure budget always finds its next event in the ring.
+// write, so the bytes are visible to same-host readers (consumer groups
+// and the cross-process Tailer) immediately through the page cache; fsync
+// happens only on Sync/Close. The log is the only buffer: every reader
+// reads it back through the segment cursor, and since it is never
+// truncated, a reader that falls behind only reads further back — it
+// never holds up a publisher, and no event is dropped for it.
 
 package bus
 
@@ -40,56 +32,36 @@ import (
 
 // Errors returned by the publish path.
 var (
-	ErrClosed       = errors.New("bus: broker closed")
-	ErrBackpressure = errors.New("bus: event dropped (consumer too far behind)")
+	ErrClosed = errors.New("bus: broker closed")
 	// ErrTooLarge rejects an event whose Key, Str or Data is longer than
 	// the decoders accept: written, it would be a frame no reader gets
 	// past, and the next open would truncate the segment at it.
 	ErrTooLarge = errors.New("bus: event too large")
 )
 
-const (
-	// segmentBytes rolls a topic's active segment once it holds this many
-	// bytes. Rolling also resets the string dictionary, so segments stay
-	// self-contained.
-	segmentBytes = 1 << 20
-	// maxInflight bounds how many bytes may be appended to a topic beyond
-	// what its slowest attached consumer has read since it attached.
-	maxInflight = 4 << 20
-)
-
-// Options configures a Broker. The zero value is usable.
-type Options struct {
-	// Drop makes publishers over the in-flight bound drop the event
-	// (counted, ErrBackpressure) instead of blocking.
-	Drop bool
-	// Metrics receives the broker's counters and gauges; nil disables.
-	Metrics *obs.Registry
-}
+// segmentBytes rolls a topic's active segment once it holds this many
+// bytes. Rolling also resets the string dictionary, so segments stay
+// self-contained.
+const segmentBytes = 1 << 20
 
 // Broker is an embedded event broker rooted at one directory. All
 // methods are safe for concurrent use.
 type Broker struct {
-	dir  string
-	opts Options
+	dir string
+	reg *obs.Registry
 
 	mu     sync.Mutex
 	topics map[string]*Topic
 	closed bool
-	done   chan struct{}
 }
 
-// Open opens (creating if needed) a broker rooted at dir.
-func Open(dir string, opts Options) (*Broker, error) {
+// Open opens (creating if needed) a broker rooted at dir. reg receives
+// the broker's counters and gauges; nil disables them.
+func Open(dir string, reg *obs.Registry) (*Broker, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Broker{
-		dir:    dir,
-		opts:   opts,
-		topics: make(map[string]*Topic),
-		done:   make(chan struct{}),
-	}, nil
+	return &Broker{dir: dir, reg: reg, topics: make(map[string]*Topic)}, nil
 }
 
 // Topic opens (creating if needed) the named topic. A directory of the
@@ -111,14 +83,8 @@ func (b *Broker) Topic(name string) (*Topic, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Topic{
-		b:       b,
-		name:    name,
-		dir:     dir,
-		m:       newTopicMetrics(b.opts.Metrics, name),
-		readers: make(map[*Consumer]struct{}),
-	}
-	t.pubWait.L = &t.mu
+	t := &Topic{name: name, dir: dir, m: newTopicMetrics(b.reg, name)}
+	t.grew.L = &t.mu
 	if len(segs) == 0 {
 		err = t.roll(0)
 	} else {
@@ -161,9 +127,9 @@ func (b *Broker) Sync() error {
 	})
 }
 
-// Close syncs and closes every topic and unblocks stalled publishers and
-// waiting consumers. Events already published remain readable (consumers
-// drain from the ring and from disk); new publishes fail with ErrClosed.
+// Close syncs and closes every topic and wakes waiting consumers. Events
+// already published remain readable (consumers drain them from disk); new
+// publishes fail with ErrClosed.
 func (b *Broker) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -173,10 +139,9 @@ func (b *Broker) Close() error {
 	b.closed = true
 	b.mu.Unlock()
 
-	err := b.eachTopic(func(t *Topic) error {
+	return b.eachTopic(func(t *Topic) error {
 		t.closed = true
-		t.pubWait.Broadcast()
-		t.wake()
+		t.grew.Broadcast()
 		if t.f == nil {
 			return nil
 		}
@@ -187,8 +152,6 @@ func (b *Broker) Close() error {
 		t.f = nil
 		return err
 	})
-	close(b.done)
-	return err
 }
 
 // segInfo locates one segment file.
@@ -197,25 +160,16 @@ type segInfo struct {
 	path string
 }
 
-// ringEv is one cached event plus the cumulative appended-bytes
-// watermark after it (the unit of backpressure accounting).
-type ringEv struct {
-	ev   Event
-	size int64
-	cum  int64
-}
-
 // Topic is one named event stream: a single append-only log. All
 // mutable state is guarded by mu.
 type Topic struct {
-	b    *Broker
 	name string
 	dir  string
 	m    *topicMetrics
 
-	mu      sync.Mutex
-	pubWait sync.Cond // publishers stalled on backpressure
-	closed  bool
+	mu     sync.Mutex
+	grew   sync.Cond // broadcast when next grows and on Close
+	closed bool
 
 	f       *os.File // active segment
 	enc     *encDict
@@ -223,13 +177,6 @@ type Topic struct {
 	segSize int64 // bytes written to the active segment
 
 	next int64 // next offset to assign
-	cum  int64 // cumulative frame bytes appended since open
-
-	ring     []ringEv
-	ringLo   int64 // offset of ring[0]
-	ringSize int64
-
-	readers map[*Consumer]struct{}
 }
 
 // Name returns the topic's name.
@@ -277,7 +224,7 @@ func (t *Topic) recoverActive(seg segInfo) (err error) {
 	}
 	t.f, t.enc = f, c.dict.toEnc()
 	t.segSize = c.off - int64(len(segMagic))
-	t.next, t.ringLo = c.next, c.next
+	t.next = c.next
 	return nil
 }
 
@@ -305,21 +252,10 @@ func (t *Topic) roll(base int64) error {
 	return nil
 }
 
-// overLimit reports whether any attached reader is more than maxInflight
-// bytes behind the append watermark. Callers hold mu.
-func (t *Topic) overLimit() bool {
-	for c := range t.readers {
-		if t.cum-c.readCum > maxInflight {
-			return true
-		}
-	}
-	return false
-}
-
-// Publish appends ev to the topic's log, assigning ev.Seq. It blocks
-// while the topic is over its in-flight budget (or drops, under
-// Options.Drop). An event the decoders would reject is refused with
-// ErrTooLarge and nothing is written.
+// Publish appends ev to the topic's log at the next offset, which readers
+// see as its Seq (ev.Seq is ignored). It never waits for a reader, and it
+// keeps nothing of ev after it returns. An event the decoders would
+// reject is refused with ErrTooLarge and nothing is written.
 func (t *Topic) Publish(ev Event) error {
 	if len(ev.Key) > maxStringLen || len(ev.Str) > maxStringLen || len(ev.Data) > maxDataLen {
 		return fmt.Errorf("%w: key %d B, str %d B (limit %d), data %d B (limit %d)",
@@ -329,20 +265,6 @@ func (t *Topic) Publish(ev Event) error {
 	defer t.mu.Unlock()
 	if t.closed {
 		return ErrClosed
-	}
-	if t.b.opts.Drop {
-		if t.overLimit() {
-			t.m.dropped.Inc()
-			return ErrBackpressure
-		}
-	} else {
-		for t.overLimit() {
-			t.m.blocked.Inc()
-			t.pubWait.Wait()
-			if t.closed {
-				return ErrClosed
-			}
-		}
 	}
 
 	// Roll before encoding: encoding mutates the dictionary, which must
@@ -358,34 +280,12 @@ func (t *Topic) Publish(ev Event) error {
 	if _, err := t.f.Write(t.scratch); err != nil {
 		return err
 	}
-	size := int64(len(t.scratch))
-	t.segSize += size
-
-	ev.Seq = t.next
+	t.segSize += int64(len(t.scratch))
 	t.next++
-	t.cum += size
-	t.ring = append(t.ring, ringEv{ev: ev, size: size, cum: t.cum})
-	t.ringSize += size
-	for t.ringSize > 2*maxInflight && len(t.ring) > 1 {
-		t.ringSize -= t.ring[0].size
-		t.ring = t.ring[1:]
-		t.ringLo++
-	}
-
 	t.m.published.Inc()
-	t.m.pubBytes.Add(size)
-	t.wake()
+	t.m.pubBytes.Add(int64(len(t.scratch)))
+	t.grew.Broadcast()
 	return nil
-}
-
-// wake nudges every subscribed consumer (non-blocking). Callers hold mu.
-func (t *Topic) wake() {
-	for c := range t.readers {
-		select {
-		case c.notify <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // listSegments returns the topic directory's segment files sorted by
@@ -421,8 +321,6 @@ func listSegments(dir string) ([]segInfo, error) {
 type topicMetrics struct {
 	published *obs.Counter
 	pubBytes  *obs.Counter
-	dropped   *obs.Counter
-	blocked   *obs.Counter
 	skipped   *obs.Counter
 	reg       *obs.Registry
 	name      string
@@ -435,8 +333,6 @@ func newTopicMetrics(reg *obs.Registry, topic string) *topicMetrics {
 	}
 	m.published = reg.Counter("bus_publish_total", obs.L("topic", topic))
 	m.pubBytes = reg.Counter("bus_publish_bytes_total", obs.L("topic", topic))
-	m.dropped = reg.Counter("bus_dropped_total", obs.L("topic", topic))
-	m.blocked = reg.Counter("bus_backpressure_waits_total", obs.L("topic", topic))
 	m.skipped = reg.Counter("bus_skipped_events_total", obs.L("topic", topic))
 	return m
 }

@@ -16,9 +16,9 @@ import (
 	"repro/internal/wire"
 )
 
-func openTestBroker(t *testing.T, dir string, opts Options) *Broker {
+func openTestBroker(t *testing.T, dir string) *Broker {
 	t.Helper()
-	b, err := Open(dir, opts)
+	b, err := Open(dir, nil)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -59,7 +59,7 @@ func drain(c *Consumer) []Event {
 // tailer deliver the same sequence.
 func TestTotalOrderPerTopic(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{})
+	b := openTestBroker(t, dir)
 	defer b.Close()
 	tp := mustTopic(t, b, "t")
 
@@ -126,7 +126,7 @@ func TestTotalOrderPerTopic(t *testing.T) {
 
 func TestOffsetResumeAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{})
+	b := openTestBroker(t, dir)
 	tp := mustTopic(t, b, "t")
 	data := make([]byte, segmentBytes/16) // force several segments
 	for i := 0; i < 100; i++ {
@@ -155,7 +155,7 @@ func TestOffsetResumeAcrossRestart(t *testing.T) {
 	// Restart: same dir, new broker. The group resumes where it
 	// committed; together the two sessions see every event exactly once
 	// (no crash between processing and commit here).
-	b2 := openTestBroker(t, dir, Options{})
+	b2 := openTestBroker(t, dir)
 	defer b2.Close()
 	tp2 := mustTopic(t, b2, "t")
 	for i := 100; i < 120; i++ {
@@ -183,7 +183,7 @@ func TestOffsetResumeAcrossRestart(t *testing.T) {
 
 func TestAtLeastOnceRedeliveryWithoutCommit(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{})
+	b := openTestBroker(t, dir)
 	tp := mustTopic(t, b, "t")
 	for i := 0; i < 20; i++ {
 		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: "k"})
@@ -196,7 +196,7 @@ func TestAtLeastOnceRedeliveryWithoutCommit(t *testing.T) {
 	c.Close()
 	b.Close()
 
-	b2 := openTestBroker(t, dir, Options{})
+	b2 := openTestBroker(t, dir)
 	defer b2.Close()
 	tp2 := mustTopic(t, b2, "t")
 	c2, _ := tp2.Subscribe("g")
@@ -212,9 +212,9 @@ func TestAtLeastOnceRedeliveryWithoutCommit(t *testing.T) {
 	}
 }
 
-func TestResumeReadsFromDiskThenRing(t *testing.T) {
+func TestResumeReadsFromDisk(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{})
+	b := openTestBroker(t, dir)
 	tp := mustTopic(t, b, "t")
 	data := make([]byte, segmentBytes/16) // several segments
 	for i := 0; i < 50; i++ {
@@ -222,9 +222,10 @@ func TestResumeReadsFromDiskThenRing(t *testing.T) {
 	}
 	b.Close()
 
-	// The reopened broker's ring is empty: the first 50 events must come
-	// back from segment files, the next 10 from the live ring.
-	b2 := openTestBroker(t, dir, Options{})
+	// The first 50 events come back from the segments the first broker
+	// wrote, the next 10 from the active segment the reopened one appends
+	// to.
+	b2 := openTestBroker(t, dir)
 	defer b2.Close()
 	tp2 := mustTopic(t, b2, "t")
 	c, _ := tp2.Subscribe("g")
@@ -246,8 +247,11 @@ func TestResumeReadsFromDiskThenRing(t *testing.T) {
 	}
 }
 
-func TestBackpressureBlocksPublisher(t *testing.T) {
-	b := openTestBroker(t, t.TempDir(), Options{})
+// TestIdleConsumerDoesNotBlockPublish: a group that reads nothing holds
+// up no publisher: 16 MiB of events, sixteen segments' worth, reach the
+// log at once, and the group then reads every one back in order.
+func TestIdleConsumerDoesNotBlockPublish(t *testing.T) {
+	b := openTestBroker(t, t.TempDir())
 	defer b.Close()
 	tp := mustTopic(t, b, "t")
 	c, err := tp.Subscribe("g")
@@ -256,77 +260,41 @@ func TestBackpressureBlocksPublisher(t *testing.T) {
 	}
 	defer c.Close()
 
-	data := make([]byte, maxInflight/8)
-	blocked := make(chan struct{})
-	var published sync.WaitGroup
-	published.Add(1)
+	const n = 64
+	data := make([]byte, segmentBytes/4)
+	published := make(chan error, 1)
 	go func() {
-		defer published.Done()
-		for i := 0; i < 64; i++ {
-			if i == 16 {
-				// Well past maxInflight/event-size by now if nothing
-				// blocked; signal progress so the test can assert the
-				// publisher is stuck before this point.
-				close(blocked)
-			}
+		for i := 0; i < n; i++ {
 			if err := tp.Publish(Event{Time: int64(i), Kind: KindPing, Key: "k", Data: data}); err != nil {
-				t.Errorf("Publish: %v", err)
+				published <- err
 				return
 			}
 		}
+		published <- nil
 	}()
-
-	// The publisher must stall before event 16: about 7 events of an
-	// eighth of maxInflight each fit in flight with nothing consumed.
 	select {
-	case <-blocked:
-		t.Fatal("publisher ran past the in-flight budget without blocking")
-	case <-time.After(200 * time.Millisecond):
-	}
-	// A consuming reader releases it.
-	got := 0
-	for got < 64 {
-		if ev, ok := c.Next(); !ok {
-			t.Fatalf("consumer ended early after %d events", got)
-		} else if ev.Seq != int64(got) {
-			t.Fatalf("seq %d at position %d", ev.Seq, got)
-		}
-		got++
-	}
-	published.Wait()
-}
-
-func TestDropPolicyCountsDrops(t *testing.T) {
-	b := openTestBroker(t, t.TempDir(), Options{Drop: true})
-	defer b.Close()
-	tp := mustTopic(t, b, "t")
-	c, _ := tp.Subscribe("g")
-	defer c.Close()
-
-	data := make([]byte, maxInflight/4)
-	var dropped int
-	for i := 0; i < 32; i++ {
-		err := tp.Publish(Event{Time: int64(i), Kind: KindPing, Key: "k", Data: data})
-		switch err {
-		case nil:
-		case ErrBackpressure:
-			dropped++
-		default:
+	case err := <-published:
+		if err != nil {
 			t.Fatalf("Publish: %v", err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("publisher blocked behind a consumer that reads nothing")
 	}
-	if dropped == 0 {
-		t.Fatal("no events dropped despite a stalled consumer over the budget")
+	for i := int64(0); i < n; i++ {
+		ev, ok := c.TryNext()
+		if !ok || ev.Seq != i || ev.Time != i || len(ev.Data) != len(data) {
+			t.Fatalf("TryNext = seq %d time %d, %d B, %v; want seq %d", ev.Seq, ev.Time, len(ev.Data), ok, i)
+		}
 	}
-	if kept := len(drain(c)); kept+dropped != 32 {
-		t.Fatalf("kept %d + dropped %d != 32", kept, dropped)
+	if ev, ok := c.TryNext(); ok {
+		t.Fatalf("TryNext past the end = seq %d", ev.Seq)
 	}
 }
 
 func TestConcurrentPublishConsumeRace(t *testing.T) {
 	// Exercised under -race in CI: concurrent publishers on distinct
 	// keys, one consumer, commit/lag in the loop.
-	b := openTestBroker(t, t.TempDir(), Options{})
+	b := openTestBroker(t, t.TempDir())
 	defer b.Close()
 	tp := mustTopic(t, b, "t")
 	c, _ := tp.Subscribe("g")
@@ -366,7 +334,7 @@ func TestConcurrentPublishConsumeRace(t *testing.T) {
 
 func TestTailerFollowsLiveTopic(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{})
+	b := openTestBroker(t, dir)
 	defer b.Close()
 	tp := mustTopic(t, b, "surge.changes")
 	data := make([]byte, segmentBytes/8) // several segments
@@ -403,7 +371,7 @@ func TestTailerFollowsLiveTopic(t *testing.T) {
 
 func TestTornTailTruncatedOnReopen(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{})
+	b := openTestBroker(t, dir)
 	tp := mustTopic(t, b, "t")
 	for i := 0; i < 10; i++ {
 		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: "k"})
@@ -422,7 +390,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 	f.Write([]byte{0x13, 0x37, 0x00})
 	f.Close()
 
-	b2 := openTestBroker(t, dir, Options{})
+	b2 := openTestBroker(t, dir)
 	defer b2.Close()
 	tp2 := mustTopic(t, b2, "t")
 	// The torn tail is gone; appends continue at offset 10.
@@ -446,7 +414,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 // back up and carry on at the same base.
 func TestCrashInsideRollReopens(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{})
+	b := openTestBroker(t, dir)
 	tp := mustTopic(t, b, "t")
 	for i := 0; i < 3; i++ {
 		mustPublish(t, tp, Event{Time: int64(i), Kind: KindPing, Key: "k"})
@@ -457,7 +425,7 @@ func TestCrashInsideRollReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b2 := openTestBroker(t, dir, Options{})
+	b2 := openTestBroker(t, dir)
 	defer b2.Close()
 	tp2 := mustTopic(t, b2, "t")
 	mustPublish(t, tp2, Event{Time: 3, Kind: KindPing, Key: "k"})
@@ -481,12 +449,11 @@ func TestCrashInsideRollReopens(t *testing.T) {
 // segment costs every reader the same events — that segment's frames
 // from the damage on — and stalls none of them: the in-process consumer
 // and the cross-process tailer deliver the same offsets, the consumer
-// counts what it passed over, and publishers are not left blocked behind
-// a reader that will never move.
+// counts what it passed over, and it goes on to read every event
+// published after the damage.
 func TestDamagedSealedSegmentSameForAllReaders(t *testing.T) {
 	dir := t.TempDir()
-	var opts Options
-	b := openTestBroker(t, dir, opts)
+	b := openTestBroker(t, dir)
 	tp := mustTopic(t, b, "t")
 	const total = 200
 	payload := make([]byte, segmentBytes/32) // several segments
@@ -508,8 +475,11 @@ func TestDamagedSealedSegmentSameForAllReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts.Metrics = obs.NewRegistry()
-	b2 := openTestBroker(t, dir, opts)
+	reg := obs.NewRegistry()
+	b2, err := Open(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer b2.Close()
 	tp2 := mustTopic(t, b2, "t")
 	c, err := tp2.Subscribe("g")
@@ -542,12 +512,12 @@ func TestDamagedSealedSegmentSameForAllReaders(t *testing.T) {
 	if lag := c.Lag(); lag != 0 {
 		t.Fatalf("consumer lag %d after draining", lag)
 	}
-	if n := opts.Metrics.Counter("bus_skipped_events_total", obs.L("topic", "t")).Value(); n != lost {
+	if n := reg.Counter("bus_skipped_events_total", obs.L("topic", "t")).Value(); n != lost {
 		t.Fatalf("bus_skipped_events_total = %d, want %d", n, lost)
 	}
 
-	// Well past maxInflight in new events: a wedged reader would block this.
-	big := make([]byte, maxInflight/16)
+	// The consumer keeps up with 16 MiB of new events across new segments.
+	big := make([]byte, segmentBytes/4)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -575,7 +545,7 @@ func TestDamagedSealedSegmentSameForAllReaders(t *testing.T) {
 // the next open truncate them away.
 func TestOversizeEventRefused(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir, Options{})
+	b := openTestBroker(t, dir)
 	tp := mustTopic(t, b, "t")
 	for name, ev := range map[string]Event{
 		"key":  {Kind: KindFault, Key: strings.Repeat("k", maxStringLen+1)},
@@ -590,7 +560,7 @@ func TestOversizeEventRefused(t *testing.T) {
 		Str: strings.Repeat("/", maxStringLen), Data: make([]byte, maxDataLen)})
 	b.Close()
 
-	b2 := openTestBroker(t, dir, Options{})
+	b2 := openTestBroker(t, dir)
 	defer b2.Close()
 	c, err := mustTopic(t, b2, "t").Subscribe("g")
 	if err != nil {
@@ -645,7 +615,7 @@ func TestOldLayoutRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := openTestBroker(t, dir, Options{})
+		b := openTestBroker(t, dir)
 		if _, err := b.Topic(topic); err == nil || !strings.Contains(err.Error(), path) {
 			t.Errorf("Broker.Topic(%s) = %v, want an error naming %s", topic, err, path)
 		}
@@ -655,7 +625,7 @@ func TestOldLayoutRefused(t *testing.T) {
 		}
 	}
 
-	b := openTestBroker(t, dir, Options{})
+	b := openTestBroker(t, dir)
 	defer b.Close()
 	tp := mustTopic(t, b, "t")
 	old := wire.BeginFrame([]byte(offMagic))
@@ -674,7 +644,7 @@ func TestOldLayoutRefused(t *testing.T) {
 // topic with no consumer attached. It is the cost of the topic's one lock
 // under the api.pings load of concurrent HTTP handlers.
 func BenchmarkPublishParallel(b *testing.B) {
-	br, err := Open(b.TempDir(), Options{})
+	br, err := Open(b.TempDir(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,22 +26,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Consumer is one group's cursor over a topic. It is not safe for
-// concurrent use (one goroutine drives a consumer).
+// Consumer is one group's cursor over a topic: its offset and a segment
+// cursor, like a Tailer's. It is not safe for concurrent use (one
+// goroutine drives a consumer).
 type Consumer struct {
-	t      *Topic
-	group  string
-	notify chan struct{}
-	mCons  *obs.Counter
-	closed bool
+	t     *Topic
+	group string
+	mCons *obs.Counter
 
 	pos int64 // next offset to deliver
-	// readCum is the backpressure watermark: the cumulative-bytes value
-	// of the newest ring event this consumer has consumed, initialized to
-	// the topic's watermark at attach (resuming through an old backlog
-	// must not stall publishers).
-	readCum int64
-	// cur reads the segments back while pos is below the ring.
 	cur *segCursor
 }
 
@@ -52,55 +45,46 @@ func (t *Topic) Subscribe(group string) (*Consumer, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Consumer{
-		t:      t,
-		group:  group,
-		notify: make(chan struct{}, 1),
-		mCons:  t.m.consumed(group),
-	}
-	t.mu.Lock()
 	// An offset ahead of the log (a copied offsets file, a wiped topic
 	// dir): clamp rather than stall forever.
-	c.pos = min(pos, t.next)
-	c.readCum = t.cum
-	t.readers[c] = struct{}{}
-	t.mu.Unlock()
-	return c, nil
+	end, _ := t.end()
+	pos = min(pos, end)
+	return &Consumer{t: t, group: group, mCons: t.m.consumed(group), pos: pos, cur: newSegCursor(t.dir)}, nil
 }
 
 func (t *Topic) offsetPath(group string) string {
 	return filepath.Join(t.dir, "groups", group+".off")
 }
 
-// TryNext returns the next event if one is available: from the ring, or
-// through the segment cursor for positions the ring has evicted.
+// TryNext returns the next event if one is readable.
 func (c *Consumer) TryNext() (Event, bool) {
-	t := c.t
-	t.mu.Lock()
-	if c.pos >= t.next {
-		t.mu.Unlock()
-		return Event{}, false
-	}
-	if c.pos >= t.ringLo {
-		e := t.ring[c.pos-t.ringLo]
-		if e.cum > c.readCum {
-			c.readCum = e.cum
-			t.pubWait.Broadcast()
-		}
-		c.pos++
-		t.mu.Unlock()
-		c.closeCursor()
-		c.mCons.Inc()
-		return e.ev, true
-	}
-	t.mu.Unlock()
+	end, _ := c.t.end()
+	return c.readBelow(end)
+}
 
-	// Behind the ring. Everything below ringLo is fully framed on disk
-	// (frames are written before offsets advance), so what the cursor
-	// cannot read there is damage: it resumes at the next segment, and
-	// the offsets passed over are counted, never silently missing.
-	if c.cur == nil {
-		c.cur = newSegCursor(t.dir)
+// Next blocks until an event is readable or the broker is closed with
+// nothing left to drain, in which case ok is false. What the cursor
+// cannot read below the topic's end (damage in the active segment) it
+// waits out for the log to grow, rather than spinning on it.
+func (c *Consumer) Next() (Event, bool) {
+	for {
+		end, closed := c.t.end()
+		if ev, ok := c.readBelow(end); ok || closed {
+			return ev, ok
+		}
+		c.t.waitPast(end)
+	}
+}
+
+// readBelow delivers the next event through the cursor if the consumer's
+// position is below end, a topic end it read earlier; it reads without
+// the topic's lock. Everything below the end is fully framed on disk
+// (frames are written before the end advances), so what the cursor cannot
+// read there is damage: it resumes at the next segment, and the offsets
+// passed over are counted, never silently missing.
+func (c *Consumer) readBelow(end int64) (Event, bool) {
+	if c.pos >= end {
+		return Event{}, false
 	}
 	if c.cur.next != c.pos {
 		c.cur.seek(c.pos)
@@ -110,38 +94,36 @@ func (c *Consumer) TryNext() (Event, bool) {
 		return Event{}, false
 	}
 	if gap := ev.Seq - c.pos; gap > 0 {
-		t.m.skipped.Add(gap)
+		c.t.m.skipped.Add(gap)
 	}
 	c.pos = ev.Seq + 1
 	c.mCons.Inc()
 	return ev, true
 }
 
-// Next blocks until an event is available or the broker is closed with
-// nothing left to drain, in which case ok is false.
-func (c *Consumer) Next() (Event, bool) {
-	for {
-		if ev, ok := c.TryNext(); ok {
-			return ev, true
-		}
-		select {
-		case <-c.notify:
-		case <-c.t.b.done:
-			// Closed: deliver whatever is still unread, then report end.
-			if ev, ok := c.TryNext(); ok {
-				return ev, true
-			}
-			return Event{}, false
-		}
+// end returns the offset the next publish gets and whether the topic is
+// closed.
+func (t *Topic) end() (int64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.next, t.closed
+}
+
+// waitPast blocks until the topic's end moves past end or the topic is
+// closed.
+func (t *Topic) waitPast(end int64) {
+	t.mu.Lock()
+	for t.next == end && !t.closed {
+		t.grew.Wait()
 	}
+	t.mu.Unlock()
 }
 
 // Lag returns how many published events the consumer has not yet
 // delivered.
 func (c *Consumer) Lag() int64 {
-	c.t.mu.Lock()
-	defer c.t.mu.Unlock()
-	return c.t.next - c.pos
+	end, _ := c.t.end()
+	return end - c.pos
 }
 
 // Commit durably records the consumer's position. Events delivered
@@ -155,26 +137,8 @@ func (c *Consumer) Commit() error {
 	return nil
 }
 
-// Close detaches the consumer from the topic, releasing its
-// backpressure claim. It does not commit.
-func (c *Consumer) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.t.mu.Lock()
-	delete(c.t.readers, c)
-	c.t.pubWait.Broadcast()
-	c.t.mu.Unlock()
-	c.closeCursor()
-}
-
-func (c *Consumer) closeCursor() {
-	if c.cur != nil {
-		c.cur.close()
-		c.cur = nil
-	}
-}
+// Close releases the consumer's file handles. It does not commit.
+func (c *Consumer) Close() { c.cur.close() }
 
 // Offsets file: magic, then one wire frame whose payload is the offset.
 // Written atomically, so a reader sees the old or the new file, never a

@@ -1,15 +1,15 @@
 // The segment cursor: the one path from segment files to Events.
 //
-// Recovery (Broker.Topic), in-process catch-up below the ring
-// (Consumer) and the cross-process Tailer all read through it, so one
-// rule holds for every reader: a segment yields its intact prefix, and
-// once a segment with a higher base exists the cursor resumes at that
-// base — whatever is unreadable in between (a crash's torn tail, a
-// damaged frame and everything after it, whose dictionary state is lost)
-// is skipped, visible to the caller as a jump in Seq. The write path
-// makes polling safe: every frame is appended with a single write call,
-// so a read either sees a complete frame or an incomplete tail that will
-// be complete on a later read.
+// Recovery (Broker.Topic), consumer groups (Consumer) and the
+// cross-process Tailer all read through it, so one rule holds for every
+// reader: a segment yields its intact prefix, and once a segment with a
+// higher base exists the cursor resumes at that base — whatever is
+// unreadable in between (a crash's torn tail, a damaged frame and
+// everything after it, whose dictionary state is lost) is skipped,
+// visible to the caller as a jump in Seq. The write path makes polling
+// safe: every frame is appended with a single write call, so a read
+// either sees a complete frame or an incomplete tail that will be
+// complete on a later read.
 
 package bus
 
@@ -95,8 +95,14 @@ func (c *segCursor) readFrame() (Event, bool) {
 func (c *segCursor) nextEvent() (Event, bool) {
 	for {
 		if c.src != nil {
-			if ev, ok := c.readFrame(); ok {
-				return ev, true
+			// The buffered reader keeps an io.EOF it hit before later
+			// frames landed. A failed readFrame has rewound, so the
+			// second read sees the file as it is now; without it a
+			// consumer waits forever for frames already written.
+			for range 2 {
+				if ev, ok := c.readFrame(); ok {
+					return ev, true
+				}
 			}
 		}
 		seg, ok := c.segmentAfter()

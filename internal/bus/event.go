@@ -1,6 +1,6 @@
 // Package bus is an embedded, stdlib-only event broker: topics that are
 // each one append-only log on disk, consumer groups with committed
-// offsets that survive restart, and explicit backpressure. It is the
+// offsets that survive restart, and cross-process tailing. It is the
 // streaming counterpart of the batch measure→record→analyze pipeline: the
 // backend layers publish typed events as they happen, and consumers (the
 // live tsdb ingester, the streaming analyzer, the surgemap tail) turn
@@ -14,9 +14,9 @@
 //     numbered by Seq densely from 0;
 //   - at-least-once delivery: a consumer that crashes after processing
 //     but before Commit re-reads from its last committed offset;
-//   - bounded memory: each topic caps publisher-ahead-of-consumer bytes.
-//     Publishers block (default) or drop with a counter — the broker
-//     never buffers unboundedly.
+//   - nothing buffered in memory; a reader never holds up a publisher:
+//     every reader reads the log back from disk, however far behind it
+//     is, and every published event is written to it.
 package bus
 
 import "repro/internal/wire"
@@ -79,8 +79,8 @@ const (
 // layer's events fit without per-kind structs — Data carries the one
 // large payload (ping observations).
 //
-// The broker retains Key, Str, and Data after Publish returns; callers
-// must hand over buffers they will not mutate.
+// The broker keeps nothing of an event after Publish returns: the caller
+// may reuse its Data buffer at once.
 type Event struct {
 	// Seq is the event's offset within its topic, assigned by Publish
 	// (dense, starting at 0, in publish order).

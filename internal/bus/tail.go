@@ -5,9 +5,6 @@
 // attach to a live uberd from another process. The write path makes this
 // safe to poll, and the log is read through the same segment cursor
 // (cursor.go) the broker's own readers use.
-//
-// Tailers exert no backpressure (they are not attached readers); they
-// are observers, not participants.
 
 package bus
 
@@ -30,7 +27,7 @@ func OpenTail(busDir, topic string) (*Tailer, error) {
 	return &Tailer{cur: newSegCursor(dir)}, nil
 }
 
-// Poll appends every newly readable event, in publish order, to dst and
+// Poll appends every event readable now, in publish order, to dst and
 // returns the extended slice. It never blocks; an empty poll means no
 // complete new frames yet.
 func (t *Tailer) Poll(dst []Event) []Event {

@@ -122,30 +122,8 @@ func (tt *truthTracker) tick() {
 			total++
 		}
 	})
-	equal := true
-	for a := 1; a < n; a++ {
-		if tt.prevM[a] != tt.prevM[0] {
-			equal = false
-			break
-		}
-	}
 	for a := 0; a < n && total > 0; a++ {
-		cond := -1
-		if equal {
-			cond = 0
-		} else {
-			above := true
-			for b := 0; b < n; b++ {
-				if b != a && tt.prevM[a] < tt.prevM[b]+transition.SurgeMargin {
-					above = false
-					break
-				}
-			}
-			if above {
-				cond = 1
-			}
-		}
-		if cond >= 0 {
+		if cond := transition.ConditionOf(tt.prevM, a); cond >= 0 {
 			tt.run.Truth.counts[cond][a] += newBy[a]
 			tt.run.Truth.denom[cond][a] += total
 		}

@@ -85,7 +85,7 @@ func TestLiveIngestMatchesBatchStore(t *testing.T) {
 	}
 	camp.AddSink(batch)
 
-	br, err := bus.Open(filepath.Join(dir, "bus"), bus.Options{})
+	br, err := bus.Open(filepath.Join(dir, "bus"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ package sim
 import "repro/internal/bus"
 
 // SetEventSink installs fn to receive world events. The callback runs
-// synchronously inside Step on the caller's goroutine; a slow sink slows
-// the simulation (which is the point — backpressure reaches the source).
-// Pass nil to detach.
+// synchronously inside Step on the caller's goroutine, so what it costs
+// the simulation pays (a bus publish is one frame write). Pass nil to
+// detach.
 func (w *World) SetEventSink(fn func(bus.Event)) { w.events = fn }
 
 func (w *World) emit(kind bus.Kind, key string, area int, num float64, str string) {

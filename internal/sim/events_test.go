@@ -97,7 +97,7 @@ func BenchmarkStep(b *testing.B) {
 	})
 	b.Run("bus-publish", func(b *testing.B) {
 		run(b, func(b *testing.B) func(bus.Event) {
-			br, err := bus.Open(b.TempDir(), bus.Options{})
+			br, err := bus.Open(b.TempDir(), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

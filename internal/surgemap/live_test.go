@@ -50,7 +50,7 @@ func TestLiveTailFollowsEngine(t *testing.T) {
 	svc := api.Scenario{City: profile.Name, Seed: 9}.Build()
 
 	dir := t.TempDir()
-	br, err := bus.Open(dir, bus.Options{})
+	br, err := bus.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

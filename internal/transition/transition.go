@@ -161,34 +161,24 @@ func (s *Sink) flush() {
 	s.havePrev = true
 }
 
-// conditionOf returns, for each area, whether the previous interval was
-// "equal" everywhere or this specific area was surging above all
-// neighbors (or neither: -1).
-func (s *Sink) conditionOf(area int) Condition {
+// ConditionOf returns Fig 22's condition for one area, given every area's
+// multiplier over the previous interval: CondEqual when all areas had the
+// same one, CondSurging when area's was at least SurgeMargin above every
+// other area's, and -1 for neither.
+func ConditionOf(prev []float64, area int) Condition {
 	equal := true
-	for a := 1; a < len(s.prevSurge); a++ {
-		if s.prevSurge[a] != s.prevSurge[0] {
-			equal = false
-			break
-		}
+	for a := 1; a < len(prev); a++ {
+		equal = equal && prev[a] == prev[0]
 	}
 	if equal {
 		return CondEqual
 	}
-	above := true
-	for a := range s.prevSurge {
-		if a == area {
-			continue
-		}
-		if s.prevSurge[area] < s.prevSurge[a]+SurgeMargin {
-			above = false
-			break
+	for a, m := range prev {
+		if a != area && prev[area] < m+SurgeMargin {
+			return -1
 		}
 	}
-	if above {
-		return CondSurging
-	}
-	return -1
+	return CondSurging
 }
 
 // classify compares the previous and current interval snapshots.
@@ -222,7 +212,7 @@ func (s *Sink) classify() {
 	}
 	// Attribute the interval to each area's condition.
 	for a := range s.areas {
-		cond := s.conditionOf(a)
+		cond := ConditionOf(s.prevSurge, a)
 		if cond < 0 {
 			continue
 		}

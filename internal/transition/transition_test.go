@@ -81,27 +81,25 @@ func TestClassification(t *testing.T) {
 }
 
 func TestConditionOf(t *testing.T) {
-	profile := sim.Manhattan()
-	s := NewSink(profile, nil)
-	s.prevSurge = []float64{1, 1, 1, 1}
+	prev := []float64{1, 1, 1, 1}
 	for a := 0; a < 4; a++ {
-		if got := s.conditionOf(a); got != CondEqual {
+		if got := ConditionOf(prev, a); got != CondEqual {
 			t.Errorf("area %d: cond = %v, want equal", a, got)
 		}
 	}
-	s.prevSurge = []float64{1.5, 1, 1, 1.2}
-	if got := s.conditionOf(0); got != CondSurging {
+	prev = []float64{1.5, 1, 1, 1.2}
+	if got := ConditionOf(prev, 0); got != CondSurging {
 		t.Errorf("area 0: cond = %v, want surging (1.5 ≥ all+0.2)", got)
 	}
-	if got := s.conditionOf(3); got != -1 {
+	if got := ConditionOf(prev, 3); got != -1 {
 		t.Errorf("area 3: cond = %v, want -1 (not 0.2 above area 0)", got)
 	}
-	if got := s.conditionOf(1); got != -1 {
+	if got := ConditionOf(prev, 1); got != -1 {
 		t.Errorf("area 1: cond = %v, want -1", got)
 	}
 	// Exactly 0.2 above all: surging.
-	s.prevSurge = []float64{1.2, 1.0, 1.0, 1.0}
-	if got := s.conditionOf(0); got != CondSurging {
+	prev = []float64{1.2, 1.0, 1.0, 1.0}
+	if got := ConditionOf(prev, 0); got != CondSurging {
 		t.Errorf("margin boundary: cond = %v, want surging", got)
 	}
 }
