@@ -45,13 +45,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	maxN := fs.Int("n", 0, "stop after this many events (0 = until interrupted)")
 	poll := fs.Duration("poll", 200*time.Millisecond, "idle poll interval")
 	surgeMap := fs.Bool("surgemap", false, "render the live surge map from surge.changes instead of raw events")
-	areas := fs.Int("areas", len(sim.Manhattan().SurgeAreas()), "number of surge areas (with -surgemap; every city has the same count)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	switch {
 	case *busDir == "":
-		fmt.Fprintln(stderr, "usage: bustail -bus DIR [-topic NAME] [-json] [-n N] | -surgemap [-areas N]")
+		fmt.Fprintln(stderr, "usage: bustail -bus DIR [-topic NAME] [-json] [-n N] | -surgemap")
 		return 2
 	case *maxN < 0:
 		fmt.Fprintf(stderr, "bustail: -n must be >= 0 (got %d)\n", *maxN)
@@ -59,9 +58,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *poll <= 0:
 		// time.After(0) would turn the idle wait into a busy spin.
 		fmt.Fprintf(stderr, "bustail: -poll must be > 0 (got %s)\n", *poll)
-		return 2
-	case *surgeMap && *areas <= 0:
-		fmt.Fprintf(stderr, "bustail: -areas must be > 0 (got %d)\n", *areas)
 		return 2
 	}
 	if *surgeMap {
@@ -77,7 +73,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var lt *surgemap.LiveTail
 	if *surgeMap {
-		lt = surgemap.NewLiveTail(*areas)
+		// Every city has the same surge-area count (a sim test holds it).
+		lt = surgemap.NewLiveTail(len(sim.Manhattan().SurgeAreas()))
 	}
 	enc := json.NewEncoder(stdout)
 	seen := 0

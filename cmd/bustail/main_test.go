@@ -75,12 +75,11 @@ func TestRun(t *testing.T) {
 		{"zero poll", []string{"-bus", dir, "-poll", "0"}, 2, 0, "-poll must be > 0", ""},
 		// A negative count used to print nothing and exit 0.
 		{"negative count", []string{"-bus", dir, "-n", "-1"}, 2, 0, "-n must be >= 0", ""},
-		{"surgemap without areas", []string{"-bus", dir, "-surgemap", "-areas", "0"}, 2, 0, "-areas must be > 0", ""},
 		{"no such topic", []string{"-bus", dir, "-topic", "nope"}, 1, 0, "no such file", ""},
 		{"old layout", []string{"-bus", old}, 1, 0, filepath.Join(old, bus.TopicCars, "TOPIC.json"), ""},
 		{"live", []string{"-bus", dir, "-n", "7", "-json", "-poll", "5ms"}, 0, n, "", ""},
-		// The default -areas used to be 6 where every city has 4: two rows
-		// of the map never moved.
+		// The area count used to default to 6 where every city has 4: two
+		// rows of the map never moved.
 		{"surgemap", []string{"-bus", dir, "-surgemap", "-n", strconv.Itoa(changes), "-poll", "5ms"}, 0, 0, "", "/4 areas surging"},
 	}
 	for _, c := range cases {

@@ -167,7 +167,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		ready.AddCheck("bus", busRT.Open)
 	}
 
-	server := api.NewServer(svc, api.WithMetrics(reg), api.WithTracer(obs.NewTracer(4096)), api.WithReadiness(ready))
+	server := api.NewServer(svc, api.WithMetrics(reg))
 	mux := http.NewServeMux()
 	mux.Handle("/", edge.Wrap(server, injector, reg))
 	mux.Handle("GET /metrics", reg.Handler())

@@ -89,16 +89,13 @@ func TestHealthzReportsSimTime(t *testing.T) {
 	}
 }
 
-// TestServerHealthEndpoints pins the wiring NewServer does by default:
-// /healthz reports the sim clock, /readyz passes (the constructor
-// publishes the first epoch), and a caller-supplied Readiness can gate
-// and drain the shard.
+// TestServerHealthEndpoints pins the wiring NewServer does: /healthz
+// reports the sim clock and /readyz passes (the constructor publishes the
+// first epoch). Draining is the Readiness and TestServe tests' concern.
 func TestServerHealthEndpoints(t *testing.T) {
 	svc := Scenario{City: "manhattan", Seed: 3}.Build()
 	svc.RunUntil(600)
-	rd := NewReadiness()
-	rd.AddCheck("epoch", svc.EpochPublished)
-	ts := httptest.NewServer(NewServer(svc, WithReadiness(rd)))
+	ts := httptest.NewServer(NewServer(svc))
 	defer ts.Close()
 
 	get := func(path string) int {
@@ -128,16 +125,6 @@ func TestServerHealthEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if body.Time != 600 {
 		t.Errorf("healthz time = %d, want 600 (the gateway prober reads this)", body.Time)
-	}
-
-	// Draining fails readiness while liveness stays up — the shutdown
-	// sequence a fronting gateway observes.
-	rd.SetDraining(true)
-	if code := get("/readyz"); code != http.StatusServiceUnavailable {
-		t.Errorf("readyz while draining = %d, want 503", code)
-	}
-	if code := get("/healthz"); code != http.StatusOK {
-		t.Errorf("healthz while draining = %d, want 200", code)
 	}
 }
 

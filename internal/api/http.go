@@ -31,15 +31,11 @@ const maxLoginBody = 4 << 10 // 4 KiB
 // diverge.
 //
 // When built with WithMetrics, every endpoint records request counts by
-// status class and a latency histogram under the "endpoint" label; with
-// WithTracer, each request leaves a span named "http" carrying endpoint
-// and status attributes.
+// status class and a latency histogram under the "endpoint" label.
 type Server struct {
-	svc    *Service
-	mux    *http.ServeMux
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	ready  *Readiness
+	svc *Service
+	mux *http.ServeMux
+	reg *obs.Registry
 }
 
 // ServerOption configures a Server.
@@ -50,28 +46,14 @@ func WithMetrics(reg *obs.Registry) ServerOption {
 	return func(s *Server) { s.reg = reg }
 }
 
-// WithTracer records one span per request into t.
-func WithTracer(t *obs.Tracer) ServerOption {
-	return func(s *Server) { s.tracer = t }
-}
-
-// WithReadiness serves GET /readyz from rd instead of the default
-// (epoch-published) readiness, so a daemon can fold draining and bus
-// state into the same endpoint the gateway probes.
-func WithReadiness(rd *Readiness) ServerOption {
-	return func(s *Server) { s.ready = rd }
-}
-
 // NewServer wraps svc in an HTTP handler.
 func NewServer(svc *Service, opts ...ServerOption) *Server {
 	s := &Server{svc: svc, mux: http.NewServeMux()}
 	for _, o := range opts {
 		o(s)
 	}
-	if s.ready == nil {
-		s.ready = NewReadiness()
-		s.ready.AddCheck("epoch", svc.EpochPublished)
-	}
+	ready := NewReadiness()
+	ready.AddCheck("epoch", svc.EpochPublished)
 	s.route("POST /login", "/login", s.handleLogin)
 	s.route("GET /pingClient", "/pingClient", s.handlePing)
 	s.route("GET /estimates/price", "/estimates/price", query(svc.EstimatePrice))
@@ -82,7 +64,7 @@ func NewServer(svc *Service, opts ...ServerOption) *Server {
 	// Liveness and readiness are not instrumented endpoints: they are the
 	// gateway prober's signal and must stay cheap and unconditional.
 	s.mux.Handle("GET /healthz", Healthz(svc.Now))
-	s.mux.Handle("GET /readyz", s.ready.Handler())
+	s.mux.Handle("GET /readyz", ready.Handler())
 	return s
 }
 
@@ -100,42 +82,36 @@ func (sr *statusRecorder) WriteHeader(code int) {
 	sr.ResponseWriter.WriteHeader(code)
 }
 
-// route registers pattern on the mux with metrics/tracing instrumentation
-// keyed by the stable endpoint name.
+// route registers pattern on the mux with metrics instrumentation keyed
+// by the stable endpoint name.
 func (s *Server) route(pattern, endpoint string, h http.HandlerFunc) {
-	if s.reg == nil && s.tracer == nil {
+	if s.reg == nil {
 		s.mux.HandleFunc(pattern, h)
 		return
 	}
 	// Resolve metric handles once per endpoint, not per request: the
 	// status-class counters and the latency histogram are the hot path.
+	// The specific 429 and 400 counters are the statuses the paper's
+	// measurement campaign cares about (rate limiting and bad probes).
 	lbl := obs.L("endpoint", endpoint)
-	classes := [4]*obs.Counter{
-		s.reg.Counter("http_requests_total", lbl, obs.L("class", "2xx")),
-		s.reg.Counter("http_requests_total", lbl, obs.L("class", "3xx")),
-		s.reg.Counter("http_requests_total", lbl, obs.L("class", "4xx")),
-		s.reg.Counter("http_requests_total", lbl, obs.L("class", "5xx")),
-	}
+	class := func(c string) *obs.Counter { return s.reg.Counter("http_requests_total", lbl, obs.L("class", c)) }
+	classes := [4]*obs.Counter{class("2xx"), class("3xx"), class("4xx"), class("5xx")}
+	limited, bad := class("429"), class("400")
 	hist := s.reg.Histogram("http_request_duration_seconds", obs.DefLatencyBuckets, lbl)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r)
-		dur := time.Since(start)
-		hist.ObserveDuration(dur)
+		hist.ObserveDuration(time.Since(start))
 		if i := rec.status/100 - 2; i >= 0 && i < len(classes) {
 			classes[i].Inc()
 		}
-		// Specific counters for the statuses the paper's measurement
-		// campaign cares about (rate limiting and bad probes).
 		switch rec.status {
 		case http.StatusTooManyRequests:
-			s.reg.Counter("http_requests_total", lbl, obs.L("class", "429")).Inc()
+			limited.Inc()
 		case http.StatusBadRequest:
-			s.reg.Counter("http_requests_total", lbl, obs.L("class", "400")).Inc()
+			bad.Inc()
 		}
-		s.tracer.Record("http", start, dur, lbl,
-			obs.L("status", strconv.Itoa(rec.status)))
 	})
 }
 

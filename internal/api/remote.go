@@ -46,7 +46,7 @@ type Remote struct {
 
 	retry      chaos.Backoff
 	noRetry    bool
-	breakerCfg chaos.BreakerConfig
+	breakerCfg chaos.BreakerConfig // zero: the chaos package defaults
 	noBreaker  bool
 	budget     *retryBudget
 
@@ -130,11 +130,6 @@ func WithoutRetry() RemoteOption {
 	return func(r *Remote) { r.noRetry = true }
 }
 
-// WithBreaker overrides the per-endpoint circuit-breaker policy.
-func WithBreaker(cfg chaos.BreakerConfig) RemoteOption {
-	return func(r *Remote) { r.breakerCfg = cfg }
-}
-
 // WithoutBreaker disables circuit breaking.
 func WithoutBreaker() RemoteOption {
 	return func(r *Remote) { r.noBreaker = true }
@@ -216,13 +211,9 @@ func (r *Remote) breaker(endpoint string) *chaos.Breaker {
 	b, ok := r.breakers[endpoint]
 	if !ok {
 		cfg := r.breakerCfg
-		prev := cfg.OnStateChange
-		cfg.OnStateChange = func(from, to chaos.BreakerState) {
+		cfg.OnStateChange = func(_, to chaos.BreakerState) {
 			if to == chaos.BreakerOpen {
 				r.mOpens.Inc()
-			}
-			if prev != nil {
-				prev(from, to)
 			}
 		}
 		b = chaos.NewBreaker(cfg)

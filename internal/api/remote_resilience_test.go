@@ -214,8 +214,9 @@ func TestRemoteCircuitBreaker(t *testing.T) {
 	reg := obs.NewRegistry()
 	remote := NewRemote(ts.URL, ts.Client(),
 		WithBackoff(chaos.Backoff{Base: time.Millisecond, Cap: time.Millisecond, MaxAttempts: 2}),
-		WithBreaker(chaos.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond}),
 		WithRegistry(reg))
+	// A fast-tripping policy, set before the first call creates a breaker.
+	remote.breakerCfg = chaos.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond}
 
 	// Two failed calls (each exhausting its 2 attempts) trip the breaker.
 	for i := 0; i < 2; i++ {

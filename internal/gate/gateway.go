@@ -80,7 +80,7 @@ func (c *Config) defaults() {
 }
 
 // login is one remembered registration (client or partner), replayed into
-// shards that recover or join after the account was created.
+// a shard that answers 401 for its account (see relogin).
 type login struct {
 	path string
 	body []byte
@@ -106,7 +106,6 @@ type Gateway struct {
 	mSheds     func(region string) *obs.Counter
 	mProxyErrs *obs.Counter
 	mRelogins  *obs.Counter
-	mReplays   *obs.Counter
 }
 
 // NewGateway validates cfg and builds the gateway (probing starts with
@@ -129,7 +128,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		s := &Shard{
 			ShardSpec: spec,
 			breaker:   chaos.NewBreaker(chaos.BreakerConfig{Threshold: 3, Cooldown: 2 * cfg.HealthInterval}),
-			onUp:      g.replayLogins,
 			mUp:       reg.Gauge("gate_shard_up", obs.L("shard", spec.Name)),
 			mReady:    reg.Gauge("gate_shard_ready", obs.L("shard", spec.Name)),
 			mDown:     reg.Counter("gate_shard_down_total", obs.L("shard", spec.Name)),
@@ -153,7 +151,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	g.mProxyErrs = reg.Counter("gate_proxy_errors_total")
 	g.mRelogins = reg.Counter("gate_relogins_total")
-	g.mReplays = reg.Counter("gate_login_replays_total")
 	return g, nil
 }
 
@@ -460,9 +457,9 @@ func (g *Gateway) relogin(s *Shard, r *http.Request) (*http.Response, bool) {
 }
 
 // handleLogin broadcasts a registration to every currently eligible
-// shard and remembers it for replay into shards that recover later. One
-// acknowledging shard is enough to answer 200: the account exists
-// somewhere, and the replay/relogin paths heal the rest — refusing the
+// shard and remembers it for relogin. One acknowledging shard is enough
+// to answer 200: the account exists somewhere, and relogin heals any
+// shard that lacks it on its first query for the account — refusing the
 // login because one replica is mid-crash would fail work the fleet can
 // absorb.
 func (g *Gateway) handleLogin(path, idField string) http.HandlerFunc {
@@ -524,28 +521,6 @@ func (g *Gateway) postLogin(ctx context.Context, s *Shard, l login) bool {
 	}()
 	s.breaker.Report(resp.StatusCode < 500)
 	return resp.StatusCode == http.StatusOK
-}
-
-// replayLogins pushes every remembered registration into a shard that
-// just became ready, so accounts created while it was down (or before it
-// joined) exist there before any query is routed to it.
-func (g *Gateway) replayLogins(s *Shard) {
-	g.mu.Lock()
-	all := make([]login, 0, len(g.logins))
-	for _, l := range g.logins {
-		all = append(all, l)
-	}
-	g.mu.Unlock()
-	if len(all) == 0 {
-		return
-	}
-	go func() {
-		for _, l := range all {
-			if g.postLogin(context.Background(), s, l) {
-				g.mReplays.Inc()
-			}
-		}
-	}()
 }
 
 // handleHealth answers /health with the maximum simulation time across

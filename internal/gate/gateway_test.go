@@ -24,11 +24,11 @@ import (
 
 // backendServer runs a warm city backend behind an httptest server, the
 // way a real uberd shard looks to the gateway (API + /healthz + /readyz).
-func backendServer(t *testing.T, profile *sim.CityProfile, seed int64, opts ...api.ServerOption) *httptest.Server {
+func backendServer(t *testing.T, profile *sim.CityProfile, seed int64) *httptest.Server {
 	t.Helper()
 	svc := api.Scenario{City: profile.Name, Seed: seed}.Build()
 	svc.RunUntil(600)
-	ts := httptest.NewServer(api.NewServer(svc, opts...))
+	ts := httptest.NewServer(api.NewServer(svc))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -401,16 +401,26 @@ func TestGatewayReloginAfterShardLosesAccounts(t *testing.T) {
 	t.Fatal("test is vacuous: manhattan-1 owns no grid cell")
 }
 
-func TestGatewayReplaysLoginsIntoRecoveredShard(t *testing.T) {
+// TestGatewayHealsRecoveredShard: a shard that was not ready while an
+// account registered learns it on the first query routed to it, through
+// one relogin, and keeps it.
+func TestGatewayHealsRecoveredShard(t *testing.T) {
 	mh := sim.Manhattan()
 	tsA := backendServer(t, mh, 1)
 
 	// Shard B reports not-ready until the test flips it — a shard that is
-	// warming up while accounts are being created elsewhere.
+	// warming up while accounts are being created elsewhere. Its /readyz
+	// is mounted beside the API server, the way uberd mounts it.
 	var up atomic.Bool
 	rd := api.NewReadiness()
 	rd.AddCheck("warm", up.Load)
-	tsB := backendServer(t, mh, 1, api.WithReadiness(rd))
+	svcB := api.Scenario{City: mh.Name, Seed: 1}.Build()
+	svcB.RunUntil(600)
+	muxB := http.NewServeMux()
+	muxB.Handle("/", api.NewServer(svcB))
+	muxB.Handle("GET /readyz", rd.Handler())
+	tsB := httptest.NewServer(muxB)
+	defer tsB.Close()
 
 	reg := obs.NewRegistry()
 	g := startGateway(t, Config{
@@ -427,26 +437,36 @@ func TestGatewayReplaysLoginsIntoRecoveredShard(t *testing.T) {
 
 	registerVia(t, gw.URL, "c1") // only manhattan-0 is ready to take it
 
-	up.Store(true) // shard B becomes ready; the gateway replays c1 into it
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		resp, err := http.Get(fmt.Sprintf("%s/estimates/price?client=c1&lat=%f&lng=%f",
-			tsB.URL, mh.Origin.Lat, mh.Origin.Lng))
+	up.Store(true) // shard B becomes ready, still without c1
+	b := g.Shards()[1]
+	for deadline := time.Now().Add(3 * time.Second); !b.Eligible(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("manhattan-1 never became eligible")
+		}
+	}
+
+	relogins := reg.Counter("gate_relogins_total")
+	for _, loc := range grid(mh, 8) {
+		route, err := g.Router().Pick(loc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			break // B knows the account now
+		if route.Shard != b {
+			continue
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("login never replayed into recovered shard (last status %d)", resp.StatusCode)
+		// The first query relogins c1 into B; the second finds it there.
+		for i := 0; i < 2; i++ {
+			code, shard := getShardHeader(t, gw.URL, "c1", loc)
+			if code != 200 || shard != "manhattan-1" {
+				t.Fatalf("query %d after recovery: code %d via %q", i, code, shard)
+			}
+			if v := relogins.Value(); v != 1 {
+				t.Fatalf("after query %d: gate_relogins_total = %d, want 1", i, v)
+			}
 		}
-		time.Sleep(10 * time.Millisecond)
+		return
 	}
-	if v := reg.Counter("gate_login_replays_total").Value(); v == 0 {
-		t.Error("gate_login_replays_total = 0, want > 0")
-	}
+	t.Fatal("test is vacuous: manhattan-1 owns no grid cell")
 }
 
 func TestGatewayMetricsFanIn(t *testing.T) {

@@ -60,10 +60,6 @@ type Shard struct {
 	ready   atomic.Bool
 	simTime atomic.Int64 // last simulation time /healthz reported
 
-	// onUp, when set, fires on every not-ready→ready transition (the
-	// gateway replays known logins into the recovered shard).
-	onUp func(*Shard)
-
 	mUp    *obs.Gauge   // 1 while alive
 	mReady *obs.Gauge   // 1 while ready
 	mDown  *obs.Counter // transitions alive→down
@@ -101,16 +97,13 @@ func (s *Shard) setAlive(v bool) {
 	}
 }
 
-// setReady records a readiness transition, firing onUp on recovery.
+// setReady records a readiness transition.
 func (s *Shard) setReady(v bool) {
 	if s.ready.Swap(v) == v {
 		return
 	}
 	if v {
 		s.mReady.Set(1)
-		if s.onUp != nil {
-			s.onUp(s)
-		}
 	} else {
 		s.mReady.Set(0)
 	}

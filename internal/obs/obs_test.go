@@ -33,20 +33,12 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("x")
 	g := r.Gauge("y")
 	h := r.Histogram("z", nil)
-	var tr *Tracer
 	c.Inc()
 	g.Set(1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	tr.Record("e", time.Now(), 0)
-	sp := tr.Start("e")
-	sp.AddAttr("k", "v")
-	sp.End()
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Error("nil metrics recorded values")
-	}
-	if tr.Drain() != nil || tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Error("nil tracer not empty")
 	}
 	var buf strings.Builder
 	r.WritePrometheus(&buf)
@@ -168,40 +160,5 @@ func TestPrometheusExposition(t *testing.T) {
 	r2.WritePrometheus(&buf)
 	if !strings.Contains(buf.String(), `d_seconds_bucket{endpoint="/x",le="1"} 1`) {
 		t.Errorf("labeled histogram exposition wrong:\n%s", buf.String())
-	}
-}
-
-func TestTracerRing(t *testing.T) {
-	tr := NewTracer(3)
-	base := time.Unix(0, 0)
-	for i := 0; i < 5; i++ {
-		tr.Record("step", base.Add(time.Duration(i)*time.Second),
-			time.Millisecond, L("i", string(rune('a'+i))))
-	}
-	if got := tr.Dropped(); got != 2 {
-		t.Errorf("dropped = %d, want 2", got)
-	}
-	spans := tr.Drain()
-	if len(spans) != 3 {
-		t.Fatalf("drained %d spans, want 3", len(spans))
-	}
-	// Oldest-first: records c, d, e survive.
-	for i, want := range []string{"c", "d", "e"} {
-		if got := spans[i].Attr("i"); got != want {
-			t.Errorf("span %d attr = %q, want %q", i, got, want)
-		}
-	}
-	if spans[0].Attr("missing") != "" {
-		t.Error("absent attr not empty")
-	}
-	if tr.Len() != 0 {
-		t.Error("drain did not clear")
-	}
-	// Start/End path records a measured duration.
-	sp := tr.Start("op", L("k", "v"))
-	sp.End()
-	got := tr.Drain()
-	if len(got) != 1 || got[0].Name != "op" || got[0].Attr("k") != "v" || got[0].Dur < 0 {
-		t.Errorf("active span recorded wrong: %+v", got)
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is the repo's dependency-free observability kit: a metrics
 // registry (atomic counters, gauges, and fixed-bucket latency histograms
-// with quantile snapshots) plus a ring-buffered structured event tracer.
+// with quantile snapshots) and its Prometheus text exposition.
 //
 // The paper this repo reproduces is a measurement study — pingClient
 // latency bands, the 5-minute surge clock, jitter windows — so the serving
@@ -9,7 +9,7 @@
 // cmd/loadgen or GET /metrics on cmd/uberd).
 //
 // All metric handles are nil-safe: methods on a nil *Counter, *Gauge,
-// *Histogram, or *Tracer are no-ops, and a nil *Registry hands out nil
+// or *Histogram are no-ops, and a nil *Registry hands out nil
 // handles. Instrumented code therefore wires metrics unconditionally and
 // pays nothing when observability is off.
 package obs
