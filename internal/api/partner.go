@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"repro/internal/geo"
@@ -18,8 +19,9 @@ type PartnerArea struct {
 	Surge    float64      `json:"surge"`
 }
 
-// ErrNotPartner is returned when a non-driver account queries the
-// Partner surface.
+// ErrNotPartner is returned when a rider account queries the Partner
+// surface. A driver with no account at all gets ErrUnknownAccount, as on
+// every other endpoint: that 401 is what makes the gateway relogin it.
 var ErrNotPartner = errors.New("api: account is not a registered partner")
 
 // RegisterPartner creates a driver account. The paper notes Uber requires
@@ -42,6 +44,9 @@ func (s *Service) RegisterPartner(driverID string, agreeNoScraping bool) error {
 // driver map has no jitter). Served from the published snapshot, lock-free.
 func (s *Service) PartnerMap(driverID string) ([]PartnerArea, error) {
 	if !s.accounts.isPartner(driverID) {
+		if !s.accounts.exists(driverID) {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownAccount, driverID)
+		}
 		return nil, ErrNotPartner
 	}
 	st := s.acquire()

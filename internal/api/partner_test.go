@@ -14,8 +14,9 @@ func TestPartnerMapRequiresAgreement(t *testing.T) {
 	if err := s.RegisterPartner("driver-1", false); err == nil {
 		t.Fatal("registration without agreement should fail")
 	}
-	if _, err := s.PartnerMap("driver-1"); !errors.Is(err, ErrNotPartner) {
-		t.Fatalf("err = %v, want ErrNotPartner", err)
+	// The refused registration created no account.
+	if _, err := s.PartnerMap("driver-1"); !errors.Is(err, ErrUnknownAccount) {
+		t.Fatalf("err = %v, want ErrUnknownAccount", err)
 	}
 	if err := s.RegisterPartner("driver-1", true); err != nil {
 		t.Fatal(err)
@@ -108,14 +109,26 @@ func TestPartnerHTTPEndpoints(t *testing.T) {
 		t.Errorf("areas = %d", len(m))
 	}
 
-	// Unknown driver: 403.
+	// Unknown driver: 401, like an unknown client, so a gateway relogins it.
 	resp, err = http.Get(ts.URL + "/partner/surgeMap?driver=ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Errorf("ghost driver: status %d, want 401", resp.StatusCode)
+	}
+	// A rider account that is not a partner: 403.
+	if err := svc.Register("rider"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/partner/surgeMap?driver=rider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusForbidden {
-		t.Errorf("ghost driver: status %d, want 403", resp.StatusCode)
+		t.Errorf("rider account: status %d, want 403", resp.StatusCode)
 	}
 	// Missing driver param: 400.
 	resp, err = http.Get(ts.URL + "/partner/surgeMap")

@@ -435,7 +435,17 @@ func TestGatewayHealsRecoveredShard(t *testing.T) {
 	gw := httptest.NewServer(g.Handler())
 	defer gw.Close()
 
-	registerVia(t, gw.URL, "c1") // only manhattan-0 is ready to take it
+	// Only manhattan-0 is ready to take the rider and the driver.
+	registerVia(t, gw.URL, "c1")
+	body, _ := json.Marshal(map[string]any{"driver_id": "d1", "agree_no_scraping": true})
+	resp, err := http.Post(gw.URL+"/partner/login", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("partner login via gateway: status %d", resp.StatusCode)
+	}
 
 	up.Store(true) // shard B becomes ready, still without c1
 	b := g.Shards()[1]
@@ -446,6 +456,7 @@ func TestGatewayHealsRecoveredShard(t *testing.T) {
 	}
 
 	relogins := reg.Counter("gate_relogins_total")
+	healed := false
 	for _, loc := range grid(mh, 8) {
 		route, err := g.Router().Pick(loc)
 		if err != nil {
@@ -464,9 +475,31 @@ func TestGatewayHealsRecoveredShard(t *testing.T) {
 				t.Fatalf("after query %d: gate_relogins_total = %d, want 1", i, v)
 			}
 		}
-		return
+		healed = true
+		break
 	}
-	t.Fatal("test is vacuous: manhattan-1 owns no grid cell")
+	if !healed {
+		t.Fatal("test is vacuous: manhattan-1 owns no grid cell")
+	}
+
+	// The partner map routes at the region's origin. B lacks d1, answers
+	// 401, and the gateway relogins the driver the same way.
+	if route, err := g.Router().Pick(mh.Origin); err != nil || route.Shard != b {
+		t.Fatalf("test is vacuous: origin routes to %v (err %v), want manhattan-1", route.Shard, err)
+	}
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(gw.URL + "/partner/surgeMap?driver=d1&region=" + mh.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if shard := resp.Header.Get("X-Ubergate-Shard"); resp.StatusCode != 200 || shard != "manhattan-1" {
+			t.Fatalf("partner map %d after recovery: code %d via %q", i, resp.StatusCode, shard)
+		}
+		if v := relogins.Value(); v != 2 {
+			t.Fatalf("after partner map %d: gate_relogins_total = %d, want 2", i, v)
+		}
+	}
 }
 
 func TestGatewayMetricsFanIn(t *testing.T) {

@@ -423,24 +423,11 @@ func TestCalendarHelpers(t *testing.T) {
 	}
 }
 
-// TestEveryCityHasManhattansAreaCount holds the one count bustail
-// -surgemap sizes its live map by.
-func TestEveryCityHasManhattansAreaCount(t *testing.T) {
-	want := len(Manhattan().SurgeAreas())
-	for _, name := range []string{"manhattan", "mhtn", "nyc", "sf", "sanfrancisco"} {
-		p, err := ProfileByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(p.SurgeAreas()); got != want {
-			t.Errorf("%s: %d surge areas, Manhattan has %d", name, got, want)
-		}
-	}
-}
-
 func TestSurgeAreasPartitionRegion(t *testing.T) {
 	for _, p := range []*CityProfile{Manhattan(), SanFrancisco()} {
 		areas := p.SurgeAreas()
+		// Every city has Manhattan's 4: bustail -surgemap sizes its map
+		// by len(Manhattan().SurgeAreas()).
 		if len(areas) != 4 {
 			t.Fatalf("%s: %d areas, want 4", p.Name, len(areas))
 		}
