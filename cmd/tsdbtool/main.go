@@ -3,7 +3,8 @@
 //
 // Usage:
 //
-//	tsdbtool inspect DIR            summarize segments, series, time range
+//	tsdbtool inspect DIR            summarize segments, series, time range,
+//	                                bytes per chunk column
 //	tsdbtool verify DIR             walk every CRC; nonzero exit on damage
 //	tsdbtool compact DIR            merge all sealed segments into one
 //	tsdbtool convert -in A -out B   old gzip recording → store, store → text
@@ -84,9 +85,22 @@ func inspect(w io.Writer, dir string) error {
 			st.MinTime, st.MaxTime, float64(st.MaxTime-st.MinTime)/3600)
 	}
 	fmt.Fprintf(w, "series: %d\n", len(db.Series()))
-	if rows := st.SegmentRows + int64(st.HeadRows); rows > 0 && st.SegmentBytes > 0 {
-		fmt.Fprintf(w, "bytes/row (sealed): %.1f\n", float64(st.SegmentBytes)/float64(st.SegmentRows))
+	if st.SegmentRows == 0 {
+		return nil
 	}
+	fmt.Fprintf(w, "bytes/row (sealed): %.1f\n", float64(st.SegmentBytes)/float64(st.SegmentRows))
+	cols, err := db.Columns()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "chunk payloads (%d chunks): section, bytes, B/row\n", cols.Chunks)
+	perRow := func(name string, n int64) {
+		fmt.Fprintf(w, "  %-10s %12d %8.1f\n", name, n, float64(n)/float64(cols.Rows))
+	}
+	for i, name := range tsdb.ChunkSections {
+		perRow(name, cols.Sections[i])
+	}
+	perRow("headers", cols.Headers)
 	return nil
 }
 

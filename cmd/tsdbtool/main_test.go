@@ -73,6 +73,7 @@ func TestRun(t *testing.T) {
 		{"jsonl to tsdb", []string{"convert", "-in", rec, "-out", store}, 0, "converted 6 rows (city=manhattan, 2 clients)", ""},
 		{"verify", []string{"verify", store}, 0, "sealed rows: 6\nwal: recovered 0 rows\nok\n", ""},
 		{"inspect", []string{"inspect", store}, 0, "campaign: city=manhattan clients=2 start=600", ""},
+		{"inspect columns", []string{"inspect", store}, 0, "chunk payloads (2 chunks): section, bytes, B/row\n  dictionary ", ""},
 		{"tsdb to jsonl", []string{"convert", "-in", store, "-out", back}, 0, "converted 6 rows", ""},
 		{"compact", []string{"compact", store}, 0, "compacted 1 segments", ""},
 		{"missing -out", []string{"convert", "-in", rec}, 1, "", "-in and -out are required"},

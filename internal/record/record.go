@@ -219,8 +219,9 @@ const (
 // of one round share a timestamp), and returns the number of rounds
 // replayed. hdr places each series (client) for the sinks. Every row is
 // filled into one response that each sink borrows (see client.Sink). If a
-// chunk is damaged, every row before it is delivered first and the returned
-// error wraps ErrTruncated.
+// chunk is damaged, every row of every series before that chunk's first
+// timestamp is delivered first, so the rounds before the damage are whole,
+// and the returned error wraps ErrTruncated.
 func Replay(db *tsdb.DB, hdr Header, from, to int64, sinks ...client.Sink) (rounds int64, err error) {
 	var resp core.PingResponse
 	cur := int64(-1)

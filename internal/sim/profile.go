@@ -340,20 +340,20 @@ func sfWeekendCurve() [24]float64 {
 }
 
 // NormalizedShares returns the product shares normalized to sum to 1, in
-// vehicle-type order. Missing products get share 0.
+// vehicle-type order. Missing products get share 0. The sum runs in
+// vehicle-type order too: float addition is not associative, so a sum in
+// map order would change the shares' last bits from call to call.
 func NormalizedShares(shares map[core.VehicleType]float64) []float64 {
 	out := make([]float64, core.NumVehicleTypes)
 	var sum float64
-	for _, v := range shares {
-		sum += v
+	for _, vt := range core.AllVehicleTypes() {
+		sum += shares[vt]
 	}
 	if sum == 0 {
 		return out
 	}
-	for vt, v := range shares {
-		if int(vt) < len(out) {
-			out[int(vt)] = v / sum
-		}
+	for _, vt := range core.AllVehicleTypes() {
+		out[vt] = shares[vt] / sum
 	}
 	return out
 }

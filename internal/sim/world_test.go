@@ -478,6 +478,24 @@ func TestNormalizedShares(t *testing.T) {
 	}
 }
 
+// TestNormalizedSharesDeterministic: 5,000 calls give one bit-identical
+// fleet and demand CDF per city. Summed in map order, they gave two or
+// three CDFs differing in the last bits.
+func TestNormalizedSharesDeterministic(t *testing.T) {
+	for _, p := range []*CityProfile{Manhattan(), SanFrancisco()} {
+		for name, shares := range map[string]map[core.VehicleType]float64{"fleet": p.FleetShare, "demand": p.DemandShare} {
+			first := cdfOf(NormalizedShares(shares))
+			for i := 0; i < 5000; i++ {
+				for j, v := range cdfOf(NormalizedShares(shares)) {
+					if math.Float64bits(v) != math.Float64bits(first[j]) {
+						t.Fatalf("%s %s: call %d gives CDF[%d] = %v, the first gave %v", p.Name, name, i, j, v, first[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestProfilesMatchPaperOrdering(t *testing.T) {
 	m, s := Manhattan(), SanFrancisco()
 	// SF has ~58% more Ubers than Manhattan.

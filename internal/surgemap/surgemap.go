@@ -199,26 +199,11 @@ func (m *Map) Accuracy(truth func(geo.Point) int) float64 {
 	if len(m.Points) == 0 {
 		return 0
 	}
-	// Majority true label per cluster.
-	votes := make([]map[int]int, m.NumClusters)
-	for i := range votes {
-		votes[i] = make(map[int]int)
-	}
 	trueOf := make([]int, len(m.Points))
 	for i, pt := range m.Points {
 		trueOf[i] = truth(pt)
-		votes[m.Cluster[i]][trueOf[i]]++
 	}
-	majority := make([]int, m.NumClusters)
-	for c, v := range votes {
-		best, bestN := -1, -1
-		for lbl, n := range v {
-			if n > bestN {
-				best, bestN = lbl, n
-			}
-		}
-		majority[c] = best
-	}
+	majority := m.majority(trueOf)
 	ok := 0
 	for i := range m.Points {
 		if majority[m.Cluster[i]] == trueOf[i] {
@@ -226,6 +211,30 @@ func (m *Map) Accuracy(truth func(geo.Point) int) float64 {
 		}
 	}
 	return float64(ok) / float64(len(m.Points))
+}
+
+// majority returns each cluster's most frequent label in trueOf (one per
+// point), breaking a tie by the lowest label so the answer never depends
+// on map order; an empty cluster gets -1.
+func (m *Map) majority(trueOf []int) []int {
+	votes := make([]map[int]int, m.NumClusters)
+	for i := range votes {
+		votes[i] = make(map[int]int)
+	}
+	for i, lbl := range trueOf {
+		votes[m.Cluster[i]][lbl]++
+	}
+	majority := make([]int, m.NumClusters)
+	for c, v := range votes {
+		best, bestN := -1, -1
+		for lbl, n := range v {
+			if n > bestN || n == bestN && lbl < best {
+				best, bestN = lbl, n
+			}
+		}
+		majority[c] = best
+	}
+	return majority
 }
 
 // unionFind is a standard disjoint-set with path compression.

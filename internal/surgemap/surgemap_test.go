@@ -119,3 +119,19 @@ func TestAccuracyDegenerate(t *testing.T) {
 		t.Errorf("accuracy = %v, want 0.5", got)
 	}
 }
+
+// TestMajorityTieLowestLabel: a cluster whose true labels tie 2–2 takes
+// the lower label, whatever order the votes map yields them in.
+func TestMajorityTieLowestLabel(t *testing.T) {
+	m := &Map{
+		Points:      make([]geo.Point, 7),
+		Cluster:     []int{0, 0, 0, 0, 1, 1, 1},
+		NumClusters: 3, // cluster 2 is empty
+	}
+	trueOf := []int{5, 2, 5, 2, 9, 3, 9}
+	for i := 0; i < 5000; i++ {
+		if got := m.majority(trueOf); got[0] != 2 || got[1] != 9 || got[2] != -1 {
+			t.Fatalf("call %d: majorities %v, want [2 9 -1]", i, got)
+		}
+	}
+}

@@ -67,9 +67,10 @@ func TestSealAllocBudget(t *testing.T) {
 }
 
 // TestRangeQueryAllocBudget: a 120-round window of a sealed 1,600-round
-// store builds only the window's rows, so a QueryAll allocates at most
-// twice what those rows occupy. Decoding every overlapping 512-row chunk
-// whole costs more than four times as much.
+// store copies only the window's rows out of each chunk, as columns, and
+// lends one row at a time, so a QueryAll allocates less than the window's
+// rows would occupy as Row, TypeObs and Car values. Building every
+// overlapping 512-row chunk whole costs more than four times as much.
 func TestRangeQueryAllocBudget(t *testing.T) {
 	byRound := benchCampaign(1600)
 	db := campaignStore(t, byRound, Options{})
@@ -98,8 +99,68 @@ func TestRangeQueryAllocBudget(t *testing.T) {
 	if want := uint64(120 * len(byRound[0])); rows != want {
 		t.Fatalf("window holds %d rows, want %d", rows, want)
 	}
-	if bytes > 2*size {
-		t.Errorf("a window of %d B of rows allocated %d B, budget %d", size, bytes, 2*size)
+	if bytes > size {
+		t.Errorf("a window of %d B of rows allocated %d B, budget %d", size, bytes, size)
+	}
+}
+
+// sealedCampaign is a sealed store of the benchmark campaign's rows
+// (benchCampaign's, drawn from the same seed in the same order), appended
+// one series at a time and sealed once, so the test never holds every row.
+func sealedCampaign(t *testing.T, rounds int) *DB {
+	t.Helper()
+	db, err := Open(t.TempDir(), Options{HeadMaxRows: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(99))
+	for s := 0; s < 43; s++ {
+		for _, row := range randomRows(rng, s, rounds, 0) {
+			if err := db.Append(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestQueryAllAllocBounded: a full QueryAll lends one row at a time and
+// keeps one chunk window per series, so what it allocates is bounded by
+// the series, not the rows: at most 100 B per row of a 4,096-round store,
+// and at most twice what the same scan of a 1,024-round store allocates.
+// Building each window's rows into fresh slabs cost 377.5 B per row at
+// 4,096 rounds, 3.9 times the 1,024-round scan.
+func TestQueryAllAllocBounded(t *testing.T) {
+	scan := func(rounds int) (rows, bytes uint64) {
+		db := sealedCampaign(t, rounds)
+		defer db.Close()
+		_, bytes = allocated(func() {
+			it := db.QueryAll(-1<<62, 1<<62)
+			for it.Next() {
+				rows++
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := uint64(43 * rounds); rows != want {
+			t.Fatalf("scan of %d rounds saw %d rows, want %d", rounds, rows, want)
+		}
+		return rows, bytes
+	}
+	smallRows, small := scan(1024)
+	rows, bytes := scan(4096)
+	perRow := float64(bytes) / float64(rows)
+	t.Logf("1,024 rounds: %d B (%.1f B/row); 4,096 rounds: %d B (%.1f B/row, %.2fx)",
+		small, float64(small)/float64(smallRows), bytes, perRow, float64(bytes)/float64(small))
+	if perRow > 100 {
+		t.Errorf("a full scan of %d rows allocated %.1f B per row, budget 100", rows, perRow)
+	}
+	if bytes > 2*small {
+		t.Errorf("a full scan of 4,096 rounds allocated %d B, budget twice the 1,024-round scan's %d B", bytes, small)
 	}
 }
 

@@ -18,6 +18,7 @@ package tsdb
 
 import (
 	"encoding/binary"
+	"math"
 	"sort"
 
 	"repro/internal/wire"
@@ -39,16 +40,6 @@ func encodeChunk(rows []Row) []byte {
 	}
 	var e chunkEncoder
 	return e.payload(&c)
-}
-
-// decodeChunk decodes a chunk payload into rows, assigning every row the
-// given series. It never panics on corrupt input.
-func decodeChunk(payload []byte, series int) ([]Row, error) {
-	var d chunkDecoder
-	if err := d.decode(payload, series); err != nil {
-		return nil, err
-	}
-	return d.rows(0, d.n), nil
 }
 
 // chunkCols is a chunk being built: the columns and dictionary of the
@@ -147,33 +138,40 @@ func (e *chunkEncoder) payload(c *chunkCols) []byte {
 	return buf
 }
 
+// decodedCols is rows of one series as decoded columns: a whole chunk in
+// its decoder, or the rows of a query's window copied out of it. Row k's
+// types are [firstType[k], firstType[k+1]) and type j's cars
+// [firstCar[j], firstCar[j+1]), counted from the first type and car held;
+// reason[k] is a gap row's reason, -1 for an observation. Names, car ids
+// and reasons index strs, the chunk's dictionary.
+type decodedCols struct {
+	series            int
+	strs              []string
+	times             []int64
+	reason, firstType []int32   // per row (firstType: one entry more)
+	name, firstCar    []int32   // per type (firstCar: one entry more)
+	surge, ewt        []float64 // per type
+	carID             []int32   // per car
+	lat, lng          []float64 // per car
+	// ints and floats back the columns of a copied window, so it costs a
+	// handful of slabs; a decoder's columns grow one by one.
+	ints   []int32
+	floats []float64
+}
+
 // chunkDecoder is the chunk decoder. decode validates a whole payload
-// into column scratch the decoder keeps from one chunk to the next; rows
-// and window then build only the rows a caller asks for. It also holds
-// the read buffer segmentReader.chunk fills.
+// into columns the decoder keeps from one chunk to the next; window then
+// copies out only the rows a caller asks for. It also holds the read
+// buffer segmentReader.chunk fills.
 type chunkDecoder struct {
-	read   []byte
-	series int
-	n      int // rows decoded
-	strs   []string
-	times  []int64
-	// Per row: the index of its first type (n+1 entries, a prefix sum), and
-	// the dictionary id of a gap row's reason, -1 for an observation.
-	firstType []int
-	reason    []int
-	// Per type: the name's dictionary id, surge, EWT and the index of its
-	// first car (one entry more than types).
-	name       []int
-	surge, ewt []float64
-	firstCar   []int
-	// Per car.
-	carID    []int
-	lat, lng []float64
+	read []byte
+	n    int // rows decoded
+	decodedCols
 }
 
 // decode validates payload — every count, every column length and every
-// dictionary reference, of every row — and keeps its columns for rows and
-// window. It never panics on corrupt input.
+// dictionary reference, of every row — and keeps its columns for window
+// and rowBuf.build. It never panics on corrupt input.
 func (d *chunkDecoder) decode(payload []byte, series int) error {
 	d.n = 0
 	r := wire.NewReader(payload)
@@ -220,7 +218,7 @@ func (d *chunkDecoder) decode(payload []byte, series int) error {
 	d.reason = resize(d.reason, n)
 	var totalTypes uint64
 	for i := 0; i < n; i++ {
-		d.firstType[i] = int(totalTypes)
+		d.firstType[i] = int32(totalTypes)
 		d.reason[i] = -1
 		v := metaCol.Uvarint()
 		if v&1 == 1 {
@@ -236,7 +234,7 @@ func (d *chunkDecoder) decode(payload []byte, series int) error {
 		return ErrCorrupt
 	}
 	nTypes := int(totalTypes)
-	d.firstType[n] = nTypes
+	d.firstType[n] = int32(nTypes)
 
 	if d.surge, err = xorDecodeTo(d.surge, &surgesCol); err != nil || len(d.surge) != nTypes {
 		return ErrCorrupt
@@ -247,18 +245,19 @@ func (d *chunkDecoder) decode(payload []byte, series int) error {
 	d.firstCar = resize(d.firstCar, nTypes+1)
 	var totalCars uint64
 	for i := 0; i < nTypes; i++ {
-		d.firstCar[i] = int(totalCars)
+		d.firstCar[i] = int32(totalCars)
 		c := carCountsCol.Uvarint()
 		if c > maxCarsPerType {
 			return ErrCorrupt
 		}
 		totalCars += c
 	}
-	if carCountsCol.Err() != nil || totalCars > uint64(carIDsCol.Remaining())+1 {
+	// Each car costs at least one id byte; the indices are int32.
+	if carCountsCol.Err() != nil || totalCars > uint64(carIDsCol.Remaining())+1 || totalCars > math.MaxInt32 {
 		return ErrCorrupt
 	}
 	nCars := int(totalCars)
-	d.firstCar[nTypes] = nCars
+	d.firstCar[nTypes] = int32(nCars)
 	if d.lat, err = xorDecodeTo(d.lat, &latsCol); err != nil || len(d.lat) != nCars {
 		return ErrCorrupt
 	}
@@ -286,64 +285,109 @@ func (d *chunkDecoder) decode(payload []byte, series int) error {
 }
 
 // refs fills ids from col, each a reference into the chunk's dictionary.
-func (d *chunkDecoder) refs(ids []int, col *wire.Reader) bool {
+func (d *chunkDecoder) refs(ids []int32, col *wire.Reader) bool {
 	for i := range ids {
 		id := col.Uvarint()
 		if _, err := dictRef(d.strs, id); err != nil {
 			return false
 		}
-		ids[i] = int(id)
+		ids[i] = int32(id)
 	}
 	return col.Err() == nil
 }
 
-// window builds the decoded rows with from ≤ Time < to.
-func (d *chunkDecoder) window(from, to int64) []Row {
+// window copies the decoded rows with from ≤ Time < to into w, reusing
+// its storage: the dictionary, the times, and one slab each for the int32
+// and the float64 columns, which grow by at least a quarter, because
+// successive chunks of a series differ in size by a few percent.
+func (d *chunkDecoder) window(w *decodedCols, from, to int64) {
 	ts := d.times[:d.n]
 	lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= from })
-	hi := sort.Search(len(ts), func(i int) bool { return ts[i] >= to })
-	return d.rows(lo, max(lo, hi))
-}
-
-// rows builds decoded rows [lo, hi) in three fresh slabs — rows, types
-// and cars — handing each row its types, and each type its cars, as a
-// cap-limited sub-slice, so appending to one never reaches its neighbour.
-// The slabs are never reused: the rows stay valid for as long as the
-// caller holds them.
-func (d *chunkDecoder) rows(lo, hi int) []Row {
-	if lo == hi {
-		return nil
-	}
+	hi := max(lo, sort.Search(len(ts), func(i int) bool { return ts[i] >= to }))
 	t0, t1 := d.firstType[lo], d.firstType[hi]
 	c0, c1 := d.firstCar[t0], d.firstCar[t1]
-	rows := make([]Row, hi-lo)
-	types := make([]TypeObs, t1-t0)
-	cars := make([]Car, c1-c0)
-	for i := range rows {
-		k := lo + i
-		row := &rows[i]
-		row.Time, row.Series = d.times[k], d.series
-		if id := d.reason[k]; id >= 0 {
-			row.Gap, row.Reason = true, d.strs[id]
+	rows, types, cars := hi-lo, int(t1-t0), int(c1-c0)
+	w.series = d.series
+	w.strs = append(w.strs[:0], d.strs...)
+	w.times = append(w.times[:0], ts[lo:hi]...)
+
+	w.ints = grow(w.ints, 2*rows+2*types+cars+2)
+	ints := w.ints
+	cutInts := func(n int) []int32 {
+		s := ints[:n:n]
+		ints = ints[n:]
+		return s
+	}
+	w.reason = cutInts(rows)
+	copy(w.reason, d.reason[lo:hi])
+	w.firstType = cutInts(rows + 1)
+	for i := range w.firstType {
+		w.firstType[i] = d.firstType[lo+i] - t0
+	}
+	w.name = cutInts(types)
+	copy(w.name, d.name[t0:t1])
+	w.firstCar = cutInts(types + 1)
+	for i := range w.firstCar {
+		w.firstCar[i] = d.firstCar[int(t0)+i] - c0
+	}
+	w.carID = cutInts(cars)
+	copy(w.carID, d.carID[c0:c1])
+
+	w.floats = grow(w.floats, 2*types+2*cars)
+	floats := w.floats
+	cutFloats := func(src []float64) []float64 {
+		s := floats[:len(src):len(src)]
+		floats = floats[len(src):]
+		copy(s, src)
+		return s
+	}
+	w.surge, w.ewt = cutFloats(d.surge[t0:t1]), cutFloats(d.ewt[t0:t1])
+	w.lat, w.lng = cutFloats(d.lat[c0:c1]), cutFloats(d.lng[c0:c1])
+}
+
+// rowBuf is the storage of one row at a time: building a row into it
+// overwrites the last one built.
+type rowBuf struct {
+	row   Row
+	types []TypeObs
+	cars  []Car
+}
+
+// build builds row k of c into b and returns it. The row's Types, and
+// each type's Cars, are cap-limited sub-slices of b's storage, so an
+// append to one never reaches its neighbour.
+func (b *rowBuf) build(c *decodedCols, k int) *Row {
+	r := &b.row
+	*r = Row{Time: c.times[k], Series: c.series}
+	if id := c.reason[k]; id >= 0 {
+		r.Gap, r.Reason = true, c.strs[id]
+		return r
+	}
+	t0, t1 := int(c.firstType[k]), int(c.firstType[k+1])
+	if t0 == t1 {
+		return r
+	}
+	c0, c1 := int(c.firstCar[t0]), int(c.firstCar[t1])
+	// The storage grows at least twofold, from room for a large campaign
+	// row (9 products, 8 cars each), so a scan grows it a few times at most.
+	if cap(b.types) < t1-t0 {
+		b.types = make([]TypeObs, max(t1-t0, 2*cap(b.types), 16))
+	}
+	if cap(b.cars) < c1-c0 {
+		b.cars = make([]Car, max(c1-c0, 2*cap(b.cars), 128))
+	}
+	r.Types = b.types[: t1-t0 : t1-t0]
+	for j := t0; j < t1; j++ {
+		t := &r.Types[j-t0]
+		*t = TypeObs{Name: c.strs[c.name[j]], Surge: c.surge[j], EWT: c.ewt[j]}
+		ca, cb := int(c.firstCar[j]), int(c.firstCar[j+1])
+		if ca == cb {
 			continue
 		}
-		a, b := d.firstType[k], d.firstType[k+1]
-		if a == b {
-			continue
-		}
-		row.Types = types[a-t0 : b-t0 : b-t0]
-		for j := a; j < b; j++ {
-			t := &types[j-t0]
-			t.Name, t.Surge, t.EWT = d.strs[d.name[j]], d.surge[j], d.ewt[j]
-			ca, cb := d.firstCar[j], d.firstCar[j+1]
-			if ca == cb {
-				continue
-			}
-			t.Cars = cars[ca-c0 : cb-c0 : cb-c0]
-			for m := ca; m < cb; m++ {
-				cars[m-c0] = Car{ID: d.strs[d.carID[m]], Lat: d.lat[m], Lng: d.lng[m]}
-			}
+		t.Cars = b.cars[ca-c0 : cb-c0 : cb-c0]
+		for m := ca; m < cb; m++ {
+			t.Cars[m-ca] = Car{ID: c.strs[c.carID[m]], Lat: c.lat[m], Lng: c.lng[m]}
 		}
 	}
-	return rows
+	return r
 }

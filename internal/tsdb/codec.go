@@ -332,3 +332,13 @@ func resize[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
+
+// grow is resize for lengths that creep up from call to call: storage it
+// has to replace grows by at least a quarter. (slices.Grow would do, but
+// under the race detector its append of a make allocates twice.)
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, cap(s)+cap(s)/4))
+	}
+	return s[:n]
+}

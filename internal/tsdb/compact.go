@@ -47,6 +47,7 @@ func (db *DB) compactLocked() error {
 	err := writeSegment(path, func(sw *segmentWriter) error {
 		var (
 			d    chunkDecoder
+			row  rowBuf
 			cols chunkCols
 			enc  chunkEncoder
 		)
@@ -65,9 +66,8 @@ func (db *DB) compactLocked() error {
 					if err := sr.chunk(&d, e); err != nil {
 						return err
 					}
-					rows := d.rows(0, d.n)
-					for i := range rows {
-						cols.add(&rows[i])
+					for k := 0; k < d.n; k++ {
+						cols.add(row.build(&d.decodedCols, k))
 						if cols.rows() == defaultChunkRows {
 							if err := cut(s); err != nil {
 								return err

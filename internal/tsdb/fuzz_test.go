@@ -72,7 +72,7 @@ func FuzzCodec(f *testing.F) {
 			if err := d.decode(payload, 3); err != nil {
 				t.Fatalf("window decode rejected an accepted chunk: %v", err)
 			}
-			win, want := d.window(from, to), inWindow(got, from, to)
+			win, want := windowRows(&d, from, to), inWindow(got, from, to)
 			if len(win) != len(want) {
 				t.Fatalf("window [%d, %d) built %d rows, inWindow keeps %d", from, to, len(win), len(want))
 			}

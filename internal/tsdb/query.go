@@ -3,15 +3,19 @@
 // Query is the same merge over one series. Both decode lazily, chunk by
 // chunk, touching only chunks whose [minT, maxT] intersects the window —
 // the point of the sparse index: a one-hour window of a four-week campaign
-// reads a few chunks, not the whole file — and build only the rows inside
-// the window. One Iterator decodes every chunk it reads with one
-// chunkDecoder; the merge runs on the caller's goroutine.
+// reads a few chunks, not the whole file. One Iterator decodes every
+// chunk it reads with one chunkDecoder; each series copies the rows of
+// its chunk that lie inside the window out of it, into columns the series
+// keeps from chunk to chunk, and Next builds one row at a time from them
+// into the Iterator's one row, which it lends until the next call. The
+// merge runs on the caller's goroutine.
 
 package tsdb
 
 import (
 	"bytes"
 	"container/heap"
+	"math"
 )
 
 // chunkRef is one lazily decoded batch: a sealed chunk, or the payload of
@@ -20,45 +24,49 @@ type chunkRef struct {
 	sr      *segmentReader // sealed: the file and the chunk's index entry
 	entry   chunkEntry
 	payload []byte // head
+	minT    int64  // the chunk's first timestamp
 }
 
-// seriesIter yields one series' rows within [from, to) in time order.
+// seriesIter walks one series' rows within [from, to) in time order: row
+// idx of win, the window of the chunk it decoded last.
 type seriesIter struct {
 	dec      *chunkDecoder // the Iterator's, shared by all its series
 	series   int
 	refs     []chunkRef
 	from, to int64
-	cur      []Row
+	win      decodedCols
 	idx      int
-	err      error
+	err      error // why the series' next chunk failed to load,
+	errT     int64 // and that chunk's first timestamp
 }
 
-func (it *seriesIter) next() (*Row, bool) {
-	for {
-		if it.err != nil {
-			return nil, false
+// time is the timestamp of the series' current row.
+func (s *seriesIter) time() int64 { return s.win.times[s.idx] }
+
+// next moves to the series' next row, decoding chunks until one has rows
+// in the window, and reports false when there are none or a chunk fails.
+func (s *seriesIter) next() bool {
+	s.idx++
+	for s.idx >= len(s.win.times) {
+		if len(s.refs) == 0 {
+			return false
 		}
-		if it.idx < len(it.cur) {
-			r := &it.cur[it.idx]
-			it.idx++
-			return r, true
-		}
-		if len(it.refs) == 0 {
-			return nil, false
-		}
-		ref := it.refs[0]
-		it.refs = it.refs[1:]
-		it.idx = 0
+		ref := s.refs[0]
+		s.refs = s.refs[1:]
+		var err error
 		if ref.sr != nil {
-			it.err = ref.sr.chunk(it.dec, ref.entry)
+			err = ref.sr.chunk(s.dec, ref.entry)
 		} else {
-			it.err = it.dec.decode(ref.payload, it.series)
+			err = s.dec.decode(ref.payload, s.series)
 		}
-		if it.err != nil {
-			return nil, false
+		if err != nil {
+			s.err, s.errT = err, ref.minT
+			return false
 		}
-		it.cur = it.dec.window(it.from, it.to)
+		s.dec.window(&s.win, s.from, s.to)
+		s.idx = 0
 	}
+	return true
 }
 
 // Iterator walks query results. Typical use:
@@ -69,49 +77,77 @@ func (it *seriesIter) next() (*Row, bool) {
 //	}
 //	if err := it.Err(); err != nil { ... }
 type Iterator struct {
-	m   mergeIter
-	dec chunkDecoder
-	row *Row
+	srcs []seriesIter
+	h    mergeHeap // the series with rows left
+	dec  chunkDecoder
+	buf  rowBuf
+	row  *Row
+	err  error
+	stop int64 // no row at or after it is lent: the damaged chunk's minT
 }
 
 // Next advances to the next row, reporting false at the end of the window
-// or on error.
+// or, once every row before a damaged chunk's first timestamp is lent, on
+// error.
 func (it *Iterator) Next() bool {
-	var ok bool
-	it.row, ok = it.m.next()
-	return ok
+	it.row = nil
+	if len(it.h) == 0 || it.h[0].time() >= it.stop {
+		return false
+	}
+	// The row is built before its series moves on: that may decode the
+	// series' next chunk over its window.
+	s := it.h[0]
+	it.row = it.buf.build(&s.win, s.idx)
+	if s.next() {
+		heap.Fix(&it.h, 0)
+	} else {
+		heap.Pop(&it.h)
+		it.fail(s)
+	}
+	return true
 }
 
-// Row returns the current row. Its memory is never reused by the store:
-// the row, and its Types and Cars, stay valid after Next for as long as
-// the caller holds them, and must not be modified.
+// Row returns the current row. It is lent: the row, its Types and their
+// Cars are valid until the next call to Next, which builds the next row
+// in the same memory, and must not be modified. A caller that keeps a row
+// copies it.
 func (it *Iterator) Row() *Row { return it.row }
 
-// Err returns the first decoding/IO error encountered, if any.
-func (it *Iterator) Err() error { return it.m.failure }
+// Err returns the error of the damaged chunk that ended the iteration, if
+// any.
+func (it *Iterator) Err() error { return it.err }
 
-// seriesIterLocked snapshots the chunk refs for one series under db.mu.
-// Decoding happens outside the lock, with dec.
-func (db *DB) seriesIterLocked(dec *chunkDecoder, series int, from, to int64) *seriesIter {
-	it := &seriesIter{dec: dec, series: series, from: from, to: to}
+// fail notes a series whose chunk failed to load: no row at or after that
+// chunk's first timestamp is lent, so every round before it stays whole.
+func (it *Iterator) fail(s *seriesIter) {
+	if s.err != nil && s.errT < it.stop {
+		it.err, it.stop = s.err, s.errT
+	}
+}
+
+// refsLocked snapshots the chunk refs of one series under db.mu and
+// returns the longest sealed chunk's size on disk. Decoding happens
+// outside the lock.
+func (db *DB) refsLocked(s *seriesIter, from, to int64) (read int) {
 	for _, sr := range db.segs {
-		for _, e := range sr.overlapping(series, from, to) {
-			it.refs = append(it.refs, chunkRef{sr: sr, entry: e})
+		for _, e := range sr.overlapping(s.series, from, to) {
+			s.refs = append(s.refs, chunkRef{sr: sr, entry: e, minT: e.minT})
+			read = max(read, int(e.length+4))
 		}
 	}
-	if hs := db.head[series]; hs != nil {
+	if hs := db.head[s.series]; hs != nil {
 		// Encoded chunks are immutable. The open columns are reused after
 		// the next cut, so the iterator gets their payload.
 		for _, c := range hs.chunks {
 			if c.maxT >= from && c.minT < to {
-				it.refs = append(it.refs, chunkRef{payload: c.payload})
+				s.refs = append(s.refs, chunkRef{payload: c.payload, minT: c.minT})
 			}
 		}
 		if n := hs.open.rows(); n > 0 && hs.open.times[n-1] >= from && hs.open.times[0] < to {
-			it.refs = append(it.refs, chunkRef{payload: bytes.Clone(db.enc.payload(&hs.open))})
+			s.refs = append(s.refs, chunkRef{payload: bytes.Clone(db.enc.payload(&hs.open)), minT: hs.open.times[0]})
 		}
 	}
-	return it
+	return read
 }
 
 // Query returns an iterator over one series' rows with from ≤ Time < to.
@@ -122,74 +158,42 @@ func (db *DB) Query(series int, from, to int64) *Iterator { return db.query(from
 func (db *DB) QueryAll(from, to int64) *Iterator { return db.query(from, to) }
 
 // query merges the named series, or every stored one when none is named.
+// The read buffer is sized once, for the longest chunk the query reads.
 func (db *DB) query(from, to int64, series ...int) *Iterator {
 	db.mu.Lock()
 	if series == nil {
 		series = db.seriesLocked()
 	}
-	it := &Iterator{}
-	for _, s := range series {
-		it.m.sources = append(it.m.sources, mergeSource{series: s, it: db.seriesIterLocked(&it.dec, s, from, to)})
+	it := &Iterator{srcs: make([]seriesIter, len(series)), h: make(mergeHeap, 0, len(series)), stop: math.MaxInt64}
+	read := 0
+	for i, id := range series {
+		s := &it.srcs[i]
+		*s = seriesIter{dec: &it.dec, series: id, from: from, to: to, idx: -1}
+		read = max(read, db.refsLocked(s, from, to))
 	}
 	db.mu.Unlock()
-	it.m.init()
+	it.dec.read = make([]byte, read)
+	for i := range it.srcs {
+		if s := &it.srcs[i]; s.next() {
+			it.h = append(it.h, s)
+		} else {
+			it.fail(s)
+		}
+	}
+	heap.Init(&it.h)
 	return it
 }
 
-type mergeSource struct {
-	series int
-	it     *seriesIter
-	row    *Row
-}
-
-type mergeIter struct {
-	sources []mergeSource // pending init
-	h       mergeHeap
-	failure error
-}
-
-func (m *mergeIter) init() {
-	for _, src := range m.sources {
-		if r, ok := src.it.next(); ok {
-			src.row = r
-			m.h = append(m.h, src)
-		} else if src.it.err != nil && m.failure == nil {
-			m.failure = src.it.err
-		}
-	}
-	m.sources = nil
-	heap.Init(&m.h)
-}
-
-func (m *mergeIter) next() (*Row, bool) {
-	if m.failure != nil || len(m.h) == 0 {
-		return nil, false
-	}
-	src := m.h[0]
-	row := src.row
-	if r, ok := src.it.next(); ok {
-		src.row = r
-		m.h[0] = src
-		heap.Fix(&m.h, 0)
-	} else {
-		if src.it.err != nil {
-			m.failure = src.it.err
-			return nil, false
-		}
-		heap.Pop(&m.h)
-	}
-	return row, true
-}
-
-type mergeHeap []mergeSource
+// mergeHeap orders series by their current row's (time, series).
+type mergeHeap []*seriesIter
 
 func (h mergeHeap) Len() int { return len(h) }
 func (h mergeHeap) Less(i, j int) bool {
-	if h[i].row.Time != h[j].row.Time {
-		return h[i].row.Time < h[j].row.Time
+	if ti, tj := h[i].time(), h[j].time(); ti != tj {
+		return ti < tj
 	}
 	return h[i].series < h[j].series
 }
 func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeSource)) }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*seriesIter)) }
 func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }

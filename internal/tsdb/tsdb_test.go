@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,12 +14,12 @@ import (
 	"repro/internal/obs"
 )
 
-// collect drains an iterator, copying each row.
+// collect drains an iterator, deep-copying each lent row.
 func collect(t *testing.T, it *Iterator) []Row {
 	t.Helper()
 	var out []Row
 	for it.Next() {
-		out = append(out, *it.Row())
+		out = append(out, cloneRow(it.Row()))
 	}
 	if err := it.Err(); err != nil {
 		t.Fatalf("iterator error: %v", err)
@@ -538,6 +539,135 @@ func TestRangeQueryWindow(t *testing.T) {
 	}
 }
 
+// TestQueryStopsBeforeDamagedChunk: when a series' next chunk is damaged,
+// a query still lends every row, of every series, before that chunk's
+// first timestamp, so each round before the damage is whole, and then
+// stops with the error. The merge used to drop the row it had just taken
+// from the damaged series, and with it the last whole round.
+func TestQueryStopsBeforeDamagedChunk(t *testing.T) {
+	const nSeries, rounds = 3, 100
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := campaignRows(rand.New(rand.NewSource(26)), nSeries, rounds, 0)
+	for _, part := range [][]Row{all[:nSeries*rounds/2], all[nSeries*rounds/2:]} {
+		appendCampaign(t, db, nSeries, part)
+		if err := db.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("want two segments, have %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[12] ^= 0xff // in series 0's first chunk: payloads follow the magic
+	if err := os.WriteFile(segs[1], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	damagedT := all[nSeries*rounds/2].Time
+	for _, w := range []struct {
+		name     string
+		query    func() *Iterator
+		from, to int64
+		series   int // -1: every series
+	}{
+		{"all", func() *Iterator { return db.QueryAll(-1<<62, 1<<62) }, -1 << 62, 1 << 62, -1},
+		{"straddling", func() *Iterator { return db.QueryAll(damagedT-50, damagedT+50) }, damagedT - 50, damagedT + 50, -1},
+		{"from the damage", func() *Iterator { return db.QueryAll(damagedT, 1<<62) }, damagedT, 1 << 62, -1},
+		{"damaged series", func() *Iterator { return db.Query(0, -1<<62, 1<<62) }, -1 << 62, 1 << 62, 0},
+	} {
+		var want, got []Row
+		for _, r := range all {
+			if r.Time >= w.from && r.Time < min(w.to, damagedT) && (w.series < 0 || r.Series == w.series) {
+				want = append(want, r)
+			}
+		}
+		it := w.query()
+		for it.Next() {
+			got = append(got, cloneRow(it.Row()))
+		}
+		if err := it.Err(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", w.name, err)
+		}
+		requireByteEqual(t, got, want)
+		if it.Next() || it.Row() != nil {
+			t.Fatalf("%s: the iterator lends rows after its error", w.name)
+		}
+	}
+	// A series whose chunks are intact reads to the end.
+	var want []Row
+	for _, r := range all {
+		if r.Series == 1 {
+			want = append(want, r)
+		}
+	}
+	requireByteEqual(t, collect(t, db.Query(1, -1<<62, 1<<62)), want)
+}
+
+// TestColumnsSumToChunkPayloads: the sections Columns reports, plus each
+// chunk's header, are exactly the chunk payload bytes of the segment
+// files: each file less its magic, its chunks' CRCs, its index and its
+// footer.
+func TestColumnsSumToChunkPayloads(t *testing.T) {
+	const nSeries = 4
+	dir := t.TempDir()
+	db, err := Open(dir, Options{HeadMaxRows: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	want := campaign(t, db, rand.New(rand.NewSource(27)), nSeries, 1000, 0)
+	if err := db.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for i, n := range st.Sections {
+		if n <= 0 {
+			t.Errorf("section %s holds %d B", ChunkSections[i], n)
+		}
+		sum += n
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg", "*.seg"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("want several segments, have %v (%v)", segs, err)
+	}
+	var payloads int64
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idxLen := binary.LittleEndian.Uint32(data[len(data)-footerSize+8:])
+		payloads += int64(len(data) - len(segMagic) - footerSize - int(idxLen))
+	}
+	payloads -= 4 * int64(st.Chunks) // one CRC per chunk
+	if sum+st.Headers != payloads {
+		t.Errorf("sections %d B + headers %d B = %d B, the segments hold %d B of chunk payloads", sum, st.Headers, sum+st.Headers, payloads)
+	}
+	if st.Rows != uint64(len(want)) {
+		t.Errorf("columns cover %d rows, want %d", st.Rows, len(want))
+	}
+}
+
 func TestOutOfOrderRejected(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
@@ -665,7 +795,7 @@ func TestIteratorSurvivesConcurrentSeal(t *testing.T) {
 	it := db.QueryAll(-1<<62, 1<<62)
 	var got []Row
 	for i := 0; it.Next(); i++ {
-		got = append(got, *it.Row())
+		got = append(got, cloneRow(it.Row()))
 		if i == 10 {
 			if err := db.Seal(); err != nil {
 				t.Fatal(err)

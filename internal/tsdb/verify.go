@@ -13,6 +13,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+
+	"repro/internal/wire"
 )
 
 // SegmentReport describes one verified segment.
@@ -100,4 +102,71 @@ func verifySegment(sr *segmentReader) (SegmentReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// ChunkSections names the sections of a chunk payload in order: the
+// dictionary, then the ten columns.
+var ChunkSections = [...]string{
+	"dictionary", "times", "meta", "typeIDs", "surges", "EWTs",
+	"carCounts", "carIDs", "lats", "lngs", "reasons",
+}
+
+// ColumnStats is what the sealed chunks' payloads spend, by section.
+type ColumnStats struct {
+	Chunks   int
+	Rows     uint64
+	Sections [len(ChunkSections)]int64 // bytes, in ChunkSections order
+	// Headers is each chunk's row count and column length prefixes: the
+	// payload bytes no section holds.
+	Headers int64
+}
+
+// Columns reads every sealed chunk, CRC-checked and decoded, and sums its
+// payload by section.
+func (db *DB) Columns() (ColumnStats, error) {
+	db.mu.Lock()
+	segs := append([]*segmentReader(nil), db.segs...)
+	db.mu.Unlock()
+	var (
+		st ColumnStats
+		d  chunkDecoder
+	)
+	for _, sr := range segs {
+		for _, s := range sr.series {
+			for _, e := range sr.bySeries[s] {
+				if err := sr.chunk(&d, e); err != nil {
+					return st, err
+				}
+				if err := st.add(d.read[:e.length]); err != nil {
+					return st, err
+				}
+				st.Chunks++
+				st.Rows += e.rows
+			}
+		}
+	}
+	return st, nil
+}
+
+// add sums one decoded chunk's payload by section.
+func (st *ColumnStats) add(payload []byte) error {
+	r := wire.NewReader(payload)
+	prefix := func() int {
+		before := r.Remaining()
+		n := r.Uvarint()
+		st.Headers += int64(before - r.Remaining())
+		return int(n)
+	}
+	prefix() // the row count
+	before := r.Remaining()
+	if _, err := dictDecodeTo(nil, r); err != nil {
+		return err
+	}
+	st.Sections[0] += int64(before - r.Remaining())
+	for i := 1; i < len(st.Sections); i++ {
+		n := prefix()
+		r.Take(n)
+		st.Sections[i] += int64(n)
+	}
+	return nil
 }

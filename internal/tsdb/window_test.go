@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
@@ -41,7 +42,7 @@ func TestChunkWindowDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range windows {
-			requireByteEqual(t, d.window(w[0], w[1]), inWindow(full, w[0], w[1]))
+			requireByteEqual(t, windowRows(&d, w[0], w[1]), inWindow(full, w[0], w[1]))
 		}
 	}
 }
@@ -75,7 +76,7 @@ func TestChunkWindowValidatesWholeChunk(t *testing.T) {
 		if err := d.decode(payload, 1); err != nil {
 			t.Fatalf("the intact chunk: %v", err)
 		}
-		if len(d.window(w[0], w[1])) == 0 && w[0] != w[1] {
+		if len(windowRows(&d, w[0], w[1])) == 0 && w[0] != w[1] {
 			t.Fatalf("window %v of the intact chunk is empty", w)
 		}
 		if err := d.decode(bad, 1); !errors.Is(err, ErrCorrupt) {
@@ -96,9 +97,44 @@ func inWindow(rows []Row, from, to int64) []Row {
 	return out
 }
 
-// TestWindowRowsDoNotAlias: rows of one window share three slabs, so an
-// append to one row's Types, or to one type's Cars, must not write into
-// its neighbour.
+// decodeChunk decodes a chunk payload into rows the caller owns,
+// assigning every row the given series. It never panics on corrupt input.
+func decodeChunk(payload []byte, series int) ([]Row, error) {
+	var d chunkDecoder
+	if err := d.decode(payload, series); err != nil {
+		return nil, err
+	}
+	return windowRows(&d, math.MinInt64, math.MaxInt64), nil
+}
+
+// windowRows copies the rows of d with from ≤ Time < to out of it, as a
+// query's series does, and builds each one, deep-copied.
+func windowRows(d *chunkDecoder, from, to int64) []Row {
+	var (
+		w   decodedCols
+		buf rowBuf
+		out []Row
+	)
+	d.window(&w, from, to)
+	for k := range w.times {
+		out = append(out, cloneRow(buf.build(&w, k)))
+	}
+	return out
+}
+
+// cloneRow deep-copies a lent row.
+func cloneRow(r *Row) Row {
+	c := *r
+	c.Types = slices.Clone(r.Types)
+	for i := range c.Types {
+		c.Types[i].Cars = slices.Clone(c.Types[i].Cars)
+	}
+	return c
+}
+
+// TestWindowRowsDoNotAlias: the Cars of a built row's types share one
+// slab, so an append to one type's Cars must not write into the next
+// type's.
 func TestWindowRowsDoNotAlias(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rows := randomRows(rng, 2, 200, 0)
@@ -106,27 +142,30 @@ func TestWindowRowsDoNotAlias(t *testing.T) {
 	if err := d.decode(encodeChunk(rows), 2); err != nil {
 		t.Fatal(err)
 	}
-	got := d.window(rows[50].Time, rows[150].Time)
+	var (
+		w   decodedCols
+		buf rowBuf
+	)
+	d.window(&w, rows[50].Time, rows[150].Time)
 	want := inWindow(rows, rows[50].Time, rows[150].Time)
-	for i := range got {
-		r := &got[i]
-		if r.Gap {
-			continue
-		}
-		cars := r.Types[0].Cars
-		r.Types[0].Cars = append(cars, Car{ID: "intruder"})
-		r.Types[0].Cars = cars
-		types := r.Types
-		r.Types = append(types, TypeObs{Name: "intruder", Cars: []Car{{ID: "intruder"}}})
-		r.Types = types
+	if len(w.times) != len(want) {
+		t.Fatalf("window holds %d rows, want %d", len(w.times), len(want))
 	}
-	requireByteEqual(t, got, want)
+	for k := range w.times {
+		r := buf.build(&w, k)
+		if !r.Gap {
+			cars := r.Types[0].Cars
+			r.Types[0].Cars = append(cars, Car{ID: "intruder"})
+			r.Types[0].Cars = cars
+		}
+		requireByteEqual(t, []Row{*r}, want[k:k+1])
+	}
 }
 
-// TestIteratorRowsOutliveChunks: rows handed out by an Iterator stay
-// intact while it decodes more chunks, sealed and head alike, into the
-// same decoder.
-func TestIteratorRowsOutliveChunks(t *testing.T) {
+// TestIteratorLendsRows: the row an Iterator lends is intact until the
+// next Next, across sealed chunks, head chunks, the head's open rows and
+// a Seal and Compact that run while it iterates.
+func TestIteratorLendsRows(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -139,18 +178,31 @@ func TestIteratorRowsOutliveChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i+1 == 2*defaultChunkRows {
-			if err := db.Seal(); err != nil { // two sealed chunks, three in the head
+			if err := db.Seal(); err != nil { // two sealed chunks, three in the head and open rows
 				t.Fatal(err)
 			}
 		}
 	}
 	it := db.Query(0, math.MinInt64, math.MaxInt64)
-	var kept []*Row
+	var prev *Row
 	n := 0
 	for ; it.Next(); n++ {
-		if n < defaultChunkRows {
-			kept = append(kept, it.Row())
+		row := it.Row()
+		if n > 0 && row != prev {
+			t.Fatalf("row %d lent at %p, row %d at %p: want one row, reused", n, row, n-1, prev)
 		}
+		prev = row
+		if n == len(want)/2 {
+			// Seal the head from under the iterator; it reads the chunk
+			// refs it snapshotted.
+			if err := db.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireByteEqual(t, []Row{*row}, want[n:n+1])
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
@@ -158,9 +210,4 @@ func TestIteratorRowsOutliveChunks(t *testing.T) {
 	if n != len(want) {
 		t.Fatalf("iterated %d rows, want %d", n, len(want))
 	}
-	got := make([]Row, len(kept))
-	for i, p := range kept {
-		got[i] = *p
-	}
-	requireByteEqual(t, got, want[:defaultChunkRows])
 }
