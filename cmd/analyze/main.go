@@ -11,9 +11,11 @@
 // Series are bucketed from the campaign's start time. A store with a
 // damaged chunk is analyzed up to the damage, with a warning.
 //
-// With -follow it switches from batch to streaming: it tails a live bus
-// directory (uberd -bus DIR), reports each 5-minute window as it seals,
-// and prints surge/supply/EWT/demand correlations over the run.
+// With -follow it switches from batch to streaming (follow.go): one
+// estimator, two feeds. It runs the same measure.Dataset over the pings of
+// a live bus directory (uberd -bus DIR), printing each 5-minute window
+// once its deaths are final, as -in computes it from the store the bus's
+// ingester wrote. Either Dataset keeps its raw EWT and surge CDF samples.
 //
 // Usage:
 //
@@ -30,6 +32,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -49,7 +52,7 @@ func main() {
 }
 
 // run analyzes a store (or, with -follow, streams windows until ctx is
-// cancelled or -windows were sealed) and returns the exit code: 0, 1 when
+// cancelled or -windows were printed) and returns the exit code: 0, 1 when
 // the input cannot be read, 2 for a command line it rejects.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
@@ -59,12 +62,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	to := fs.Int64("to", 0, "analyze observations before this campaign time (0 = end)")
 	follow := fs.Bool("follow", false, "stream live windows from a bus directory instead of replaying a store")
 	busDir := fs.String("bus", "", "bus directory to tail (with -follow; an uberd -bus DIR)")
-	windows := fs.Int("windows", 0, "with -follow: stop after this many sealed windows (0 = until interrupted)")
+	windows := fs.Int("windows", 0, "with -follow: stop after printing this many windows (0 = until interrupted)")
 	poll := fs.Duration("poll", 200*time.Millisecond, "with -follow: idle poll interval")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// A flag of the other mode would be ignored: refuse it.
+	mode, other := "without", []string{"bus", "windows", "poll"}
+	if *follow {
+		mode, other = "with", []string{"in", "from", "to"}
+	}
+	stray := ""
+	fs.Visit(func(fl *flag.Flag) {
+		if stray == "" && slices.Contains(other, fl.Name) {
+			stray = fl.Name
+		}
+	})
 	switch {
+	case stray != "":
+		fmt.Fprintf(stderr, "analyze: -%s does not apply %s -follow\n", stray, mode)
+		return 2
 	case *follow && *busDir == "":
 		fmt.Fprintln(stderr, "usage: analyze -follow -bus DIR [-windows N]")
 		return 2
@@ -76,7 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "analyze: -poll must be > 0 (got %s)\n", *poll)
 		return 2
 	case *follow:
-		return runFollow(ctx, *busDir, *windows, *poll, stdout, stderr)
+		return runFollow(ctx, *busDir, newFollower(*windows, stdout), *poll, stderr)
 	case *in == "":
 		fmt.Fprintln(stderr, "usage: analyze -in campaign.tsdb [-from T] [-to T]")
 		return 2
@@ -84,33 +101,38 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "analyze: -to must be after -from (got -from %d -to %d)\n", *from, *to)
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-
-	db, hdr, err := record.Open(*in)
-	if err != nil {
-		return fail(err)
-	}
-	defer db.Close()
-
-	profile, err := sim.ProfileByName(hdr.City)
-	if err != nil {
-		return fail(err)
-	}
-	areas := profile.SurgeAreas()
-	clientAreas := make([]int, len(hdr.Clients))
-	for i, p := range hdr.Clients {
-		clientAreas[i] = sim.AreaOf(areas, p)
-	}
-
 	lo, hi := int64(record.MinTime), int64(record.MaxTime)
 	if *from != 0 {
 		lo = *from
 	}
 	if *to != 0 {
 		hi = *to
+	}
+	if _, err := analyzeStore(*in, lo, hi, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
+}
+
+// analyzeStore replays the rows of the store at dir with lo ≤ time < hi
+// into a Dataset, prints its analysis to w and returns it. A store
+// damaged past some round is analyzed up to it, with a warning.
+func analyzeStore(dir string, lo, hi int64, w, warn io.Writer) (*measure.Dataset, error) {
+	db, hdr, err := record.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer db.Close()
+
+	profile, err := sim.ProfileByName(hdr.City)
+	if err != nil {
+		return nil, err
+	}
+	areas := profile.SurgeAreas()
+	clientAreas := make([]int, len(hdr.Clients))
+	for i, p := range hdr.Clients {
+		clientAreas[i] = sim.AreaOf(areas, p)
 	}
 	// The buckets start on the campaign clock, hdr.Start, which the paper's
 	// 5-minute intervals align to; the store's last observation bounds the
@@ -129,21 +151,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	rounds, err := record.Replay(db, hdr, lo, hi, ds)
 	if errors.Is(err, record.ErrTruncated) {
-		fmt.Fprintf(stderr, "warning: %v; analyzing the %d rounds before the damage\n", err, rounds)
+		fmt.Fprintf(warn, "warning: %v; analyzing the %d rounds before the damage\n", err, rounds)
 		err = nil
 	}
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ds.Close()
 
 	end := min(hi, maxT+client.PingPeriod)
-	fmt.Fprintf(stdout, "recording: city=%s clients=%d rounds=%d\n", hdr.City, len(hdr.Clients), rounds)
-	printSeries(stdout, ds)
-	printDistributions(stdout, ds)
-	printSurgeAnalysis(stdout, ds, start, end)
-	printForecast(stdout, ds, start, end)
-	return 0
+	fmt.Fprintf(w, "recording: city=%s clients=%d rounds=%d\n", hdr.City, len(hdr.Clients), rounds)
+	printSeries(w, ds)
+	printDistributions(w, ds)
+	printSurgeAnalysis(w, ds, start, end)
+	printForecast(w, ds, start, end)
+	return ds, nil
 }
 
 func printSeries(w io.Writer, ds *measure.Dataset) {

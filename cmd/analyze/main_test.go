@@ -113,6 +113,15 @@ func TestRun(t *testing.T) {
 		{"window ends before it starts", []string{"-in", store, "-from", "100", "-to", "50"}, 2, "", "-to must be after -from"},
 		{"no such store", []string{"-in", filepath.Join(dir, "nope")}, 1, "", "no such file"},
 		{"follow a directory that is not a bus", []string{"-follow", "-bus", dir}, 1, "", "no tailable topics"},
+		// A flag of the other mode used to be ignored: -follow returned
+		// before -in, -from and -to were looked at, and -in ran without
+		// reading -bus, -windows or -poll.
+		{"follow with -in", []string{"-follow", "-bus", dir, "-in", store}, 2, "", "-in does not apply with -follow"},
+		{"follow with -from", []string{"-follow", "-bus", dir, "-from", "100"}, 2, "", "-from does not apply with -follow"},
+		{"follow with -to", []string{"-follow", "-bus", dir, "-to", "100"}, 2, "", "-to does not apply with -follow"},
+		{"bus without -follow", []string{"-in", store, "-bus", dir}, 2, "", "-bus does not apply without -follow"},
+		{"windows without -follow", []string{"-in", store, "-windows", "2"}, 2, "", "-windows does not apply without -follow"},
+		{"poll without -follow", []string{"-in", store, "-poll", "1s"}, 2, "", "-poll does not apply without -follow"},
 		// An old gzip recording is not a store: the error names the converter.
 		{"jsonl", []string{"-in", jsonl}, 1, "", "tsdbtool convert -in " + jsonl},
 		{"tsdb", []string{"-in", store}, 0, "recording: city=manhattan clients=43 rounds=120\n", ""},
@@ -200,7 +209,7 @@ func TestFollowStopsAtWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ts := int64(0); ts < 6*300; ts += 30 {
-		o := bus.Observation{Client: "c0", Time: ts, Types: []wire.TypeObs{{
+		o := bus.Observation{Client: "c0", Lat: 40.7549, Lng: -73.9840, Time: ts, Types: []wire.TypeObs{{
 			Name: core.UberX.String(), Surge: 1, EWT: 120,
 			Cars: []wire.Car{{ID: fmt.Sprintf("car%d", ts/60), Lat: 40.75, Lng: -73.99}},
 		}}}

@@ -154,5 +154,5 @@ func (rt *busRuntime) shutdown(timeout time.Duration) {
 	}
 	rt.cons.Close()
 	rows, dups, rounds := rt.ing.Stats()
-	rt.log.Printf("ingested %d rows over %d rounds (%d redeliveries skipped)", rows, rounds, dups)
+	rt.log.Printf("ingested %d rows over %d rounds (%d duplicate pings skipped)", rows, rounds, dups)
 }

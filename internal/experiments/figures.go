@@ -249,7 +249,7 @@ func HeatmapASCII(cells []HeatCell, field func(HeatCell) float64) string {
 
 func sortedKeys(m map[float64]int) []float64 {
 	out := make([]float64, 0, len(m))
-	for k := range m {
+	for k := range m { //det:unordered the keys are sorted next
 		out = append(out, k)
 	}
 	sort.Float64s(out)

@@ -9,7 +9,9 @@
 //
 // Dataset implements client.Sink and aggregates online: nothing retains
 // the raw 391 GB firehose the paper stored; every figure's input is
-// reduced as it streams.
+// reduced as it streams. It is the one estimator, fed by a campaign, a
+// replayed store (analyze -in) or live pings (analyze -follow), whose
+// Dataset keeps its raw EWT and surge CDF samples as a replayed one does.
 package measure
 
 import (
@@ -34,10 +36,12 @@ const DefaultEdgeMargin = 100.0
 // visibility boundary and excluded from lifespan analysis.
 const shortLivedSeconds = 120
 
-// deathGraceRounds is how many consecutive missed rounds confirm a death.
+// DeathGraceRounds is how many consecutive missed rounds confirm a death.
 // One missed round can be a visibility flicker (the car was the 9th
-// nearest for a moment); two misses (10 s) means it is gone.
-const deathGraceRounds = 2
+// nearest for a moment); two misses (10 s) means it is gone. So an
+// interval's deaths are final, barring gaps, once this many rounds at or
+// past its end have ended.
+const DeathGraceRounds = 2
 
 // SurgeChange is one observed change in a client's surge multiplier.
 type SurgeChange struct {
@@ -63,6 +67,15 @@ type carState struct {
 	obsTime   int64
 }
 
+// clientState is one client's UberX state: its last multiplier, EWT sum
+// and count, and the heatmap's day (-1 before the first ping) with the
+// cars seen in it.
+type clientState struct {
+	surge, ewtSum float64
+	ewtN, day     int64
+	daySeen       map[string]bool
+}
+
 // lifeRecord tracks a car ID's total observed lifespan across trips.
 type lifeRecord struct {
 	vt    core.VehicleType
@@ -74,9 +87,11 @@ type lifeRecord struct {
 // Config configures a Dataset.
 type Config struct {
 	Profile *sim.CityProfile
-	// Start and End bound the recorded series, in simulation seconds.
+	// Start and End bound the recorded series, in simulation seconds (End
+	// 0: the series grow as rounds arrive).
 	Start, End int64
-	// ClientAreas maps each campaign client index to its surge area.
+	// ClientAreas maps each campaign client index to its surge area; a
+	// client without one is placed by the position it pings from.
 	ClientAreas []int
 	// TrackTypes overrides TrackedTypes (the products with full
 	// supply/death series) when non-nil. The taxi validation harness
@@ -104,9 +119,9 @@ type Dataset struct {
 	areaSupply []*stats.Accumulator
 	areaDeath  []*stats.Accumulator
 	areaEWT    []*stats.Accumulator
-	areaSurge  [][]float64 // [area][interval] median client multiplier
-	areaSurgeN [][]int     // sample counts backing the median
-	areaBuf    [][][]float64
+	areaBuf    [][][]float64        // [area][interval] client multipliers
+	folded     int                  // intervals [0, folded) hold their median
+	accs       []*stats.Accumulator // every accumulator, to grow
 
 	// Region-wide 5-minute means.
 	ewtAcc   *stats.Accumulator
@@ -116,16 +131,11 @@ type Dataset struct {
 	EWTSamples   []float32
 	SurgeSamples []float32
 
-	// Per-client UberX surge state and change logs.
-	curSurge []float64
-	Changes  [][]SurgeChange
-
-	// Heatmaps: per client, unique UberX cars per day and mean EWT.
-	clientDaySeen []map[string]bool
-	clientDay     []int64
-	ClientCarDays [][]int // per client: unique cars for each completed day
-	clientEWTSum  []float64
-	clientEWTN    []int64
+	// Per-client UberX state, surge change logs and, for the heatmaps,
+	// unique cars for each completed day.
+	clients       []clientState
+	Changes       [][]SurgeChange
+	ClientCarDays [][]int
 
 	// Lifespan output per product (seconds), after cleaning.
 	lifespans map[core.VehicleType][]float64
@@ -154,60 +164,84 @@ func NewDataset(cfg Config, nClients int) *Dataset {
 	}
 	areas := cfg.Profile.SurgeAreas()
 	d := &Dataset{
-		cfg:        cfg,
-		areas:      areas,
-		projection: geo.NewProjection(cfg.Profile.Origin),
-		nIntervals: n,
-		cars:       make(map[string]*carState),
-		lives:      make(map[string]*lifeRecord),
-		seenRound:  make(map[string]bool),
-		supplyAcc:  make(map[core.VehicleType]*stats.Accumulator),
-		deathAcc:   make(map[core.VehicleType]*stats.Accumulator),
-		ewtAcc:     stats.NewAccumulator(cfg.Start, Interval, n),
-		surgeAcc:   stats.NewAccumulator(cfg.Start, Interval, n),
-		curSurge:   make([]float64, nClients),
-		Changes:    make([][]SurgeChange, nClients),
-		lifespans:  make(map[core.VehicleType][]float64),
-		ClientGaps: make([]int64, nClients),
-		gapped:     make(map[int32]bool),
+		cfg:           cfg,
+		areas:         areas,
+		projection:    geo.NewProjection(cfg.Profile.Origin),
+		nIntervals:    n,
+		cars:          make(map[string]*carState),
+		lives:         make(map[string]*lifeRecord),
+		seenRound:     make(map[string]bool),
+		supplyAcc:     make(map[core.VehicleType]*stats.Accumulator),
+		deathAcc:      make(map[core.VehicleType]*stats.Accumulator),
+		clients:       make([]clientState, 0, nClients),
+		Changes:       make([][]SurgeChange, 0, nClients),
+		ClientCarDays: make([][]int, 0, nClients),
+		lifespans:     make(map[core.VehicleType][]float64),
+		ClientGaps:    make([]int64, 0, nClients),
+		gapped:        make(map[int32]bool),
 	}
+	acc := func() *stats.Accumulator {
+		a := stats.NewAccumulator(cfg.Start, Interval, n)
+		d.accs = append(d.accs, a)
+		return a
+	}
+	d.ewtAcc, d.surgeAcc = acc(), acc()
 	tracked := cfg.TrackTypes
 	if tracked == nil {
 		tracked = TrackedTypes
 	}
 	for _, vt := range tracked {
-		d.supplyAcc[vt] = stats.NewAccumulator(cfg.Start, Interval, n)
-		d.deathAcc[vt] = stats.NewAccumulator(cfg.Start, Interval, n)
+		d.supplyAcc[vt] = acc()
+		d.deathAcc[vt] = acc()
 	}
 	for range areas {
-		d.areaSupply = append(d.areaSupply, stats.NewAccumulator(cfg.Start, Interval, n))
-		d.areaDeath = append(d.areaDeath, stats.NewAccumulator(cfg.Start, Interval, n))
-		d.areaEWT = append(d.areaEWT, stats.NewAccumulator(cfg.Start, Interval, n))
-		d.areaSurge = append(d.areaSurge, make([]float64, n))
-		d.areaSurgeN = append(d.areaSurgeN, make([]int, n))
+		d.areaSupply = append(d.areaSupply, acc())
+		d.areaDeath = append(d.areaDeath, acc())
+		d.areaEWT = append(d.areaEWT, acc())
 		d.areaBuf = append(d.areaBuf, make([][]float64, n))
 	}
-	for i := range d.curSurge {
-		d.curSurge[i] = 1
-	}
-	d.clientDaySeen = make([]map[string]bool, nClients)
-	d.clientDay = make([]int64, nClients)
-	d.ClientCarDays = make([][]int, nClients)
-	d.clientEWTSum = make([]float64, nClients)
-	d.clientEWTN = make([]int64, nClients)
-	for i := range d.clientDaySeen {
-		d.clientDaySeen[i] = make(map[string]bool)
-		d.clientDay[i] = -1
+	for i := range nClients {
+		d.client(i)
 	}
 	return d
 }
 
+// intervalIndex returns the interval t falls in (-1 outside the series),
+// growing an open-ended Dataset's series to reach it.
 func (d *Dataset) intervalIndex(t int64) int {
 	i := int((t - d.cfg.Start) / Interval)
+	for ; i >= d.nIntervals && d.cfg.End == 0; d.nIntervals++ {
+		for _, a := range d.accs {
+			a.Grow(d.nIntervals + 1)
+		}
+		for a := range d.areaBuf {
+			d.areaBuf[a] = append(d.areaBuf[a], nil)
+		}
+	}
 	if i < 0 || i >= d.nIntervals {
 		return -1
 	}
 	return i
+}
+
+// client returns a client's state, first making the state of every client
+// up to it.
+func (d *Dataset) client(clientIdx int) *clientState {
+	for len(d.clients) <= clientIdx {
+		d.clients = append(d.clients, clientState{surge: 1, day: -1})
+		d.Changes = append(d.Changes, nil)
+		d.ClientCarDays = append(d.ClientCarDays, nil)
+		d.ClientGaps = append(d.ClientGaps, 0)
+	}
+	return &d.clients[clientIdx]
+}
+
+// clientArea returns a client's surge area (-1 outside every area).
+func (d *Dataset) clientArea(clientIdx int, pos geo.Point) int {
+	if clientIdx < len(d.cfg.ClientAreas) {
+		return d.cfg.ClientAreas[clientIdx]
+	}
+	return sim.AreaOf(d.areas, pos)
 }
 
 // Observe implements client.Sink.
@@ -215,6 +249,7 @@ func (d *Dataset) Observe(clientIdx int, pos geo.Point, resp *core.PingResponse)
 	now := resp.Time
 	iv := d.intervalIndex(now)
 	day := now / sim.SecondsPerDay
+	c := d.client(clientIdx)
 
 	for ti := range resp.Types {
 		ts := &resp.Types[ti]
@@ -232,43 +267,34 @@ func (d *Dataset) Observe(clientIdx int, pos geo.Point, resp *core.PingResponse)
 		d.ewtAcc.Add(now, ts.EWTSeconds/60)
 		d.surgeAcc.Add(now, ts.Surge)
 
-		if clientIdx < len(d.curSurge) {
-			if ts.Surge != d.curSurge[clientIdx] {
-				d.Changes[clientIdx] = append(d.Changes[clientIdx], SurgeChange{
-					Time: now, From: d.curSurge[clientIdx], To: ts.Surge,
-				})
-				d.curSurge[clientIdx] = ts.Surge
-			}
-			// Area-level features.
-			if a := d.clientArea(clientIdx); a >= 0 {
-				d.areaEWT[a].Add(now, ts.EWTSeconds/60)
-				if iv >= 0 {
-					d.areaBuf[a][iv] = append(d.areaBuf[a][iv], ts.Surge)
-				}
-			}
-			// Heatmap EWT.
-			d.clientEWTSum[clientIdx] += ts.EWTSeconds / 60
-			d.clientEWTN[clientIdx]++
-			// Heatmap unique cars per day.
-			if d.clientDay[clientIdx] != day {
-				if d.clientDay[clientIdx] >= 0 {
-					d.ClientCarDays[clientIdx] = append(d.ClientCarDays[clientIdx], len(d.clientDaySeen[clientIdx]))
-				}
-				d.clientDaySeen[clientIdx] = make(map[string]bool)
-				d.clientDay[clientIdx] = day
-			}
-			for ci := range ts.Cars {
-				d.clientDaySeen[clientIdx][ts.Cars[ci].ID] = true
+		if ts.Surge != c.surge {
+			d.Changes[clientIdx] = append(d.Changes[clientIdx], SurgeChange{
+				Time: now, From: c.surge, To: ts.Surge,
+			})
+			c.surge = ts.Surge
+		}
+		// Area-level features.
+		if a := d.clientArea(clientIdx, pos); a >= 0 {
+			d.areaEWT[a].Add(now, ts.EWTSeconds/60)
+			if iv >= 0 {
+				d.areaBuf[a][iv] = append(d.areaBuf[a][iv], ts.Surge)
 			}
 		}
+		// Heatmap EWT.
+		c.ewtSum += ts.EWTSeconds / 60
+		c.ewtN++
+		// Heatmap unique cars per day.
+		if c.day != day {
+			if c.day >= 0 {
+				d.ClientCarDays[clientIdx] = append(d.ClientCarDays[clientIdx], len(c.daySeen))
+			}
+			c.daySeen = make(map[string]bool)
+			c.day = day
+		}
+		for ci := range ts.Cars {
+			c.daySeen[ts.Cars[ci].ID] = true
+		}
 	}
-}
-
-func (d *Dataset) clientArea(clientIdx int) int {
-	if clientIdx < len(d.cfg.ClientAreas) {
-		return d.cfg.ClientAreas[clientIdx]
-	}
-	return -1
 }
 
 // observeCar updates per-car tracking state and the supply series.
@@ -289,8 +315,9 @@ func (d *Dataset) observeCar(vt core.VehicleType, car *core.CarView, clientIdx i
 	cs.observers = append(cs.observers, int32(clientIdx))
 	cs.lastSeen = now
 	cs.missed = 0
-	// Positions arrive as lat/lng; project once per observation.
-	cs.lastPos = d.proj(car.Pos)
+	// Positions arrive as lat/lng; project once per observation, with the
+	// profile origin the campaign placed its clients by.
+	cs.lastPos = d.projection.ToPlane(car.Pos)
 
 	if lr, ok := d.lives[car.ID]; ok {
 		lr.last = now
@@ -315,12 +342,6 @@ func (d *Dataset) observeCar(vt core.VehicleType, car *core.CarView, clientIdx i
 			}
 		}
 	}
-}
-
-// proj converts a wire coordinate to plane coordinates using the profile
-// origin (same projection the campaign used to place clients).
-func (d *Dataset) proj(ll geo.LatLng) geo.Point {
-	return d.projection.ToPlane(ll)
 }
 
 // ObserveGap implements client.GapSink: a failed ping is an explicit hole
@@ -350,13 +371,13 @@ func (d *Dataset) blindMiss(cs *carState) bool {
 }
 
 // EndRound implements client.Sink: detects deaths (cars missing for
-// deathGraceRounds consecutive rounds) and applies the edge filter.
+// DeathGraceRounds consecutive rounds) and applies the edge filter.
 // Rounds in which a car's observers gapped don't advance its missed
 // count — without this, transport failures against a remote backend read
 // as bursts of phantom demand (the skew the paper's §3.3 accounting
 // avoids).
 func (d *Dataset) EndRound(now int64) {
-	for id, cs := range d.cars {
+	for id, cs := range d.cars { //det:unordered each car's death is its own; the series only count them
 		if d.seenRound[id] {
 			continue
 		}
@@ -364,7 +385,7 @@ func (d *Dataset) EndRound(now int64) {
 			continue
 		}
 		cs.missed++
-		if cs.missed < deathGraceRounds {
+		if cs.missed < DeathGraceRounds {
 			continue
 		}
 		// Confirmed disappearance. The lifespan record stays in d.lives so
@@ -387,28 +408,39 @@ func (d *Dataset) EndRound(now int64) {
 	}
 	clear(d.seenRound)
 	clear(d.gapped)
+	// Rounds arrive in time order: no later sample joins an interval
+	// before now's.
+	d.fold(min(int((now-d.cfg.Start)/Interval), d.nIntervals))
+}
+
+// fold replaces each area's multipliers in the intervals before the n-th
+// with their median.
+func (d *Dataset) fold(n int) {
+	for ; d.folded < n; d.folded++ {
+		for _, bufs := range d.areaBuf {
+			bufs[d.folded] = []float64{surgeMedian(bufs[d.folded])}
+		}
+	}
+}
+
+// surgeMedian is an interval's median multiplier, 1 without a sample.
+func surgeMedian(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	return stats.NewCDF(xs).Median()
 }
 
 // Close finalizes streaming state: flushes per-day heatmap counts, folds
 // surge sample buffers into medians, and materializes lifespans.
 func (d *Dataset) Close() {
-	for i := range d.clientDaySeen {
-		if d.clientDay[i] >= 0 && len(d.clientDaySeen[i]) > 0 {
-			d.ClientCarDays[i] = append(d.ClientCarDays[i], len(d.clientDaySeen[i]))
+	for i, c := range d.clients {
+		if c.day >= 0 && len(c.daySeen) > 0 {
+			d.ClientCarDays[i] = append(d.ClientCarDays[i], len(c.daySeen))
 		}
 	}
-	for a := range d.areaBuf {
-		for iv, buf := range d.areaBuf[a] {
-			if len(buf) == 0 {
-				d.areaSurge[a][iv] = 1
-				continue
-			}
-			d.areaSurge[a][iv] = stats.NewCDF(buf).Median()
-			d.areaSurgeN[a][iv] = len(buf)
-		}
-		d.areaBuf[a] = nil
-	}
-	for _, lr := range d.lives {
+	d.fold(d.nIntervals)
+	for _, lr := range d.lives { //det:unordered whole seconds and counts: readers sort them, and any sum of them is exact
 		span := float64(lr.last - lr.first)
 		if span < shortLivedSeconds {
 			d.ShortLived++
@@ -450,7 +482,9 @@ func (d *Dataset) AreaEWTSeries(area int) *stats.Series { return d.areaEWT[area]
 // interval for one area (medians discard jitter, as the paper does).
 func (d *Dataset) AreaSurgeSeries(area int) *stats.Series {
 	s := stats.NewSeries(d.cfg.Start, Interval, d.nIntervals)
-	copy(s.Values, d.areaSurge[area])
+	for iv, xs := range d.areaBuf[area] {
+		s.Values[iv] = surgeMedian(xs)
+	}
 	return s
 }
 
@@ -478,7 +512,7 @@ type CleaningStats struct {
 // Cleaning computes the cleaning summary. Call Close first.
 func (d *Dataset) Cleaning() CleaningStats {
 	st := CleaningStats{TotalCars: len(d.lives), ShortLived: d.ShortLived}
-	for _, lr := range d.lives {
+	for _, lr := range d.lives { //det:unordered whole seconds and counts: readers sort them, and any sum of them is exact
 		if float64(lr.last-lr.first) < shortLivedSeconds {
 			continue
 		}
@@ -493,8 +527,9 @@ func (d *Dataset) NumAreas() int { return len(d.areas) }
 // ClientMeanEWT returns a client's mean observed EWT in minutes (NaN if
 // the client saw nothing).
 func (d *Dataset) ClientMeanEWT(clientIdx int) float64 {
-	if d.clientEWTN[clientIdx] == 0 {
+	c := &d.clients[clientIdx]
+	if c.ewtN == 0 {
 		return math.NaN()
 	}
-	return d.clientEWTSum[clientIdx] / float64(d.clientEWTN[clientIdx])
+	return c.ewtSum / float64(c.ewtN)
 }

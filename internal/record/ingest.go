@@ -29,23 +29,62 @@ import (
 	"repro/internal/tsdb"
 )
 
+// Pings reads api.pings as a campaign's rows, for the live ingester and
+// for analyze -follow: it decodes each ping, numbers its client (a client
+// seen for the first time gets the next series), and refuses a ping at or
+// before its series' newest row (a redelivery, or a second ping of a
+// client in one round). Not safe for concurrent use.
+type Pings struct {
+	series map[string]int // client ID → series index
+	last   map[int]int64  // series → newest row's time (dedup floor)
+	// Dups counts the pings refused.
+	Dups int64
+}
+
+// NewPings returns a reader whose series are numbered from 0.
+func NewPings() *Pings {
+	return &Pings{series: make(map[string]int), last: make(map[int]int64)}
+}
+
+// Read decodes ev into a row of series. series is -1 for an event that
+// adds no row: one that is not a ping, or a ping Read refuses. A payload
+// that does not decode is an error.
+func (p *Pings) Read(ev bus.Event) (o bus.Observation, series int, err error) {
+	if ev.Kind != bus.KindPing || len(ev.Data) == 0 {
+		return o, -1, nil
+	}
+	if o, err = bus.DecodeObservation(ev.Data); err != nil {
+		return o, -1, err
+	}
+	series, seen := p.series[o.Client]
+	if !seen {
+		series = len(p.series)
+		p.series[o.Client] = series
+	}
+	if last, ok := p.last[series]; ok && o.Time <= last {
+		// The batch path never writes two rows of a series with one
+		// timestamp, so neither does a reader of the topic.
+		p.Dups++
+		return o, -1, nil
+	}
+	p.last[series] = o.Time
+	return o, series, nil
+}
+
 // LiveIngester writes bus ping events into a tsdb campaign store. Not
 // safe for concurrent use: one goroutine drives it (the bus consumer
 // loop).
 type LiveIngester struct {
-	db   *tsdb.DB
-	proj *geo.Projection
-	hdr  Header
-
-	series map[string]int // client ID → series index
-	last   map[int]int64  // series → newest appended time (dedup floor)
+	db    *tsdb.DB
+	proj  *geo.Projection
+	hdr   Header
+	pings *Pings
 
 	// roundTime is the timestamp of the round currently accumulating;
 	// an event with a later time commits the finished round first.
-	roundTime  int64
-	roundOpen  bool
-	rows, dups int64
-	rounds     int64
+	roundTime    int64
+	roundOpen    bool
+	rows, rounds int64
 }
 
 // NewLiveIngester opens (or resumes) a tsdb campaign store at dir fed
@@ -57,13 +96,7 @@ func NewLiveIngester(dir string, hdr Header, proj *geo.Projection, metrics *obs.
 	if err != nil {
 		return nil, err
 	}
-	ing := &LiveIngester{
-		db:     db,
-		proj:   proj,
-		hdr:    hdr,
-		series: make(map[string]int),
-		last:   make(map[int]int64),
-	}
+	ing := &LiveIngester{db: db, proj: proj, hdr: hdr, pings: NewPings()}
 	if stored, err := ReadHeader(db); err == nil {
 		ing.hdr = stored
 	}
@@ -73,9 +106,9 @@ func NewLiveIngester(dir string, hdr Header, proj *geo.Projection, metrics *obs.
 			dir, len(ing.hdr.ClientIDs), len(ing.hdr.Clients))
 	}
 	for i, id := range ing.hdr.ClientIDs {
-		ing.series[id] = i
+		ing.pings.series[id] = i
 		if t, ok := db.SeriesLastTime(i); ok {
-			ing.last[i] = t
+			ing.pings.last[i] = t
 		}
 	}
 	return ing, nil
@@ -87,12 +120,12 @@ func NewLiveIngester(dir string, hdr Header, proj *geo.Projection, metrics *obs.
 // commits its consumer offsets on that signal, keeping "rows durable"
 // ahead of "offsets durable" (at-least-once).
 func (ing *LiveIngester) Handle(ev bus.Event) (roundDone bool, err error) {
-	if ev.Kind != bus.KindPing || len(ev.Data) == 0 {
-		return false, nil
-	}
-	o, err := bus.DecodeObservation(ev.Data)
+	o, series, err := ing.pings.Read(ev)
 	if err != nil {
 		return false, fmt.Errorf("record: ping event %d: %w", ev.Seq, err)
+	}
+	if series < 0 {
+		return false, nil
 	}
 
 	// A later timestamp means every client of the previous round has
@@ -103,47 +136,30 @@ func (ing *LiveIngester) Handle(ev bus.Event) (roundDone bool, err error) {
 		}
 		roundDone = true
 	}
-
-	idx, ok := ing.series[o.Client]
-	if !ok {
-		idx, err = ing.addClient(&o)
-		if err != nil {
+	if series == len(ing.hdr.ClientIDs) {
+		if err := ing.addClient(&o); err != nil {
 			return roundDone, err
 		}
 	}
-	if last, seen := ing.last[idx]; seen && o.Time <= last {
-		// Redelivered after a crash (or a duplicate ping inside one
-		// round): the batch path never writes two rows of a series with
-		// one timestamp, so neither do we.
-		ing.dups++
-		return roundDone, nil
-	}
-
-	if err := ing.db.Append(tsdb.Row{Time: o.Time, Series: idx, Types: o.Types}); err != nil {
+	if err := ing.db.Append(tsdb.Row{Time: o.Time, Series: series, Types: o.Types}); err != nil {
 		return roundDone, err
 	}
-	ing.last[idx] = o.Time
 	ing.rows++
 	ing.roundTime = o.Time
 	ing.roundOpen = true
 	return roundDone, nil
 }
 
-// addClient assigns the next series index to a first-seen client and
-// persists the grown header.
-func (ing *LiveIngester) addClient(o *bus.Observation) (int, error) {
-	idx := len(ing.hdr.ClientIDs)
+// addClient persists the header grown by a first-seen client, which
+// Pings gave the next series.
+func (ing *LiveIngester) addClient(o *bus.Observation) error {
 	ing.hdr.ClientIDs = append(ing.hdr.ClientIDs, o.Client)
 	ing.hdr.Clients = append(ing.hdr.Clients, ing.proj.ToPlane(geo.LatLng{Lat: o.Lat, Lng: o.Lng}))
 	extra, err := json.Marshal(ing.hdr)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if err := ing.db.SetExtra(extra); err != nil {
-		return 0, err
-	}
-	ing.series[o.Client] = idx
-	return idx, nil
+	return ing.db.SetExtra(extra)
 }
 
 // commitRound makes the accumulated round durable (one WAL fsync, like
@@ -154,10 +170,10 @@ func (ing *LiveIngester) commitRound() error {
 	return ing.db.Commit()
 }
 
-// Stats reports rows appended, redeliveries skipped, and rounds
-// committed by this ingester instance.
+// Stats reports rows appended, duplicate pings skipped (see Pings) and
+// rounds committed by this ingester instance.
 func (ing *LiveIngester) Stats() (rows, dups, rounds int64) {
-	return ing.rows, ing.dups, ing.rounds
+	return ing.rows, ing.pings.Dups, ing.rounds
 }
 
 // Close seals the open round, if any, and closes the store.

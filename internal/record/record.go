@@ -214,61 +214,90 @@ const (
 	MaxTime = int64(1) << 62
 )
 
-// Replay streams the rows of db with from ≤ time < to into sinks in
-// (time, series) order, reconstructing round boundaries (all observations
-// of one round share a timestamp), and returns the number of rounds
-// replayed. hdr places each series (client) for the sinks. Every row is
-// filled into one response that each sink borrows (see client.Sink). If a
-// chunk is damaged, every row of every series before that chunk's first
-// timestamp is delivered first, so the rounds before the damage are whole,
-// and the returned error wraps ErrTruncated.
-func Replay(db *tsdb.DB, hdr Header, from, to int64, sinks ...client.Sink) (rounds int64, err error) {
-	var resp core.PingResponse
-	cur := int64(-1)
-	endRound := func() {
-		for _, s := range sinks {
-			s.EndRound(cur)
+// ErrLate marks a row older than the round a Feed has open: a round that
+// has ended cannot reopen.
+var ErrLate = errors.New("record: row older than the open round")
+
+// A Feed delivers a campaign's rows to sinks round by round, the one way
+// a replayed store and the live api.pings topic both reach a Dataset:
+// each row is filled into one response the sinks borrow (see
+// client.Sink), and a row with a later time first ends the open round.
+type Feed struct {
+	Sinks []client.Sink
+	// Rounds counts the rounds ended.
+	Rounds int64
+	resp   core.PingResponse
+	cur    int64 // the open round's time
+	open   bool
+}
+
+// Row delivers one row of the series a client at pos wrote. A row older
+// than the open round is refused with ErrLate.
+func (f *Feed) Row(row *tsdb.Row, pos geo.Point) error {
+	if f.open && row.Time != f.cur {
+		if row.Time < f.cur {
+			return ErrLate
 		}
-		rounds++
+		f.End()
 	}
+	f.cur, f.open = row.Time, true
+	if row.Gap {
+		// The reason is passed through verbatim so a recording survives
+		// conversions without accreting wrapper prefixes.
+		gapErr := errors.New(row.Reason)
+		for _, s := range f.Sinks {
+			if gs, ok := s.(client.GapSink); ok {
+				gs.ObserveGap(row.Series, pos, row.Time, gapErr)
+			}
+		}
+		return nil
+	}
+	if err := wire.FillResponse(&f.resp, row.Time, row.Types); err != nil {
+		return fmt.Errorf("record: %w", err)
+	}
+	for _, s := range f.Sinks {
+		s.Observe(row.Series, pos, &f.resp)
+	}
+	return nil
+}
+
+// End ends the open round, if any.
+func (f *Feed) End() {
+	if f.open {
+		for _, s := range f.Sinks {
+			s.EndRound(f.cur)
+		}
+		f.open, f.Rounds = false, f.Rounds+1
+	}
+}
+
+// Replay streams the rows of db with from ≤ time < to into sinks in
+// (time, series) order through a Feed, reconstructing round boundaries
+// (all observations of one round share a timestamp), and returns the
+// number of rounds replayed. hdr places each series (client) for the
+// sinks. If a chunk is damaged, every row of every series before that
+// chunk's first timestamp is delivered first, so the rounds before the
+// damage are whole, and the returned error wraps ErrTruncated.
+func Replay(db *tsdb.DB, hdr Header, from, to int64, sinks ...client.Sink) (rounds int64, err error) {
+	f := Feed{Sinks: sinks}
 	it := db.QueryAll(from, to)
 	for it.Next() {
 		row := it.Row()
-		if cur >= 0 && row.Time != cur {
-			endRound()
-		}
-		cur = row.Time
 		var pos geo.Point
 		if row.Series >= 0 && row.Series < len(hdr.Clients) {
 			pos = hdr.Clients[row.Series]
 		}
-		if row.Gap {
-			// The reason is passed through verbatim so a recording survives
-			// conversions without accreting wrapper prefixes.
-			gapErr := errors.New(row.Reason)
-			for _, s := range sinks {
-				if gs, ok := s.(client.GapSink); ok {
-					gs.ObserveGap(row.Series, pos, row.Time, gapErr)
-				}
-			}
-			continue
-		}
-		if err := wire.FillResponse(&resp, row.Time, row.Types); err != nil {
-			return rounds, fmt.Errorf("record: %w", err)
-		}
-		for _, s := range sinks {
-			s.Observe(row.Series, pos, &resp)
+		if err := f.Row(row, pos); err != nil {
+			return f.Rounds, err
 		}
 	}
-	if cur >= 0 {
-		endRound()
-	}
+	f.End()
 	if err := it.Err(); err != nil {
 		// A damaged chunk behaves like a truncated tail: partial data plus
 		// a sentinel the caller can tolerate.
-		return rounds, fmt.Errorf("record: %v: %w", err, ErrTruncated)
+		return f.Rounds, fmt.Errorf("record: %v: %w", err, ErrTruncated)
 	}
-	return rounds, nil
+	return f.Rounds, nil
 }
 
 // ReplayPathRange is Open, Replay and Close: it replays the rows of the

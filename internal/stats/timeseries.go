@@ -87,6 +87,14 @@ func NewAccumulator(start, step int64, nBuckets int) *Accumulator {
 	}
 }
 
+// Grow extends the accumulator to at least nBuckets buckets.
+func (a *Accumulator) Grow(nBuckets int) {
+	if n := nBuckets - len(a.sum); n > 0 {
+		a.sum = append(a.sum, make([]float64, n)...)
+		a.n = append(a.n, make([]int, n)...)
+	}
+}
+
 func (a *Accumulator) index(t int64) int {
 	d := t - a.Start
 	if d < 0 {

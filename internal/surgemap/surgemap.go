@@ -227,7 +227,7 @@ func (m *Map) majority(trueOf []int) []int {
 	majority := make([]int, m.NumClusters)
 	for c, v := range votes {
 		best, bestN := -1, -1
-		for lbl, n := range v {
+		for lbl, n := range v { //det:unordered a tie goes to the lowest label, so the winner is the same in any order
 			if n > bestN || n == bestN && lbl < best {
 				best, bestN = lbl, n
 			}

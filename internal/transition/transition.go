@@ -193,7 +193,7 @@ func (s *Sink) classify() {
 		ev[state][area]++
 		total[state]++
 	}
-	for id, curArea := range s.cur {
+	for id, curArea := range s.cur { //det:unordered each car adds 1 to whole-number counts, exact in any order
 		prevArea, existed := s.prev[id]
 		switch {
 		case !existed:
@@ -205,7 +205,7 @@ func (s *Sink) classify() {
 			add(StateOut, prevArea)
 		}
 	}
-	for id, prevArea := range s.prev {
+	for id, prevArea := range s.prev { //det:unordered each car adds 1 to whole-number counts, exact in any order
 		if _, alive := s.cur[id]; !alive {
 			add(StateDying, prevArea)
 		}
