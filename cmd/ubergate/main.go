@@ -94,31 +94,6 @@ func parseShards(arg string) ([]gate.RegionSpec, []gate.ShardSpec, error) {
 	return regions, shards, nil
 }
 
-// applyFailovers parses "region=region,..." onto the region specs.
-func applyFailovers(regions []gate.RegionSpec, arg string) error {
-	for _, entry := range strings.Split(arg, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		from, to, ok := strings.Cut(entry, "=")
-		if !ok {
-			return fmt.Errorf("bad failover %q (want region=region)", entry)
-		}
-		found := false
-		for i := range regions {
-			if regions[i].Name == from {
-				regions[i].Failover = to
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("failover source region %q has no shards", from)
-		}
-	}
-	return nil
-}
-
 func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stderr)) }
 
 // run serves until ctx is cancelled or the process is signalled and
@@ -128,13 +103,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr       = fs.String("addr", ":8090", "listen address")
-		shardsArg  = fs.String("shards", "", "comma-separated city=baseURL shard list (required; repeat a city for replicas)")
-		failovers  = fs.String("failover", "", "comma-separated region=region static failover map (optional)")
-		healthIvl  = fs.Duration("health-interval", 500*time.Millisecond, "active health-check period per shard")
-		healthTmo  = fs.Duration("health-timeout", 0, "per-probe timeout (default: the interval)")
-		failThresh = fs.Int("fail-threshold", 2, "consecutive failed probes before a shard is marked down")
-		fwdTimeout = fs.Duration("forward-timeout", 5*time.Second, "per-forwarded-request budget (clamped by the caller's propagated deadline)")
+		addr      = fs.String("addr", ":8090", "listen address")
+		shardsArg = fs.String("shards", "", "comma-separated city=baseURL shard list (required; repeat a city for replicas)")
+		healthIvl = fs.Duration("health-interval", 500*time.Millisecond, "active health-check period per shard (also each probe's timeout)")
 	)
 	var edge chaos.Edge
 	edge.Flags(fs, 10*time.Second)
@@ -151,9 +122,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	if err != nil {
 		return reject(err)
 	}
-	if err := applyFailovers(regions, *failovers); err != nil {
-		return reject(err)
-	}
 	injector, err := edge.Injector()
 	if err != nil {
 		return reject(err)
@@ -163,9 +131,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		Regions:        regions,
 		Shards:         shards,
 		HealthInterval: *healthIvl,
-		HealthTimeout:  *healthTmo,
-		FailThreshold:  *failThresh,
-		ForwardTimeout: *fwdTimeout,
 		RetryAfter:     edge.RetryAfter,
 		Registry:       reg,
 	})
@@ -193,8 +158,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		logger.Printf("shard %s (%s) -> %s alive=%v ready=%v",
 			s.Name, s.Region, s.BaseURL, s.Alive(), s.Ready())
 	}
-	logger.Printf("serving %d shards on %s (health every %s, fail threshold %d)",
-		len(g.Shards()), *addr, *healthIvl, *failThresh)
+	logger.Printf("serving %d shards on %s (health every %s)",
+		len(g.Shards()), *addr, *healthIvl)
 	// api.Serve fails readiness first so an upstream balancer (or a prober
 	// of our own /readyz) stops sending work, then closes the listener.
 	if err := api.Serve(ctx, &http.Server{Addr: *addr, Handler: mux}, g.Readiness(), edge.Drain); err != nil {

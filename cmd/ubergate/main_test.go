@@ -3,17 +3,43 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/chaos"
 )
+
+// TestRunFlags pins the command line: the gateway's own three flags plus
+// the edge flags it shares with uberd, and nothing else.
+func TestRunFlags(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-h"}, &stderr); code != 0 {
+		t.Fatalf("-h: exit %d, want 0", code)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr.String(), -1) {
+		got = append(got, m[1])
+	}
+	want := []string{"addr", "health-interval", "shards"}
+	edge := flag.NewFlagSet("edge", flag.ContinueOnError)
+	new(chaos.Edge).Flags(edge, time.Second)
+	edge.VisitAll(func(f *flag.Flag) { want = append(want, f.Name) })
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("flags %v, want %v", got, want)
+	}
+}
 
 func TestRunRejects(t *testing.T) {
 	const shards = "manhattan=http://127.0.0.1:1"
@@ -26,7 +52,6 @@ func TestRunRejects(t *testing.T) {
 		{"missing shards", nil, "-shards is required"},
 		{"shard without a URL", []string{"-shards", "manhattan"}, `bad shard "manhattan"`},
 		{"shard in an unknown city", []string{"-shards", "bad=shard=spec"}, "bad"},
-		{"failover from a region with no shards", []string{"-shards", shards, "-failover", "sf=manhattan"}, `failover source region "sf" has no shards`},
 		{"negative fault probability", []string{"-shards", shards, "-chaos-reset", "-1"}, "-chaos-reset -1"},
 		{"fault probability above one", []string{"-shards", shards, "-chaos-error", "1.5"}, "-chaos-error 1.5"},
 	} {

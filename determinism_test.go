@@ -6,7 +6,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -37,7 +39,9 @@ var wallClockSites = map[string]bool{
 //   - time.Now and time.Since appear only at wallClockSites.
 func TestDeterministicCore(t *testing.T) {
 	fset := token.NewFileSet()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	exports := exportData(t)
+	lookup := func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) }
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
 	for _, name := range auditPackages {
 		dir := filepath.Join("internal", name)
 		entries, err := os.ReadDir(dir)
@@ -67,6 +71,32 @@ func TestDeterministicCore(t *testing.T) {
 			checkDeterministic(t, fset, info, f)
 		}
 	}
+}
+
+// exportData maps every package the audit packages import, the standard
+// library included, to the export data the go command compiled for it, so
+// that only the audit packages' own files are type-checked from source.
+func exportData(t *testing.T) map[string]string {
+	t.Helper()
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}"}
+	for _, name := range auditPackages {
+		args = append(args, "./internal/"+name)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		var stderr []byte
+		if ee, ok := err.(*exec.ExitError); ok {
+			stderr = ee.Stderr
+		}
+		t.Fatalf("go list -export: %v\n%s", err, stderr)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+			exports[path] = file
+		}
+	}
+	return exports
 }
 
 func checkDeterministic(t *testing.T, fset *token.FileSet, info *types.Info, f *ast.File) {

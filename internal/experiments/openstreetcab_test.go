@@ -68,11 +68,11 @@ func TestOpenStreetCabPeakFactor(t *testing.T) {
 	const start = 17 * 3600
 	uberW := sim.NewWorld(sim.Config{
 		Profile: profile, Seed: opts.Seed, StartTime: start,
-		Workers: opts.Workers, Road: net, RoadShared: true,
+		Workers: opts.Workers, Road: net,
 	})
 	taxiW := sim.NewWorld(sim.Config{
 		Profile: taxiProfile, Seed: opts.Seed + 1, StartTime: start,
-		Workers: opts.Workers, Road: net, RoadShared: true,
+		Workers: opts.Workers, Road: net,
 	})
 	uberSvc := api.NewService(uberW, surge.New(uberW, surge.Config{Params: profile.Surge, Seed: opts.Seed}))
 	taxiSvc := api.NewService(taxiW, surge.New(taxiW, surge.Config{Params: taxiProfile.Surge, Seed: opts.Seed + 1}))

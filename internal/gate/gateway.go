@@ -27,17 +27,10 @@ type Config struct {
 	Shards []ShardSpec
 
 	// HealthInterval is the active probe period (default 500ms); a dead
-	// shard is detected within FailThreshold (default 2) intervals.
+	// shard is detected within failThreshold intervals.
 	HealthInterval time.Duration
 	// HealthTimeout bounds one probe round (default HealthInterval).
 	HealthTimeout time.Duration
-	// FailThreshold is how many consecutive failed liveness probes mark a
-	// shard down (default 2).
-	FailThreshold int
-
-	// ForwardTimeout bounds one proxied request, further clamped per
-	// request by the caller's propagated deadline (default 5s).
-	ForwardTimeout time.Duration
 	// RetryAfter is advertised on 503 shed responses (default 1s).
 	RetryAfter time.Duration
 
@@ -49,18 +42,21 @@ type Config struct {
 	HTTPClient *http.Client
 }
 
+const (
+	// failThreshold is how many consecutive failed liveness probes mark a
+	// shard down: one dropped probe never evicts a shard.
+	failThreshold = 2
+	// forwardTimeout bounds one proxied request, further clamped per
+	// request by the caller's propagated deadline.
+	forwardTimeout = 5 * time.Second
+)
+
 func (c *Config) defaults() {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 500 * time.Millisecond
 	}
 	if c.HealthTimeout <= 0 {
 		c.HealthTimeout = c.HealthInterval
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 5 * time.Second
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -70,7 +66,7 @@ func (c *Config) defaults() {
 	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{
-			Timeout: c.ForwardTimeout + time.Second,
+			Timeout: forwardTimeout + time.Second,
 			Transport: &http.Transport{
 				MaxIdleConns:        256,
 				MaxIdleConnsPerHost: 64,
@@ -102,7 +98,6 @@ type Gateway struct {
 	wg     sync.WaitGroup
 
 	mReroutes  *obs.Counter
-	mFailovers *obs.Counter
 	mSheds     func(region string) *obs.Counter
 	mProxyErrs *obs.Counter
 	mRelogins  *obs.Counter
@@ -145,7 +140,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	g.ready.AddCheck("shards", g.AnyEligible)
 
 	g.mReroutes = reg.Counter("gate_reroutes_total")
-	g.mFailovers = reg.Counter("gate_failovers_total")
 	g.mSheds = func(region string) *obs.Counter {
 		return reg.Counter("gate_shed_total", obs.L("region", region))
 	}
@@ -175,7 +169,7 @@ func (g *Gateway) Start() {
 		g.wg.Add(1)
 		go func(s *Shard) {
 			defer g.wg.Done()
-			s.probeLoop(ctx, g.cfg.HTTPClient, g.cfg.HealthInterval, g.cfg.HealthTimeout, g.cfg.FailThreshold)
+			s.probeLoop(ctx, g.cfg.HTTPClient, g.cfg.HealthInterval, g.cfg.HealthTimeout)
 		}(s)
 	}
 }
@@ -281,7 +275,9 @@ func (g *Gateway) handleSurgeMap(w http.ResponseWriter, r *http.Request) {
 	g.routeAndForward(w, r, rg.spec.Origin)
 }
 
-// routeAndForward runs the full pick → forward → reroute/relogin ladder.
+// routeAndForward runs the full ladder: pick → forward → reroute once
+// inside the region (or relogin) → shed with 503 + Retry-After. A request
+// never leaves its region.
 func (g *Gateway) routeAndForward(w http.ResponseWriter, r *http.Request, loc geo.LatLng) {
 	route, err := g.router.Pick(loc)
 	if err != nil {
@@ -314,7 +310,7 @@ func (g *Gateway) routeAndForward(w http.ResponseWriter, r *http.Request, loc ge
 			resp = resp2
 		}
 	}
-	g.relay(w, route, resp)
+	g.relay(w, route.Shard, resp)
 }
 
 // routeFail translates a routing error into the client-facing response.
@@ -329,11 +325,9 @@ func (g *Gateway) routeFail(w http.ResponseWriter, err error) {
 	api.WriteError(w, http.StatusNotFound, api.ErrOutOfService.Error())
 }
 
-// countRoute bumps the reroute/failover counters for a pick.
+// countRoute bumps the reroute counter for a pick that left its primary.
 func (g *Gateway) countRoute(route Route) {
-	if route.FailedOver {
-		g.mFailovers.Inc()
-	} else if route.Rerouted() {
+	if route.Rerouted() {
 		g.mReroutes.Inc()
 	}
 }
@@ -342,7 +336,7 @@ func (g *Gateway) countRoute(route Route) {
 // reports the outcome to the shard's breaker (any HTTP answer below 500
 // proves the shard alive; transport errors and 5xx count as failures).
 func (g *Gateway) do(s *Shard, r *http.Request) (*http.Response, error) {
-	budget := g.cfg.ForwardTimeout
+	budget := forwardTimeout
 	if dl, ok := r.Context().Deadline(); ok {
 		if rem := time.Until(dl); rem < budget {
 			budget = rem
@@ -390,20 +384,17 @@ func (b *cancelBody) Close() error {
 
 // relay copies a shard response to the client, labeling which shard
 // served it.
-func (g *Gateway) relay(w http.ResponseWriter, route Route, resp *http.Response) {
+func (g *Gateway) relay(w http.ResponseWriter, s *Shard, resp *http.Response) {
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
-	w.Header().Set("X-Ubergate-Shard", route.Shard.Name)
-	if route.FailedOver {
-		w.Header().Set("X-Ubergate-Failover", route.Region)
-	}
+	w.Header().Set("X-Ubergate-Shard", s.Name)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-	g.requests(route.Shard, resp.StatusCode).Inc()
+	g.requests(s, resp.StatusCode).Inc()
 }
 
 // requests returns shard s's gate_requests_total counter for code's status
@@ -429,7 +420,7 @@ func statusClass(code int) string {
 }
 
 // relogin replays a remembered registration into a shard that answered
-// 401 (it lost its account table — a restart or failover replacement) and
+// 401 (it lost its account table — a restart or a replacement process) and
 // retries the original request once.
 func (g *Gateway) relogin(s *Shard, r *http.Request) (*http.Response, bool) {
 	client := r.URL.Query().Get("client")
@@ -503,7 +494,7 @@ func (g *Gateway) handleLogin(path, idField string) http.HandlerFunc {
 
 // postLogin posts one remembered registration to one shard.
 func (g *Gateway) postLogin(ctx context.Context, s *Shard, l login) bool {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.BaseURL+l.path, bytes.NewReader(l.body))
 	if err != nil {

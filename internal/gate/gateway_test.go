@@ -185,7 +185,6 @@ func TestGatewayKillShardMidCampaign(t *testing.T) {
 			{Name: "sf-0", Region: sf.Name, BaseURL: tsSF.URL},
 		},
 		HealthInterval: interval,
-		FailThreshold:  2,
 		Registry:       reg,
 	})
 	gw := httptest.NewServer(g.Handler())
@@ -226,7 +225,7 @@ func TestGatewayKillShardMidCampaign(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// FailThreshold probes plus one in-flight one, with scheduler slack:
+	// failThreshold probes plus one in-flight one, with scheduler slack:
 	// the acceptance bound is "within two health-check intervals".
 	if d := time.Since(killed); d > 3*interval+500*time.Millisecond {
 		t.Errorf("detection took %v, want ~%v", d, 2*interval)
@@ -504,7 +503,16 @@ func TestGatewayHealsRecoveredShard(t *testing.T) {
 
 func TestGatewayMetricsFanIn(t *testing.T) {
 	mh := sim.Manhattan()
-	tsA := backendServer(t, mh, 1)
+	// The live shard serves /metrics beside its API, the way uberd mounts it.
+	svc := api.Scenario{City: mh.Name, Seed: 1}.Build()
+	svc.RunUntil(600)
+	shardReg := obs.NewRegistry()
+	mux := http.NewServeMux()
+	mux.Handle("/", api.NewServer(svc, api.WithMetrics(shardReg)))
+	mux.Handle("GET /metrics", shardReg.Handler())
+	tsA := httptest.NewServer(mux)
+	defer tsA.Close()
+	reg := obs.NewRegistry()
 	g := startGateway(t, Config{
 		Regions: []RegionSpec{regionSpec(mh)},
 		Shards: []ShardSpec{
@@ -513,6 +521,7 @@ func TestGatewayMetricsFanIn(t *testing.T) {
 			// label its absence, not fail or block.
 			{Name: "manhattan-1", Region: mh.Name, BaseURL: "http://127.0.0.1:1"},
 		},
+		Registry: reg,
 	})
 	// Generate one request so the live shard has series to relabel.
 	gw := httptest.NewServer(g.Handler())
@@ -524,7 +533,7 @@ func TestGatewayMetricsFanIn(t *testing.T) {
 	g.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 
-	if !strings.Contains(body, `shard="manhattan-0"`) {
+	if !strings.Contains(body, `http_requests_total{shard="manhattan-0",`) {
 		t.Error("fan-in missing relabeled series from the live shard")
 	}
 	if !strings.Contains(body, "# ubergate: shard manhattan-1 metrics unavailable") {
@@ -539,6 +548,18 @@ func TestGatewayMetricsFanIn(t *testing.T) {
 		if strings.HasPrefix(line, "# TYPE") && strings.Contains(line, "uberd_") {
 			t.Errorf("shard TYPE comment leaked into fan-in: %q", line)
 		}
+	}
+	// Each scrape that misses the dead shard counts it, in the same
+	// exposition; the live shard never counts.
+	if !strings.Contains(body, `gate_scrape_errors_total{shard="manhattan-1"} 1`) {
+		t.Error("first fan-in does not count the dead shard's scrape error")
+	}
+	g.MetricsHandler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/metrics", nil))
+	if v := reg.Counter("gate_scrape_errors_total", obs.L("shard", "manhattan-1")).Value(); v != 2 {
+		t.Errorf("gate_scrape_errors_total{manhattan-1} = %d after two scrapes, want 2", v)
+	}
+	if v := reg.Counter("gate_scrape_errors_total", obs.L("shard", "manhattan-0")).Value(); v != 0 {
+		t.Errorf("gate_scrape_errors_total{manhattan-0} = %d, want 0", v)
 	}
 }
 
@@ -557,7 +578,21 @@ func TestInjectLabel(t *testing.T) {
 
 func TestGatewaySurgeMapRoutesByRegionParam(t *testing.T) {
 	mh, sf := sim.Manhattan(), sim.SanFrancisco()
-	tsMH := backendServer(t, mh, 1)
+	// Count what the Manhattan shard is asked beyond health probes and
+	// logins: once SF is down, none of SF's traffic may reach it.
+	svcMH := api.Scenario{City: mh.Name, Seed: 1}.Build()
+	svcMH.RunUntil(600)
+	innerMH := api.NewServer(svcMH)
+	var mhAsked atomic.Int64
+	tsMH := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz", "/readyz", "/login", "/partner/login":
+		default:
+			mhAsked.Add(1)
+		}
+		innerMH.ServeHTTP(w, r)
+	}))
+	defer tsMH.Close()
 	tsSF := backendServer(t, sf, 2)
 	g := startGateway(t, Config{
 		Regions: []RegionSpec{regionSpec(mh), regionSpec(sf)},
@@ -602,6 +637,94 @@ func TestGatewaySurgeMapRoutesByRegionParam(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("ambiguous surgeMap: status %d, want 400", resp.StatusCode)
 	}
+
+	// SF's only shard goes down. Every SF-routed request, the surge map
+	// by region parameter included, is shed with 503 + Retry-After; none
+	// is answered from Manhattan's world.
+	tsSF.CloseClientConnections()
+	tsSF.Close()
+	sfShard := g.Shards()[1]
+	for deadline := time.Now().Add(3 * time.Second); sfShard.Alive(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("gateway never marked sf-0 down")
+		}
+	}
+	mhAsked.Store(0)
+	at := fmt.Sprintf("lat=%f&lng=%f", sf.Origin.Lat, sf.Origin.Lng)
+	for _, path := range []string{
+		"/partner/surgeMap?driver=d1&region=" + sf.Name,
+		"/partner/surgeMap?driver=d1&" + at,
+		"/pingClient?client=c1&" + at,
+		"/estimates/price?client=c1&" + at,
+		"/estimates/time?client=c1&" + at,
+	} {
+		resp, err := http.Get(gw.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s with sf down: status %d, Retry-After %q, want 503 with Retry-After (served by %q)",
+				path, resp.StatusCode, resp.Header.Get("Retry-After"), resp.Header.Get("X-Ubergate-Shard"))
+		}
+	}
+	if n := mhAsked.Load(); n != 0 {
+		t.Errorf("manhattan-0 was asked %d SF requests while sf-0 was down", n)
+	}
+}
+
+// TestGatewayCountsProxyErrors: a forward that hits a closed connection
+// counts in gate_proxy_errors_total and reroutes once to the next shard
+// of the same region, which answers.
+func TestGatewayCountsProxyErrors(t *testing.T) {
+	mh := sim.Manhattan()
+	stub := func(hangUp bool) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.URL.Path == "/healthz":
+				io.WriteString(w, `{"time":5}`)
+			case r.URL.Path == "/readyz" || !hangUp:
+				io.WriteString(w, "ok")
+			default: // accept the forward, then close the connection unanswered
+				conn, _, err := w.(http.Hijacker).Hijack()
+				if err == nil {
+					conn.Close()
+				}
+			}
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	reg := obs.NewRegistry()
+	g := startGateway(t, Config{
+		Regions: []RegionSpec{regionSpec(mh)},
+		Shards: []ShardSpec{
+			{Name: "manhattan-0", Region: mh.Name, BaseURL: stub(true).URL},
+			{Name: "manhattan-1", Region: mh.Name, BaseURL: stub(false).URL},
+		},
+		Registry: reg,
+	})
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	// A cell whose primary is the shard that hangs up.
+	for _, loc := range grid(mh, 8) {
+		if route, err := g.Router().Pick(loc); err != nil || route.Shard.Name != "manhattan-0" {
+			continue
+		}
+		code, shard := getShardHeader(t, gw.URL, "c1", loc)
+		if code != http.StatusOK || shard != "manhattan-1" {
+			t.Fatalf("forward after a closed connection: code %d via %q, want 200 via manhattan-1", code, shard)
+		}
+		if v := reg.Counter("gate_proxy_errors_total").Value(); v != 1 {
+			t.Errorf("gate_proxy_errors_total = %d, want 1", v)
+		}
+		if v := reg.Counter("gate_reroutes_total").Value(); v != 1 {
+			t.Errorf("gate_reroutes_total = %d, want 1", v)
+		}
+		return
+	}
+	t.Fatal("test is vacuous: manhattan-0 owns no grid cell")
 }
 
 // TestGatewayEdgeMatchesShardEdge: what the gateway refuses on its own —

@@ -17,7 +17,9 @@ import (
 // each sample rewritten to carry a shard="name" label. The aggregation
 // degrades to partial results — a dead or slow shard contributes a
 // labeled absence comment (and gate_shard_up already reads 0) instead of
-// blocking or failing the scrape. Shard TYPE/HELP comments are dropped:
+// blocking or failing the scrape; gate_scrape_errors_total counts the
+// failure before the gateway's own registry is written, so the
+// exposition that lacks a shard already counts it. Shard TYPE/HELP comments are dropped:
 // the same metric arrives from several shards and a strict parser would
 // reject duplicate metadata; the series themselves stay grep- and
 // PromQL-shaped.
@@ -37,6 +39,9 @@ func (g *Gateway) MetricsHandler() http.Handler {
 			go func(i int, s *Shard) {
 				defer wg.Done()
 				text, err := g.scrapeShard(r.Context(), s)
+				if err != nil {
+					scrapeErrs(s.Name)
+				}
 				results[i] = scrape{text: text, err: err}
 			}(i, s)
 		}
@@ -46,7 +51,6 @@ func (g *Gateway) MetricsHandler() http.Handler {
 		g.cfg.Registry.WritePrometheus(w)
 		for i, s := range g.shards {
 			if results[i].err != nil {
-				scrapeErrs(s.Name)
 				fmt.Fprintf(w, "# ubergate: shard %s metrics unavailable: %v\n", s.Name, results[i].err)
 				continue
 			}

@@ -15,9 +15,8 @@ var (
 	// ErrOutOfRegion means no configured region contains the location:
 	// the multi-city equivalent of api.ErrOutOfService, answered 404.
 	ErrOutOfRegion = errors.New("gate: location outside every service region")
-	// ErrRegionDown means the owning region (and its failover, if any)
-	// has no eligible shard: answered 503 + Retry-After, never a
-	// wrong-city answer.
+	// ErrRegionDown means the owning region has no eligible shard:
+	// answered 503 + Retry-After, never a wrong-city answer.
 	ErrRegionDown = errors.New("gate: region has no eligible shard")
 )
 
@@ -30,11 +29,6 @@ type RegionSpec struct {
 	Name   string
 	Origin geo.LatLng
 	Rect   geo.Rect
-	// Failover optionally names the region whose shards serve this
-	// region's traffic when every local shard is gone — an operator
-	// decision (e.g. a warm standby running the same city's world), never
-	// an implicit cross-city reroute.
-	Failover string
 }
 
 // region is a RegionSpec bound to its projection and shard set.
@@ -53,7 +47,7 @@ func (rg *region) contains(loc geo.LatLng) bool {
 // rectangle containment, then to one of the region's shards by rendezvous
 // (highest-random-weight) hashing on the location's quantized cell.
 //
-// Rendezvous hashing gives the two properties the failover test pins:
+// Rendezvous hashing gives the two properties the reroute tests pin:
 // deterministic placement (the score depends only on shard name and cell,
 // so the same GPS routes to the same shard across gateway restarts — no
 // state to persist) and minimal disruption (when a shard dies, only its
@@ -71,7 +65,7 @@ type Router struct {
 const cellDegrees = 0.002
 
 // NewRouter builds the routing table. Every shard must reference a
-// declared region; every failover target must exist.
+// declared region.
 func NewRouter(regions []RegionSpec, shards []*Shard) (*Router, error) {
 	rt := &Router{byName: make(map[string]*region)}
 	for _, spec := range regions {
@@ -84,14 +78,6 @@ func NewRouter(regions []RegionSpec, shards []*Shard) (*Router, error) {
 		rg := &region{spec: spec, proj: geo.NewProjection(spec.Origin)}
 		rt.regions = append(rt.regions, rg)
 		rt.byName[spec.Name] = rg
-	}
-	for _, spec := range regions {
-		if spec.Failover == "" {
-			continue
-		}
-		if _, ok := rt.byName[spec.Failover]; !ok {
-			return nil, fmt.Errorf("gate: region %q fails over to unknown region %q", spec.Name, spec.Failover)
-		}
 	}
 	for _, s := range shards {
 		rg, ok := rt.byName[s.Region]
@@ -171,22 +157,21 @@ type Route struct {
 	// Primary is the rank-0 shard ignoring health — when Shard differs,
 	// the request was rerouted around a failure.
 	Primary *Shard
-	// Region is the owning region's name (the failover target's name when
-	// FailedOver).
+	// Region is the owning region's name.
 	Region string
-	// FailedOver marks a static cross-region failover.
-	FailedOver bool
 }
 
 // Rerouted reports whether the request left its primary shard.
-func (r Route) Rerouted() bool { return r.Shard != r.Primary || r.FailedOver }
+func (r Route) Rerouted() bool { return r.Shard != r.Primary }
 
 // Pick chooses the shard for loc, skipping shards in exclude (callers
 // pass the shard that just failed a forward so the retry goes elsewhere).
 // The chosen shard's breaker Allow is consumed; the caller must Report.
+// Only the owning region's shards are ever offered: a request is never
+// answered by another city's world.
 // Errors: ErrOutOfRegion when no region contains loc; ErrRegionDown when
-// the owning region and its failover have no eligible shard (the error
-// still carries the region name via RouteError).
+// the owning region has no eligible shard (the error still carries the
+// region name via RouteError).
 func (rt *Router) Pick(loc geo.LatLng, exclude ...*Shard) (Route, error) {
 	rg := rt.Locate(loc)
 	if rg == nil {
@@ -199,12 +184,6 @@ func (rt *Router) Pick(loc geo.LatLng, exclude ...*Shard) (Route, error) {
 	}
 	if s := pickEligible(ranked, exclude); s != nil {
 		return Route{Shard: s, Primary: primary, Region: rg.spec.Name}, nil
-	}
-	if fo := rg.spec.Failover; fo != "" {
-		forg := rt.byName[fo]
-		if s := pickEligible(forg.rank(loc), exclude); s != nil {
-			return Route{Shard: s, Primary: primary, Region: fo, FailedOver: true}, nil
-		}
 	}
 	return Route{Region: rg.spec.Name}, &RouteError{Region: rg.spec.Name, Err: ErrRegionDown}
 }

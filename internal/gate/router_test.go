@@ -188,39 +188,26 @@ func TestRouterExcludeRoutesElsewhere(t *testing.T) {
 	}
 }
 
-func TestRouterRegionDownAndFailover(t *testing.T) {
+func TestRouterRegionDown(t *testing.T) {
 	mh, sf := sim.Manhattan(), sim.SanFrancisco()
 	sfShard := testShard("sf-0", sf.Name)
 	mhShard := testShard("manhattan-0", mh.Name)
-	sfSpec := regionSpec(sf)
-	sfSpec.Failover = mh.Name
-	rt, err := NewRouter([]RegionSpec{regionSpec(mh), sfSpec}, []*Shard{mhShard, sfShard})
+	rt, err := NewRouter([]RegionSpec{regionSpec(mh), regionSpec(sf)}, []*Shard{mhShard, sfShard})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// A region with no eligible shard is down, and the error names it:
+	// the healthy Manhattan shard is never offered for SF.
 	sfShard.setAlive(false)
 	r, err := rt.Pick(sf.Origin)
-	if err != nil {
-		t.Fatalf("failover pick: %v", err)
-	}
-	if !r.FailedOver || r.Shard != mhShard || r.Region != mh.Name {
-		t.Fatalf("expected failover to manhattan, got %+v", r)
-	}
-
-	// Without a failover target the region is down, and the error names it.
-	rt2, err := NewRouter([]RegionSpec{regionSpec(mh), regionSpec(sf)}, []*Shard{mhShard, sfShard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = rt2.Pick(sf.Origin)
 	var re *RouteError
-	if !errors.As(err, &re) || re.Region != sf.Name {
-		t.Fatalf("want RouteError for %s, got %v", sf.Name, err)
+	if !errors.As(err, &re) || re.Region != sf.Name || r.Shard != nil {
+		t.Fatalf("want RouteError for %s and no shard, got %+v, %v", sf.Name, r, err)
 	}
 
 	// Outside every region.
-	if _, err := rt2.Pick(geo.LatLng{}); err != ErrOutOfRegion {
+	if _, err := rt.Pick(geo.LatLng{}); err != ErrOutOfRegion {
 		t.Fatalf("want ErrOutOfRegion, got %v", err)
 	}
 }
@@ -233,7 +220,6 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 		shards  []*Shard
 	}{
 		{"dup region", []RegionSpec{regionSpec(mh), regionSpec(mh)}, nil},
-		{"unknown failover", []RegionSpec{{Name: "x", Origin: mh.Origin, Rect: mh.Region, Failover: "nope"}}, nil},
 		{"unknown shard region", []RegionSpec{regionSpec(mh)}, []*Shard{testShard("s", "nope")}},
 	}
 	for _, tc := range cases {

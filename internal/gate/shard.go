@@ -43,7 +43,7 @@ type ShardSpec struct {
 // atomics.
 //
 // Health is two independent bits. alive is liveness: /healthz answered
-// recently (flips down only after FailThreshold consecutive probe
+// recently (flips down only after failThreshold consecutive probe
 // failures, so one dropped packet doesn't evict a shard; flips up on the
 // first success). ready is readiness: the shard's own /readyz verdict,
 // applied immediately in both directions — a draining shard must leave
@@ -153,7 +153,7 @@ func probeGet(ctx context.Context, hc *http.Client, url string, out any) bool {
 // per interval until ctx ends. failThreshold consecutive liveness
 // failures mark the shard down; one success marks it back up. Readiness
 // follows the probe verdict immediately in both directions.
-func (s *Shard) probeLoop(ctx context.Context, hc *http.Client, interval, timeout time.Duration, failThreshold int) {
+func (s *Shard) probeLoop(ctx context.Context, hc *http.Client, interval, timeout time.Duration) {
 	fails := 0
 	apply := func() {
 		alive, ready := s.probeOnce(ctx, hc, timeout)

@@ -22,10 +22,9 @@ func TestTripMatchesDrive(t *testing.T) {
 			profile := Manhattan()
 			cfg := Config{Profile: profile, Seed: 11, StartTime: 17 * 3600}
 			if roads {
-				// Shared network: the world never commits, so once this
+				// A network passed in: the world never commits, so once this
 				// harness stops committing the factors stay frozen.
 				cfg.Road = road.ForProfile(profile.Name, profile.Region)
-				cfg.RoadShared = true
 			}
 			w := NewWorld(cfg)
 			for i := 0; i < 120; i++ {

@@ -38,10 +38,12 @@ type street struct {
 	w   *World
 	net *road.Network
 	rt  *road.Router
+	// commit: the world built net itself, so tally commits its congestion.
+	commit bool
 }
 
-func newStreet(w *World, net *road.Network) *street {
-	return &street{w: w, net: net, rt: road.NewRouter(net.Graph)}
+func newStreet(w *World, net *road.Network, commit bool) *street {
+	return &street{w: w, net: net, rt: road.NewRouter(net.Graph), commit: commit}
 }
 
 // refineK: the straight-line top-k is the pre-filter (and the radius cut
@@ -49,7 +51,7 @@ func newStreet(w *World, net *road.Network) *street {
 // congested road ETA picks among them.
 func (m *street) refineK() int { return 4 }
 
-func (m *street) forShard() mover { return newStreet(m.w, m.net) }
+func (m *street) forShard() mover { return newStreet(m.w, m.net, m.commit) }
 
 // planRoute computes a fresh route for slot s from its position to
 // target, reusing the slot's route buffer. factors selects congested
@@ -189,9 +191,10 @@ func roadTrip(g *road.Graph, rt *road.Router, factors []float64, from, to geo.Po
 }
 
 // tally counts each busy driver on its current edge and commits the
-// tick's loads into the congestion table. In a shared-network setup (two
-// services on one city's streets) every world tallies but only the
-// harness commits, once, after all of them.
+// tick's loads into the congestion table when the world owns its
+// network. A network the caller passed in (two services on one city's
+// streets) is tallied by every world but committed only by the caller,
+// once, after all of them.
 func (m *street) tally() {
 	f := &m.w.fleet
 	cong := m.net.Cong
@@ -203,7 +206,7 @@ func (m *street) tally() {
 			cong.AddLoad(e)
 		}
 	}
-	if !m.w.cfg.RoadShared {
+	if m.commit {
 		cong.Commit()
 	}
 }

@@ -89,15 +89,15 @@ func TestRoadSnapshotEWTMatchesWorld(t *testing.T) {
 	}
 }
 
-// TestRoadSharedNetwork runs two worlds on one network with RoadShared:
-// the worlds tally loads but never commit, the harness commits once per
+// TestRoadSharedNetwork runs two worlds on one network the harness passed
+// in: the worlds tally loads but never commit, the harness commits once per
 // tick, and congestion produced by one fleet's trips slows the other's
 // routes too (the coupling the two-service scenario rests on).
 func TestRoadSharedNetwork(t *testing.T) {
 	profile := Manhattan()
 	net := road.ForProfile(profile.Name, profile.Region)
-	uber := NewWorld(Config{Profile: profile, Seed: 1, StartTime: 17 * 3600, Road: net, RoadShared: true})
-	taxi := NewWorld(Config{Profile: profile.TaxiCity(), Seed: 2, StartTime: 17 * 3600, Road: net, RoadShared: true})
+	uber := NewWorld(Config{Profile: profile, Seed: 1, StartTime: 17 * 3600, Road: net})
+	taxi := NewWorld(Config{Profile: profile.TaxiCity(), Seed: 2, StartTime: 17 * 3600, Road: net})
 	if uber.Road() != taxi.Road() {
 		t.Fatal("worlds did not share the network")
 	}

@@ -35,14 +35,13 @@ type Config struct {
 	// per-shard buffers (see parallel.go).
 	Workers int
 	// Road selects street-network movement (see road.go). Nil with
-	// Profile.RoadNetwork set builds the city's deterministic network;
-	// nil otherwise keeps euclidean movement. A non-nil Road may be
-	// shared between worlds (two services on the same streets).
+	// Profile.RoadNetwork set builds the city's deterministic network,
+	// whose congestion the world commits itself every tick; nil otherwise
+	// keeps euclidean movement. A non-nil Road belongs to the caller, who
+	// may share it between worlds (two services on the same streets) and
+	// commits its congestion once per tick after every world has tallied
+	// its loads: the world never does.
 	Road *road.Network
-	// RoadShared suppresses the world's own congestion Commit: the
-	// harness owning the shared network commits once per tick after
-	// every world has tallied its loads.
-	RoadShared bool
 }
 
 // Market selects how prices form and how drivers answer them. A pricing
@@ -316,7 +315,8 @@ func NewWorld(cfg Config) *World {
 		panic("sim: Config.Profile is required")
 	}
 	p := cfg.Profile
-	if cfg.Road == nil && p.RoadNetwork {
+	ownRoad := cfg.Road == nil && p.RoadNetwork
+	if ownRoad {
 		// The network is keyed by city name only, never the sim seed:
 		// every world of a city drives the same streets.
 		name := p.Name
@@ -341,7 +341,7 @@ func NewWorld(cfg Config) *World {
 	w.moveFn = w.moveShard
 	w.mv = plane{w}
 	if cfg.Road != nil {
-		w.mv = newStreet(w, cfg.Road)
+		w.mv = newStreet(w, cfg.Road, ownRoad)
 	}
 	// The area raster is 4× finer than the driver grid: every driver pays
 	// an area lookup per tick in the stats pass, and only raster cells a
