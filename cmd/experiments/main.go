@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments -preamble -days 1 -seed 42 -out EXPERIMENTS.md
+//	experiments -preamble -hours 24 -seed 42 -out EXPERIMENTS.md
 //	experiments -hours 8            # quick pass, no preamble
 //	experiments -engine additive -hours 12    # audit one pricing regime
 //	experiments -compare-engines -hours 12    # audit all regimes side by side
@@ -33,8 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		days     = fs.Int("days", 1, "measurement days per city")
-		hours    = fs.Int("hours", 0, "override: measurement hours per city")
+		hours    = fs.Int("hours", 24, "measurement hours per city")
 		seed     = fs.Int64("seed", 42, "simulation seed")
 		out      = fs.String("out", "", "output file (default stdout)")
 		preamble = fs.Bool("preamble", false, "prepend the EXPERIMENTS.md reading guide")
@@ -62,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *hours < 0:
 		return reject("-hours must not be negative")
-	case *days < 1:
-		return reject("-days must be at least 1")
 	case *opencab < 0:
 		return reject("-openstreetcab must not be negative")
 	}
@@ -79,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dst = f
 	}
 	w := bufio.NewWriter(dst)
-	report(w, *opencab, *compare, *preamble, experiments.Options{Scenario: sc, Days: *days, Hours: *hours})
+	report(w, *opencab, *compare, *preamble, experiments.Options{Scenario: sc, Hours: *hours})
 	err := w.Flush()
 	if f != nil {
 		if cerr := f.Close(); err == nil {

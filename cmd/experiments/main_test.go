@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestRun(t *testing.T) {
 		{"zero fleet scale", append(audit, "-fleet-scale", "0"), 2, `^$`, "-fleet-scale must be positive"},
 		{"NaN fleet scale", append(audit, "-fleet-scale", "NaN"), 2, `^$`, "-fleet-scale must be positive"},
 		{"negative hours", append(audit, "-hours", "-1"), 2, `^$`, "-hours must not be negative"},
-		{"zero days", append(audit, "-days", "0"), 2, `^$`, "-days must be at least 1"},
+		{"days flag is gone", append(audit, "-days", "1"), 2, `^$`, "flag provided but not defined: -days"},
 		{"negative openstreetcab", append(audit, "-openstreetcab", "-1"), 2, `^$`, "-openstreetcab must not be negative"},
 		{"negative sim workers", []string{"-sim-workers", "-1", "-openstreetcab", "1"}, 2, `^$`, "workers -1"},
 		{"audit", audit, 0, `(?m)^engine-report: engine=additive .* offgrid-frac=1\.000 `, ""},
@@ -57,5 +58,23 @@ func TestRun(t *testing.T) {
 				t.Errorf("stderr %q lacks %q", &stderr, c.stderr)
 			}
 		})
+	}
+}
+
+// TestRunFlags pins the command line: one horizon flag, -hours.
+func TestRunFlags(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-h: exit %d, want 0", code)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr.String(), -1) {
+		got = append(got, m[1])
+	}
+	want := []string{"compare-engines", "engine", "fleet-scale", "hours", "openstreetcab",
+		"out", "preamble", "seed", "sim-workers"}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("flags %v, want %v", got, want)
 	}
 }

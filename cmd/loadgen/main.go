@@ -1,13 +1,14 @@
-// Command loadgen drives a running uberd with N concurrent synthetic
-// clients in a closed loop and reports throughput plus latency
-// percentiles from the obs histograms it records into.
+// Command loadgen drives a running uberd, or an ubergate fronting several
+// city shards, with N concurrent synthetic clients in a closed loop and
+// reports throughput plus latency percentiles from the obs histograms it
+// records into.
 //
 // Usage:
 //
 //	loadgen -addr http://localhost:8080 -clients 16 -duration 30s
-//	loadgen -addr http://localhost:8080 -clients 8 -rate 2 -city sf
+//	loadgen -addr http://localhost:8080 -clients 8 -rate 2 -cities sf
 //	loadgen -addr http://localhost:8080 -clients 16 -json > run.json
-//	loadgen -gateway -addr http://localhost:8090 -cities sf,manhattan
+//	loadgen -addr http://localhost:8090 -cities sf,manhattan
 //
 // With -rate 0 (the default) each client issues its next request as soon
 // as the previous response lands — the classic closed-loop saturation
@@ -15,11 +16,10 @@
 // second, emulating the paper's measurement fleet (43 clients, one ping
 // per 5 s ≈ -rate 0.2).
 //
-// With -gateway the target is an ubergate instance fronting several city
-// shards: clients are split round-robin across -cities (each querying its
-// city's center, so the gateway fans them out by GPS) and the report adds
-// per-city requests/errors — the numbers the gateway chaos smoke gates on
-// when it kills a shard mid-run.
+// Clients are split round-robin across -cities, each querying its city's
+// center, and the report counts requests and errors per city. Against a
+// gateway the cities fan out by GPS to their shards: the gateway chaos
+// smoke gates on the per-city numbers when it kills a shard mid-run.
 package main
 
 import (
@@ -36,15 +36,6 @@ import (
 	"repro/internal/sim"
 )
 
-// cityOrigin resolves a city name to its profile center.
-func cityOrigin(name string) (geo.LatLng, error) {
-	p, err := sim.ProfileByName(name)
-	if err != nil {
-		return geo.LatLng{}, err
-	}
-	return p.Origin, nil
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one invocation and returns the exit code: 0 on success, 1
@@ -54,18 +45,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", "http://localhost:8080", "base URL of the uberd backend")
+		addr      = fs.String("addr", "http://localhost:8080", "base URL of the uberd backend or ubergate gateway")
 		clients   = fs.Int("clients", 8, "concurrent synthetic clients")
 		duration  = fs.Duration("duration", 10*time.Second, "how long to generate load")
 		rate      = fs.Float64("rate", 0, "per-client request rate in req/s (0 = closed-loop max)")
-		city      = fs.String("city", "manhattan", "city profile whose center to query: manhattan or sf")
-		lat       = fs.Float64("lat", 0, "override query latitude")
-		lng       = fs.Float64("lng", 0, "override query longitude")
+		citiesArg = fs.String("cities", "manhattan", "comma-separated city profiles whose centers to query (clients split round-robin): manhattan, sf")
 		pingW     = fs.Int("ping-weight", 8, "pingClient share of the request mix")
 		priceW    = fs.Int("price-weight", 1, "estimates/price share of the request mix")
 		timeW     = fs.Int("time-weight", 1, "estimates/time share of the request mix")
-		citiesArg = fs.String("cities", "", "comma-separated cities for multi-city gateway mode (clients split round-robin; implies -gateway)")
-		gwMode    = fs.Bool("gateway", false, "target is an ubergate gateway: run multi-city (default cities sf,manhattan)")
 		asJSON    = fs.Bool("json", false, "emit the report as JSON on stdout (banner goes to stderr)")
 		noRetry   = fs.Bool("no-retry", false, "disable client retries/circuit breaking (report raw fault rates)")
 		failErrs  = fs.Bool("fail-on-errors", false, "exit 1 if any client-visible errors remain (chaos-smoke gate)")
@@ -78,56 +65,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var cities map[string]geo.LatLng
-	if *citiesArg != "" {
-		*gwMode = true
-	}
-	if *gwMode {
-		names := *citiesArg
-		if names == "" {
-			names = "sf,manhattan"
+	cities := make(map[string]geo.LatLng)
+	for _, name := range strings.Split(*citiesArg, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
 		}
-		cities = make(map[string]geo.LatLng)
-		for _, name := range strings.Split(names, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			origin, err := cityOrigin(name)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			cities[name] = origin
-		}
-	}
-
-	loc := geo.LatLng{Lat: *lat, Lng: *lng}
-	if *lat == 0 && *lng == 0 {
-		origin, err := cityOrigin(*city)
+		p, err := sim.ProfileByName(name)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		loc = origin
+		cities[p.Name] = p.Origin
 	}
+	if len(cities) == 0 {
+		fmt.Fprintf(stderr, "loadgen: -cities %q names no city\n", *citiesArg)
+		return 2
+	}
+	names := make([]string, 0, len(cities))
+	for name := range cities {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 
 	banner := stdout
 	if *asJSON {
 		banner = stderr // keep stdout pure JSON for pipelines
 	}
-	if *gwMode {
-		names := make([]string, 0, len(cities))
-		for name := range cities {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(banner, "loadgen: %d clients -> gateway %s for %s (rate %g req/s/client, mix %d:%d:%d, cities %s)\n",
-			*clients, *addr, *duration, *rate, *pingW, *priceW, *timeW, strings.Join(names, ","))
-	} else {
-		fmt.Fprintf(banner, "loadgen: %d clients -> %s for %s (rate %g req/s/client, mix %d:%d:%d, loc %.4f,%.4f)\n",
-			*clients, *addr, *duration, *rate, *pingW, *priceW, *timeW, loc.Lat, loc.Lng)
-	}
+	fmt.Fprintf(banner, "loadgen: %d clients -> %s for %s (rate %g req/s/client, mix %d:%d:%d, cities %s)\n",
+		*clients, *addr, *duration, *rate, *pingW, *priceW, *timeW, strings.Join(names, ","))
 	report, err := loadgen.Run(loadgen.Config{
 		BaseURL:     *addr,
 		Clients:     *clients,
@@ -136,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PingWeight:  *pingW,
 		PriceWeight: *priceW,
 		TimeWeight:  *timeW,
-		Loc:         loc,
 		Cities:      cities,
 		NoRetry:     *noRetry,
 	})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +22,8 @@ func TestRun(t *testing.T) {
 		code   int
 		stderr string // substring
 	}{
-		{"unknown city", []string{"-city", "atlantis"}, 2, "atlantis"},
+		{"unknown city", []string{"-cities", "atlantis"}, 2, "atlantis"},
+		{"no city", []string{"-cities", " , "}, 2, "names no city"},
 		{"unknown gateway city", []string{"-cities", "sf,atlantis"}, 2, "atlantis"},
 		// 1:-1:0 sums to zero: it used to panic every client goroutine.
 		{"negative weight", []string{"-addr", ts.URL, "-ping-weight", "1", "-price-weight", "-1", "-time-weight", "0"}, 2, "-price-weight"},
@@ -52,5 +55,23 @@ func TestRun(t *testing.T) {
 				t.Errorf("report %+v, want requests on /pingClient and no errors", rep)
 			}
 		})
+	}
+}
+
+// TestRunFlags pins the command line: -cities is the only location flag.
+func TestRunFlags(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-h: exit %d, want 2", code)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr.String(), -1) {
+		got = append(got, m[1])
+	}
+	want := []string{"addr", "cities", "clients", "duration", "fail-on-errors", "json",
+		"no-retry", "ping-weight", "price-weight", "rate", "time-weight"}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("flags %v, want %v", got, want)
 	}
 }

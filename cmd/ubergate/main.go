@@ -9,7 +9,9 @@
 // Shards are declared as region=baseURL pairs; regions are the city
 // profiles (manhattan, sf). Several shards may share a region (replicas
 // of the same city world); GPS cells split across them by rendezvous
-// hashing, deterministically across gateway restarts.
+// hashing, deterministically across gateway restarts. Every
+// -health-interval each shard is probed at /healthz and /readyz; it takes
+// traffic while its last round got a 2xx from both.
 //
 // Chaos applies to the gateway itself too: the same chaos.Edge as uberd
 // (-chaos-* fault injection, -max-inflight admission control,
@@ -26,7 +28,7 @@
 //	uberd -city manhattan -addr 127.0.0.1:18083 &
 //	ubergate -addr :8090 \
 //	  -shards sf=http://127.0.0.1:18081,manhattan=http://127.0.0.1:18082,manhattan=http://127.0.0.1:18083
-//	loadgen -gateway -addr http://localhost:8090 -clients 12 -duration 10s
+//	loadgen -addr http://localhost:8090 -cities sf,manhattan -clients 12 -duration 10s
 package main
 
 import (
@@ -155,8 +157,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	defer stop()
 
 	for _, s := range g.Shards() {
-		logger.Printf("shard %s (%s) -> %s alive=%v ready=%v",
-			s.Name, s.Region, s.BaseURL, s.Alive(), s.Ready())
+		logger.Printf("shard %s (%s) -> %s up=%v", s.Name, s.Region, s.BaseURL, s.Eligible())
 	}
 	logger.Printf("serving %d shards on %s (health every %s)",
 		len(g.Shards()), *addr, *healthIvl)

@@ -162,7 +162,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatalf("did not shut down:\n%s", stderr)
 	}
-	for _, line := range []string{"shard manhattan-0 (manhattan) -> " + shard.URL + " alive=true ready=true",
+	for _, line := range []string{"shard manhattan-0 (manhattan) -> " + shard.URL + " up=true",
 		"ubergate: chaos enabled (seed 1, error 1.000,"} {
 		if !strings.Contains(stderr.String(), line) {
 			t.Errorf("log lacks %q:\n%s", line, stderr)

@@ -149,11 +149,7 @@ func compareSignals(base, cand EngineAudit) []engineSignal {
 // WriteEngineComparison renders the side-by-side fingerprints and the
 // distinguishability verdict for every non-baseline regime.
 func WriteEngineComparison(w io.Writer, opts Options, audits []EngineAudit) {
-	span := fmt.Sprintf("%d day(s)", opts.Days)
-	if opts.Hours > 0 {
-		span = fmt.Sprintf("%d hour(s)", opts.Hours)
-	}
-	fmt.Fprintf(w, "engine-comparison: seed=%d span=%s engines=%d\n", opts.Scenario.Seed, span, len(audits))
+	fmt.Fprintf(w, "engine-comparison: seed=%d span=%d hour(s) engines=%d\n", opts.Scenario.Seed, opts.hours(), len(audits))
 	for _, a := range audits {
 		WriteEngineAudit(w, a)
 	}

@@ -195,7 +195,7 @@ func TestFig20_21Correlations(t *testing.T) {
 	}
 	// The paper's signed claims (supply−demand negative, EWT positive)
 	// are full-day statistics; EXPERIMENTS.md regenerates them at
-	// -days 1, where both cities come out clearly negative/positive. In
+	// -hours 24, where both cities come out clearly negative/positive. In
 	// this 8-hour overnight window the supply−demand correlation is
 	// dominated by the shared diurnal ramp into the morning rush — its
 	// sign is seed luck (r at 0 spans roughly −0.07..+0.08 across seeds,
@@ -342,14 +342,37 @@ func TestFig4Validation(t *testing.T) {
 	}
 }
 
-func TestReportRenders(t *testing.T) {
+// sharedReport renders the Report of the shared runs once.
+var (
+	reportOnce sync.Once
+	reportOut  string
+)
+
+func sharedReport(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("full report is slow")
 	}
 	m, s := sharedRuns(t)
-	var buf bytes.Buffer
-	Report(&buf, m, s)
-	out := buf.String()
+	reportOnce.Do(func() {
+		var buf bytes.Buffer
+		Report(&buf, m, s)
+		reportOut = buf.String()
+	})
+	return reportOut
+}
+
+// The report's header states the span the runs measured: the shared runs
+// are 8 hours, not a day.
+func TestReportHeaderStatesHours(t *testing.T) {
+	const want = "Configuration: 8 hour(s)/city, seed 1234, jitter=true.\n"
+	if out := sharedReport(t); !strings.Contains(out, want) {
+		t.Errorf("report header does not state the runs' span %q:\n%.200s", want, out)
+	}
+}
+
+func TestReportRenders(t *testing.T) {
+	out := sharedReport(t)
 	for _, want := range []string{
 		"Fig 2", "Fig 4", "Figs 5-7", "Fig 8", "Figs 9/10", "Fig 11", "Fig 12",
 		"Fig 13", "Fig 14", "Fig 15", "Figs 16/17", "Figs 18/19", "Figs 20/21",

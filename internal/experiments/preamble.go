@@ -18,10 +18,10 @@ backend.
 Regenerate everything below with:
 
 ` + "```" + `
-go run ./cmd/experiments -preamble -days 1 -seed 42 -out EXPERIMENTS.md
+go run ./cmd/experiments -preamble -hours 24 -seed 42 -out EXPERIMENTS.md
 ` + "```" + `
 
-(` + "`-days 2`" + ` and beyond sharpen the distributions at the cost of runtime;
+(` + "`-hours 48`" + ` and beyond sharpen the distributions at the cost of runtime;
 the shapes are stable from one day up. The numbers below were produced by
 exactly that command.)
 

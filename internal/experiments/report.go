@@ -20,8 +20,8 @@ import (
 func Report(w io.Writer, mhtn, sf *CityRun) {
 	opts := mhtn.Opts
 	fmt.Fprintf(w, "# Experiments: paper vs. measured\n\n")
-	fmt.Fprintf(w, "Configuration: %d day(s)/city, seed %d, jitter=%v.\n\n",
-		opts.Days, opts.Scenario.Seed, opts.Scenario.Jitter)
+	fmt.Fprintf(w, "Configuration: %d hour(s)/city, seed %d, jitter=%v.\n\n",
+		opts.hours(), opts.Scenario.Seed, opts.Scenario.Jitter)
 	runs := []*CityRun{mhtn, sf}
 
 	reportFig2(w, opts.Scenario.Seed)

@@ -30,11 +30,16 @@ type Options struct {
 	// probes, which never jitter); its Engine, when not the default, is
 	// one of the alternative regimes the audit methodology is run against.
 	Scenario api.Scenario
-	// Days of measurement (default 1).
-	Days int
-	// Hours, when > 0, overrides Days with a sub-day window (tests and
-	// benches use this).
+	// Hours of measurement per city (0 means 24).
 	Hours int
+}
+
+// hours is the measurement span in hours, Hours with its default applied.
+func (o Options) hours() int {
+	if o.Hours <= 0 {
+		return 24
+	}
+	return o.Hours
 }
 
 // StrategyStats aggregates Figs 23/24 inputs for one client position.
@@ -141,13 +146,7 @@ func RunCity(opts Options) *CityRun { return runCity(opts, true) }
 // prober and the per-interval strategy sweeps (the most expensive part of
 // the loop).
 func runCity(opts Options, sweeps bool) *CityRun {
-	if opts.Days <= 0 {
-		opts.Days = 1
-	}
-	end := int64(opts.Days) * sim.SecondsPerDay
-	if opts.Hours > 0 {
-		end = int64(opts.Hours) * 3600
-	}
+	end := int64(opts.hours()) * 3600
 
 	svc := opts.Scenario.Build()
 	profile := svc.World().Profile()

@@ -34,16 +34,11 @@ type Sample struct {
 	Time      int64   // start of interval t
 }
 
-// BuildSamples extracts per-area samples from a measured dataset,
-// applying the paper's cleaning rule: intervals with surge = 1 are
+// BuildSamplesRange extracts one area's samples for the intervals
+// starting in [from, to) — the window cmd/analyze selects with -from/-to,
+// so a fit over one evening of a long campaign doesn't pay for the other
+// weeks — applying the paper's cleaning rule: intervals with surge = 1 are
 // dropped unless they directly precede or follow a surging interval.
-func BuildSamples(ds *measure.Dataset, area int) []Sample {
-	return BuildSamplesRange(ds, area, math.MinInt64, math.MaxInt64)
-}
-
-// BuildSamplesRange is BuildSamples restricted to intervals starting in
-// [from, to) — the window cmd/analyze selects with -from/-to, so a fit
-// over one evening of a long campaign doesn't pay for the other weeks.
 func BuildSamplesRange(ds *measure.Dataset, area int, from, to int64) []Sample {
 	supply := ds.AreaSupplySeries(area)
 	deaths := ds.AreaDeathSeries(area)

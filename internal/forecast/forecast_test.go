@@ -39,7 +39,7 @@ func sfDataset(t testing.TB) *measure.Dataset {
 
 func TestBuildSamplesCleaningRule(t *testing.T) {
 	ds := sfDataset(t)
-	samples := BuildSamples(ds, 0)
+	samples := BuildSamplesRange(ds, 0, math.MinInt64, math.MaxInt64)
 	if len(samples) == 0 {
 		t.Fatal("no samples built")
 	}

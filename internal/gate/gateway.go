@@ -27,7 +27,7 @@ type Config struct {
 	Shards []ShardSpec
 
 	// HealthInterval is the active probe period (default 500ms); a dead
-	// shard is detected within failThreshold intervals.
+	// or draining shard leaves the routing table within one interval.
 	HealthInterval time.Duration
 	// HealthTimeout bounds one probe round (default HealthInterval).
 	HealthTimeout time.Duration
@@ -42,14 +42,9 @@ type Config struct {
 	HTTPClient *http.Client
 }
 
-const (
-	// failThreshold is how many consecutive failed liveness probes mark a
-	// shard down: one dropped probe never evicts a shard.
-	failThreshold = 2
-	// forwardTimeout bounds one proxied request, further clamped per
-	// request by the caller's propagated deadline.
-	forwardTimeout = 5 * time.Second
-)
+// forwardTimeout bounds one proxied request, further clamped per request
+// by the caller's propagated deadline.
+const forwardTimeout = 5 * time.Second
 
 func (c *Config) defaults() {
 	if c.HealthInterval <= 0 {
@@ -124,7 +119,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 			ShardSpec: spec,
 			breaker:   chaos.NewBreaker(chaos.BreakerConfig{Threshold: 3, Cooldown: 2 * cfg.HealthInterval}),
 			mUp:       reg.Gauge("gate_shard_up", obs.L("shard", spec.Name)),
-			mReady:    reg.Gauge("gate_shard_ready", obs.L("shard", spec.Name)),
 			mDown:     reg.Counter("gate_shard_down_total", obs.L("shard", spec.Name)),
 		}
 		g.shards = append(g.shards, s)
@@ -148,9 +142,9 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Start runs one synchronous probe round (so the routing table reflects
-// reality before the first request) and then launches the per-shard
-// health-check loops.
+// Start runs the first probe round synchronously (so the routing table
+// reflects reality before the first request) and then launches the
+// per-shard health-check loops, whose first round is one interval later.
 func (g *Gateway) Start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	g.cancel = cancel
@@ -159,9 +153,7 @@ func (g *Gateway) Start() {
 		first.Add(1)
 		go func(s *Shard) {
 			defer first.Done()
-			alive, ready := s.probeOnce(ctx, g.cfg.HTTPClient, g.cfg.HealthTimeout)
-			s.setAlive(alive)
-			s.setReady(alive && ready)
+			s.probeOnce(ctx, g.cfg.HTTPClient, g.cfg.HealthTimeout)
 		}(s)
 	}
 	first.Wait()

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -167,7 +168,7 @@ func TestGatewayPlacementSurvivesRestart(t *testing.T) {
 // TestGatewayKillShardMidCampaign is the headline robustness scenario:
 // three shards serve two cities, a multi-city loadgen fleet runs, and one
 // city's only shard is killed mid-run. The gateway must detect the death
-// within a couple of health-check intervals, shed that region with
+// within two health-check intervals, shed that region with
 // 503 + Retry-After, and keep the other city's error rate at exactly zero.
 func TestGatewayKillShardMidCampaign(t *testing.T) {
 	mh, sf := sim.Manhattan(), sim.SanFrancisco()
@@ -219,14 +220,15 @@ func TestGatewayKillShardMidCampaign(t *testing.T) {
 			sfShard = s
 		}
 	}
-	for sfShard.Alive() {
+	for sfShard.Eligible() {
 		if time.Since(killed) > 2*time.Second {
 			t.Fatal("gateway never marked sf-0 down")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// failThreshold probes plus one in-flight one, with scheduler slack:
-	// the acceptance bound is "within two health-check intervals".
+	// One failed probe round plus the one in flight at the kill, with
+	// scheduler slack: the acceptance bound is "within two health-check
+	// intervals".
 	if d := time.Since(killed); d > 3*interval+500*time.Millisecond {
 		t.Errorf("detection took %v, want ~%v", d, 2*interval)
 	}
@@ -311,7 +313,7 @@ func TestGatewayReroutesWithinRegion(t *testing.T) {
 			BaseURL:  gw.URL,
 			Clients:  4,
 			Duration: 1200 * time.Millisecond,
-			Loc:      mh.Origin,
+			Cities:   map[string]geo.LatLng{mh.Name: mh.Origin},
 		})
 		if err != nil {
 			errCh <- err
@@ -644,7 +646,7 @@ func TestGatewaySurgeMapRoutesByRegionParam(t *testing.T) {
 	tsSF.CloseClientConnections()
 	tsSF.Close()
 	sfShard := g.Shards()[1]
-	for deadline := time.Now().Add(3 * time.Second); sfShard.Alive(); time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(3 * time.Second); sfShard.Eligible(); time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("gateway never marked sf-0 down")
 		}
@@ -900,5 +902,102 @@ func TestGatewayRequestCounters(t *testing.T) {
 	}, "\n")
 	if got := series(); got != want {
 		t.Fatalf("request series after more requests:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// probeStub is a shard that answers only the health probes: /healthz
+// with a sim time, /readyz 200 or 503. It counts each probe it answers.
+type probeStub struct {
+	healthDown, notReady atomic.Bool
+	healthz, readyz      atomic.Int64
+}
+
+func (p *probeStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/healthz":
+		p.healthz.Add(1)
+		if p.healthDown.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		io.WriteString(w, `{"time":5}`)
+	case "/readyz":
+		p.readyz.Add(1)
+		if p.notReady.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		io.WriteString(w, "ok")
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+// probeStubGateway starts a gateway over one probeStub shard whose prober
+// never ticks: the only probe rounds are Start's and the test's own.
+func probeStubGateway(t *testing.T, stub *probeStub) (*Gateway, *obs.Registry) {
+	t.Helper()
+	ts := httptest.NewServer(stub)
+	t.Cleanup(ts.Close)
+	mh := sim.Manhattan()
+	reg := obs.NewRegistry()
+	g := startGateway(t, Config{
+		Regions:        []RegionSpec{regionSpec(mh)},
+		Shards:         []ShardSpec{{Name: "manhattan-0", Region: mh.Name, BaseURL: ts.URL}},
+		HealthInterval: time.Hour,
+		Registry:       reg,
+	})
+	return g, reg
+}
+
+// A shard that is alive but not ready (draining, warming up) is down:
+// not eligible, and its gate_shard_up reads 0.
+func TestGatewayShardNotReadyIsDown(t *testing.T) {
+	stub := &probeStub{}
+	stub.notReady.Store(true)
+	g, reg := probeStubGateway(t, stub)
+	if g.Shards()[0].Eligible() {
+		t.Error("shard whose /readyz answers 503 is eligible")
+	}
+	if v := reg.Gauge("gate_shard_up", obs.L("shard", "manhattan-0")).Value(); v != 0 {
+		t.Errorf("gate_shard_up = %v for a shard that is not ready, want 0", v)
+	}
+}
+
+// One failed probe round takes a shard out of the routing table and the
+// next passing round puts it back: the gauge follows, and the down
+// counter counts the one transition.
+func TestGatewayOneProbeRoundDecides(t *testing.T) {
+	stub := &probeStub{}
+	g, reg := probeStubGateway(t, stub)
+	s := g.Shards()[0]
+	up := reg.Gauge("gate_shard_up", obs.L("shard", "manhattan-0"))
+	down := reg.Counter("gate_shard_down_total", obs.L("shard", "manhattan-0"))
+	if !s.Eligible() || up.Value() != 1 || down.Value() != 0 {
+		t.Fatalf("after Start: eligible %v, up %v, down %d; want true, 1, 0", s.Eligible(), up.Value(), down.Value())
+	}
+	round := func() { s.probeOnce(context.Background(), g.cfg.HTTPClient, time.Second) }
+
+	stub.healthDown.Store(true)
+	round()
+	if s.Eligible() || up.Value() != 0 || down.Value() != 1 {
+		t.Errorf("after one failed round: eligible %v, up %v, down %d; want false, 0, 1", s.Eligible(), up.Value(), down.Value())
+	}
+	stub.healthDown.Store(false)
+	round()
+	if !s.Eligible() || up.Value() != 1 || down.Value() != 1 {
+		t.Errorf("after a passing round: eligible %v, up %v, down %d; want true, 1, 1", s.Eligible(), up.Value(), down.Value())
+	}
+}
+
+// Start's synchronous round is the prober's first: each shard is asked
+// /healthz and /readyz once, and not again until an interval has passed.
+func TestGatewayStartProbesOnce(t *testing.T) {
+	stub := &probeStub{}
+	g, _ := probeStubGateway(t, stub)
+	time.Sleep(100 * time.Millisecond) // room for a second round, were one started
+	g.Close()
+	if h, r := stub.healthz.Load(), stub.readyz.Load(); h != 1 || r != 1 {
+		t.Errorf("after Start: %d /healthz and %d /readyz probes, want 1 and 1", h, r)
 	}
 }

@@ -99,14 +99,6 @@ func (rt *Router) Locate(loc geo.LatLng) *region {
 	return nil
 }
 
-// Region returns a region's shards by name (metrics and tests).
-func (rt *Router) Region(name string) []*Shard {
-	if rg, ok := rt.byName[name]; ok {
-		return rg.shards
-	}
-	return nil
-}
-
 // cellKey quantizes a location to its routing cell.
 func cellKey(loc geo.LatLng) (int64, int64) {
 	return int64(math.Floor(loc.Lat / cellDegrees)),
@@ -188,8 +180,8 @@ func (rt *Router) Pick(loc geo.LatLng, exclude ...*Shard) (Route, error) {
 	return Route{Region: rg.spec.Name}, &RouteError{Region: rg.spec.Name, Err: ErrRegionDown}
 }
 
-// pickEligible walks the ranking and returns the first shard that is
-// alive, ready, not excluded, and whose breaker admits the request.
+// pickEligible walks the ranking and returns the first shard that is up,
+// not excluded, and whose breaker admits the request.
 func pickEligible(ranked, exclude []*Shard) *Shard {
 	for _, s := range ranked {
 		if excluded(s, exclude) || !s.Eligible() {

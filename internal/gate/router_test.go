@@ -18,18 +18,16 @@ func regionSpec(p *sim.CityProfile) RegionSpec {
 }
 
 // testShard builds an eligible shard without a gateway (router-only
-// tests): health bits set directly, metrics on a throwaway registry.
+// tests): health set directly, metrics on a throwaway registry.
 func testShard(name, region string) *Shard {
 	reg := obs.NewRegistry()
 	s := &Shard{
 		ShardSpec: ShardSpec{Name: name, Region: region, BaseURL: "http://" + name},
 		breaker:   chaos.NewBreaker(chaos.BreakerConfig{Threshold: 3}),
 		mUp:       reg.Gauge("gate_shard_up"),
-		mReady:    reg.Gauge("gate_shard_ready"),
 		mDown:     reg.Counter("gate_shard_down_total"),
 	}
-	s.setAlive(true)
-	s.setReady(true)
+	s.setUp(true)
 	return s
 }
 
@@ -130,7 +128,7 @@ func TestRouterMinimalDisruptionOnShardDeath(t *testing.T) {
 		}
 		before[i] = r.Shard.Name
 	}
-	shards[1].setReady(false) // manhattan-1 drains
+	shards[1].setUp(false) // manhattan-1 drains
 	moved := 0
 	for i, loc := range locs {
 		r, err := rt.Pick(loc)
@@ -153,7 +151,7 @@ func TestRouterMinimalDisruptionOnShardDeath(t *testing.T) {
 		t.Fatal("test is vacuous: manhattan-1 owned no cells")
 	}
 	// Recovery moves exactly those cells back.
-	shards[1].setReady(true)
+	shards[1].setUp(true)
 	for i, loc := range locs {
 		r, err := rt.Pick(loc)
 		if err != nil {
@@ -199,7 +197,7 @@ func TestRouterRegionDown(t *testing.T) {
 
 	// A region with no eligible shard is down, and the error names it:
 	// the healthy Manhattan shard is never offered for SF.
-	sfShard.setAlive(false)
+	sfShard.setUp(false)
 	r, err := rt.Pick(sf.Origin)
 	var re *RouteError
 	if !errors.As(err, &re) || re.Region != sf.Name || r.Shard != nil {

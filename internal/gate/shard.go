@@ -42,51 +42,39 @@ type ShardSpec struct {
 // prober goroutine writes the state; the routing hot path only reads
 // atomics.
 //
-// Health is two independent bits. alive is liveness: /healthz answered
-// recently (flips down only after failThreshold consecutive probe
-// failures, so one dropped packet doesn't evict a shard; flips up on the
-// first success). ready is readiness: the shard's own /readyz verdict,
-// applied immediately in both directions — a draining shard must leave
-// the routing table on the very next probe, not after a threshold. The
-// data-path breaker is the third, faster signal: transport errors and
-// 5xx responses open it between probes, so a shard that dies mid-interval
-// stops receiving traffic before the prober notices.
+// Health is one verdict: a shard is up while its last probe round got a
+// 2xx from both /healthz and /readyz, and down from the first round that
+// did not — a dead shard and a draining one leave the routing table on
+// the very next probe. The data-path breaker is the faster signal:
+// transport errors and 5xx responses open it between probes, so a shard
+// that dies mid-interval stops receiving traffic before the prober
+// notices.
 type Shard struct {
 	ShardSpec
 
 	breaker *chaos.Breaker
 
-	alive   atomic.Bool
-	ready   atomic.Bool
+	up      atomic.Bool
 	simTime atomic.Int64 // last simulation time /healthz reported
 
-	mUp    *obs.Gauge   // 1 while alive
-	mReady *obs.Gauge   // 1 while ready
-	mDown  *obs.Counter // transitions alive→down
+	mUp   *obs.Gauge   // 1 while up
+	mDown *obs.Counter // transitions up→down
 	// mRequests caches the gateway's gate_requests_total counters by
 	// status class (code/100), each set on its class's first response.
 	mRequests [10]atomic.Pointer[obs.Counter]
 }
 
-// Alive reports the liveness probe state.
-func (s *Shard) Alive() bool { return s.alive.Load() }
-
-// Ready reports the readiness probe state.
-func (s *Shard) Ready() bool { return s.ready.Load() }
-
-// Eligible reports whether the routing table may offer this shard:
-// alive, ready, and not currently rejected by its breaker. It does not
-// consume a breaker probe slot (that happens when the shard is chosen).
-func (s *Shard) Eligible() bool {
-	return s.alive.Load() && s.ready.Load()
-}
+// Eligible reports whether the last probe round found the shard up. The
+// breaker is not consulted here: Pick asks it only of the shard it
+// chooses, so a rank lookup never consumes a breaker probe slot.
+func (s *Shard) Eligible() bool { return s.up.Load() }
 
 // SimTime returns the shard's last reported simulation time.
 func (s *Shard) SimTime() int64 { return s.simTime.Load() }
 
-// setAlive records a liveness transition.
-func (s *Shard) setAlive(v bool) {
-	if s.alive.Swap(v) == v {
+// setUp records one probe round's verdict.
+func (s *Shard) setUp(v bool) {
+	if s.up.Swap(v) == v {
 		return
 	}
 	if v {
@@ -97,32 +85,21 @@ func (s *Shard) setAlive(v bool) {
 	}
 }
 
-// setReady records a readiness transition.
-func (s *Shard) setReady(v bool) {
-	if s.ready.Swap(v) == v {
-		return
-	}
-	if v {
-		s.mReady.Set(1)
-	} else {
-		s.mReady.Set(0)
-	}
-}
-
-// probeOnce runs one health-check round against the shard: liveness via
-// /healthz (parsing the reported sim time), then readiness via /readyz.
-// A shard that is not alive is never ready.
-func (s *Shard) probeOnce(ctx context.Context, hc *http.Client, timeout time.Duration) (alive, ready bool) {
+// probeOnce runs one health-check round against the shard — /healthz
+// (parsing the reported sim time), then /readyz — and records whether
+// both answered 2xx.
+func (s *Shard) probeOnce(ctx context.Context, hc *http.Client, timeout time.Duration) {
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var health struct {
 		Time int64 `json:"time"`
 	}
 	if !probeGet(pctx, hc, s.BaseURL+"/healthz", &health) {
-		return false, false
+		s.setUp(false)
+		return
 	}
 	s.simTime.Store(health.Time)
-	return true, probeGet(pctx, hc, s.BaseURL+"/readyz", nil)
+	s.setUp(probeGet(pctx, hc, s.BaseURL+"/readyz", nil))
 }
 
 // probeGet fetches url and reports 2xx, decoding the body into out when
@@ -149,26 +126,9 @@ func probeGet(ctx context.Context, hc *http.Client, url string, out any) bool {
 	return true
 }
 
-// probeLoop is the per-shard health checker: an immediate probe, then one
-// per interval until ctx ends. failThreshold consecutive liveness
-// failures mark the shard down; one success marks it back up. Readiness
-// follows the probe verdict immediately in both directions.
+// probeLoop is the per-shard health checker after Start's first round:
+// one probe round per interval until ctx ends.
 func (s *Shard) probeLoop(ctx context.Context, hc *http.Client, interval, timeout time.Duration) {
-	fails := 0
-	apply := func() {
-		alive, ready := s.probeOnce(ctx, hc, timeout)
-		if alive {
-			fails = 0
-			s.setAlive(true)
-		} else {
-			fails++
-			if fails >= failThreshold {
-				s.setAlive(false)
-			}
-		}
-		s.setReady(alive && ready)
-	}
-	apply()
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -176,7 +136,7 @@ func (s *Shard) probeLoop(ctx context.Context, hc *http.Client, interval, timeou
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			apply()
+			s.probeOnce(ctx, hc, timeout)
 		}
 	}
 }

@@ -106,12 +106,6 @@ func NewAreaIndex(areas []Polygon, cellSize float64) *AreaIndex {
 	return ai
 }
 
-// Len returns the number of indexed polygons.
-func (ai *AreaIndex) Len() int { return len(ai.areas) }
-
-// Areas returns the indexed polygons (shared; do not mutate).
-func (ai *AreaIndex) Areas() []Polygon { return ai.areas }
-
 // Find returns the index of the first polygon containing p, or -1 —
 // exactly the answer the brute-force first-match scan gives.
 func (ai *AreaIndex) Find(p Point) int {

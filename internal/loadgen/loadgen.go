@@ -8,6 +8,7 @@ package loadgen
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -35,14 +36,12 @@ type Config struct {
 	// PingWeight/PriceWeight/TimeWeight set the request mix (default
 	// 8:1:1 — the app pings every 5 s, estimates are occasional).
 	PingWeight, PriceWeight, TimeWeight int
-	// Loc is the queried location; must be inside the service region.
-	Loc geo.LatLng
-	// Cities, when non-empty, runs the fleet in multi-city gateway mode:
-	// clients are assigned round-robin over the city names (sorted, so the
-	// assignment is deterministic) and each queries its city's location
-	// instead of Loc. The report then carries per-city counters — the
-	// chaos-smoke gate reads them to check that killing one city's shard
-	// left the other city's error rate untouched.
+	// Cities names the queried locations (at least one): clients are
+	// assigned round-robin over the city names (sorted, so the assignment
+	// is deterministic) and each queries its city's location, which must
+	// be inside a region the backend serves. The report carries per-city
+	// counters — the gateway chaos smoke reads them to check that killing
+	// one city's shard left the other city's error rate untouched.
 	Cities map[string]geo.LatLng
 	// Registry receives the run's metrics; a private one is created when
 	// nil. Passing a shared registry lets a caller merge loadgen series
@@ -84,7 +83,7 @@ type EndpointStats struct {
 	P99         float64 `json:"p99_seconds"`
 }
 
-// CityStats summarizes one city's share of a multi-city run.
+// CityStats summarizes one city's share of a run.
 type CityStats struct {
 	Clients     int   `json:"clients"`
 	Requests    int64 `json:"requests"`
@@ -108,8 +107,7 @@ type Report struct {
 	BreakerOpens int64                    `json:"breaker_opens"`
 	RPS          float64                  `json:"req_per_sec"`
 	Endpoints    map[string]EndpointStats `json:"endpoints"`
-	// Cities is present only in multi-city mode (Config.Cities non-empty).
-	Cities map[string]CityStats `json:"cities,omitempty"`
+	Cities       map[string]CityStats     `json:"cities"`
 }
 
 // JSON renders the report as one machine-readable JSON object, the format
@@ -137,27 +135,18 @@ func (r *Report) String() string {
 			name, e.Requests, e.Errors, e.RateLimited,
 			fmtLatency(e.Mean), fmtLatency(e.P50), fmtLatency(e.P95), fmtLatency(e.P99))
 	}
-	if len(r.Cities) > 0 {
-		cities := make([]string, 0, len(r.Cities))
-		for name := range r.Cities {
-			cities = append(cities, name)
-		}
-		sort.Strings(cities)
-		fmt.Fprintf(&b, "%-18s %8s %10s %8s %8s\n", "city", "clients", "requests", "errors", "429s")
-		for _, name := range cities {
-			c := r.Cities[name]
-			fmt.Fprintf(&b, "%-18s %8d %10d %8d %8d\n",
-				name, c.Clients, c.Requests, c.Errors, c.RateLimited)
-		}
+	cities := make([]string, 0, len(r.Cities))
+	for name := range r.Cities {
+		cities = append(cities, name)
+	}
+	sort.Strings(cities)
+	fmt.Fprintf(&b, "%-18s %8s %10s %8s %8s\n", "city", "clients", "requests", "errors", "429s")
+	for _, name := range cities {
+		c := r.Cities[name]
+		fmt.Fprintf(&b, "%-18s %8d %10d %8d %8d\n",
+			name, c.Clients, c.Requests, c.Errors, c.RateLimited)
 	}
 	return b.String()
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func fmtLatency(seconds float64) string {
@@ -176,6 +165,28 @@ func fmtLatency(seconds float64) string {
 // endpoints in mix order; weights resolved per config.
 var endpointNames = [3]string{"/pingClient", "/estimates/price", "/estimates/time"}
 
+// A request's result, in the order of resultNames.
+const (
+	resultOK = iota
+	resultError
+	resultLimited
+)
+
+var resultNames = [3]string{"ok", "error", "rate_limited"}
+
+// result classifies one request's outcome: 429s are expected once an
+// account burns its budget, anything else that failed is an error.
+func result(err error) int {
+	switch err {
+	case nil:
+		return resultOK
+	case api.ErrRateLimited:
+		return resultLimited
+	default:
+		return resultError
+	}
+}
+
 // Run registers cfg.Clients accounts and generates load until
 // cfg.Duration elapses, then reports throughput and per-endpoint latency
 // percentiles computed from the run's obs histograms.
@@ -184,6 +195,9 @@ func Run(cfg Config) (*Report, error) {
 		// A negative share would skew the mix, or zero the modulus below.
 		return nil, fmt.Errorf("loadgen: negative request-mix weight in %d:%d:%d",
 			cfg.PingWeight, cfg.PriceWeight, cfg.TimeWeight)
+	}
+	if len(cfg.Cities) == 0 {
+		return nil, errors.New("loadgen: no city to query")
 	}
 	cfg.defaults()
 	ropts := []api.RemoteOption{
@@ -223,25 +237,12 @@ func Run(cfg Config) (*Report, error) {
 
 	// Client → city assignment: round-robin over sorted names so run N and
 	// run N+1 put client i in the same city (the kill-a-shard comparison
-	// depends on stable populations). Single-city runs get one unnamed
-	// city at cfg.Loc and skip the per-city accounting.
+	// depends on stable populations).
 	cityNames := make([]string, 0, len(cfg.Cities))
 	for name := range cfg.Cities {
 		cityNames = append(cityNames, name)
 	}
 	sort.Strings(cityNames)
-	multiCity := len(cityNames) > 0
-	clientCity := make([]int, cfg.Clients) // index into cityNames, -1 = cfg.Loc
-	clientLoc := make([]geo.LatLng, cfg.Clients)
-	for i := range clientLoc {
-		if multiCity {
-			clientCity[i] = i % len(cityNames)
-			clientLoc[i] = cfg.Cities[cityNames[clientCity[i]]]
-		} else {
-			clientCity[i] = -1
-			clientLoc[i] = cfg.Loc
-		}
-	}
 
 	ids := make([]string, cfg.Clients)
 	for i := range ids {
@@ -258,30 +259,18 @@ func Run(cfg Config) (*Report, error) {
 		interval = time.Duration(float64(time.Second) / cfg.Rate)
 	}
 
-	type metricSet struct {
-		hist              *obs.Histogram
-		ok, errs, limited *obs.Counter
-	}
-	sets := make([]metricSet, len(endpointNames))
-	for i, name := range endpointNames {
+	// Each request lands in one counter, keyed by endpoint, city and
+	// result; the report sums them both ways.
+	hists := make([]*obs.Histogram, len(endpointNames))
+	counts := make([][][3]*obs.Counter, len(endpointNames))
+	for ep, name := range endpointNames {
 		lbl := obs.L("endpoint", name)
-		sets[i] = metricSet{
-			hist:    cfg.Registry.Histogram("loadgen_request_duration_seconds", obs.DefLatencyBuckets, lbl),
-			ok:      cfg.Registry.Counter("loadgen_requests_total", lbl, obs.L("result", "ok")),
-			errs:    cfg.Registry.Counter("loadgen_requests_total", lbl, obs.L("result", "error")),
-			limited: cfg.Registry.Counter("loadgen_requests_total", lbl, obs.L("result", "rate_limited")),
-		}
-	}
-	type cityCounters struct {
-		ok, errs, limited *obs.Counter
-	}
-	citySets := make([]cityCounters, len(cityNames))
-	for i, name := range cityNames {
-		lbl := obs.L("city", name)
-		citySets[i] = cityCounters{
-			ok:      cfg.Registry.Counter("loadgen_city_requests_total", lbl, obs.L("result", "ok")),
-			errs:    cfg.Registry.Counter("loadgen_city_requests_total", lbl, obs.L("result", "error")),
-			limited: cfg.Registry.Counter("loadgen_city_requests_total", lbl, obs.L("result", "rate_limited")),
+		hists[ep] = cfg.Registry.Histogram("loadgen_request_duration_seconds", obs.DefLatencyBuckets, lbl)
+		counts[ep] = make([][3]*obs.Counter, len(cityNames))
+		for c, city := range cityNames {
+			for r, res := range resultNames {
+				counts[ep][c][r] = cfg.Registry.Counter("loadgen_requests_total", lbl, obs.L("city", city), obs.L("result", res))
+			}
 		}
 	}
 
@@ -291,8 +280,8 @@ func Run(cfg Config) (*Report, error) {
 	for w := 0; w < cfg.Clients; w++ {
 		go func(clientID string, seq int) {
 			defer func() { done <- struct{}{} }()
-			loc := clientLoc[seq]
-			city := clientCity[seq]
+			city := seq % len(cityNames)
+			loc := cfg.Cities[cityNames[city]]
 			for i := seq; time.Now().Before(deadline); i++ {
 				// Weighted round-robin over the mix, offset per client so
 				// the fleet doesn't phase-lock on one endpoint.
@@ -316,25 +305,8 @@ func Run(cfg Config) (*Report, error) {
 				case 2:
 					_, err = remote.EstimateTime(clientID, loc)
 				}
-				sets[ep].hist.ObserveDuration(time.Since(reqStart))
-				switch err {
-				case nil:
-					sets[ep].ok.Inc()
-				case api.ErrRateLimited:
-					sets[ep].limited.Inc()
-				default:
-					sets[ep].errs.Inc()
-				}
-				if city >= 0 {
-					switch err {
-					case nil:
-						citySets[city].ok.Inc()
-					case api.ErrRateLimited:
-						citySets[city].limited.Inc()
-					default:
-						citySets[city].errs.Inc()
-					}
-				}
+				hists[ep].ObserveDuration(time.Since(reqStart))
+				counts[ep][city][result(err)].Inc()
 				if interval > 0 {
 					if next := reqStart.Add(interval); time.Now().Before(next) {
 						time.Sleep(time.Until(next))
@@ -351,35 +323,37 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{
 		Elapsed:     elapsed,
 		ElapsedSecs: elapsed.Seconds(),
-		Endpoints:   make(map[string]EndpointStats),
+		Endpoints:   make(map[string]EndpointStats, len(endpointNames)),
+		Cities:      make(map[string]CityStats, len(cityNames)),
 	}
-	for i, name := range endpointNames {
-		s := sets[i].hist.Snapshot()
+	cities := make([]CityStats, len(cityNames))
+	for i := 0; i < cfg.Clients; i++ {
+		cities[i%len(cityNames)].Clients++
+	}
+	for ep, name := range endpointNames {
+		s := hists[ep].Snapshot()
 		es := EndpointStats{
-			Requests:    s.Count,
-			Errors:      sets[i].errs.Value(),
-			RateLimited: sets[i].limited.Value(),
-			Mean:        s.Mean(),
-			P50:         s.Quantile(0.50),
-			P95:         s.Quantile(0.95),
-			P99:         s.Quantile(0.99),
+			Requests: s.Count,
+			Mean:     s.Mean(),
+			P50:      s.Quantile(0.50),
+			P95:      s.Quantile(0.95),
+			P99:      s.Quantile(0.99),
+		}
+		for c := range cityNames {
+			n := counts[ep][c]
+			es.Errors += n[resultError].Value()
+			es.RateLimited += n[resultLimited].Value()
+			cities[c].Requests += n[resultOK].Value() + n[resultError].Value() + n[resultLimited].Value()
+			cities[c].Errors += n[resultError].Value()
+			cities[c].RateLimited += n[resultLimited].Value()
 		}
 		rep.Endpoints[name] = es
 		rep.Requests += es.Requests
 		rep.Errors += es.Errors
 		rep.RateLimited += es.RateLimited
 	}
-	if multiCity {
-		rep.Cities = make(map[string]CityStats, len(cityNames))
-		for i, name := range cityNames {
-			clients := cfg.Clients/len(cityNames) + boolInt(i < cfg.Clients%len(cityNames))
-			rep.Cities[name] = CityStats{
-				Clients:     clients,
-				Requests:    citySets[i].ok.Value() + citySets[i].errs.Value() + citySets[i].limited.Value(),
-				Errors:      citySets[i].errs.Value(),
-				RateLimited: citySets[i].limited.Value(),
-			}
-		}
+	for c, name := range cityNames {
+		rep.Cities[name] = cities[c]
 	}
 	// Resilience counters come straight from the shared registry (handle
 	// lookup is idempotent, so this reads what the Remote recorded).

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/chaos"
+	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -29,7 +30,7 @@ func TestRunSmoke(t *testing.T) {
 		BaseURL:    ts.URL,
 		Clients:    4,
 		Duration:   300 * time.Millisecond,
-		Loc:        profile.Origin,
+		Cities:     map[string]geo.LatLng{profile.Name: profile.Origin},
 		Registry:   reg,
 		HTTPClient: ts.Client(),
 	})
@@ -126,7 +127,7 @@ func TestRunPaced(t *testing.T) {
 		Clients:    clients,
 		Duration:   dur,
 		Rate:       rate,
-		Loc:        profile.Origin,
+		Cities:     map[string]geo.LatLng{profile.Name: profile.Origin},
 		HTTPClient: ts.Client(),
 	})
 	if err != nil {
@@ -141,7 +142,11 @@ func TestRunPaced(t *testing.T) {
 }
 
 func TestRunBadBaseURL(t *testing.T) {
-	_, err := Run(Config{BaseURL: "http://127.0.0.1:1", Duration: 50 * time.Millisecond})
+	_, err := Run(Config{
+		BaseURL:  "http://127.0.0.1:1",
+		Duration: 50 * time.Millisecond,
+		Cities:   map[string]geo.LatLng{"manhattan": sim.Manhattan().Origin},
+	})
 	if err == nil {
 		t.Fatal("expected registration error against dead backend")
 	}
@@ -154,10 +159,11 @@ func TestRunBadBaseURL(t *testing.T) {
 func TestRunRejectsNegativeWeight(t *testing.T) {
 	ts := httptest.NewServer(api.NewServer(api.Scenario{City: "manhattan", Seed: 11}.Build()))
 	defer ts.Close()
+	manhattan := map[string]geo.LatLng{"manhattan": sim.Manhattan().Origin}
 	for _, w := range [][3]int{{1, -1, 0}, {8, -1, 1}, {0, 0, -1}} {
 		_, err := Run(Config{
 			BaseURL: ts.URL, HTTPClient: ts.Client(), Clients: 2, Duration: 50 * time.Millisecond,
-			Loc: sim.Manhattan().Origin, PingWeight: w[0], PriceWeight: w[1], TimeWeight: w[2],
+			Cities: manhattan, PingWeight: w[0], PriceWeight: w[1], TimeWeight: w[2],
 		})
 		if err == nil || !strings.Contains(err.Error(), "weight") {
 			t.Errorf("mix %v: err = %v, want a negative-weight error", w, err)
@@ -200,7 +206,7 @@ func TestRunAbsorbsChaos(t *testing.T) {
 		BaseURL:    ts.URL,
 		Clients:    8,
 		Duration:   400 * time.Millisecond,
-		Loc:        profile.Origin,
+		Cities:     map[string]geo.LatLng{profile.Name: profile.Origin},
 		Registry:   reg,
 		HTTPClient: ts.Client(),
 	})
@@ -245,7 +251,7 @@ func TestRunNoRetryExposesFaults(t *testing.T) {
 		BaseURL:    ts.URL,
 		Clients:    4,
 		Duration:   200 * time.Millisecond,
-		Loc:        profile.Origin,
+		Cities:     map[string]geo.LatLng{profile.Name: profile.Origin},
 		Registry:   reg,
 		HTTPClient: ts.Client(),
 		NoRetry:    true,
@@ -258,5 +264,52 @@ func TestRunNoRetryExposesFaults(t *testing.T) {
 	}
 	if report.Retries != 0 {
 		t.Errorf("retries = %d with NoRetry set, want 0", report.Retries)
+	}
+}
+
+// TestRunCities runs one fleet over two cities against a Manhattan shard:
+// clients split round-robin over the sorted names, every request is
+// counted in exactly one city, and the SF clients — querying a location
+// the shard does not serve — carry every error.
+func TestRunCities(t *testing.T) {
+	mh, sf := sim.Manhattan(), sim.SanFrancisco()
+	svc := api.Scenario{City: mh.Name, Seed: 11}.Build()
+	svc.RunUntil(600)
+	ts := httptest.NewServer(api.NewServer(svc))
+	defer ts.Close()
+
+	report, err := Run(Config{
+		BaseURL:    ts.URL,
+		Clients:    3,
+		Duration:   300 * time.Millisecond,
+		Cities:     map[string]geo.LatLng{sf.Name: sf.Origin, mh.Name: mh.Origin},
+		HTTPClient: ts.Client(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := report.Cities, map[string]int{mh.Name: 2, sf.Name: 1}
+	if len(got) != len(want) {
+		t.Fatalf("cities %+v, want %v", got, want)
+	}
+	var sum int64
+	for name, clients := range want {
+		if got[name].Clients != clients {
+			t.Errorf("%s: %d clients, want %d", name, got[name].Clients, clients)
+		}
+		if got[name].Requests == 0 {
+			t.Errorf("%s: no requests", name)
+		}
+		sum += got[name].Requests
+	}
+	if sum != report.Requests {
+		t.Errorf("per-city requests sum to %d, report has %d", sum, report.Requests)
+	}
+	if e := got[mh.Name].Errors; e != 0 {
+		t.Errorf("manhattan errors = %d, want 0", e)
+	}
+	if e := got[sf.Name]; e.Errors != e.Requests || e.Errors != report.Errors {
+		t.Errorf("sf: %d errors in %d requests, report %d errors; want every request an error, and every error sf's",
+			e.Errors, e.Requests, report.Errors)
 	}
 }

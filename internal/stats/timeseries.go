@@ -148,44 +148,3 @@ func (a *Accumulator) Sums() *Series {
 	}
 	return s
 }
-
-// Histogram counts samples into uniform bins over [min, max); samples
-// outside the range clamp into the first or last bin.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Total    int
-}
-
-// NewHistogram creates a histogram with n bins spanning [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	return &Histogram{Min: min, Max: max, Counts: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	i := int((x - h.Min) / (h.Max - h.Min) * float64(n))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Counts[i]++
-	h.Total++
-}
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}

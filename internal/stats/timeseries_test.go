@@ -73,27 +73,3 @@ func TestAccumulatorAddCountSums(t *testing.T) {
 		t.Errorf("bucket 0 mean after AddCount = %v, want 5", got)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Counts[i] != 1 {
-			t.Errorf("bin %d = %d, want 1", i, h.Counts[i])
-		}
-		if got := h.Fraction(i); got != 0.1 {
-			t.Errorf("Fraction(%d) = %v", i, got)
-		}
-	}
-	// Clamping.
-	h.Add(-5)
-	h.Add(100)
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Errorf("clamping failed: %v", h.Counts)
-	}
-	if got := h.BinCenter(0); got != 0.5 {
-		t.Errorf("BinCenter(0) = %v, want 0.5", got)
-	}
-}
