@@ -65,6 +65,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	windows := fs.Int("windows", 0, "with -follow: stop after printing this many windows (0 = until interrupted)")
 	poll := fs.Duration("poll", 200*time.Millisecond, "with -follow: idle poll interval")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 	// A flag of the other mode would be ignored: refuse it.

@@ -103,6 +103,7 @@ func TestRun(t *testing.T) {
 		stderr string // substring
 	}{
 		{"no input", nil, 2, "", "usage: analyze -in"},
+		{"help", []string{"-h"}, 0, "", "Usage of analyze"},
 		{"unknown flag", []string{"-no-such-flag"}, 2, "", "flag provided but not defined"},
 		{"follow without -bus", []string{"-follow"}, 2, "", "usage: analyze -follow -bus DIR"},
 		// -poll 0 used to spin a core through time.After(0).
@@ -148,7 +149,7 @@ func TestRun(t *testing.T) {
 			if !strings.Contains(stderr.String(), c.stderr) || (c.stderr == "") != (stderr.Len() == 0) {
 				t.Errorf("stderr %q, want it to contain %q (and nothing otherwise)", &stderr, c.stderr)
 			}
-			if c.code == 0 && !strings.Contains(stdout.String(), "P(≤4min) 100.0%\nsurge: P(=1) 100.0%") {
+			if c.stdout != "" && !strings.Contains(stdout.String(), "P(≤4min) 100.0%\nsurge: P(=1) 100.0%") {
 				t.Errorf("report lacks the EWT and surge distributions of this quiet campaign:\n%s", &stdout)
 			}
 		})

@@ -14,6 +14,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,6 +47,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	poll := fs.Duration("poll", 200*time.Millisecond, "idle poll interval")
 	surgeMap := fs.Bool("surgemap", false, "render the live surge map from surge.changes instead of raw events")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 	switch {

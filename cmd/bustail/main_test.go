@@ -70,6 +70,7 @@ func TestRun(t *testing.T) {
 		stdout string // substring of a run that prints no JSON
 	}{
 		{"missing -bus", nil, 2, 0, "usage: bustail -bus DIR", ""},
+		{"help", []string{"-h"}, 0, 0, "Usage of bustail", ""},
 		{"unknown flag", []string{"-no-such-flag"}, 2, 0, "flag provided but not defined", ""},
 		// -poll 0 used to spin a core through time.After(0).
 		{"zero poll", []string{"-bus", dir, "-poll", "0"}, 2, 0, "-poll must be > 0", ""},

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,6 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		failErrs  = fs.Bool("fail-on-errors", false, "exit 1 if any client-visible errors remain (chaos-smoke gate)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 	if *pingW < 0 || *priceW < 0 || *timeW < 0 {

@@ -61,8 +61,8 @@ func TestRun(t *testing.T) {
 // TestRunFlags pins the command line: -cities is the only location flag.
 func TestRunFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-h"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-h: exit %d, want 2", code)
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-h: exit %d, want 0", code)
 	}
 	var got []string
 	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr.String(), -1) {

@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,6 +60,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		recFile = fs.String("record", "", "record the raw pingClient stream into a tsdb store at this directory")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 	// The campaign ends at the whole second hours×3600, which must be a

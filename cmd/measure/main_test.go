@@ -35,6 +35,7 @@ func TestRun(t *testing.T) {
 		stderr string // substring
 		store  string // recording to replay afterwards
 	}{
+		{"help", []string{"-h"}, 0, "", "Usage of measure", ""},
 		{"unknown flag", []string{"-no-such-flag"}, 2, "", "flag provided but not defined", ""},
 		{"unknown city", []string{"-city", "atlantis"}, 2, "", "atlantis", ""},
 		// There is one store kind, so -store is no longer a flag.

@@ -41,13 +41,17 @@ const usage = `usage:
 // errUsage marks a command line already reported as unparseable.
 var errUsage = errors.New("usage")
 
-// run executes one subcommand and returns the exit code: 0 on success, 1
-// when the subcommand fails, 2 for a command line it cannot parse.
+// run executes one subcommand and returns the exit code: 0 on success or
+// when help was asked for, 1 when the subcommand fails, 2 for a command
+// line it cannot parse.
 func run(args []string, stdout, stderr io.Writer) int {
 	err := errUsage
 	switch {
 	case len(args) > 0 && args[0] == "convert":
 		err = convert(stdout, stderr, args[1:])
+	case len(args) == 1 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help"):
+		fmt.Fprintln(stderr, usage)
+		err = flag.ErrHelp
 	case len(args) != 2: // every other subcommand takes exactly DIR
 	case args[0] == "inspect":
 		err = inspect(stdout, args[1])
@@ -57,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = compact(stdout, args[1])
 	}
 	switch {
-	case err == nil:
+	case err == nil, err == flag.ErrHelp: // done, or the help asked for is printed
 		return 0
 	case err == errUsage:
 		fmt.Fprintln(stderr, usage)
@@ -150,7 +154,10 @@ func convert(w, stderr io.Writer, args []string) error {
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "source: a store directory, or an old gzip recording")
 	out := fs.String("out", "", "destination: gzip JSON lines for a store, a new store for a recording")
-	if fs.Parse(args) != nil { // the flag set has printed why
+	if err := fs.Parse(args); err != nil { // the flag set has printed why
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
 		return errUsage
 	}
 	if *in == "" || *out == "" {

@@ -78,7 +78,10 @@ func TestRun(t *testing.T) {
 		{"compact", []string{"compact", store}, 0, "compacted 1 segments", ""},
 		{"missing -out", []string{"convert", "-in", rec}, 1, "", "-in and -out are required"},
 		{"missing store", []string{"verify", filepath.Join(dir, "absent")}, 1, "", "tsdbtool:"},
+		{"help", []string{"-h"}, 0, "", "usage:"},
+		{"convert help", []string{"convert", "-h"}, 0, "", "Usage of convert"},
 		{"unknown flag", []string{"convert", "-frob"}, 2, "", "usage:"},
+		{"unknown top-level flag", []string{"-frob"}, 2, "", "usage:"},
 		{"unknown subcommand", []string{"frobnicate", store}, 2, "", "usage:"},
 		{"no directory", []string{"verify"}, 2, "", "usage:"},
 		{"no arguments", nil, 2, "", "usage:"},
@@ -87,7 +90,7 @@ func TestRun(t *testing.T) {
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {
 			t.Errorf("%s: exit %d, want %d (stderr: %s)", tc.name, code, tc.code, &stderr)
 		}
-		if !strings.Contains(stdout.String(), tc.stdout) || (tc.code == 0) != (stderr.Len() == 0) {
+		if !strings.Contains(stdout.String(), tc.stdout) || (tc.code == 0 && tc.stderr == "") != (stderr.Len() == 0) {
 			t.Errorf("%s: stdout %q, want it to hold %q; stderr %q", tc.name, &stdout, tc.stdout, &stderr)
 		}
 		if !strings.Contains(stderr.String(), tc.stderr) {

@@ -44,6 +44,11 @@ func (l *logWatch) String() string {
 }
 
 func TestRunRejects(t *testing.T) {
+	// -h is a request, not a rejection.
+	var help bytes.Buffer
+	if code := run(context.Background(), []string{"-h"}, &help); code != 0 || !strings.Contains(help.String(), "-city") {
+		t.Errorf("-h: exit %d, want 0 with the flags (stderr %q)", code, &help)
+	}
 	for _, tc := range []struct {
 		name   string
 		args   []string

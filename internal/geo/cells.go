@@ -82,8 +82,10 @@ func (c *Cells) cellRange(from Point, radius float64) (x0, x1, y0, y1 int) {
 // than k are held. A point in ring r is at least (r-1)·size away from
 // from, so the walk stops before the first ring whose nearest possible
 // point cannot beat that bound, or once a ring lies wholly off the grid.
-// scan is only called, never retained, so a closure passed here stays on
-// the caller's stack.
+// Within a cell scan may skip, without its distance, a point that
+// AxisBeyond puts beyond the bound: its distance is greater still, so the
+// answer is exact either way. scan is only called, never retained, so a
+// closure passed here stays on the caller's stack.
 func (c *Cells) WalkRings(from Point, scan func(cell int) (kth float64)) {
 	cx, cy := c.col(from.X), c.row(from.Y)
 	kth := math.Inf(1)

@@ -69,6 +69,16 @@ func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 // Dist returns the Euclidean distance between two plane points.
 func Dist(a, b Point) float64 { return math.Hypot(a.X-b.X, a.Y-b.Y) }
 
+// AxisBeyond reports whether b's x or y offset from a alone exceeds d,
+// from Dist's own subtractions. Unless an offset is NaN it implies
+// Dist(a, b) > d, exactly: math.Hypot returns max·sqrt(1+(min/max)²) with
+// the sqrt ≥ 1, so it is never below max(|x|, |y|) in floating point. A
+// k-nearest scan that keeps its k-th best distance in d skips such a point
+// without its Hypot.
+func AxisBeyond(a, b Point, d float64) bool {
+	return math.Abs(a.X-b.X) > d || math.Abs(a.Y-b.Y) > d
+}
+
 // WalkingTime returns the time needed to walk the straight-line distance
 // between a and b at the paper's 5 km/h walking speed, in seconds.
 func WalkingTime(a, b Point) float64 { return Dist(a, b) / WalkingSpeed }

@@ -191,3 +191,75 @@ func TestPointVectorOps(t *testing.T) {
 		t.Error("Scale failed")
 	}
 }
+
+// portableHypot is the pure-Go math.Hypot (Go's src/math/hypot.go, BSD
+// licence): what math.Hypot runs on every architecture without an
+// assembly version, arm64 among them. On amd64 math.Hypot is assembly.
+func portableHypot(p, q float64) float64 {
+	p, q = math.Abs(p), math.Abs(q)
+	switch {
+	case math.IsInf(p, 1) || math.IsInf(q, 1):
+		return math.Inf(1)
+	case math.IsNaN(p) || math.IsNaN(q):
+		return math.NaN()
+	}
+	if p < q {
+		p, q = q, p
+	}
+	if p == 0 {
+		return 0
+	}
+	q = q / p
+	return p * math.Sqrt(1+q*q)
+}
+
+// TestHypotAxisBound checks the premise of AxisBeyond, and so of the
+// k-nearest scans' pruning: both Hypot code paths return at least
+// max(|p|, |q|), so an offset beyond d on one axis puts the distance
+// beyond d. Inputs are drawn from every exponent, subnormals included,
+// plus zeros, equal arguments and values near 1e300.
+func TestHypotAxisBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1e9 + 7))
+	special := []float64{0, math.Copysign(0, -1), 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1, 3, 50, 1e300,
+		math.Nextafter(1e300, 0), math.Nextafter(1e300, math.Inf(1)), 1.7e308, math.MaxFloat64, math.Inf(1)}
+	var vals []float64
+	for _, v := range special {
+		vals = append(vals, v, -v)
+	}
+	for len(vals) < 4000 {
+		var v float64
+		switch rng.Intn(3) {
+		case 0: // any finite bit pattern: every exponent, subnormals
+			v = math.Float64frombits(rng.Uint64())
+		case 1: // subnormal
+			v = math.Float64frombits(rng.Uint64() & (1<<52 - 1))
+		default: // the plane's scale
+			v = (rng.Float64() - 0.5) * 1e4
+		}
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			vals = append(vals, v)
+		}
+	}
+	check := func(p, q float64) {
+		m := max(math.Abs(p), math.Abs(q))
+		if h := math.Hypot(p, q); !(h >= m) {
+			t.Fatalf("math.Hypot(%g, %g) = %g, below max(|p|, |q|) = %g", p, q, h, m)
+		}
+		if h := portableHypot(p, q); !(h >= m) {
+			t.Fatalf("portable hypot(%g, %g) = %g, below max(|p|, |q|) = %g", p, q, h, m)
+		}
+		if d := math.Nextafter(m, math.Inf(-1)); !AxisBeyond(Point{p, q}, Point{}, d) || !(Dist(Point{p, q}, Point{}) > d) {
+			t.Fatalf("AxisBeyond/Dist disagree at (%g, %g) against %g", p, q, d)
+		}
+	}
+	for _, p := range vals[:len(special)*2] {
+		for _, q := range vals[:len(special)*2] {
+			check(p, q)
+		}
+	}
+	for i, p := range vals {
+		check(p, p)                        // equal arguments
+		check(p, vals[(i*7919)%len(vals)]) // a spread of pairs
+		check(p, vals[rng.Intn(len(vals))])
+	}
+}

@@ -167,14 +167,18 @@ func (g *SlotGrid) KNearestInto(from Point, k int, buf []SlotNeighbor) []SlotNei
 	if k <= 0 || g.n == 0 {
 		return buf
 	}
+	kth := math.Inf(1)
 	g.WalkRings(from, func(cell int) float64 {
 		for _, sp := range g.cells[cell] {
+			if AxisBeyond(from, sp.Pos, kth) {
+				continue
+			}
 			buf = insertNeighbor(buf, k, SlotNeighbor{Slot: sp.Slot, Pos: sp.Pos, Dist: Dist(from, sp.Pos)})
+			if len(buf) == k {
+				kth = buf[k-1].Dist
+			}
 		}
-		if len(buf) < k {
-			return math.Inf(1)
-		}
-		return buf[k-1].Dist
+		return kth
 	})
 	return buf
 }

@@ -100,6 +100,9 @@ func (g *Graph) NearestNode(p geo.Point) int32 {
 	best, bestD := int32(-1), math.Inf(1)
 	g.grid.WalkRings(p, func(c int) float64 {
 		for _, v := range g.cellNodes[g.cellStart[c]:g.cellStart[c+1]] {
+			if geo.AxisBeyond(p, g.nodes[v], bestD) {
+				continue
+			}
 			d := geo.Dist(p, g.nodes[v])
 			if best < 0 || d < bestD || (d == bestD && v < best) {
 				best, bestD = v, d

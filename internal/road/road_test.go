@@ -126,6 +126,25 @@ func TestNearestNodeZeroAlloc(t *testing.T) {
 	}
 }
 
+// nearestSink keeps BenchmarkNearestNode's calls from being optimised away.
+var nearestSink int32
+
+// BenchmarkNearestNode measures one road snap on the ~50k-node benchmark
+// street grid, at uniform points of its region.
+func BenchmarkNearestNode(b *testing.B) {
+	g := BenchGraph()
+	rng := rand.New(rand.NewSource(3))
+	pts := make([]geo.Point, 1024)
+	for i := range pts {
+		pts[i] = geo.Point{X: (rng.Float64() - 0.5) * 22400, Y: (rng.Float64() - 0.5) * 22400}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nearestSink = g.NearestNode(pts[i%len(pts)])
+	}
+}
+
 // refDijkstra is the brute-force reference: plain Dijkstra over the
 // congested costs, accumulating dist along parent chains — the ordered
 // path sum the router must reproduce bit for bit.

@@ -85,12 +85,14 @@ func (p plane) advance(s int32, target geo.Point, dt float64) bool {
 // hotspots most of the time, producing the spatial skew in Figs 9 and 10.
 func (p plane) cruise(s int32, dt float64, rng *rand.Rand) {
 	w, f := p.w, &p.w.fleet
-	if w.now >= f.cruiseUntil[s] || geo.Dist(f.pos[s], f.cruiseTarget[s]) < 20 {
+	v := f.cruiseTarget[s].Sub(f.pos[s])
+	n := v.Norm() // Dist(pos, target): Hypot ignores the sign
+	if w.now >= f.cruiseUntil[s] || n < 20 {
 		f.cruiseTarget[s] = w.samplePlaceRand(rng)
 		f.cruiseUntil[s] = w.now + int64(120+rng.Intn(600))
+		v = f.cruiseTarget[s].Sub(f.pos[s])
+		n = v.Norm()
 	}
-	v := f.cruiseTarget[s].Sub(f.pos[s])
-	n := v.Norm()
 	if n < 1 {
 		return
 	}

@@ -105,6 +105,38 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 			}
 		}
 	}
+
+	// Exact ties on one axis. A street grid over 12×9 lattice squares of
+	// a power-of-two edge, with a block a little shorter than the edge,
+	// puts its perimeter nodes on the lattice and its node cells (two
+	// blocks) off it. The midpoint of two neighbouring perimeter nodes is
+	// then exactly half an edge from both, along one axis only, and some
+	// midpoints share a cell with the higher-numbered node. The
+	// lower-numbered node must win, also when the walk met the other
+	// first and already holds half an edge as its best distance.
+	for _, edge := range []float64{64, 128} {
+		for _, block := range []float64{edge * 60 / 64, edge * 62 / 64} {
+			lo := geo.Point{X: -16 * edge, Y: 4 * edge}
+			region := geo.NewRect(lo, geo.Point{X: lo.X + 12*edge, Y: lo.Y + 9*edge})
+			g := road.Generate(road.GenConfig{Region: region, Block: block, Seed: uint64(block)})
+			onRim := func(p geo.Point) bool {
+				return p.X == region.Min.X || p.X == region.Max.X || p.Y == region.Min.Y || p.Y == region.Max.Y
+			}
+			for a := int32(0); int(a) < g.NumNodes(); a++ {
+				for b := a + 1; int(b) < g.NumNodes(); b++ {
+					pa, pb := g.NodePos(a), g.NodePos(b)
+					if !onRim(pa) || !onRim(pb) || (pa.X != pb.X && pa.Y != pb.Y) || geo.Dist(pa, pb) != edge {
+						continue
+					}
+					mid := geo.Point{X: (pa.X + pb.X) / 2, Y: (pa.Y + pb.Y) / 2}
+					if got := g.NearestNode(mid); got != a {
+						t.Fatalf("block %g: NearestNode(%v) = %d, want %d: both are %g m away, the lower index wins",
+							block, mid, got, a, edge/2)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestSnapshotEWTZeroAlloc pins the lock-free queries on a euclidean

@@ -171,16 +171,20 @@ func (pc *productCells) kNearest(grid *geo.Cells, from geo.Point, k int, buf []s
 	if k <= 0 || pc.count == 0 {
 		return buf
 	}
+	kth := math.Inf(1)
 	grid.WalkRings(from, func(c int) float64 {
 		cell := pc.cells[c]
 		for i := range cell {
 			car := &cell[i]
+			if geo.AxisBeyond(from, car.pos, kth) {
+				continue
+			}
 			buf = insertSnapNeighbor(buf, k, snapNeighbor{car: car, dist: geo.Dist(from, car.pos)})
+			if len(buf) == k {
+				kth = buf[k-1].dist
+			}
 		}
-		if len(buf) < k {
-			return math.Inf(1)
-		}
-		return buf[k-1].dist
+		return kth
 	})
 	return buf
 }

@@ -582,6 +582,21 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotNearest measures one ping's nearest-car query: the
+// eight UberX cars nearest a point of the region, read from a frozen
+// epoch of a seeded Manhattan world into a reused buffer.
+func BenchmarkSnapshotNearest(b *testing.B) {
+	w := snapshotWorld(b, 42)
+	s := w.Snapshot()
+	pts := benchPoints(w.Profile().Region)
+	dst := make([]NearCar, 0, core.MaxVisibleCars)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = s.AppendNearest(dst[:0], core.UberX, pts[i%len(pts)], core.MaxVisibleCars)
+	}
+}
+
 func BenchmarkAreaIndex(b *testing.B) {
 	w := NewWorld(Config{Profile: Manhattan(), Seed: 1})
 	ai := w.AreaIndex()
