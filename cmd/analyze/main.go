@@ -4,8 +4,7 @@
 // series, EWT and surge distributions, surge durations, jitter events,
 // and the Table 1 forecasting fits.
 //
-// It reads the tsdb campaign store `measure -record DIR` writes (an old
-// gzip recording is converted first: `tsdbtool convert -in X -out DIR`).
+// It reads the tsdb campaign store `measure -record DIR` writes.
 // The store is opened once; with -from/-to it is range-queried, decoding
 // only the chunks overlapping the window instead of the whole campaign.
 // Series are bucketed from the campaign's start time. A store with a

@@ -91,7 +91,7 @@ func TestRun(t *testing.T) {
 	store, damaged, jsonl := filepath.Join(dir, "c.tsdb"), filepath.Join(dir, "damaged.tsdb"), filepath.Join(dir, "c.jsonl.gz")
 	recordCampaign(t, "manhattan", 42, 600, map[string]int64{store: 0})
 	damagedCopy(t, store, damaged, 300)
-	if _, _, err := record.Convert(store, jsonl, nil); err != nil {
+	if err := os.WriteFile(jsonl, []byte("not a store"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,8 +123,8 @@ func TestRun(t *testing.T) {
 		{"bus without -follow", []string{"-in", store, "-bus", dir}, 2, "", "-bus does not apply without -follow"},
 		{"windows without -follow", []string{"-in", store, "-windows", "2"}, 2, "", "-windows does not apply without -follow"},
 		{"poll without -follow", []string{"-in", store, "-poll", "1s"}, 2, "", "-poll does not apply without -follow"},
-		// An old gzip recording is not a store: the error names the converter.
-		{"jsonl", []string{"-in", jsonl}, 1, "", "tsdbtool convert -in " + jsonl},
+		// A file, such as an old gzip recording, is not a store.
+		{"jsonl", []string{"-in", jsonl}, 1, "", jsonl + ": not a campaign store"},
 		{"tsdb", []string{"-in", store}, 0, "recording: city=manhattan clients=43 rounds=120\n", ""},
 		{"tsdb window", []string{"-in", store, "-from", "300", "-to", "600"}, 0, "clients=43 rounds=60\n", ""},
 		// The 59 rounds before t=300 are whole; the damaged chunk holds

@@ -7,16 +7,10 @@
 //	                                bytes per chunk column
 //	tsdbtool verify DIR             walk every CRC; nonzero exit on damage
 //	tsdbtool compact DIR            merge all sealed segments into one
-//	tsdbtool convert -in A -out B   old gzip recording → store, store → text
 //
 // verify re-reads every byte: whole-file CRCs (a single flipped byte
 // anywhere fails), per-chunk CRCs, decode of every chunk, and a WAL scan
 // reporting how many rows a reopen would recover after a crash.
-//
-// convert is the one reader of the gzip JSON-lines recordings campaigns
-// were written as before the tsdb store: given one, it imports it into a
-// new store at -out; given a store, it writes its rows as gzip JSON lines
-// in (time, series) order.
 package main
 
 import (
@@ -35,8 +29,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 const usage = `usage:
   tsdbtool inspect DIR
   tsdbtool verify DIR
-  tsdbtool compact DIR
-  tsdbtool convert -in PATH -out PATH`
+  tsdbtool compact DIR`
 
 // errUsage marks a command line already reported as unparseable.
 var errUsage = errors.New("usage")
@@ -47,8 +40,6 @@ var errUsage = errors.New("usage")
 func run(args []string, stdout, stderr io.Writer) int {
 	err := errUsage
 	switch {
-	case len(args) > 0 && args[0] == "convert":
-		err = convert(stdout, stderr, args[1:])
 	case len(args) == 1 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help"):
 		fmt.Fprintln(stderr, usage)
 		err = flag.ErrHelp
@@ -146,27 +137,5 @@ func compact(w io.Writer, dir string) error {
 	}
 	fmt.Fprintf(w, "compacted %d segments (%d bytes) into %d (%d bytes)\n",
 		before.Segments, before.SegmentBytes, after.Segments, after.SegmentBytes)
-	return nil
-}
-
-func convert(w, stderr io.Writer, args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	in := fs.String("in", "", "source: a store directory, or an old gzip recording")
-	out := fs.String("out", "", "destination: gzip JSON lines for a store, a new store for a recording")
-	if err := fs.Parse(args); err != nil { // the flag set has printed why
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
-	}
-	if *in == "" || *out == "" {
-		return fmt.Errorf("convert: -in and -out are required")
-	}
-	hdr, rows, err := record.Convert(*in, *out, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "converted %d rows (city=%s, %d clients) to %s\n", rows, hdr.City, len(hdr.Clients), *out)
 	return nil
 }

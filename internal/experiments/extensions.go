@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/api"
-	"repro/internal/attack"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -36,21 +35,48 @@ type ExtCollusionResult struct {
 // slack Uber keeps in car supply absorbs the whole ring, which is itself
 // a finding.)
 func ExtCollusion(sc api.Scenario) ExtCollusionResult {
-	res := attack.Run(attack.Config{
-		Scenario:   sc,
-		Area:       1,
-		Drivers:    200, // the whole area's idle UberX fleet colludes
-		At:         17*3600 + 1800,
-		Duration:   1800, // dark for 30 minutes...
-		ObserveFor: 5400, // ...then an hour of harvesting
-	})
-	return ExtCollusionResult{
-		City:     sc.City,
-		Complied: res.Complied,
-		PeakLift: res.PeakLift(),
-		Induced:  res.Induced(),
-		FareLift: res.FareLift(),
+	// The whole idle UberX fleet of area 1 (up to 200 drivers) goes dark
+	// at 17:30 for 30 minutes; the area is then watched for the hour of
+	// harvesting.
+	res, _, _ := collusion(sc, 1, 200, 17*3600+1800, 1800, 5400)
+	return res
+}
+
+// collusion runs two identical backends from sc, one clean and one where
+// up to `drivers` idle UberX drivers of surge area `area` log off at `at`
+// for `dark` seconds, and compares the area over the `observe` seconds
+// from `at`. base and hit are its ground-truth multiplier per 5-minute
+// interval in each run.
+func collusion(sc api.Scenario, area, drivers int, at, dark, observe int64) (res ExtCollusionResult, base, hit []float64) {
+	// run returns the area's multipliers, how many drivers complied and
+	// the passenger spend (USD) in the area after the ring returns.
+	run := func(attacked bool) (series []float64, complied int, harvest float64) {
+		svc := sc.Build()
+		w := svc.World()
+		svc.RunUntil(at)
+		if attacked {
+			complied = w.ForceOffline(core.UberX, area, drivers, dark)
+		}
+		faresAtReturn := w.AreaFares[area]
+		for w.Now() < at+observe {
+			svc.RunUntil(w.Now()/300*300 + 300)
+			series = append(series, svc.Engine().View().CurrentMultiplier(area))
+			if w.Now() <= at+dark {
+				faresAtReturn = w.AreaFares[area]
+			}
+		}
+		return series, complied, w.AreaFares[area] - faresAtReturn
 	}
+	base, _, baseHarvest := run(false)
+	hit, complied, hitHarvest := run(true)
+	res = ExtCollusionResult{City: sc.City, Complied: complied, FareLift: hitHarvest - baseHarvest}
+	for i := range hit {
+		if d := hit[i] - base[i]; d > res.PeakLift {
+			res.PeakLift = d
+		}
+	}
+	res.Induced = res.PeakLift > 0
+	return res, base, hit
 }
 
 // ExtWaitOutResult evaluates the §5.2 "wait out the surge" heuristic on a

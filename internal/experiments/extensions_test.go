@@ -20,6 +20,53 @@ func TestExtCollusion(t *testing.T) {
 	}
 }
 
+func TestCollusionInducesSurge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two backends")
+	}
+	// Attack an SF area during evening rush with the whole idle fleet:
+	// the market is tight, so the missing supply must move the price.
+	// (The seed is pinned to a run where enough of the fleet idles in
+	// the target area; the lift threshold is trajectory-sensitive.)
+	res, base, hit := collusion(api.Scenario{City: "sf", Seed: 12}, 1, 200, 17*3600+1800, 3600, 3600)
+	if res.Complied == 0 {
+		t.Fatal("no drivers complied")
+	}
+	if !res.Induced {
+		t.Errorf("collusion failed to raise surge: baseline %v vs attacked %v", base, hit)
+	}
+	if res.PeakLift < 0.3 {
+		t.Errorf("peak lift = %.2f, want ≥ 0.3 with %d drivers dark", res.PeakLift, res.Complied)
+	}
+}
+
+func TestCollusionFizzlesOffPeak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two backends")
+	}
+	// The same ring at 1pm in Manhattan: the slack in supply absorbs it.
+	res, _, _ := collusion(api.Scenario{City: "manhattan", Seed: 11}, 1, 60, 13*3600, 1800, 3600)
+	if res.PeakLift > 0.5 {
+		t.Errorf("off-peak attack lifted surge by %.1f; expected the slack to absorb it", res.PeakLift)
+	}
+}
+
+func TestCollusionBaselineIsClean(t *testing.T) {
+	// With zero drivers, the two trajectories are identical (same seed).
+	res, base, hit := collusion(api.Scenario{City: "manhattan", Seed: 13}, 0, 0, 10*3600, 600, 1800)
+	if res.Complied != 0 {
+		t.Fatalf("complied = %d", res.Complied)
+	}
+	for i := range base {
+		if base[i] != hit[i] {
+			t.Fatalf("trajectories diverge without an attack at %d: %v vs %v", i, base[i], hit[i])
+		}
+	}
+	if res.Induced {
+		t.Error("no-op attack reported as induced")
+	}
+}
+
 func TestExtWaitOut(t *testing.T) {
 	_, s := sharedRuns(t)
 	e := ExtWaitOut(s)

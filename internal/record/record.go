@@ -6,8 +6,7 @@
 // observation, one series per client. Car path vectors are dropped (no
 // analysis consumes them); everything else the Dataset needs is kept.
 //
-// Writer records a campaign, Open and Replay read one back, and Convert
-// (convert.go) imports an old gzip JSON-lines recording or exports text.
+// Writer records a campaign; Open and Replay read one back.
 package record
 
 import (
@@ -35,8 +34,8 @@ const Version = 2
 // missing" from "the store is unreadable".
 var ErrTruncated = errors.New("record: truncated recording")
 
-// errNotStore marks a path that exists but is not a directory, which is
-// what an old gzip recording handed to Open is.
+// errNotStore marks a path handed to Open that exists but is not a
+// directory.
 var errNotStore = errors.New("not a campaign store")
 
 // Header opens every recording.
@@ -169,16 +168,14 @@ func (w *Writer) Written() (rows, gaps int64) { return w.rows, w.gaps }
 
 // Open opens the campaign store at dir read-only and decodes its header.
 // It is the one place that decides what a store is: a path that exists but
-// is not a directory (an old gzip recording) is refused with the command
-// that converts it. The caller closes the db.
+// is not a directory is refused. The caller closes the db.
 func Open(dir string) (*tsdb.DB, Header, error) {
 	fi, err := os.Stat(dir)
 	if err != nil {
 		return nil, Header{}, err
 	}
 	if !fi.IsDir() {
-		return nil, Header{}, fmt.Errorf("record: %s: %w (an old gzip recording converts with: tsdbtool convert -in %s -out DIR)",
-			dir, errNotStore, dir)
+		return nil, Header{}, fmt.Errorf("record: %s: %w (a store is the directory measure -record writes)", dir, errNotStore)
 	}
 	db, err := tsdb.Open(dir, tsdb.Options{ReadOnly: true})
 	if err != nil {

@@ -113,13 +113,13 @@ func eqNaN(a, b float64) bool {
 
 func TestReplayCorruptInput(t *testing.T) {
 	tmp := t.TempDir()
-	// Neither a store nor gzip: converting it fails.
+	// A file is not a store: replaying it fails.
 	garbage := filepath.Join(tmp, "garbage")
-	if err := os.WriteFile(garbage, []byte("not gzip"), 0o644); err != nil {
+	if err := os.WriteFile(garbage, []byte("not a store"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Convert(garbage, filepath.Join(tmp, "out.tsdb"), nil); err == nil {
-		t.Error("garbage input should error")
+	if _, _, err := ReplayPathRange(garbage, MinTime, MaxTime); !errors.Is(err, errNotStore) {
+		t.Errorf("garbage input: err = %v, want errNotStore", err)
 	}
 	// An empty store: header only, zero rounds.
 	dir := filepath.Join(tmp, "empty.tsdb")

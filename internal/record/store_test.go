@@ -224,13 +224,12 @@ func TestReadHeaderPath(t *testing.T) {
 	if got.City != hdr.City || got.Version != Version || len(got.Clients) != len(hdr.Clients) {
 		t.Fatalf("header = %+v", got)
 	}
-	// A file, such as an old gzip recording, is not a store, and the error
-	// names the command that converts it.
+	// A file is not a store, and the error names its path.
 	f := filepath.Join(t.TempDir(), "c.jsonl.gz")
 	if err := os.WriteFile(f, []byte("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(f); !errors.Is(err, errNotStore) || !strings.Contains(err.Error(), "tsdbtool convert -in "+f) {
+	if _, _, err := Open(f); !errors.Is(err, errNotStore) || !strings.Contains(err.Error(), f) {
 		t.Fatalf("file path: err = %v", err)
 	}
 	if _, _, err := Open(filepath.Join(t.TempDir(), "absent")); !errors.Is(err, os.ErrNotExist) {
@@ -285,28 +284,6 @@ func TestReplayTruncatedTail(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pd, wd[:len(pd)]) {
 		t.Fatal("partial stream is not a prefix of the whole")
-	}
-}
-
-// TestConvertBothWays exports a store to gzip-JSONL text and imports the
-// text into a second store: both replay the same stream.
-func TestConvertBothWays(t *testing.T) {
-	dir, _ := writeStore(t, 30, 0)
-	tmp := t.TempDir()
-
-	text := filepath.Join(tmp, "c.jsonl.gz")
-	_, exported, err := Convert(dir, text, nil)
-	if err != nil || exported == 0 {
-		t.Fatalf("export: rows=%d err=%v", exported, err)
-	}
-	back := filepath.Join(tmp, "back.tsdb")
-	if _, imported, err := Convert(text, back, nil); err != nil || imported != exported {
-		t.Fatalf("import: rows=%d (exported %d) err=%v", imported, exported, err)
-	}
-	want, _, _ := replayAll(t, dir)
-	got, _, _ := replayAll(t, back)
-	if !reflect.DeepEqual(got.lines, want.lines) {
-		t.Fatal("store → text → store changed the stream")
 	}
 }
 

@@ -523,3 +523,49 @@ func TestProfilesMatchPaperOrdering(t *testing.T) {
 		t.Error("SF spacing should exceed Manhattan's")
 	}
 }
+
+func TestForceOfflineCompliance(t *testing.T) {
+	w := NewWorld(Config{Profile: SanFrancisco(), Seed: 3})
+	w.Run(8 * 3600)
+	before := w.OnlineDrivers()
+	idle, _, _ := w.CountByState(core.UberX)
+	if idle == 0 {
+		t.Skip("no idle UberX")
+	}
+	offlineBefore, spawnedBefore := w.TotalOffline, w.TotalSpawned
+	n := w.ForceOffline(core.UberX, 0, 50, 1800)
+	if n == 0 {
+		t.Fatal("nobody complied")
+	}
+	if w.OnlineDrivers() != before-n {
+		t.Errorf("online = %d, want %d", w.OnlineDrivers(), before-n)
+	}
+	// Suspension cycles keep their own ledger: a coordinated logoff is
+	// neither a driver death nor (on return) a fresh spawn.
+	if w.TotalSuspended != int64(n) {
+		t.Errorf("TotalSuspended = %d, want %d", w.TotalSuspended, n)
+	}
+	if w.TotalOffline != offlineBefore {
+		t.Errorf("ForceOffline moved TotalOffline %d -> %d", offlineBefore, w.TotalOffline)
+	}
+	if w.TotalSpawned != spawnedBefore {
+		t.Errorf("ForceOffline moved TotalSpawned %d -> %d", spawnedBefore, w.TotalSpawned)
+	}
+	// They return after the duration (plus a tick).
+	w.Run(w.Now() + 1800 + 10)
+	if got := w.OnlineDrivers(); got < before-n/2 {
+		t.Errorf("drivers did not come back: %d (was %d)", got, before)
+	}
+	if w.TotalResumed != int64(n) {
+		t.Errorf("TotalResumed = %d, want %d", w.TotalResumed, n)
+	}
+}
+
+func TestForceOfflineNoIdleDrivers(t *testing.T) {
+	w := NewWorld(Config{Profile: Manhattan(), Seed: 5})
+	// Ask for a product with (almost) no fleet.
+	n := w.ForceOffline(core.UberRUSH, 0, 1000, 60)
+	if n > 5 {
+		t.Errorf("complied = %d, should be the tiny RUSH fleet at most", n)
+	}
+}

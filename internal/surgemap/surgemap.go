@@ -60,11 +60,13 @@ func NewProber(svc core.Service, reg Registrar, proj *geo.Projection, rect geo.R
 	p := &Prober{Svc: svc, Proj: proj, Spacing: spacing, Rect: rect}
 	p.cols = int(rect.Width()/spacing) + 1
 	p.rows = int(rect.Height()/spacing) + 1
+	// The explicit conversions round each product, so no architecture
+	// fuses it into the add: lattice points are the same bits everywhere.
 	for r := 0; r < p.rows; r++ {
 		for c := 0; c < p.cols; c++ {
 			p.points = append(p.points, geo.Point{
-				X: rect.Min.X + float64(c)*spacing,
-				Y: rect.Min.Y + float64(r)*spacing,
+				X: rect.Min.X + float64(float64(c)*spacing),
+				Y: rect.Min.Y + float64(float64(r)*spacing),
 			})
 		}
 	}

@@ -24,8 +24,8 @@ const (
 	maxStringLen   = math.MaxInt32
 )
 
-// The stored observation body is shared with the event bus and the v2
-// JSONL recording (package wire owns its codec and JSON keys).
+// The stored observation body is shared with the event bus (package wire
+// owns its codec).
 type (
 	TypeObs = wire.TypeObs
 	Car     = wire.Car
@@ -33,13 +33,12 @@ type (
 
 // Row is one stored observation. A Gap row records a failed ping (an
 // explicit hole in the campaign) and carries Reason instead of Types.
-// The JSON form is the v2 gzip-JSONL recording's row, key order included.
 type Row struct {
-	Time   int64     `json:"t"`
-	Series int       `json:"c"`
-	Types  []TypeObs `json:"y,omitempty"`
-	Gap    bool      `json:"g,omitempty"`
-	Reason string    `json:"r,omitempty"`
+	Time   int64
+	Series int
+	Types  []TypeObs
+	Gap    bool
+	Reason string
 }
 
 // appendRowBinary appends the flat encoding of r. It is the WAL record

@@ -10,20 +10,19 @@ import (
 )
 
 // Car is one visible vehicle: per-session randomized ID and position.
-// The JSON keys are the v2 gzip-JSONL recording's.
 type Car struct {
-	ID  string  `json:"i"`
-	Lat float64 `json:"a"`
-	Lng float64 `json:"o"`
+	ID  string
+	Lat float64
+	Lng float64
 }
 
 // TypeObs is one product's section of a stored observation. Car path
 // vectors are dropped: no analysis consumes them.
 type TypeObs struct {
-	Name  string  `json:"t"`
-	Surge float64 `json:"s"`
-	EWT   float64 `json:"e"`
-	Cars  []Car   `json:"c,omitempty"`
+	Name  string
+	Surge float64
+	EWT   float64
+	Cars  []Car
 }
 
 // FillTypes fills dst with the stored form of a served ping and returns

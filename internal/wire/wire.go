@@ -1,8 +1,8 @@
 // Package wire is the one place that knows how a ping is stored. It owns
 // the byte-level primitives the bus and tsdb codecs are built from (a
 // bounds-checked Reader, zigzag varints, length-prefixed strings), the
-// stored form of an observation (TypeObs, Car — the bus Observation, the
-// tsdb Row and the v2 JSONL row all carry []TypeObs) with its flat binary
+// stored form of an observation (TypeObs, Car — the bus Observation and
+// the tsdb Row both carry []TypeObs) with its flat binary
 // codec, the only two conversions between that form and the API's
 // core.PingResponse, and the crash-safe whole-file replace the stores'
 // small metadata files go through (WriteFileAtomic).
