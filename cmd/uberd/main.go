@@ -8,8 +8,9 @@
 // paper's scripts were pointed at Uber.
 //
 // Observability: GET /metrics serves the obs registry in Prometheus text
-// format (per-endpoint request counters and latency histograms, surge and
-// sim internals), and /debug/pprof/* the Go runtime profiles. Point
+// format (per-endpoint request counters and latency histograms, sim and
+// bus health; DESIGN.md's "Signals" table lists them all), and
+// /debug/pprof/* the Go runtime profiles. Point
 // cmd/loadgen at the same address to generate traffic and read back
 // percentiles.
 //

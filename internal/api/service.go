@@ -168,7 +168,7 @@ func (s *Service) acquire() *queryState {
 }
 
 // Instrument wires the service's counters into reg and cascades to the
-// world and engine, so one call instruments the whole backend:
+// world, so one call instruments the whole backend:
 //
 //	api_registrations_total    accounts created
 //	api_rate_limited_total     estimates requests rejected with 429
@@ -183,7 +183,6 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	s.mEpochsRecycled = reg.Counter("api_epochs_recycled_total")
 	s.mEpochsPinned = reg.Counter("api_epochs_pinned_total")
 	s.world.Instrument(reg)
-	s.engine.Instrument(reg)
 }
 
 // Register creates an account for clientID; registering twice is a no-op.

@@ -83,7 +83,8 @@ func (b *Broker) Topic(name string) (*Topic, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Topic{name: name, dir: dir, m: newTopicMetrics(b.reg, name)}
+	t := &Topic{name: name, dir: dir, reg: b.reg,
+		skipped: b.reg.Counter("bus_skipped_events_total", obs.L("topic", name))}
 	t.grew.L = &t.mu
 	if len(segs) == 0 {
 		err = t.roll(0)
@@ -165,7 +166,10 @@ type segInfo struct {
 type Topic struct {
 	name string
 	dir  string
-	m    *topicMetrics
+	// reg gives each consumer group its lag gauge; skipped counts the
+	// offsets consumers passed over at damage (both nil-safe).
+	reg     *obs.Registry
+	skipped *obs.Counter
 
 	mu     sync.Mutex
 	grew   sync.Cond // broadcast when next grows and on Close
@@ -282,8 +286,6 @@ func (t *Topic) Publish(ev Event) error {
 	}
 	t.segSize += int64(len(t.scratch))
 	t.next++
-	t.m.published.Inc()
-	t.m.pubBytes.Add(int64(len(t.scratch)))
 	t.grew.Broadcast()
 	return nil
 }
@@ -315,40 +317,4 @@ func listSegments(dir string) ([]segInfo, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
 	return segs, nil
-}
-
-// topicMetrics are the nil-safe per-topic handles.
-type topicMetrics struct {
-	published *obs.Counter
-	pubBytes  *obs.Counter
-	skipped   *obs.Counter
-	reg       *obs.Registry
-	name      string
-}
-
-func newTopicMetrics(reg *obs.Registry, topic string) *topicMetrics {
-	m := &topicMetrics{reg: reg, name: topic}
-	if reg == nil {
-		return m
-	}
-	m.published = reg.Counter("bus_publish_total", obs.L("topic", topic))
-	m.pubBytes = reg.Counter("bus_publish_bytes_total", obs.L("topic", topic))
-	m.skipped = reg.Counter("bus_skipped_events_total", obs.L("topic", topic))
-	return m
-}
-
-// consumed returns the consume counter for a group (nil-safe).
-func (m *topicMetrics) consumed(group string) *obs.Counter {
-	if m.reg == nil {
-		return nil
-	}
-	return m.reg.Counter("bus_consume_total", obs.L("topic", m.name), obs.L("group", group))
-}
-
-// lagGauge returns the lag gauge for a group (nil-safe).
-func (m *topicMetrics) lagGauge(group string) *obs.Gauge {
-	if m.reg == nil {
-		return nil
-	}
-	return m.reg.Gauge("bus_consumer_lag_events", obs.L("topic", m.name), obs.L("group", group))
 }

@@ -126,7 +126,11 @@ func TestTotalOrderPerTopic(t *testing.T) {
 
 func TestOffsetResumeAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	b := openTestBroker(t, dir)
+	reg := obs.NewRegistry()
+	b, err := Open(dir, reg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
 	tp := mustTopic(t, b, "t")
 	data := make([]byte, segmentBytes/16) // force several segments
 	for i := 0; i < 100; i++ {
@@ -146,6 +150,11 @@ func TestOffsetResumeAcrossRestart(t *testing.T) {
 	}
 	if err := c.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
+	}
+	// The group's lag gauge is what Commit saw: the 40 events still unread.
+	lag := reg.Gauge("bus_consumer_lag_events", obs.L("topic", "t"), obs.L("group", "g")).Value()
+	if lag != float64(c.Lag()) || lag <= 0 {
+		t.Fatalf("bus_consumer_lag_events = %g after Commit, want Lag() = %d > 0", lag, c.Lag())
 	}
 	c.Close()
 	if err := b.Close(); err != nil {

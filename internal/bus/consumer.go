@@ -32,7 +32,7 @@ import (
 type Consumer struct {
 	t     *Topic
 	group string
-	mCons *obs.Counter
+	lag   *obs.Gauge // bus_consumer_lag_events, set at each Commit
 
 	pos int64 // next offset to deliver
 	cur *segCursor
@@ -49,7 +49,8 @@ func (t *Topic) Subscribe(group string) (*Consumer, error) {
 	// dir): clamp rather than stall forever.
 	end, _ := t.end()
 	pos = min(pos, end)
-	return &Consumer{t: t, group: group, mCons: t.m.consumed(group), pos: pos, cur: newSegCursor(t.dir)}, nil
+	lag := t.reg.Gauge("bus_consumer_lag_events", obs.L("topic", t.name), obs.L("group", group))
+	return &Consumer{t: t, group: group, lag: lag, pos: pos, cur: newSegCursor(t.dir)}, nil
 }
 
 func (t *Topic) offsetPath(group string) string {
@@ -94,10 +95,9 @@ func (c *Consumer) readBelow(end int64) (Event, bool) {
 		return Event{}, false
 	}
 	if gap := ev.Seq - c.pos; gap > 0 {
-		c.t.m.skipped.Add(gap)
+		c.t.skipped.Add(gap)
 	}
 	c.pos = ev.Seq + 1
-	c.mCons.Inc()
 	return ev, true
 }
 
@@ -133,7 +133,7 @@ func (c *Consumer) Commit() error {
 	if err := saveOffset(c.t.offsetPath(c.group), c.pos); err != nil {
 		return err
 	}
-	c.t.m.lagGauge(c.group).Set(float64(c.Lag()))
+	c.lag.Set(float64(c.Lag()))
 	return nil
 }
 

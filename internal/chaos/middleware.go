@@ -14,8 +14,7 @@ import (
 
 // Middleware wraps next with fault injection driven by the injector's
 // seeded decision stream. Injected faults are counted in reg as
-// chaos_faults_total{kind="error"|"reset"|"truncate"} and injected delays
-// as chaos_delays_total plus the chaos_injected_delay_seconds histogram.
+// chaos_faults_total{kind="error"|"reset"|"truncate"}.
 // A nil injector returns next unchanged.
 func (i *Injector) Middleware(next http.Handler, reg *obs.Registry) http.Handler {
 	if i == nil || !i.cfg.Enabled() {
@@ -26,13 +25,9 @@ func (i *Injector) Middleware(next http.Handler, reg *obs.Registry) http.Handler
 		FaultReset:    reg.Counter("chaos_faults_total", obs.L("kind", "reset")),
 		FaultTruncate: reg.Counter("chaos_faults_total", obs.L("kind", "truncate")),
 	}
-	delays := reg.Counter("chaos_delays_total")
-	delayHist := reg.Histogram("chaos_injected_delay_seconds", obs.DefLatencyBuckets)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		d := i.Decide()
 		if d.Delay > 0 {
-			delays.Inc()
-			delayHist.ObserveDuration(d.Delay)
 			time.Sleep(d.Delay)
 		}
 		switch d.Fault {
@@ -122,14 +117,12 @@ func Recover(next http.Handler, reg *obs.Registry) http.Handler {
 // Shed applies admission control: when more than maxInFlight requests are
 // already being served, new arrivals are rejected immediately with
 // 503 + Retry-After instead of queueing until the whole server tips over.
-// Shed requests are counted as server_shed_total; the current in-flight
-// count is exported as the server_inflight_requests gauge.
+// Shed requests are counted as server_shed_total.
 func Shed(next http.Handler, maxInFlight int, retryAfter time.Duration, reg *obs.Registry) http.Handler {
 	if maxInFlight <= 0 {
 		return next
 	}
 	shed := reg.Counter("server_shed_total")
-	gauge := reg.Gauge("server_inflight_requests")
 	secs := int(retryAfter / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -138,10 +131,7 @@ func Shed(next http.Handler, maxInFlight int, retryAfter time.Duration, reg *obs
 	var inflight atomic.Int64
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := inflight.Add(1)
-		defer func() {
-			gauge.Set(float64(inflight.Add(-1)))
-		}()
-		gauge.Set(float64(n))
+		defer inflight.Add(-1)
 		if n > int64(maxInFlight) {
 			shed.Inc()
 			w.Header().Set("Retry-After", retryVal)

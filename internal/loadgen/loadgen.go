@@ -43,10 +43,6 @@ type Config struct {
 	// counters — the gateway chaos smoke reads them to check that killing
 	// one city's shard left the other city's error rate untouched.
 	Cities map[string]geo.LatLng
-	// Registry receives the run's metrics; a private one is created when
-	// nil. Passing a shared registry lets a caller merge loadgen series
-	// with its own /metrics exposition.
-	Registry *obs.Registry
 	// HTTPClient overrides the transport (httptest servers pass theirs).
 	HTTPClient *http.Client
 	// NoRetry disables the client's retry/backoff and circuit breaker:
@@ -64,9 +60,6 @@ func (c *Config) defaults() {
 	}
 	if c.PingWeight == 0 && c.PriceWeight == 0 && c.TimeWeight == 0 {
 		c.PingWeight, c.PriceWeight, c.TimeWeight = 8, 1, 1
-	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
 	}
 }
 
@@ -165,14 +158,12 @@ func fmtLatency(seconds float64) string {
 // endpoints in mix order; weights resolved per config.
 var endpointNames = [3]string{"/pingClient", "/estimates/price", "/estimates/time"}
 
-// A request's result, in the order of resultNames.
+// A request's result: the index of its counter.
 const (
 	resultOK = iota
 	resultError
 	resultLimited
 )
-
-var resultNames = [3]string{"ok", "error", "rate_limited"}
 
 // result classifies one request's outcome: 429s are expected once an
 // account burns its budget, anything else that failed is an error.
@@ -200,8 +191,11 @@ func Run(cfg Config) (*Report, error) {
 		return nil, errors.New("loadgen: no city to query")
 	}
 	cfg.defaults()
+	// The Remote's client_* counters land in a private registry, which the
+	// report reads back.
+	reg := obs.NewRegistry()
 	ropts := []api.RemoteOption{
-		api.WithRegistry(cfg.Registry),
+		api.WithRegistry(reg),
 		// The generator's job is to keep load flowing through injected
 		// faults, so it retries harder than the default client policy: at
 		// the chaos-smoke fault rates (~12% per attempt) 8 attempts put
@@ -262,16 +256,10 @@ func Run(cfg Config) (*Report, error) {
 	// Each request lands in one counter, keyed by endpoint, city and
 	// result; the report sums them both ways.
 	hists := make([]*obs.Histogram, len(endpointNames))
-	counts := make([][][3]*obs.Counter, len(endpointNames))
-	for ep, name := range endpointNames {
-		lbl := obs.L("endpoint", name)
-		hists[ep] = cfg.Registry.Histogram("loadgen_request_duration_seconds", obs.DefLatencyBuckets, lbl)
-		counts[ep] = make([][3]*obs.Counter, len(cityNames))
-		for c, city := range cityNames {
-			for r, res := range resultNames {
-				counts[ep][c][r] = cfg.Registry.Counter("loadgen_requests_total", lbl, obs.L("city", city), obs.L("result", res))
-			}
-		}
+	counts := make([][][3]obs.Counter, len(endpointNames))
+	for ep := range endpointNames {
+		hists[ep] = obs.NewHistogram(obs.DefLatencyBuckets)
+		counts[ep] = make([][3]obs.Counter, len(cityNames))
 	}
 
 	start := time.Now()
@@ -340,7 +328,7 @@ func Run(cfg Config) (*Report, error) {
 			P99:      s.Quantile(0.99),
 		}
 		for c := range cityNames {
-			n := counts[ep][c]
+			n := &counts[ep][c]
 			es.Errors += n[resultError].Value()
 			es.RateLimited += n[resultLimited].Value()
 			cities[c].Requests += n[resultOK].Value() + n[resultError].Value() + n[resultLimited].Value()
@@ -355,11 +343,11 @@ func Run(cfg Config) (*Report, error) {
 	for c, name := range cityNames {
 		rep.Cities[name] = cities[c]
 	}
-	// Resilience counters come straight from the shared registry (handle
-	// lookup is idempotent, so this reads what the Remote recorded).
-	rep.Retries = cfg.Registry.Counter("client_retries_total").Value()
-	rep.GiveUps = cfg.Registry.Counter("client_giveups_total").Value()
-	rep.BreakerOpens = cfg.Registry.Counter("client_breaker_opens_total").Value()
+	// Resilience counters come straight from the Remote's registry
+	// (handle lookup is idempotent, so this reads what it recorded).
+	rep.Retries = reg.Counter("client_retries_total").Value()
+	rep.GiveUps = reg.Counter("client_giveups_total").Value()
+	rep.BreakerOpens = reg.Counter("client_breaker_opens_total").Value()
 	if secs := elapsed.Seconds(); secs > 0 {
 		rep.RPS = float64(rep.Requests) / secs
 	}

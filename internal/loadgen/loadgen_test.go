@@ -16,7 +16,7 @@ import (
 )
 
 // TestRunSmoke drives the generator against an in-process backend and
-// checks the report is populated and consistent with the shared registry.
+// checks the report is populated and consistent with the server's registry.
 func TestRunSmoke(t *testing.T) {
 	profile := sim.Manhattan()
 	svc := api.Scenario{City: profile.Name, Seed: 11}.Build()
@@ -31,7 +31,6 @@ func TestRunSmoke(t *testing.T) {
 		Clients:    4,
 		Duration:   300 * time.Millisecond,
 		Cities:     map[string]geo.LatLng{profile.Name: profile.Origin},
-		Registry:   reg,
 		HTTPClient: ts.Client(),
 	})
 	if err != nil {
@@ -54,7 +53,7 @@ func TestRunSmoke(t *testing.T) {
 		t.Errorf("implausible percentiles: p50=%g p99=%g", ping.P50, ping.P99)
 	}
 	// The same requests are visible server-side: loadgen traffic populated
-	// the middleware counters in the shared registry.
+	// the middleware counters in the server's registry.
 	serverPings := reg.Counter("http_requests_total",
 		obs.L("endpoint", "/pingClient"), obs.L("class", "2xx")).Value()
 	if serverPings != ping.Requests {
@@ -207,7 +206,6 @@ func TestRunAbsorbsChaos(t *testing.T) {
 		Clients:    8,
 		Duration:   400 * time.Millisecond,
 		Cities:     map[string]geo.LatLng{profile.Name: profile.Origin},
-		Registry:   reg,
 		HTTPClient: ts.Client(),
 	})
 	if err != nil {
@@ -252,7 +250,6 @@ func TestRunNoRetryExposesFaults(t *testing.T) {
 		Clients:    4,
 		Duration:   200 * time.Millisecond,
 		Cities:     map[string]geo.LatLng{profile.Name: profile.Origin},
-		Registry:   reg,
 		HTTPClient: ts.Client(),
 		NoRetry:    true,
 	})

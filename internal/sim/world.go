@@ -206,19 +206,13 @@ type World struct {
 	// nothing listens. Only serial phases call it.
 	events func(bus.Event)
 
-	// nil-safe metric handles; zero until Instrument is called. The
-	// counters mirror the lifetime totals by delta so Prometheus sees
-	// monotonic series.
-	hStep         *obs.Histogram
-	hPhase        [numPhases]*obs.Histogram
-	gDrivers      *obs.Gauge
-	gSimTime      *obs.Gauge
-	mPickups      *obs.Counter
-	mPricedOut    *obs.Counter
-	mUnmet        *obs.Counter
-	lastPickups   int64
-	lastPricedOut int64
-	lastUnmet     int64
+	// nil-safe metric handles; zero until Instrument is called. mUnmet
+	// mirrors TotalUnmet by delta so Prometheus sees a monotonic series.
+	hStep     *obs.Histogram
+	hPhase    [numPhases]*obs.Histogram
+	gDrivers  *obs.Gauge
+	mUnmet    *obs.Counter
+	lastUnmet int64
 }
 
 // Step phases, in execution order, for per-phase timing.
@@ -247,9 +241,7 @@ var phaseLabelSets = func() [numPhases]pprof.LabelSet {
 //	sim_step_duration_seconds   wall-clock cost of one tick
 //	sim_phase_duration_seconds{phase}  per-phase breakdown of a tick
 //	sim_drivers_online          current online driver count
-//	sim_time_seconds            simulation clock
-//	sim_pickups_total           fulfilled requests
-//	sim_requests_priced_out_total / sim_requests_unmet_total  lost demand
+//	sim_requests_unmet_total    requests no car could serve (supply shortage)
 //	sim_snapshot_{cars_reencoded,cells_rebuilt}_total  what Snapshot builds
 //	made: cars encoded (the idle cars of each build), non-empty grid cells
 func (w *World) Instrument(reg *obs.Registry) {
@@ -258,12 +250,7 @@ func (w *World) Instrument(reg *obs.Registry) {
 		w.hPhase[i] = reg.Histogram("sim_phase_duration_seconds", nil, obs.L("phase", phaseNames[i]))
 	}
 	w.gDrivers = reg.Gauge("sim_drivers_online")
-	w.gSimTime = reg.Gauge("sim_time_seconds")
-	w.mPickups = reg.Counter("sim_pickups_total")
-	w.mPricedOut = reg.Counter("sim_requests_priced_out_total")
 	w.mUnmet = reg.Counter("sim_requests_unmet_total")
-	w.lastPickups = w.TotalPickups
-	w.lastPricedOut = w.TotalPricedOut
 	w.lastUnmet = w.TotalUnmet
 	w.snap.mCars = reg.Counter("sim_snapshot_cars_reencoded_total")
 	w.snap.mCells = reg.Counter("sim_snapshot_cells_rebuilt_total")
@@ -606,12 +593,7 @@ func (w *World) Step() {
 	if instrumented {
 		w.hStep.ObserveDuration(time.Since(stepStart))
 		w.gDrivers.Set(float64(w.fleet.n))
-		w.gSimTime.Set(float64(w.now))
-		w.mPickups.Add(w.TotalPickups - w.lastPickups)
-		w.mPricedOut.Add(w.TotalPricedOut - w.lastPricedOut)
 		w.mUnmet.Add(w.TotalUnmet - w.lastUnmet)
-		w.lastPickups = w.TotalPickups
-		w.lastPricedOut = w.TotalPricedOut
 		w.lastUnmet = w.TotalUnmet
 	}
 }

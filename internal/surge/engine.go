@@ -23,10 +23,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/bus"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -73,13 +71,6 @@ type Engine struct {
 	// included — is served through it.
 	view *View
 
-	// nil-safe metric handles; zero until Instrument is called.
-	mUpdates    *obs.Counter
-	mChanges    *obs.Counter
-	hUpdateDur  *obs.Histogram
-	gMaxMult    *obs.Gauge
-	gSurgeAreas *obs.Gauge
-
 	// events receives one SurgeChange per area whose multiplier moved at
 	// an update (see SetEventSink); areaKeys holds the precomputed
 	// per-area event keys so the update loop does not format strings.
@@ -91,21 +82,6 @@ type Engine struct {
 // every area whose multiplier changes at an update boundary. The
 // callback runs synchronously inside update. Pass nil to detach.
 func (e *Engine) SetEventSink(fn func(bus.Event)) { e.events = fn }
-
-// Instrument wires the engine's metrics into reg:
-//
-//	surge_updates_total            completed 5-minute updates
-//	surge_multiplier_changes_total areas whose multiplier moved at an update
-//	surge_update_duration_seconds  wall-clock cost of one update pass
-//	surge_max_multiplier           highest current multiplier across areas
-//	surge_areas_surging            areas currently above 1.0
-func (e *Engine) Instrument(reg *obs.Registry) {
-	e.mUpdates = reg.Counter("surge_updates_total")
-	e.mChanges = reg.Counter("surge_multiplier_changes_total")
-	e.hUpdateDur = reg.Histogram("surge_update_duration_seconds", nil)
-	e.gMaxMult = reg.Gauge("surge_max_multiplier")
-	e.gSurgeAreas = reg.Gauge("surge_areas_surging")
-}
 
 // New builds the default mult2015 engine over the world and installs it
 // as the world's surge provider (the feedback loop through which surge
@@ -221,7 +197,6 @@ func rawPressures(w *sim.World, p sim.SurgeParams, rng *rand.Rand, out []float64
 // update recomputes every area's multiplier for the interval starting at
 // boundary.
 func (e *Engine) update(boundary int64) {
-	updateStart := time.Now()
 	copy(e.prev, e.cur)
 	raws := make([]float64, len(e.cur))
 	rawPressures(e.world, e.cfg.Params, e.rng, raws)
@@ -235,31 +210,17 @@ func (e *Engine) update(boundary int64) {
 	e.scheduleSwitches(boundary)
 	e.rebuildView()
 
-	e.mUpdates.Inc()
-	e.hUpdateDur.ObserveDuration(time.Since(updateStart))
-	var changed int64
-	maxMult := 1.0
-	surging := 0.0
+	if e.events == nil {
+		return
+	}
 	for a := range e.cur {
 		if e.cur[a] != e.prev[a] {
-			changed++
-			if e.events != nil {
-				e.events(bus.Event{
-					Time: boundary, Kind: bus.KindSurgeChange,
-					Key: e.areaKeys[a], Area: int32(a), Num: e.cur[a],
-				})
-			}
-		}
-		if e.cur[a] > maxMult {
-			maxMult = e.cur[a]
-		}
-		if e.cur[a] > 1 {
-			surging++
+			e.events(bus.Event{
+				Time: boundary, Kind: bus.KindSurgeChange,
+				Key: e.areaKeys[a], Area: int32(a), Num: e.cur[a],
+			})
 		}
 	}
-	e.mChanges.Add(changed)
-	e.gMaxMult.Set(maxMult)
-	e.gSurgeAreas.Set(surging)
 }
 
 // scheduleSwitches draws this interval's API propagation delay: updates

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/bus"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -36,8 +35,6 @@ type Pricer interface {
 	Step(now int64)
 	// View returns the engine's current immutable read state.
 	View() *View
-	// Instrument wires the engine's metrics into reg.
-	Instrument(reg *obs.Registry)
 	// SetEventSink installs fn to receive a bus.KindSurgeChange event per
 	// area whose price moves at an update boundary; nil detaches.
 	SetEventSink(fn func(bus.Event))
@@ -45,7 +42,7 @@ type Pricer interface {
 
 // regime is everything that distinguishes one pricing engine from
 // another; the clock, RNG stream, pressure signal, smoothing, switch
-// schedule, View, metrics and events are the Engine's, the same under all.
+// schedule, View and events are the Engine's, the same under all.
 type regime struct {
 	name string
 	// quantize turns an area's smoothed raw pressure into the effective

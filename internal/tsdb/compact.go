@@ -13,7 +13,6 @@ package tsdb
 import (
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // Compact merges all sealed segments into one. An Append whose seal makes
@@ -34,7 +33,6 @@ func (db *DB) compactLocked() error {
 	if len(db.segs) < 2 {
 		return nil
 	}
-	t0 := time.Now()
 	lo := db.segs[0].lo
 	hi := db.segs[len(db.segs)-1].hi
 	path := filepath.Join(db.segDir(), segFileName(lo, hi))
@@ -94,7 +92,5 @@ func (db *DB) compactLocked() error {
 		db.graveyard = append(db.graveyard, sr)
 	}
 	db.segs = []*segmentReader{merged}
-	db.m.compactDur.ObserveDuration(time.Since(t0))
-	db.updateGauges()
 	return nil
 }

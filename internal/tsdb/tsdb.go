@@ -29,7 +29,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -61,7 +60,7 @@ type Options struct {
 	// rows. Default 65536 (≈ 1,524 campaign rounds of 43 clients, one row
 	// per client per round).
 	HeadMaxRows int
-	// Metrics receives tsdb gauges/histograms; nil disables (all obs
+	// Metrics receives tsdb_compaction_errors_total; nil disables (obs
 	// handles are nil-safe).
 	Metrics *obs.Registry
 }
@@ -82,7 +81,8 @@ type Meta struct {
 type DB struct {
 	dir  string
 	opts Options
-	m    *metrics
+	// compactErrs counts auto-compactions that failed in Append.
+	compactErrs *obs.Counter
 
 	mu        sync.Mutex
 	meta      Meta
@@ -93,7 +93,6 @@ type DB struct {
 	spare     []*headSeries // emptied by the last seal, for the next period's series
 	enc       chunkEncoder  // encodes the head's open columns: cuts, seals, queries
 	headRows  int
-	headRaw   uint64 // WAL payload bytes backing the head (compression baseline)
 	lastTime  map[int]int64
 	recovered int
 	closed    bool
@@ -168,7 +167,6 @@ func (db *DB) resetHead() {
 		delete(db.head, s)
 	}
 	db.headRows = 0
-	db.headRaw = 0
 }
 
 func (db *DB) segDir() string  { return filepath.Join(db.dir, "seg") }
@@ -189,11 +187,11 @@ func IsStore(dir string) bool {
 func Open(dir string, opts Options) (*DB, error) {
 	opts.defaults()
 	db := &DB{
-		dir:      dir,
-		opts:     opts,
-		m:        newMetrics(opts.Metrics),
-		head:     make(map[int]*headSeries),
-		lastTime: make(map[int]int64),
+		dir:         dir,
+		opts:        opts,
+		compactErrs: opts.Metrics.Counter("tsdb_compaction_errors_total"),
+		head:        make(map[int]*headSeries),
+		lastTime:    make(map[int]int64),
 	}
 	if !opts.ReadOnly {
 		for _, d := range []string{dir, db.segDir(), filepath.Join(dir, "wal")} {
@@ -213,7 +211,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		db.closeAll()
 		return nil, err
 	}
-	db.updateGauges()
 	return db, nil
 }
 
@@ -357,9 +354,6 @@ func (db *DB) recoverWAL() error {
 			db.noteTime(res.rows[i].Series, res.rows[i].Time)
 		}
 		db.headRows = len(res.rows)
-		if res.goodSize > walHeaderSize {
-			db.headRaw = uint64(res.goodSize-walHeaderSize) - wire.FrameHeader*uint64(len(res.rows))
-		}
 		db.recovered = len(res.rows)
 		if res.seq >= nextSeq {
 			nextSeq = res.seq
@@ -440,19 +434,12 @@ func (db *DB) Append(row Row) error {
 	if last, ok := db.lastTime[row.Series]; ok && row.Time < last {
 		return fmt.Errorf("%w: series %d: %d < %d", ErrOutOfOrder, row.Series, row.Time, last)
 	}
-	before := db.wal.bytes
 	if err := db.wal.append(&row); err != nil {
 		return err
 	}
-	db.m.walBytes.Add(int64(db.wal.bytes - before))
-	db.headRaw += db.wal.bytes - before - wire.FrameHeader
 	db.appendHead(&row)
 	db.lastTime[row.Series] = row.Time
 	db.headRows++
-	db.m.rows.Inc()
-	if row.Gap {
-		db.m.gapRows.Inc()
-	}
 	if db.headRows < db.opts.HeadMaxRows {
 		return nil
 	}
@@ -461,7 +448,7 @@ func (db *DB) Append(row Row) error {
 	}
 	if len(db.segs) >= compactMinSegments {
 		if err := db.compactLocked(); err != nil {
-			db.m.compactErrs.Inc()
+			db.compactErrs.Inc()
 		}
 	}
 	return nil
@@ -476,12 +463,7 @@ func (db *DB) Commit() error {
 	if db.closed || db.opts.ReadOnly {
 		return ErrReadOnly
 	}
-	t0 := time.Now()
-	if err := db.wal.sync(); err != nil {
-		return err
-	}
-	db.m.walFsync.ObserveDuration(time.Since(t0))
-	return nil
+	return db.wal.sync()
 }
 
 // Seal flushes the in-memory head into a sealed segment. Unlike a seal in
@@ -531,11 +513,6 @@ func (db *DB) sealLocked() error {
 		return err
 	}
 	db.segs = append(db.segs, sr)
-	db.m.segBytes.Add(sr.size)
-	db.m.bytesPerRow.Set(float64(sr.size) / float64(sr.rows))
-	if sr.size > 0 {
-		db.m.ratio.Set(float64(db.headRaw) / float64(sr.size))
-	}
 	// The segment is durable; rotate the WAL.
 	db.wal.close()
 	w, err := createWAL(db.walPath(), seq+1)
@@ -544,7 +521,6 @@ func (db *DB) sealLocked() error {
 	}
 	db.wal = w
 	db.resetHead()
-	db.updateGauges()
 	return nil
 }
 
@@ -628,11 +604,6 @@ func (db *DB) Stats() Stats {
 	}
 	st.MinTime, st.MaxTime, st.HasData = db.boundsLocked()
 	return st
-}
-
-func (db *DB) updateGauges() {
-	db.m.segments.Set(float64(len(db.segs)))
-	db.m.headRows.Set(float64(db.headRows))
 }
 
 func (db *DB) closeAll() {
