@@ -236,9 +236,10 @@ func TestPinnedEpochBuffersNotReused(t *testing.T) {
 }
 
 // TestServiceStepAllocs pins what a steady, query-free Service.Step
-// allocates: with the retired epochs' slab segments, cell tables and factor
-// table reused, what is left is a small constant for the tick, the engine
-// and the epoch itself — not a slab and a cell table per product every tick.
+// allocates: with the retired epochs' slab segments, cell tables, frozen
+// fleet columns and factor table reused, what is left is a small constant
+// for the tick, the engine and the epoch itself — not a slab and a cell
+// table per product every tick.
 func TestServiceStepAllocs(t *testing.T) {
 	profile := sim.Manhattan().Scale(24)
 	w := sim.NewWorld(sim.Config{Profile: profile, Seed: 24, StartTime: 15 * 3600, Workers: 1})

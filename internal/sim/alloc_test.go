@@ -2,10 +2,12 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
 
+	"repro/internal/geo"
 	"repro/internal/obs"
 )
 
@@ -51,12 +53,13 @@ func rushWorld(seed int64) (*World, *obs.Registry) {
 }
 
 // TestSnapshotAllocsPerBuild pins the shape of a build that recycles
-// nothing: one cell table and one slab per offered product, and a constant
-// for the epoch itself (its struct, the frozen trip) — however many cells
-// and cars the fleet occupies.
+// nothing: one cell table and one slab per offered product, one buffer per
+// frozen fleet column, and a constant for the epoch itself (its struct, the
+// frozen trip) — however many cells and cars the fleet occupies.
 func TestSnapshotAllocsPerBuild(t *testing.T) {
 	w, reg := rushWorld(22)
 	cells := reg.Counter("sim_snapshot_cells_rebuilt_total")
+	columns := reflect.TypeOf(carColumns{}).NumField()
 	offered := 0
 	for _, share := range w.Profile().FleetShare {
 		if share > 0 {
@@ -71,7 +74,7 @@ func TestSnapshotAllocsPerBuild(t *testing.T) {
 		w.Snapshot()
 		runtime.ReadMemStats(&ms)
 		c = cells.Value() - c
-		got, want := int64(ms.Mallocs-mallocs), int64(2*offered)+16
+		got, want := int64(ms.Mallocs-mallocs), int64(2*offered+columns)+12
 		if c < int64(20*offered) {
 			t.Fatalf("build %d filled %d cells; the fleet is not spread out", i, c)
 		}
@@ -83,18 +86,21 @@ func TestSnapshotAllocsPerBuild(t *testing.T) {
 }
 
 // TestSnapshotBytesPerCar pins what a build that recycles nothing costs per
-// car: every idle car cruises every tick, so every build encodes the whole
-// idle fleet, and each car may allocate only its slab entry and its share
-// of the cell tables and of the epoch struct.
+// car: every idle car cruises every tick, so every build copies the whole
+// idle fleet's slots and positions, and each idle car may allocate only its
+// slab entry and its share of the frozen columns (every slot below the
+// fleet's high one, with a sixteenth of room), of the cell tables and of
+// the epoch struct.
 func TestSnapshotBytesPerCar(t *testing.T) {
 	w, reg := rushWorld(23)
 	cars := reg.Counter("sim_snapshot_cars_reencoded_total")
 	tables := 0
 	for _, g := range w.grids {
-		tables += g.NumCells() * int(unsafe.Sizeof([]snapCar(nil)))
+		tables += g.NumCells() * int(unsafe.Sizeof([]geo.SlotPoint(nil)))
 	}
+	perSlot := unsafe.Sizeof("") + pathLen*unsafe.Sizeof(geo.Point{}) + 2 // session, path ring, pathN, pathPos
 	var ms runtime.MemStats
-	lo, hi := math.Inf(1), 0.0
+	lo, hi, tight := math.Inf(1), 0.0, math.Inf(1)
 	for i := 0; i < 12; i++ {
 		w.Step()
 		runtime.ReadMemStats(&ms)
@@ -103,44 +109,75 @@ func TestSnapshotBytesPerCar(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		n = cars.Value() - n
 		if n < int64(w.fleet.n/2) {
-			t.Fatalf("build %d encoded %d cars of %d online; most of this fleet should be idle", i, n, w.fleet.n)
+			t.Fatalf("build %d froze %d idle cars of %d online; most of this fleet should be idle", i, n, w.fleet.n)
 		}
 		per := float64(ms.TotalAlloc-bytes) / float64(n)
-		limit := float64(unsafe.Sizeof(snapCar{})) + float64(tables+64<<10)/float64(n)
+		high := w.fleet.high
+		frozen := (high + high/16) * int(perSlot)
+		limit := float64(unsafe.Sizeof(geo.SlotPoint{})) + float64(frozen+tables+64<<10)/float64(n)
 		if per > limit {
-			t.Errorf("build %d allocated %.1f B per encoded car, want <= %.1f", i, per, limit)
+			t.Errorf("build %d allocated %.1f B per idle car, want <= %.1f", i, per, limit)
 		}
-		lo, hi = min(lo, per), max(hi, per)
+		lo, hi, tight = min(lo, per), max(hi, per), min(tight, limit)
 	}
 	if hi > 1.5*lo {
-		t.Errorf("bytes per encoded car range %.1f..%.1f over 12 builds, want max/min <= 1.5", lo, hi)
+		t.Errorf("bytes per idle car range %.1f..%.1f over 12 builds, want max/min <= 1.5", lo, hi)
 	}
-	t.Logf("%.1f..%.1f B per encoded car", lo, hi)
+	t.Logf("%.1f..%.1f B per idle car, limit >= %.1f", lo, hi, tight)
 }
 
 // TestSnapshotRecycledBytesPerCar pins the production shape: with the epoch
 // two back recycled before each build, as api.Service.publish does, a steady
-// build writes into the segments it was handed and allocates at most a byte
-// per car.
+// build writes into the segments and columns it was handed and allocates at
+// most a byte per car, besides the columns it remade when the fleet's high
+// slot outgrew them.
 func TestSnapshotRecycledBytesPerCar(t *testing.T) {
 	w, reg := rushWorld(23)
 	cars := reg.Counter("sim_snapshot_cars_reencoded_total")
 	epochs := []*Snapshot{w.Snapshot(), w.Snapshot()}
 	var ms runtime.MemStats
-	hi := 0.0
+	hi, remade := 0.0, 0
 	for i := 0; i < 24; i++ {
 		w.Step()
 		w.Recycle(epochs[len(epochs)-2])
+		spare := w.snap.spareCars
 		runtime.ReadMemStats(&ms)
 		bytes, n := ms.TotalAlloc, cars.Value()
-		epochs = append(epochs, w.Snapshot())
+		s := w.Snapshot()
 		runtime.ReadMemStats(&ms)
+		epochs = append(epochs, s)
 		n = cars.Value() - n
-		per := float64(ms.TotalAlloc-bytes) / float64(n)
+		regrown := columnRegrowth(t, spare, s.cars)
+		if regrown > 0 {
+			remade++
+		}
+		per := float64(ms.TotalAlloc-bytes-regrown) / float64(n)
 		if per > 1 {
-			t.Errorf("build %d allocated %.2f B per encoded car, want <= 1", i, per)
+			t.Errorf("build %d allocated %.2f B per idle car, want <= 1", i, per)
 		}
 		hi = max(hi, per)
 	}
-	t.Logf("<= %.2f B per encoded car", hi)
+	t.Logf("<= %.2f B per idle car; %d of 24 builds remade their columns", hi, remade)
+}
+
+// columnRegrowth returns the bytes of the frozen columns got that a build
+// made anew instead of refilling spare, the columns it was handed. It fails
+// t when the build remade a column that spare had room for.
+func columnRegrowth(t testing.TB, spare, got carColumns) uint64 {
+	t.Helper()
+	return regrownColumn(t, spare.session, got.session) + regrownColumn(t, spare.path, got.path) +
+		regrownColumn(t, spare.pathN, got.pathN) + regrownColumn(t, spare.pathPos, got.pathPos)
+}
+
+func regrownColumn[T any](t testing.TB, spare, got []T) uint64 {
+	t.Helper()
+	if spare != nil && unsafe.SliceData(got) == unsafe.SliceData(spare) {
+		return 0
+	}
+	if spare != nil && len(got) <= cap(spare) {
+		t.Fatalf("a frozen column of %d slots was made anew; the one handed back held %d", len(got), cap(spare))
+	}
+	// What the runtime allocated for cap(got) elements: append from nil
+	// rounds the capacity up to the size class, as the allocation did.
+	return uint64(cap(append([]T(nil), make([]T, cap(got))...))) * uint64(unsafe.Sizeof(*new(T)))
 }

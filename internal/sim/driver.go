@@ -97,13 +97,7 @@ type Driver struct {
 
 // PathPoints returns the recent positions oldest-first.
 func (d *Driver) PathPoints() []geo.Point {
-	out := make([]geo.Point, 0, d.pathN)
-	start := d.pathPos - d.pathN
-	for i := 0; i < d.pathN; i++ {
-		idx := (start + i + 2*pathLen) % pathLen
-		out = append(out, d.path[idx])
-	}
-	return out
+	return appendRing(make([]geo.Point, 0, d.pathN), d.path[:], d.pathN, d.pathPos)
 }
 
 // newSessionID draws a fresh randomized public car ID, mimicking Uber's

@@ -39,10 +39,9 @@ type fleet struct {
 	cruiseTarget []geo.Point
 	cruiseUntil  []int64
 
-	// position-history ring, pathLen entries per slot, flat
-	path    []geo.Point
-	pathN   []uint8
-	pathPos []uint8
+	// session IDs (cold) and position-history rings: the columns a
+	// snapshot freezes
+	carColumns
 
 	// road-mode route state (unused, but still allocated, on euclidean
 	// worlds): the planned node path, the next hop's index into it (-1 =
@@ -55,9 +54,33 @@ type fleet struct {
 	routeEdge []int32
 	routeGoal []geo.Point
 
-	// cold side table
+	// cold side table (the session ID is in carColumns)
+	stops [][]PoolStop
+}
+
+// carColumns are the fleet columns a snapshot answer reads by slot: the
+// cold session ID and the position-history ring, pathLen entries per slot,
+// flat, written at ring position pathPos[s] and holding pathN[s] points.
+type carColumns struct {
 	session []string
-	stops   [][]PoolStop
+	path    []geo.Point
+	pathN   []uint8
+	pathPos []uint8
+}
+
+// freeze copies c into dst's buffers and returns the copy. A buffer too
+// short is made anew with a sixteenth more room, so a growing fleet remakes
+// it once per sixteenth of growth.
+func (c *carColumns) freeze(dst carColumns) carColumns {
+	return carColumns{copyColumn(dst.session, c.session), copyColumn(dst.path, c.path),
+		copyColumn(dst.pathN, c.pathN), copyColumn(dst.pathPos, c.pathPos)}
+}
+
+func copyColumn[T any](dst, src []T) []T {
+	if cap(dst) < len(src) {
+		dst = make([]T, 0, len(src)+len(src)/16)
+	}
+	return append(dst[:0], src...)
 }
 
 // alloc returns a free slot, extending the columns when the free list is
@@ -155,12 +178,16 @@ func (f *fleet) record(s int32) {
 }
 
 // pathPoints appends the slot's recent positions oldest-first to buf.
-func (f *fleet) pathPoints(s int32, buf []geo.Point) []geo.Point {
+func (c *carColumns) pathPoints(s int32, buf []geo.Point) []geo.Point {
 	base := int(s) * pathLen
-	n := int(f.pathN[s])
-	start := int(f.pathPos[s]) - n
+	return appendRing(buf, c.path[base:base+pathLen], int(c.pathN[s]), int(c.pathPos[s]))
+}
+
+// appendRing appends the n newest points of a pathLen-entry ring whose next
+// write goes to pos to buf, oldest first.
+func appendRing(buf, ring []geo.Point, n, pos int) []geo.Point {
 	for i := 0; i < n; i++ {
-		buf = append(buf, f.path[base+(start+i+2*pathLen)%pathLen])
+		buf = append(buf, ring[(pos-n+i+2*pathLen)%pathLen])
 	}
 	return buf
 }

@@ -35,15 +35,15 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 		if trial%10 == 0 {
 			n = 0
 		}
-		cars := make([]snapCar, n)
+		cars := make([]geo.SlotPoint, n)
 		for i, s := range rng.Perm(200)[:n] {
-			cars[i] = snapCar{slot: int32(s), pos: lattice(150)}
+			cars[i] = geo.SlotPoint{Slot: int32(s), Pos: lattice(150)}
 		}
 		live := geo.NewSlotGrid(bounds, cell)
-		frozen := productCells{count: n, cells: make([][]snapCar, live.NumCells())}
+		frozen := productCells{cells: make([][]geo.SlotPoint, live.NumCells())}
 		for i := range cars {
-			live.Insert(cars[i].slot, cars[i].pos)
-			c := live.CellIndex(cars[i].pos)
+			live.Insert(cars[i].Slot, cars[i].Pos)
+			c := live.CellIndex(cars[i].Pos)
 			frozen.cells[c] = append(frozen.cells[c], cars[i])
 		}
 
@@ -65,7 +65,7 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 			for _, k := range []int{1, 3, core.MaxVisibleCars, n + 5} {
 				want := make([]geo.SlotNeighbor, n)
 				for i, c := range cars {
-					want[i] = geo.SlotNeighbor{Slot: c.slot, Pos: c.pos, Dist: geo.Dist(from, c.pos)}
+					want[i] = geo.SlotNeighbor{Slot: c.Slot, Pos: c.Pos, Dist: geo.Dist(from, c.Pos)}
 				}
 				sort.Slice(want, func(i, j int) bool {
 					if want[i].Dist != want[j].Dist {
@@ -86,9 +86,9 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("trial %d from %v k=%d idx %d: SlotGrid %+v, want %+v", trial, from, k, i, got[i], want[i])
 					}
-					if snap[i].car.slot != want[i].Slot || snap[i].dist != want[i].Dist {
+					if snap[i].car.Slot != want[i].Slot || snap[i].dist != want[i].Dist {
 						t.Fatalf("trial %d from %v k=%d idx %d: snapshot slot %d dist %v, want %+v",
-							trial, from, k, i, snap[i].car.slot, snap[i].dist, want[i])
+							trial, from, k, i, snap[i].car.Slot, snap[i].dist, want[i])
 					}
 				}
 			}
@@ -148,7 +148,7 @@ func TestSnapshotEWTZeroAlloc(t *testing.T) {
 	w := NewWorld(Config{Profile: Manhattan(), Seed: 22, Workers: 1})
 	w.Run(600)
 	snap := w.Snapshot()
-	if snap.products[core.UberX].count == 0 {
+	if idleCars(&snap.products[core.UberX]) == 0 {
 		t.Fatal("no idle UberX to query")
 	}
 	pos := geo.Point{X: 120, Y: -340}

@@ -16,23 +16,21 @@ import (
 //
 // A snapshot freezes exactly what the read endpoints consume:
 //
-//   - per-product idle-car entries: plane position, session ID and the
-//     car's path, copied from the fleet once per tick and projected to
-//     lat/lng only for the few cars an answer returns;
-//   - a per-product k-nearest index over those cars, laid out on the
-//     live grids' geo.Cells (one geometry for every product) and searched
-//     by the same ring walk, so it answers the same queries in the same
-//     order;
+//   - a per-product k-nearest index over the idle cars' slots and plane
+//     positions, copied from the live grids' cells and searched by the same
+//     ring walk, so it answers the same queries in the same order;
+//   - the fleet's session and path-ring columns, copied whole and read by
+//     slot, projected to lat/lng, only for the few cars an answer returns;
 //   - the rasterized area index and area polygons;
 //   - the simulation clock and the service region.
 //
 // Every snapshot is built whole from the live idle grids (see World.Snapshot)
 // and shares nothing with the next one. A snapshot no query will read again
 // may be handed back with World.Recycle, and a later build overwrites its
-// slab segments, cell tables and frozen factor table. Every answer copies its
-// paths out, so no reader holds an entry past the call. The struct itself is
-// never reused, so Now, Areas, Region and Proj stay valid. All methods are
-// safe for unlimited concurrent use until Recycle.
+// buffers. Every answer copies its paths out, so no reader holds an entry
+// past the call. The struct itself is never reused, so Now, Areas, Region
+// and Proj stay valid. All methods are safe for unlimited concurrent use
+// until Recycle.
 type Snapshot struct {
 	// Now is the simulation time the snapshot was taken at.
 	Now int64
@@ -44,9 +42,11 @@ type Snapshot struct {
 	Proj *geo.Projection
 
 	areaIdx *geo.AreaIndex
-	// grid is the cell geometry of every product's index, the live grids'.
-	grid     geo.Cells
+	// grid is the cell geometry of every product's index: the live grids'.
+	grid     *geo.Cells
 	products [core.NumVehicleTypes]productCells
+	// cars is the fleet's carColumns up to its high slot at Now.
+	cars carColumns
 
 	// trip is the world's movement model frozen at Now (see mover.freeze),
 	// and factors the congestion factor table it reads (nil on the plane).
@@ -54,27 +54,15 @@ type Snapshot struct {
 	factors []float64
 }
 
-// snapCar is one idle car frozen into a snapshot: the plane position and
-// slot the k-nearest search orders by, and the session ID and the path
-// path[:n], oldest first, that the wire view is projected from at read time.
-type snapCar struct {
-	pos  geo.Point
-	id   string
-	path [pathLen]geo.Point
-	slot int32
-	n    uint8
-}
-
 // productCells is a read-only uniform grid over one product's idle cars:
-// cells[c] lists the cars in cell c of the snapshot's grid. The non-empty
-// cells are cap-limited windows of the slab segments — slab, then each of
-// more — written once by the build and immutable once published; no window
-// straddles two segments.
+// cells[c] copies the live grid's cell c (cells is nil if none is idle). The
+// non-empty cells are cap-limited windows of the slab segments — slab, then
+// each of more — written once by the build and immutable once published; no
+// window straddles two segments.
 type productCells struct {
-	count int
-	cells [][]snapCar
-	slab  []snapCar
-	more  [][]snapCar
+	cells [][]geo.SlotPoint
+	slab  []geo.SlotPoint
+	more  [][]geo.SlotPoint
 }
 
 // AreaOf returns the surge area containing the plane point, or -1;
@@ -87,11 +75,11 @@ func (s *Snapshot) AreaOf(p geo.Point) int { return s.areaIdx.Find(p) }
 // paper's observed 43-minute maximum.
 func (s *Snapshot) EWT(vt core.VehicleType, pos geo.Point) float64 {
 	var buf [1]snapNeighbor
-	near := s.products[int(vt)].kNearest(&s.grid, pos, 1, buf[:0])
+	near := s.products[int(vt)].kNearest(s.grid, pos, 1, buf[:0])
 	if len(near) == 0 {
 		return maxEWTSeconds
 	}
-	_, sec := s.trip(near[0].car.pos, pos)
+	_, sec := s.trip(near[0].car.Pos, pos)
 	return ewtOf(sec)
 }
 
@@ -142,11 +130,12 @@ func (c *NearCar) Path() []geo.LatLng { return c.path[:c.n:c.n] }
 // nothing when dst has room for k cars and k <= core.MaxVisibleCars.
 func (s *Snapshot) AppendNearest(dst []NearCar, vt core.VehicleType, pos geo.Point, k int) []NearCar {
 	var buf [core.MaxVisibleCars]snapNeighbor // exact for every ping; a larger k grows it
-	for _, nb := range s.products[int(vt)].kNearest(&s.grid, pos, k, buf[:0]) {
-		car := nb.car
-		dst = append(dst, NearCar{ID: car.id, Pos: s.Proj.ToLatLng(car.pos), n: car.n})
+	for _, nb := range s.products[int(vt)].kNearest(s.grid, pos, k, buf[:0]) {
+		var pts [pathLen]geo.Point
+		path := s.cars.pathPoints(nb.car.Slot, pts[:0])
+		dst = append(dst, NearCar{ID: s.cars.session[nb.car.Slot], Pos: s.Proj.ToLatLng(nb.car.Pos), n: uint8(len(path))})
 		c := &dst[len(dst)-1]
-		for i, p := range car.path[:car.n] {
+		for i, p := range path {
 			c.path[i] = s.Proj.ToLatLng(p)
 		}
 	}
@@ -159,7 +148,7 @@ const gridCellMeters = 250.0
 
 // snapNeighbor is one k-nearest result.
 type snapNeighbor struct {
-	car  *snapCar
+	car  *geo.SlotPoint
 	dist float64
 }
 
@@ -168,7 +157,7 @@ type snapNeighbor struct {
 // top-k.
 func (pc *productCells) kNearest(grid *geo.Cells, from geo.Point, k int, buf []snapNeighbor) []snapNeighbor {
 	buf = buf[:0]
-	if k <= 0 || pc.count == 0 {
+	if k <= 0 || pc.cells == nil {
 		return buf
 	}
 	kth := math.Inf(1)
@@ -176,10 +165,10 @@ func (pc *productCells) kNearest(grid *geo.Cells, from geo.Point, k int, buf []s
 		cell := pc.cells[c]
 		for i := range cell {
 			car := &cell[i]
-			if geo.AxisBeyond(from, car.pos, kth) {
+			if geo.AxisBeyond(from, car.Pos, kth) {
 				continue
 			}
-			buf = insertSnapNeighbor(buf, k, snapNeighbor{car: car, dist: geo.Dist(from, car.pos)})
+			buf = insertSnapNeighbor(buf, k, snapNeighbor{car: car, dist: geo.Dist(from, car.Pos)})
 			if len(buf) == k {
 				kth = buf[k-1].dist
 			}
@@ -194,7 +183,7 @@ func (pc *productCells) kNearest(grid *geo.Cells, from geo.Point, k int, buf []s
 func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighbor {
 	if len(buf) == k {
 		last := buf[k-1]
-		if nb.dist > last.dist || (nb.dist == last.dist && nb.car.slot >= last.car.slot) {
+		if nb.dist > last.dist || (nb.dist == last.dist && nb.car.Slot >= last.car.Slot) {
 			return buf
 		}
 		buf = buf[:k-1]
@@ -203,7 +192,7 @@ func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighb
 	buf = append(buf, nb)
 	for i > 0 {
 		p := buf[i-1]
-		if p.dist < nb.dist || (p.dist == nb.dist && p.car.slot < nb.car.slot) {
+		if p.dist < nb.dist || (p.dist == nb.dist && p.car.Slot < nb.car.Slot) {
 			break
 		}
 		buf[i] = p
@@ -216,15 +205,15 @@ func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighb
 // snapBuilder is what the world keeps between snapshot builds: the buffers
 // of epochs handed back by World.Recycle, until a build takes them, and the
 // build counters. No cell entry is remembered — every idle car cruises every
-// tick, so every build re-encodes every visible car and no cell entry of one
+// tick, so every build copies every visible car and no cell entry of one
 // epoch is valid in the next (measured: DESIGN.md "Snapshot build"); only
 // the memory it was written to is. The sim phases owe the builder nothing:
-// it reads the live idle grids and the fleet's path rings, and a world that
+// it reads the live idle grids and the fleet's columns, and a world that
 // never snapshots pays nothing.
 type snapBuilder struct {
-	// spare holds the cell tables and slab segments Recycle handed back per
-	// product, and spareFactors a factor table it handed back.
+	// spare, spareCars and spareFactors hold what Recycle handed back.
 	spare         [core.NumVehicleTypes]productCells
+	spareCars     carColumns
 	spareFactors  []float64
 	mCars, mCells *obs.Counter
 }
@@ -234,20 +223,18 @@ type snapBuilder struct {
 // lock); the returned snapshot itself is immutable until it is handed to
 // Recycle.
 //
-// The build is one pass over the live idle grids, which hold exactly the
-// visible cars, by cell, at their committed positions: per product one cell
-// table and a short list of slab segments, each non-empty cell a
-// cap-limited window of one segment. Cost is proportional to the idle
-// fleet. With nothing handed back both are made exact-size. A table handed
-// back is overwritten whole, and the segments handed back are filled in
-// order; a cell that does not fit in what is left of one starts the next.
-// Only when they run out does the build make one more segment, for the
-// entries left plus a sixteenth of the product's count, so a growing fleet
-// pays for its growth and not for the entries it already had.
+// The build is bulk copies: the fleet's carColumns, one copy each, and one
+// pass over the live idle grids, which hold exactly the visible cars, by
+// cell, at their committed positions. Per product each non-empty cell is
+// copied into a cap-limited window of one of a short list of slab segments.
+// A cell table handed back is overwritten whole, and the segments handed
+// back are filled in order; a cell that does not fit in what is left of one
+// starts the next. Only when they run out does the build make one more
+// segment, for the entries left plus a sixteenth of the product's count, so
+// a growing fleet pays for its growth and not for the entries it already had.
 //
 // Entry order inside a cell is the live grid's and is unobservable: every
-// answer is ordered by (dist, slot) in insertSnapNeighbor. The pass may
-// therefore be sharded in any deterministic order.
+// answer is ordered by (dist, slot) in insertSnapNeighbor.
 func (w *World) Snapshot() *Snapshot {
 	b := &w.snap
 	snap := &Snapshot{
@@ -256,25 +243,26 @@ func (w *World) Snapshot() *Snapshot {
 		Region:  w.profile.Region,
 		Proj:    w.proj,
 		areaIdx: w.areaIndex,
-		grid:    w.grids[0].Cells,
+		grid:    &w.grids[0].Cells,
+		cars:    w.fleet.freeze(b.spareCars),
 	}
 	snap.trip, snap.factors = w.mv.freeze(b.spareFactors)
-	b.spareFactors = nil
+	b.spareCars, b.spareFactors = carColumns{}, nil
 	var cars, cells int64
 	for vt, g := range w.grids {
 		pc := &snap.products[vt]
-		pc.count = g.Len()
-		if pc.count == 0 {
+		count := g.Len()
+		if count == 0 {
 			continue // kNearest never reads the cells of an empty product
 		}
 		spare := b.spare[vt]
 		b.spare[vt] = productCells{}
 		pc.cells, pc.slab, pc.more = spare.cells, spare.slab, spare.more
 		if len(pc.cells) != g.NumCells() {
-			pc.cells = make([][]snapCar, g.NumCells())
+			pc.cells = make([][]geo.SlotPoint, g.NumCells())
 		}
 		if pc.slab == nil {
-			pc.slab = make([]snapCar, pc.count)
+			pc.slab = make([]geo.SlotPoint, count)
 		}
 		seg, next, written := pc.slab[:0], 0, 0
 		for c := range pc.cells {
@@ -285,16 +273,13 @@ func (w *World) Snapshot() *Snapshot {
 			}
 			for cap(seg)-len(seg) < len(live) {
 				if next == len(pc.more) {
-					pc.more = append(pc.more, make([]snapCar, pc.count-written+pc.count/16))
+					pc.more = append(pc.more, make([]geo.SlotPoint, count-written+count/16))
 				}
 				seg = pc.more[next][:0]
 				next++
 			}
 			lo := len(seg)
-			seg = seg[:lo+len(live)]
-			for i, sp := range live {
-				w.encodeCar(&seg[lo+i], sp.Slot)
-			}
+			seg = append(seg, live...)
 			pc.cells[c] = seg[lo:len(seg):len(seg)]
 			written += len(live)
 			cells++
@@ -306,12 +291,12 @@ func (w *World) Snapshot() *Snapshot {
 	return snap
 }
 
-// Recycle hands s's cell tables, slab segments and frozen factor table to
-// the next build, which overwrites them. The caller guarantees that no query
-// is reading s and none will: afterwards s answers as if no car were idle.
-// Its Now, Areas, Region and Proj stay valid; the paths it served were
-// copies. Like Snapshot, it must be called from the goroutine that steps the
-// world.
+// Recycle hands s's cell tables, slab segments, frozen columns and factor
+// table to the next build, which overwrites them. The caller guarantees that
+// no query is reading s and none will: afterwards s answers as if no car
+// were idle. Its Now, Areas, Region and Proj stay valid; the paths it served
+// were copies. Like Snapshot, it must be called from the goroutine that
+// steps the world.
 func (w *World) Recycle(s *Snapshot) {
 	b := &w.snap
 	for vt := range s.products {
@@ -319,17 +304,10 @@ func (w *World) Recycle(s *Snapshot) {
 		if pc.slab != nil {
 			b.spare[vt] = productCells{cells: pc.cells, slab: pc.slab, more: pc.more}
 		}
-		pc.count, pc.cells, pc.slab, pc.more = 0, nil, nil, nil
+		pc.cells, pc.slab, pc.more = nil, nil, nil
 	}
+	b.spareCars, s.cars = s.cars, carColumns{}
 	if s.factors != nil {
 		b.spareFactors, s.factors = s.factors, nil
 	}
-}
-
-// encodeCar writes slot s's cell entry for this build into c: the car's
-// position, session and path ring, oldest first.
-func (w *World) encodeCar(c *snapCar, s int32) {
-	f := &w.fleet
-	c.pos, c.id, c.slot = f.pos[s], f.session[s], s
-	c.n = uint8(len(f.pathPoints(s, c.path[:0])))
 }

@@ -187,7 +187,7 @@ func TestSnapshotRecycledBuildsMatchFresh(t *testing.T) {
 			build := func() {
 				if builds%2 == 1 {
 					w.Recycle(prev)
-					if prev.products[core.UberX].count != 0 {
+					if idleCars(&prev.products[core.UberX]) != 0 {
 						t.Fatal("a recycled epoch still reports idle cars")
 					}
 					if segmentCap(w.snap.spare[core.UberX]) >= w.grids[core.UberX].Len() {
@@ -231,10 +231,13 @@ func segmentCap(pc productCells) int {
 
 // A build whose idle fleet outgrows the recycled slab segments allocates one
 // more segment, not a whole slab, and a build they hold allocates no entry
-// at all. Epochs are recycled as api.Service.publish does, the epoch two
-// back before each build, and logoff waves between two builds at one
-// instant shrink the idle fleet, which grows again as the wave's drivers
-// return. Every epoch is held to the live world's answers.
+// at all. The frozen fleet columns are remade only when the fleet's high
+// slot outgrew the ones handed back. Epochs are recycled as
+// api.Service.publish does, the epoch two back before each build, and logoff
+// waves between two builds at one instant shrink the idle fleet, which grows
+// again as the wave's drivers return. Every minute a twelfth of the fleet
+// logs on at once, past the columns' room. Every epoch is held to the live
+// world's answers.
 func TestSnapshotGrowsBySegments(t *testing.T) {
 	for _, roads := range []bool{false, true} {
 		name := "euclid"
@@ -246,10 +249,10 @@ func TestSnapshotGrowsBySegments(t *testing.T) {
 			p.RoadNetwork = roads
 			w := NewWorld(Config{Profile: p, Seed: 13, StartTime: 8 * 3600, Workers: 1})
 			rng := rand.New(rand.NewSource(6))
-			const entry = uint64(unsafe.Sizeof(snapCar{}))
+			const entry = uint64(unsafe.Sizeof(geo.SlotPoint{}))
 			var epochs []*Snapshot
 			var ms runtime.MemStats
-			builds, regrown := 0, 0
+			builds, regrown, remade := 0, 0, 0
 			build := func() {
 				if n := len(epochs) - 2; n >= 0 {
 					w.Recycle(epochs[n])
@@ -261,20 +264,27 @@ func TestSnapshotGrowsBySegments(t *testing.T) {
 						had[vt] = 1 + len(pc.more)
 					}
 				}
+				spareCars := w.snap.spareCars
 				runtime.ReadMemStats(&ms)
 				before := ms.TotalAlloc
 				s := w.Snapshot()
 				runtime.ReadMemStats(&ms)
 				// 8 kB is the epoch struct and its trip, with room for what
-				// the runtime allocates meanwhile: less than 70 entries.
+				// the runtime allocates meanwhile: less than 350 entries.
 				got, want := ms.TotalAlloc-before, uint64(8<<10)
-				fresh := false // a product with no recycled buffers makes them
+				if spareCars.session != nil {
+					if cols := columnRegrowth(t, spareCars, s.cars); cols > 0 {
+						remade++
+						want += cols
+					}
+				}
+				fresh := spareCars.session == nil // a build with no recycled buffers makes them
 				for vt := range s.products {
 					pc := &s.products[vt]
 					if pc.slab == nil {
 						continue
 					}
-					segs := append([][]snapCar{pc.slab}, pc.more...)
+					segs := append([][]geo.SlotPoint{pc.slab}, pc.more...)
 					if had[vt] < 0 {
 						fresh = true
 						continue
@@ -296,6 +306,11 @@ func TestSnapshotGrowsBySegments(t *testing.T) {
 				builds++
 			}
 			for tick := 0; tick < 300; tick++ {
+				if tick%60 == 59 {
+					for n := w.fleet.high / 12; n > 0; n-- {
+						w.addDriver(core.UberX, w.samplePlaceRand(w.rng))
+					}
+				}
 				w.Step()
 				build()
 				if rng.Intn(3) == 0 {
@@ -305,10 +320,10 @@ func TestSnapshotGrowsBySegments(t *testing.T) {
 					build()
 				}
 			}
-			if regrown < 5 {
-				t.Fatalf("%d of %d builds outgrew their recycled segments", regrown, builds)
+			if regrown < 5 || remade < 3 {
+				t.Fatalf("%d of %d builds outgrew their recycled segments and %d their columns", regrown, builds, remade)
 			}
-			t.Logf("%d of %d builds outgrew their recycled segments", regrown, builds)
+			t.Logf("%d of %d builds outgrew their recycled segments and %d their columns", regrown, builds, remade)
 		})
 	}
 }
@@ -433,13 +448,22 @@ func TestSnapshotPathsOutliveRecycle(t *testing.T) {
 	}
 }
 
+// idleCars is how many cars a product's index holds.
+func idleCars(pc *productCells) int {
+	n := 0
+	for _, cell := range pc.cells {
+		n += len(cell)
+	}
+	return n
+}
+
 // The snapshot index counts exactly the idle cars of each product.
 func TestSnapshotIdleCarCounts(t *testing.T) {
 	w := snapshotWorld(t, 5)
 	s := w.Snapshot()
 	for _, vt := range core.AllVehicleTypes() {
 		idle, _, _ := w.CountByState(vt)
-		if got := s.products[vt].count; got != idle {
+		if got := idleCars(&s.products[vt]); got != idle {
 			t.Errorf("%v: snapshot has %d idle cars, world has %d", vt, got, idle)
 		}
 	}
@@ -452,7 +476,7 @@ func allViews(s *Snapshot) ([][]core.CarView, []float64) {
 	var views [][]core.CarView
 	var ewts []float64
 	for _, vt := range core.AllVehicleTypes() {
-		cars := s.NearestCars(vt, center, s.products[vt].count)
+		cars := s.NearestCars(vt, center, idleCars(&s.products[vt]))
 		for i := range cars {
 			cars[i].Path = append([]geo.LatLng(nil), cars[i].Path...)
 		}

@@ -243,7 +243,7 @@ var phaseLabelSets = func() [numPhases]pprof.LabelSet {
 //	sim_drivers_online          current online driver count
 //	sim_requests_unmet_total    requests no car could serve (supply shortage)
 //	sim_snapshot_{cars_reencoded,cells_rebuilt}_total  what Snapshot builds
-//	made: cars encoded (the idle cars of each build), non-empty grid cells
+//	made: idle cars a build froze, non-empty grid cells
 func (w *World) Instrument(reg *obs.Registry) {
 	w.hStep = reg.Histogram("sim_step_duration_seconds", nil)
 	for i := range w.hPhase {
