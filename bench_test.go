@@ -246,11 +246,11 @@ func BenchmarkAblationGridVsLinear(b *testing.B) {
 	const n = 600
 	rng := rand.New(rand.NewSource(3))
 	bounds := geo.NewRect(geo.Point{X: -2000, Y: -2000}, geo.Point{X: 2000, Y: 2000})
-	grid := geo.NewSlotGrid(bounds, 250)
+	grid := geo.NewSlotGrid(bounds, 250, 1)
 	pts := make([]geo.Point, n)
 	for i := range pts {
 		pts[i] = geo.Point{X: rng.Float64()*4000 - 2000, Y: rng.Float64()*4000 - 2000}
-		grid.Insert(int32(i), pts[i])
+		grid.Insert(0, int32(i), pts[i])
 	}
 	query := func() geo.Point {
 		return geo.Point{X: rng.Float64()*4000 - 2000, Y: rng.Float64()*4000 - 2000}
@@ -258,7 +258,7 @@ func BenchmarkAblationGridVsLinear(b *testing.B) {
 	b.Run("grid", func(b *testing.B) {
 		var buf []geo.SlotNeighbor
 		for i := 0; i < b.N; i++ {
-			buf = grid.KNearestInto(query(), 8, buf)
+			buf = grid.KNearestInto(0, query(), 8, buf)
 		}
 	})
 	b.Run("linear", func(b *testing.B) {

@@ -7,12 +7,12 @@ import (
 )
 
 func ExampleSlotGrid_KNearest() {
-	g := geo.NewSlotGrid(geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 1000}), 100)
-	g.Insert(1, geo.Point{X: 100, Y: 100})
-	g.Insert(2, geo.Point{X: 150, Y: 100})
-	g.Insert(3, geo.Point{X: 900, Y: 900})
+	g := geo.NewSlotGrid(geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 1000}), 100, 1)
+	g.Insert(0, 1, geo.Point{X: 100, Y: 100})
+	g.Insert(0, 2, geo.Point{X: 150, Y: 100})
+	g.Insert(0, 3, geo.Point{X: 900, Y: 900})
 
-	for _, n := range g.KNearest(geo.Point{X: 120, Y: 100}, 2) {
+	for _, n := range g.KNearest(0, geo.Point{X: 120, Y: 100}, 2) {
 		fmt.Printf("car %d at %.0f m\n", n.Slot, n.Dist)
 	}
 	// Output:

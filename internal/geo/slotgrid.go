@@ -11,15 +11,18 @@ import "math"
 // fleet stays allocation-free once the cells reach their steady-state
 // capacity.
 //
-// The embedded Cells supplies the geometry and the search order; SlotGrid
-// adds only the per-cell point lists. Equal-distance results order by
-// ascending slot.
+// A grid has a fixed number of layers, each an index of its own over the
+// same cells (one per product, say), and one slot table for all of them:
+// a slot lives in at most one layer at a time. Queries name their layer;
+// Move and Remove find it from the table. The embedded Cells supplies the
+// geometry and the search order; SlotGrid adds only the per-cell point
+// lists. Equal-distance results order by ascending slot.
 type SlotGrid struct {
 	Cells
-	cells  [][]SlotPoint
-	cellOf []int32 // slot -> cell index, -1 when absent
-	idxOf  []int32 // slot -> position within its cell slice
-	n      int
+	cells  [][]SlotPoint // layer·NumCells + cell
+	cellOf []int32       // slot -> layer·NumCells + cell, -1 when absent
+	idxOf  []int32       // slot -> position within its cell slice
+	n      []int         // points per layer
 }
 
 // SlotPoint pairs an indexed slot with its position; the unit of the
@@ -36,54 +39,73 @@ type SlotNeighbor struct {
 	Dist float64
 }
 
-// NewSlotGrid creates an index covering bounds with square cells of the
-// given size. Points outside bounds are clamped into the boundary cells,
-// so the index tolerates cars that wander slightly outside the service
-// region (as the paper's edge-filtering logic expects).
-func NewSlotGrid(bounds Rect, cellSize float64) *SlotGrid {
+// NewSlotGrid creates an index of the given number of layers covering
+// bounds with square cells of the given size. Points outside bounds are
+// clamped into the boundary cells, so the index tolerates cars that wander
+// slightly outside the service region (as the paper's edge-filtering logic
+// expects).
+func NewSlotGrid(bounds Rect, cellSize float64, layers int) *SlotGrid {
 	c := NewCells(bounds, cellSize)
-	return &SlotGrid{Cells: c, cells: make([][]SlotPoint, c.NumCells())}
+	return &SlotGrid{Cells: c, cells: make([][]SlotPoint, layers*c.NumCells()), n: make([]int, layers)}
 }
 
-// Len returns the number of indexed points.
-func (g *SlotGrid) Len() int { return g.n }
+// Len returns the number of points indexed in layer.
+func (g *SlotGrid) Len(layer int) int { return g.n[layer] }
 
-// grow extends the slot lookup arrays to cover slot.
-func (g *SlotGrid) grow(slot int32) {
-	for int32(len(g.cellOf)) <= slot {
-		g.cellOf = append(g.cellOf, -1)
-		g.idxOf = append(g.idxOf, -1)
-	}
+// layerCells returns layer's cells, indexed by cell number.
+func (g *SlotGrid) layerCells(layer int) [][]SlotPoint {
+	nc := g.NumCells()
+	return g.cells[layer*nc : (layer+1)*nc]
 }
 
-// Contains reports whether slot is indexed.
+// Contains reports whether slot is indexed in any layer.
 func (g *SlotGrid) Contains(slot int32) bool {
 	return slot >= 0 && slot < int32(len(g.cellOf)) && g.cellOf[slot] >= 0
 }
 
-// Insert adds slot at p. Inserting an existing slot moves it.
-func (g *SlotGrid) Insert(slot int32, p Point) {
-	g.grow(slot)
-	if g.cellOf[slot] >= 0 {
+// Layer returns the layer slot is indexed in, or -1.
+func (g *SlotGrid) Layer(slot int32) int {
+	if !g.Contains(slot) {
+		return -1
+	}
+	return int(g.cellOf[slot]) / g.NumCells()
+}
+
+// Insert adds slot to layer at p. Inserting a slot the layer holds moves
+// it; inserting a slot another layer holds panics, for a slot lives in one
+// layer at a time.
+func (g *SlotGrid) Insert(layer int, slot int32, p Point) {
+	if l := g.Layer(slot); l >= 0 {
+		if l != layer {
+			panic("geo: SlotGrid.Insert of a slot another layer holds")
+		}
 		g.Move(slot, p)
 		return
 	}
-	ci := int32(g.CellIndex(p))
+	for int32(len(g.cellOf)) <= slot {
+		g.cellOf = append(g.cellOf, -1)
+		g.idxOf = append(g.idxOf, -1)
+	}
+	g.link(slot, int32(layer*g.NumCells()+g.CellIndex(p)), p)
+	g.n[layer]++
+}
+
+// link appends slot at p to cell ci (layer base included).
+func (g *SlotGrid) link(slot, ci int32, p Point) {
 	g.cells[ci] = append(g.cells[ci], SlotPoint{Slot: slot, Pos: p})
 	g.cellOf[slot] = ci
 	g.idxOf[slot] = int32(len(g.cells[ci]) - 1)
-	g.n++
 }
 
-// Remove deletes slot from the index. Removing an absent slot is a no-op.
+// Remove deletes slot from its layer. Removing an absent slot is a no-op.
 func (g *SlotGrid) Remove(slot int32) {
 	if !g.Contains(slot) {
 		return
 	}
+	g.n[g.Layer(slot)]--
 	g.unlink(slot)
 	g.cellOf[slot] = -1
 	g.idxOf[slot] = -1
-	g.n--
 }
 
 // unlink swap-removes an indexed slot from its cell's list.
@@ -99,23 +121,21 @@ func (g *SlotGrid) unlink(slot int32) {
 	g.cells[ci] = cell[:last]
 }
 
-// Move updates slot's position, relocating it between cells only when
-// needed. Moving an absent slot inserts it.
+// Move updates slot's position within its layer, relocating it between
+// cells only when needed. Moving an absent slot is a no-op.
 func (g *SlotGrid) Move(slot int32, p Point) {
 	if !g.Contains(slot) {
-		g.Insert(slot, p)
 		return
 	}
 	ci := g.cellOf[slot]
-	ni := int32(g.CellIndex(p))
+	base := ci - ci%int32(g.NumCells())
+	ni := base + int32(g.CellIndex(p))
 	if ni == ci {
 		g.cells[ci][g.idxOf[slot]].Pos = p
 		return
 	}
 	g.unlink(slot)
-	g.cells[ni] = append(g.cells[ni], SlotPoint{Slot: slot, Pos: p})
-	g.cellOf[slot] = ni
-	g.idxOf[slot] = int32(len(g.cells[ni]) - 1)
+	g.link(slot, ni, p)
 }
 
 // MoveBatch applies Move for every entry in order; phase-parallel callers
@@ -127,10 +147,10 @@ func (g *SlotGrid) MoveBatch(ups []SlotPoint) {
 	}
 }
 
-// InsertBatch applies Insert for every entry in order.
-func (g *SlotGrid) InsertBatch(ups []SlotPoint) {
+// InsertBatch applies Insert into layer for every entry in order.
+func (g *SlotGrid) InsertBatch(layer int, ups []SlotPoint) {
 	for _, u := range ups {
-		g.Insert(u.Slot, u.Pos)
+		g.Insert(layer, u.Slot, u.Pos)
 	}
 }
 
@@ -149,11 +169,11 @@ func (g *SlotGrid) Position(slot int32) (Point, bool) {
 	return g.cells[g.cellOf[slot]][g.idxOf[slot]].Pos, true
 }
 
-// KNearest returns up to k indexed points closest to from, sorted by
+// KNearest returns up to k points of layer closest to from, sorted by
 // ascending distance with ties broken by ascending slot. It allocates a
 // fresh result slice; hot paths use KNearestInto with a reused buffer.
-func (g *SlotGrid) KNearest(from Point, k int) []SlotNeighbor {
-	return g.KNearestInto(from, k, nil)
+func (g *SlotGrid) KNearest(layer int, from Point, k int) []SlotNeighbor {
+	return g.KNearestInto(layer, from, k, nil)
 }
 
 // KNearestInto is KNearest writing into buf (reused, returned re-sliced).
@@ -162,14 +182,15 @@ func (g *SlotGrid) KNearest(from Point, k int) []SlotNeighbor {
 // cells this is the difference between O(cells·k) and O(cands·log cands)
 // per query. The result set and order are identical to a full
 // collect-and-sort.
-func (g *SlotGrid) KNearestInto(from Point, k int, buf []SlotNeighbor) []SlotNeighbor {
+func (g *SlotGrid) KNearestInto(layer int, from Point, k int, buf []SlotNeighbor) []SlotNeighbor {
 	buf = buf[:0]
-	if k <= 0 || g.n == 0 {
+	if k <= 0 || g.n[layer] == 0 {
 		return buf
 	}
+	cells := g.layerCells(layer)
 	kth := math.Inf(1)
 	g.WalkRings(from, func(cell int) float64 {
-		for _, sp := range g.cells[cell] {
+		for _, sp := range cells[cell] {
 			if AxisBeyond(from, sp.Pos, kth) {
 				continue
 			}
@@ -207,15 +228,16 @@ func insertNeighbor(buf []SlotNeighbor, k int, nb SlotNeighbor) []SlotNeighbor {
 	return buf
 }
 
-// FirstWithin returns the lowest slot within radius of from, or -1. This
-// is the deterministic "first eligible in registration order" query the
-// POOL join matcher uses.
-func (g *SlotGrid) FirstWithin(from Point, radius float64) int32 {
+// FirstWithin returns the lowest slot of layer within radius of from, or
+// -1. This is the deterministic "first eligible in registration order"
+// query the POOL join matcher uses.
+func (g *SlotGrid) FirstWithin(layer int, from Point, radius float64) int32 {
+	cells := g.layerCells(layer)
 	best := int32(-1)
 	x0, x1, y0, y1 := g.cellRange(from, radius)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
-			for _, sp := range g.cells[y*g.nx+x] {
+			for _, sp := range cells[y*g.nx+x] {
 				if best >= 0 && sp.Slot >= best {
 					continue
 				}
@@ -228,16 +250,16 @@ func (g *SlotGrid) FirstWithin(from Point, radius float64) int32 {
 	return best
 }
 
-// Cell returns the points indexed in cell c (see Cells.CellIndex), in the
-// order Each visits them. The slice is the grid's own: read-only, and
-// valid only until the next mutation.
-func (g *SlotGrid) Cell(c int) []SlotPoint { return g.cells[c] }
+// Cell returns the points layer indexes in cell c (see Cells.CellIndex),
+// in the order Each visits them. The slice is the grid's own: read-only,
+// and valid only until the next mutation.
+func (g *SlotGrid) Cell(layer, c int) []SlotPoint { return g.layerCells(layer)[c] }
 
-// Each calls fn for every indexed point. Iteration order is by cell, then
-// insertion order within the cell — deterministic for a deterministic
-// mutation history.
-func (g *SlotGrid) Each(fn func(slot int32, p Point)) {
-	for _, cell := range g.cells {
+// Each calls fn for every point indexed in layer. Iteration order is by
+// cell, then insertion order within the cell — deterministic for a
+// deterministic mutation history.
+func (g *SlotGrid) Each(layer int, fn func(slot int32, p Point)) {
+	for _, cell := range g.layerCells(layer) {
 		for _, sp := range cell {
 			fn(sp.Slot, sp.Pos)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
 )
@@ -95,8 +96,8 @@ func TestSnapshotBytesPerCar(t *testing.T) {
 	w, reg := rushWorld(23)
 	cars := reg.Counter("sim_snapshot_cars_reencoded_total")
 	tables := 0
-	for _, g := range w.grids {
-		tables += g.NumCells() * int(unsafe.Sizeof([]geo.SlotPoint(nil)))
+	for range core.NumVehicleTypes {
+		tables += w.grid.NumCells() * int(unsafe.Sizeof([]geo.SlotPoint(nil)))
 	}
 	perSlot := unsafe.Sizeof("") + pathLen*unsafe.Sizeof(geo.Point{}) + 2 // session, path ring, pathN, pathPos
 	var ms runtime.MemStats
@@ -180,4 +181,117 @@ func regrownColumn[T any](t testing.TB, spare, got []T) uint64 {
 	// What the runtime allocated for cap(got) elements: append from nil
 	// rounds the capacity up to the size class, as the allocation did.
 	return uint64(cap(append([]T(nil), make([]T, cap(got))...))) * uint64(unsafe.Sizeof(*new(T)))
+}
+
+// TestWorldBytesPerSlot pins what a euclidean world holds per fleet slot.
+// After a GC, the heap it keeps may not exceed the layout: the fleet's
+// columns at their capacity, each live session's ID, one slot table for all
+// the grid's layers (two int32 per slot, grown by append like the columns),
+// the grid's cells (every layer's cell headers and the entries their
+// capacity holds), the movement shards' buffers, and 512 KiB for everything
+// sized by the city rather than the fleet. Ten slot tables, or street-route
+// columns on a world that never drives on streets, exceed it. A world on
+// streets does hold its route state, one entry per slot.
+func TestWorldBytesPerSlot(t *testing.T) {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	w := NewWorld(Config{Profile: Manhattan().Scale(96), Seed: 24, StartTime: 17 * 3600, Workers: 1})
+	for i := 0; i < 20; i++ {
+		w.Step()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	held := int64(ms.HeapAlloc) - int64(before)
+
+	f := &w.fleet
+	columns := capBytes(reflect.ValueOf(f).Elem())
+	sessions := 24 * f.n // a 17-byte ID takes the 24-byte size class
+	table := 2 * 4 * cap(appendOneByOne[int32](f.high))
+	cells := 0
+	for layer := 0; layer <= poolLayer; layer++ {
+		for c := 0; c < w.grid.NumCells(); c++ {
+			cells += int(unsafe.Sizeof([]geo.SlotPoint(nil))) + cap(w.grid.Cell(layer, c))*int(unsafe.Sizeof(geo.SlotPoint{}))
+		}
+	}
+	shards := 0
+	for i := range w.moveOps {
+		shards += capBytes(reflect.ValueOf(&w.moveOps[i]).Elem())
+	}
+	layout := int64(columns + sessions + table + cells + shards + 512<<10)
+	runtime.KeepAlive(w)
+	per := func(b int64) float64 { return float64(b) / float64(f.high) }
+	t.Logf("%d slots: %.1f B per slot held, layout %.1f (columns %.1f, sessions %.1f, slot table %.1f, cells %.1f, shard buffers %.1f)",
+		f.high, per(held), per(layout), per(int64(columns)), per(int64(sessions)), per(int64(table)), per(int64(cells)), per(int64(shards)))
+	if held > layout {
+		t.Errorf("a euclidean world of %d slots holds %.1f B per slot, want <= %.1f", f.high, per(held), per(layout))
+	}
+	// The fleet's columns are 243 B per slot. A column added on purpose
+	// raises this pin; street-route state is the street mover's, not the
+	// fleet's.
+	if got := slotBytes(reflect.TypeOf(fleet{})) + (pathLen-1)*unsafe.Sizeof(geo.Point{}); got != 243 {
+		t.Errorf("the fleet's columns hold %d B per slot, want 243", got)
+	}
+	if _, ok := w.mv.(*street); ok {
+		t.Fatal("a euclidean world moves on streets")
+	}
+
+	profile := Manhattan()
+	profile.RoadNetwork = true
+	rw := NewWorld(Config{Profile: profile, Seed: 24, StartTime: 17 * 3600, Workers: 1})
+	rw.Step()
+	m, ok := rw.mv.(*street)
+	if !ok || len(m.route) != rw.fleet.high || len(m.routeHop) != rw.fleet.high ||
+		len(m.routeEdge) != rw.fleet.high || len(m.routeGoal) != rw.fleet.high {
+		t.Fatalf("a road world of %d slots must hold route state for each", rw.fleet.high)
+	}
+}
+
+// capBytes returns the bytes the slice fields of struct v (embedded structs
+// and arrays of slices included) hold at their capacity.
+func capBytes(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Slice:
+		return v.Cap() * int(v.Type().Elem().Size())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += capBytes(v.Field(i))
+		}
+		return n
+	case reflect.Array:
+		n := 0
+		for i := 0; i < v.Len(); i++ {
+			n += capBytes(v.Index(i))
+		}
+		return n
+	}
+	return 0
+}
+
+// slotBytes returns the bytes one element of each slice field of struct
+// type ty (embedded structs included) takes.
+func slotBytes(ty reflect.Type) uintptr {
+	switch ty.Kind() {
+	case reflect.Slice:
+		return ty.Elem().Size()
+	case reflect.Struct:
+		var n uintptr
+		for i := 0; i < ty.NumField(); i++ {
+			n += slotBytes(ty.Field(i).Type)
+		}
+		return n
+	}
+	return 0
+}
+
+// appendOneByOne grows a slice to n elements one append at a time, as the
+// fleet's columns and the grid's slot table grow.
+func appendOneByOne[T any](n int) []T {
+	var s []T
+	for len(s) < n {
+		s = append(s, *new(T))
+	}
+	return s
 }

@@ -12,8 +12,8 @@ import (
 //
 // Both phases follow the same plan/commit split as movement: a parallel
 // precompute builds per-item plans from per-(seed, tick, salt, index) RNG
-// streams and read-only world state (the idle grids, the joinable-POOL
-// index, the surge cache — none of which change during the precompute),
+// streams and read-only world state (the grid's idle and joinable-POOL
+// layers, the surge cache — none of which change during the precompute),
 // then a serial commit applies the plans in item order. The commit is
 // draw-free: every random number an item needs was drawn on its own
 // stream up front, so results are bit-for-bit identical for every worker
@@ -139,8 +139,8 @@ func (w *World) logon(pl *spawnPlan) int32 {
 	f.cruiseTarget[s] = pl.cruiseTarget
 	f.cruiseUntil[s] = w.now + pl.cruiseDelta
 	f.resetPath(s)
-	f.resetRoute(s)
-	w.grids[pl.vt].Insert(s, pl.pos)
+	w.mv.reset(s)
+	w.grid.Insert(int(pl.vt), s, pl.pos)
 	return s
 }
 
@@ -234,9 +234,8 @@ func (w *World) generateRequests(dt float64) {
 // Draw-free: safe to run on any worker in any order.
 func (w *World) buildSubPlan(sub *subPlan, buf []geo.SlotNeighbor) {
 	if sub.area >= 0 {
-		g := w.grids[int(core.UberX)]
-		sub.ewtAll = g.Len() <= dispatchCandK
-		near := g.KNearestInto(sub.pickup, dispatchCandK, buf)
+		sub.ewtAll = w.grid.Len(int(core.UberX)) <= dispatchCandK
+		near := w.grid.KNearestInto(int(core.UberX), sub.pickup, dispatchCandK, buf)
 		sub.ewtN = uint8(len(near))
 		for i, nbr := range near {
 			sub.ewt[i] = nbr.Slot
@@ -245,11 +244,10 @@ func (w *World) buildSubPlan(sub *subPlan, buf []geo.SlotNeighbor) {
 	vt := core.VehicleType(sub.vt)
 	sub.poolCand = -1
 	if vt == core.UberPOOL {
-		sub.poolCand = w.poolGrid.FirstWithin(sub.pickup, poolMatchRadius)
+		sub.poolCand = w.grid.FirstWithin(poolLayer, sub.pickup, poolMatchRadius)
 	}
-	g := w.grids[int(vt)]
-	sub.candAll = g.Len() <= dispatchCandK
-	near := g.KNearestInto(sub.pickup, dispatchCandK, buf)
+	sub.candAll = w.grid.Len(int(vt)) <= dispatchCandK
+	near := w.grid.KNearestInto(int(vt), sub.pickup, dispatchCandK, buf)
 	sub.candN = uint8(len(near))
 	for i, nbr := range near {
 		sub.cand[i] = slotDist{slot: nbr.Slot, dist: nbr.Dist}
@@ -265,7 +263,7 @@ func (w *World) commitEWT(sub *subPlan) float64 {
 		}
 	}
 	if !sub.ewtAll {
-		w.knnBuf = w.grids[int(core.UberX)].KNearestInto(sub.pickup, 1, w.knnBuf)
+		w.knnBuf = w.grid.KNearestInto(int(core.UberX), sub.pickup, 1, w.knnBuf)
 		if len(w.knnBuf) > 0 {
 			return w.ewtFrom(w.knnBuf[0].Slot, sub.pickup)
 		}
@@ -325,7 +323,7 @@ func (w *World) commitSub(sub *subPlan) {
 		}
 		if nv < 4 && !sub.candAll {
 			slot = -1
-			w.knnBuf = w.grids[int(vt)].KNearestInto(pickup, 4, w.knnBuf)
+			w.knnBuf = w.grid.KNearestInto(int(vt), pickup, 4, w.knnBuf)
 			for _, nbr := range w.knnBuf {
 				consider(nbr.Slot, nbr.Dist)
 			}
@@ -379,7 +377,7 @@ func (w *World) commitSub(sub *subPlan) {
 	f.destDrop[slot] = true
 	f.stops[slot] = nil
 	f.poolRiders[slot] = 1
-	w.grids[f.typ[slot]].Remove(slot)
+	w.grid.Remove(slot)
 	w.TotalPickups++
 	w.priceSum += price
 	w.priceSumSq += price * price
@@ -425,7 +423,7 @@ func (w *World) pickCandidate(sub *subPlan) int32 {
 		// left sit beyond the dispatch radius. Re-query the live grid.
 		// (Gating on n == 0 would skip the re-query whenever an
 		// out-of-radius idle candidate inflated the count.)
-		w.knnBuf = w.grids[sub.vt].KNearestInto(sub.pickup, k, w.knnBuf)
+		w.knnBuf = w.grid.KNearestInto(int(sub.vt), sub.pickup, k, w.knnBuf)
 		for _, nbr := range w.knnBuf {
 			consider(nbr.Slot, nbr.Dist)
 		}
@@ -436,6 +434,10 @@ func (w *World) pickCandidate(sub *subPlan) int32 {
 // poolMatchRadius is how close an in-progress POOL trip must pass for a
 // new rider to share it.
 const poolMatchRadius = 800.0
+
+// poolLayer is the grid layer of the joinable POOL trips, after the
+// products' idle layers.
+const poolLayer = core.NumVehicleTypes
 
 // joinableSlot reports whether the slot is a single-rider POOL trip a new
 // rider could still join.
@@ -453,7 +455,7 @@ func (w *World) joinableSlot(s int32) bool {
 func (w *World) commitPoolJoin(sub *subPlan) bool {
 	cand := sub.poolCand
 	if cand >= 0 && !w.joinableSlot(cand) {
-		cand = w.poolGrid.FirstWithin(sub.pickup, poolMatchRadius)
+		cand = w.grid.FirstWithin(poolLayer, sub.pickup, poolMatchRadius)
 	}
 	if cand < 0 {
 		return false
@@ -473,7 +475,7 @@ func (w *World) applyPoolJoin(s int32, pickup, joinDest geo.Point, area int) {
 	f.dest[s] = pickup
 	f.destDrop[s] = false
 	f.poolRiders[s] = 2
-	w.poolGrid.Remove(s)
+	w.grid.Remove(s)
 	w.TotalPickups++
 	w.TotalPoolJoins++
 	w.priceSum++ // pool seats ride at multiplier 1

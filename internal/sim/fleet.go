@@ -43,17 +43,6 @@ type fleet struct {
 	// snapshot freezes
 	carColumns
 
-	// road-mode route state (unused, but still allocated, on euclidean
-	// worlds): the planned node path, the next hop's index into it (-1 =
-	// no route), the directed edge currently being traversed (-1 = the
-	// off-road approach/egress leg), and the goal the route was planned
-	// for (a mismatch triggers a replan — how POOL diversions and fresh
-	// dispatches pick up their new destination).
-	route     [][]int32
-	routeHop  []int32
-	routeEdge []int32
-	routeGoal []geo.Point
-
 	// cold side table (the session ID is in carColumns)
 	stops [][]PoolStop
 }
@@ -116,10 +105,6 @@ func (f *fleet) alloc() int32 {
 	}
 	f.pathN = append(f.pathN, 0)
 	f.pathPos = append(f.pathPos, 0)
-	f.route = append(f.route, nil)
-	f.routeHop = append(f.routeHop, -1)
-	f.routeEdge = append(f.routeEdge, -1)
-	f.routeGoal = append(f.routeGoal, geo.Point{})
 	f.session = append(f.session, "")
 	f.stops = append(f.stops, nil)
 	return s
@@ -133,15 +118,6 @@ func (f *fleet) freeSlot(s int32) {
 	f.stops[s] = nil
 	f.n--
 	f.free = append(f.free, s)
-}
-
-// resetRoute clears the slot's road-route state (capacity is kept — a
-// recycled slot replans into the same buffer).
-func (f *fleet) resetRoute(s int32) {
-	f.route[s] = f.route[s][:0]
-	f.routeHop[s] = -1
-	f.routeEdge[s] = -1
-	f.routeGoal[s] = geo.Point{}
 }
 
 // resetPath seeds the path ring with the slot's current position.

@@ -43,12 +43,11 @@ func checkInvariants(t *testing.T, w *World) {
 		}
 	}
 	for _, vt := range core.AllVehicleTypes() {
-		grid := w.grids[int(vt)]
 		want := idleByType[vt]
-		if grid.Len() != len(want) {
-			t.Fatalf("%v grid holds %d, want %d idle drivers", vt, grid.Len(), len(want))
+		if w.grid.Len(int(vt)) != len(want) {
+			t.Fatalf("%v grid holds %d, want %d idle drivers", vt, w.grid.Len(int(vt)), len(want))
 		}
-		grid.Each(func(slot int32, p geo.Point) {
+		w.grid.Each(int(vt), func(slot int32, p geo.Point) {
 			wp, ok := want[slot]
 			if !ok {
 				t.Fatalf("%v grid holds non-idle or unknown slot %d", vt, slot)
@@ -62,16 +61,16 @@ func checkInvariants(t *testing.T, w *World) {
 	for s := int32(0); int(s) < f.high; s++ {
 		if w.joinableSlot(s) {
 			joinable++
-			if !w.poolGrid.Contains(s) {
+			if w.grid.Layer(s) != poolLayer {
 				t.Fatalf("joinable POOL slot %d missing from pool index", s)
 			}
-			if p, _ := w.poolGrid.Position(s); p != f.pos[s] {
+			if p, _ := w.grid.Position(s); p != f.pos[s] {
 				t.Fatalf("pool index position for %d is stale: %v vs %v", s, p, f.pos[s])
 			}
 		}
 	}
-	if w.poolGrid.Len() != joinable {
-		t.Fatalf("pool index holds %d, want %d joinable trips", w.poolGrid.Len(), joinable)
+	if w.grid.Len(poolLayer) != joinable {
+		t.Fatalf("pool index holds %d, want %d joinable trips", w.grid.Len(poolLayer), joinable)
 	}
 }
 

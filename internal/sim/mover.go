@@ -30,6 +30,9 @@ type mover interface {
 	// forShard returns the mover one movement shard drives with: the same
 	// model with scratch of its own, so shards share nothing mutable.
 	forShard() mover
+	// reset forgets what the model keeps about slot s, for a new session
+	// starts there (serial phases only); the plane keeps nothing.
+	reset(s int32)
 	// tally closes a tick (serial stats phase).
 	tally()
 	// freeze returns trip under the conditions of this instant, safe for
@@ -75,6 +78,7 @@ func (p plane) freeze([]float64) (tripFunc, []float64) {
 
 func (plane) refineK() int      { return 1 }
 func (p plane) forShard() mover { return p }
+func (plane) reset(int32)       {}
 func (plane) tally()            {}
 
 func (p plane) advance(s int32, target geo.Point, dt float64) bool {
@@ -105,30 +109,28 @@ func (p plane) cruise(s int32, dt float64, rng *rand.Rand) {
 
 // shardOps is one movement shard's private state: its RNG (rng draws
 // from stream, which shardRand re-keys every tick), its mover, and the
-// buffer of deferred world mutations — grid updates, joinable-POOL index
-// updates, and removals may not touch shared state from workers, so they
-// queue here and the commit loop applies them in (shard, index) order.
+// buffer of deferred world mutations — grid updates and removals may not
+// touch shared state from workers, so they queue here and the commit loop
+// applies them in (shard, index) order.
 type shardOps struct {
 	stream   *shardStream
 	rng      *rand.Rand
 	mv       mover
-	removals []int32 // drivers whose session ended this tick
-	moves    [core.NumVehicleTypes][]geo.SlotPoint
+	removals []int32                               // drivers whose session ended this tick
+	moves    []geo.SlotPoint                       // idle cars and joinable trips that moved, in slot order
 	inserts  [core.NumVehicleTypes][]geo.SlotPoint // trip completions re-entering the map
 	poolIns  []geo.SlotPoint                       // trips becoming joinable
-	poolMove []geo.SlotPoint                       // joinable trips that moved
 	poolDel  []int32                               // trips no longer joinable
 	dropoffs int64
 }
 
 func (o *shardOps) reset() {
 	o.removals = o.removals[:0]
-	for vt := range o.moves {
-		o.moves[vt] = o.moves[vt][:0]
+	o.moves = o.moves[:0]
+	for vt := range o.inserts {
 		o.inserts[vt] = o.inserts[vt][:0]
 	}
 	o.poolIns = o.poolIns[:0]
-	o.poolMove = o.poolMove[:0]
 	o.poolDel = o.poolDel[:0]
 	o.dropoffs = 0
 }
@@ -141,8 +143,10 @@ func (o *shardOps) reset() {
 // shards index is sized here, serially, before the fan-out (growMoveOps).
 // The trailing commit applies grid moves, re-inserts, and
 // removals serially in shard order, so the world after the phase is
-// independent of worker count. With one worker the whole phase runs
-// inline and allocation-free: the RNGs, commit buffers, and grid cells
+// independent of worker count. A shard's trips that stop being joinable
+// leave the pool layer before its finished trips enter their idle layers,
+// for a slot lives in one layer at a time. With one worker the whole phase
+// runs inline and allocation-free: the RNGs, commit buffers, and grid cells
 // are all reused tick over tick.
 func (w *World) moveDrivers() {
 	shards := numShards(w.fleet.high)
@@ -152,13 +156,12 @@ func (w *World) moveDrivers() {
 	for s := 0; s < shards; s++ {
 		o := &w.moveOps[s]
 		w.TotalDropoffs += o.dropoffs
-		for vt := range o.moves {
-			w.grids[vt].MoveBatch(o.moves[vt])
-			w.grids[vt].InsertBatch(o.inserts[vt])
+		w.grid.RemoveBatch(o.poolDel)
+		w.grid.MoveBatch(o.moves)
+		for vt := range o.inserts {
+			w.grid.InsertBatch(vt, o.inserts[vt])
 		}
-		w.poolGrid.RemoveBatch(o.poolDel)
-		w.poolGrid.MoveBatch(o.poolMove)
-		w.poolGrid.InsertBatch(o.poolIns)
+		w.grid.InsertBatch(poolLayer, o.poolIns)
 		for vt := range o.inserts {
 			for _, ip := range o.inserts[vt] {
 				// A re-inserted driver just finished a trip; the commit loop
@@ -209,7 +212,7 @@ func (w *World) moveOne(s int32, dt float64, rng *rand.Rand, o *shardOps) {
 		before := f.pos[s]
 		o.mv.cruise(s, dt, rng)
 		if f.pos[s] != before {
-			o.moves[f.typ[s]] = append(o.moves[f.typ[s]], geo.SlotPoint{Slot: s, Pos: f.pos[s]})
+			o.moves = append(o.moves, geo.SlotPoint{Slot: s, Pos: f.pos[s]})
 		}
 		f.record(s)
 		return
@@ -252,7 +255,7 @@ func (w *World) moveOne(s int32, dt float64, rng *rand.Rand, o *shardOps) {
 	f.record(s)
 	switch isJoin := w.joinableSlot(s); {
 	case wasJoin && isJoin:
-		o.poolMove = append(o.poolMove, geo.SlotPoint{Slot: s, Pos: f.pos[s]})
+		o.moves = append(o.moves, geo.SlotPoint{Slot: s, Pos: f.pos[s]})
 	case wasJoin && !isJoin:
 		o.poolDel = append(o.poolDel, s)
 	case !wasJoin && isJoin:

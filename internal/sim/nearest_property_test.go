@@ -39,10 +39,10 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 		for i, s := range rng.Perm(200)[:n] {
 			cars[i] = geo.SlotPoint{Slot: int32(s), Pos: lattice(150)}
 		}
-		live := geo.NewSlotGrid(bounds, cell)
+		live := geo.NewSlotGrid(bounds, cell, 1)
 		frozen := productCells{cells: make([][]geo.SlotPoint, live.NumCells())}
 		for i := range cars {
-			live.Insert(cars[i].Slot, cars[i].Pos)
+			live.Insert(0, cars[i].Slot, cars[i].Pos)
 			c := live.CellIndex(cars[i].Pos)
 			frozen.cells[c] = append(frozen.cells[c], cars[i])
 		}
@@ -76,7 +76,7 @@ func TestNearestIndexesMatchBruteForce(t *testing.T) {
 				if len(want) > k {
 					want = want[:k]
 				}
-				got := live.KNearest(from, k)
+				got := live.KNearest(0, from, k)
 				snap := frozen.kNearest(&live.Cells, from, k, nil)
 				if len(got) != len(want) || len(snap) != len(want) {
 					t.Fatalf("trial %d from %v k=%d: SlotGrid %d, snapshot %d results, want %d",

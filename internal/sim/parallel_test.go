@@ -89,13 +89,15 @@ func worldHash(w *World) uint64 {
 		for _, p := range d.path {
 			f.pt(p)
 		}
-		// Road-route state (zero/-1 on euclidean worlds, hashed anyway).
-		f.int(int(w.fleet.routeHop[s]))
-		f.int(int(w.fleet.routeEdge[s]))
-		f.pt(w.fleet.routeGoal[s])
-		f.int(len(w.fleet.route[s]))
-		for _, v := range w.fleet.route[s] {
-			f.int(int(v))
+		// Road-route state, on the worlds that hold it.
+		if m, ok := w.mv.(*street); ok {
+			f.int(int(m.routeHop[s]))
+			f.int(int(m.routeEdge[s]))
+			f.pt(m.routeGoal[s])
+			f.int(len(m.route[s]))
+			for _, v := range m.route[s] {
+				f.int(int(v))
+			}
 		}
 	}
 	if net := w.Road(); net != nil {
@@ -143,8 +145,8 @@ func worldHash(w *World) uint64 {
 		f.f64(st.EWTSum)
 		f.int(st.EWTN)
 	}
-	for vt := range w.grids {
-		f.int(w.grids[vt].Len())
+	for vt := range core.NumVehicleTypes {
+		f.int(w.grid.Len(vt))
 	}
 	return f.h
 }

@@ -33,17 +33,33 @@ func (w *World) Road() *road.Network { return w.cfg.Road }
 
 // street is the road-network mover. Each copy owns its router: the
 // world's serves the serial phases (dispatch, fares, EWT), every movement
-// shard drives with a fork.
+// shard drives with a fork. All copies share the route columns, which a
+// shard writes only for its own slots, as it writes the fleet's.
 type street struct {
 	w   *World
 	net *road.Network
 	rt  *road.Router
+	*routes
 	// commit: the world built net itself, so tally commits its congestion.
 	commit bool
 }
 
+// routes is the street mover's per-slot state, columns indexed by slot
+// like the fleet's and grown with it by reset, so only a world on streets
+// holds them: the planned node path, the next hop's index into it (-1 =
+// no route), the directed edge currently being traversed (-1 = the
+// off-road approach/egress leg), and the goal the route was planned for
+// (a mismatch triggers a replan — how POOL diversions and fresh dispatches
+// pick up their new destination).
+type routes struct {
+	route     [][]int32
+	routeHop  []int32
+	routeEdge []int32
+	routeGoal []geo.Point
+}
+
 func newStreet(w *World, net *road.Network, commit bool) *street {
-	return &street{w: w, net: net, rt: road.NewRouter(net.Graph), commit: commit}
+	return &street{w: w, net: net, rt: road.NewRouter(net.Graph), routes: &routes{}, commit: commit}
 }
 
 // refineK: the straight-line top-k is the pre-filter (and the radius cut
@@ -51,7 +67,27 @@ func newStreet(w *World, net *road.Network, commit bool) *street {
 // congested road ETA picks among them.
 func (m *street) refineK() int { return 4 }
 
-func (m *street) forShard() mover { return newStreet(m.w, m.net, m.commit) }
+func (m *street) forShard() mover {
+	fork := *m
+	fork.rt = road.NewRouter(m.net.Graph)
+	return &fork
+}
+
+// reset clears slot s's route, first extending the columns to cover it
+// (a slot is new only at the fleet's high end). A recycled slot keeps its
+// path buffer's capacity and replans into it.
+func (r *routes) reset(s int32) {
+	for int(s) >= len(r.routeHop) {
+		r.route = append(r.route, nil)
+		r.routeHop = append(r.routeHop, -1)
+		r.routeEdge = append(r.routeEdge, -1)
+		r.routeGoal = append(r.routeGoal, geo.Point{})
+	}
+	r.route[s] = r.route[s][:0]
+	r.routeHop[s] = -1
+	r.routeEdge[s] = -1
+	r.routeGoal[s] = geo.Point{}
+}
 
 // planRoute computes a fresh route for slot s from its position to
 // target, reusing the slot's route buffer. factors selects congested
@@ -63,14 +99,14 @@ func (m *street) planRoute(s int32, target geo.Point, factors []float64) {
 	g := m.net.Graph
 	from := g.NearestNode(f.pos[s])
 	to := g.NearestNode(target)
-	path, _, _, ok := m.rt.RoutePath(from, to, factors, f.route[s][:0])
+	path, _, _, ok := m.rt.RoutePath(from, to, factors, m.route[s][:0])
 	if !ok {
 		path = path[:0]
 	}
-	f.route[s] = path
-	f.routeHop[s] = 0
-	f.routeEdge[s] = -1
-	f.routeGoal[s] = target
+	m.route[s] = path
+	m.routeHop[s] = 0
+	m.routeEdge[s] = -1
+	m.routeGoal[s] = target
 }
 
 // followRoute advances slot s along its planned route toward target by
@@ -82,19 +118,19 @@ func (m *street) planRoute(s int32, target geo.Point, factors []float64) {
 func (m *street) followRoute(s int32, target geo.Point, dt, fixedSpeed float64, factors []float64) bool {
 	f := &m.w.fleet
 	g := m.net.Graph
-	if f.routeHop[s] < 0 || f.routeGoal[s] != target {
+	if m.routeHop[s] < 0 || m.routeGoal[s] != target {
 		m.planRoute(s, target, factors)
 	}
 	budget := dt
 	for budget > 0 {
-		route := f.route[s]
-		hop := int(f.routeHop[s])
+		route := m.route[s]
+		hop := int(m.routeHop[s])
 		var next geo.Point
 		sp := fixedSpeed
 		if hop < len(route) {
 			next = g.NodePos(route[hop])
 			if sp <= 0 {
-				if e := f.routeEdge[s]; e >= 0 {
+				if e := m.routeEdge[s]; e >= 0 {
 					fac := 1.0
 					if factors != nil {
 						fac = factors[e]
@@ -118,14 +154,14 @@ func (m *street) followRoute(s int32, target geo.Point, dt, fixedSpeed float64, 
 		f.pos[s] = next
 		budget -= d / sp
 		if hop < len(route) {
-			f.routeHop[s] = int32(hop + 1)
+			m.routeHop[s] = int32(hop + 1)
 			if hop+1 < len(route) {
-				f.routeEdge[s] = g.EdgeBetween(route[hop], route[hop+1])
+				m.routeEdge[s] = g.EdgeBetween(route[hop], route[hop+1])
 			} else {
-				f.routeEdge[s] = -1
+				m.routeEdge[s] = -1
 			}
 		} else {
-			f.routeHop[s], f.routeEdge[s] = -1, -1
+			m.routeHop[s], m.routeEdge[s] = -1, -1
 			return true
 		}
 	}
@@ -144,7 +180,7 @@ func (m *street) advance(s int32, target geo.Point, dt float64) bool {
 func (m *street) cruise(s int32, dt float64, rng *rand.Rand) {
 	w, f := m.w, &m.w.fleet
 	if w.now >= f.cruiseUntil[s] ||
-		(f.routeHop[s] < 0 && geo.Dist(f.pos[s], f.cruiseTarget[s]) < 20) {
+		(m.routeHop[s] < 0 && geo.Dist(f.pos[s], f.cruiseTarget[s]) < 20) {
 		tgt := w.samplePlaceRand(rng)
 		if v := tgt.Sub(f.pos[s]); v.Norm() > maxCruiseLeg {
 			tgt = f.pos[s].Add(v.Scale(maxCruiseLeg / v.Norm()))
@@ -202,7 +238,7 @@ func (m *street) tally() {
 		if !f.live[s] || DriverState(f.state[s]) == StateIdle {
 			continue
 		}
-		if e := f.routeEdge[s]; e >= 0 {
+		if e := m.routeEdge[s]; e >= 0 {
 			cong.AddLoad(e)
 		}
 	}

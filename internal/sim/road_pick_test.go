@@ -64,7 +64,7 @@ func TestRoadPickCandidateRequeriesWhenNoInRadius(t *testing.T) {
 			sub.cand[1] = slotDist{slot: b, dist: geo.Dist(pickup, w.fleet.pos[b])}
 
 			// An earlier request this tick books A: off the idle grid, en route.
-			w.grids[w.fleet.typ[a]].Remove(a)
+			w.grid.Remove(a)
 			w.fleet.state[a] = uint8(StateEnRoute)
 
 			if got := w.pickCandidate(sub); got != want {

@@ -17,14 +17,14 @@ import (
 // A snapshot freezes exactly what the read endpoints consume:
 //
 //   - a per-product k-nearest index over the idle cars' slots and plane
-//     positions, copied from the live grids' cells and searched by the same
+//     positions, copied from the live grid's cells and searched by the same
 //     ring walk, so it answers the same queries in the same order;
 //   - the fleet's session and path-ring columns, copied whole and read by
 //     slot, projected to lat/lng, only for the few cars an answer returns;
 //   - the rasterized area index and area polygons;
 //   - the simulation clock and the service region.
 //
-// Every snapshot is built whole from the live idle grids (see World.Snapshot)
+// Every snapshot is built whole from the live idle layers (see World.Snapshot)
 // and shares nothing with the next one. A snapshot no query will read again
 // may be handed back with World.Recycle, and a later build overwrites its
 // buffers. Every answer copies its paths out, so no reader holds an entry
@@ -42,7 +42,7 @@ type Snapshot struct {
 	Proj *geo.Projection
 
 	areaIdx *geo.AreaIndex
-	// grid is the cell geometry of every product's index: the live grids'.
+	// grid is the cell geometry of every product's index: the live grid's.
 	grid     *geo.Cells
 	products [core.NumVehicleTypes]productCells
 	// cars is the fleet's carColumns up to its high slot at Now.
@@ -208,7 +208,7 @@ func insertSnapNeighbor(buf []snapNeighbor, k int, nb snapNeighbor) []snapNeighb
 // tick, so every build copies every visible car and no cell entry of one
 // epoch is valid in the next (measured: DESIGN.md "Snapshot build"); only
 // the memory it was written to is. The sim phases owe the builder nothing:
-// it reads the live idle grids and the fleet's columns, and a world that
+// it reads the live idle layers and the fleet's columns, and a world that
 // never snapshots pays nothing.
 type snapBuilder struct {
 	// spare, spareCars and spareFactors hold what Recycle handed back.
@@ -224,7 +224,7 @@ type snapBuilder struct {
 // Recycle.
 //
 // The build is bulk copies: the fleet's carColumns, one copy each, and one
-// pass over the live idle grids, which hold exactly the visible cars, by
+// pass over the live idle layers, which hold exactly the visible cars, by
 // cell, at their committed positions. Per product each non-empty cell is
 // copied into a cap-limited window of one of a short list of slab segments.
 // A cell table handed back is overwritten whole, and the segments handed
@@ -243,15 +243,16 @@ func (w *World) Snapshot() *Snapshot {
 		Region:  w.profile.Region,
 		Proj:    w.proj,
 		areaIdx: w.areaIndex,
-		grid:    &w.grids[0].Cells,
+		grid:    &w.grid.Cells,
 		cars:    w.fleet.freeze(b.spareCars),
 	}
 	snap.trip, snap.factors = w.mv.freeze(b.spareFactors)
 	b.spareCars, b.spareFactors = carColumns{}, nil
 	var cars, cells int64
-	for vt, g := range w.grids {
+	g := w.grid
+	for vt := range snap.products {
 		pc := &snap.products[vt]
-		count := g.Len()
+		count := g.Len(vt)
 		if count == 0 {
 			continue // kNearest never reads the cells of an empty product
 		}
@@ -266,7 +267,7 @@ func (w *World) Snapshot() *Snapshot {
 		}
 		seg, next, written := pc.slab[:0], 0, 0
 		for c := range pc.cells {
-			live := g.Cell(c)
+			live := g.Cell(vt, c)
 			if len(live) == 0 {
 				pc.cells[c] = nil
 				continue

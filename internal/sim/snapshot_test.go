@@ -190,7 +190,7 @@ func TestSnapshotRecycledBuildsMatchFresh(t *testing.T) {
 					if idleCars(&prev.products[core.UberX]) != 0 {
 						t.Fatal("a recycled epoch still reports idle cars")
 					}
-					if segmentCap(w.snap.spare[core.UberX]) >= w.grids[core.UberX].Len() {
+					if segmentCap(w.snap.spare[core.UberX]) >= w.grid.Len(int(core.UberX)) {
 						reused++
 					} else {
 						regrown++

@@ -109,9 +109,9 @@ func (w WindowStats) AvgEWT() float64 {
 //
 // Driver state lives in a struct-of-arrays fleet (see fleet.go): hot
 // per-driver fields are flat columns indexed by slot, recycled through a
-// free list. Every slot-keyed structure — the per-product idle grids, the
-// joinable-POOL index — keys by slot, so there is no id→index map on any
-// hot path.
+// free list. Every slot-keyed structure — the idle grid's per-product
+// layers, the joinable-POOL layer — keys by slot, so there is no id→index
+// map on any hot path.
 type World struct {
 	cfg     Config
 	profile *CityProfile
@@ -124,14 +124,13 @@ type World struct {
 	fleet  fleet
 	nextID int64
 
-	// idle cars only, one index per product: these are the cars a client
-	// can see.
-	grids [core.NumVehicleTypes]*geo.SlotGrid
-
-	// poolGrid indexes joinable POOL trips (on-trip, single rider, no
-	// queued stops) so the shared-ride matcher is a radius probe instead
-	// of a full fleet scan.
-	poolGrid *geo.SlotGrid
+	// grid indexes the idle cars, one layer per product (layer vt): these
+	// are the cars a client can see. Its last layer, poolLayer, indexes
+	// joinable POOL trips (on-trip, single rider, no queued stops) so the
+	// shared-ride matcher is a radius probe instead of a full fleet scan.
+	// No car is idle and joinable at once, so the layers share one slot
+	// table.
+	grid *geo.SlotGrid
 
 	areas      []geo.Polygon
 	areaIndex  *geo.AreaIndex
@@ -338,10 +337,7 @@ func NewWorld(cfg Config) *World {
 	w.areaStats = make([]WindowStats, len(w.areas))
 	w.fares = core.DefaultFares()
 	w.AreaFares = make([]float64, len(w.areas))
-	for i := range w.grids {
-		w.grids[i] = geo.NewSlotGrid(p.Region, gridCellMeters)
-	}
-	w.poolGrid = geo.NewSlotGrid(p.Region, gridCellMeters)
+	w.grid = geo.NewSlotGrid(p.Region, gridCellMeters, poolLayer+1)
 	w.fleetCDF = cdfOf(NormalizedShares(p.FleetShare))
 	w.demandCDF = cdfOf(NormalizedShares(p.DemandShare))
 	w.hotspotCDF = make([]float64, len(p.Hotspots))
@@ -531,19 +527,13 @@ func (w *World) spawnDriver() int32 {
 	return s
 }
 
-// removeSlot takes a session offline: out of the spatial indexes, out of
-// the snapshot, slot back on the free list. Callers count the departure
+// removeSlot takes a session offline: out of the grid, out of the
+// snapshot, slot back on the free list. Callers count the departure
 // themselves: an organic session death is TotalOffline, a coordinated
 // logoff is TotalSuspended.
 func (w *World) removeSlot(s int32) {
-	f := &w.fleet
-	if DriverState(f.state[s]) == StateIdle {
-		w.grids[f.typ[s]].Remove(s)
-	}
-	if core.VehicleType(f.typ[s]) == core.UberPOOL {
-		w.poolGrid.Remove(s)
-	}
-	f.freeSlot(s)
+	w.grid.Remove(s)
+	w.fleet.freeSlot(s)
 }
 
 // Step advances the world by one tick. Each phase runs under a pprof
@@ -786,7 +776,7 @@ func (w *World) ConsumeWindow(area int) WindowStats {
 // location: dispatch overhead plus the movement model's drive time of the
 // nearest idle car, capped at the paper's observed 43-minute maximum.
 func (w *World) EWT(vt core.VehicleType, pos geo.Point) float64 {
-	w.knnBuf = w.grids[int(vt)].KNearestInto(pos, 1, w.knnBuf)
+	w.knnBuf = w.grid.KNearestInto(int(vt), pos, 1, w.knnBuf)
 	if len(w.knnBuf) == 0 {
 		return maxEWTSeconds
 	}
@@ -798,7 +788,7 @@ func (w *World) EWT(vt core.VehicleType, pos geo.Point) float64 {
 // and recent path vectors.
 func (w *World) NearestCars(vt core.VehicleType, pos geo.Point, k int) []core.CarView {
 	f := &w.fleet
-	w.knnBuf = w.grids[int(vt)].KNearestInto(pos, k, w.knnBuf)
+	w.knnBuf = w.grid.KNearestInto(int(vt), pos, k, w.knnBuf)
 	out := make([]core.CarView, 0, len(w.knnBuf))
 	var pts []geo.Point
 	for _, n := range w.knnBuf {

@@ -36,7 +36,7 @@ func NewReplayer(trace *Trace, seed int64) *Replayer {
 		proj:   geo.NewProjection(trace.Origin),
 		rng:    rand.New(rand.NewSource(seed ^ 0x7471)),
 		now:    trace.Start,
-		grid:   geo.NewSlotGrid(trace.Region, 150),
+		grid:   geo.NewSlotGrid(trace.Region, 150, 1),
 		segIdx: make([]int, len(trace.Sessions)),
 		pubID:  make([]string, len(trace.Sessions)),
 	}
@@ -87,7 +87,7 @@ func (r *Replayer) sync() {
 		if r.pubID[s] == "" {
 			r.pubID[s] = fmt.Sprintf("t%08x%08x", r.rng.Uint32(), r.rng.Uint32())
 		}
-		r.grid.Move(int32(s), segs[i].Pos(r.now)) // inserts on first sight
+		r.grid.Insert(0, int32(s), segs[i].Pos(r.now)) // moves it once seen
 	}
 }
 
@@ -103,7 +103,7 @@ func (r *Replayer) PingInto(clientID string, loc geo.LatLng, dst *core.PingRespo
 	if cap(dst.Types) > 0 {
 		cars = dst.Types[:1][0].Cars[:0]
 	}
-	for _, n := range r.grid.KNearest(p, core.MaxVisibleCars) {
+	for _, n := range r.grid.KNearest(0, p, core.MaxVisibleCars) {
 		cars = append(cars, core.CarView{
 			ID:  r.pubID[n.Slot],
 			Pos: r.proj.ToLatLng(n.Pos),
@@ -121,7 +121,7 @@ func (r *Replayer) PingInto(clientID string, loc geo.LatLng, dst *core.PingRespo
 }
 
 func (r *Replayer) ewt(p geo.Point) float64 {
-	near := r.grid.KNearest(p, 1)
+	near := r.grid.KNearest(0, p, 1)
 	if len(near) == 0 {
 		return 2580
 	}

@@ -106,7 +106,7 @@ func TestReplayerVisibilityAndIDs(t *testing.T) {
 	tr := smallTrace(t)
 	rep := NewReplayer(tr, 3)
 	rep.RunUntil(12 * 3600)
-	if rep.grid.Len() == 0 {
+	if rep.grid.Len(0) == 0 {
 		t.Fatal("no taxis visible at noon")
 	}
 	loc := rep.Projection().ToLatLng(geo.Point{})
