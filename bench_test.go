@@ -365,12 +365,26 @@ func BenchmarkStep(b *testing.B) {
 		for i := 0; i < 20; i++ {
 			w.Step()
 		}
+		before := w.RoadWork()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w.Step()
 		}
+		b.StopTimer()
+		reportRoadWork(b, before, w.RoadWork())
 	})
+}
+
+// reportRoadWork reports a road benchmark's search work per op: routes
+// planned, nodes settled and landmark potentials evaluated. They are exact
+// counts of a seeded run, so cmd/benchgate gates the ones BENCH_step.json
+// names with no slack.
+func reportRoadWork(b *testing.B, before, after road.Work) {
+	n := float64(b.N)
+	b.ReportMetric(float64(after.Routes-before.Routes)/n, "routes/op")
+	b.ReportMetric(float64(after.Settled-before.Settled)/n, "settled/op")
+	b.ReportMetric(float64(after.Potentials-before.Potentials)/n, "potentials/op")
 }
 
 // BenchmarkRoute measures one bidirectional A*+ALT query on the ~50k-node
@@ -393,6 +407,43 @@ func BenchmarkRoute(b *testing.B) {
 			b.Fatalf("no route %d -> %d", from, to)
 		}
 	}
+}
+
+// BenchmarkRouteCity measures the query street.cruise issues: a free-flow
+// route of at most maxCruiseLeg (600 m) on the street graph of the
+// Manhattan().Scale(72) world (754 nodes, 2,858 edges) that tick_road
+// drives. Each leg starts at a seeded node and ends at the node nearest a
+// point drawn uniformly from the 600 m disc around it, inside the region.
+func BenchmarkRouteCity(b *testing.B) {
+	p := sim.Manhattan().Scale(72)
+	g := road.ForProfile(p.Name, p.Region).Graph
+	rng := rand.New(rand.NewSource(17))
+	n := int32(g.NumNodes())
+	pairs := make([][2]int32, 1024)
+	for i := range pairs {
+		from := rng.Int31n(n)
+		var to geo.Point
+		for {
+			to = g.NodePos(from).Add(geo.Point{X: (2*rng.Float64() - 1) * 600, Y: (2*rng.Float64() - 1) * 600})
+			if geo.Dist(g.NodePos(from), to) <= 600 && p.Region.Contains(to) {
+				break
+			}
+		}
+		pairs[i] = [2]int32{from, g.NearestNode(to)}
+	}
+	rt := road.NewRouter(g)
+	rt.Route(0, n-1, nil)
+	before := rt.Work()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := pairs[i%len(pairs)]
+		if _, _, ok := rt.Route(pr[0], pr[1], nil); !ok {
+			b.Fatalf("no route %d -> %d", pr[0], pr[1])
+		}
+	}
+	b.StopTimer()
+	reportRoadWork(b, before, rt.Work())
 }
 
 // BenchmarkSnapshotEpoch measures the snapshot build: each iteration

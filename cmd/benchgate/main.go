@@ -8,7 +8,7 @@
 //	  go test -run '^$' -bench 'BenchmarkSeal$|BenchmarkRangeQuery|BenchmarkFullScan' \
 //	    -benchtime 5x -benchmem ./internal/tsdb; } | go run ./cmd/benchgate
 //
-// Two gates, applied to every benchmark in the baseline's "gate" section:
+// Three gates, applied to every benchmark in the baseline's "gate" section:
 //
 //   - allocs/op may not regress anywhere. Allocation counts in a
 //     deterministic simulation are machine-independent, so this gate runs
@@ -20,6 +20,11 @@
 //     allocs: the history-chunk snapshot tripled BenchmarkSnapshotEpoch's
 //     allocs/op while cutting its B/op by 70%, and the reverse trade would
 //     sail through a count-only gate.
+//   - a metric the benchmark reports itself (routes/op, settled/op) is
+//     gated when the baseline row names it under "per_op": it may not rise
+//     above the baseline, plus the fraction the row's "slack" states for
+//     it, if any. Without a slack the gate is exact: these are counts of
+//     work a seeded run does, the same on every host.
 //
 // ns/op is printed against the baseline but not gated: on the shared host
 // the baseline was recorded on it drifts ~20% run to run, so a wall-clock
@@ -36,8 +41,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 )
 
@@ -45,6 +52,11 @@ type metrics struct {
 	NsOp     float64 `json:"ns_op"`
 	BOp      int64   `json:"b_op"`
 	AllocsOp int64   `json:"allocs_op"`
+	// PerOp holds the metrics the benchmark reports itself, by unit
+	// ("routes/op"); in a baseline row, the ones the gate holds.
+	PerOp map[string]float64 `json:"per_op,omitempty"`
+	// Slack is the fraction a per-op metric may rise by, by unit.
+	Slack map[string]float64 `json:"slack,omitempty"`
 }
 
 type baseline struct {
@@ -56,11 +68,12 @@ type baseline struct {
 
 // benchLine matches `go test -bench` result rows up to ns/op, with or
 // without the -N GOMAXPROCS suffix benchmark names carry on SMP hosts;
-// benchMem matches the -benchmem columns after it, which follow any
-// metrics the benchmark reports itself (BenchmarkStoreRangeTSDB's rows/op).
+// benchUnit matches each column after it: the metrics the benchmark
+// reports itself (BenchmarkStoreRangeTSDB's rows/op), then -benchmem's
+// B/op and allocs/op.
 var (
 	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`)
-	benchMem  = regexp.MustCompile(`\s(\d+) (B|allocs)/op`)
+	benchUnit = regexp.MustCompile(`\s([\d.]+) (\S+/op)`)
 )
 
 // parseBench reads the result rows of `go test -bench` output by
@@ -74,16 +87,22 @@ func parseBench(r io.Reader) (map[string]metrics, error) {
 		if m == nil {
 			continue
 		}
-		// The patterns admit only digits (and dots in ns/op); a row without
-		// -benchmem reads 0 bytes and 0 allocs.
+		// The patterns admit only digits and dots; a row without -benchmem
+		// reads 0 bytes and 0 allocs.
 		row := metrics{}
 		row.NsOp, _ = strconv.ParseFloat(m[2], 64)
-		for _, u := range benchMem.FindAllStringSubmatch(sc.Text()[len(m[0]):], -1) {
-			n, _ := strconv.ParseInt(u[1], 10, 64)
-			if u[2] == "B" {
-				row.BOp = n
-			} else {
-				row.AllocsOp = n
+		for _, u := range benchUnit.FindAllStringSubmatch(sc.Text()[len(m[0]):], -1) {
+			v, _ := strconv.ParseFloat(u[1], 64)
+			switch u[2] {
+			case "B/op":
+				row.BOp = int64(v)
+			case "allocs/op":
+				row.AllocsOp = int64(v)
+			default:
+				if row.PerOp == nil {
+					row.PerOp = map[string]float64{}
+				}
+				row.PerOp[u[2]] = v
 			}
 		}
 		got[m[1]] = row
@@ -107,6 +126,17 @@ func check(name string, have, want metrics) (fails []string) {
 	if limit := want.BOp + want.BOp/100 + byteSlack; have.BOp > limit {
 		fails = append(fails, fmt.Sprintf("FAIL %s: %d B/op, baseline %d (cap %d)",
 			name, have.BOp, want.BOp, limit))
+	}
+	for _, unit := range slices.Sorted(maps.Keys(want.PerOp)) {
+		got, ok := have.PerOp[unit]
+		if !ok {
+			fails = append(fails, fmt.Sprintf("FAIL %s: %s missing from benchmark output", name, unit))
+			continue
+		}
+		if limit := want.PerOp[unit] * (1 + want.Slack[unit]); got > limit {
+			fails = append(fails, fmt.Sprintf("FAIL %s: %g %s, baseline %g (cap %g)",
+				name, got, unit, want.PerOp[unit], limit))
+		}
 	}
 	return fails
 }
@@ -145,8 +175,12 @@ func main() {
 			status, failed = "FAIL", true
 			fmt.Println(f)
 		}
-		fmt.Printf("%s %-40s ns/op %12.0f (%.2fx base)   B/op %10d (base %d)   allocs/op %6d (base %d)\n",
+		fmt.Printf("%s %-40s ns/op %12.0f (%.2fx base)   B/op %10d (base %d)   allocs/op %6d (base %d)",
 			status, name, have.NsOp, have.NsOp/want.NsOp, have.BOp, want.BOp, have.AllocsOp, want.AllocsOp)
+		for _, unit := range slices.Sorted(maps.Keys(want.PerOp)) {
+			fmt.Printf("   %s %g (base %g)", unit, have.PerOp[unit], want.PerOp[unit])
+		}
+		fmt.Println()
 	}
 	if failed {
 		os.Exit(1)

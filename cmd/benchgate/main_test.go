@@ -14,6 +14,7 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkSnapshotEpoch/fleet=100k         	       5	  11176933 ns/op	 4412643 B/op	    5250 allocs/op",
 		"BenchmarkRoute-16 	     300	    589543.5 ns/op",
 		"BenchmarkStoreRangeTSDB-2 	       5	 150073724 ns/op	      5160 rows/op	10004916 B/op	    5277 allocs/op",
+		"BenchmarkRouteCity-2    	       5	      2666 ns/op	        19.80 potentials/op	         1.000 routes/op	       0 B/op	       0 allocs/op",
 		"BenchmarkBroken-2 	       5	    n/a ns/op",
 		"--- BENCH: BenchmarkStep/fleet=10k-2",
 		"PASS",
@@ -26,7 +27,8 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkStep/fleet=10k":           {NsOp: 739903, BOp: 178584, AllocsOp: 526},
 		"BenchmarkSnapshotEpoch/fleet=100k": {NsOp: 11176933, BOp: 4412643, AllocsOp: 5250},
 		"BenchmarkRoute":                    {NsOp: 589543.5},
-		"BenchmarkStoreRangeTSDB":           {NsOp: 150073724, BOp: 10004916, AllocsOp: 5277},
+		"BenchmarkStoreRangeTSDB":           {NsOp: 150073724, BOp: 10004916, AllocsOp: 5277, PerOp: map[string]float64{"rows/op": 5160}},
+		"BenchmarkRouteCity":                {NsOp: 2666, PerOp: map[string]float64{"potentials/op": 19.8, "routes/op": 1}},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("parsed rows\n got  %+v\n want %+v", got, want)
@@ -74,5 +76,36 @@ func TestCheckZeroBaseline(t *testing.T) {
 	}
 	if f := check("BenchmarkRoute", metrics{NsOp: 170471, BOp: byteSlack + 1, AllocsOp: allocSlack + 1}, want); len(f) != 2 {
 		t.Errorf("failures %q, want B/op and allocs/op", f)
+	}
+}
+
+// A per-op metric the baseline names is exact unless the row states a
+// slack; one it does not name is not gated, and one it names must be in
+// the output.
+func TestCheckPerOp(t *testing.T) {
+	want := metrics{NsOp: 1e6, PerOp: map[string]float64{"routes/op": 60, "settled/op": 600}}
+	have := metrics{NsOp: 2e6, PerOp: map[string]float64{"routes/op": 60, "settled/op": 600, "potentials/op": 9999}}
+	if f := check("BenchmarkX", have, want); f != nil {
+		t.Errorf("equal counts refused: %q", f)
+	}
+	have.PerOp["settled/op"] = 599
+	if f := check("BenchmarkX", have, want); f != nil {
+		t.Errorf("fewer settled refused: %q", f)
+	}
+	have.PerOp["settled/op"] = 600.1
+	if f := check("BenchmarkX", have, want); len(f) != 1 || !strings.Contains(f[0], "settled/op") {
+		t.Errorf("failures %q, want one naming settled/op", f)
+	}
+	want.Slack = map[string]float64{"settled/op": 0.01}
+	if f := check("BenchmarkX", have, want); f != nil {
+		t.Errorf("a rise inside the stated slack refused: %q", f)
+	}
+	have.PerOp["settled/op"] = 606.1
+	if f := check("BenchmarkX", have, want); len(f) != 1 || !strings.Contains(f[0], "settled/op") {
+		t.Errorf("failures %q, want one naming settled/op", f)
+	}
+	delete(have.PerOp, "routes/op")
+	if f := check("BenchmarkX", have, want); len(f) != 2 || !strings.Contains(f[0], "routes/op missing") {
+		t.Errorf("failures %q, want routes/op missing first", f)
 	}
 }

@@ -164,7 +164,28 @@ type Router struct {
 	heapF, heapB pq
 	lmS, lmT     []float64 // landmark distances to s and t, per query
 	path         []int32
+
+	work Work
 }
+
+// Work counts a router's search effort since it was made: queries
+// answered, nodes settled (forward and backward) and landmark potentials
+// evaluated. The counts are plain fields of the router, so the caller that
+// owns it sums them after its parallel phase; a router borrowed through
+// AcquireRouter counts into itself and nobody reads it.
+type Work struct {
+	Routes, Settled, Potentials int64
+}
+
+// Add adds o's counts to w.
+func (w *Work) Add(o Work) {
+	w.Routes += o.Routes
+	w.Settled += o.Settled
+	w.Potentials += o.Potentials
+}
+
+// Work returns what r has done since it was made.
+func (r *Router) Work() Work { return r.work }
 
 // NewRouter returns a router bound to g.
 func NewRouter(g *Graph) *Router {
@@ -190,6 +211,7 @@ func edgeCost(g *Graph, factors []float64, e int32) float64 {
 
 // pf is the forward potential at v (backward is its negation).
 func (r *Router) pf(v int32) float64 {
+	r.work.Potentials++
 	var hf, hb float64
 	for l, d := range r.g.lm {
 		f := math.Abs(d[v] - r.lmT[l])
@@ -220,6 +242,7 @@ func (r *Router) RoutePath(from, to int32, factors []float64, buf []int32) (path
 
 func (r *Router) route(from, to int32, factors []float64, buf []int32) ([]int32, float64, float64, bool) {
 	g := r.g
+	r.work.Routes++
 	if from == to {
 		return append(buf, from), 0, 0, true
 	}
@@ -311,6 +334,7 @@ func (r *Router) route(from, to int32, factors []float64, buf []int32) ([]int32,
 				continue
 			}
 			r.doneF[u] = st
+			r.work.Settled++
 			relaxF(u)
 		} else {
 			it := r.heapB.pop()
@@ -319,6 +343,7 @@ func (r *Router) route(from, to int32, factors []float64, buf []int32) ([]int32,
 				continue
 			}
 			r.doneB[x] = st
+			r.work.Settled++
 			relaxB(x)
 		}
 	}

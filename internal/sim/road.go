@@ -31,6 +31,23 @@ const maxCruiseLeg = 600.0
 // drivers on the euclidean plane.
 func (w *World) Road() *road.Network { return w.cfg.Road }
 
+// RoadWork sums the search work of the world's own routers since it was
+// made: the serial phases' and the movement phase's. It is for tests and
+// benchmarks, read between Steps; the routers a Snapshot borrows from the
+// graph's pool are not counted. A world on the plane reads zero.
+func (w *World) RoadWork() road.Work {
+	var sum road.Work
+	if m, ok := w.mv.(*street); ok {
+		sum.Add(m.rt.Work())
+	}
+	for i := range w.moveOps {
+		if m, ok := w.moveOps[i].mv.(*street); ok {
+			sum.Add(m.rt.Work())
+		}
+	}
+	return sum
+}
+
 // street is the road-network mover. Each copy owns its router: the
 // world's serves the serial phases (dispatch, fares, EWT), every movement
 // shard drives with a fork. All copies share the route columns, which a
