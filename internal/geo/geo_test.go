@@ -213,6 +213,28 @@ func portableHypot(p, q float64) float64 {
 	return p * math.Sqrt(1+q*q)
 }
 
+// TestAxisBeyondTie pins AxisBeyond's strict compare. A point whose
+// offset on one axis equals d, and is zero on the other, lies exactly at
+// Dist d: a k-nearest scan must still see it, for it ties the k-th best
+// and the tie goes to the lower slot or node. With >= it would be skipped.
+func TestAxisBeyondTie(t *testing.T) {
+	a := Point{X: 120.5, Y: -40.25}
+	for _, d := range []float64{0, 0.5, 37.5, 600, 1e6} {
+		for _, b := range []Point{{a.X + d, a.Y}, {a.X - d, a.Y}, {a.X, a.Y + d}, {a.X, a.Y - d}} {
+			off := max(math.Abs(a.X-b.X), math.Abs(a.Y-b.Y))
+			if off != d || Dist(a, b) != d {
+				t.Fatalf("setup: %v→%v is offset %g, Dist %g, want both %g", a, b, off, Dist(a, b), d)
+			}
+			if AxisBeyond(a, b, d) {
+				t.Errorf("AxisBeyond(%v, %v, %g) on an exact one-axis tie = true, want false", a, b, d)
+			}
+			if !AxisBeyond(a, b, math.Nextafter(d, math.Inf(-1))) && d > 0 {
+				t.Errorf("AxisBeyond(%v, %v) just below %g = false, want true", a, b, d)
+			}
+		}
+	}
+}
+
 // TestHypotAxisBound checks the premise of AxisBeyond, and so of the
 // k-nearest scans' pruning: both Hypot code paths return at least
 // max(|p|, |q|), so an offset beyond d on one axis puts the distance

@@ -63,9 +63,11 @@ type Graph struct {
 	cellStart []int32
 	cellNodes []int32
 
-	// lm[l][v] is the base-time distance from landmark l to node v
-	// (symmetric graph: also v to l). See landmarks.go.
-	lm [][]float64
+	// lm[v*nlm+l] is the base-time distance from landmark l to node v
+	// (symmetric graph: also v to l): node-major, so a node's nlm ≤ 8
+	// distances share one 64-byte row. See computeLandmarks.
+	lm  []float64
+	nlm int
 
 	routers sync.Pool
 }

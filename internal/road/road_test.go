@@ -3,6 +3,7 @@ package road
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -248,8 +249,9 @@ func TestLandmarkBoundsAdmissible(t *testing.T) {
 		for probe := 0; probe < 50; probe++ {
 			v := rng.Int31n(n)
 			var bound float64
-			for _, d := range g.lm {
-				if b := math.Abs(d[v] - d[tgt]); b > bound {
+			dt := g.landmarks(tgt)
+			for l, d := range g.landmarks(v) {
+				if b := math.Abs(d - dt[l]); b > bound {
 					bound = b
 				}
 			}
@@ -374,5 +376,130 @@ func TestBenchGraphSize(t *testing.T) {
 	}
 	if sec > straight/classSpeed[ClassLocal]*2 {
 		t.Fatalf("cross-city route %gs implausibly slow", sec)
+	}
+}
+
+// TestStampWrapFlushesLabels runs a router up to the stamp wrap and checks
+// that its answers after the wrap equal a fresh router's. The stamps the
+// wrap reuses are those of the queries before it, so without the flush a
+// stale seen or done mark — or a potential memoized for another query's
+// endpoints — would leak into the new query.
+func TestStampWrapFlushesLabels(t *testing.T) {
+	g := testGraph(51)
+	factors := make([]float64, g.NumEdges())
+	rng := rand.New(rand.NewSource(8))
+	for e := range factors {
+		factors[e] = 1 + rng.Float64()
+	}
+	n := int32(g.NumNodes())
+	r := NewRouter(g)
+	for q := 0; q < 20; q++ {
+		r.Route(rng.Int31n(n), rng.Int31n(n), factors)
+	}
+	r.stamp = math.MaxInt32 - 1
+	for q := 0; q < 20; q++ {
+		from, to := rng.Int31n(n), rng.Int31n(n)
+		if from == to {
+			continue
+		}
+		p1, s1, m1, ok1 := r.RoutePath(from, to, factors, nil)
+		if q == 0 && r.stamp != 1 {
+			t.Fatalf("stamp %d after the wrap, want 1", r.stamp)
+		}
+		p2, s2, m2, ok2 := NewRouter(g).RoutePath(from, to, factors, nil)
+		if ok1 != ok2 || s1 != s2 || m1 != m2 || !slices.Equal(p1, p2) {
+			t.Fatalf("query %d after the wrap, %d→%d: %v %v %v, a fresh router %v %v %v",
+				q, from, to, s1, m1, p1, s2, m2, p2)
+		}
+	}
+}
+
+// handGraph builds a graph from node positions and two-way local streets,
+// with its landmarks; unlike Generate it can be disconnected.
+func handGraph(nodes []geo.Point, streets [][2]int32) *Graph {
+	g := &Graph{nodes: nodes, start: make([]int32, len(nodes)+1)}
+	for _, st := range streets {
+		g.start[st[0]+1]++
+		g.start[st[1]+1]++
+	}
+	for v := range nodes {
+		g.start[v+1] += g.start[v]
+	}
+	m := g.start[len(nodes)]
+	g.to = make([]int32, m)
+	g.length = make([]float64, m)
+	g.base = make([]float64, m)
+	g.class = make([]uint8, m)
+	g.rev = make([]int32, m)
+	fill := slices.Clone(g.start[:len(nodes)])
+	add := func(a, b int32) int32 {
+		e := fill[a]
+		fill[a]++
+		g.to[e] = b
+		g.length[e] = geo.Dist(nodes[a], nodes[b])
+		g.base[e] = g.length[e] / classSpeed[ClassLocal]
+		return e
+	}
+	for _, st := range streets {
+		ab, ba := add(st[0], st[1]), add(st[1], st[0])
+		g.rev[ab], g.rev[ba] = ba, ab
+	}
+	g.buildNodeGrid(200)
+	g.computeLandmarks(defaultLandmarks)
+	return g
+}
+
+// gridStreets appends a w×h block grid of nodes at origin o, 100 m apart,
+// and its streets.
+func gridStreets(nodes []geo.Point, streets [][2]int32, o geo.Point, w, h int) ([]geo.Point, [][2]int32) {
+	base := int32(len(nodes))
+	for j := 0; j < h; j++ {
+		for i := 0; i < w; i++ {
+			v := base + int32(j*w+i)
+			nodes = append(nodes, geo.Point{X: o.X + float64(i)*100, Y: o.Y + float64(j)*100})
+			if i > 0 {
+				streets = append(streets, [2]int32{v - 1, v})
+			}
+			if j > 0 {
+				streets = append(streets, [2]int32{v - int32(w), v})
+			}
+		}
+	}
+	return nodes, streets
+}
+
+// TestRouteDisconnected routes on a graph of two components. Every
+// landmark lies in the first, so the second's landmark distances are all
+// +Inf and its potentials take Inf − Inf = NaN terms, which the > compare
+// in pf ignores. A route across components must report no path, and one
+// inside either must equal the reference Dijkstra's.
+func TestRouteDisconnected(t *testing.T) {
+	nodes, streets := gridStreets(nil, nil, geo.Point{}, 5, 4)
+	split := int32(len(nodes))
+	nodes, streets = gridStreets(nodes, streets, geo.Point{X: 1000, Y: 50}, 3, 3)
+	g := handGraph(nodes, streets)
+	if g.nlm == 0 || !math.IsInf(g.landmarks(split)[0], 1) {
+		t.Fatalf("landmarks %v of the second component's node, want +Inf", g.landmarks(split))
+	}
+	rng := rand.New(rand.NewSource(12))
+	factors := make([]float64, g.NumEdges())
+	for e := range factors {
+		factors[e] = 1 + rng.Float64()*2
+	}
+	r := NewRouter(g)
+	n := int32(g.NumNodes())
+	for _, fac := range [][]float64{nil, factors} {
+		for from := int32(0); from < n; from++ {
+			for to := int32(0); to < n; to++ {
+				want, wok := refDijkstra(g, fac, from, to)
+				sec, _, ok := r.Route(from, to, fac)
+				if across := (from < split) != (to < split); across && (ok || wok) {
+					t.Fatalf("%d→%d across components: ok=%v, reference ok=%v", from, to, ok, wok)
+				}
+				if ok != wok || (ok && sec != want) {
+					t.Fatalf("%d→%d: route %v ok=%v, reference %v ok=%v", from, to, sec, ok, want, wok)
+				}
+			}
+		}
 	}
 }

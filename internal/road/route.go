@@ -29,8 +29,8 @@ import "math"
 const defaultLandmarks = 8
 
 // computeLandmarks farthest-point-samples k landmarks and stores their
-// base-time distance tables. Deterministic: the seed vertex is the node
-// farthest from node 0.
+// base-time distance tables node-major (see Graph.lm). Deterministic: the
+// seed vertex is the node farthest from node 0.
 func (g *Graph) computeLandmarks(k int) {
 	n := g.NumNodes()
 	if n == 0 || k <= 0 {
@@ -50,10 +50,10 @@ func (g *Graph) computeLandmarks(k int) {
 	for i := range minD {
 		minD[i] = math.Inf(1)
 	}
-	g.lm = make([][]float64, 0, k)
-	for len(g.lm) < k {
+	tables := make([][]float64, 0, k)
+	for len(tables) < k {
 		d := g.baseDijkstra(cur)
-		g.lm = append(g.lm, d)
+		tables = append(tables, d)
 		next, far := int32(-1), 0.0
 		for v := range minD {
 			if d[v] < minD[v] {
@@ -68,6 +68,19 @@ func (g *Graph) computeLandmarks(k int) {
 		}
 		cur = next
 	}
+	g.nlm = len(tables)
+	g.lm = make([]float64, n*g.nlm)
+	for l, d := range tables {
+		for v, dv := range d {
+			g.lm[v*g.nlm+l] = dv
+		}
+	}
+}
+
+// landmarks returns node v's row of landmark distances.
+func (g *Graph) landmarks(v int32) []float64 {
+	i := int(v) * g.nlm
+	return g.lm[i : i+g.nlm : i+g.nlm]
 }
 
 // baseDijkstra returns single-source free-flow distances from src.
@@ -149,23 +162,37 @@ func (h *pq) pop() pqItem {
 }
 
 // Router holds the per-query scratch of the bidirectional search. A
-// Router serves one query at a time; the sim keeps one per shard (and one
-// for serial phases), the snapshot query path borrows from the graph's
-// pool. Version stamps make query start O(1) — no array clearing.
+// Router serves one query at a time; the sim keeps one per movement worker
+// (and one for serial phases), the snapshot query path borrows from the
+// graph's pool. Version stamps make query start O(1) — no array clearing.
 type Router struct {
 	g *Graph
 
-	distF, distB []float64
-	parF, parB   []int32 // parent toward s / toward t
-	seenF, seenB []int32 // stamp: label valid
-	doneF, doneB []int32 // stamp: node settled
-	stamp        int32
+	// labels holds each node's search state in one 48-byte record, so
+	// relaxing an edge reads and writes one record of its head, not six
+	// arrays.
+	labels []label
+	stamp  int32
 
 	heapF, heapB pq
 	lmS, lmT     []float64 // landmark distances to s and t, per query
 	path         []int32
 
 	work Work
+}
+
+// label is one node's state in the current query. A field is valid only
+// while its stamp equals the router's: seenF (seenB) says the forward
+// (backward) search has reached the node, so distF and parF (distB and
+// parB) hold its best label; doneF (doneB) that the search settled it.
+// pot memoizes the forward potential pf: it is computed the first time
+// either search reaches the node, so it is valid while seenF or seenB is.
+type label struct {
+	distF, distB float64
+	pot          float64
+	parF, parB   int32 // parent toward s / toward t
+	seenF, seenB int32
+	doneF, doneB int32
 }
 
 // Work counts a router's search effort since it was made: queries
@@ -189,14 +216,10 @@ func (r *Router) Work() Work { return r.work }
 
 // NewRouter returns a router bound to g.
 func NewRouter(g *Graph) *Router {
-	n := g.NumNodes()
 	return &Router{
-		g:     g,
-		distF: make([]float64, n), distB: make([]float64, n),
-		parF: make([]int32, n), parB: make([]int32, n),
-		seenF: make([]int32, n), seenB: make([]int32, n),
-		doneF: make([]int32, n), doneB: make([]int32, n),
-		lmS: make([]float64, len(g.lm)), lmT: make([]float64, len(g.lm)),
+		g:      g,
+		labels: make([]label, g.NumNodes()),
+		lmS:    make([]float64, g.nlm), lmT: make([]float64, g.nlm),
 	}
 }
 
@@ -209,21 +232,34 @@ func edgeCost(g *Graph, factors []float64, e int32) float64 {
 	return g.base[e] * factors[e]
 }
 
-// pf is the forward potential at v (backward is its negation).
+// pf is the forward potential at v (backward is its negation). A NaN term
+// (Inf − Inf, a landmark that reaches neither v nor the endpoint) fails
+// the > test and is ignored.
 func (r *Router) pf(v int32) float64 {
 	r.work.Potentials++
+	row := r.g.landmarks(v)
+	lmS, lmT := r.lmS[:len(row)], r.lmT[:len(row)]
 	var hf, hb float64
-	for l, d := range r.g.lm {
-		f := math.Abs(d[v] - r.lmT[l])
+	for l, d := range row {
+		f := math.Abs(d - lmT[l])
 		if f > hf {
 			hf = f
 		}
-		b := math.Abs(d[v] - r.lmS[l])
+		b := math.Abs(d - lmS[l])
 		if b > hb {
 			hb = b
 		}
 	}
 	return (hf - hb) / 2
+}
+
+// potential returns pf(v) from v's label, computing it there when neither
+// search has reached v yet in this query. Call it before marking v seen.
+func (r *Router) potential(v int32, lv *label, st int32) float64 {
+	if lv.seenF != st && lv.seenB != st {
+		lv.pot = r.pf(v)
+	}
+	return lv.pot
 }
 
 // Route returns the congested travel time and street distance of the
@@ -248,51 +284,58 @@ func (r *Router) route(from, to int32, factors []float64, buf []int32) ([]int32,
 	}
 	r.stamp++
 	if r.stamp == math.MaxInt32 {
-		// Stamp wrap (after ~2^31 queries): flush the version arrays so
-		// stale stamps can never collide with reused values.
-		for i := range r.seenF {
-			r.seenF[i], r.seenB[i], r.doneF[i], r.doneB[i] = 0, 0, 0, 0
-		}
+		// Stamp wrap (after ~2^31 queries): flush the labels so stale
+		// stamps can never collide with reused values.
+		clear(r.labels)
 		r.stamp = 1
 	}
-	for l, d := range g.lm {
-		r.lmS[l] = d[from]
-		r.lmT[l] = d[to]
+	for l, d := range g.landmarks(from) {
+		r.lmS[l] = d
+	}
+	for l, d := range g.landmarks(to) {
+		r.lmT[l] = d
 	}
 	r.heapF = r.heapF[:0]
 	r.heapB = r.heapB[:0]
 	st := r.stamp
+	labels := r.labels
 
-	r.distF[from] = 0
-	r.seenF[from] = st
-	r.parF[from] = -1
-	r.heapF.push(pqItem{key: r.pf(from), node: from})
+	ls := &labels[from]
+	ls.distF = 0
+	ls.pot = r.pf(from)
+	ls.seenF = st
+	ls.parF = -1
+	r.heapF.push(pqItem{key: ls.pot, node: from})
 
-	r.distB[to] = 0
-	r.seenB[to] = st
-	r.parB[to] = -1
-	r.heapB.push(pqItem{key: -r.pf(to), node: to})
+	lt := &labels[to]
+	lt.distB = 0
+	lt.pot = r.pf(to)
+	lt.seenB = st
+	lt.parB = -1
+	r.heapB.push(pqItem{key: -lt.pot, node: to})
 
 	mu := math.Inf(1)
 	meetF, meetB := int32(-1), int32(-1)
 
 	// relaxF settles u forward and scans its outgoing edges.
 	relaxF := func(u int32) {
-		du := r.distF[u]
+		du := labels[u].distF
 		for e := g.start[u]; e < g.start[u+1]; e++ {
 			v := g.to[e]
-			if r.doneF[v] == st {
+			lv := &labels[v]
+			if lv.doneF == st {
 				continue
 			}
 			nd := du + edgeCost(g, factors, e)
-			if r.seenF[v] != st || nd < r.distF[v] {
-				r.distF[v] = nd
-				r.seenF[v] = st
-				r.parF[v] = u
-				r.heapF.push(pqItem{key: nd + r.pf(v), node: v})
+			if lv.seenF != st || nd < lv.distF {
+				pot := r.potential(v, lv, st)
+				lv.distF = nd
+				lv.seenF = st
+				lv.parF = u
+				r.heapF.push(pqItem{key: nd + pot, node: v})
 			}
-			if r.seenB[v] == st {
-				if c := nd + r.distB[v]; c < mu {
+			if lv.seenB == st {
+				if c := nd + lv.distB; c < mu {
 					mu, meetF, meetB = c, u, v
 				}
 			}
@@ -301,22 +344,24 @@ func (r *Router) route(from, to int32, factors []float64, buf []int32) ([]int32,
 	// relaxB settles x backward and scans its incoming edges via the
 	// reverse-partner table (every street has both directions).
 	relaxB := func(x int32) {
-		dx := r.distB[x]
+		dx := labels[x].distB
 		for e := g.start[x]; e < g.start[x+1]; e++ {
 			u := g.to[e]
-			if r.doneB[u] == st {
+			lu := &labels[u]
+			if lu.doneB == st {
 				continue
 			}
 			rev := g.rev[e] // original edge u→x
 			nd := dx + edgeCost(g, factors, rev)
-			if r.seenB[u] != st || nd < r.distB[u] {
-				r.distB[u] = nd
-				r.seenB[u] = st
-				r.parB[u] = x
-				r.heapB.push(pqItem{key: nd - r.pf(u), node: u})
+			if lu.seenB != st || nd < lu.distB {
+				pot := r.potential(u, lu, st)
+				lu.distB = nd
+				lu.seenB = st
+				lu.parB = x
+				r.heapB.push(pqItem{key: nd - pot, node: u})
 			}
-			if r.seenF[u] == st {
-				if c := r.distF[u] + edgeCost(g, factors, rev) + dx; c < mu {
+			if lu.seenF == st {
+				if c := lu.distF + edgeCost(g, factors, rev) + dx; c < mu {
 					mu, meetF, meetB = c, u, x
 				}
 			}
@@ -330,19 +375,19 @@ func (r *Router) route(from, to int32, factors []float64, buf []int32) ([]int32,
 		if r.heapF[0].key <= r.heapB[0].key {
 			it := r.heapF.pop()
 			u := it.node
-			if r.doneF[u] == st {
+			if labels[u].doneF == st {
 				continue
 			}
-			r.doneF[u] = st
+			labels[u].doneF = st
 			r.work.Settled++
 			relaxF(u)
 		} else {
 			it := r.heapB.pop()
 			x := it.node
-			if r.doneB[x] == st {
+			if labels[x].doneB == st {
 				continue
 			}
-			r.doneB[x] = st
+			labels[x].doneB = st
 			r.work.Settled++
 			relaxB(x)
 		}
@@ -354,14 +399,14 @@ func (r *Router) route(from, to int32, factors []float64, buf []int32) ([]int32,
 	// Assemble s..meetF then meetB..t, then recompute the cost as the
 	// ordered s→t sum so it is bit-equal to a serial Dijkstra's.
 	head := len(buf)
-	for v := meetF; v >= 0; v = r.parF[v] {
+	for v := meetF; v >= 0; v = labels[v].parF {
 		buf = append(buf, v)
 	}
 	// Reverse the prefix in place (it was appended meetF→s).
 	for i, j := head, len(buf)-1; i < j; i, j = i+1, j-1 {
 		buf[i], buf[j] = buf[j], buf[i]
 	}
-	for v := meetB; v >= 0; v = r.parB[v] {
+	for v := meetB; v >= 0; v = labels[v].parB {
 		buf = append(buf, v)
 	}
 	var seconds, meters float64

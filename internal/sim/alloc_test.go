@@ -19,24 +19,33 @@ import (
 
 // TestMovePhaseZeroAlloc drives a serial world to steady state, then
 // checks the whole movement phase — shard RNGs, state machines, path
-// rings, grid commits — runs without a single heap allocation.
+// rings, grid commits, and on streets the route plans and route following
+// — runs without a single heap allocation.
 func TestMovePhaseZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long warmup")
 	}
-	w := NewWorld(Config{Profile: Manhattan(), Seed: 21, Workers: 1})
-	// Reach steady state under the full tick first (populations, shard
-	// buffers, shard RNGs), then under the isolated move phase (drains the
-	// sessions that expire at the frozen clock and saturates grid-cell
-	// capacities under cruise drift).
-	for i := 0; i < 1000; i++ {
-		w.Step()
-	}
-	for i := 0; i < 600; i++ {
-		w.moveDrivers()
-	}
-	if avg := testing.AllocsPerRun(200, func() { w.moveDrivers() }); avg != 0 {
-		t.Fatalf("move phase allocates %.3f times per tick, want 0", avg)
+	for _, streets := range []bool{false, true} {
+		p := Manhattan()
+		p.RoadNetwork = streets
+		w := NewWorld(Config{Profile: p, Seed: 21, Workers: 1})
+		// Reach steady state under the full tick first (populations, shard
+		// buffers, shard RNGs, path buffers), then under the isolated move
+		// phase (drains the sessions that expire at the frozen clock and
+		// saturates grid-cell capacities under cruise drift).
+		for i := 0; i < 1000; i++ {
+			w.Step()
+		}
+		for i := 0; i < 600; i++ {
+			w.moveDrivers()
+		}
+		before := w.RoadWork()
+		if avg := testing.AllocsPerRun(200, func() { w.moveDrivers() }); avg != 0 {
+			t.Errorf("move phase (streets %v) allocates %.3f times per tick, want 0", streets, avg)
+		}
+		if planned := w.RoadWork().Routes - before.Routes; streets && planned == 0 {
+			t.Error("the measured street ticks planned no route")
+		}
 	}
 }
 
@@ -242,7 +251,7 @@ func TestWorldBytesPerSlot(t *testing.T) {
 	rw := NewWorld(Config{Profile: profile, Seed: 24, StartTime: 17 * 3600, Workers: 1})
 	rw.Step()
 	m, ok := rw.mv.(*street)
-	if !ok || len(m.route) != rw.fleet.high || len(m.routeHop) != rw.fleet.high ||
+	if !ok || len(m.route) != rw.fleet.high || len(m.routeHop) != rw.fleet.high || len(m.routeNext) != rw.fleet.high ||
 		len(m.routeEdge) != rw.fleet.high || len(m.routeGoal) != rw.fleet.high {
 		t.Fatalf("a road world of %d slots must hold route state for each", rw.fleet.high)
 	}

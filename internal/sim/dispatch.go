@@ -77,7 +77,7 @@ func (w *World) spawnArrivals(dt float64) {
 		w.spawnPlans = append(w.spawnPlans, spawnPlan{})
 	}
 	plans := w.spawnPlans[:n]
-	w.runShards((n+spawnBlock-1)/spawnBlock, func(b int) {
+	w.runShards((n+spawnBlock-1)/spawnBlock, func(_, b int) {
 		for i := b * spawnBlock; i < min((b+1)*spawnBlock, n); i++ {
 			w.buildSpawnPlan(i, &plans[i])
 		}
@@ -219,7 +219,7 @@ func (w *World) generateRequests(dt float64) {
 	}
 	w.subPlans = subs
 
-	w.runShards((len(subs)+dispatchBlock-1)/dispatchBlock, func(b int) {
+	w.runShards((len(subs)+dispatchBlock-1)/dispatchBlock, func(_, b int) {
 		var buf [dispatchCandK]geo.SlotNeighbor // exact for both queries, so it stays on the stack
 		for i := b * dispatchBlock; i < min((b+1)*dispatchBlock, len(subs)); i++ {
 			w.buildSubPlan(&subs[i], buf[:0])

@@ -27,9 +27,9 @@ type mover interface {
 	// refineK is how many still-idle straight-line-nearest candidates
 	// dispatch re-ranks by trip seconds.
 	refineK() int
-	// forShard returns the mover one movement shard drives with: the same
-	// model with scratch of its own, so shards share nothing mutable.
-	forShard() mover
+	// forWorker returns the mover one movement worker drives with: the
+	// same model with scratch of its own, so workers share nothing mutable.
+	forWorker() mover
 	// reset forgets what the model keeps about slot s, for a new session
 	// starts there (serial phases only); the plane keeps nothing.
 	reset(s int32)
@@ -76,10 +76,10 @@ func (p plane) freeze([]float64) (tripFunc, []float64) {
 	return func(from, to geo.Point) (float64, float64) { return planeTrip(now, from, to) }, nil
 }
 
-func (plane) refineK() int      { return 1 }
-func (p plane) forShard() mover { return p }
-func (plane) reset(int32)       {}
-func (plane) tally()            {}
+func (plane) refineK() int       { return 1 }
+func (p plane) forWorker() mover { return p }
+func (plane) reset(int32)        {}
+func (plane) tally()             {}
 
 func (p plane) advance(s int32, target geo.Point, dt float64) bool {
 	return p.w.fleet.stepToward(s, target, StreetSpeed(p.w.now)*dt/manhattanFactor)
@@ -108,14 +108,13 @@ func (p plane) cruise(s int32, dt float64, rng *rand.Rand) {
 }
 
 // shardOps is one movement shard's private state: its RNG (rng draws
-// from stream, which shardRand re-keys every tick), its mover, and the
-// buffer of deferred world mutations — grid updates and removals may not
-// touch shared state from workers, so they queue here and the commit loop
+// from stream, which shardRand re-keys every tick) and the buffer of
+// deferred world mutations — grid updates and removals may not touch
+// shared state from workers, so they queue here and the commit loop
 // applies them in (shard, index) order.
 type shardOps struct {
 	stream   *shardStream
 	rng      *rand.Rand
-	mv       mover
 	removals []int32                               // drivers whose session ended this tick
 	moves    []geo.SlotPoint                       // idle cars and joinable trips that moved, in slot order
 	inserts  [core.NumVehicleTypes][]geo.SlotPoint // trip completions re-entering the map
@@ -177,9 +176,10 @@ func (w *World) moveDrivers() {
 	}
 }
 
-// moveShard runs one shard of the movement phase.
-func (w *World) moveShard(s int) {
+// moveShard runs one shard of the movement phase on the worker's mover.
+func (w *World) moveShard(worker, s int) {
 	dt := float64(TickSeconds)
+	mv := w.workerMv[worker]
 	o := &w.moveOps[s]
 	o.reset()
 	rng := w.shardRand(s)
@@ -187,14 +187,15 @@ func (w *World) moveShard(s int) {
 	live := w.fleet.live
 	for i := lo; i < hi; i++ {
 		if live[i] {
-			w.moveOne(int32(i), dt, rng, o)
+			w.moveOne(int32(i), dt, rng, mv, o)
 		}
 	}
 }
 
-// moveOne advances a single driver, queueing shared-state mutations in o.
-// It may only write the slot's own columns; everything else is deferred.
-func (w *World) moveOne(s int32, dt float64, rng *rand.Rand, o *shardOps) {
+// moveOne advances a single driver with mv, queueing shared-state
+// mutations in o. It may only write the slot's own columns; everything
+// else is deferred.
+func (w *World) moveOne(s int32, dt float64, rng *rand.Rand, mv mover, o *shardOps) {
 	f := &w.fleet
 	wasJoin := w.joinableSlot(s)
 	switch DriverState(f.state[s]) {
@@ -210,19 +211,19 @@ func (w *World) moveOne(s int32, dt float64, rng *rand.Rand, o *shardOps) {
 			f.idleSince[s] = w.now
 		}
 		before := f.pos[s]
-		o.mv.cruise(s, dt, rng)
+		mv.cruise(s, dt, rng)
 		if f.pos[s] != before {
 			o.moves = append(o.moves, geo.SlotPoint{Slot: s, Pos: f.pos[s]})
 		}
 		f.record(s)
 		return
 	case StateEnRoute:
-		if o.mv.advance(s, f.pickup[s], dt) {
+		if mv.advance(s, f.pickup[s], dt) {
 			// Passenger boards; trip begins.
 			f.state[s] = uint8(StateOnTrip)
 		}
 	case StateOnTrip:
-		if o.mv.advance(s, f.dest[s], dt) {
+		if mv.advance(s, f.dest[s], dt) {
 			if f.destDrop[s] {
 				o.dropoffs++
 				if f.poolRiders[s] > 0 {

@@ -82,15 +82,18 @@ func (w *World) shardRand(s int) *rand.Rand {
 	return o.rng
 }
 
-// growMoveOps extends the per-shard movement state to cover shards.
-// Serial-phase only: the parallel fan-out indexes moveOps and never
-// appends to anything the shards share.
+// growMoveOps extends the per-shard movement state to cover shards, and
+// the per-worker movers to cover the workers runShards starts for them.
+// Serial-phase only: the parallel fan-out indexes moveOps and workerMv
+// and never appends to anything the shards share.
 func (w *World) growMoveOps(shards int) {
 	for len(w.moveOps) < shards {
 		o := shardOps{stream: &shardStream{}}
 		o.rng = rand.New(o.stream)
-		o.mv = w.mv.forShard()
 		w.moveOps = append(w.moveOps, o)
+	}
+	for len(w.workerMv) < min(w.workers, shards) {
+		w.workerMv = append(w.workerMv, w.mv.forWorker())
 	}
 }
 
@@ -115,19 +118,18 @@ func (w *World) phaseRand(salt uint64, i int) *rand.Rand {
 	return rand.New(&shardStream{state: h})
 }
 
-// runShards invokes fn(shard) for every shard in [0, n), spread over the
-// world's workers. With one worker (or one shard) it runs inline on the
-// calling goroutine. fn must not touch shared mutable state; anything a
-// shard wants to change about the world goes into its own buffer and is
-// committed serially by the caller.
-func (w *World) runShards(n int, fn func(shard int)) {
-	workers := w.workers
-	if workers > n {
-		workers = n
-	}
+// runShards invokes fn(worker, shard) for every shard in [0, n), spread
+// over min(w.workers, n) workers numbered from 0. With one worker (or one
+// shard) it runs inline on the calling goroutine as worker 0. fn must not
+// touch shared mutable state; anything a shard wants to change about the
+// world goes into its own buffer and is committed serially by the caller.
+// worker indexes scratch only (a router), never state: which worker runs
+// a shard differs run to run.
+func (w *World) runShards(n int, fn func(worker, shard int)) {
+	workers := min(w.workers, n)
 	if workers <= 1 {
 		for s := 0; s < n; s++ {
-			fn(s)
+			fn(0, s)
 		}
 		return
 	}
@@ -142,7 +144,7 @@ func (w *World) runShards(n int, fn func(shard int)) {
 				if s >= n {
 					return
 				}
-				fn(s)
+				fn(i, s)
 			}
 		}()
 	}

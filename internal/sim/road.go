@@ -9,9 +9,10 @@ package sim
 //
 // Phase discipline (see parallel.go): route queries are pure reads of the
 // immutable graph plus the congestion factor table, which only changes in
-// Commit — a serial-phase call. Each movement shard owns a preallocated
-// router, so the parallel phase performs no locking and no allocation,
-// and results stay bit-identical for every worker count. The congestion
+// Commit — a serial-phase call. Each movement worker owns a preallocated
+// router, so the parallel phase performs no locking and no allocation;
+// a route is a pure function of the graph, the factors and its endpoints,
+// so results stay bit-identical for every worker count. The congestion
 // tally walks slots in slot order inside the serial stats phase.
 
 import (
@@ -40,8 +41,8 @@ func (w *World) RoadWork() road.Work {
 	if m, ok := w.mv.(*street); ok {
 		sum.Add(m.rt.Work())
 	}
-	for i := range w.moveOps {
-		if m, ok := w.moveOps[i].mv.(*street); ok {
+	for _, mv := range w.workerMv {
+		if m, ok := mv.(*street); ok {
 			sum.Add(m.rt.Work())
 		}
 	}
@@ -50,7 +51,7 @@ func (w *World) RoadWork() road.Work {
 
 // street is the road-network mover. Each copy owns its router: the
 // world's serves the serial phases (dispatch, fares, EWT), every movement
-// shard drives with a fork. All copies share the route columns, which a
+// worker drives with a fork. All copies share the route columns, which a
 // shard writes only for its own slots, as it writes the fleet's.
 type street struct {
 	w   *World
@@ -64,13 +65,17 @@ type street struct {
 // routes is the street mover's per-slot state, columns indexed by slot
 // like the fleet's and grown with it by reset, so only a world on streets
 // holds them: the planned node path, the next hop's index into it (-1 =
-// no route), the directed edge currently being traversed (-1 = the
+// no route), that hop's node (-1 = past the path's end: the egress leg to
+// the goal), the directed edge currently being traversed (-1 = the
 // off-road approach/egress leg), and the goal the route was planned for
 // (a mismatch triggers a replan — how POOL diversions and fresh dispatches
-// pick up their new destination).
+// pick up their new destination). routeNext repeats route[s][routeHop[s]]
+// in a dense column, so a car between two nodes — most car-ticks — never
+// reads its path buffer.
 type routes struct {
 	route     [][]int32
 	routeHop  []int32
+	routeNext []int32
 	routeEdge []int32
 	routeGoal []geo.Point
 }
@@ -84,7 +89,7 @@ func newStreet(w *World, net *road.Network, commit bool) *street {
 // congested road ETA picks among them.
 func (m *street) refineK() int { return 4 }
 
-func (m *street) forShard() mover {
+func (m *street) forWorker() mover {
 	fork := *m
 	fork.rt = road.NewRouter(m.net.Graph)
 	return &fork
@@ -97,11 +102,13 @@ func (r *routes) reset(s int32) {
 	for int(s) >= len(r.routeHop) {
 		r.route = append(r.route, nil)
 		r.routeHop = append(r.routeHop, -1)
+		r.routeNext = append(r.routeNext, -1)
 		r.routeEdge = append(r.routeEdge, -1)
 		r.routeGoal = append(r.routeGoal, geo.Point{})
 	}
 	r.route[s] = r.route[s][:0]
 	r.routeHop[s] = -1
+	r.routeNext[s] = -1
 	r.routeEdge[s] = -1
 	r.routeGoal[s] = geo.Point{}
 }
@@ -122,6 +129,10 @@ func (m *street) planRoute(s int32, target geo.Point, factors []float64) {
 	}
 	m.route[s] = path
 	m.routeHop[s] = 0
+	m.routeNext[s] = -1
+	if len(path) > 0 {
+		m.routeNext[s] = path[0]
+	}
 	m.routeEdge[s] = -1
 	m.routeGoal[s] = target
 }
@@ -140,12 +151,11 @@ func (m *street) followRoute(s int32, target geo.Point, dt, fixedSpeed float64, 
 	}
 	budget := dt
 	for budget > 0 {
-		route := m.route[s]
-		hop := int(m.routeHop[s])
+		nv := m.routeNext[s]
 		var next geo.Point
 		sp := fixedSpeed
-		if hop < len(route) {
-			next = g.NodePos(route[hop])
+		if nv >= 0 {
+			next = g.NodePos(nv)
 			if sp <= 0 {
 				if e := m.routeEdge[s]; e >= 0 {
 					fac := 1.0
@@ -170,16 +180,17 @@ func (m *street) followRoute(s int32, target geo.Point, dt, fixedSpeed float64, 
 		}
 		f.pos[s] = next
 		budget -= d / sp
-		if hop < len(route) {
-			m.routeHop[s] = int32(hop + 1)
-			if hop+1 < len(route) {
-				m.routeEdge[s] = g.EdgeBetween(route[hop], route[hop+1])
-			} else {
-				m.routeEdge[s] = -1
-			}
-		} else {
+		if nv < 0 {
 			m.routeHop[s], m.routeEdge[s] = -1, -1
 			return true
+		}
+		hop := m.routeHop[s] + 1
+		m.routeHop[s] = hop
+		if route := m.route[s]; int(hop) < len(route) {
+			m.routeNext[s] = route[hop]
+			m.routeEdge[s] = g.EdgeBetween(nv, route[hop])
+		} else {
+			m.routeNext[s], m.routeEdge[s] = -1, -1
 		}
 	}
 	return false

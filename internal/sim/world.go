@@ -187,15 +187,16 @@ type World struct {
 	// parallel tick, grown once to steady state and then allocation-free.
 	workers    int
 	moveOps    []shardOps
-	moveFn     func(int) // w.moveShard, bound once so the per-tick fan-out allocates no closure
+	workerMv   []mover        // the movement phase's mover per worker: scratch, see runShards
+	moveFn     func(int, int) // w.moveShard, bound once so the per-tick fan-out allocates no closure
 	statParts  [][]areaCount
 	subPlans   []subPlan
 	spawnPlans []spawnPlan
 	knnBuf     []geo.SlotNeighbor
 
 	// mv is the movement model (see mover.go), chosen once in NewWorld. It
-	// serves the serial phases (dispatch, fares, EWT); each movement shard
-	// carries a fork of it in its shardOps.
+	// serves the serial phases (dispatch, fares, EWT); each movement worker
+	// drives with a fork of it in workerMv.
 	mv mover
 
 	// snap is what Snapshot remembers between builds (see snapshot.go).
@@ -724,7 +725,7 @@ func (w *World) accumulateStats() {
 	for len(w.statParts) < shards {
 		w.statParts = append(w.statParts, nil)
 	}
-	tally := func(s int) {
+	tally := func(_, s int) {
 		counts := w.statParts[s]
 		if len(counts) != len(w.areas) {
 			counts = make([]areaCount, len(w.areas))
