@@ -41,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"regexp"
 	"slices"
@@ -110,6 +109,16 @@ func parseBench(r io.Reader) (map[string]metrics, error) {
 	return got, sc.Err()
 }
 
+// units returns the per-op metric names of m, sorted.
+func units(m map[string]float64) []string {
+	names := make([]string, 0, len(m))
+	for u := range m {
+		names = append(names, u)
+	}
+	slices.Sort(names)
+	return names
+}
+
 // Slack on top of 1% for the two gates.
 const (
 	allocSlack = 8
@@ -127,7 +136,7 @@ func check(name string, have, want metrics) (fails []string) {
 		fails = append(fails, fmt.Sprintf("FAIL %s: %d B/op, baseline %d (cap %d)",
 			name, have.BOp, want.BOp, limit))
 	}
-	for _, unit := range slices.Sorted(maps.Keys(want.PerOp)) {
+	for _, unit := range units(want.PerOp) {
 		got, ok := have.PerOp[unit]
 		if !ok {
 			fails = append(fails, fmt.Sprintf("FAIL %s: %s missing from benchmark output", name, unit))
@@ -177,7 +186,7 @@ func main() {
 		}
 		fmt.Printf("%s %-40s ns/op %12.0f (%.2fx base)   B/op %10d (base %d)   allocs/op %6d (base %d)",
 			status, name, have.NsOp, have.NsOp/want.NsOp, have.BOp, want.BOp, have.AllocsOp, want.AllocsOp)
-		for _, unit := range slices.Sorted(maps.Keys(want.PerOp)) {
+		for _, unit := range units(want.PerOp) {
 			fmt.Printf("   %s %g (base %g)", unit, have.PerOp[unit], want.PerOp[unit])
 		}
 		fmt.Println()

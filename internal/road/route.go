@@ -118,7 +118,10 @@ type pqItem struct {
 }
 
 // pq is a slice-backed binary min-heap with lazy deletion (stale entries
-// are skipped by the settled check at pop sites).
+// are skipped by the settled check at pop sites). Both sifts move a hole
+// instead of swapping: each compares the moving item with the same
+// entries a swap-based sift would, so the heap's order, ties included,
+// is the textbook one.
 type pq []pqItem
 
 func (h *pq) push(it pqItem) {
@@ -127,35 +130,39 @@ func (h *pq) push(it pqItem) {
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if s[p].key <= s[i].key {
+		if s[p].key <= it.key {
 			break
 		}
-		s[p], s[i] = s[i], s[p]
+		s[i] = s[p]
 		i = p
 	}
+	s[i] = it
 }
 
 func (h *pq) pop() pqItem {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s = s[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s[l].key < s[m].key {
-			m = l
+		m, mk := i, last.key
+		if l < n && s[l].key < mk {
+			m, mk = l, s[l].key
 		}
-		if r < n && s[r].key < s[m].key {
+		if r < n && s[r].key < mk {
 			m = r
 		}
 		if m == i {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
+		s[i] = s[m]
 		i = m
+	}
+	if n > 0 {
+		s[i] = last
 	}
 	*h = s
 	return top
@@ -232,25 +239,32 @@ func edgeCost(g *Graph, factors []float64, e int32) float64 {
 	return g.base[e] * factors[e]
 }
 
-// pf is the forward potential at v (backward is its negation). A NaN term
-// (Inf − Inf, a landmark that reaches neither v nor the endpoint) fails
-// the > test and is ignored.
+// pf is the forward potential at v (backward is its negation). The two
+// maxima run over the terms' bit patterns, which order as their values
+// do: each term is an absolute value, so its sign bit is clear, and a
+// non-negative float's bits grow with it, +Inf included. A NaN term
+// (Inf − Inf, a landmark that reaches neither v nor the endpoint) has
+// bits above +Inf's; it is zeroed, so it is ignored, as a float > compare
+// would ignore it. Integer maxima compile without branches.
 func (r *Router) pf(v int32) float64 {
+	const sign, inf = 1 << 63, 0x7ff0_0000_0000_0000
 	r.work.Potentials++
 	row := r.g.landmarks(v)
 	lmS, lmT := r.lmS[:len(row)], r.lmT[:len(row)]
-	var hf, hb float64
+	var hf, hb uint64
 	for l, d := range row {
-		f := math.Abs(d - lmT[l])
-		if f > hf {
-			hf = f
+		f := math.Float64bits(d-lmT[l]) &^ sign
+		if f > inf {
+			f = 0
 		}
-		b := math.Abs(d - lmS[l])
-		if b > hb {
-			hb = b
+		hf = max(hf, f)
+		b := math.Float64bits(d-lmS[l]) &^ sign
+		if b > inf {
+			b = 0
 		}
+		hb = max(hb, b)
 	}
-	return (hf - hb) / 2
+	return (math.Float64frombits(hf) - math.Float64frombits(hb)) / 2
 }
 
 // potential returns pf(v) from v's label, computing it there when neither

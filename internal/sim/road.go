@@ -22,10 +22,12 @@ import (
 	"repro/internal/road"
 )
 
-// maxCruiseLeg caps how far an idle driver plans one cruise leg in road
-// mode. The hotspot drift of the euclidean cruise is preserved (the
-// target direction still comes from samplePlaceRand); the clamp just
-// keeps the per-retarget route query short.
+// maxCruiseLeg caps how far an idle driver plans one cruise leg when
+// cruise retargets in road mode. The hotspot drift of the euclidean cruise
+// is preserved (the target direction still comes from samplePlaceRand);
+// the clamp just keeps the per-retarget route query short. The first leg
+// of a session (drawLogon) and the leg after a trip ends (moveOne) are
+// drawn without it.
 const maxCruiseLeg = 600.0
 
 // Road returns the world's street network, or nil when the world moves
