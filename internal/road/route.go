@@ -6,8 +6,9 @@ import "math"
 // Triangle inequality) lower bounds.
 //
 // Landmarks are chosen by farthest-point sampling over base (free-flow)
-// times and a single-source distance table is stored per landmark. For a
-// query s→t the forward potential is
+// times, and their single-source distance tables are stored node-major:
+// one row of landmark distances per node. For a query s→t the forward
+// potential is
 //
 //	pf(v) = (πf(v) − πb(v)) / 2
 //	πf(v) = max_L |d(L,v) − d(L,t)|   (lower bound on d(v,t))
