@@ -304,12 +304,8 @@ func (r *Router) route(from, to int32, factors []float64, buf []int32) ([]int32,
 		clear(r.labels)
 		r.stamp = 1
 	}
-	for l, d := range g.landmarks(from) {
-		r.lmS[l] = d
-	}
-	for l, d := range g.landmarks(to) {
-		r.lmT[l] = d
-	}
+	copy(r.lmS, g.landmarks(from))
+	copy(r.lmT, g.landmarks(to))
 	r.heapF = r.heapF[:0]
 	r.heapB = r.heapB[:0]
 	st := r.stamp
