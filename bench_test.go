@@ -379,7 +379,8 @@ func BenchmarkStep(b *testing.B) {
 // reportRoadWork reports a road benchmark's search work per op: routes
 // planned, nodes settled and landmark potentials evaluated. They are exact
 // counts of a seeded run, so cmd/benchgate gates the ones BENCH_step.json
-// names with no slack.
+// names with no slack (to the printed precision: go test prints a value of
+// 1000 or more without decimals).
 func reportRoadWork(b *testing.B, before, after road.Work) {
 	n := float64(b.N)
 	b.ReportMetric(float64(after.Routes-before.Routes)/n, "routes/op")

@@ -79,9 +79,8 @@ func TestCheckZeroBaseline(t *testing.T) {
 	}
 }
 
-// A per-op metric the baseline names is exact unless the row states a
-// slack; one it does not name is not gated, and one it names must be in
-// the output.
+// A per-op metric the baseline names may not rise at all; one it does not
+// name is not gated, and one it names must be in the output.
 func TestCheckPerOp(t *testing.T) {
 	want := metrics{NsOp: 1e6, PerOp: map[string]float64{"routes/op": 60, "settled/op": 600}}
 	have := metrics{NsOp: 2e6, PerOp: map[string]float64{"routes/op": 60, "settled/op": 600, "potentials/op": 9999}}
@@ -93,14 +92,6 @@ func TestCheckPerOp(t *testing.T) {
 		t.Errorf("fewer settled refused: %q", f)
 	}
 	have.PerOp["settled/op"] = 600.1
-	if f := check("BenchmarkX", have, want); len(f) != 1 || !strings.Contains(f[0], "settled/op") {
-		t.Errorf("failures %q, want one naming settled/op", f)
-	}
-	want.Slack = map[string]float64{"settled/op": 0.01}
-	if f := check("BenchmarkX", have, want); f != nil {
-		t.Errorf("a rise inside the stated slack refused: %q", f)
-	}
-	have.PerOp["settled/op"] = 606.1
 	if f := check("BenchmarkX", have, want); len(f) != 1 || !strings.Contains(f[0], "settled/op") {
 		t.Errorf("failures %q, want one naming settled/op", f)
 	}
