@@ -503,3 +503,52 @@ func TestRouteDisconnected(t *testing.T) {
 		}
 	}
 }
+
+// TestPotentialMatchesFloatMaxima pins pf's bit-pattern maxima to the
+// float form they replace: the larger absolute difference by a > compare,
+// which ignores NaN. The rows mix finite distances, zeros and the +Inf a
+// landmark has for a node it cannot reach, so the differences cover
+// negative values, −0, ±Inf and NaN.
+func TestPotentialMatchesFloatMaxima(t *testing.T) {
+	ref := func(row, lmS, lmT []float64) float64 {
+		var hf, hb float64
+		for l, d := range row {
+			if f := math.Abs(d - lmT[l]); f > hf {
+				hf = f
+			}
+			if b := math.Abs(d - lmS[l]); b > hb {
+				hb = b
+			}
+		}
+		return (hf - hb) / 2
+	}
+	const k, nodes = 8, 64
+	rng := rand.New(rand.NewSource(5))
+	draw := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.Inf(1)
+		default:
+			return rng.Float64() * 3000
+		}
+	}
+	g := &Graph{lm: make([]float64, nodes*k), nlm: k}
+	for i := range g.lm {
+		g.lm[i] = draw()
+	}
+	r := &Router{g: g, lmS: make([]float64, k), lmT: make([]float64, k)}
+	for q := 0; q < 200; q++ {
+		for l := 0; l < k; l++ {
+			r.lmS[l], r.lmT[l] = draw(), draw()
+		}
+		for v := int32(0); v < nodes; v++ {
+			got, want := r.pf(v), ref(g.landmarks(v), r.lmS, r.lmT)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("query %d, node %d: pf %v, float maxima %v (row %v, s %v, t %v)",
+					q, v, got, want, g.landmarks(v), r.lmS, r.lmT)
+			}
+		}
+	}
+}

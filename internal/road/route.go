@@ -119,10 +119,7 @@ type pqItem struct {
 }
 
 // pq is a slice-backed binary min-heap with lazy deletion (stale entries
-// are skipped by the settled check at pop sites). Both sifts move a hole
-// instead of swapping: each compares the moving item with the same
-// entries a swap-based sift would, so the heap's order, ties included,
-// is the textbook one.
+// are skipped by the settled check at pop sites).
 type pq []pqItem
 
 func (h *pq) push(it pqItem) {
@@ -131,39 +128,35 @@ func (h *pq) push(it pqItem) {
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if s[p].key <= it.key {
+		if s[p].key <= s[i].key {
 			break
 		}
-		s[i] = s[p]
+		s[p], s[i] = s[i], s[p]
 		i = p
 	}
-	s[i] = it
 }
 
 func (h *pq) pop() pqItem {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	last := s[n]
+	s[0] = s[n]
 	s = s[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
-		m, mk := i, last.key
-		if l < n && s[l].key < mk {
-			m, mk = l, s[l].key
+		m := i
+		if l < n && s[l].key < s[m].key {
+			m = l
 		}
-		if r < n && s[r].key < mk {
+		if r < n && s[r].key < s[m].key {
 			m = r
 		}
 		if m == i {
 			break
 		}
-		s[i] = s[m]
+		s[i], s[m] = s[m], s[i]
 		i = m
-	}
-	if n > 0 {
-		s[i] = last
 	}
 	*h = s
 	return top
